@@ -9,6 +9,7 @@ positive determinant margin, and `snapshot:<path>` restores a saved state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,39 +59,46 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 def _parse_times(raw: str) -> tuple:
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(float(part) for part in raw.split(","))
+    return tuple(_finite_float(part) for part in raw.split(","))
 
 
 _SCHEMA = {
     # key: (parser, default)
     "n": (int, 64),
-    "L": (float, 2.0 * np.pi),
-    "nu": (float, 0.01),
-    "kappa": (float, 0.01),
-    "k": (float, 1.0),
-    "bigK": (float, 1.0),
+    "L": (_finite_float, 2.0 * np.pi),
+    "nu": (_finite_float, 0.01),
+    "kappa": (_finite_float, 0.01),
+    "k": (_finite_float, 1.0),
+    "bigK": (_finite_float, 1.0),
     "preset": (str, "equilibrium"),
-    "rho0": (float, 1.0),
-    "amplitude": (float, 0.1),
-    "stress_amplitude": (float, 0.2),
+    "rho0": (_finite_float, 1.0),
+    "amplitude": (_finite_float, 0.1),
+    "stress_amplitude": (_finite_float, 0.2),
     "init_kmax": (int, 4),
     "seed": (int, 0),
-    "cfl": (float, 0.5),
-    "dt_min": (float, 1e-10),
-    "dt_max": (float, 1e-2),
-    "t_end": (float, 1.0),
+    "cfl": (_finite_float, 0.5),
+    "dt_min": (_finite_float, 1e-10),
+    "dt_max": (_finite_float, 1e-2),
+    "t_end": (_finite_float, 1.0),
     "output_every": (int, 1),
     "snapshot_times": (_parse_times, ()),
     "keep_states": (_parse_bool, False),
-    "positivity_tol": (float, 1e-8),
-    "rho_tol": (float, 1e-6),
-    "energy_tol": (float, 1e-2),
-    "c_ceiling": (float, 1e12),
-    "constant_c": (float, 1.0),
+    "positivity_tol": (_finite_float, 1e-8),
+    "rho_tol": (_finite_float, 1e-6),
+    "energy_tol": (_finite_float, 1e-2),
+    "c_ceiling": (_finite_float, 1e12),
+    "constant_c": (_finite_float, 1.0),
 }
 
 

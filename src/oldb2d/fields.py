@@ -17,12 +17,12 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
-    curl,
     divergence,
+    rfft2,
     same_grid,
     scalar_field,
 )
-from .units import CM, DIMENSIONLESS, MIXED, SEC, Unit
+from .units import CM, DIMENSIONLESS, MIXED, SEC
 
 
 @dataclass(frozen=True)
@@ -102,13 +102,6 @@ def gamma_field(s: StressField) -> ScalarField:
     return scalar_field(s.grid, c - 2.0 * np.sqrt(a * a + b * b))
 
 
-def stress_admissible(s: StressField, tol: float = 1e-10) -> bool:
-    """Positivity test with slack proportional to the field magnitude."""
-    g = gamma_field(s).values
-    scale = max(1.0, float(np.max(s.c.values)))
-    return bool(np.min(g) >= -tol * scale)
-
-
 @dataclass(frozen=True)
 class SimState:
     """The coupled unknowns (u, sigma, rho) at one time instant."""
@@ -169,10 +162,6 @@ _NORM_UNITS = {
 }
 
 
-def norm_unit(key: str) -> Unit:
-    return _NORM_UNITS[key]
-
-
 def _sq_int(grid, *real_arrays) -> float:
     total = 0.0
     for arr in real_arrays:
@@ -180,59 +169,73 @@ def _sq_int(grid, *real_arrays) -> float:
     return total * grid.area
 
 
-def _spectral_weighted(grid, weight, *coeff_arrays) -> float:
-    total = 0.0
-    for ch in coeff_arrays:
-        total += float(np.sum(weight * (ch.real ** 2 + ch.imag ** 2)))
-    return total * grid.area
+def _parseval(grid, weight, *coeffs) -> float:
+    """area * sum of weight * |f_k|^2 over the full spectrum, from rfft2
+    half-spectrum coefficients: `_half["weights"]` counts every column whose
+    conjugate partner the half spectrum omits twice."""
+    w = grid._half["weights"] * weight
+    return grid.area * sum(float(np.vdot(ch, w * ch).real) for ch in coeffs)
+
+
+def _unmasked(state: SimState):
+    """rfft2 coefficients and real planes of (u1, u2, a, b, c, rho), without
+    the dealias mask: masking would move the norms of any state that is not
+    band-limited."""
+    reals = np.stack([
+        state.u.values[0], state.u.values[1], state.stress.a.values,
+        state.stress.b.values, state.stress.c.values, state.rho.values,
+    ])
+    return rfft2(reals), reals
 
 
 def norms(state: SimState) -> NormReport:
-    """Every norm used by the diagnostics and the a priori bound ledger.
+    """Every norm used by the diagnostics and the a priori bound ledger."""
+    return packed_norms(state.grid, *_unmasked(state))
+
+
+def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> NormReport:
+    """`norms` from half-spectrum coefficients `sh` (6, n, n//2+1) and real
+    planes `reals` (6, n, n), both ordered (u1, u2, a, b, c, rho).
 
     The stress L^1 norm is the trace integral; L^2-type stress norms are
     Frobenius, i.e. the density c^2/2 + 2a^2 + 2b^2 in (a, b, c) variables.
     """
-    g = state.grid
-    area = g.area
-    u1, u2 = state.u.values
-    u1h, u2h = state.u.coeffs
-    a, b, c = (f.values for f in (state.stress.a, state.stress.b, state.stress.c))
-    ah, bh, ch = (f.coeffs for f in (state.stress.a, state.stress.b, state.stress.c))
-    rho = state.rho.values
-    rhoh = state.rho.coeffs
-    omh = curl(state.u).coeffs
+    h = grid._half
+    area = grid.area
+    u1, u2, a, b, c, rho = reals
+    u1h, u2h, ah, bh, ch, rhoh = sh
+    omh = h["ikx"] * u2h - h["iky"] * u1h
 
-    ksq = g.k_sq
+    ksq = h["k_sq"]
     ksq2 = ksq * ksq
 
     vals = {}
-    vals["u_L2"] = np.sqrt(_sq_int(g, u1, u2))
+    vals["u_L2"] = np.sqrt(_sq_int(grid, u1, u2))
     vals["u_L4"] = (float(np.mean((u1 * u1 + u2 * u2) ** 2)) * area) ** 0.25
-    vals["grad_u_L2"] = np.sqrt(_spectral_weighted(g, ksq, u1h, u2h))
+    vals["grad_u_L2"] = np.sqrt(_parseval(grid, ksq, u1h, u2h))
 
     vals["sigma_L1"] = float(np.mean(c)) * area
     frob = 0.5 * c * c + 2.0 * a * a + 2.0 * b * b
     vals["sigma_L2"] = np.sqrt(float(np.mean(frob)) * area)
     vals["sigma_L4"] = (float(np.mean(frob * frob)) * area) ** 0.25
     grad_sig_sq = (
-        0.5 * _spectral_weighted(g, ksq, ch)
-        + 2.0 * _spectral_weighted(g, ksq, ah, bh)
+        0.5 * _parseval(grid, ksq, ch)
+        + 2.0 * _parseval(grid, ksq, ah, bh)
     )
     vals["grad_sigma_L2"] = np.sqrt(grad_sig_sq)
     delta_sig_sq = (
-        0.5 * _spectral_weighted(g, ksq2, ch)
-        + 2.0 * _spectral_weighted(g, ksq2, ah, bh)
+        0.5 * _parseval(grid, ksq2, ch)
+        + 2.0 * _parseval(grid, ksq2, ah, bh)
     )
     vals["delta_sigma_L2"] = np.sqrt(delta_sig_sq)
 
-    vals["omega_L2"] = np.sqrt(_spectral_weighted(g, np.ones_like(ksq), omh))
-    vals["grad_omega_L2"] = np.sqrt(_spectral_weighted(g, ksq, omh))
-    vals["delta_omega_L2"] = np.sqrt(_spectral_weighted(g, ksq2, omh))
+    vals["omega_L2"] = np.sqrt(_parseval(grid, 1.0, omh))
+    vals["grad_omega_L2"] = np.sqrt(_parseval(grid, ksq, omh))
+    vals["delta_omega_L2"] = np.sqrt(_parseval(grid, ksq2, omh))
 
     vals["rho_L1"] = float(np.mean(np.abs(rho))) * area
-    rho_l2_sq = _sq_int(g, rho)
-    grad_rho_sq = _spectral_weighted(g, ksq, rhoh)
+    rho_l2_sq = _sq_int(grid, rho)
+    grad_rho_sq = _parseval(grid, ksq, rhoh)
     vals["rho_L2"] = np.sqrt(rho_l2_sq)
     vals["grad_rho_L2"] = np.sqrt(grad_rho_sq)
     vals["rho_W12"] = np.sqrt(rho_l2_sq + grad_rho_sq)

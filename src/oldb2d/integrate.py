@@ -150,26 +150,6 @@ def step(state: SimState, dt: float, params: PhysParams) -> SimState:
     return unpack_state(grid, sh, state.time + dt)
 
 
-def _reals(grid: SpectralGrid, sh: np.ndarray) -> np.ndarray:
-    return irfft2(sh, grid.n)
-
-
-def _energy_pieces(grid, params, sh, reals):
-    """Energy integral(|u|^2 + K c), dissipation integral(2 nu |grad u|^2
-    + 2 k K c) and source 4 k K integral(rho)."""
-    h = grid._half
-    area = grid.area
-    u1, u2, _, _, c, rho = reals
-    cbar = float(np.mean(c))
-    energy = area * (float(np.mean(u1 * u1 + u2 * u2)) + params.bigK * cbar)
-    grad_u_sq = area * float(
-        np.sum(h["weights"] * h["k_sq"] * (np.abs(sh[0]) ** 2 + np.abs(sh[1]) ** 2))
-    )
-    dissipation = 2.0 * params.nu * grad_u_sq + 2.0 * params.k * params.bigK * cbar * area
-    source = 4.0 * params.k * params.bigK * float(np.mean(rho)) * area
-    return energy, dissipation, source
-
-
 def run(initial: SimState, params: PhysParams, ctl: StepControl,
         monitors: Monitors | None = None) -> Trajectory:
     """Run to t_end under the monitors; raises MonitorViolation on failure.
@@ -192,8 +172,8 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     snapshots: list = []
     pending_snaps = sorted(ctl.snapshot_times)
 
-    reals = _reals(grid, sh)
-    energy, dissipation, source = _energy_pieces(grid, params, sh, reals)
+    reals = irfft2(sh, grid.n)
+    led = diagnostics.packed_energy(grid, params, sh, reals)
 
     window: list = []  # (time, SimState) triples for the determinant residual
     det_window = params.kappa == 0.0
@@ -202,7 +182,6 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
         return unpack_state(grid, sh, t)
 
     def take_record():
-        state = current_state()
         det_res = float("nan")
         if det_window and len(window) == 3:
             t0, t1, t2 = (w[0] for w in window)
@@ -210,9 +189,10 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
                 det_res = diagnostics.determinant_residual(
                     [w[1] for w in window], params
                 )
-        records.append(diagnostics.make_record(state, params, determinant_residual=det_res))
+        records.append(diagnostics.make_record(grid, params, t, sh, reals,
+                                               determinant_residual=det_res))
         if states is not None:
-            states.append(state)
+            states.append(current_state())
 
     take_record()
     if det_window:
@@ -233,9 +213,9 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
         t += dt
         step_index += 1
 
-        prev_energy = energy
-        reals = _reals(grid, sh)
-        energy, dissipation, source = _energy_pieces(grid, params, sh, reals)
+        prev = led
+        reals = irfft2(sh, grid.n)
+        led = diagnostics.packed_energy(grid, params, sh, reals)
 
         # Monitors, in the documented tie-break order.
         if not np.isfinite(sh).all():
@@ -259,8 +239,8 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
         if min_gamma < -mon.positivity_tol * scale_c:
             raise MonitorViolation("gamma", t, min_gamma, "min gamma went negative")
         if mon.check_energy:
-            rate_excess = (energy - prev_energy) / dt - (-dissipation + source)
-            scale = max(dissipation, source, abs(energy) * params.k, 1e-300)
+            rate_excess = (led.energy - prev.energy) / dt - (-led.dissipation + led.source)
+            scale = max(led.dissipation, led.source, abs(led.energy) * params.k, 1e-300)
             if rate_excess > mon.energy_tol * scale:
                 raise MonitorViolation(
                     "energy", t, rate_excess,

@@ -17,6 +17,7 @@ of the strain-based assembly in `dynamics`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +48,12 @@ class PicardConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.t0 > 0.0:
-            raise ValueError("t0 must be positive")
+        if not 0.0 < self.t0 < math.inf:
+            raise ValueError("t0 must be positive and finite")
         if self.n_time_nodes < 4:
             raise ValueError("n_time_nodes must be at least 4")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

@@ -1,4 +1,6 @@
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from oldb2d import make_grid, run
 from oldb2d.cli import main
 from oldb2d.config import ConfigError, build_initial, parse_config
 from oldb2d.diagnostics import make_record, positivity_report
+from oldb2d.dynamics import pack_state
 from oldb2d.fields import min_eigenvalue
 from oldb2d.snapshots import (
     TIMESERIES_COLUMNS,
@@ -16,6 +19,7 @@ from oldb2d.snapshots import (
     read_timeseries,
     write_snapshot,
 )
+from oldb2d.spectral import irfft2
 
 TWO_PI = 2.0 * np.pi
 
@@ -160,8 +164,8 @@ class TestTimeseries:
     def _record(self):
         cfg = parse_config("n=16\npreset=equilibrium\n")
         grid = make_grid(16, cfg.length)
-        state = build_initial(cfg, grid)
-        return make_record(state, cfg.params)
+        sh = pack_state(build_initial(cfg, grid))
+        return make_record(grid, cfg.params, 0.0, sh, irfft2(sh, grid.n))
 
     def test_header_written_once(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -263,14 +267,50 @@ class TestCliMain:
     def test_bounds_with_trajectory(self, tmp_path, capsys):
         cfg_path = self._write_cfg(
             tmp_path,
-            "n=16\npreset=equilibrium\ndt_max=1e-3\nt_end=0.02\noutput_every=2\n",
+            "n=16\npreset=random_admissible\namplitude=1.0\nseed=5\n"
+            "dt_max=1e-3\nt_end=0.02\noutput_every=2\n",
         )
         out_dir = str(tmp_path / "out")
         assert main(["run", "--config", cfg_path, "--out-dir", out_dir]) == 0
+        gate = re.search(r"energy budget gate: observed (\S+) <=", capsys.readouterr().out)
         code = main(["bounds", "--config", cfg_path,
                      "--traj", os.path.join(out_dir, "timeseries.csv")])
         assert code == 0
-        assert "R0 gate" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "R0 gate" in out
+        from_csv = re.search(r"R0 gate: observed (\S+) <=", out)
+        assert float(from_csv.group(1)) == pytest.approx(float(gate.group(1)), rel=1e-12)
+
+    def test_bounds_zero_kappa_overflows(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, "n=16\npreset=equilibrium\nkappa=0\n")
+        assert main(["bounds", "--config", cfg_path]) == 0
+        out = capsys.readouterr().out
+        assert "[overflowed]" in out
+        r0 = next(line for line in out.splitlines() if line.strip().startswith("R0"))
+        assert "[overflowed]" not in r0
+
+    def test_run_zero_kappa_with_determinant_window(self, tmp_path, capsys, monkeypatch):
+        from oldb2d import cli
+
+        trajectories = []
+
+        def spy(*args, **kwargs):
+            trajectories.append(run(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(cli, "run", spy)
+        # dt_max sits far below the CFL step, so the step is fixed and the
+        # three-state window of the determinant law is uniform.
+        cfg_path = self._write_cfg(
+            tmp_path,
+            "n=16\npreset=random_admissible\nseed=2\nkappa=0\n"
+            "dt_max=1e-3\nt_end=0.01\n",
+        )
+        out_dir = str(tmp_path / "out")
+        assert main(["run", "--config", cfg_path, "--out-dir", out_dir]) == 0
+        assert re.search(r"energy budget gate: .* -> PASS", capsys.readouterr().out)
+        residuals = [r.determinant_residual for r in trajectories[0].records]
+        assert any(np.isfinite(res) for res in residuals)
 
     def test_picard_subcommand(self, tmp_path, capsys):
         cfg_path = self._write_cfg(
@@ -296,6 +336,30 @@ class TestCliMain:
 
     def test_unknown_subcommand_exit_config(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("config_line,extra_argv,message", [
+        ("t_end=inf", (), "t_end"),
+        ("snapshot_times=0.1,nan", (), "snapshot_times"),
+        ("positivity_tol=nan", (), "positivity_tol"),
+        ("c_ceiling=inf", (), "c_ceiling"),
+        ("", ("picard", "--t0", "0.05", "--nodes", "2"), "n_time_nodes"),
+        ("", ("picard", "--t0", "-1"), "t0"),
+        ("", ("picard", "--t0", "inf"), "t0"),
+        ("", ("picard", "--t0", "0.05", "--tol", "inf"), "tol"),
+        ("", ("picard", "--t0", "1e-20", "--compare"), "dt_min"),
+    ])
+    def test_bad_value_exits_config_without_traceback(self, tmp_path, capsys,
+                                                      config_line, extra_argv, message):
+        cfg_path = self._write_cfg(tmp_path, f"n=16\npreset=equilibrium\n{config_line}\n")
+        command, *flags = extra_argv or ("run", "--out-dir", str(tmp_path / "o"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", cfg_path, *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestThreadCap:

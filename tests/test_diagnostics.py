@@ -10,6 +10,7 @@ from oldb2d import (
     determinant_residual,
     energy_ledger,
     make_grid,
+    norms,
     positivity_report,
     run,
     scalar_field,
@@ -160,6 +161,23 @@ class TestAprioriLedger:
         assert np.isinf(led.R3.value) and led.R3.overflowed
         assert not led.R0.overflowed
 
+    def test_zero_kappa_overflows_past_r0(self, grid32):
+        # Zero stress and density make the R1 bracket 0, so inf * 0 would
+        # give nan; every bound past R0 must still read +inf.
+        x, y = grid32.nodes()
+        zero = const(grid32, 0)
+        state = SimState(0.0, vector_field(grid32, taylor_green_velocity(x, y)),
+                         StressField(zero, zero, zero), zero)
+        params0 = PhysParams(nu=0.01, kappa=0.0, k=1.0, bigK=1.0)
+        led = apriori_ledger(state, params0, 1.0)
+        assert led.R0.value == pytest.approx(
+            apriori_ledger(state, PARAMS, 1.0).R0.value, rel=1e-15)
+        assert not led.R0.overflowed
+        for name in ("R1", "R2", "R3", "R4", "R5", "B"):
+            entry = getattr(led, name)
+            assert entry.value == np.inf and entry.overflowed, name
+            assert entry.units == getattr(apriori_ledger(state, PARAMS, 1.0), name).units
+
     def test_constant_policy_scales_r1(self, grid32):
         state = band_limited_admissible_state(grid32, seed=13, kmax=4)
         led1 = apriori_ledger(state, PARAMS, 1.0, constant_c=1.0)
@@ -225,6 +243,35 @@ class TestBoundCheck:
         for row in report.rows[1:]:
             assert row.passed is None
             assert row.ratio >= 0.0
+
+
+class TestRecordsMatchFieldLevelDiagnostics:
+    """Records are built from the stepper's arrays; every value must equal
+    what the public field-level functions give on the stored state."""
+
+    def test_records_match_stored_states(self):
+        cfg = parse_config("n=32\npreset=random_admissible\namplitude=1.0\n"
+                           "seed=21\nt_end=0.05\nkeep_states=true\n")
+        grid = make_grid(32, cfg.length)
+        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        assert len(traj.states) == len(traj.records) > 2
+
+        def close(got, want):
+            return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+        for rec, state in zip(traj.records, traj.states):
+            assert rec.time == state.time
+            led = energy_ledger(state, cfg.params)
+            pos = positivity_report(state, tol=0.0)
+            rep = norms(state)
+            for key in ("energy", "dissipation", "source"):
+                assert close(getattr(rec, key), getattr(led, key)), key
+            for key in ("min_gamma", "min_rho", "min_c", "min_eig"):
+                assert close(getattr(rec, key), getattr(pos, key)), key
+            assert close(rec.c_max, pos.max_c)
+            assert set(rec.norms.values) == set(rep.values)
+            for key, want in rep.values.items():
+                assert close(rec.norms[key], want), key
 
 
 class TestDeterminantResidual:
