@@ -26,6 +26,7 @@ from .spectral import (
     laplacian,
     leray_project,
     make_grid,
+    rfft2,
     scalar_field,
     to_real,
     to_spectral,
@@ -421,7 +422,7 @@ def check_picard_bilinearity(cfg) -> CheckResult:
 
     def rand_u():
         raw = rng.standard_normal((m, 2, grid.n, grid.n))
-        return to_spectral(raw) * grid.dealias_mask
+        return rfft2(raw) * grid._half["mask"]
 
     u, v, w = rand_u(), rand_u(), rand_u()
     q_scaled = picard.op_q1(2.5 * u, v, grid, params, pcfg)
@@ -432,8 +433,8 @@ def check_picard_bilinearity(cfg) -> CheckResult:
     err1 = np.max(np.abs(q_scaled - 2.5 * q_base)) / scale
     err2 = np.max(np.abs(q_sum - q_parts)) / scale
 
-    iso = np.zeros((m, 3, grid.n, grid.n), dtype=complex)
-    iso[:, 2] = 2.0 * to_spectral(rng.standard_normal((m, grid.n, grid.n))) * grid.dealias_mask
+    iso = np.zeros((m, 3) + grid._half["mask"].shape, dtype=complex)
+    iso[:, 2] = 2.0 * rfft2(rng.standard_normal((m, grid.n, grid.n))) * grid._half["mask"]
     l1_iso = np.max(np.abs(picard.op_l1(iso, grid, params, pcfg)))
     ok = err1 <= 1e-12 and err2 <= 1e-12 and l1_iso <= 1e-13
     return _result("picard.bilinearity", ok,
@@ -445,7 +446,8 @@ def check_picard_zeroth_semigroup(cfg) -> CheckResult:
     u0h, abc0h, _ = picard._initial_coeffs(state.u, state.stress, state.rho, grid)
     _, sem_abc = picard.semigroup_paths(u0h, abc0h, grid, params, pcfg)
     times = pcfg.times()
-    decay = np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k) * times[:, None, None])
+    decay = np.exp(-(params.kappa * grid._half["k_sq"] + 2.0 * params.k)
+                   * times[:, None, None])
     err = np.max(np.abs(sem_abc - decay[:, None] * abc0h[None]))
     return _result("picard.zeroth_semigroup", err == 0.0, f"max gap {err:.2e}")
 
@@ -455,11 +457,11 @@ def check_picard_q2_consistency(cfg) -> CheckResult:
     u0h, abc0h, rho0h = picard._initial_coeffs(state.u, state.stress, state.rho, grid)
     integrand = picard.q2_integrand(u0h[None], abc0h[None], grid)[0]
     da, db, dc = dynamics.stress_rhs(state, params)
-    lin = -(params.kappa * grid.k_sq) - 2.0 * params.k
+    lin = -(params.kappa * grid._half["k_sq"]) - 2.0 * params.k
     expect = np.stack([
-        to_spectral(da.values) - lin * abc0h[0],
-        to_spectral(db.values) - lin * abc0h[1],
-        to_spectral(dc.values) - lin * abc0h[2] - 4.0 * params.k * rho0h,
+        rfft2(da.values) - lin * abc0h[0],
+        rfft2(db.values) - lin * abc0h[1],
+        rfft2(dc.values) - lin * abc0h[2] - 4.0 * params.k * rho0h,
     ])
     scale = np.max(np.abs(expect)) + 1e-300
     err = np.max(np.abs(integrand - expect)) / scale

@@ -253,7 +253,9 @@ def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
 
 def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:
     """Construct the configured initial state; the result always passes the
-    positivity report (inadmissible output is an internal bug)."""
+    positivity report.  A snapshot that fails it, or fails the construction
+    invariants, is a `ConfigError`; a built-in preset that does is an
+    internal bug."""
     if cfg.preset == "equilibrium":
         state = _uniform_state(grid, cfg.rho0)
     elif cfg.preset == "taylor_green":
@@ -267,11 +269,18 @@ def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:
     else:
         raise ConfigError(f"unknown preset {cfg.preset!r}")
 
+    from_snapshot = cfg.preset.startswith("snapshot:")
     report = positivity_report(state, tol=1e-10)
     if not report.passed:
-        raise RuntimeError(
+        error = ConfigError if from_snapshot else RuntimeError
+        raise error(
             f"preset {cfg.preset!r} produced an inadmissible state "
             f"(min gamma {report.min_gamma:.3e}, min rho {report.min_rho:.3e})"
         )
-    state.validate()
+    try:
+        state.validate()
+    except ValueError as exc:
+        if from_snapshot:
+            raise ConfigError(f"preset {cfg.preset!r}: {exc}") from exc
+        raise
     return state

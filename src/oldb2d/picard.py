@@ -2,9 +2,10 @@
 per-mode heat kernels and trapezoidal quadrature in time, the successive
 substitution loop, and contraction diagnostics.
 
-Time-indexed fields are spectral coefficient arrays sampled on uniform
-nodes over [0, t0]: velocity (m, 2, n, n), stress (m, 3, n, n) in (a, b, c)
-order, density (m, n, n).  The map sends (u, sigma, rho) to
+Time-indexed fields are half-spectrum (`rfft2`) coefficient arrays sampled
+on uniform nodes over [0, t0], on the grid's `_half` tables: velocity
+(m, 2, n, n//2+1), stress (m, 3, n, n//2+1) in (a, b, c) order, density
+(m, n, n//2+1).  The map sends (u, sigma, rho) to
 
     u_new     = heat(nu t) u0          + Q1(u, u) + L1(sigma)
     sigma_new = heat((kappa lap - 2k) t) sigma0 + Q2(u, sigma) + L2(rho)
@@ -13,6 +14,13 @@ order, density (m, n, n).  The map sends (u, sigma, rho) to
 so a fixed point solves the coupled system in integral form.  The stress
 stretching term inside Q2 is assembled in matrix components, independently
 of the strain-based assembly in `dynamics`.
+
+One application of the map transforms the velocity path and its gradient
+to real space once, in a single `irfft2` over (m, 6, n, n//2+1), and shares
+those planes between Q1, Q2 and the transport.  Integrands under the same
+kernel (Q1 + L1, Q2 + L2) are summed before one quadrature.  The public
+operators `op_q1`, `op_l1`, `op_q2`, `op_l2` and `op_n` remain the
+definitions; the map is their composition.
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    irfft2,
+    rfft2,
     scalar_field,
-    to_real,
-    to_spectral,
     vector_field,
 )
 
@@ -84,21 +92,18 @@ class PicardDivergenceError(RuntimeError):
 class MildTrajectory:
     grid: SpectralGrid
     times: np.ndarray
-    u: np.ndarray      # (m, 2, n, n) spectral
-    abc: np.ndarray    # (m, 3, n, n) spectral
-    rho: np.ndarray    # (m, n, n) spectral
+    u: np.ndarray      # (m, 2, n, n//2+1) half spectrum
+    abc: np.ndarray    # (m, 3, n, n//2+1) half spectrum
+    rho: np.ndarray    # (m, n, n//2+1) half spectrum
 
     def state(self, j: int) -> SimState:
         g = self.grid
+        a, b, c = irfft2(self.abc[j], g.n)
         return SimState(
             time=float(self.times[j]),
-            u=vector_field(g, to_real(self.u[j])),
-            stress=StressField(
-                scalar_field(g, to_real(self.abc[j, 0])),
-                scalar_field(g, to_real(self.abc[j, 1])),
-                scalar_field(g, to_real(self.abc[j, 2])),
-            ),
-            rho=scalar_field(g, to_real(self.rho[j])),
+            u=vector_field(g, irfft2(self.u[j], g.n)),
+            stress=StressField(scalar_field(g, a), scalar_field(g, b), scalar_field(g, c)),
+            rho=scalar_field(g, irfft2(self.rho[j], g.n)),
         )
 
 
@@ -111,111 +116,141 @@ def _accumulate(g_path: np.ndarray, decay: np.ndarray, ds: float) -> np.ndarray:
     return out
 
 
+def _step(cfg: PicardConfig) -> float:
+    times = cfg.times()
+    return times[1] - times[0]
+
+
+def _heat_decay(grid: SpectralGrid, params: PhysParams, ds: float) -> np.ndarray:
+    return np.exp(-params.nu * grid._half["k_sq"] * ds)
+
+
+def _stress_decay(grid: SpectralGrid, params: PhysParams, ds: float) -> np.ndarray:
+    return np.exp(-(params.kappa * grid._half["k_sq"] + 2.0 * params.k) * ds)
+
+
 def _project_path(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
-    kd = (grid.kx_d * f[:, 0] + grid.ky_d * f[:, 1]) * grid.inv_k_sq_d
-    return np.stack([f[:, 0] - grid.kx_d * kd, f[:, 1] - grid.ky_d * kd], axis=1)
+    h = grid._half
+    kd = (h["kx"] * f[:, 0] + h["ky"] * f[:, 1]) * h["inv_k_sq"]
+    return np.stack([f[:, 0] - h["kx"] * kd, f[:, 1] - h["ky"] * kd], axis=1)
+
+
+def _gradient(grid: SpectralGrid) -> np.ndarray:
+    """(ikx, iky) stacked, shape (2, n, n//2+1)."""
+    h = grid._half
+    return np.stack([h["ikx"], h["iky"]])
+
+
+def _velocity_planes(u_path: np.ndarray, v_path: np.ndarray,
+                     grid: SpectralGrid) -> np.ndarray:
+    """Real planes (u1, u2, d1v1, d2v1, d1v2, d2v2) per node, shape
+    (m, 6, n, n), from one `irfft2`."""
+    grad = _gradient(grid)
+    spec = np.empty((u_path.shape[0], 6) + u_path.shape[2:], dtype=complex)
+    spec[:, 0:2] = u_path
+    spec[:, 2:4] = grad * v_path[:, 0, None]
+    spec[:, 4:6] = grad * v_path[:, 1, None]
+    return irfft2(spec, grid.n)
+
+
+def _advection(planes: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """Dealiased -(u.grad v) from velocity planes, before projection."""
+    u1, u2, d1v1, d2v1, d1v2, d2v2 = np.moveaxis(planes, 1, 0)
+    g = np.stack([u1 * d1v1 + u2 * d2v1, u1 * d1v2 + u2 * d2v2], axis=1)
+    return -rfft2(g) * grid._half["mask"]
+
+
+def _stress_divergence(abc_path: np.ndarray, grid: SpectralGrid) -> np.ndarray:
+    """div sigma in (a, b, c) coordinates, before projection."""
+    h = grid._half
+    ah, bh, ch = abc_path[:, 0], abc_path[:, 1], abc_path[:, 2]
+    f1 = h["ikx"] * (0.5 * ch + ah) + h["iky"] * bh
+    f2 = h["ikx"] * bh + h["iky"] * (0.5 * ch - ah)
+    return np.stack([f1, f2], axis=1)
 
 
 def op_q1(u_path: np.ndarray, v_path: np.ndarray, grid: SpectralGrid,
           params: PhysParams, cfg: PicardConfig) -> np.ndarray:
     """-int_0^t heat(nu (t-s)) P(u(s).grad v(s)) ds at every node."""
-    times = cfg.times()
-    ds = times[1] - times[0]
-    u_r = to_real(u_path)
-    d1v1 = to_real(grid.ikx * v_path[:, 0])
-    d2v1 = to_real(grid.iky * v_path[:, 0])
-    d1v2 = to_real(grid.ikx * v_path[:, 1])
-    d2v2 = to_real(grid.iky * v_path[:, 1])
-    g1 = -(u_r[:, 0] * d1v1 + u_r[:, 1] * d2v1)
-    g2 = -(u_r[:, 0] * d1v2 + u_r[:, 1] * d2v2)
-    gh = to_spectral(np.stack([g1, g2], axis=1)) * grid.dealias_mask
-    gh = _project_path(grid, gh)
-    decay = np.exp(-params.nu * grid.k_sq * ds)
-    return _accumulate(gh, decay, ds)
+    ds = _step(cfg)
+    gh = _project_path(grid, _advection(_velocity_planes(u_path, v_path, grid), grid))
+    return _accumulate(gh, _heat_decay(grid, params, ds), ds)
 
 
 def op_l1(abc_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
           cfg: PicardConfig) -> np.ndarray:
     """K int_0^t heat(nu (t-s)) P(div sigma(s)) ds."""
-    times = cfg.times()
-    ds = times[1] - times[0]
-    ah, bh, ch = abc_path[:, 0], abc_path[:, 1], abc_path[:, 2]
-    f1 = grid.ikx * (0.5 * ch + ah) + grid.iky * bh
-    f2 = grid.ikx * bh + grid.iky * (0.5 * ch - ah)
-    gh = params.bigK * _project_path(grid, np.stack([f1, f2], axis=1))
-    decay = np.exp(-params.nu * grid.k_sq * ds)
-    return _accumulate(gh, decay, ds)
+    ds = _step(cfg)
+    gh = params.bigK * _project_path(grid, _stress_divergence(abc_path, grid))
+    return _accumulate(gh, _heat_decay(grid, params, ds), ds)
 
 
-def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray,
-                 grid: SpectralGrid) -> np.ndarray:
+def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
+                 *, planes: np.ndarray | None = None) -> np.ndarray:
     """(grad u) sigma + sigma (grad u)^T - u.grad(sigma) in (a, b, c) order,
-    assembled from matrix components; dealiased spectral output."""
-    s11h = 0.5 * abc_path[:, 2] + abc_path[:, 0]
-    s12h = abc_path[:, 1]
-    s22h = 0.5 * abc_path[:, 2] - abc_path[:, 0]
+    assembled from matrix components; dealiased half-spectrum output.
 
-    u_r = to_real(u_path)
-    g11 = to_real(grid.ikx * u_path[:, 0])   # d1 u1
-    g12 = to_real(grid.iky * u_path[:, 0])   # d2 u1
-    g21 = to_real(grid.ikx * u_path[:, 1])   # d1 u2
-    g22 = to_real(grid.iky * u_path[:, 1])   # d2 u2
-
-    comps = []
-    for sh in (s11h, s12h, s22h):
-        comps.append(to_real(np.stack([sh, grid.ikx * sh, grid.iky * sh], axis=1)))
+    `planes` are the velocity planes of `u_path` (see `_velocity_planes`)
+    when the caller already holds them."""
+    if planes is None:
+        planes = _velocity_planes(u_path, u_path, grid)
+    grad = _gradient(grid)
+    spec = np.empty((abc_path.shape[0], 3, 3) + abc_path.shape[2:], dtype=complex)
+    spec[:, 0, 0] = 0.5 * abc_path[:, 2] + abc_path[:, 0]   # s11
+    spec[:, 1, 0] = abc_path[:, 1]                          # s12
+    spec[:, 2, 0] = 0.5 * abc_path[:, 2] - abc_path[:, 0]   # s22
+    spec[:, :, 1:] = grad * spec[:, :, 0, None]
+    real = irfft2(spec, grid.n)
     (s11, d1s11, d2s11), (s12, d1s12, d2s12), (s22, d1s22, d2s22) = (
-        (c[:, 0], c[:, 1], c[:, 2]) for c in comps
-    )
+        np.moveaxis(real, (1, 2), (0, 1)))
+    u1, u2, g11, g12, g21, g22 = np.moveaxis(planes, 1, 0)
 
-    u1, u2 = u_r[:, 0], u_r[:, 1]
     i11 = 2.0 * (g11 * s11 + g12 * s12) - (u1 * d1s11 + u2 * d2s11)
     i12 = g11 * s12 + g12 * s22 + s11 * g21 + s12 * g22 - (u1 * d1s12 + u2 * d2s12)
     i22 = 2.0 * (g21 * s12 + g22 * s22) - (u1 * d1s22 + u2 * d2s22)
 
     out = np.stack([0.5 * (i11 - i22), i12, i11 + i22], axis=1)
-    return to_spectral(out) * grid.dealias_mask
+    return rfft2(out) * grid._half["mask"]
 
 
 def op_q2(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
           params: PhysParams, cfg: PicardConfig) -> np.ndarray:
     """int_0^t heat((kappa lap - 2k)(t-s)) [stretching - advection](s) ds."""
-    times = cfg.times()
-    ds = times[1] - times[0]
-    gh = q2_integrand(u_path, abc_path, grid)
-    decay = np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k) * ds)
-    return _accumulate(gh, decay, ds)
+    ds = _step(cfg)
+    return _accumulate(q2_integrand(u_path, abc_path, grid),
+                       _stress_decay(grid, params, ds), ds)
 
 
 def op_l2(rho_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
           cfg: PicardConfig) -> np.ndarray:
     """2k int_0^t heat((kappa lap - 2k)(t-s)) rho(s) I ds; in (a, b, c)
     coordinates the identity matrix contributes only to c, with weight 2."""
-    times = cfg.times()
-    ds = times[1] - times[0]
-    zero = np.zeros_like(rho_path)
-    gh = np.stack([zero, zero, 4.0 * params.k * rho_path], axis=1)
-    decay = np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k) * ds)
-    return _accumulate(gh, decay, ds)
+    ds = _step(cfg)
+    out = np.zeros((rho_path.shape[0], 3) + rho_path.shape[1:], dtype=complex)
+    out[:, 2] = _accumulate(4.0 * params.k * rho_path,
+                            _stress_decay(grid, params, ds), ds)
+    return out
 
 
 def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
-         cfg: PicardConfig) -> np.ndarray:
+         cfg: PicardConfig, *, planes: np.ndarray | None = None) -> np.ndarray:
     """Transport rho0 by the frozen, time-interpolated velocity; sampled at
-    the quadrature nodes.  Sub-steps between nodes obey the advective CFL."""
+    the quadrature nodes.  Sub-steps between nodes obey the advective CFL.
+
+    `planes` are the velocity planes of `u_path` when the caller already
+    holds them; only the first two (u1, u2) are read."""
     times = cfg.times()
     m = len(times)
+    mask = grid._half["mask"]
+    grad = _gradient(grid)
     out = np.empty((m,) + rho0.shape, dtype=complex)
-    out[0] = rho0 * grid.dealias_mask
-    u_r = to_real(u_path)
-    mask = grid.dealias_mask
+    out[0] = rho0 * mask
+    u_r = planes[:, :2] if planes is not None else irfft2(u_path, grid.n)
     h = grid.spacing
 
-    def rhs(rho_h, ur_pair, theta):
-        u1 = ur_pair[0][0] + theta * (ur_pair[1][0] - ur_pair[0][0])
-        u2 = ur_pair[0][1] + theta * (ur_pair[1][1] - ur_pair[0][1])
-        dr = to_real(np.stack([grid.ikx * rho_h, grid.iky * rho_h]))
-        return -to_spectral(u1 * dr[0] + u2 * dr[1]) * mask
+    def rhs(rho_h, u):
+        dr = irfft2(grad * rho_h, grid.n)
+        return -rfft2(u[0] * dr[0] + u[1] * dr[1]) * mask
 
     # Budget the whole path up front so an exploding velocity fails fast
     # instead of grinding through millions of sub-steps.
@@ -234,14 +269,14 @@ def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
         n_sub = int(counts[j])
         dt = span / n_sub
         rho_h = out[j].copy()
-        u_pair = (u_r[j], u_r[j + 1])
+        u_start, u_jump = u_r[j], u_r[j + 1] - u_r[j]
         for s in range(n_sub):
             th0 = (s * dt) / span
             th1 = ((s + 1) * dt) / span
             thh = ((s + 0.5) * dt) / span
-            r1 = rho_h + dt * rhs(rho_h, u_pair, th0)
-            r2 = 0.75 * rho_h + 0.25 * (r1 + dt * rhs(r1, u_pair, th1))
-            rho_h = (rho_h + 2.0 * (r2 + dt * rhs(r2, u_pair, thh))) / 3.0
+            r1 = rho_h + dt * rhs(rho_h, u_start + th0 * u_jump)
+            r2 = 0.75 * rho_h + 0.25 * (r1 + dt * rhs(r1, u_start + th1 * u_jump))
+            rho_h = (rho_h + 2.0 * (r2 + dt * rhs(r2, u_start + thh * u_jump))) / 3.0
         out[j + 1] = rho_h
     return out
 
@@ -250,9 +285,11 @@ def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
 
 def _sobolev_sq(grid: SpectralGrid, coeffs: np.ndarray, order: int,
                 weights: np.ndarray | None = None) -> np.ndarray:
-    """Bessel-type Sobolev proxy (1 + |k|^2)^order per node; `weights` mixes
+    """Bessel-type Sobolev proxy (1 + |k|^2)^order per node, a Parseval sum
+    over the half spectrum with the Hermitian weights; `weights` mixes
     components (Frobenius weights for the stress)."""
-    bess = (1.0 + grid.k_sq) ** order
+    h = grid._half
+    bess = h["weights"] * (1.0 + h["k_sq"]) ** order
     mag = np.abs(coeffs) ** 2
     if weights is not None:
         mag = np.tensordot(weights, mag, axes=([0], [1]))
@@ -277,7 +314,7 @@ def _sigma_norm(grid, abc_path, times) -> float:
 
 
 def _rho_norm(grid, rho_path, times) -> float:
-    l1 = np.mean(np.abs(to_real(rho_path)), axis=(-2, -1)) * grid.area
+    l1 = np.mean(np.abs(irfft2(rho_path, grid.n)), axis=(-2, -1)) * grid.area
     w12 = np.sqrt(_sobolev_sq(grid, rho_path, 1))
     return float(np.max(l1 + w12))
 
@@ -294,31 +331,43 @@ def composite_norm(grid, u_path, abc_path, rho_path, times) -> float:
 
 def _initial_coeffs(u0: VectorField, sigma0: StressField, rho0: ScalarField,
                     grid: SpectralGrid):
-    mask = grid.dealias_mask
-    u0h = u0.coeffs * mask
-    kd = (grid.kx_d * u0h[0] + grid.ky_d * u0h[1]) * grid.inv_k_sq_d
-    u0h = np.stack([u0h[0] - grid.kx_d * kd, u0h[1] - grid.ky_d * kd])
-    abc0h = np.stack([sigma0.a.coeffs, sigma0.b.coeffs, sigma0.c.coeffs]) * mask
-    rho0h = rho0.coeffs * mask
-    return u0h, abc0h, rho0h
+    """Dealiased half-spectrum coefficients of the data, u0 projected; one
+    `rfft2` over the six planes."""
+    values = np.stack([u0.values[0], u0.values[1], sigma0.a.values,
+                       sigma0.b.values, sigma0.c.values, rho0.values])
+    coeffs = rfft2(values) * grid._half["mask"]
+    u0h = _project_path(grid, coeffs[None, 0:2])[0]
+    return u0h, coeffs[2:5], coeffs[5]
 
 
 def semigroup_paths(u0h, abc0h, grid, params, cfg):
     """The zeroth iterate: pure heat flow of the initial data."""
     times = cfg.times()[:, None, None]
-    eu = np.exp(-params.nu * grid.k_sq * times)
-    es = np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k) * times)
+    k_sq = grid._half["k_sq"]
+    eu = np.exp(-params.nu * k_sq * times)
+    es = np.exp(-(params.kappa * k_sq + 2.0 * params.k) * times)
     return eu[:, None] * u0h[None], es[:, None] * abc0h[None]
 
 
 def apply_map(u_path, abc_path, rho_path, u0h, abc0h, rho0h, grid, params, cfg):
-    """One application of the fixed-point map to a time-indexed triple."""
+    """One application of the fixed-point map to a time-indexed triple.
+    Equal, to rounding, to
+
+        sem_u + op_q1(u, u) + op_l1(sigma),
+        sem_sigma + op_q2(u, sigma) + op_l2(rho),
+        op_n(u, rho0),
+
+    with one velocity transform shared by all three and one quadrature per
+    kernel."""
     sem_u, sem_abc = semigroup_paths(u0h, abc0h, grid, params, cfg)
-    new_u = sem_u + op_q1(u_path, u_path, grid, params, cfg) \
-        + op_l1(abc_path, grid, params, cfg)
-    new_abc = sem_abc + op_q2(u_path, abc_path, grid, params, cfg) \
-        + op_l2(rho_path, grid, params, cfg)
-    new_rho = op_n(u_path, rho0h, grid, cfg)
+    ds = _step(cfg)
+    planes = _velocity_planes(u_path, u_path, grid)
+    fh = _advection(planes, grid) + params.bigK * _stress_divergence(abc_path, grid)
+    new_u = sem_u + _accumulate(_project_path(grid, fh), _heat_decay(grid, params, ds), ds)
+    gh = q2_integrand(u_path, abc_path, grid, planes=planes)
+    gh[:, 2] += 4.0 * params.k * rho_path
+    new_abc = sem_abc + _accumulate(gh, _stress_decay(grid, params, ds), ds)
+    new_rho = op_n(u_path, rho0h, grid, cfg, planes=planes)
     return new_u, new_abc, new_rho
 
 

@@ -36,7 +36,7 @@ from oldb2d.checks import band_limited_admissible_state
 from oldb2d.cli import main as cli_main
 from oldb2d.config import parse_config, build_initial
 from oldb2d.picard import _sobolev_sq
-from oldb2d.spectral import to_real, to_spectral
+from oldb2d.spectral import rfft2, to_real, to_spectral
 
 from oracles import measured_orders, relaxation_exact
 
@@ -233,7 +233,7 @@ class TestCriterion7:
         c = 2.0 * rho_vals + 0.02 * band_limited_random(grid, rng, 3)
         psih = to_spectral(band_limited_random(grid, rng, 3))
         u = np.stack([to_real(-grid.iky * psih), to_real(grid.ikx * psih)])
-        uh = to_spectral(u)
+        uh = rfft2(u)
         w22 = float(np.sqrt(_sobolev_sq(grid, uh[None], 2)[0]))
         u *= 0.1 / w22
         state = SimState(
@@ -243,7 +243,7 @@ class TestCriterion7:
                         scalar_field(grid, c)),
             scalar_field(grid, rho_vals),
         )
-        uh = to_spectral(state.u.values)
+        uh = rfft2(state.u.values)
         assert np.sqrt(_sobolev_sq(grid, uh[None], 2)[0]) <= 0.1 + 1e-12
         return state
 

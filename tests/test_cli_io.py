@@ -5,7 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oldb2d import make_grid, run
+from oldb2d import (
+    SimState,
+    StressField,
+    make_grid,
+    run,
+    scalar_field,
+    vector_field,
+)
 from oldb2d.cli import main
 from oldb2d.config import ConfigError, build_initial, parse_config
 from oldb2d.diagnostics import make_record, positivity_report
@@ -355,6 +362,36 @@ class TestCliMain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([command, "--config", cfg_path, *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "bounds", "picard"])
+    @pytest.mark.parametrize("defect,message", [
+        ("indefinite_stress", "inadmissible"),
+        ("divergent_velocity", "divergence-free"),
+    ])
+    def test_bad_snapshot_preset_exits_config(self, tmp_path, capsys, command,
+                                              defect, message):
+        grid = make_grid(16, TWO_PI)
+        x, _ = grid.nodes()
+        ones = np.ones((16, 16))
+        if defect == "indefinite_stress":   # a = c = 1: eigenvalues 3/2, -1/2
+            u, a, c = np.zeros((2, 16, 16)), ones, ones
+        else:
+            u, a, c = np.stack([np.sin(x), 0.0 * x]), 0.0 * ones, 2.0 * ones
+        state = SimState(0.0, vector_field(grid, u),
+                         StressField(scalar_field(grid, a), scalar_field(grid, 0.0 * ones),
+                                     scalar_field(grid, c)),
+                         scalar_field(grid, ones))
+        snap = tmp_path / "bad.snap"
+        write_snapshot(state, snap)
+        cfg_path = self._write_cfg(tmp_path, f"n=16\npreset=snapshot:{snap}\n")
+        flags = {"run": ("--out-dir", str(tmp_path / "o")), "bounds": (),
+                 "picard": ("--t0", "0.05")}[command]
+        code = main([command, "--config", cfg_path, *flags])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and message in err

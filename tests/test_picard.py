@@ -28,7 +28,7 @@ from oldb2d.picard import (
     op_q2,
     semigroup_paths,
 )
-from oldb2d.spectral import to_spectral
+from oldb2d.spectral import rfft2
 from oldb2d.config import band_limited_random
 
 from oracles import relaxation_exact
@@ -53,7 +53,7 @@ def uniform_state(grid, c0, rho0):
 
 def masked_noise(grid, rng, shape):
     raw = rng.standard_normal(shape)
-    return to_spectral(raw) * grid.dealias_mask
+    return rfft2(raw) * grid._half["mask"]
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ def grid16():
 class TestQ1:
     def test_zero_arguments(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
-        zero = np.zeros((9, 2, 16, 16), dtype=complex)
+        zero = np.zeros((9, 2, 16, 9), dtype=complex)
         rng = np.random.default_rng(0)
         u = masked_noise(grid16, rng, (9, 2, 16, 16))
         assert np.max(np.abs(op_q1(zero, u, grid16, PARAMS, cfg))) == 0.0
@@ -74,8 +74,8 @@ class TestQ1:
         # u = (sin y, 0): u.grad(u) = 0, so Q1(u, u) vanishes.
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
         _, y = grid16.nodes()
-        uh = to_spectral(np.stack([np.sin(y), np.zeros_like(y)]))
-        path = np.broadcast_to(uh, (9, 2, 16, 16)).copy()
+        uh = rfft2(np.stack([np.sin(y), np.zeros_like(y)]))
+        path = np.broadcast_to(uh, (9, 2, 16, 9)).copy()
         assert np.max(np.abs(op_q1(path, path, grid16, PARAMS, cfg))) <= 1e-15
 
     def test_bilinearity(self, grid16):
@@ -98,13 +98,13 @@ class TestL1:
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
         rng = np.random.default_rng(2)
         rho = masked_noise(grid16, rng, (9, 16, 16))
-        abc = np.zeros((9, 3, 16, 16), dtype=complex)
+        abc = np.zeros((9, 3, 16, 9), dtype=complex)
         abc[:, 2] = 2.0 * rho  # sigma = rho * I
         assert np.max(np.abs(op_l1(abc, grid16, PARAMS, cfg))) <= 1e-14
 
     def test_zero(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
-        zero = np.zeros((9, 3, 16, 16), dtype=complex)
+        zero = np.zeros((9, 3, 16, 9), dtype=complex)
         assert np.max(np.abs(op_l1(zero, grid16, PARAMS, cfg))) == 0.0
 
     def test_single_mode_closed_form(self, grid16):
@@ -114,19 +114,20 @@ class TestL1:
         cfg = PicardConfig(t0=t0, n_time_nodes=1025)
         x, y = grid16.nodes()
         b = np.cos(2 * x + y)
-        abc = np.zeros((cfg.n_time_nodes, 3, 16, 16), dtype=complex)
-        abc[:, 1] = to_spectral(b)
+        abc = np.zeros((cfg.n_time_nodes, 3, 16, 9), dtype=complex)
+        abc[:, 1] = rfft2(b)
 
         got = op_l1(abc, grid16, PARAMS, cfg)[-1]
 
-        f1 = grid16.ikx * 0.0 + grid16.iky * abc[0, 1]
-        f2 = grid16.ikx * abc[0, 1]
-        kd = (grid16.kx_d * f1 + grid16.ky_d * f2) * grid16.inv_k_sq_d
-        p1, p2 = f1 - grid16.kx_d * kd, f2 - grid16.ky_d * kd
+        h = grid16._half
+        f1 = h["ikx"] * 0.0 + h["iky"] * abc[0, 1]
+        f2 = h["ikx"] * abc[0, 1]
+        kd = (h["kx"] * f1 + h["ky"] * f2) * h["inv_k_sq"]
+        p1, p2 = f1 - h["kx"] * kd, f2 - h["ky"] * kd
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.where(
-                grid16.k_sq > 0,
-                (1.0 - np.exp(-PARAMS.nu * grid16.k_sq * t0)) / (PARAMS.nu * grid16.k_sq),
+                h["k_sq"] > 0,
+                (1.0 - np.exp(-PARAMS.nu * h["k_sq"] * t0)) / (PARAMS.nu * h["k_sq"]),
                 t0,
             )
         expected = PARAMS.bigK * factor * np.stack([p1, p2])
@@ -152,17 +153,17 @@ class TestQ2:
         from oldb2d.picard import q2_integrand
 
         state = band_limited_admissible_state(grid16, seed=4, kmax=3)
-        u0h = state.u.coeffs
-        abc0h = np.stack([state.stress.a.coeffs, state.stress.b.coeffs,
-                          state.stress.c.coeffs])
+        u0h = rfft2(state.u.values)
+        abc0h = rfft2(np.stack([state.stress.a.values, state.stress.b.values,
+                                state.stress.c.values]))
         integrand = q2_integrand(u0h[None], abc0h[None], grid16)[0]
         da, db, dc = stress_rhs(state, PARAMS)
-        lin = -(PARAMS.kappa * grid16.k_sq) - 2.0 * PARAMS.k
-        rho0h = state.rho.coeffs
+        lin = -(PARAMS.kappa * grid16._half["k_sq"]) - 2.0 * PARAMS.k
+        rho0h = rfft2(state.rho.values)
         expected = np.stack([
-            to_spectral(da.values) - lin * abc0h[0],
-            to_spectral(db.values) - lin * abc0h[1],
-            to_spectral(dc.values) - lin * abc0h[2] - 4.0 * PARAMS.k * rho0h,
+            rfft2(da.values) - lin * abc0h[0],
+            rfft2(db.values) - lin * abc0h[1],
+            rfft2(dc.values) - lin * abc0h[2] - 4.0 * PARAMS.k * rho0h,
         ])
         scale = np.max(np.abs(expected)) + 1e-300
         assert np.max(np.abs(integrand - expected)) <= 1e-12 * scale
@@ -173,7 +174,7 @@ class TestL2:
         t0 = 0.1
         cfg = PicardConfig(t0=t0, n_time_nodes=1025)
         rho0 = 1.3
-        rho = np.zeros((cfg.n_time_nodes, 16, 16), dtype=complex)
+        rho = np.zeros((cfg.n_time_nodes, 16, 9), dtype=complex)
         rho[:, 0, 0] = rho0
         out = op_l2(rho, grid16, PARAMS, cfg)
         c_mode = out[-1, 2, 0, 0].real
@@ -184,7 +185,7 @@ class TestL2:
 
     def test_zero(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
-        rho = np.zeros((9, 16, 16), dtype=complex)
+        rho = np.zeros((9, 16, 9), dtype=complex)
         assert np.max(np.abs(op_l2(rho, grid16, PARAMS, cfg))) == 0.0
 
     def test_single_mode_closed_form(self, grid16):
@@ -192,9 +193,9 @@ class TestL2:
         cfg = PicardConfig(t0=t0, n_time_nodes=1025)
         x, y = grid16.nodes()
         rho_vals = np.cos(x + 2 * y)
-        rho = np.broadcast_to(to_spectral(rho_vals), (cfg.n_time_nodes, 16, 16)).copy()
+        rho = np.broadcast_to(rfft2(rho_vals), (cfg.n_time_nodes, 16, 9)).copy()
         out = op_l2(rho, grid16, PARAMS, cfg)
-        beta = PARAMS.kappa * grid16.k_sq + 2.0 * PARAMS.k
+        beta = PARAMS.kappa * grid16._half["k_sq"] + 2.0 * PARAMS.k
         expected_c = 2.0 * rho[0] * 2.0 * PARAMS.k * (1.0 - np.exp(-beta * t0)) / beta
         err = np.max(np.abs(out[-1, 2] - expected_c))
         assert err <= 1e-8 * max(np.max(np.abs(expected_c)), 1e-300)
@@ -204,19 +205,20 @@ class TestTransportMap:
     def test_zero_velocity(self, grid16):
         cfg = PicardConfig(t0=0.2, n_time_nodes=17)
         rng = np.random.default_rng(5)
-        rho0 = to_spectral(1.0 + 0.5 * band_limited_random(grid16, rng, 3))
-        u = np.zeros((17, 2, 16, 16), dtype=complex)
+        rho0 = rfft2(1.0 + 0.5 * band_limited_random(grid16, rng, 3))
+        u = np.zeros((17, 2, 16, 9), dtype=complex)
         out = op_n(u, rho0, grid16, cfg)
         for j in range(17):
-            assert np.max(np.abs(out[j] - rho0 * grid16.dealias_mask)) <= 1e-15
+            assert np.max(np.abs(out[j] - rho0 * grid16._half["mask"])) <= 1e-15
 
     def test_uniform_density_invariant(self, grid16):
         cfg = PicardConfig(t0=0.2, n_time_nodes=17)
         rng = np.random.default_rng(6)
-        psih = to_spectral(band_limited_random(grid16, rng, 3))
-        u_single = np.stack([-grid16.iky * psih, grid16.ikx * psih])
-        u = np.broadcast_to(u_single, (17, 2, 16, 16)).copy()
-        rho0 = np.zeros((16, 16), dtype=complex)
+        psih = rfft2(band_limited_random(grid16, rng, 3))
+        h = grid16._half
+        u_single = np.stack([-h["iky"] * psih, h["ikx"] * psih])
+        u = np.broadcast_to(u_single, (17, 2, 16, 9)).copy()
+        rho0 = np.zeros((16, 9), dtype=complex)
         rho0[0, 0] = 2.0
         out = op_n(u, rho0, grid16, cfg)
         assert np.max(np.abs(out - out[0])) <= 1e-13
@@ -224,16 +226,19 @@ class TestTransportMap:
     def test_integral_conservation(self, grid16):
         cfg = PicardConfig(t0=0.5, n_time_nodes=33)
         rng = np.random.default_rng(7)
-        psih = to_spectral(band_limited_random(grid16, rng, 3))
-        u_single = 0.25 * np.stack([-grid16.iky * psih, grid16.ikx * psih])
-        u = np.broadcast_to(u_single, (33, 2, 16, 16)).copy()
-        rho0 = to_spectral(1.0 + 0.5 * band_limited_random(grid16, rng, 3))
+        psih = rfft2(band_limited_random(grid16, rng, 3))
+        h = grid16._half
+        u_single = 0.25 * np.stack([-h["iky"] * psih, h["ikx"] * psih])
+        u = np.broadcast_to(u_single, (33, 2, 16, 9)).copy()
+        rho0 = rfft2(1.0 + 0.5 * band_limited_random(grid16, rng, 3))
         out = op_n(u, rho0, grid16, cfg)
         mass0 = out[0, 0, 0].real
-        l2_0 = np.sum(np.abs(out[0]) ** 2)
+        # Parseval over the half spectrum: Hermitian weights count each
+        # conjugate pair once per member.
+        l2_0 = np.sum(h["weights"] * np.abs(out[0]) ** 2)
         for j in (16, 32):
             assert abs(out[j, 0, 0].real - mass0) <= 1e-8 * abs(mass0)
-            assert abs(np.sum(np.abs(out[j]) ** 2) - l2_0) <= 1e-8 * l2_0
+            assert abs(np.sum(h["weights"] * np.abs(out[j]) ** 2) - l2_0) <= 1e-8 * l2_0
 
 
 class TestPicardIterate:
@@ -271,8 +276,9 @@ class TestPicardIterate:
         sem_u, sem_abc = semigroup_paths(u0h, abc0h, grid16, PARAMS, cfg)
         times = cfg.times()
         for j in (0, 4, 8):
-            decay_u = np.exp(-PARAMS.nu * grid16.k_sq * times[j])
-            decay_s = np.exp(-(PARAMS.kappa * grid16.k_sq + 2.0 * PARAMS.k) * times[j])
+            k_sq = grid16._half["k_sq"]
+            decay_u = np.exp(-PARAMS.nu * k_sq * times[j])
+            decay_s = np.exp(-(PARAMS.kappa * k_sq + 2.0 * PARAMS.k) * times[j])
             assert np.max(np.abs(sem_u[j] - decay_u * u0h)) == 0.0
             assert np.max(np.abs(sem_abc[j] - decay_s * abc0h)) == 0.0
 
@@ -308,6 +314,88 @@ class TestPicardIterate:
             num = np.sqrt(np.mean((fa - fb) ** 2))
             den = max(np.sqrt(np.mean(fb ** 2)), 1e-300)
             assert num / den <= 1e-4, name
+
+
+class TestFusedMap:
+    """`apply_map` shares one velocity transform and sums integrands under
+    one kernel; it must still be the composition of the public operators."""
+
+    def test_equals_composition_of_operators(self, grid16):
+        cfg = PicardConfig(t0=0.1, n_time_nodes=9)
+        rng = np.random.default_rng(12)
+        u = masked_noise(grid16, rng, (9, 2, 16, 16))
+        abc = masked_noise(grid16, rng, (9, 3, 16, 16))
+        rho = masked_noise(grid16, rng, (9, 16, 16))
+        u0h = masked_noise(grid16, rng, (2, 16, 16))
+        abc0h = masked_noise(grid16, rng, (3, 16, 16))
+        rho0h = masked_noise(grid16, rng, (16, 16))
+
+        got = apply_map(u, abc, rho, u0h, abc0h, rho0h, grid16, PARAMS, cfg)
+        sem_u, sem_abc = semigroup_paths(u0h, abc0h, grid16, PARAMS, cfg)
+        expected = (
+            sem_u + op_q1(u, u, grid16, PARAMS, cfg) + op_l1(abc, grid16, PARAMS, cfg),
+            sem_abc + op_q2(u, abc, grid16, PARAMS, cfg) + op_l2(rho, grid16, PARAMS, cfg),
+            op_n(u, rho0h, grid16, cfg),
+        )
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape
+            assert np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e))
+
+
+def _full_sobolev_sq(values, order, length, weights=None):
+    """Reference Parseval sum over the full `np.fft.fft2` spectrum of real
+    planes (..., c, n, n) or (..., n, n)."""
+    n = values.shape[-1]
+    coeffs = np.fft.fft2(values) / n ** 2
+    k = 2.0 * np.pi / length * np.fft.fftfreq(n, 1.0 / n)
+    bess = (1.0 + k[:, None] ** 2 + k[None, :] ** 2) ** order
+    mag = np.abs(coeffs) ** 2
+    if weights is not None:
+        mag = np.tensordot(weights, mag, axes=([0], [1]))
+    elif mag.ndim == 4:
+        mag = mag.sum(axis=1)
+    return length ** 2 * np.sum(bess * mag, axis=(-2, -1))
+
+
+class TestHalfSpectrumNorms:
+    """Hermitian-weighted half-spectrum norms equal full-spectrum Parseval
+    sums, including the unpaired Nyquist column of an even grid."""
+
+    FROB = np.array([2.0, 2.0, 0.5])
+
+    @staticmethod
+    def _paths(grid, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((9, 2, grid.n, grid.n)),
+                rng.standard_normal((9, 3, grid.n, grid.n)),
+                1.0 + 0.3 * rng.standard_normal((9, grid.n, grid.n)))
+
+    def test_nyquist_column_carries_energy(self, grid16):
+        u, _, _ = self._paths(grid16, 13)
+        assert np.min(np.abs(rfft2(u)[..., grid16.n // 2])) > 0.0
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_sobolev_sq_matches_full_spectrum(self, grid16, order):
+        u, abc, rho = self._paths(grid16, 13)
+        L = grid16.length
+        for values, weights in ((u, None), (abc, self.FROB), (rho, None)):
+            got = picard_mod._sobolev_sq(grid16, rfft2(values), order, weights)
+            ref = _full_sobolev_sq(values, order, L, weights)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+
+    def test_composite_norm_matches_full_spectrum(self, grid16):
+        u, abc, rho = self._paths(grid16, 14)
+        L = grid16.length
+        times = PicardConfig(t0=0.1, n_time_nodes=9).times()
+        u_ref = (np.sqrt(np.max(_full_sobolev_sq(u, 2, L)))
+                 + np.sqrt(np.trapezoid(_full_sobolev_sq(u, 3, L), times)))
+        sigma_ref = (np.sqrt(np.max(_full_sobolev_sq(abc, 1, L, self.FROB)))
+                     + np.sqrt(np.trapezoid(_full_sobolev_sq(abc, 2, L, self.FROB), times)))
+        rho_ref = np.max(np.mean(np.abs(rho), axis=(-2, -1)) * L ** 2
+                         + np.sqrt(_full_sobolev_sq(rho, 1, L)))
+        ref = u_ref + sigma_ref + rho_ref
+        got = composite_norm(grid16, rfft2(u), rfft2(abc), rfft2(rho), times)
+        assert abs(got - ref) <= 1e-12 * ref
 
 
 class TestContraction:
