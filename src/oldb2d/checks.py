@@ -23,13 +23,13 @@ from .spectral import (
     ddx,
     divergence,
     heat_semigroup,
+    irfft2,
+    l2_scale,
     laplacian,
     leray_project,
     make_grid,
     rfft2,
     scalar_field,
-    to_real,
-    to_spectral,
     vector_field,
 )
 
@@ -68,8 +68,8 @@ def band_limited_admissible_state(grid, seed: int, kmax: int,
     b = amp * cfgmod.band_limited_random(grid, rng, kmax)
     c = c_base + amp * cfgmod.band_limited_random(grid, rng, kmax)
     rho = 1.0 + 0.4 * cfgmod.band_limited_random(grid, rng, kmax)
-    psih = to_spectral(cfgmod.band_limited_random(grid, rng, kmax))
-    u = np.stack([to_real(-grid.iky * psih), to_real(grid.ikx * psih)])
+    psih = rfft2(cfgmod.band_limited_random(grid, rng, kmax))
+    u = irfft2(np.stack([-grid.iky * psih, grid.ikx * psih]), grid.n)
     peak = np.max(np.abs(u))
     if peak > 0:
         u *= u_amp / peak
@@ -93,7 +93,7 @@ def check_transform_roundtrip(cfg) -> CheckResult:
     g = make_grid(cfg.n, cfg.length)
     rng = np.random.default_rng(7)
     f = rng.standard_normal((g.n, g.n))
-    back = to_real(to_spectral(f))
+    back = irfft2(rfft2(f), g.n)
     err = _rel(np.max(np.abs(back - f)), np.max(np.abs(f)))
     return _result("spectral.transform_roundtrip", err <= 1e-13, f"rel err {err:.2e}")
 
@@ -103,7 +103,7 @@ def check_projector(cfg) -> CheckResult:
     rng = np.random.default_rng(8)
     v = vector_field(g, rng.standard_normal((2, g.n, g.n)))
     pv = leray_project(v)
-    scale = np.sqrt(np.sum(np.abs(v.coeffs) ** 2))
+    scale = l2_scale(g, v.coeffs)
     div_err = np.max(np.abs(divergence(pv).coeffs)) / scale
     idem = np.max(np.abs(leray_project(pv).coeffs - pv.coeffs)) / scale
     ok = div_err <= 1e-13 and idem <= 1e-13
@@ -135,7 +135,7 @@ def check_parseval(cfg) -> CheckResult:
     rng = np.random.default_rng(10)
     f = scalar_field(g, rng.standard_normal((g.n, g.n)))
     real_norm = np.sqrt(np.mean(f.values ** 2) * g.area)
-    spec_norm = np.sqrt(np.sum(np.abs(f.coeffs) ** 2) * g.area)
+    spec_norm = l2_scale(g, f.coeffs) * np.sqrt(g.area)
     err = _rel(abs(real_norm - spec_norm), real_norm)
     return _result("spectral.parseval", err <= 1e-12, f"rel err {err:.2e}")
 
@@ -239,7 +239,7 @@ def check_momentum_divfree(cfg) -> CheckResult:
     state = _random_state(cfg, n=min(cfg.n, 32))
     du = dynamics.momentum_rhs(state, cfg.params)
     dh = divergence(du).coeffs
-    scale = np.sqrt(np.sum(np.abs(du.coeffs) ** 2))
+    scale = l2_scale(state.grid, du.coeffs)
     err = np.max(np.abs(dh)) / max(scale, 1e-300)
     return _result("dynamics.momentum_divfree", err <= 1e-12, f"rel div {err:.2e}")
 
@@ -422,7 +422,7 @@ def check_picard_bilinearity(cfg) -> CheckResult:
 
     def rand_u():
         raw = rng.standard_normal((m, 2, grid.n, grid.n))
-        return rfft2(raw) * grid._half["mask"]
+        return rfft2(raw) * grid.mask
 
     u, v, w = rand_u(), rand_u(), rand_u()
     q_scaled = picard.op_q1(2.5 * u, v, grid, params, pcfg)
@@ -433,8 +433,8 @@ def check_picard_bilinearity(cfg) -> CheckResult:
     err1 = np.max(np.abs(q_scaled - 2.5 * q_base)) / scale
     err2 = np.max(np.abs(q_sum - q_parts)) / scale
 
-    iso = np.zeros((m, 3) + grid._half["mask"].shape, dtype=complex)
-    iso[:, 2] = 2.0 * rfft2(rng.standard_normal((m, grid.n, grid.n))) * grid._half["mask"]
+    iso = np.zeros((m, 3) + grid.mask.shape, dtype=complex)
+    iso[:, 2] = 2.0 * rfft2(rng.standard_normal((m, grid.n, grid.n))) * grid.mask
     l1_iso = np.max(np.abs(picard.op_l1(iso, grid, params, pcfg)))
     ok = err1 <= 1e-12 and err2 <= 1e-12 and l1_iso <= 1e-13
     return _result("picard.bilinearity", ok,
@@ -446,7 +446,7 @@ def check_picard_zeroth_semigroup(cfg) -> CheckResult:
     u0h, abc0h, _ = picard._initial_coeffs(state.u, state.stress, state.rho, grid)
     _, sem_abc = picard.semigroup_paths(u0h, abc0h, grid, params, pcfg)
     times = pcfg.times()
-    decay = np.exp(-(params.kappa * grid._half["k_sq"] + 2.0 * params.k)
+    decay = np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k)
                    * times[:, None, None])
     err = np.max(np.abs(sem_abc - decay[:, None] * abc0h[None]))
     return _result("picard.zeroth_semigroup", err == 0.0, f"max gap {err:.2e}")
@@ -457,7 +457,7 @@ def check_picard_q2_consistency(cfg) -> CheckResult:
     u0h, abc0h, rho0h = picard._initial_coeffs(state.u, state.stress, state.rho, grid)
     integrand = picard.q2_integrand(u0h[None], abc0h[None], grid)[0]
     da, db, dc = dynamics.stress_rhs(state, params)
-    lin = -(params.kappa * grid._half["k_sq"]) - 2.0 * params.k
+    lin = -(params.kappa * grid.k_sq) - 2.0 * params.k
     expect = np.stack([
         rfft2(da.values) - lin * abc0h[0],
         rfft2(db.values) - lin * abc0h[1],

@@ -17,14 +17,7 @@ import numpy as np
 from .diagnostics import positivity_report
 from .fields import PhysParams, SimState, StressField
 from .integrate import Monitors, StepControl
-from .spectral import (
-    SpectralGrid,
-    dealias,
-    scalar_field,
-    to_real,
-    to_spectral,
-    vector_field,
-)
+from .spectral import SpectralGrid, irfft2, rfft2, scalar_field, vector_field
 
 
 class ConfigError(ValueError):
@@ -178,11 +171,11 @@ def band_limited_random(grid: SpectralGrid, rng: np.random.Generator,
     """Zero-mean random field supported on modes with max(|k1|,|k2|) <= kmax,
     scaled to unit max amplitude."""
     noise = rng.standard_normal((grid.n, grid.n))
-    kint = np.rint(np.fft.fftfreq(grid.n, 1.0 / grid.n)).astype(int)
-    ki, kj = np.meshgrid(kint, kint, indexing="ij")
-    band = (np.abs(ki) <= kmax) & (np.abs(kj) <= kmax)
+    ki = np.abs(np.rint(np.fft.fftfreq(grid.n, 1.0 / grid.n)))[:, None]
+    kj = np.arange(grid.n // 2 + 1)[None, :]
+    band = (ki <= kmax) & (kj <= kmax)
     band[0, 0] = False
-    f = to_real(to_spectral(noise) * band)
+    f = irfft2(rfft2(noise) * band, grid.n)
     peak = np.max(np.abs(f))
     return f / peak if peak > 0 else f
 
@@ -229,26 +222,19 @@ def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
     c = 2.0 * np.sqrt(a * a + b * b + det_margin)
     rho = cfg.rho0 * (1.0 + 0.5 * g_rho)
 
-    psih = to_spectral(g_psi)
-    u = np.stack([
-        to_real(-grid.iky * psih),
-        to_real(grid.ikx * psih),
-    ])
+    psih = rfft2(g_psi)
+    u = irfft2(np.stack([-grid.iky * psih, grid.ikx * psih]), grid.n)
     umax = np.max(np.abs(u))
     if umax > 0:
         u *= cfg.amplitude / umax
 
-    state = SimState(
+    vals = irfft2(rfft2(np.stack([*u, a, b, c, rho])) * grid.mask, grid.n)
+    return SimState(
         time=0.0,
-        u=dealias(vector_field(grid, u)),
-        stress=StressField(
-            dealias(scalar_field(grid, a)),
-            dealias(scalar_field(grid, b)),
-            dealias(scalar_field(grid, c)),
-        ),
-        rho=dealias(scalar_field(grid, rho)),
+        u=vector_field(grid, vals[0:2]),
+        stress=StressField(*(scalar_field(grid, x) for x in vals[2:5])),
+        rho=scalar_field(grid, vals[5]),
     )
-    return state
 
 
 def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:

@@ -29,7 +29,7 @@ from .fields import (
     norms,
     packed_norms,
 )
-from .spectral import SpectralGrid, scalar_field
+from .spectral import SpectralGrid, ddx, laplacian, scalar_field
 from .units import CM, DIMENSIONLESS, MIXED, SEC, UnitValue, uexp, uv
 
 
@@ -119,7 +119,7 @@ def packed_energy(grid: SpectralGrid, params: PhysParams, sh: np.ndarray,
     u1, u2, _, _, c, rho = reals
     cbar = float(np.mean(c))
     energy = area * (float(np.mean(u1 * u1 + u2 * u2)) + params.bigK * cbar)
-    grad_u_sq = _parseval(grid, grid._half["k_sq"], sh[0], sh[1])
+    grad_u_sq = _parseval(grid, grid.k_sq, sh[0], sh[1])
     dissipation = 2.0 * params.nu * grad_u_sq + 2.0 * params.k * params.bigK * cbar * area
     source = 4.0 * params.k * params.bigK * float(np.mean(rho)) * area
     return EnergyLedger(energy, dissipation, source)
@@ -162,14 +162,13 @@ def _packed_momentum_residual(grid: SpectralGrid, params: PhysParams, sh: np.nda
     f: force = f + nu lap(u) before projection, p solves lap(p) = div(f), and
     du = P(f) + nu lap(u) is the Leray-projected rate the stepper integrates.
     The pressure gradient must reproduce the removed gradient part."""
-    h = grid._half
     f1, f2, *_ = dynamics._terms(grid, params, sh)
     f = np.stack([f1, f2])
-    visc = -params.nu * h["k_sq"] * sh[0:2]
-    ik = np.stack([h["ikx"], h["iky"]])
-    k = np.stack([h["kx"], h["ky"]])
-    ph = -h["inv_k_sq"] * np.sum(ik * f, axis=0)
-    kd = h["inv_k_sq"] * np.sum(k * f, axis=0)
+    visc = -params.nu * grid.k_sq * sh[0:2]
+    ik = np.stack([grid.ikx, grid.iky])
+    k = np.stack([grid.kx, grid.ky])
+    ph = -grid.inv_k_sq_d * np.sum(ik * f, axis=0)
+    kd = grid.inv_k_sq_d * np.sum(k * f, axis=0)
     r = (f + visc) - ik * ph - (f - k * kd + visc)
     return math.sqrt(_parseval(grid, 1.0, r[0], r[1]))
 
@@ -380,18 +379,17 @@ def determinant_residual(states, params: PhysParams, *, informational: bool = Fa
         s = states[j]
         dt = times[j + 1] - times[j]
         ddt = (det_values(states[j + 1]) - det_values(states[j - 1])) / (2.0 * dt)
-        d = scalar_field(g, det_values(s))
-        dh = d.coeffs
-        d1 = scalar_field(g, g.ikx * dh, "spectral").values
-        d2 = scalar_field(g, g.iky * dh, "spectral").values
+        d = det_values(s)
+        dh = scalar_field(g, d).as_spectral()
+        d1, d2 = ddx(dh, 1).values, ddx(dh, 2).values
         u1, u2 = s.u.values
         a, b, c = s.stress.a.values, s.stress.b.values, s.stress.c.values
         resid = (
-            ddt + u1 * d1 + u2 * d2 + 4.0 * params.k * d.values
+            ddt + u1 * d1 + u2 * d2 + 4.0 * params.k * d
             - 2.0 * params.k * s.rho.values * c
         )
         if params.kappa != 0.0:
-            lap = lambda f: scalar_field(g, -g.k_sq * scalar_field(g, f).coeffs, "spectral").values
+            lap = lambda f: laplacian(scalar_field(g, f)).values
             resid -= params.kappa * (0.5 * c * lap(c) - 2.0 * a * lap(a) - 2.0 * b * lap(b))
         worst = max(worst, float(np.sqrt(np.mean(resid * resid) * g.area)))
     return worst

@@ -22,7 +22,6 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
-    dealias,
     irfft2,
     rfft2,
     scalar_field,
@@ -54,8 +53,6 @@ class StateDerivative:
 
 def pack_state(state: SimState) -> np.ndarray:
     """Half-spectrum coefficients (6, n, n//2+1), dealiased on entry."""
-    g = state.grid
-    mask = g._half["mask"]
     stack = np.stack([
         state.u.values[0],
         state.u.values[1],
@@ -64,7 +61,7 @@ def pack_state(state: SimState) -> np.ndarray:
         state.stress.c.values,
         state.rho.values,
     ])
-    return rfft2(stack) * mask
+    return rfft2(stack) * state.grid.mask
 
 
 def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
@@ -89,8 +86,7 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray):
     c source 4*k*rho, and -u.grad(rho).  Semigroup-absorbed linear parts
     (nu*lap(u), kappa*lap - 2k on the stress) are excluded.
     """
-    h = grid._half
-    ikx, iky, mask = h["ikx"], h["iky"], h["mask"]
+    ikx, iky, mask = grid.ikx, grid.iky, grid.mask
     ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
 
     stack = np.concatenate([sh[0:2], ikx * sh, iky * sh, sh[2:5]])
@@ -122,19 +118,17 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray):
 
 def explicit_terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np.ndarray:
     """Projected explicit right-hand sides for the integrating-factor stages."""
-    h = grid._half
     f1, f2, na, nb, nc, nr = _terms(grid, params, sh)
-    kd = (h["kx"] * f1 + h["ky"] * f2) * h["inv_k_sq"]
-    return np.stack([f1 - h["kx"] * kd, f2 - h["ky"] * kd, na, nb, nc, nr])
+    kd = (grid.kx * f1 + grid.ky * f2) * grid.inv_k_sq_d
+    return np.stack([f1 - grid.kx * kd, f2 - grid.ky * kd, na, nb, nc, nr])
 
 
 def strain_decompose(u: VectorField) -> StrainDecomposition:
     g = u.grid
     uh = u.coeffs
-    d1u1 = scalar_field(g, g.ikx * uh[0], "spectral").values
-    d2u1 = scalar_field(g, g.iky * uh[0], "spectral").values
-    d1u2 = scalar_field(g, g.ikx * uh[1], "spectral").values
-    d2u2 = scalar_field(g, g.iky * uh[1], "spectral").values
+    d1u1, d2u1, d1u2, d2u2 = irfft2(
+        np.stack([g.ikx * uh[0], g.iky * uh[0], g.ikx * uh[1], g.iky * uh[1]]), g.n
+    )
     return StrainDecomposition(
         lam=scalar_field(g, 0.5 * (d1u1 - d2u2)),
         mu=scalar_field(g, 0.5 * (d1u2 + d2u1)),
@@ -146,10 +140,9 @@ def stress_rhs(state: SimState, params: PhysParams):
     """Full (a, b, c) rates: advection, stretching, relaxation -2k, diffusion
     kappa*lap, and the density source 4*k*rho in the trace equation."""
     g = state.grid
-    h = g._half
     sh = pack_state(state)
     _, _, na, nb, nc, _ = _terms(g, params, sh)
-    lam_lin = -params.kappa * h["k_sq"] - 2.0 * params.k
+    lam_lin = -params.kappa * g.k_sq - 2.0 * params.k
     da = na + lam_lin * sh[2]
     db = nb + lam_lin * sh[3]
     dc = nc + lam_lin * sh[4]
@@ -164,10 +157,9 @@ def stress_rhs(state: SimState, params: PhysParams):
 def momentum_rhs(state: SimState, params: PhysParams) -> VectorField:
     """Divergence-free velocity rate: P(-u.grad(u) + K div(sigma)) + nu*lap(u)."""
     g = state.grid
-    h = g._half
     sh = pack_state(state)
     nh = explicit_terms(g, params, sh)
-    visc = -params.nu * h["k_sq"]
+    visc = -params.nu * g.k_sq
     du = np.stack([nh[0] + visc * sh[0], nh[1] + visc * sh[1]])
     return vector_field(g, irfft2(du, g.n))
 
@@ -175,22 +167,20 @@ def momentum_rhs(state: SimState, params: PhysParams) -> VectorField:
 def rho_rhs(state: SimState) -> ScalarField:
     """Dealiased advection rate -u.grad(rho); its integral vanishes."""
     g = state.grid
-    h = g._half
     sh = pack_state(state)
     u1, u2, dr1, dr2 = irfft2(
-        np.stack([sh[0], sh[1], h["ikx"] * sh[5], h["iky"] * sh[5]]), g.n
+        np.stack([sh[0], sh[1], g.ikx * sh[5], g.iky * sh[5]]), g.n
     )
-    nr = rfft2(-(u1 * dr1 + u2 * dr2)) * h["mask"]
+    nr = rfft2(-(u1 * dr1 + u2 * dr2)) * g.mask
     return scalar_field(g, irfft2(nr, g.n))
 
 
 def full_rhs(state: SimState, params: PhysParams) -> StateDerivative:
     g = state.grid
-    h = g._half
     sh = pack_state(state)
     nh = explicit_terms(g, params, sh)
-    visc = -params.nu * h["k_sq"]
-    lam_lin = -params.kappa * h["k_sq"] - 2.0 * params.k
+    visc = -params.nu * g.k_sq
+    lam_lin = -params.kappa * g.k_sq - 2.0 * params.k
     du = np.stack([nh[0] + visc * sh[0], nh[1] + visc * sh[1]])
     rates = irfft2(np.stack([du[0], du[1], nh[2] + lam_lin * sh[2],
                              nh[3] + lam_lin * sh[3], nh[4] + lam_lin * sh[4],
@@ -209,21 +199,19 @@ def recover_pressure(state: SimState, params: PhysParams) -> ScalarField:
     force = -u.grad(u) + K div(sigma).  Diagnostic only; the stepper never
     uses pressure."""
     g = state.grid
-    h = g._half
     sh = pack_state(state)
     f1, f2, *_ = _terms(g, params, sh)
-    div_f = h["ikx"] * f1 + h["iky"] * f2
-    ph = -h["inv_k_sq"] * div_f
+    div_f = g.ikx * f1 + g.iky * f2
+    ph = -g.inv_k_sq_d * div_f
     return scalar_field(g, irfft2(ph, g.n))
 
 
 def unprojected_force(state: SimState, params: PhysParams) -> VectorField:
     """-u.grad(u) + K div(sigma) + nu*lap(u) before Leray projection."""
     g = state.grid
-    h = g._half
     sh = pack_state(state)
     f1, f2, *_ = _terms(g, params, sh)
-    visc = -params.nu * h["k_sq"]
+    visc = -params.nu * g.k_sq
     return vector_field(g, irfft2(np.stack([f1 + visc * sh[0], f2 + visc * sh[1]]), g.n))
 
 
@@ -233,18 +221,9 @@ def determinant_rhs(state: SimState, params: PhysParams) -> ScalarField:
     if params.kappa != 0.0:
         raise ValueError("the determinant law is exact only for kappa = 0")
     g = state.grid
-    a = dealias(state.stress.a).values
-    b = dealias(state.stress.b).values
-    c = dealias(state.stress.c).values
-    rho = dealias(state.rho).values
-    u = dealias(state.u)
-
-    d = dealias(scalar_field(g, 0.25 * c * c - a * a - b * b))
-    dh = d.coeffs
-    d1d = scalar_field(g, g.ikx * dh, "spectral").values
-    d2d = scalar_field(g, g.iky * dh, "spectral").values
-    u1, u2 = u.values
-    adv = dealias(scalar_field(g, u1 * d1d + u2 * d2d)).values
-    src = dealias(scalar_field(g, rho * c)).values
+    u1, u2, a, b, c, rho = irfft2(pack_state(state), g.n)
+    dh = rfft2(0.25 * c * c - a * a - b * b) * g.mask
+    d, d1d, d2d = irfft2(np.stack([dh, g.ikx * dh, g.iky * dh]), g.n)
+    adv, src = irfft2(rfft2(np.stack([u1 * d1d + u2 * d2d, rho * c])) * g.mask, g.n)
     k = params.k
-    return scalar_field(g, -adv - 4.0 * k * d.values + 2.0 * k * src)
+    return scalar_field(g, -adv - 4.0 * k * d + 2.0 * k * src)

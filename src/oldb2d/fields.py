@@ -18,6 +18,7 @@ from .spectral import (
     SpectralGrid,
     VectorField,
     divergence,
+    l2_scale,
     rfft2,
     same_grid,
     scalar_field,
@@ -117,9 +118,9 @@ class SimState:
 
     def validate(self):
         """Check the construction invariants: u divergence-free, rho >= 0."""
-        du = divergence(self.u).coeffs
-        unorm = np.sqrt(np.sum(np.abs(self.u.coeffs) ** 2))
-        if np.max(np.abs(du)) > 1e-12 * max(unorm, 1e-300):
+        u = self.u.as_spectral()
+        du = divergence(u).data
+        if np.max(np.abs(du)) > 1e-12 * max(l2_scale(self.grid, u.data), 1e-300):
             raise ValueError("velocity is not divergence-free")
         r = self.rho.values
         if np.min(r) < -1e-10 * max(float(np.max(r)), 1.0):
@@ -171,9 +172,9 @@ def _sq_int(grid, *real_arrays) -> float:
 
 def _parseval(grid, weight, *coeffs) -> float:
     """area * sum of weight * |f_k|^2 over the full spectrum, from rfft2
-    half-spectrum coefficients: `_half["weights"]` counts every column whose
+    half-spectrum coefficients: `grid.weights` counts every column whose
     conjugate partner the half spectrum omits twice."""
-    w = grid._half["weights"] * weight
+    w = grid.weights * weight
     return grid.area * sum(float(np.vdot(ch, w * ch).real) for ch in coeffs)
 
 
@@ -200,13 +201,12 @@ def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> NormR
     The stress L^1 norm is the trace integral; L^2-type stress norms are
     Frobenius, i.e. the density c^2/2 + 2a^2 + 2b^2 in (a, b, c) variables.
     """
-    h = grid._half
     area = grid.area
     u1, u2, a, b, c, rho = reals
     u1h, u2h, ah, bh, ch, rhoh = sh
-    omh = h["ikx"] * u2h - h["iky"] * u1h
+    omh = grid.ikx * u2h - grid.iky * u1h
 
-    ksq = h["k_sq"]
+    ksq = grid.k_sq
     ksq2 = ksq * ksq
 
     vals = {}

@@ -97,8 +97,8 @@ def _multipliers(n: int, length: float, nu: float, kappa: float, k: float, dt: f
     """Per-mode integrating factors for a full step, a half step, and the
     backward half step of the second SSP stage, stacked per packed field.
     Masked modes get factor zero so they stay inert."""
-    h = make_grid(n, length)._half
-    ksq, mask = h["k_sq"], h["mask"]
+    grid = make_grid(n, length)
+    ksq, mask = grid.k_sq, grid.mask
     lin = np.stack([-nu * ksq] * 2 + [-(kappa * ksq + 2.0 * k)] * 3 + [np.zeros_like(ksq)])
     lin = np.where(mask, lin, 0.0)
 
@@ -110,22 +110,21 @@ def _multipliers(n: int, length: float, nu: float, kappa: float, k: float, dt: f
 
 def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float) -> np.ndarray:
     """One integrating-factor SSP-RK3 step on packed coefficients."""
-    e_full, e_half, e_back = _multipliers(
+    e_full, e_mid, e_back = _multipliers(
         grid.n, grid.length, params.nu, params.kappa, params.k, dt
     )
-    h = grid._half
 
     n0 = explicit_terms(grid, params, sh)
     s1 = e_full * (sh + dt * n0)
     n1 = explicit_terms(grid, params, s1)
-    s2 = 0.75 * e_half * sh + 0.25 * e_back * (s1 + dt * n1)
+    s2 = 0.75 * e_mid * sh + 0.25 * e_back * (s1 + dt * n1)
     n2 = explicit_terms(grid, params, s2)
-    out = (e_full * sh + 2.0 * e_half * (s2 + dt * n2)) / 3.0
+    out = (e_full * sh + 2.0 * e_mid * (s2 + dt * n2)) / 3.0
 
     # Re-project the velocity to absorb rounding drift in the divergence.
-    kd = (h["kx"] * out[0] + h["ky"] * out[1]) * h["inv_k_sq"]
-    out[0] -= h["kx"] * kd
-    out[1] -= h["ky"] * kd
+    kd = (grid.kx * out[0] + grid.ky * out[1]) * grid.inv_k_sq_d
+    out[0] -= grid.kx * kd
+    out[1] -= grid.ky * kd
     return out
 
 

@@ -3,9 +3,9 @@ per-mode heat kernels and trapezoidal quadrature in time, the successive
 substitution loop, and contraction diagnostics.
 
 Time-indexed fields are half-spectrum (`rfft2`) coefficient arrays sampled
-on uniform nodes over [0, t0], on the grid's `_half` tables: velocity
-(m, 2, n, n//2+1), stress (m, 3, n, n//2+1) in (a, b, c) order, density
-(m, n, n//2+1).  The map sends (u, sigma, rho) to
+on uniform nodes over [0, t0]: velocity (m, 2, n, n//2+1), stress
+(m, 3, n, n//2+1) in (a, b, c) order, density (m, n, n//2+1).  The map
+sends (u, sigma, rho) to
 
     u_new     = heat(nu t) u0          + Q1(u, u) + L1(sigma)
     sigma_new = heat((kappa lap - 2k) t) sigma0 + Q2(u, sigma) + L2(rho)
@@ -122,23 +122,21 @@ def _step(cfg: PicardConfig) -> float:
 
 
 def _heat_decay(grid: SpectralGrid, params: PhysParams, ds: float) -> np.ndarray:
-    return np.exp(-params.nu * grid._half["k_sq"] * ds)
+    return np.exp(-params.nu * grid.k_sq * ds)
 
 
 def _stress_decay(grid: SpectralGrid, params: PhysParams, ds: float) -> np.ndarray:
-    return np.exp(-(params.kappa * grid._half["k_sq"] + 2.0 * params.k) * ds)
+    return np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k) * ds)
 
 
 def _project_path(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
-    h = grid._half
-    kd = (h["kx"] * f[:, 0] + h["ky"] * f[:, 1]) * h["inv_k_sq"]
-    return np.stack([f[:, 0] - h["kx"] * kd, f[:, 1] - h["ky"] * kd], axis=1)
+    kd = (grid.kx * f[:, 0] + grid.ky * f[:, 1]) * grid.inv_k_sq_d
+    return np.stack([f[:, 0] - grid.kx * kd, f[:, 1] - grid.ky * kd], axis=1)
 
 
 def _gradient(grid: SpectralGrid) -> np.ndarray:
     """(ikx, iky) stacked, shape (2, n, n//2+1)."""
-    h = grid._half
-    return np.stack([h["ikx"], h["iky"]])
+    return np.stack([grid.ikx, grid.iky])
 
 
 def _velocity_planes(u_path: np.ndarray, v_path: np.ndarray,
@@ -157,15 +155,14 @@ def _advection(planes: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Dealiased -(u.grad v) from velocity planes, before projection."""
     u1, u2, d1v1, d2v1, d1v2, d2v2 = np.moveaxis(planes, 1, 0)
     g = np.stack([u1 * d1v1 + u2 * d2v1, u1 * d1v2 + u2 * d2v2], axis=1)
-    return -rfft2(g) * grid._half["mask"]
+    return -rfft2(g) * grid.mask
 
 
 def _stress_divergence(abc_path: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """div sigma in (a, b, c) coordinates, before projection."""
-    h = grid._half
     ah, bh, ch = abc_path[:, 0], abc_path[:, 1], abc_path[:, 2]
-    f1 = h["ikx"] * (0.5 * ch + ah) + h["iky"] * bh
-    f2 = h["ikx"] * bh + h["iky"] * (0.5 * ch - ah)
+    f1 = grid.ikx * (0.5 * ch + ah) + grid.iky * bh
+    f2 = grid.ikx * bh + grid.iky * (0.5 * ch - ah)
     return np.stack([f1, f2], axis=1)
 
 
@@ -210,7 +207,7 @@ def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
     i22 = 2.0 * (g21 * s12 + g22 * s22) - (u1 * d1s22 + u2 * d2s22)
 
     out = np.stack([0.5 * (i11 - i22), i12, i11 + i22], axis=1)
-    return rfft2(out) * grid._half["mask"]
+    return rfft2(out) * grid.mask
 
 
 def op_q2(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
@@ -241,7 +238,7 @@ def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
     holds them; only the first two (u1, u2) are read."""
     times = cfg.times()
     m = len(times)
-    mask = grid._half["mask"]
+    mask = grid.mask
     grad = _gradient(grid)
     out = np.empty((m,) + rho0.shape, dtype=complex)
     out[0] = rho0 * mask
@@ -288,8 +285,7 @@ def _sobolev_sq(grid: SpectralGrid, coeffs: np.ndarray, order: int,
     """Bessel-type Sobolev proxy (1 + |k|^2)^order per node, a Parseval sum
     over the half spectrum with the Hermitian weights; `weights` mixes
     components (Frobenius weights for the stress)."""
-    h = grid._half
-    bess = h["weights"] * (1.0 + h["k_sq"]) ** order
+    bess = grid.weights * (1.0 + grid.k_sq) ** order
     mag = np.abs(coeffs) ** 2
     if weights is not None:
         mag = np.tensordot(weights, mag, axes=([0], [1]))
@@ -335,7 +331,7 @@ def _initial_coeffs(u0: VectorField, sigma0: StressField, rho0: ScalarField,
     `rfft2` over the six planes."""
     values = np.stack([u0.values[0], u0.values[1], sigma0.a.values,
                        sigma0.b.values, sigma0.c.values, rho0.values])
-    coeffs = rfft2(values) * grid._half["mask"]
+    coeffs = rfft2(values) * grid.mask
     u0h = _project_path(grid, coeffs[None, 0:2])[0]
     return u0h, coeffs[2:5], coeffs[5]
 
@@ -343,7 +339,7 @@ def _initial_coeffs(u0: VectorField, sigma0: StressField, rho0: ScalarField,
 def semigroup_paths(u0h, abc0h, grid, params, cfg):
     """The zeroth iterate: pure heat flow of the initial data."""
     times = cfg.times()[:, None, None]
-    k_sq = grid._half["k_sq"]
+    k_sq = grid.k_sq
     eu = np.exp(-params.nu * k_sq * times)
     es = np.exp(-(params.kappa * k_sq + 2.0 * params.k) * times)
     return eu[:, None] * u0h[None], es[:, None] * abc0h[None]

@@ -1,6 +1,9 @@
 """Spectral operators on the periodic square.
 
-Fields live on an N x N uniform grid over [0, L)^2.  Transforms use the
+Fields live on an N x N uniform grid over [0, L)^2.  The one spectral
+representation is the `rfft2` half spectrum, (N, N//2+1) coefficients per
+real field; norms summed over it count every column whose conjugate partner
+it omits twice (`SpectralGrid.weights`).  Transforms use the
 mean-preserving normalization: the forward FFT divides by N^2, so the (0, 0)
 coefficient of a field equals its spatial mean.  Dealiasing follows the 2/3
 rule: a mode with integer wavenumbers (k1, k2) survives iff
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.fft as _fft
@@ -31,21 +33,13 @@ def fft_workers() -> int:
     return max(1, cap)
 
 
-def to_spectral(values: np.ndarray) -> np.ndarray:
-    """Forward FFT over the last two axes (batches over leading axes)."""
-    return _fft.fft2(values, norm="forward", axes=(-2, -1), workers=fft_workers())
-
-
-def to_real(coeffs: np.ndarray) -> np.ndarray:
-    """Backward FFT over the last two axes; returns the real part."""
-    return _fft.ifft2(coeffs, norm="forward", axes=(-2, -1), workers=fft_workers()).real
-
-
 def rfft2(values: np.ndarray) -> np.ndarray:
+    """Forward real FFT over the last two axes (batches over leading axes)."""
     return _fft.rfft2(values, norm="forward", axes=(-2, -1), workers=fft_workers())
 
 
 def irfft2(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of `rfft2` onto an n x n real grid."""
     return _fft.irfft2(coeffs, s=(n, n), norm="forward", axes=(-2, -1), workers=fft_workers())
 
 
@@ -55,23 +49,26 @@ class SpectralGrid:
 
     Index convention: array element [i, j] sits at (x_i, y_j), so the first
     array axis is the x-direction (derivative index 1) and the second is y
-    (index 2).  `kx`, `ky` carry the physical wavenumbers 2*pi/L * integer;
-    `ikx`, `iky` are the derivative multipliers with the Nyquist frequency
-    zeroed so that derivatives of real fields stay real.
+    (index 2).  Every table is a contiguous (n, n//2+1) array over the
+    `rfft2` half spectrum: row i holds the x wavenumber in `fftfreq` order,
+    column j the y wavenumber j >= 0.  `kx`, `ky` are the physical
+    derivative wavenumbers 2*pi/L * integer with the Nyquist frequency
+    zeroed, so that derivatives of real fields stay real; `ikx`, `iky` are
+    the derivative multipliers 1j * kx, 1j * ky.
     """
 
     n: int
     length: float
     kx: np.ndarray
     ky: np.ndarray
-    k_sq: np.ndarray
-    inv_k_sq: np.ndarray  # 1/|k|^2 with the (0,0) entry set to zero
     ikx: np.ndarray
     iky: np.ndarray
-    kx_d: np.ndarray      # derivative wavenumbers: kx with the Nyquist row zeroed
-    ky_d: np.ndarray
-    inv_k_sq_d: np.ndarray
-    dealias_mask: np.ndarray
+    k_sq: np.ndarray        # |k|^2, Nyquist modes included
+    inv_k_sq: np.ndarray    # 1/|k|^2 with the (0,0) entry set to zero
+    inv_k_sq_d: np.ndarray  # 1/(kx^2 + ky^2) from the derivative wavenumbers
+    mask: np.ndarray        # 2/3-rule dealias mask
+    weights: np.ndarray     # Hermitian weights: 2 for every column whose
+                            # conjugate partner the half spectrum omits
 
     @property
     def spacing(self) -> float:
@@ -86,34 +83,14 @@ class SpectralGrid:
         x = np.arange(self.n) * self.spacing
         return np.meshgrid(x, x, indexing="ij")
 
-    # Half-spectrum (rfft2) tables used by the time-stepping kernel.
-
-    @cached_property
-    def _half(self):
-        nh = self.n // 2 + 1
-        sl = (slice(None), slice(0, nh))
-        weights = np.full((self.n, nh), 2.0)
-        weights[:, 0] = 1.0
-        if self.n % 2 == 0:
-            weights[:, nh - 1] = 1.0
-        return {
-            "kx": self.kx_d[sl],
-            "ky": self.ky_d[sl],
-            "k_sq": self.k_sq[sl],
-            "inv_k_sq": self.inv_k_sq_d[sl],
-            "ikx": self.ikx[sl],
-            "iky": self.iky[sl],
-            "mask": self.dealias_mask[sl],
-            "weights": weights,
-        }
-
 
 def same_grid(g1: SpectralGrid, g2: SpectralGrid) -> bool:
     return g1 is g2 or (g1.n == g2.n and g1.length == g2.length)
 
 
 def make_grid(n: int, length: float) -> SpectralGrid:
-    """Build a grid with wavenumber tables and the 2/3-rule dealias mask."""
+    """Build a grid with half-spectrum wavenumber tables, the 2/3-rule
+    dealias mask and the Hermitian weights."""
     if int(n) != n:
         raise ValueError("n must be an integer")
     n = int(n)
@@ -125,51 +102,49 @@ def make_grid(n: int, length: float) -> SpectralGrid:
     if not np.isfinite(length) or length <= 0.0:
         raise ValueError("length must be positive")
 
-    kint = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(np.int64)
-    kxi, kyi = np.meshgrid(kint, kint, indexing="ij")
+    kxi, kyi = np.meshgrid(np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(np.int64),
+                           np.arange(n // 2 + 1), indexing="ij")
     scale = 2.0 * np.pi / length
-    kx = scale * kxi
-    ky = scale * kyi
+    kx, ky = scale * kxi, scale * kyi
     k_sq = kx * kx + ky * ky
-    inv_k_sq = np.zeros_like(k_sq)
-    nz = k_sq > 0.0
-    inv_k_sq[nz] = 1.0 / k_sq[nz]
 
     # Odd-order derivative multipliers must vanish at the Nyquist frequency.
-    kx_d = np.where(kxi == -(n // 2), 0.0, kx)
-    ky_d = np.where(kyi == -(n // 2), 0.0, ky)
-    ikx = 1j * kx_d
-    iky = 1j * ky_d
-    k_sq_d = kx_d * kx_d + ky_d * ky_d
-    inv_k_sq_d = np.zeros_like(k_sq_d)
-    nzd = k_sq_d > 0.0
-    inv_k_sq_d[nzd] = 1.0 / k_sq_d[nzd]
+    kx = np.where(np.abs(kxi) == n // 2, 0.0, kx)
+    ky = np.where(kyi == n // 2, 0.0, ky)
+    mask = (3 * np.abs(kxi) <= n) & (3 * kyi <= n)
+    weights = np.where((kyi == 0) | (kyi == n // 2), 1.0, 2.0)
+    return SpectralGrid(n, length, kx, ky, 1j * kx, 1j * ky, k_sq, _reciprocal(k_sq),
+                        _reciprocal(kx * kx + ky * ky), mask, weights)
 
-    mask = (3 * np.abs(kxi) <= n) & (3 * np.abs(kyi) <= n)
-    return SpectralGrid(n, length, kx, ky, k_sq, inv_k_sq, ikx, iky,
-                        kx_d, ky_d, inv_k_sq_d, mask)
+
+def _reciprocal(k_sq: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(k_sq)
+    nz = k_sq > 0.0
+    out[nz] = 1.0 / k_sq[nz]
+    return out
 
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A scalar field with either real-space values or spectral coefficients."""
+    """A scalar field with either real-space values (n, n) or `rfft2`
+    half-spectrum coefficients (n, n//2+1)."""
 
     grid: SpectralGrid
     data: np.ndarray
     space: str = REAL
 
     def __post_init__(self):
-        _check_data(self.grid, self.data, self.space, comps=0)
+        _check_data(self.grid, self.data, self.space, comps=())
 
     def as_real(self) -> "ScalarField":
         if self.space == REAL:
             return self
-        return ScalarField(self.grid, to_real(self.data), REAL)
+        return ScalarField(self.grid, irfft2(self.data, self.grid.n), REAL)
 
     def as_spectral(self) -> "ScalarField":
         if self.space == SPECTRAL:
             return self
-        return ScalarField(self.grid, to_spectral(self.data), SPECTRAL)
+        return ScalarField(self.grid, rfft2(self.data), SPECTRAL)
 
     @property
     def values(self) -> np.ndarray:
@@ -182,24 +157,25 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """A two-component field; data has shape (2, n, n)."""
+    """A two-component field; data has shape (2, n, n) in real space and
+    (2, n, n//2+1) in spectral space."""
 
     grid: SpectralGrid
     data: np.ndarray
     space: str = REAL
 
     def __post_init__(self):
-        _check_data(self.grid, self.data, self.space, comps=2)
+        _check_data(self.grid, self.data, self.space, comps=(2,))
 
     def as_real(self) -> "VectorField":
         if self.space == REAL:
             return self
-        return VectorField(self.grid, to_real(self.data), REAL)
+        return VectorField(self.grid, irfft2(self.data, self.grid.n), REAL)
 
     def as_spectral(self) -> "VectorField":
         if self.space == SPECTRAL:
             return self
-        return VectorField(self.grid, to_spectral(self.data), SPECTRAL)
+        return VectorField(self.grid, rfft2(self.data), SPECTRAL)
 
     @property
     def values(self) -> np.ndarray:
@@ -213,8 +189,12 @@ class VectorField:
         return ScalarField(self.grid, self.data[i], self.space)
 
 
+def _plane(grid, space) -> tuple:
+    return (grid.n, grid.n // 2 + 1) if space == SPECTRAL else (grid.n, grid.n)
+
+
 def _check_data(grid, data, space, comps):
-    shape = (grid.n, grid.n) if comps == 0 else (comps, grid.n, grid.n)
+    shape = comps + _plane(grid, space)
     if data.shape != shape:
         raise ValueError(f"field data has shape {data.shape}, expected {shape}")
     if space == REAL:
@@ -230,28 +210,13 @@ def _check_data(grid, data, space, comps):
 def scalar_field(grid, data, space=REAL) -> ScalarField:
     data = np.asarray(data, dtype=complex if space == SPECTRAL else float)
     if data.ndim == 0:
-        data = np.full((grid.n, grid.n), data)
+        data = np.full(_plane(grid, space), data)
     return ScalarField(grid, data, space)
 
 
 def vector_field(grid, data, space=REAL) -> VectorField:
     data = np.asarray(data, dtype=complex if space == SPECTRAL else float)
     return VectorField(grid, data, space)
-
-
-def zero_scalar(grid) -> ScalarField:
-    return ScalarField(grid, np.zeros((grid.n, grid.n)), REAL)
-
-
-def zero_vector(grid) -> VectorField:
-    return VectorField(grid, np.zeros((2, grid.n, grid.n)), REAL)
-
-
-def hermitian_defect(f: ScalarField | VectorField) -> float:
-    """Max deviation of the spectral coefficients from conj-symmetry."""
-    c = f.coeffs
-    rev = np.roll(np.flip(c, axis=(-2, -1)), 1, axis=(-2, -1))
-    return float(np.max(np.abs(c - np.conj(rev))))
 
 
 def _same_space_out(f, coeffs, cls):
@@ -278,7 +243,7 @@ def laplacian(f: ScalarField) -> ScalarField:
 def dealias(f):
     """Zero every masked mode; survivors are untouched."""
     cls = VectorField if isinstance(f, VectorField) else ScalarField
-    return _same_space_out(f, f.grid.dealias_mask * f.coeffs, cls)
+    return _same_space_out(f, f.grid.mask * f.coeffs, cls)
 
 
 def leray_project(v: VectorField) -> VectorField:
@@ -290,8 +255,8 @@ def leray_project(v: VectorField) -> VectorField:
     """
     g = v.grid
     vh = v.coeffs
-    kdotv = (g.kx_d * vh[0] + g.ky_d * vh[1]) * g.inv_k_sq_d
-    out = np.stack([vh[0] - g.kx_d * kdotv, vh[1] - g.ky_d * kdotv])
+    kdotv = (g.kx * vh[0] + g.ky * vh[1]) * g.inv_k_sq_d
+    out = np.stack([vh[0] - g.kx * kdotv, vh[1] - g.ky * kdotv])
     return _same_space_out(v, out, VectorField)
 
 
@@ -319,16 +284,22 @@ def heat_semigroup(f, diffusivity: float, damping: float, t: float):
     return _same_space_out(f, mult * f.coeffs, cls)
 
 
-def _require_zero_mean(coeffs, what):
-    norm = np.sqrt(np.sum(np.abs(coeffs) ** 2))
-    if np.abs(coeffs[..., 0, 0]).max() > 1e-10 * max(norm, 1e-300):
+def l2_scale(grid: SpectralGrid, coeffs: np.ndarray) -> float:
+    """sqrt of the sum of |f_k|^2 over the full spectrum, from half-spectrum
+    coefficients (the root mean square of the field, by Parseval)."""
+    return float(np.sqrt(np.sum(grid.weights * np.abs(coeffs) ** 2)))
+
+
+def _require_zero_mean(grid, coeffs, what):
+    if abs(coeffs[0, 0]) > 1e-10 * max(l2_scale(grid, coeffs), 1e-300):
         raise ValueError(f"{what} must have zero mean")
 
 
 def invert_laplacian(f: ScalarField) -> ScalarField:
-    """Solve laplacian(g) = f for zero-mean f; g gets the zero-mean gauge."""
+    """Solve laplacian(g) = f for zero-mean f; g gets the zero-mean gauge.
+    Uses the true |k|^2 on the Nyquist row and column."""
     fh = f.coeffs
-    _require_zero_mean(fh, "invert_laplacian input")
+    _require_zero_mean(f.grid, fh, "invert_laplacian input")
     return _same_space_out(f, -f.grid.inv_k_sq * fh, ScalarField)
 
 
@@ -336,18 +307,6 @@ def velocity_from_vorticity(omega: ScalarField) -> VectorField:
     """Divergence-free velocity whose scalar curl is the given vorticity."""
     g = omega.grid
     wh = omega.coeffs
-    _require_zero_mean(wh, "vorticity")
+    _require_zero_mean(g, wh, "vorticity")
     psih = -g.inv_k_sq * wh  # streamfunction, laplacian(psi) = omega
-    out = np.stack([-g.iky * psih, g.ikx * psih])
-    cls_out = VectorField(g, out, SPECTRAL)
-    return cls_out.as_real() if omega.space == REAL else cls_out
-
-
-def field_mean(f: ScalarField) -> float:
-    if f.space == REAL:
-        return float(np.mean(f.data))
-    return float(f.data[0, 0].real)
-
-
-def field_integral(f: ScalarField) -> float:
-    return field_mean(f) * f.grid.area
+    return _same_space_out(omega, np.stack([-g.iky * psih, g.ikx * psih]), VectorField)

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's spectral machinery: finite
 differences on periodic grids, brute-force pointwise eigensolves, refined
-quadrature and closed-form ODE solutions.
+quadrature, closed-form ODE solutions, and full-spectrum `np.fft.fft2`
+references of the field operators.
 """
 
 import numpy as np
@@ -69,3 +70,80 @@ def taylor_green_velocity(x, y, amplitude=1.0):
 def measured_orders(errors):
     """log2 ratios of successive errors under halving refinement."""
     return [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
+
+
+# --- full-spectrum references of the field operators ------------------------
+# Each takes and returns real arrays (n, n) or (2, n, n) on [0, L)^2 and runs
+# one complex np.fft.fft2 / ifft2 pair over the full (n, n) spectrum.  Odd
+# derivatives and the Leray projection use the wavenumbers with the Nyquist
+# frequency zeroed; the Laplacian, its inverse and the heat kernel use the
+# true |k|^2.
+
+
+def _fft2_tables(n: int, length: float):
+    kint = np.rint(np.fft.fftfreq(n, 1.0 / n))
+    ki, kj = np.meshgrid(kint, kint, indexing="ij")
+    scale = 2.0 * np.pi / length
+    kx = np.where(np.abs(ki) == n // 2, 0.0, scale * ki)
+    ky = np.where(np.abs(kj) == n // 2, 0.0, scale * kj)
+    k_sq = scale * scale * (ki * ki + kj * kj)
+    mask = (3 * np.abs(ki) <= n) & (3 * np.abs(kj) <= n)
+    return kx, ky, k_sq, mask
+
+
+def _reciprocal(k_sq):
+    return np.divide(1.0, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0.0)
+
+
+def _fft2_apply(values, mult):
+    return np.fft.ifft2(mult * np.fft.fft2(values)).real
+
+
+def fft2_ddx(values, axis, length):
+    kx, ky, _, _ = _fft2_tables(values.shape[-1], length)
+    return _fft2_apply(values, 1j * (kx if axis == 1 else ky))
+
+
+def fft2_laplacian(values, length):
+    _, _, k_sq, _ = _fft2_tables(values.shape[-1], length)
+    return _fft2_apply(values, -k_sq)
+
+
+def fft2_dealias(values, length):
+    _, _, _, mask = _fft2_tables(values.shape[-1], length)
+    return _fft2_apply(values, mask)
+
+
+def fft2_heat(values, diffusivity, damping, t, length):
+    _, _, k_sq, _ = _fft2_tables(values.shape[-1], length)
+    return _fft2_apply(values, np.exp(-(diffusivity * k_sq + damping) * t))
+
+
+def fft2_invert_laplacian(values, length):
+    _, _, k_sq, _ = _fft2_tables(values.shape[-1], length)
+    return _fft2_apply(values, -_reciprocal(k_sq))
+
+
+def fft2_divergence(v, length):
+    kx, ky, _, _ = _fft2_tables(v.shape[-1], length)
+    vh = np.fft.fft2(v)
+    return np.fft.ifft2(1j * kx * vh[0] + 1j * ky * vh[1]).real
+
+
+def fft2_curl(v, length):
+    kx, ky, _, _ = _fft2_tables(v.shape[-1], length)
+    vh = np.fft.fft2(v)
+    return np.fft.ifft2(1j * kx * vh[1] - 1j * ky * vh[0]).real
+
+
+def fft2_leray(v, length):
+    kx, ky, _, _ = _fft2_tables(v.shape[-1], length)
+    vh = np.fft.fft2(v)
+    kd = (kx * vh[0] + ky * vh[1]) * _reciprocal(kx * kx + ky * ky)
+    return np.fft.ifft2(np.stack([vh[0] - kx * kd, vh[1] - ky * kd])).real
+
+
+def fft2_velocity_from_vorticity(values, length):
+    kx, ky, k_sq, _ = _fft2_tables(values.shape[-1], length)
+    psih = -_reciprocal(k_sq) * np.fft.fft2(values)
+    return np.fft.ifft2(np.stack([-1j * ky * psih, 1j * kx * psih])).real

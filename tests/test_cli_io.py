@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from oldb2d import (
     SimState,
@@ -411,3 +412,26 @@ class TestThreadCap:
         assert fft_workers() == 1
         monkeypatch.setenv("OLDB2D_THREADS", "not-a-number")
         assert fft_workers() == 1
+
+
+class TestHalfSpectrumOnly:
+    """The program runs on the rfft2 half spectrum alone: with every
+    complex-to-complex 2-D FFT made to raise, the three commands exit 0."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--out-dir", "{out}"]),
+        ("bounds", []),
+        ("picard", ["--t0", "0.05", "--nodes", "9", "--compare"]),
+    ])
+    def test_no_complex_fft(self, tmp_path, monkeypatch, command, flags):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex-to-complex FFT called")
+
+        for module in (scipy.fft, np.fft):
+            monkeypatch.setattr(module, "fft2", forbidden)
+            monkeypatch.setattr(module, "ifft2", forbidden)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("n=16\npreset=random_admissible\namplitude=0.05\n"
+                            "stress_amplitude=0.05\nseed=3\nt_end=0.05\n")
+        flags = [flag.format(out=tmp_path / "out") for flag in flags]
+        assert main([command, "--config", str(cfg_path), *flags]) == 0

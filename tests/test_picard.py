@@ -53,7 +53,7 @@ def uniform_state(grid, c0, rho0):
 
 def masked_noise(grid, rng, shape):
     raw = rng.standard_normal(shape)
-    return rfft2(raw) * grid._half["mask"]
+    return rfft2(raw) * grid.mask
 
 
 @pytest.fixture(scope="module")
@@ -119,15 +119,14 @@ class TestL1:
 
         got = op_l1(abc, grid16, PARAMS, cfg)[-1]
 
-        h = grid16._half
-        f1 = h["ikx"] * 0.0 + h["iky"] * abc[0, 1]
-        f2 = h["ikx"] * abc[0, 1]
-        kd = (h["kx"] * f1 + h["ky"] * f2) * h["inv_k_sq"]
-        p1, p2 = f1 - h["kx"] * kd, f2 - h["ky"] * kd
+        f1 = grid16.ikx * 0.0 + grid16.iky * abc[0, 1]
+        f2 = grid16.ikx * abc[0, 1]
+        kd = (grid16.kx * f1 + grid16.ky * f2) * grid16.inv_k_sq_d
+        p1, p2 = f1 - grid16.kx * kd, f2 - grid16.ky * kd
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.where(
-                h["k_sq"] > 0,
-                (1.0 - np.exp(-PARAMS.nu * h["k_sq"] * t0)) / (PARAMS.nu * h["k_sq"]),
+                grid16.k_sq > 0,
+                (1.0 - np.exp(-PARAMS.nu * grid16.k_sq * t0)) / (PARAMS.nu * grid16.k_sq),
                 t0,
             )
         expected = PARAMS.bigK * factor * np.stack([p1, p2])
@@ -158,7 +157,7 @@ class TestQ2:
                                 state.stress.c.values]))
         integrand = q2_integrand(u0h[None], abc0h[None], grid16)[0]
         da, db, dc = stress_rhs(state, PARAMS)
-        lin = -(PARAMS.kappa * grid16._half["k_sq"]) - 2.0 * PARAMS.k
+        lin = -(PARAMS.kappa * grid16.k_sq) - 2.0 * PARAMS.k
         rho0h = rfft2(state.rho.values)
         expected = np.stack([
             rfft2(da.values) - lin * abc0h[0],
@@ -195,7 +194,7 @@ class TestL2:
         rho_vals = np.cos(x + 2 * y)
         rho = np.broadcast_to(rfft2(rho_vals), (cfg.n_time_nodes, 16, 9)).copy()
         out = op_l2(rho, grid16, PARAMS, cfg)
-        beta = PARAMS.kappa * grid16._half["k_sq"] + 2.0 * PARAMS.k
+        beta = PARAMS.kappa * grid16.k_sq + 2.0 * PARAMS.k
         expected_c = 2.0 * rho[0] * 2.0 * PARAMS.k * (1.0 - np.exp(-beta * t0)) / beta
         err = np.max(np.abs(out[-1, 2] - expected_c))
         assert err <= 1e-8 * max(np.max(np.abs(expected_c)), 1e-300)
@@ -209,14 +208,13 @@ class TestTransportMap:
         u = np.zeros((17, 2, 16, 9), dtype=complex)
         out = op_n(u, rho0, grid16, cfg)
         for j in range(17):
-            assert np.max(np.abs(out[j] - rho0 * grid16._half["mask"])) <= 1e-15
+            assert np.max(np.abs(out[j] - rho0 * grid16.mask)) <= 1e-15
 
     def test_uniform_density_invariant(self, grid16):
         cfg = PicardConfig(t0=0.2, n_time_nodes=17)
         rng = np.random.default_rng(6)
         psih = rfft2(band_limited_random(grid16, rng, 3))
-        h = grid16._half
-        u_single = np.stack([-h["iky"] * psih, h["ikx"] * psih])
+        u_single = np.stack([-grid16.iky * psih, grid16.ikx * psih])
         u = np.broadcast_to(u_single, (17, 2, 16, 9)).copy()
         rho0 = np.zeros((16, 9), dtype=complex)
         rho0[0, 0] = 2.0
@@ -227,18 +225,17 @@ class TestTransportMap:
         cfg = PicardConfig(t0=0.5, n_time_nodes=33)
         rng = np.random.default_rng(7)
         psih = rfft2(band_limited_random(grid16, rng, 3))
-        h = grid16._half
-        u_single = 0.25 * np.stack([-h["iky"] * psih, h["ikx"] * psih])
+        u_single = 0.25 * np.stack([-grid16.iky * psih, grid16.ikx * psih])
         u = np.broadcast_to(u_single, (33, 2, 16, 9)).copy()
         rho0 = rfft2(1.0 + 0.5 * band_limited_random(grid16, rng, 3))
         out = op_n(u, rho0, grid16, cfg)
         mass0 = out[0, 0, 0].real
         # Parseval over the half spectrum: Hermitian weights count each
         # conjugate pair once per member.
-        l2_0 = np.sum(h["weights"] * np.abs(out[0]) ** 2)
+        l2_0 = np.sum(grid16.weights * np.abs(out[0]) ** 2)
         for j in (16, 32):
             assert abs(out[j, 0, 0].real - mass0) <= 1e-8 * abs(mass0)
-            assert abs(np.sum(h["weights"] * np.abs(out[j]) ** 2) - l2_0) <= 1e-8 * l2_0
+            assert abs(np.sum(grid16.weights * np.abs(out[j]) ** 2) - l2_0) <= 1e-8 * l2_0
 
 
 class TestPicardIterate:
@@ -276,7 +273,7 @@ class TestPicardIterate:
         sem_u, sem_abc = semigroup_paths(u0h, abc0h, grid16, PARAMS, cfg)
         times = cfg.times()
         for j in (0, 4, 8):
-            k_sq = grid16._half["k_sq"]
+            k_sq = grid16.k_sq
             decay_u = np.exp(-PARAMS.nu * k_sq * times[j])
             decay_s = np.exp(-(PARAMS.kappa * k_sq + 2.0 * PARAMS.k) * times[j])
             assert np.max(np.abs(sem_u[j] - decay_u * u0h)) == 0.0

@@ -15,8 +15,9 @@ from oldb2d import (
     vector_field,
     velocity_from_vorticity,
 )
-from oldb2d.spectral import hermitian_defect, to_real, to_spectral
+from oldb2d.spectral import irfft2, rfft2
 
+import oracles
 from oracles import fd_derivative
 
 TWO_PI = 2.0 * np.pi
@@ -24,12 +25,13 @@ TWO_PI = 2.0 * np.pi
 
 def band_limited(grid, rng, kmax=None):
     noise = rng.standard_normal((grid.n, grid.n))
-    fh = to_spectral(noise) * grid.dealias_mask
+    fh = rfft2(noise) * grid.mask
     if kmax is not None:
-        kint = np.rint(np.fft.fftfreq(grid.n, 1.0 / grid.n)).astype(int)
-        ki, kj = np.meshgrid(kint, kint, indexing="ij")
+        ki = np.rint(np.fft.fftfreq(grid.n, 1.0 / grid.n)).astype(int)
+        kj = np.arange(grid.n // 2 + 1)
+        ki, kj = np.meshgrid(ki, kj, indexing="ij")
         fh *= (np.abs(ki) <= kmax) & (np.abs(kj) <= kmax)
-    return scalar_field(grid, to_real(fh))
+    return scalar_field(grid, irfft2(fh, grid.n))
 
 
 class TestMakeGrid:
@@ -39,15 +41,17 @@ class TestMakeGrid:
         kint = np.rint(np.fft.fftfreq(8, 1.0 / 8)).astype(int)
         ki, kj = np.meshgrid(kint, kint, indexing="ij")
         expected = (np.abs(ki) <= 2) & (np.abs(kj) <= 2)
-        assert np.array_equal(g.dealias_mask, expected)
-        assert g.dealias_mask[0, 0]
+        # The half spectrum keeps the columns ky = 0..n/2 (fftfreq columns
+        # 0..n/2-1 and the Nyquist column, where |ky| = n/2 either way).
+        assert np.array_equal(g.mask, expected[:, :5])
+        assert g.mask[0, 0]
 
     def test_mask_boundary_n64(self):
         # Survivors satisfy 3|k| <= n: |k| = 21 is kept, |k| = 22 masked.
         g = make_grid(64, TWO_PI)
-        assert g.dealias_mask[21, 0]
-        assert not g.dealias_mask[22, 0]
-        assert not g.dealias_mask[0, 64 - 22]
+        assert g.mask[21, 0]
+        assert not g.mask[22, 0]
+        assert not g.mask[0, 22]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -62,18 +66,13 @@ class TestMakeGrid:
     def test_roundtrip_identity(self, grid64):
         rng = np.random.default_rng(0)
         f = rng.standard_normal((64, 64))
-        back = to_real(to_spectral(f))
+        back = irfft2(rfft2(f), 64)
         assert np.max(np.abs(back - f)) <= 1e-13 * np.max(np.abs(f))
 
     def test_zero_mode_is_mean(self, grid32):
         rng = np.random.default_rng(1)
         f = rng.standard_normal((32, 32))
-        assert to_spectral(f)[0, 0] == pytest.approx(np.mean(f), abs=1e-15)
-
-    def test_hermitian_symmetry_of_real_field(self, grid32):
-        rng = np.random.default_rng(2)
-        f = scalar_field(grid32, rng.standard_normal((32, 32)))
-        assert hermitian_defect(f) <= 1e-14
+        assert rfft2(f)[0, 0] == pytest.approx(np.mean(f), abs=1e-15)
 
 
 class TestDdx:
@@ -143,7 +142,7 @@ class TestDealias:
         once = dealias(f)
         twice = dealias(once)
         assert np.array_equal(once.data, twice.data)
-        assert np.all(once.data[~grid64.dealias_mask] == 0.0)
+        assert np.all(once.data[~grid64.mask] == 0.0)
 
 
 class TestLerayProjection:
@@ -165,7 +164,7 @@ class TestLerayProjection:
         rng = np.random.default_rng(5)
         v = vector_field(grid64, rng.standard_normal((2, 64, 64)))
         pv = leray_project(v)
-        scale = np.sqrt(np.sum(np.abs(v.coeffs) ** 2))
+        scale = np.sqrt(np.sum(grid64.weights * np.abs(v.coeffs) ** 2))
         assert np.max(np.abs(divergence(pv).coeffs)) <= 1e-13 * scale
         again = leray_project(pv)
         assert np.max(np.abs(again.coeffs - pv.coeffs)) <= 1e-13 * scale
@@ -262,5 +261,68 @@ class TestParseval:
         rng = np.random.default_rng(10)
         f = scalar_field(grid64, rng.standard_normal((64, 64)))
         real_norm = np.sqrt(np.mean(f.values ** 2) * grid64.area)
-        spec_norm = np.sqrt(np.sum(np.abs(f.coeffs) ** 2) * grid64.area)
+        spec_norm = np.sqrt(np.sum(grid64.weights * np.abs(f.coeffs) ** 2) * grid64.area)
         assert abs(real_norm - spec_norm) <= 1e-12 * real_norm
+
+
+# Library operator, full-spectrum reference, and input: "s" a scalar, "v" a
+# vector, "s0" a zero-mean scalar.
+OPERATORS = {
+    "ddx_1": (lambda f: ddx(f, 1), lambda x, L: oracles.fft2_ddx(x, 1, L), "s"),
+    "ddx_2": (lambda f: ddx(f, 2), lambda x, L: oracles.fft2_ddx(x, 2, L), "s"),
+    "laplacian": (laplacian, oracles.fft2_laplacian, "s"),
+    "dealias_scalar": (dealias, oracles.fft2_dealias, "s"),
+    "dealias_vector": (dealias, oracles.fft2_dealias, "v"),
+    "leray_project": (leray_project, oracles.fft2_leray, "v"),
+    "divergence": (divergence, oracles.fft2_divergence, "v"),
+    "curl": (curl, oracles.fft2_curl, "v"),
+    "heat_scalar": (lambda f: heat_semigroup(f, 0.05, 1.5, 0.3),
+                    lambda x, L: oracles.fft2_heat(x, 0.05, 1.5, 0.3, L), "s"),
+    "heat_vector": (lambda f: heat_semigroup(f, 0.05, 1.5, 0.3),
+                    lambda x, L: oracles.fft2_heat(x, 0.05, 1.5, 0.3, L), "v"),
+    "invert_laplacian": (invert_laplacian, oracles.fft2_invert_laplacian, "s0"),
+    "velocity_from_vorticity": (velocity_from_vorticity,
+                                oracles.fft2_velocity_from_vorticity, "s0"),
+}
+
+
+class TestFullSpectrumOracle:
+    """Every operator on white noise, which fills every mode including the
+    Nyquist row and column, against an np.fft.fft2 reference."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_operator_matches_fft2_reference(self, n, name):
+        op, reference, kind = OPERATORS[name]
+        grid = make_grid(n, 3.0)
+        rng = np.random.default_rng(n)
+        if kind == "v":
+            f = vector_field(grid, rng.standard_normal((2, n, n)))
+        else:
+            noise = rng.standard_normal((n, n))
+            f = scalar_field(grid, noise - np.mean(noise) if kind == "s0" else noise)
+        expected = reference(f.values, grid.length)
+        scale = np.max(np.abs(expected))
+        for given in (f, f.as_spectral()):
+            got = op(given)
+            assert got.space == given.space
+            assert np.max(np.abs(got.values - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_spectral_data_is_half_spectrum(self, n):
+        grid = make_grid(n, TWO_PI)
+        rng = np.random.default_rng(1)
+        f = scalar_field(grid, rng.standard_normal((n, n)))
+        v = vector_field(grid, rng.standard_normal((2, n, n)))
+        assert f.as_spectral().data.shape == (n, n // 2 + 1)
+        assert v.as_spectral().data.shape == (2, n, n // 2 + 1)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_grid_tables_are_contiguous_half_spectrum(self, n):
+        grid = make_grid(n, TWO_PI)
+        tables = {name: value for name, value in vars(grid).items()
+                  if isinstance(value, np.ndarray)}
+        assert "weights" in tables and "mask" in tables
+        for name, table in tables.items():
+            assert table.shape == (n, n // 2 + 1), name
+            assert table.flags["C_CONTIGUOUS"], name
