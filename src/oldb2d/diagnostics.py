@@ -162,8 +162,7 @@ def _packed_momentum_residual(grid: SpectralGrid, params: PhysParams, sh: np.nda
     f: force = f + nu lap(u) before projection, p solves lap(p) = div(f), and
     du = P(f) + nu lap(u) is the Leray-projected rate the stepper integrates.
     The pressure gradient must reproduce the removed gradient part."""
-    f1, f2, *_ = dynamics._terms(grid, params, sh)
-    f = np.stack([f1, f2])
+    f = dynamics._terms(grid, params, sh)[0:2]
     visc = -params.nu * grid.k_sq * sh[0:2]
     ik = np.stack([grid.ikx, grid.iky])
     k = np.stack([grid.kx, grid.ky])

@@ -78,22 +78,30 @@ def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
     )
 
 
-def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray):
+def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np.ndarray:
     """Dealiased explicit terms from packed coefficients.
 
-    Returns (f1, f2, na, nb, nc, nr): the unprojected momentum force
-    -u.grad(u) + K div(sigma), the stress advection+stretching terms, the
-    c source 4*k*rho, and -u.grad(rho).  Semigroup-absorbed linear parts
-    (nu*lap(u), kappa*lap - 2k on the stress) are excluded.
+    Returns one (6, n, n//2+1) array (f1, f2, na, nb, nc, nr): the
+    unprojected momentum force -u.grad(u) + K div(sigma), the stress
+    advection+stretching terms, the c source 4*k*rho, and -u.grad(rho).
+    Semigroup-absorbed linear parts (nu*lap(u), kappa*lap - 2k on the
+    stress) are excluded.
     """
     ikx, iky, mask = grid.ikx, grid.iky, grid.mask
     ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
 
-    stack = np.concatenate([sh[0:2], ikx * sh, iky * sh, sh[2:5]])
+    # The 17-plane derivative stack (u, d1 sh, d2 sh, a, b, c), built in one
+    # buffer and released as soon as it is transformed.
+    stack = np.empty((17,) + sh.shape[1:], dtype=complex)
+    stack[0:2] = sh[0:2]
+    np.multiply(ikx, sh, out=stack[2:8])
+    np.multiply(iky, sh, out=stack[8:14])
+    stack[14:17] = sh[2:5]
     (u1, u2,
      d1u1, d1u2, da1, db1, dc1, dr1,
      d2u1, d2u2, da2, db2, dc2, dr2,
      a, b, c) = irfft2(stack, grid.n)
+    del stack
 
     lam = 0.5 * (d1u1 - d2u2)
     mu = 0.5 * (d1u2 + d2u1)
@@ -107,20 +115,24 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray):
         -(u1 * dc1 + u2 * dc2) + 4.0 * (lam * a + mu * b),
         -(u1 * dr1 + u2 * dr2),
     ])
-    nh = rfft2(prods) * mask
+    nh = rfft2(prods)
+    nh *= mask
 
     bigK = params.bigK
-    f1 = nh[0] + bigK * (ikx * (0.5 * ch + ah) + iky * bh)
-    f2 = nh[1] + bigK * (ikx * bh + iky * (0.5 * ch - ah))
-    nc = nh[4] + 4.0 * params.k * rh
-    return f1, f2, nh[2], nh[3], nc, nh[5]
+    nh[0] += bigK * (ikx * (0.5 * ch + ah) + iky * bh)
+    nh[1] += bigK * (ikx * bh + iky * (0.5 * ch - ah))
+    nh[4] += 4.0 * params.k * rh
+    return nh
 
 
 def explicit_terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np.ndarray:
-    """Projected explicit right-hand sides for the integrating-factor stages."""
-    f1, f2, na, nb, nc, nr = _terms(grid, params, sh)
-    kd = (grid.kx * f1 + grid.ky * f2) * grid.inv_k_sq_d
-    return np.stack([f1 - grid.kx * kd, f2 - grid.ky * kd, na, nb, nc, nr])
+    """Projected explicit right-hand sides for the integrating-factor stages:
+    `_terms` with its force planes Leray-projected in place."""
+    nh = _terms(grid, params, sh)
+    kd = (grid.kx * nh[0] + grid.ky * nh[1]) * grid.inv_k_sq_d
+    nh[0] -= grid.kx * kd
+    nh[1] -= grid.ky * kd
+    return nh
 
 
 def strain_decompose(u: VectorField) -> StrainDecomposition:

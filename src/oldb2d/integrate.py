@@ -9,6 +9,7 @@ failures is: NaN/overflow, positivity (c and rho), gamma, energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import diagnostics
 from .dynamics import explicit_terms, pack_state, unpack_state
 from .fields import PhysParams, SimState, gamma_field
-from .spectral import SpectralGrid, irfft2, make_grid
+from .spectral import SpectralGrid, irfft2
 
 _UMAX_FLOOR = 1e-12  # advective speed floor so quiescent states hit dt_max
 
@@ -92,34 +93,60 @@ def compute_dt(state: SimState, params: PhysParams, ctl: StepControl) -> float:
     return float(np.clip(_advective_dt(umax, state.grid, ctl), ctl.dt_min, ctl.dt_max))
 
 
-@lru_cache(maxsize=32)
-def _multipliers(n: int, length: float, nu: float, kappa: float, k: float, dt: float):
-    """Per-mode integrating factors for a full step, a half step, and the
-    backward half step of the second SSP stage, stacked per packed field.
-    Masked modes get factor zero so they stay inert."""
-    grid = make_grid(n, length)
+@lru_cache(maxsize=1)
+def _multipliers(grid: SpectralGrid, nu: float, kappa: float, k: float, dt: float):
+    """Per-mode integrating factors for the current step, stacked per packed
+    field and pre-scaled by the SSP-RK3 weights they meet in `_advance`:
+    e(dt), 0.75 e(dt/2), 0.25 e(-dt/2) and 2 e(dt/2).  Masked modes get
+    factor zero so they stay inert.
+
+    One entry, keyed by the grid's identity: a CFL-limited run changes dt
+    every step, so older entries would only hold memory."""
     ksq, mask = grid.k_sq, grid.mask
-    lin = np.stack([-nu * ksq] * 2 + [-(kappa * ksq + 2.0 * k)] * 3 + [np.zeros_like(ksq)])
+    # The three distinct linear operators (nu, stress, zero), expanded to
+    # the six packed planes (u1, u2, a, b, c, rho) by indexing.
+    lin = np.stack([-nu * ksq, -(kappa * ksq + 2.0 * k), np.zeros_like(ksq)])
     lin = np.where(mask, lin, 0.0)
+    planes = [0, 0, 1, 1, 1, 2]
 
     def factor(tau):
-        return np.exp(lin * tau) * mask
+        return (np.exp(lin * tau) * mask)[planes]
 
-    return factor(dt), factor(0.5 * dt), factor(-0.5 * dt)
+    e_mid = factor(0.5 * dt)
+    return factor(dt), 0.75 * e_mid, 0.25 * factor(-0.5 * dt), 2.0 * e_mid
 
 
 def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float) -> np.ndarray:
-    """One integrating-factor SSP-RK3 step on packed coefficients."""
-    e_full, e_mid, e_back = _multipliers(
-        grid.n, grid.length, params.nu, params.kappa, params.k, dt
+    """One integrating-factor SSP-RK3 step on packed coefficients:
+
+        s1  = e(dt) (sh + dt N(sh))
+        s2  = 0.75 e(dt/2) sh + 0.25 e(-dt/2) (s1 + dt N(s1))
+        out = (e(dt) sh + 2 e(dt/2) (s2 + dt N(s2))) / 3
+
+    Each stage is formed in place in the array `explicit_terms` returned."""
+    e_full, e_mid_34, e_back_14, e_mid_2 = _multipliers(
+        grid, params.nu, params.kappa, params.k, dt
     )
 
-    n0 = explicit_terms(grid, params, sh)
-    s1 = e_full * (sh + dt * n0)
-    n1 = explicit_terms(grid, params, s1)
-    s2 = 0.75 * e_mid * sh + 0.25 * e_back * (s1 + dt * n1)
-    n2 = explicit_terms(grid, params, s2)
-    out = (e_full * sh + 2.0 * e_mid * (s2 + dt * n2)) / 3.0
+    s1 = explicit_terms(grid, params, sh)
+    s1 *= dt
+    s1 += sh
+    s1 *= e_full
+
+    s2 = explicit_terms(grid, params, s1)
+    s2 *= dt
+    s2 += s1
+    s2 *= e_back_14
+    s2 += np.multiply(e_mid_34, sh, out=s1)
+    del s1
+
+    out = explicit_terms(grid, params, s2)
+    out *= dt
+    out += s2
+    out *= e_mid_2
+    out += np.multiply(e_full, sh, out=s2)
+    del s2
+    out /= 3.0
 
     # Re-project the velocity to absorb rounding drift in the divergence.
     kd = (grid.kx * out[0] + grid.ky * out[1]) * grid.inv_k_sq_d
@@ -141,8 +168,8 @@ def _check_admissible(state: SimState, tol: float, where: str):
 
 def step(state: SimState, dt: float, params: PhysParams) -> SimState:
     """Advance one step of size dt.  Input fields are dealiased on entry."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
     _check_admissible(state, 1e-6, "step")
     grid = state.grid
     sh = _advance(grid, params, pack_state(state), dt)

@@ -1,6 +1,10 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oldb2d import integrate, spectral
 from oldb2d import (
     MonitorViolation,
     PhysParams,
@@ -16,6 +20,7 @@ from oldb2d import (
 )
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.config import parse_config, build_initial
+from oldb2d.dynamics import explicit_terms, pack_state
 
 from oracles import measured_orders, relaxation_exact
 
@@ -112,6 +117,99 @@ class TestStep:
         state = uniform_state(grid32, 2.0, 1.0)
         with pytest.raises(ValueError, match="dt"):
             step(state, 0.0, PARAMS)
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_rejects_nonfinite_dt(self, grid32, dt):
+        state = uniform_state(grid32, 2.0, 1.0)
+        with pytest.raises(ValueError, match="dt"):
+            step(state, dt, PARAMS)
+
+
+def reference_advance(grid, params, sh, dt):
+    """SSP-RK3 written out with fresh six-plane factors and one temporary per
+    operation, in the association order `_advance` must reproduce."""
+    ksq, mask = grid.k_sq, grid.mask
+    lin = np.stack([-params.nu * ksq] * 2
+                   + [-(params.kappa * ksq + 2.0 * params.k)] * 3
+                   + [np.zeros_like(ksq)])
+    lin = np.where(mask, lin, 0.0)
+    e_full, e_mid, e_back = (np.exp(lin * tau) * mask for tau in (dt, 0.5 * dt, -0.5 * dt))
+
+    n0 = explicit_terms(grid, params, sh)
+    s1 = e_full * (sh + dt * n0)
+    n1 = explicit_terms(grid, params, s1)
+    s2 = 0.75 * e_mid * sh + 0.25 * e_back * (s1 + dt * n1)
+    n2 = explicit_terms(grid, params, s2)
+    out = (e_full * sh + 2.0 * e_mid * (s2 + dt * n2)) / 3.0
+
+    kd = (grid.kx * out[0] + grid.ky * out[1]) * grid.inv_k_sq_d
+    out[0] -= grid.kx * kd
+    out[1] -= grid.ky * kd
+    return out
+
+
+def count_make_grid(monkeypatch):
+    """Count `make_grid` calls under every name an `oldb2d` module bound it to."""
+    calls = []
+    original = spectral.make_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "oldb2d" or name.startswith("oldb2d.")) and \
+                getattr(module, "make_grid", None) is original:
+            monkeypatch.setattr(module, "make_grid", counted)
+    return calls
+
+
+class TestAdvance:
+    def _state(self, n):
+        cfg = parse_config(f"n={n}\npreset=random_admissible\nseed=11\namplitude=0.5\n")
+        grid = make_grid(n, cfg.length)
+        return grid, cfg.params, pack_state(build_initial(cfg, grid))
+
+    def test_bit_identical_to_reference(self):
+        grid, params, sh = self._state(32)
+        integrate._advance(grid, params, sh, 2e-3)
+        for dt in (2e-3, 3.7e-3):  # a memo hit, then a miss
+            got = integrate._advance(grid, params, sh, dt)
+            assert np.array_equal(got, reference_advance(grid, params, sh, dt))
+            sh = got
+
+    def test_one_factor_entry_and_no_grid_builds(self, monkeypatch):
+        cfg = parse_config("n=32\npreset=random_admissible\nseed=4\namplitude=2.0\n"
+                           "cfl=0.2\ndt_max=1.0\nt_end=0.2\n")
+        grid = make_grid(32, cfg.length)
+        initial = build_initial(cfg, grid)
+        calls = count_make_grid(monkeypatch)
+        before = integrate._multipliers.cache_info()
+        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        after = integrate._multipliers.cache_info()
+
+        steps = len(traj.records) - 1
+        assert len(np.unique(np.round(np.diff(traj.times), 12))) >= 5
+        assert after.currsize <= 1
+        # One lookup per step: the benchmark counts steps from these.
+        assert (after.hits + after.misses) - (before.hits + before.misses) == steps
+        assert calls == []
+
+    def test_transient_memory_of_one_step(self):
+        """Peak traced allocation of one step at n=128, in packed-state units
+        (6 half-spectrum planes).  Stages built in place and the single
+        derivative buffer keep it near 7 units; one fresh temporary per
+        operation reached 13."""
+        grid, params, sh = self._state(128)
+        integrate._advance(grid, params, sh, 1e-3)
+        tracemalloc.start()
+        try:
+            out = integrate._advance(grid, params, sh, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == sh.shape
+        assert peak <= 10.0 * sh.nbytes, peak / sh.nbytes
 
 
 class TestRun:
