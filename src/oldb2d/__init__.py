@@ -16,7 +16,6 @@ from .diagnostics import (
     positivity_report,
 )
 from .dynamics import (
-    StateDerivative,
     StrainDecomposition,
     determinant_rhs,
     momentum_rhs,
@@ -41,7 +40,6 @@ from .integrate import (
     Monitors,
     StepControl,
     Trajectory,
-    compute_dt,
     run,
     step,
 )

@@ -238,23 +238,32 @@ def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
 
 
 def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:
-    """Construct the configured initial state; the result always passes the
-    positivity report.  A snapshot that fails it, or fails the construction
-    invariants, is a `ConfigError`; a built-in preset that does is an
+    """Construct the configured initial state; the result is finite and
+    always passes the positivity report.  A non-finite state is a
+    `ConfigError`: config values such as a huge `amplitude` can overflow the
+    construction.  A snapshot that fails the report or the construction
+    invariants is a `ConfigError`; a built-in preset that does is an
     internal bug."""
-    if cfg.preset == "equilibrium":
-        state = _uniform_state(grid, cfg.rho0)
-    elif cfg.preset == "taylor_green":
-        state = _taylor_green_state(grid, cfg.amplitude)
-    elif cfg.preset == "random_admissible":
-        state = _random_admissible_state(grid, cfg)
-    elif cfg.preset.startswith("snapshot:"):
-        from .snapshots import read_snapshot
+    # An overflow while building shows up as a non-finite value, which is
+    # reported below as one config error rather than as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.preset == "equilibrium":
+            state = _uniform_state(grid, cfg.rho0)
+        elif cfg.preset == "taylor_green":
+            state = _taylor_green_state(grid, cfg.amplitude)
+        elif cfg.preset == "random_admissible":
+            state = _random_admissible_state(grid, cfg)
+        elif cfg.preset.startswith("snapshot:"):
+            from .snapshots import read_snapshot
 
-        state = read_snapshot(cfg.preset.split(":", 1)[1], grid)
-    else:
-        raise ConfigError(f"unknown preset {cfg.preset!r}")
+            state = read_snapshot(cfg.preset.split(":", 1)[1], grid)
+        else:
+            raise ConfigError(f"unknown preset {cfg.preset!r}")
 
+    planes = (state.u.values, state.stress.a.values, state.stress.b.values,
+              state.stress.c.values, state.rho.values)
+    if not all(np.isfinite(p).all() for p in planes):
+        raise ConfigError(f"preset {cfg.preset!r} produced a non-finite field value")
     from_snapshot = cfg.preset.startswith("snapshot:")
     report = positivity_report(state, tol=1e-10)
     if not report.passed:

@@ -157,12 +157,13 @@ def positivity_report(state: SimState, tol: float) -> PositivityReport:
     return _positivity(state.stress, state.rho.values, tol)
 
 
-def _packed_momentum_residual(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> float:
-    """L^2 norm of (force - grad p) - du from one explicit-terms evaluation
-    f: force = f + nu lap(u) before projection, p solves lap(p) = div(f), and
-    du = P(f) + nu lap(u) is the Leray-projected rate the stepper integrates.
-    The pressure gradient must reproduce the removed gradient part."""
-    f = dynamics._terms(grid, params, sh)[0:2]
+def _packed_momentum_residual(grid: SpectralGrid, params: PhysParams, sh: np.ndarray,
+                              f: np.ndarray) -> float:
+    """L^2 norm of (force - grad p) - du from the unprojected explicit force
+    f = `dynamics._terms(sh)[0:2]`: force = f + nu lap(u) before projection,
+    p solves lap(p) = div(f), and du = P(f) + nu lap(u) is the
+    Leray-projected rate the stepper integrates.  The pressure gradient must
+    reproduce the removed gradient part."""
     visc = -params.nu * grid.k_sq * sh[0:2]
     ik = np.stack([grid.ikx, grid.iky])
     k = np.stack([grid.kx, grid.ky])
@@ -175,14 +176,20 @@ def _packed_momentum_residual(grid: SpectralGrid, params: PhysParams, sh: np.nda
 def momentum_residual(state: SimState, params: PhysParams) -> float:
     """L^2 norm of (unprojected force - grad p) - momentum_rhs; the pressure
     recovery must reproduce the discarded gradient part to rounding."""
-    return _packed_momentum_residual(state.grid, params, dynamics.pack_state(state))
+    sh = dynamics.pack_state(state)
+    return _packed_momentum_residual(state.grid, params, sh,
+                                     dynamics._terms(state.grid, params, sh)[0:2])
 
 
 def make_record(grid: SpectralGrid, params: PhysParams, time: float, sh: np.ndarray,
-                reals: np.ndarray, *,
+                reals: np.ndarray, force: np.ndarray, *,
                 determinant_residual: float = float("nan")) -> DiagnosticsRecord:
-    """One diagnostics record from the stepper's half-spectrum coefficients
-    `sh` and real planes `reals`, ordered (u1, u2, a, b, c, rho)."""
+    """One diagnostics record of an accepted state, from what the stepper's
+    one evaluation of it, `dynamics._terms(sh, planes=True)`, holds: the
+    half-spectrum coefficients `sh`, the real planes `reals`, both ordered
+    (u1, u2, a, b, c, rho), and the unprojected force `force` = nh[0:2],
+    read before the stepper projects it.  No transform of the state is
+    repeated here."""
     rep = packed_norms(grid, sh, reals)
     led = packed_energy(grid, params, sh, reals)
     stress = StressField(*(scalar_field(grid, x) for x in reals[2:5]))
@@ -199,7 +206,7 @@ def make_record(grid: SpectralGrid, params: PhysParams, time: float, sh: np.ndar
         c_max=rep["c_max"],
         norms=rep,
         determinant_residual=determinant_residual,
-        momentum_residual=_packed_momentum_residual(grid, params, sh),
+        momentum_residual=_packed_momentum_residual(grid, params, sh, force),
     )
 
 

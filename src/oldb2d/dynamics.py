@@ -39,18 +39,6 @@ class StrainDecomposition:
     omega: ScalarField
 
 
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative bundle; du is divergence-free (cm/sec^2), the stress
-    and density rates are in 1/sec."""
-
-    du: VectorField
-    da: ScalarField
-    db: ScalarField
-    dc: ScalarField
-    drho: ScalarField
-
-
 def pack_state(state: SimState) -> np.ndarray:
     """Half-spectrum coefficients (6, n, n//2+1), dealiased on entry."""
     stack = np.stack([
@@ -64,50 +52,41 @@ def pack_state(state: SimState) -> np.ndarray:
     return rfft2(stack) * state.grid.mask
 
 
-def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
-    vals = irfft2(sh, grid.n)
+def _state_from_planes(grid: SpectralGrid, reals: np.ndarray, time: float) -> SimState:
+    """A `SimState` on the real planes (6, n, n) ordered as `pack_state`."""
     return SimState(
         time=time,
-        u=vector_field(grid, vals[0:2].copy()),
+        u=vector_field(grid, reals[0:2].copy()),
         stress=StressField(
-            scalar_field(grid, vals[2]),
-            scalar_field(grid, vals[3]),
-            scalar_field(grid, vals[4]),
+            scalar_field(grid, reals[2]),
+            scalar_field(grid, reals[3]),
+            scalar_field(grid, reals[4]),
         ),
-        rho=scalar_field(grid, vals[5]),
+        rho=scalar_field(grid, reals[5]),
     )
 
 
-def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np.ndarray:
-    """Dealiased explicit terms from packed coefficients.
+def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
+    return _state_from_planes(grid, irfft2(sh, grid.n), time)
 
-    Returns one (6, n, n//2+1) array (f1, f2, na, nb, nc, nr): the
-    unprojected momentum force -u.grad(u) + K div(sigma), the stress
-    advection+stretching terms, the c source 4*k*rho, and -u.grad(rho).
-    Semigroup-absorbed linear parts (nu*lap(u), kappa*lap - 2k on the
-    stress) are excluded.
-    """
-    ikx, iky, mask = grid.ikx, grid.iky, grid.mask
-    ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
 
-    # The 17-plane derivative stack (u, d1 sh, d2 sh, a, b, c), built in one
-    # buffer and released as soon as it is transformed.
-    stack = np.empty((17,) + sh.shape[1:], dtype=complex)
-    stack[0:2] = sh[0:2]
-    np.multiply(ikx, sh, out=stack[2:8])
-    np.multiply(iky, sh, out=stack[8:14])
-    stack[14:17] = sh[2:5]
+# Planes of the real derivative stack that hold (u1, u2, a, b, c, rho).
+_STATE_PLANES = [0, 1, 14, 15, 16, 17]
+
+
+def _products(real: np.ndarray) -> np.ndarray:
+    """The six quadratic terms, before dealiasing, from the real derivative
+    stack (u, d1 sh, d2 sh, a, b, c, ...)."""
     (u1, u2,
      d1u1, d1u2, da1, db1, dc1, dr1,
      d2u1, d2u2, da2, db2, dc2, dr2,
-     a, b, c) = irfft2(stack, grid.n)
-    del stack
+     a, b, c) = real[:17]
 
     lam = 0.5 * (d1u1 - d2u2)
     mu = 0.5 * (d1u2 + d2u1)
     om = d1u2 - d2u1
 
-    prods = np.stack([
+    return np.stack([
         -(u1 * d1u1 + u2 * d2u1),
         -(u1 * d1u2 + u2 * d2u2),
         -(u1 * da1 + u2 * da2) - om * b + c * lam,
@@ -115,6 +94,41 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np.ndarray
         -(u1 * dc1 + u2 * dc2) + 4.0 * (lam * a + mu * b),
         -(u1 * dr1 + u2 * dr2),
     ])
+
+
+def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
+           planes: bool = False):
+    """Dealiased explicit terms from packed coefficients.
+
+    Returns one (6, n, n//2+1) array (f1, f2, na, nb, nc, nr): the
+    unprojected momentum force -u.grad(u) + K div(sigma), the stress
+    advection+stretching terms, the c source 4*k*rho, and -u.grad(rho).
+    Semigroup-absorbed linear parts (nu*lap(u), kappa*lap - 2k on the
+    stress) are excluded.
+
+    With `planes=True` rho joins the inverse transform and the result is
+    `(nh, reals)`, where `reals` holds the state's own real planes
+    (u1, u2, a, b, c, rho), bit-identical to `irfft2(sh, n)`: one
+    evaluation serves the monitors, a record and the first RK stage.
+    """
+    ikx, iky, mask = grid.ikx, grid.iky, grid.mask
+    ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
+
+    # The derivative stack (u, d1 sh, d2 sh, a, b, c[, rho]), built in one
+    # buffer; both it and its real transform are released before the
+    # forward transform.
+    depth = 18 if planes else 17
+    stack = np.empty((depth,) + sh.shape[1:], dtype=complex)
+    stack[0:2] = sh[0:2]
+    np.multiply(ikx, sh, out=stack[2:8])
+    np.multiply(iky, sh, out=stack[8:14])
+    stack[14:depth] = sh[2:depth - 12]
+    real = irfft2(stack, grid.n)
+    del stack
+    prods = _products(real)
+    reals = real[_STATE_PLANES] if planes else None
+    del real
+
     nh = rfft2(prods)
     nh *= mask
 
@@ -122,16 +136,21 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np.ndarray
     nh[0] += bigK * (ikx * (0.5 * ch + ah) + iky * bh)
     nh[1] += bigK * (ikx * bh + iky * (0.5 * ch - ah))
     nh[4] += 4.0 * params.k * rh
-    return nh
+    return (nh, reals) if planes else nh
+
+
+def _project_velocity(grid: SpectralGrid, nh: np.ndarray) -> None:
+    """Leray-project the velocity planes nh[0:2] of a packed array in place."""
+    kd = (grid.kx * nh[0] + grid.ky * nh[1]) * grid.inv_k_sq_d
+    nh[0] -= grid.kx * kd
+    nh[1] -= grid.ky * kd
 
 
 def explicit_terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np.ndarray:
     """Projected explicit right-hand sides for the integrating-factor stages:
     `_terms` with its force planes Leray-projected in place."""
     nh = _terms(grid, params, sh)
-    kd = (grid.kx * nh[0] + grid.ky * nh[1]) * grid.inv_k_sq_d
-    nh[0] -= grid.kx * kd
-    nh[1] -= grid.ky * kd
+    _project_velocity(grid, nh)
     return nh
 
 
@@ -185,25 +204,6 @@ def rho_rhs(state: SimState) -> ScalarField:
     )
     nr = rfft2(-(u1 * dr1 + u2 * dr2)) * g.mask
     return scalar_field(g, irfft2(nr, g.n))
-
-
-def full_rhs(state: SimState, params: PhysParams) -> StateDerivative:
-    g = state.grid
-    sh = pack_state(state)
-    nh = explicit_terms(g, params, sh)
-    visc = -params.nu * g.k_sq
-    lam_lin = -params.kappa * g.k_sq - 2.0 * params.k
-    du = np.stack([nh[0] + visc * sh[0], nh[1] + visc * sh[1]])
-    rates = irfft2(np.stack([du[0], du[1], nh[2] + lam_lin * sh[2],
-                             nh[3] + lam_lin * sh[3], nh[4] + lam_lin * sh[4],
-                             nh[5]]), g.n)
-    return StateDerivative(
-        du=vector_field(g, rates[0:2].copy()),
-        da=scalar_field(g, rates[2]),
-        db=scalar_field(g, rates[3]),
-        dc=scalar_field(g, rates[4]),
-        drho=scalar_field(g, rates[5]),
-    )
 
 
 def recover_pressure(state: SimState, params: PhysParams) -> ScalarField:

@@ -16,7 +16,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import diagnostics
-from .dynamics import explicit_terms, pack_state, unpack_state
+from .dynamics import (
+    _project_velocity,
+    _state_from_planes,
+    _terms,
+    explicit_terms,
+    pack_state,
+    unpack_state,
+)
 from .fields import PhysParams, SimState, gamma_field
 from .spectral import SpectralGrid, irfft2
 
@@ -82,15 +89,22 @@ class Trajectory:
         return np.array([r.time for r in self.records])
 
 
-def _advective_dt(umax: float, grid: SpectralGrid, ctl: StepControl) -> float:
-    return ctl.cfl * grid.spacing / max(umax, _UMAX_FLOOR)
-
-
-def compute_dt(state: SimState, params: PhysParams, ctl: StepControl) -> float:
-    """Advective CFL step clamped to [dt_min, dt_max].  Diffusion and damping
-    impose no constraint: they are absorbed exactly by integrating factors."""
-    umax = float(np.max(np.abs(state.u.values)))
-    return float(np.clip(_advective_dt(umax, state.grid, ctl), ctl.dt_min, ctl.dt_max))
+def _step_dt(grid: SpectralGrid, ctl: StepControl, u: np.ndarray, t: float) -> float:
+    """`run`'s step rule at time t: the advective CFL step of the velocity
+    planes `u`, capped at dt_max and at the time left to t_end.  Diffusion
+    and damping impose no constraint: integrating factors absorb them
+    exactly.  A non-finite speed raises `nan` and a CFL step below dt_min
+    raises `dt_underflow`; neither becomes a dt."""
+    umax = float(np.max(np.abs(u)))
+    if not math.isfinite(umax):
+        raise MonitorViolation("nan", t, umax, "non-finite velocity")
+    raw = ctl.cfl * grid.spacing / max(umax, _UMAX_FLOOR)
+    if raw < ctl.dt_min:
+        raise MonitorViolation(
+            "dt_underflow", t, raw,
+            f"CFL step {raw:.3e} fell below dt_min={ctl.dt_min:.3e}",
+        )
+    return min(raw, ctl.dt_max, ctl.t_end - t)
 
 
 @lru_cache(maxsize=1)
@@ -116,42 +130,43 @@ def _multipliers(grid: SpectralGrid, nu: float, kappa: float, k: float, dt: floa
     return factor(dt), 0.75 * e_mid, 0.25 * factor(-0.5 * dt), 2.0 * e_mid
 
 
-def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float) -> np.ndarray:
-    """One integrating-factor SSP-RK3 step on packed coefficients:
+def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float,
+             n0: np.ndarray) -> np.ndarray:
+    """One integrating-factor SSP-RK3 step on packed coefficients, given
+    n0 = N(sh), the projected explicit terms at sh (`explicit_terms`):
 
         s1  = e(dt) (sh + dt N(sh))
         s2  = 0.75 e(dt/2) sh + 0.25 e(-dt/2) (s1 + dt N(s1))
         out = (e(dt) sh + 2 e(dt/2) (s2 + dt N(s2))) / 3
 
-    Each stage is formed in place in the array `explicit_terms` returned."""
+    n0's buffer is overwritten: s1 and then s2 are formed in place in it,
+    so a caller that still holds n0 adds nothing to the step's peak memory,
+    and `out` is formed in the array stage 3's `explicit_terms` returned."""
     e_full, e_mid_34, e_back_14, e_mid_2 = _multipliers(
         grid, params.nu, params.kappa, params.k, dt
     )
 
-    s1 = explicit_terms(grid, params, sh)
-    s1 *= dt
-    s1 += sh
-    s1 *= e_full
+    s = n0
+    s *= dt
+    s += sh
+    s *= e_full
 
-    s2 = explicit_terms(grid, params, s1)
-    s2 *= dt
-    s2 += s1
-    s2 *= e_back_14
-    s2 += np.multiply(e_mid_34, sh, out=s1)
-    del s1
+    n1 = explicit_terms(grid, params, s)
+    n1 *= dt
+    n1 += s
+    n1 *= e_back_14
+    np.add(n1, np.multiply(e_mid_34, sh, out=s), out=s)
+    del n1
 
-    out = explicit_terms(grid, params, s2)
+    out = explicit_terms(grid, params, s)
     out *= dt
-    out += s2
+    out += s
     out *= e_mid_2
-    out += np.multiply(e_full, sh, out=s2)
-    del s2
+    out += np.multiply(e_full, sh, out=s)
     out /= 3.0
 
     # Re-project the velocity to absorb rounding drift in the divergence.
-    kd = (grid.kx * out[0] + grid.ky * out[1]) * grid.inv_k_sq_d
-    out[0] -= grid.kx * kd
-    out[1] -= grid.ky * kd
+    _project_velocity(grid, out)
     return out
 
 
@@ -172,8 +187,42 @@ def step(state: SimState, dt: float, params: PhysParams) -> SimState:
         raise ValueError("dt must be positive and finite")
     _check_admissible(state, 1e-6, "step")
     grid = state.grid
-    sh = _advance(grid, params, pack_state(state), dt)
+    sh = pack_state(state)
+    sh = _advance(grid, params, sh, dt, explicit_terms(grid, params, sh))
     return unpack_state(grid, sh, state.time + dt)
+
+
+def _check_monitors(mon: Monitors, params: PhysParams, t: float, dt: float,
+                    reals: np.ndarray, prev, led) -> None:
+    """The monitors after `nan`, in the documented tie-break order, on the
+    real planes `reals` of the state accepted at t after a step dt, whose
+    energy ledger is `led` (`prev` before the step)."""
+    c = reals[4]
+    rho = reals[5]
+    c_max = float(np.max(c))
+    if c_max > mon.c_ceiling:
+        raise MonitorViolation(
+            "overflow", t, c_max, f"max c exceeded the ceiling {mon.c_ceiling:.3e}"
+        )
+    scale_c = max(1.0, c_max)
+    min_c = float(np.min(c))
+    if min_c < -mon.positivity_tol * scale_c:
+        raise MonitorViolation("positivity", t, min_c, "min c went negative")
+    min_rho = float(np.min(rho))
+    if min_rho < -mon.rho_tol * max(1.0, float(np.max(rho))):
+        raise MonitorViolation("positivity", t, min_rho, "min rho went negative")
+    a, b = reals[2], reals[3]
+    min_gamma = float(np.min(c - 2.0 * np.sqrt(a * a + b * b)))
+    if min_gamma < -mon.positivity_tol * scale_c:
+        raise MonitorViolation("gamma", t, min_gamma, "min gamma went negative")
+    if mon.check_energy:
+        rate_excess = (led.energy - prev.energy) / dt - (-led.dissipation + led.source)
+        scale = max(led.dissipation, led.source, abs(led.energy) * params.k, 1e-300)
+        if rate_excess > mon.energy_tol * scale:
+            raise MonitorViolation(
+                "energy", t, rate_excess,
+                "energy production rate exceeded dissipation + source budget",
+            )
 
 
 def run(initial: SimState, params: PhysParams, ctl: StepControl,
@@ -183,6 +232,14 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     Records are taken at the initial state and every `output_every`-th step;
     monitors are evaluated on every step.  The determinant-law residual is
     attached to records only on kappa = 0 runs, where the law is exact.
+
+    Each accepted state is transformed once.  After the `nan` check, one
+    `dynamics._terms(sh, planes=True)` evaluation gives its real planes,
+    which the monitors, the energy, a record, snapshots and kept states
+    read, and its explicit terms: a due record reads their unprojected
+    force, then they are projected in place and become the next step's
+    first stage.  The final state needs no next stage: it gets a 6-plane
+    inverse transform, and the evaluation only when a record is due there.
     """
     mon = monitors or Monitors()
     grid = initial.grid
@@ -198,91 +255,56 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     snapshots: list = []
     pending_snaps = sorted(ctl.snapshot_times)
 
-    reals = irfft2(sh, grid.n)
-    led = diagnostics.packed_energy(grid, params, sh, reals)
-
-    window: list = []  # (time, SimState) triples for the determinant residual
+    # (time, real planes) of the last three states for the determinant
+    # residual; their SimStates are built only when a record is taken.
+    window: list = []
     det_window = params.kappa == 0.0
 
-    def current_state() -> SimState:
-        return unpack_state(grid, sh, t)
-
-    def take_record():
-        det_res = float("nan")
-        if det_window and len(window) == 3:
-            t0, t1, t2 = (w[0] for w in window)
-            if abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t2 - t1, 1e-300):
-                det_res = diagnostics.determinant_residual(
-                    [w[1] for w in window], params
-                )
-        records.append(diagnostics.make_record(grid, params, t, sh, reals,
-                                               determinant_residual=det_res))
-        if states is not None:
-            states.append(current_state())
-
-    take_record()
-    if det_window:
-        window.append((t, current_state()))
-
+    led = None
     step_index = 0
-    while t < t_end - eps_end:
-        umax = float(np.max(np.abs(reals[0:2])))
-        raw = _advective_dt(umax, grid, ctl)
-        if raw < ctl.dt_min:
-            raise MonitorViolation(
-                "dt_underflow", t, raw,
-                f"CFL step {raw:.3e} fell below dt_min={ctl.dt_min:.3e}",
-            )
-        dt = min(max(raw, ctl.dt_min), ctl.dt_max, t_end - t)
-
-        sh = _advance(grid, params, sh, dt)
-        t += dt
-        step_index += 1
-
-        prev = led
-        reals = irfft2(sh, grid.n)
-        led = diagnostics.packed_energy(grid, params, sh, reals)
-
-        # Monitors, in the documented tie-break order.
+    while True:
         if not np.isfinite(sh).all():
             raise MonitorViolation("nan", t, float("nan"), "non-finite field value")
-        c = reals[4]
-        rho = reals[5]
-        c_max = float(np.max(c))
-        if c_max > mon.c_ceiling:
-            raise MonitorViolation(
-                "overflow", t, c_max, f"max c exceeded the ceiling {mon.c_ceiling:.3e}"
-            )
-        scale_c = max(1.0, c_max)
-        min_c = float(np.min(c))
-        if min_c < -mon.positivity_tol * scale_c:
-            raise MonitorViolation("positivity", t, min_c, "min c went negative")
-        min_rho = float(np.min(rho))
-        if min_rho < -mon.rho_tol * max(1.0, float(np.max(rho))):
-            raise MonitorViolation("positivity", t, min_rho, "min rho went negative")
-        a, b = reals[2], reals[3]
-        min_gamma = float(np.min(c - 2.0 * np.sqrt(a * a + b * b)))
-        if min_gamma < -mon.positivity_tol * scale_c:
-            raise MonitorViolation("gamma", t, min_gamma, "min gamma went negative")
-        if mon.check_energy:
-            rate_excess = (led.energy - prev.energy) / dt - (-led.dissipation + led.source)
-            scale = max(led.dissipation, led.source, abs(led.energy) * params.k, 1e-300)
-            if rate_excess > mon.energy_tol * scale:
-                raise MonitorViolation(
-                    "energy", t, rate_excess,
-                    "energy production rate exceeded dissipation + source budget",
-                )
+        more = t < t_end - eps_end
+        due = step_index % ctl.output_every == 0
+        if more or due:
+            nh, reals = _terms(grid, params, sh, planes=True)
+        else:
+            reals = irfft2(sh, grid.n)
+        prev, led = led, diagnostics.packed_energy(grid, params, sh, reals)
+
+        if step_index:
+            _check_monitors(mon, params, t, dt, reals, prev, led)
+            while pending_snaps and t >= pending_snaps[0] - eps_end:
+                pending_snaps.pop(0)
+                snapshots.append((t, _state_from_planes(grid, reals, t)))
 
         if det_window:
-            window.append((t, current_state()))
+            window.append((t, reals))
             if len(window) > 3:
                 window.pop(0)
 
-        while pending_snaps and t >= pending_snaps[0] - eps_end:
-            pending_snaps.pop(0)
-            snapshots.append((t, current_state()))
+        if due:
+            det_res = float("nan")
+            if len(window) == 3:
+                t0, t1, t2 = (w[0] for w in window)
+                if abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t2 - t1, 1e-300):
+                    det_res = diagnostics.determinant_residual(
+                        [_state_from_planes(grid, w[1], w[0]) for w in window], params
+                    )
+            records.append(diagnostics.make_record(grid, params, t, sh, reals, nh[0:2],
+                                                   determinant_residual=det_res))
+            if states is not None:
+                states.append(_state_from_planes(grid, reals, t))
 
-        if step_index % ctl.output_every == 0:
-            take_record()
+        if not more:
+            return Trajectory(records, snapshots, states,
+                              _state_from_planes(grid, reals, t))
 
-    return Trajectory(records, snapshots, states, current_state())
+        dt = _step_dt(grid, ctl, reals[0:2], t)
+        _project_velocity(grid, nh)
+        del reals
+        sh = _advance(grid, params, sh, dt, nh)
+        del nh
+        t += dt
+        step_index += 1

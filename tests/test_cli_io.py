@@ -17,7 +17,7 @@ from oldb2d import (
 from oldb2d.cli import main
 from oldb2d.config import ConfigError, build_initial, parse_config
 from oldb2d.diagnostics import make_record, positivity_report
-from oldb2d.dynamics import pack_state
+from oldb2d.dynamics import _terms, pack_state
 from oldb2d.fields import min_eigenvalue
 from oldb2d.snapshots import (
     TIMESERIES_COLUMNS,
@@ -27,7 +27,6 @@ from oldb2d.snapshots import (
     read_timeseries,
     write_snapshot,
 )
-from oldb2d.spectral import irfft2
 
 TWO_PI = 2.0 * np.pi
 
@@ -173,7 +172,8 @@ class TestTimeseries:
         cfg = parse_config("n=16\npreset=equilibrium\n")
         grid = make_grid(16, cfg.length)
         sh = pack_state(build_initial(cfg, grid))
-        return make_record(grid, cfg.params, 0.0, sh, irfft2(sh, grid.n))
+        nh, reals = _terms(grid, cfg.params, sh, planes=True)
+        return make_record(grid, cfg.params, 0.0, sh, reals, nh[0:2])
 
     def test_header_written_once(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -366,6 +366,19 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_nonfinite_built_state_exits_config(self, tmp_path, capsys):
+        # The velocity scale overflows: the built velocity is NaN.
+        cfg_path = self._write_cfg(
+            tmp_path, "n=16\npreset=random_admissible\namplitude=1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "non-finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 

@@ -18,7 +18,7 @@ from oldb2d import (
     vector_field,
 )
 from oldb2d.checks import band_limited_admissible_state
-from oldb2d.dynamics import full_rhs, unprojected_force
+from oldb2d.dynamics import unprojected_force
 from oldb2d.fields import norms
 
 from oracles import (
@@ -227,8 +227,6 @@ class TestMomentumRhs:
         du = momentum_rhs(state, PARAMS)
         scale = np.sqrt(np.sum(grid32.weights * np.abs(du.coeffs) ** 2)) + 1e-300
         assert np.max(np.abs(divergence(du).coeffs)) <= 1e-12 * scale
-        deriv = full_rhs(state, PARAMS)
-        assert np.max(np.abs(divergence(deriv.du).coeffs)) <= 1e-12 * scale
 
 
 class TestRhoRhs:

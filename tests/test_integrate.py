@@ -1,17 +1,18 @@
+import dataclasses
+import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oldb2d import integrate, spectral
+from oldb2d import diagnostics, dynamics, integrate, spectral
 from oldb2d import (
     MonitorViolation,
     PhysParams,
     SimState,
     StepControl,
     StressField,
-    compute_dt,
     make_grid,
     run,
     scalar_field,
@@ -20,7 +21,8 @@ from oldb2d import (
 )
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.config import parse_config, build_initial
-from oldb2d.dynamics import explicit_terms, pack_state
+from oldb2d.dynamics import _terms, explicit_terms, pack_state, unpack_state
+from oldb2d.spectral import irfft2
 
 from oracles import measured_orders, relaxation_exact
 
@@ -43,20 +45,20 @@ def uniform_state(grid, c0, rho0):
 
 
 class TestComputeDt:
+    """`run`'s one step rule, `integrate._step_dt`."""
+
     def test_quiescent_state_hits_dt_max(self, grid32):
         state = uniform_state(grid32, 2.0, 1.0)
         ctl = StepControl(dt_max=0.03)
-        assert compute_dt(state, PARAMS, ctl) == 0.03
+        assert integrate._step_dt(grid32, ctl, state.u.values, 0.0) == 0.03
 
     def test_formula_arithmetic(self):
         grid = make_grid(64, TWO_PI)
         x, y = grid.nodes()
         u = np.stack([np.sin(y), np.zeros_like(y)])  # max speed 1
-        zero = const(grid, 0)
-        state = SimState(0.0, vector_field(grid, u),
-                         StressField(zero, zero, const(grid, 2)), const(grid, 1))
         ctl = StepControl(cfl=0.5, dt_min=1e-10, dt_max=10.0, t_end=1.0)
-        assert compute_dt(state, PARAMS, ctl) == pytest.approx(np.pi / 64, rel=1e-12)
+        assert integrate._step_dt(grid, ctl, u, 0.0) == pytest.approx(np.pi / 64,
+                                                                      rel=1e-12)
 
     def test_clamped_to_bounds(self, grid32):
         rng = np.random.default_rng(0)
@@ -65,8 +67,27 @@ class TestComputeDt:
             state = band_limited_admissible_state(grid32, seed=int(rng.integers(1e6)),
                                                   kmax=4, u_amp=amp)
             ctl = StepControl(cfl=0.5, dt_min=1e-4, dt_max=5e-2)
-            dt = compute_dt(state, PARAMS, ctl)
+            dt = integrate._step_dt(grid32, ctl, state.u.values, 0.0)
             assert ctl.dt_min <= dt <= ctl.dt_max
+        # The last step ends exactly at t_end.
+        assert integrate._step_dt(grid32, ctl, state.u.values, 1.0 - 1e-6) == \
+            pytest.approx(1e-6, rel=1e-9)
+
+    def test_underflow_raises_at_current_time(self, grid32):
+        u = np.full((2, 32, 32), 100.0)
+        ctl = StepControl(dt_min=0.1, dt_max=0.2)
+        with pytest.raises(MonitorViolation) as exc:
+            integrate._step_dt(grid32, ctl, u, 0.25)
+        assert exc.value.kind == "dt_underflow" and exc.value.time == 0.25
+        assert exc.value.value == pytest.approx(0.5 * grid32.spacing / 100.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_speed_raises_nan(self, grid32, bad):
+        u = np.zeros((2, 32, 32))
+        u[1, 3, 4] = bad
+        with pytest.raises(MonitorViolation) as exc:
+            integrate._step_dt(grid32, StepControl(), u, 0.125)
+        assert exc.value.kind == "nan" and exc.value.time == 0.125
 
 
 class TestStep:
@@ -148,19 +169,20 @@ def reference_advance(grid, params, sh, dt):
     return out
 
 
-def count_make_grid(monkeypatch):
-    """Count `make_grid` calls under every name an `oldb2d` module bound it to."""
+def count_calls(monkeypatch, module, name):
+    """Record the positional arguments of every call of `module.name` under
+    every name an `oldb2d` module bound it to."""
     calls = []
-    original = spectral.make_grid
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if (name == "oldb2d" or name.startswith("oldb2d.")) and \
-                getattr(module, "make_grid", None) is original:
-            monkeypatch.setattr(module, "make_grid", counted)
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "oldb2d" or modname.startswith("oldb2d.")) and \
+                getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
     return calls
 
 
@@ -172,9 +194,10 @@ class TestAdvance:
 
     def test_bit_identical_to_reference(self):
         grid, params, sh = self._state(32)
-        integrate._advance(grid, params, sh, 2e-3)
+        integrate._advance(grid, params, sh, 2e-3, explicit_terms(grid, params, sh))
         for dt in (2e-3, 3.7e-3):  # a memo hit, then a miss
-            got = integrate._advance(grid, params, sh, dt)
+            got = integrate._advance(grid, params, sh, dt,
+                                     explicit_terms(grid, params, sh))
             assert np.array_equal(got, reference_advance(grid, params, sh, dt))
             sh = got
 
@@ -183,7 +206,7 @@ class TestAdvance:
                            "cfl=0.2\ndt_max=1.0\nt_end=0.2\n")
         grid = make_grid(32, cfg.length)
         initial = build_initial(cfg, grid)
-        calls = count_make_grid(monkeypatch)
+        calls = count_calls(monkeypatch, spectral, "make_grid")
         before = integrate._multipliers.cache_info()
         traj = run(initial, cfg.params, cfg.control, cfg.monitors)
         after = integrate._multipliers.cache_info()
@@ -201,15 +224,167 @@ class TestAdvance:
         derivative buffer keep it near 7 units; one fresh temporary per
         operation reached 13."""
         grid, params, sh = self._state(128)
-        integrate._advance(grid, params, sh, 1e-3)
+        integrate._advance(grid, params, sh, 1e-3, explicit_terms(grid, params, sh))
         tracemalloc.start()
         try:
-            out = integrate._advance(grid, params, sh, 1e-3)
+            out = integrate._advance(grid, params, sh, 1e-3,
+                                     explicit_terms(grid, params, sh))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert out.shape == sh.shape
         assert peak <= 10.0 * sh.nbytes, peak / sh.nbytes
+
+
+def reference_run(initial, params, ctl):
+    """`run` without its monitors, written in the order of a design that
+    transforms each state separately for each use: `irfft2` for the real
+    planes, `unpack_state` for every state it hands out, one `_terms` of its
+    own per record, and `explicit_terms` for every stage (`reference_advance`)."""
+    grid = initial.grid
+    sh = pack_state(initial)
+    t = float(initial.time)
+    eps_end = 1e-12 * max(1.0, abs(ctl.t_end))
+    records, snapshots, window = [], [], []
+    pending = sorted(ctl.snapshot_times)
+
+    def record(reals):
+        det_res = float("nan")
+        if params.kappa == 0.0 and len(window) == 3:
+            t0, t1, t2 = (w[0] for w in window)
+            if abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t2 - t1, 1e-300):
+                det_res = diagnostics.determinant_residual(
+                    [unpack_state(grid, w_sh, w_t) for w_t, w_sh in window], params)
+        force = _terms(grid, params, sh)[0:2]
+        records.append(diagnostics.make_record(grid, params, t, sh, reals, force,
+                                               determinant_residual=det_res))
+
+    reals = irfft2(sh, grid.n)
+    record(reals)
+    window.append((t, sh))
+    step_index = 0
+    while t < ctl.t_end - eps_end:
+        umax = float(np.max(np.abs(reals[0:2])))
+        raw = ctl.cfl * grid.spacing / max(umax, 1e-12)
+        dt = min(max(raw, ctl.dt_min), ctl.dt_max, ctl.t_end - t)
+        sh = reference_advance(grid, params, sh, dt)
+        t += dt
+        step_index += 1
+        reals = irfft2(sh, grid.n)
+        window = (window + [(t, sh)])[-3:]
+        while pending and t >= pending[0] - eps_end:
+            pending.pop(0)
+            snapshots.append((t, unpack_state(grid, sh, t)))
+        if step_index % ctl.output_every == 0:
+            record(reals)
+    return records, snapshots, unpack_state(grid, sh, t)
+
+
+def same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def assert_same_state(got, want):
+    assert got.time == want.time
+    for a, b in ((got.u, want.u), (got.stress.a, want.stress.a),
+                 (got.stress.b, want.stress.b), (got.stress.c, want.stress.c),
+                 (got.rho, want.rho)):
+        assert np.array_equal(a.values, b.values)
+
+
+# A run-monitored-shaped config (a record every step, snapshots), a
+# CFL-limited one with a single record, a cadence that skips the final
+# state, and kappa = 0 with determinant residuals.
+ONE_EVALUATION_CONFIGS = {
+    "monitored": "n=16\npreset=random_admissible\nseed=3\namplitude=1.0\nt_end=0.05\n"
+                 "output_every=1\nsnapshot_times=0.02,0.04\n",
+    "cfl_limited": "n=32\npreset=random_admissible\nseed=4\namplitude=2.0\nt_end=0.03\n"
+                   "output_every=1000000\nsnapshot_times=0.01\n",
+    "cadence": "n=16\npreset=taylor_green\namplitude=1.0\nt_end=0.1\noutput_every=3\n"
+               "snapshot_times=0.05\n",
+    "kappa0": "n=16\npreset=random_admissible\nseed=2\nkappa=0\ndt_max=1e-3\n"
+              "t_end=0.008\noutput_every=2\nsnapshot_times=0.004\n",
+}
+
+
+class TestOneEvaluationPerState:
+    """`run` transforms each accepted state once: one `_terms` evaluation
+    (18 inverse planes) serves the monitors, the energy, a record and the
+    next step's first stage."""
+
+    @staticmethod
+    def _setup(text):
+        cfg = parse_config(text)
+        grid = make_grid(cfg.n, cfg.length)
+        return cfg, build_initial(cfg, grid)
+
+    @pytest.mark.parametrize("name", ["monitored", "cfl_limited"])
+    def test_exact_counts(self, monkeypatch, name):
+        cfg, initial = self._setup(ONE_EVALUATION_CONFIGS[name])
+        advances = count_calls(monkeypatch, integrate, "_advance")
+        terms = count_calls(monkeypatch, dynamics, "_terms")
+        inverse = count_calls(monkeypatch, spectral, "irfft2")
+        unpacks = count_calls(monkeypatch, dynamics, "unpack_state")
+        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+
+        steps = len(advances)
+        final_recorded = steps % cfg.control.output_every == 0
+        assert steps >= 3
+        assert len(traj.records) == 1 + steps // cfg.control.output_every
+        assert final_recorded == (name == "monitored")
+        # One evaluation per state that steps on or is recorded, and stages
+        # 2 and 3 of each step; the final state, when not recorded, needs
+        # only its six real planes.
+        evaluated = steps + final_recorded
+        assert len(terms) == evaluated + 2 * steps
+        planes = sum(int(np.prod(args[0].shape[:-2])) for args in inverse)
+        assert planes == 18 * evaluated + 17 * 2 * steps + 6 * (not final_recorded)
+        assert unpacks == []
+
+    @pytest.mark.parametrize("name", sorted(ONE_EVALUATION_CONFIGS))
+    def test_bit_identical_to_separate_transforms(self, name):
+        cfg, initial = self._setup(ONE_EVALUATION_CONFIGS[name])
+        ctl = dataclasses.replace(cfg.control, keep_states=True)
+        traj = run(initial, cfg.params, ctl, cfg.monitors)
+        records, snapshots, final = reference_run(initial, cfg.params, ctl)
+
+        assert len(traj.records) == len(records)
+        for got, want in zip(traj.records, records):
+            for field in dataclasses.fields(diagnostics.DiagnosticsRecord):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if field.name == "norms":
+                    assert a.values == b.values
+                else:
+                    assert same_float(a, b), field.name
+        assert [t for t, _ in traj.snapshots] == [t for t, _ in snapshots]
+        assert len(snapshots) >= 1
+        for (_, got), (_, want) in zip(traj.snapshots, snapshots):
+            assert_same_state(got, want)
+        assert_same_state(traj.final_state, final)
+        for state, rec in zip(traj.states, traj.records):
+            assert state.time == rec.time
+        if cfg.params.kappa == 0.0:
+            assert any(math.isfinite(r.determinant_residual) for r in records)
+
+    def test_peak_memory_of_one_run(self):
+        """Peak traced allocation of one warm CFL-limited run at n=128, in
+        packed-state units (6 half-spectrum planes; six real planes are
+        about one unit too).  A design that kept the previous state's real
+        planes through each step peaked at 10.76 units; dropping them
+        first gives 9.63.  The bound sits between, so keeping one more
+        state-sized array alive through a step fails."""
+        cfg, initial = self._setup("n=128\npreset=random_admissible\nseed=3\n"
+                                   "amplitude=2.0\nt_end=0.03\noutput_every=1000000\n")
+        unit = pack_state(initial).nbytes
+        run(initial, cfg.params, cfg.control, cfg.monitors)
+        tracemalloc.start()
+        try:
+            traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.final_state.time == pytest.approx(0.03)
+        assert peak <= 10.2 * unit, peak / unit
 
 
 class TestRun:
@@ -265,6 +440,22 @@ class TestRun:
         with pytest.raises(MonitorViolation) as exc:
             run(state, cfg.params, cfg.control, cfg.monitors)
         assert exc.value.kind == "overflow"
+
+    def test_nonfinite_initial_state_raises_nan_at_initial_time(self, monkeypatch):
+        grid = make_grid(16, TWO_PI)
+        state = uniform_state(grid, 2.0, 1.0)
+        u = np.zeros((2, 16, 16))
+        u[0, 2, 3] = np.nan
+        state = SimState(0.0, vector_field(grid, u), state.stress, state.rho)
+
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluated a non-finite state")
+
+        monkeypatch.setattr(integrate, "_terms", no_evaluation)
+        with pytest.raises(MonitorViolation) as exc:
+            run(state, PARAMS, StepControl(t_end=0.1))
+        assert exc.value.kind == "nan"
+        assert exc.value.time == 0.0
 
     def test_dt_underflow_monitor(self):
         cfg = parse_config("n=16\npreset=random_admissible\namplitude=100.0\n"
