@@ -58,6 +58,13 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     grid = make_grid(cfg.n, cfg.length)
     initial = build_initial(cfg, grid)
+    t_end = cfg.control.t_end
+    if not initial.time < t_end:
+        raise ConfigError(f"t_end {t_end:g} is not after the initial time {initial.time:g}")
+    for t_snap in cfg.control.snapshot_times:
+        if not initial.time < t_snap <= t_end:
+            raise ConfigError(f"snapshot_times entry {t_snap:g} is outside (initial time "
+                              f"{initial.time:g}, t_end {t_end:g}]")
     os.makedirs(args.out_dir, exist_ok=True)
     series_path = os.path.join(args.out_dir, "timeseries.csv")
     if os.path.exists(series_path):

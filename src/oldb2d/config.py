@@ -145,6 +145,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("L must be positive")
     if values["init_kmax"] < 1:
         raise ConfigError("init_kmax must be at least 1")
+    if values["seed"] < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    if values["rho0"] < 0:
+        raise ConfigError("rho0 must be non-negative: it is a density")
     return RunConfig(
         n=values["n"],
         length=values["L"],
@@ -218,7 +222,7 @@ def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
 
     a = cfg.stress_amplitude * g_a
     b = cfg.stress_amplitude * g_b
-    det_margin = cfg.rho0 ** 2 * (1.0 + 0.5 * g_d)  # strictly positive
+    det_margin = cfg.rho0 * cfg.rho0 * (1.0 + 0.5 * g_d)  # strictly positive
     c = 2.0 * np.sqrt(a * a + b * b + det_margin)
     rho = cfg.rho0 * (1.0 + 0.5 * g_rho)
 
@@ -238,14 +242,17 @@ def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
 
 
 def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:
-    """Construct the configured initial state; the result is finite and
-    always passes the positivity report.  A non-finite state is a
-    `ConfigError`: config values such as a huge `amplitude` can overflow the
-    construction.  A snapshot that fails the report or the construction
+    """Construct the configured initial state; the result is finite, has a
+    finite spectrum and passes the positivity report, or the config is at
+    fault and a `ConfigError` is raised: a huge `amplitude` can overflow
+    the construction or the spectrum, and a small `rho0` against
+    `stress_amplitude` leaves `random_admissible` too thin a determinant
+    margin to survive dealiasing.  A snapshot that fails the construction
     invariants is a `ConfigError`; a built-in preset that does is an
     internal bug."""
-    # An overflow while building shows up as a non-finite value, which is
-    # reported below as one config error rather than as warnings.
+    # An overflow while building or in the positivity report shows up as a
+    # non-finite value, which is reported below as one config error rather
+    # than as warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.preset == "equilibrium":
             state = _uniform_state(grid, cfg.rho0)
@@ -262,20 +269,27 @@ def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:
 
     planes = (state.u.values, state.stress.a.values, state.stress.b.values,
               state.stress.c.values, state.rho.values)
-    if not all(np.isfinite(p).all() for p in planes):
+    peak = float(np.max([np.max(np.abs(p)) for p in planes]))
+    if not math.isfinite(peak):
         raise ConfigError(f"preset {cfg.preset!r} produced a non-finite field value")
-    from_snapshot = cfg.preset.startswith("snapshot:")
-    report = positivity_report(state, tol=1e-10)
+    # A coefficient sums n^2 values before it is scaled; below this bound
+    # no partial sum of the transform can overflow.
+    if peak > np.finfo(float).max / grid.n ** 2:
+        raise ConfigError(f"preset {cfg.preset!r} produced a field value of {peak:.3g}, "
+                          f"too large for its spectrum to be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = positivity_report(state, tol=1e-10)
     if not report.passed:
-        error = ConfigError if from_snapshot else RuntimeError
-        raise error(
+        hint = (" (raise rho0 or lower stress_amplitude)"
+                if cfg.preset == "random_admissible" else "")
+        raise ConfigError(
             f"preset {cfg.preset!r} produced an inadmissible state "
-            f"(min gamma {report.min_gamma:.3e}, min rho {report.min_rho:.3e})"
+            f"(min gamma {report.min_gamma:.3e}, min rho {report.min_rho:.3e}){hint}"
         )
     try:
         state.validate()
     except ValueError as exc:
-        if from_snapshot:
+        if cfg.preset.startswith("snapshot:"):
             raise ConfigError(f"preset {cfg.preset!r}: {exc}") from exc
         raise
     return state

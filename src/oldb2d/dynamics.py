@@ -115,15 +115,15 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
 
     # The derivative stack (u, d1 sh, d2 sh, a, b, c[, rho]), built in one
-    # buffer; both it and its real transform are released before the
-    # forward transform.
+    # buffer that the inverse transform's first pass overwrites; both it and
+    # its real transform are released before the forward transform.
     depth = 18 if planes else 17
     stack = np.empty((depth,) + sh.shape[1:], dtype=complex)
     stack[0:2] = sh[0:2]
     np.multiply(ikx, sh, out=stack[2:8])
     np.multiply(iky, sh, out=stack[8:14])
     stack[14:depth] = sh[2:depth - 12]
-    real = irfft2(stack, grid.n)
+    real = irfft2(stack, grid.n, overwrite_x=True)
     del stack
     prods = _products(real)
     reals = real[_STATE_PLANES] if planes else None

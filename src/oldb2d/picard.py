@@ -148,7 +148,7 @@ def _velocity_planes(u_path: np.ndarray, v_path: np.ndarray,
     spec[:, 0:2] = u_path
     spec[:, 2:4] = grad * v_path[:, 0, None]
     spec[:, 4:6] = grad * v_path[:, 1, None]
-    return irfft2(spec, grid.n)
+    return irfft2(spec, grid.n, overwrite_x=True)
 
 
 def _advection(planes: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -197,7 +197,7 @@ def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
     spec[:, 1, 0] = abc_path[:, 1]                          # s12
     spec[:, 2, 0] = 0.5 * abc_path[:, 2] - abc_path[:, 0]   # s22
     spec[:, :, 1:] = grad * spec[:, :, 0, None]
-    real = irfft2(spec, grid.n)
+    real = irfft2(spec, grid.n, overwrite_x=True)
     (s11, d1s11, d2s11), (s12, d1s12, d2s12), (s22, d1s22, d2s22) = (
         np.moveaxis(real, (1, 2), (0, 1)))
     u1, u2, g11, g12, g21, g22 = np.moveaxis(planes, 1, 0)

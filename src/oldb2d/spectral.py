@@ -5,42 +5,42 @@ representation is the `rfft2` half spectrum, (N, N//2+1) coefficients per
 real field; norms summed over it count every column whose conjugate partner
 it omits twice (`SpectralGrid.weights`).  Transforms use the
 mean-preserving normalization: the forward FFT divides by N^2, so the (0, 0)
-coefficient of a field equals its spatial mean.  Dealiasing follows the 2/3
-rule: a mode with integer wavenumbers (k1, k2) survives iff
-3 * max(|k1|, |k2|) <= N, which keeps quadratic products of surviving modes
-alias-free on the grid.
+coefficient of a field equals its spatial mean.  `rfft2` and `irfft2` are
+two `numpy.fft` passes over the last two axes, batched over any leading
+axes: the forward pass transforms the last axis and then axis -2 in place;
+the inverse undoes them in reverse order.  `irfft2(..., overwrite_x=True)`
+lets its first pass write into the input, for callers that drop a scratch
+stack right after its transform: it saves a complex temporary the size of
+that stack.
+
+Dealiasing follows the 2/3 rule: a mode with integer wavenumbers (k1, k2)
+survives iff 3 * max(|k1|, |k2|) <= N, which keeps quadratic products of
+surviving modes alias-free on the grid.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
 REAL = "real"
 SPECTRAL = "spectral"
 
 
-def fft_workers() -> int:
-    """Worker count for FFT calls, capped by the OLDB2D_THREADS env var."""
-    raw = os.environ.get("OLDB2D_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return 1
-    return max(1, cap)
-
-
 def rfft2(values: np.ndarray) -> np.ndarray:
-    """Forward real FFT over the last two axes (batches over leading axes)."""
-    return _fft.rfft2(values, norm="forward", axes=(-2, -1), workers=fft_workers())
+    """Forward real FFT over the last two axes (batches over leading axes):
+    `rfft` along the last axis, then `fft` along axis -2 in place."""
+    coeffs = np.fft.rfft(values, axis=-1, norm="forward")
+    return np.fft.fft(coeffs, axis=-2, norm="forward", out=coeffs)
 
 
-def irfft2(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of `rfft2` onto an n x n real grid."""
-    return _fft.irfft2(coeffs, s=(n, n), norm="forward", axes=(-2, -1), workers=fft_workers())
+def irfft2(coeffs: np.ndarray, n: int, *, overwrite_x: bool = False) -> np.ndarray:
+    """Inverse of `rfft2` onto an n x n real grid: `ifft` along axis -2,
+    then `irfft` along the last axis.  With `overwrite_x` the `ifft` pass
+    writes into `coeffs`, which the caller must not read afterwards."""
+    mixed = np.fft.ifft(coeffs, axis=-2, norm="forward", out=coeffs if overwrite_x else None)
+    return np.fft.irfft(mixed, n=n, axis=-1, norm="forward")
 
 
 @dataclass(frozen=True, eq=False)

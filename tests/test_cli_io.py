@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from oldb2d import (
     SimState,
@@ -382,6 +381,57 @@ class TestCliMain:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config_text,message", [
+        ("preset=random_admissible\nseed=-1", "seed"),
+        ("preset=equilibrium\nrho0=-1", "rho0"),
+        ("preset=taylor_green\nrho0=-1", "rho0"),
+        ("preset=random_admissible\nrho0=-1", "rho0"),
+        ("preset=random_admissible\nrho0=0", "inadmissible"),
+        ("preset=random_admissible\nrho0=1e200", "non-finite"),
+        ("preset=taylor_green\namplitude=1e308", "too large"),
+        ("preset=equilibrium\nt_end=0.01\nsnapshot_times=-1,5", "snapshot_times entry -1"),
+        ("preset=equilibrium\nt_end=0.01\nsnapshot_times=0", "snapshot_times entry 0"),
+        ("preset=equilibrium\nt_end=0.01\nsnapshot_times=0.005,5", "snapshot_times entry 5"),
+    ], ids=["negative_seed", "negative_rho0_equilibrium", "negative_rho0_taylor_green",
+            "negative_rho0_random", "zero_rho0_random", "overflowing_rho0_random",
+            "overflowing_spectrum", "snapshot_before_start", "snapshot_at_start",
+            "snapshot_after_end"])
+    def test_bad_initial_data_exits_config(self, tmp_path, capsys, config_text, message):
+        cfg_path = self._write_cfg(tmp_path, f"n=16\n{config_text}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("t_end", ["0.01", "0.02"])
+    def test_restart_without_a_step_exits_config(self, tmp_path, capsys, t_end):
+        first = tmp_path / "first"
+        cfg_path = self._write_cfg(tmp_path, "n=16\npreset=equilibrium\nt_end=0.02\n")
+        assert main(["run", "--config", cfg_path, "--out-dir", str(first)]) == 0
+        capsys.readouterr()
+        restart = tmp_path / "restart.cfg"
+        restart.write_text(f"n=16\npreset=snapshot:{first / 'final_state.snap'}\n"
+                           f"t_end={t_end}\n")
+        code = main(["run", "--config", str(restart), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "not after the initial time" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_snapshot_times_inside_the_run_are_written(self, tmp_path):
+        cfg_path = self._write_cfg(
+            tmp_path, "n=16\npreset=equilibrium\ndt_max=1e-3\nt_end=0.01\n"
+                      "snapshot_times=0.005,0.01\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out-dir", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.glob("snapshot_*.snap")) == [
+            "snapshot_t0.005.snap", "snapshot_t0.01.snap"]
+
     @pytest.mark.parametrize("command", ["run", "bounds", "picard"])
     @pytest.mark.parametrize("defect,message", [
         ("indefinite_stress", "inadmissible"),
@@ -413,20 +463,6 @@ class TestCliMain:
         assert not (tmp_path / "o").exists()
 
 
-class TestThreadCap:
-    def test_env_var_caps_fft_workers(self, monkeypatch):
-        from oldb2d.spectral import fft_workers
-
-        monkeypatch.delenv("OLDB2D_THREADS", raising=False)
-        assert fft_workers() == 1
-        monkeypatch.setenv("OLDB2D_THREADS", "4")
-        assert fft_workers() == 4
-        monkeypatch.setenv("OLDB2D_THREADS", "0")
-        assert fft_workers() == 1
-        monkeypatch.setenv("OLDB2D_THREADS", "not-a-number")
-        assert fft_workers() == 1
-
-
 class TestHalfSpectrumOnly:
     """The program runs on the rfft2 half spectrum alone: with every
     complex-to-complex 2-D FFT made to raise, the three commands exit 0."""
@@ -440,11 +476,43 @@ class TestHalfSpectrumOnly:
         def forbidden(*args, **kwargs):
             raise AssertionError("complex-to-complex FFT called")
 
-        for module in (scipy.fft, np.fft):
-            monkeypatch.setattr(module, "fft2", forbidden)
-            monkeypatch.setattr(module, "ifft2", forbidden)
+        monkeypatch.setattr(np.fft, "fft2", forbidden)
+        monkeypatch.setattr(np.fft, "ifft2", forbidden)
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("n=16\npreset=random_admissible\namplitude=0.05\n"
                             "stress_amplitude=0.05\nseed=3\nt_end=0.05\n")
         flags = [flag.format(out=tmp_path / "out") for flag in flags]
         assert main([command, "--config", str(cfg_path), *flags]) == 0
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+
+from oldb2d import cli
+
+cfg, out = sys.argv[1:]
+codes = (cli.main(["run", "--config", cfg, "--out-dir", out]),
+         cli.main(["picard", "--config", cfg, "--t0", "0.05", "--nodes", "9"]))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(codes, loaded)
+"""
+
+
+def test_commands_import_no_scipy(tmp_path):
+    """numpy is the only runtime dependency: a `run` and a `picard` in a
+    fresh process leave no scipy module loaded."""
+    import subprocess
+    import sys
+
+    import oldb2d
+
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("n=16\npreset=random_admissible\namplitude=0.05\n"
+                        "stress_amplitude=0.05\nseed=3\nt_end=0.01\n")
+    src = os.path.dirname(os.path.dirname(oldb2d.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(cfg_path),
+                           str(tmp_path / "out")], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "(0, 0) []"
