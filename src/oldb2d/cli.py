@@ -1,7 +1,8 @@
 """Command-line entry points: run, picard, check, bounds.
 
-Exit codes: 0 success, 1 monitor violation (or fixed-point divergence),
-2 configuration error, 3 numerical failure (NaN or overflow).
+Exit codes: 0 success, 1 monitor violation (or a failed energy-budget
+gate, or fixed-point divergence), 2 configuration error, 3 numerical
+failure (NaN or overflow).  A non-zero exit prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _cmd_run(args) -> int:
     print(f"energy budget gate: observed {row.observed:.17g} <= R0 {row.bound:.17g} "
           f"-> {'PASS' if row.passed else 'FAIL'}")
     print(f"wrote {series_path}")
-    return EXIT_OK if row.passed else EXIT_MONITOR
+    return EXIT_OK if row.passed else _gate_failed(row)
 
 
 def _cmd_picard(args) -> int:
@@ -171,8 +172,15 @@ def _cmd_bounds(args) -> int:
               f"-> {'PASS' if r0.passed else 'FAIL'}")
         print(f"R1 ratio (informational): {r1.ratio:.3e}")
         if not r0.passed:
-            return EXIT_MONITOR
+            return _gate_failed(r0)
     return EXIT_OK
+
+
+def _gate_failed(row) -> int:
+    """Report a failed R0 gate on stderr, as every other non-zero exit is."""
+    print(f"energy budget gate failed: observed {row.observed:.17g} > R0 {row.bound:.17g}",
+          file=sys.stderr)
+    return EXIT_MONITOR
 
 
 def main(argv=None) -> int:

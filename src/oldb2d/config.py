@@ -242,10 +242,10 @@ def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
 
 
 def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:
-    """Construct the configured initial state; the result is finite, has a
-    finite spectrum and passes the positivity report, or the config is at
-    fault and a `ConfigError` is raised: a huge `amplitude` can overflow
-    the construction or the spectrum, and a small `rho0` against
+    """Construct the configured initial state; the result is finite, its
+    squares are finite, and it passes the positivity report, or the config
+    is at fault and a `ConfigError` is raised: a huge `amplitude` or `rho0`
+    can overflow the construction or the squares, and a small `rho0` against
     `stress_amplitude` leaves `random_admissible` too thin a determinant
     margin to survive dealiasing.  A snapshot that fails the construction
     invariants is a `ConfigError`; a built-in preset that does is an
@@ -272,11 +272,13 @@ def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:
     peak = float(np.max([np.max(np.abs(p)) for p in planes]))
     if not math.isfinite(peak):
         raise ConfigError(f"preset {cfg.preset!r} produced a non-finite field value")
-    # A coefficient sums n^2 values before it is scaled; below this bound
-    # no partial sum of the transform can overflow.
-    if peak > np.finfo(float).max / grid.n ** 2:
+    # The norms and the quadratic terms square field values and weight
+    # them by up to |k|^4; below this bound such a weighted square stays
+    # under the largest float / 16, and a partial sum of the transform,
+    # which adds n^2 values, stays finite too.
+    if peak * max(1.0, float(np.max(grid.k_sq))) > math.sqrt(np.finfo(float).max / 16):
         raise ConfigError(f"preset {cfg.preset!r} produced a field value of {peak:.3g}, "
-                          f"too large for its spectrum to be finite")
+                          f"too large for its squares to be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         report = positivity_report(state, tol=1e-10)
     if not report.passed:

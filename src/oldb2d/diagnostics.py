@@ -312,12 +312,14 @@ def _row(name: str, obs: float, bound: float, passed: bool | None = None) -> Bou
     return BoundRow(name, obs, bound, ratio, hard=passed is not None, passed=passed)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _budget_rows(times, column, ledger: BoundLedger, params: PhysParams,
                  rel_tol: float) -> list:
     """The hard R0 row, sup_t [ ||u||^2 + K ||sigma||_L1 + 2 nu int_0^t
     ||grad u||^2 ] <= R0 at the quadrature tolerance, and the R1 ratio row.
     `column(key)` gives one norm at the recorded times; the time-series CSV
-    carries the columns of exactly these two rows."""
+    carries the columns of exactly these two rows.  A norm whose square
+    overflows makes the observed value +inf, which fails the gate."""
     obs0 = _running_sup(times, column("u_L2") ** 2 + params.bigK * column("sigma_L1"),
                         column("grad_u_L2") ** 2, 2.0 * params.nu)
     bound0 = ledger.R0.value

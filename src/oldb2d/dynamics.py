@@ -22,6 +22,8 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    _leading,
+    _Scratch,
     irfft2,
     rfft2,
     scalar_field,
@@ -73,10 +75,13 @@ def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
 # Planes of the real derivative stack that hold (u1, u2, a, b, c, rho).
 _STATE_PLANES = [0, 1, 14, 15, 16, 17]
 
+# `_terms`' derivative stack and its real transform, held across calls.
+_SCRATCH = _Scratch()
 
-def _products(real: np.ndarray) -> np.ndarray:
+
+def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The six quadratic terms, before dealiasing, from the real derivative
-    stack (u, d1 sh, d2 sh, a, b, c, ...)."""
+    stack (u, d1 sh, d2 sh, a, b, c, ...), written into `out` (6, n, n)."""
     (u1, u2,
      d1u1, d1u2, da1, db1, dc1, dr1,
      d2u1, d2u2, da2, db2, dc2, dr2,
@@ -93,7 +98,7 @@ def _products(real: np.ndarray) -> np.ndarray:
         -(u1 * db1 + u2 * db2) + om * a + c * mu,
         -(u1 * dc1 + u2 * dc2) + 4.0 * (lam * a + mu * b),
         -(u1 * dr1 + u2 * dr2),
-    ])
+    ], out=out)
 
 
 def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
@@ -110,24 +115,29 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     `(nh, reals)`, where `reals` holds the state's own real planes
     (u1, u2, a, b, c, rho), bit-identical to `irfft2(sh, n)`: one
     evaluation serves the monitors, a record and the first RK stage.
+
+    The transform stacks are module scratch (`_SCRATCH`), so calls must not
+    overlap across threads; the returned arrays are the caller's own.
     """
     ikx, iky, mask = grid.ikx, grid.iky, grid.mask
     ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
 
-    # The derivative stack (u, d1 sh, d2 sh, a, b, c[, rho]), built in one
-    # buffer that the inverse transform's first pass overwrites; both it and
-    # its real transform are released before the forward transform.
+    # The derivative stack (u, d1 sh, d2 sh, a, b, c[, rho]) and its real
+    # transform live in the 18-plane scratch buffers.  The inverse
+    # transform's first pass overwrites the complex stack, which then holds
+    # the products, read as real planes.
+    n = grid.n
     depth = 18 if planes else 17
-    stack = np.empty((depth,) + sh.shape[1:], dtype=complex)
+    buf = _SCRATCH.take("stack", (18,) + sh.shape[1:])
+    stack = buf[:depth]
     stack[0:2] = sh[0:2]
     np.multiply(ikx, sh, out=stack[2:8])
     np.multiply(iky, sh, out=stack[8:14])
     stack[14:depth] = sh[2:depth - 12]
-    real = irfft2(stack, grid.n, overwrite_x=True)
-    del stack
-    prods = _products(real)
-    reals = real[_STATE_PLANES] if planes else None
-    del real
+    real = irfft2(stack, n, overwrite_x=True,
+                  out=_SCRATCH.take("real", (18, n, n), float)[:depth])
+    prods = _products(real, _leading(buf, (6, n, n), float))
+    reals = real[_STATE_PLANES] if planes else None  # a copy: `real` is scratch
 
     nh = rfft2(prods)
     nh *= mask

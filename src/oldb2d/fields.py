@@ -170,6 +170,16 @@ def _sq_int(grid, *real_arrays) -> float:
     return total * grid.area
 
 
+def _l4(grid, density) -> float:
+    """(int density^2)^(1/4) of a nonnegative pointwise density, such as
+    |u|^2, computed on density / max(density): no fourth power of a field
+    value is formed, so it cannot overflow."""
+    peak = float(np.max(density))
+    if peak == 0.0:
+        return 0.0
+    return np.sqrt(peak) * (float(np.mean((density / peak) ** 2)) * grid.area) ** 0.25
+
+
 def _parseval(grid, weight, *coeffs) -> float:
     """area * sum of weight * |f_k|^2 over the full spectrum, from rfft2
     half-spectrum coefficients: `grid.weights` counts every column whose
@@ -211,13 +221,13 @@ def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> NormR
 
     vals = {}
     vals["u_L2"] = np.sqrt(_sq_int(grid, u1, u2))
-    vals["u_L4"] = (float(np.mean((u1 * u1 + u2 * u2) ** 2)) * area) ** 0.25
+    vals["u_L4"] = _l4(grid, u1 * u1 + u2 * u2)
     vals["grad_u_L2"] = np.sqrt(_parseval(grid, ksq, u1h, u2h))
 
     vals["sigma_L1"] = float(np.mean(c)) * area
     frob = 0.5 * c * c + 2.0 * a * a + 2.0 * b * b
     vals["sigma_L2"] = np.sqrt(float(np.mean(frob)) * area)
-    vals["sigma_L4"] = (float(np.mean(frob * frob)) * area) ** 0.25
+    vals["sigma_L4"] = _l4(grid, frob)
     grad_sig_sq = (
         0.5 * _parseval(grid, ksq, ch)
         + 2.0 * _parseval(grid, ksq, ah, bh)

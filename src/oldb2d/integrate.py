@@ -225,9 +225,12 @@ def _check_monitors(mon: Monitors, params: PhysParams, t: float, dt: float,
             )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(initial: SimState, params: PhysParams, ctl: StepControl,
         monitors: Monitors | None = None) -> Trajectory:
     """Run to t_end under the monitors; raises MonitorViolation on failure.
+    An overflow inside the solve gives a non-finite state, which the `nan`
+    monitor reports, so numpy's warnings for it are silenced.
 
     Records are taken at the initial state and every `output_every`-th step;
     monitors are evaluated on every step.  The determinant-law residual is

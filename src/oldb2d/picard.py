@@ -20,7 +20,9 @@ to real space once, in a single `irfft2` over (m, 6, n, n//2+1), and shares
 those planes between Q1, Q2 and the transport.  Integrands under the same
 kernel (Q1 + L1, Q2 + L2) are summed before one quadrature.  The public
 operators `op_q1`, `op_l1`, `op_q2`, `op_l2` and `op_n` remain the
-definitions; the map is their composition.
+definitions; the map is their composition.  The complex stacks behind both
+transforms share one scratch buffer, held across calls with the two real
+outputs, so a warm map allocates none of them.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
+    _leading,
+    _Scratch,
     irfft2,
     rfft2,
     scalar_field,
@@ -43,6 +47,9 @@ from .spectral import (
 
 _SUBSTEP_CFL = 0.5       # frozen-velocity transport uses the stepper's default
 _MAX_SUBSTEPS = 100_000  # across the whole path; beyond this the velocity is absurd
+
+# The map's transform stacks and their real transforms, held across calls.
+_SCRATCH = _Scratch()
 
 
 @dataclass(frozen=True)
@@ -139,16 +146,27 @@ def _gradient(grid: SpectralGrid) -> np.ndarray:
     return np.stack([grid.ikx, grid.iky])
 
 
+def _stack(grid: SpectralGrid, m: int) -> np.ndarray:
+    """The complex scratch stack (m, 9, n, n//2+1).  The velocity stack is
+    its leading (m, 6, ...) block and the stress stack all of it; each is
+    dead once its transform has read it, and the stress integrand then
+    takes its leading real planes."""
+    return _SCRATCH.take("stack", (m, 9, grid.n, grid.n // 2 + 1))
+
+
 def _velocity_planes(u_path: np.ndarray, v_path: np.ndarray,
                      grid: SpectralGrid) -> np.ndarray:
     """Real planes (u1, u2, d1v1, d2v1, d1v2, d2v2) per node, shape
-    (m, 6, n, n), from one `irfft2`."""
+    (m, 6, n, n), from one `irfft2`.  The result is a scratch buffer: it
+    stays valid until the next call."""
+    m, n = u_path.shape[0], grid.n
     grad = _gradient(grid)
-    spec = np.empty((u_path.shape[0], 6) + u_path.shape[2:], dtype=complex)
+    spec = _leading(_stack(grid, m), (m, 6) + u_path.shape[2:])
     spec[:, 0:2] = u_path
-    spec[:, 2:4] = grad * v_path[:, 0, None]
-    spec[:, 4:6] = grad * v_path[:, 1, None]
-    return irfft2(spec, grid.n, overwrite_x=True)
+    np.multiply(grad, v_path[:, 0, None], out=spec[:, 2:4])
+    np.multiply(grad, v_path[:, 1, None], out=spec[:, 4:6])
+    return irfft2(spec, n, overwrite_x=True,
+                  out=_SCRATCH.take("velocity", (m, 6, n, n), float))
 
 
 def _advection(planes: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -191,13 +209,15 @@ def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
     when the caller already holds them."""
     if planes is None:
         planes = _velocity_planes(u_path, u_path, grid)
+    m, n = abc_path.shape[0], grid.n
     grad = _gradient(grid)
-    spec = np.empty((abc_path.shape[0], 3, 3) + abc_path.shape[2:], dtype=complex)
+    spec = _stack(grid, m).reshape((m, 3, 3) + abc_path.shape[2:])
     spec[:, 0, 0] = 0.5 * abc_path[:, 2] + abc_path[:, 0]   # s11
     spec[:, 1, 0] = abc_path[:, 1]                          # s12
     spec[:, 2, 0] = 0.5 * abc_path[:, 2] - abc_path[:, 0]   # s22
-    spec[:, :, 1:] = grad * spec[:, :, 0, None]
-    real = irfft2(spec, grid.n, overwrite_x=True)
+    np.multiply(grad, spec[:, :, 0, None], out=spec[:, :, 1:])
+    real = irfft2(spec, n, overwrite_x=True,
+                  out=_SCRATCH.take("stress", (m, 3, 3, n, n), float))
     (s11, d1s11, d2s11), (s12, d1s12, d2s12), (s22, d1s22, d2s22) = (
         np.moveaxis(real, (1, 2), (0, 1)))
     u1, u2, g11, g12, g21, g22 = np.moveaxis(planes, 1, 0)
@@ -206,8 +226,11 @@ def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
     i12 = g11 * s12 + g12 * s22 + s11 * g21 + s12 * g22 - (u1 * d1s12 + u2 * d2s12)
     i22 = 2.0 * (g21 * s12 + g22 * s22) - (u1 * d1s22 + u2 * d2s22)
 
-    out = np.stack([0.5 * (i11 - i22), i12, i11 + i22], axis=1)
-    return rfft2(out) * grid.mask
+    out = np.stack([0.5 * (i11 - i22), i12, i11 + i22], axis=1,
+                   out=_leading(spec, (m, 3, n, n), float))
+    gh = rfft2(out)
+    gh *= grid.mask
+    return gh
 
 
 def op_q2(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
@@ -354,7 +377,8 @@ def apply_map(u_path, abc_path, rho_path, u0h, abc0h, rho0h, grid, params, cfg):
         op_n(u, rho0),
 
     with one velocity transform shared by all three and one quadrature per
-    kernel."""
+    kernel.  The transform stacks are module scratch (`_SCRATCH`), so
+    calls must not overlap across threads."""
     sem_u, sem_abc = semigroup_paths(u0h, abc0h, grid, params, cfg)
     ds = _step(cfg)
     planes = _velocity_planes(u_path, u_path, grid)

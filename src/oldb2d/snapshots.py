@@ -8,6 +8,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -134,12 +135,34 @@ def append_timeseries(record: DiagnosticsRecord, path) -> None:
         fh.write(",".join(f"{v:.17g}" for v in _row_values(record)) + "\n")
 
 
+def _parse_row(line: str, lineno: int) -> list:
+    fields = line.split(",")
+    if len(fields) != len(TIMESERIES_COLUMNS):
+        raise SnapshotFormatError(f"time-series line {lineno}: {len(fields)} columns, "
+                                  f"expected {len(TIMESERIES_COLUMNS)}")
+    try:
+        row = [float(field) for field in fields]
+    except ValueError:
+        raise SnapshotFormatError(f"time-series line {lineno}: not a number") from None
+    if not all(map(math.isfinite, row)):
+        raise SnapshotFormatError(f"time-series line {lineno}: non-finite value")
+    return row
+
+
 def read_timeseries(path) -> dict:
-    """Read a time-series CSV back into column arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != list(TIMESERIES_COLUMNS):
-            raise SnapshotFormatError(f"unexpected time-series header {header}")
-        rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
+    """Read a time-series CSV back into column arrays.  A row of the wrong
+    width, a value that is not a finite number, text that is not UTF-8, or
+    times that do not strictly increase raise `SnapshotFormatError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            if header != list(TIMESERIES_COLUMNS):
+                raise SnapshotFormatError(f"unexpected time-series header {header}")
+            rows = [_parse_row(line.strip(), lineno)
+                    for lineno, line in enumerate(fh, start=2) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(f"time series is not UTF-8 text: {exc.reason}") from None
     data = np.array(rows) if rows else np.empty((0, len(TIMESERIES_COLUMNS)))
+    if np.any(np.diff(data[:, 0]) <= 0.0):
+        raise SnapshotFormatError("time-series times do not strictly increase")
     return {name: data[:, i] for i, name in enumerate(TIMESERIES_COLUMNS)}

@@ -11,7 +11,10 @@ axes: the forward pass transforms the last axis and then axis -2 in place;
 the inverse undoes them in reverse order.  `irfft2(..., overwrite_x=True)`
 lets its first pass write into the input, for callers that drop a scratch
 stack right after its transform: it saves a complex temporary the size of
-that stack.
+that stack.  `irfft2(..., out=)` writes the real result into a buffer the
+caller holds.  `_Scratch` holds such buffers across calls, so that a warm
+caller reuses its transform stacks instead of allocating, and faulting in,
+fresh ones on every evaluation.
 
 Dealiasing follows the 2/3 rule: a mode with integer wavenumbers (k1, k2)
 survives iff 3 * max(|k1|, |k2|) <= N, which keeps quadratic products of
@@ -20,6 +23,7 @@ surviving modes alias-free on the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +39,50 @@ def rfft2(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(coeffs, axis=-2, norm="forward", out=coeffs)
 
 
-def irfft2(coeffs: np.ndarray, n: int, *, overwrite_x: bool = False) -> np.ndarray:
+def irfft2(coeffs: np.ndarray, n: int, *, overwrite_x: bool = False,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of `rfft2` onto an n x n real grid: `ifft` along axis -2,
     then `irfft` along the last axis.  With `overwrite_x` the `ifft` pass
-    writes into `coeffs`, which the caller must not read afterwards."""
+    writes into `coeffs`, which the caller must not read afterwards.  With
+    `out`, a float array of the result's shape, the `irfft` pass writes the
+    result there and returns `out`."""
     mixed = np.fft.ifft(coeffs, axis=-2, norm="forward", out=coeffs if overwrite_x else None)
-    return np.fft.irfft(mixed, n=n, axis=-1, norm="forward")
+    return np.fft.irfft(mixed, n=n, axis=-1, norm="forward", out=out)
+
+
+class _Scratch:
+    """Transform buffers reused across calls, one per role.
+
+    A caller that builds a stack, transforms it and drops it on every call
+    takes the stack from here instead: a fresh allocation of that size is
+    returned to the operating system when it is freed and faulted back in,
+    page by page, on the next call.  `take` returns a role's buffer, and
+    replaces it when asked for another shape or dtype (a new n or node
+    count).  Contents are not kept: the caller writes every element it
+    reads.  An array taken is valid until the next `take` of its role, so
+    a caller that uses one is not reentrant across threads, and a public
+    function must not return one."""
+
+    def __init__(self):
+        self._buffers: dict = {}
+
+    def take(self, role: str, shape: tuple, dtype=complex) -> np.ndarray:
+        buf = self._buffers.get(role)
+        if buf is not None and buf.shape == shape and buf.dtype == dtype:
+            return buf
+        del buf
+        self._buffers.pop(role, None)  # free the old buffer before the new one
+        buf = self._buffers[role] = np.empty(shape, dtype)
+        return buf
+
+
+def _leading(buf: np.ndarray, shape: tuple, dtype=None) -> np.ndarray:
+    """The contiguous array of `shape` at the front of `buf`'s memory, read
+    as `dtype` (default: `buf`'s own)."""
+    flat = buf.reshape(-1)
+    if dtype is not None:
+        flat = flat.view(dtype)
+    return flat[:math.prod(shape)].reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

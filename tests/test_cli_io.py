@@ -407,6 +407,85 @@ class TestCliMain:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("config_text,code", [
+        ("preset=taylor_green\namplitude=1e80", 1),
+        ("preset=taylor_green\namplitude=1e100", 1),
+        ("preset=taylor_green\namplitude=1e200", 2),
+        ("preset=equilibrium\nrho0=1e150", 3),
+        ("preset=equilibrium\nrho0=1e200", 2),
+    ], ids=["tg_1e80", "tg_1e100", "tg_1e200", "equilibrium_1e150", "equilibrium_1e200"])
+    def test_huge_finite_values_print_one_line(self, tmp_path, capsys, config_text, code):
+        """Fourth powers in the norms are formed on scaled values, and a
+        state whose squares would overflow is a config error: no
+        `RuntimeWarning` precedes the one line."""
+        cfg_path = self._write_cfg(tmp_path, f"n=16\nt_end=0.001\n{config_text}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert got == code
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if code == 2:
+            assert err.startswith("config error:") and "squares" in err
+
+    @staticmethod
+    def _mutate_row(lines, field, value):
+        fields = lines[2].split(",")
+        fields[field] = value
+        return lines[:2] + [",".join(fields)] + lines[3:]
+
+    @pytest.mark.parametrize("defect,message", [
+        ("short_row", "3 columns"),
+        ("not_a_number", "not a number"),
+        ("nan_u_L2", "non-finite"),
+        ("times_not_increasing", "strictly increase"),
+    ])
+    def test_bad_timeseries_exits_config(self, tmp_path, capsys, defect, message):
+        cfg_path = self._write_cfg(
+            tmp_path, "n=16\npreset=random_admissible\namplitude=1.0\nseed=5\n"
+                      "dt_max=1e-3\nt_end=0.005\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out-dir", str(out_dir)]) == 0
+        lines = (out_dir / "timeseries.csv").read_text().splitlines()
+        lines = {
+            "short_row": lines[:2] + ["0.1,2,3"] + lines[3:],
+            "not_a_number": self._mutate_row(lines, 1, "abc"),
+            "nan_u_L2": self._mutate_row(lines, TIMESERIES_COLUMNS.index("u_L2"), "nan"),
+            "times_not_increasing": [lines[0], lines[2], lines[1]] + lines[3:],
+        }[defect]
+        traj = tmp_path / "bad.csv"
+        traj.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["bounds", "--config", cfg_path, "--traj", str(traj)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("u_l2", ["1e3", "1e200"])
+    def test_failed_gate_prints_one_line(self, tmp_path, capsys, u_l2):
+        """A time series whose energy exceeds R0 fails the gate (exit 1)
+        with one stderr line; a square that overflows counts as +inf."""
+        cfg_path = self._write_cfg(
+            tmp_path, "n=16\npreset=random_admissible\namplitude=1.0\nseed=5\n"
+                      "dt_max=1e-3\nt_end=0.005\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out-dir", str(out_dir)]) == 0
+        lines = (out_dir / "timeseries.csv").read_text().splitlines()
+        traj = tmp_path / "big.csv"
+        traj.write_text("\n".join(
+            self._mutate_row(lines, TIMESERIES_COLUMNS.index("u_L2"), u_l2)) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bounds", "--config", cfg_path, "--traj", str(traj)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "-> FAIL" in captured.out
+        assert captured.err.startswith("energy budget gate failed: observed ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("t_end", ["0.01", "0.02"])
     def test_restart_without_a_step_exits_config(self, tmp_path, capsys, t_end):
         first = tmp_path / "first"

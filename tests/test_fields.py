@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,25 @@ class TestNorms:
         assert rep["u_L2"] == pytest.approx(direct, rel=1e-12)
         rho_direct = np.sqrt(np.mean(state.rho.values ** 2) * grid32.area)
         assert rep["rho_L2"] == pytest.approx(rho_direct, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100])
+    def test_l4_norms_without_fourth_powers(self, grid32, scale):
+        """u_L4 and sigma_L4 match the direct fourth-power integrals, and
+        stay finite, without overflow warnings, where those overflow."""
+        state = band_limited_admissible_state(grid32, seed=5, kmax=4)
+        u1, u2 = state.u.values
+        a, b, c = (f.values for f in (state.stress.a, state.stress.b, state.stress.c))
+        frob = 0.5 * c * c + 2.0 * a * a + 2.0 * b * b
+        u_l4 = (np.mean((u1 * u1 + u2 * u2) ** 2) * grid32.area) ** 0.25
+        sigma_l4 = (np.mean(frob * frob) * grid32.area) ** 0.25
+        big = SimState(0.0, vector_field(grid32, scale * state.u.values),
+                       StressField(*(scalar_field(grid32, scale * v) for v in (a, b, c))),
+                       state.rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = norms(big)
+        assert rep["u_L4"] == pytest.approx(scale * u_l4, rel=1e-14)
+        assert rep["sigma_L4"] == pytest.approx(scale * sigma_l4, rel=1e-14)
 
     def test_trace_dominates_deviatoric_part(self, grid32):
         state = band_limited_admissible_state(grid32, seed=6, kmax=4)

@@ -369,14 +369,19 @@ class TestOneEvaluationPerState:
     def test_peak_memory_of_one_run(self):
         """Peak traced allocation of one warm CFL-limited run at n=128, in
         packed-state units (6 half-spectrum planes; six real planes are
-        about one unit too).  A design that kept the previous state's real
-        planes through each step peaked at 10.76 units; dropping them
-        first gives 9.63.  The bound sits between, so keeping one more
-        state-sized array alive through a step fails."""
+        about one unit too).  The warm-up run leaves `_terms`' scratch
+        stacks allocated, so the measured run allocates none: it peaks at
+        6.76 units.  The bound sits less than one unit above, so keeping
+        one more state-sized array alive through a step fails.  (With the
+        scratch freed first the peak is 12.72 units: the stacks are then
+        allocated inside the run, beside the factor memo's recompute.)"""
         cfg, initial = self._setup("n=128\npreset=random_admissible\nseed=3\n"
                                    "amplitude=2.0\nt_end=0.03\noutput_every=1000000\n")
         unit = pack_state(initial).nbytes
         run(initial, cfg.params, cfg.control, cfg.monitors)
+        n = cfg.n
+        held = sum(buf.nbytes for buf in dynamics._SCRATCH._buffers.values())
+        assert held == 18 * n * (n // 2 + 1) * 16 + 18 * n * n * 8
         tracemalloc.start()
         try:
             traj = run(initial, cfg.params, cfg.control, cfg.monitors)
@@ -384,7 +389,70 @@ class TestOneEvaluationPerState:
         finally:
             tracemalloc.stop()
         assert traj.final_state.time == pytest.approx(0.03)
-        assert peak <= 10.2 * unit, peak / unit
+        assert peak <= 7.2 * unit, peak / unit
+
+
+class TestTransformScratch:
+    """`_terms` reuses one 18-plane complex stack and one 18-plane real
+    stack across calls; nothing it returns aliases them, and a change of
+    grid replaces them without changing any result."""
+
+    @staticmethod
+    def _packed(n, seed):
+        grid = make_grid(n, TWO_PI)
+        state = band_limited_admissible_state(grid, seed,
+                                              kmax=n // 4, amp=0.4, u_amp=0.3)
+        return grid, pack_state(state)
+
+    def test_outputs_own_their_memory(self):
+        grid, sh = self._packed(16, 1)
+        _, sh2 = self._packed(16, 2)
+        nh, reals = _terms(grid, PARAMS, sh, planes=True)
+        held = list(dynamics._SCRATCH._buffers.values())
+        assert len(held) == 2
+        for out in (nh, reals):
+            assert not any(np.shares_memory(out, buf) for buf in held)
+        kept = nh.copy(), reals.copy()
+        _terms(grid, PARAMS, sh2, planes=True)
+        _terms(grid, PARAMS, sh2)
+        assert np.array_equal(nh, kept[0]) and np.array_equal(reals, kept[1])
+
+    def test_grid_changes_match_fresh_scratch(self, monkeypatch):
+        """Runs at n=16, 32 and 16 again, sharing the scratch, give the bits
+        of the same runs each on a fresh scratch."""
+        texts = {n: f"n={n}\npreset=random_admissible\nseed=3\namplitude=1.0\n"
+                    "t_end=0.02\nsnapshot_times=0.01\n" for n in (16, 32)}
+
+        def solve(n):
+            cfg = parse_config(texts[n])
+            initial = build_initial(cfg, make_grid(n, cfg.length))
+            return run(initial, cfg.params, cfg.control, cfg.monitors)
+
+        shared = [solve(n) for n in (16, 32, 16)]
+        for n, got in zip((16, 32, 16), shared):
+            monkeypatch.setattr(dynamics, "_SCRATCH", spectral._Scratch())
+            want = solve(n)
+            assert [r.norms.values for r in got.records] == \
+                [r.norms.values for r in want.records]
+            assert_same_state(got.snapshots[0][1], want.snapshots[0][1])
+            assert_same_state(got.final_state, want.final_state)
+
+    def test_warm_evaluation_allocates_no_stack(self):
+        """A warm `_terms(planes=True)` at n=64 allocates its outputs (2/3
+        of a stack) and the products' temporaries, but no stack: a design
+        that allocates the two stacks per call peaks at twice the size of
+        one."""
+        grid, sh = self._packed(64, 3)
+        stack = 18 * 64 * 33 * 16
+        _terms(grid, PARAMS, sh, planes=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _terms(grid, PARAMS, sh, planes=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < stack, peak / stack
 
 
 class TestRun:

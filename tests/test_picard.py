@@ -28,7 +28,7 @@ from oldb2d.picard import (
     op_q2,
     semigroup_paths,
 )
-from oldb2d.spectral import rfft2
+from oldb2d.spectral import _Scratch, rfft2
 from oldb2d.config import band_limited_random
 
 from oracles import relaxation_exact
@@ -337,6 +337,39 @@ class TestFusedMap:
         for g, e in zip(got, expected):
             assert g.shape == e.shape
             assert np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e))
+
+
+class TestMapScratch:
+    """`apply_map` holds its transform stacks across calls: a change of node
+    count replaces them without changing any result, and nothing it
+    returns aliases them."""
+
+    @staticmethod
+    def _inputs(grid, m):
+        rng = np.random.default_rng(m)
+        return (masked_noise(grid, rng, (m, 2, 16, 16)),
+                masked_noise(grid, rng, (m, 3, 16, 16)),
+                masked_noise(grid, rng, (m, 16, 16)),
+                masked_noise(grid, rng, (2, 16, 16)),
+                masked_noise(grid, rng, (3, 16, 16)),
+                masked_noise(grid, rng, (16, 16)))
+
+    def test_node_changes_match_fresh_scratch(self, grid16, monkeypatch):
+        def apply(m):
+            cfg = PicardConfig(t0=0.05, n_time_nodes=m)
+            return apply_map(*self._inputs(grid16, m), grid16, PARAMS, cfg)
+
+        shared = []
+        for m in (9, 33, 9):
+            shared.append(apply(m))
+            held = list(picard_mod._SCRATCH._buffers.values())
+            assert [buf.shape for buf in held] == [
+                (m, 9, 16, 9), (m, 6, 16, 16), (m, 3, 3, 16, 16)]
+            assert not any(np.shares_memory(out, buf) for out in shared[-1] for buf in held)
+        for m, got in zip((9, 33, 9), shared):
+            monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
+            for g, w in zip(got, apply(m)):
+                assert np.array_equal(g, w)
 
 
 def _full_sobolev_sq(values, order, length, weights=None):

@@ -78,7 +78,7 @@ class TestMakeGrid:
 class TestTwoPassTransforms:
     """The two-pass transforms give the bits of numpy's own 2-D real FFTs,
     on every batch shape the program transforms, with or without the
-    in-place inverse pass."""
+    in-place inverse pass, into a fresh array or the caller's `out`."""
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("lead", [(), (6,), (18,), (4, 3, 3)])
@@ -93,6 +93,9 @@ class TestTwoPassTransforms:
         back = irfft2(coeffs, n)
         assert np.array_equal(coeffs, kept)  # the default leaves its input
         assert np.array_equal(back, np.fft.irfft2(kept, s=(n, n), norm="forward"))
+        out = np.empty(lead + (n, n))
+        assert irfft2(kept.copy(), n, out=out) is out
+        assert np.array_equal(out, back)
         assert np.array_equal(irfft2(coeffs, n, overwrite_x=True), back)
 
 
