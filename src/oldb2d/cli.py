@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 monitor violation (or a failed energy-budget
 gate, or fixed-point divergence), 2 configuration error, 3 numerical
 failure (NaN or overflow).  A non-zero exit prints one line on stderr.
+A path that cannot be opened (missing, a directory, unreadable) is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path in the arguments or config that cannot be opened
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except snapshots.SnapshotFormatError as exc:

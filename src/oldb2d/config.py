@@ -24,6 +24,13 @@ class ConfigError(ValueError):
     pass
 
 
+# Bound on a field value times its largest |k|^2 weight: below it, the
+# value's square weighted by up to |k|^4 stays under the largest float / 16,
+# and a partial sum of the transform, which adds n^2 such values, stays
+# finite too.
+_SQUARES_LIMIT = math.sqrt(np.finfo(float).max / 16)
+
+
 PRESETS = ("equilibrium", "taylor_green", "random_admissible")
 
 
@@ -143,6 +150,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("n must be an even integer of at least 8")
     if values["L"] <= 0:
         raise ConfigError("L must be positive")
+    _check_length(values["n"], values["L"])
     if values["init_kmax"] < 1:
         raise ConfigError("init_kmax must be at least 1")
     if values["seed"] < 0:
@@ -163,6 +171,20 @@ def parse_config(text: str) -> RunConfig:
         monitors=monitors,
         constant_c=values["constant_c"],
     )
+
+
+def _check_length(n: int, length: float) -> None:
+    """Reject a length whose grid area L^2, or whose largest |k|^2 =
+    (2 pi / L)^2 n^2 / 2, exceeds `_SQUARES_LIMIT`, the bound on a field
+    value times such a weight: no field value of order one would pass it,
+    and further out the grid's own area or |k|^2 table overflows.  The
+    bounds are compared on L itself, so no overflowing value is formed."""
+    root = math.sqrt(_SQUARES_LIMIT)
+    low, high = math.pi * math.sqrt(2.0) * n / root, root
+    if not low <= length <= high:
+        raise ConfigError(f"L={length:g} is outside [{low:.3g}, {high:.3g}], where at n={n} "
+                          f"the grid's area L^2 and its largest |k|^2 stay below "
+                          f"{_SQUARES_LIMIT:.3g}")
 
 
 def load_config(path) -> RunConfig:
@@ -232,7 +254,9 @@ def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
     if umax > 0:
         u *= cfg.amplitude / umax
 
-    vals = irfft2(rfft2(np.stack([*u, a, b, c, rho])) * grid.mask, grid.n)
+    coeffs = rfft2(np.stack([*u, a, b, c, rho]))
+    coeffs *= grid.mask
+    vals = irfft2(coeffs, grid.n, overwrite_x=True)
     return SimState(
         time=0.0,
         u=vector_field(grid, vals[0:2]),
@@ -273,10 +297,8 @@ def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:
     if not math.isfinite(peak):
         raise ConfigError(f"preset {cfg.preset!r} produced a non-finite field value")
     # The norms and the quadratic terms square field values and weight
-    # them by up to |k|^4; below this bound such a weighted square stays
-    # under the largest float / 16, and a partial sum of the transform,
-    # which adds n^2 values, stays finite too.
-    if peak * max(1.0, float(np.max(grid.k_sq))) > math.sqrt(np.finfo(float).max / 16):
+    # them by up to |k|^4.
+    if peak * max(1.0, float(np.max(grid.k_sq))) > _SQUARES_LIMIT:
         raise ConfigError(f"preset {cfg.preset!r} produced a field value of {peak:.3g}, "
                           f"too large for its squares to be finite")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,8 +22,8 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
-    _leading,
     _Scratch,
+    dealiased_products,
     irfft2,
     rfft2,
     scalar_field,
@@ -75,13 +75,15 @@ def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
 # Planes of the real derivative stack that hold (u1, u2, a, b, c, rho).
 _STATE_PLANES = [0, 1, 14, 15, 16, 17]
 
-# `_terms`' derivative stack and its real transform, held across calls.
+# `_terms`' derivative stack and `dealiased_products`' row blocks, held
+# across calls.
 _SCRATCH = _Scratch()
 
 
 def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The six quadratic terms, before dealiasing, from the real derivative
-    stack (u, d1 sh, d2 sh, a, b, c, ...), written into `out` (6, n, n)."""
+    """The six quadratic terms, before dealiasing, from a block of the real
+    derivative stack (u, d1 sh, d2 sh, a, b, c, ...), written into `out`
+    (6, rows, n)."""
     (u1, u2,
      d1u1, d1u2, da1, db1, dc1, dr1,
      d2u1, d2u2, da2, db2, dc2, dr2,
@@ -91,19 +93,20 @@ def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
     mu = 0.5 * (d1u2 + d2u1)
     om = d1u2 - d2u1
 
-    return np.stack([
-        -(u1 * d1u1 + u2 * d2u1),
-        -(u1 * d1u2 + u2 * d2u2),
-        -(u1 * da1 + u2 * da2) - om * b + c * lam,
-        -(u1 * db1 + u2 * db2) + om * a + c * mu,
-        -(u1 * dc1 + u2 * dc2) + 4.0 * (lam * a + mu * b),
-        -(u1 * dr1 + u2 * dr2),
-    ], out=out)
+    # One plane at a time, so a plane's temporaries are gone before the next.
+    out[0] = -(u1 * d1u1 + u2 * d2u1)
+    out[1] = -(u1 * d1u2 + u2 * d2u2)
+    out[2] = -(u1 * da1 + u2 * da2) - om * b + c * lam
+    out[3] = -(u1 * db1 + u2 * db2) + om * a + c * mu
+    out[4] = -(u1 * dc1 + u2 * dc2) + 4.0 * (lam * a + mu * b)
+    out[5] = -(u1 * dr1 + u2 * dr2)
+    return out
 
 
 def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
            planes: bool = False):
-    """Dealiased explicit terms from packed coefficients.
+    """Dealiased explicit terms from packed coefficients `sh`, which must be
+    dealiased: `pack_state` output, or a stage formed with masked factors.
 
     Returns one (6, n, n//2+1) array (f1, f2, na, nb, nc, nr): the
     unprojected momentum force -u.grad(u) + K div(sigma), the stress
@@ -116,31 +119,25 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     (u1, u2, a, b, c, rho), bit-identical to `irfft2(sh, n)`: one
     evaluation serves the monitors, a record and the first RK stage.
 
-    The transform stacks are module scratch (`_SCRATCH`), so calls must not
-    overlap across threads; the returned arrays are the caller's own.
+    The derivative stack (u, d1 sh, d2 sh, a, b, c[, rho]) holds only the
+    kept columns of `sh`, since the rest are zero, and the product pass
+    (`spectral.dealiased_products`) visits real space in row blocks.  Both
+    are module scratch (`_SCRATCH`), so calls must not overlap across
+    threads; the returned arrays are the caller's own.
     """
-    ikx, iky, mask = grid.ikx, grid.iky, grid.mask
+    ikx, iky = grid.ikx, grid.iky
     ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
 
-    # The derivative stack (u, d1 sh, d2 sh, a, b, c[, rho]) and its real
-    # transform live in the 18-plane scratch buffers.  The inverse
-    # transform's first pass overwrites the complex stack, which then holds
-    # the products, read as real planes.
-    n = grid.n
+    kc = grid.kept_columns
     depth = 18 if planes else 17
-    buf = _SCRATCH.take("stack", (18,) + sh.shape[1:])
-    stack = buf[:depth]
-    stack[0:2] = sh[0:2]
-    np.multiply(ikx, sh, out=stack[2:8])
-    np.multiply(iky, sh, out=stack[8:14])
-    stack[14:depth] = sh[2:depth - 12]
-    real = irfft2(stack, n, overwrite_x=True,
-                  out=_SCRATCH.take("real", (18, n, n), float)[:depth])
-    prods = _products(real, _leading(buf, (6, n, n), float))
-    reals = real[_STATE_PLANES] if planes else None  # a copy: `real` is scratch
-
-    nh = rfft2(prods)
-    nh *= mask
+    kept = sh[..., :kc]
+    stack = _SCRATCH.take("stack", (18, grid.n, kc))
+    stack[0:2] = kept[0:2]
+    np.multiply(ikx[:, :kc], kept, out=stack[2:8])
+    np.multiply(iky[:, :kc], kept, out=stack[8:14])
+    stack[14:depth] = kept[2:depth - 12]
+    nh, reals = dealiased_products(grid, stack, depth, _products, 6, _SCRATCH,
+                                   keep=_STATE_PLANES if planes else None)
 
     bigK = params.bigK
     nh[0] += bigK * (ikx * (0.5 * ch + ah) + iky * bh)

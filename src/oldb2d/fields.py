@@ -117,10 +117,17 @@ class SimState:
         return self.u.grid
 
     def validate(self):
-        """Check the construction invariants: u divergence-free, rho >= 0."""
+        """Check the construction invariants: u divergence-free, rho >= 0.
+        The divergence is measured against |u| times the lowest wavenumber
+        2 pi / L, so the test does not depend on the unit of length; |u| is
+        summed on u scaled to a unit peak, so its squares do not underflow
+        for a tiny velocity."""
         u = self.u.as_spectral()
         du = divergence(u).data
-        if np.max(np.abs(du)) > 1e-12 * max(l2_scale(self.grid, u.data), 1e-300):
+        k_low = 2.0 * np.pi / self.grid.length
+        peak = float(np.max(np.abs(u.data)))
+        size = peak * l2_scale(self.grid, u.data / peak) if peak > 0.0 else 0.0
+        if np.max(np.abs(du)) > 1e-12 * max(k_low * size, 1e-300):
             raise ValueError("velocity is not divergence-free")
         r = self.rho.values
         if np.min(r) < -1e-10 * max(float(np.max(r)), 1.0):

@@ -118,16 +118,27 @@ def _multipliers(grid: SpectralGrid, nu: float, kappa: float, k: float, dt: floa
     every step, so older entries would only hold memory."""
     ksq, mask = grid.k_sq, grid.mask
     # The three distinct linear operators (nu, stress, zero), expanded to
-    # the six packed planes (u1, u2, a, b, c, rho) by indexing.
+    # the six packed planes (u1, u2, a, b, c, rho) by indexing.  Each factor
+    # is formed in place and expanded straight into its output, so the
+    # recompute holds little beside the outputs and the entry it replaces.
     lin = np.stack([-nu * ksq, -(kappa * ksq + 2.0 * k), np.zeros_like(ksq)])
-    lin = np.where(mask, lin, 0.0)
+    lin[:, ~mask] = 0.0
     planes = [0, 0, 1, 1, 1, 2]
 
-    def factor(tau):
-        return (np.exp(lin * tau) * mask)[planes]
+    def factors(tau, *scales):
+        """exp(lin * tau) on the kept modes, expanded, times each scale."""
+        e = lin * tau
+        np.exp(e, out=e)
+        e *= mask
+        outs = [np.take(e, planes, axis=0) for _ in scales]
+        for out, scale in zip(outs, scales):
+            out *= scale
+        return outs
 
-    e_mid = factor(0.5 * dt)
-    return factor(dt), 0.75 * e_mid, 0.25 * factor(-0.5 * dt), 2.0 * e_mid
+    (e_full,) = factors(dt, 1.0)
+    e_mid_34, e_mid_2 = factors(0.5 * dt, 0.75, 2.0)
+    (e_back_14,) = factors(-0.5 * dt, 0.25)
+    return e_full, e_mid_34, e_back_14, e_mid_2
 
 
 def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float,

@@ -16,6 +16,15 @@ caller holds.  `_Scratch` holds such buffers across calls, so that a warm
 caller reuses its transform stacks instead of allocating, and faulting in,
 fresh ones on every evaluation.
 
+`dealiased_products` is the pseudo-spectral product pass in bounded memory.
+It reads a stack of dealiased factors as their kept columns only (the 2/3
+rule zeroes every half-spectrum column from n//3 + 1 on) and transforms only
+those columns along x.  It visits real space one block of x-rows at a time:
+the y-passes, the caller's pointwise products and the copy of any real
+planes the caller keeps run per block in small held buffers.  Every 1-D
+transform sees the same operands as `irfft2`/`rfft2` of the full stack, so
+the result is bit-identical to that full-width pass.
+
 Dealiasing follows the 2/3 rule: a mode with integer wavenumbers (k1, k2)
 survives iff 3 * max(|k1|, |k2|) <= N, which keeps quadratic products of
 surviving modes alias-free on the grid.
@@ -76,6 +85,55 @@ class _Scratch:
         return buf
 
 
+# Bytes of real derivative planes that one row block of `dealiased_products`
+# holds; a grid whose whole stack fits in it is one block.
+_BLOCK_BYTES = 2 << 20
+
+
+def dealiased_products(grid: SpectralGrid, stack: np.ndarray, depth: int, products,
+                       count: int, scratch: _Scratch, keep=None):
+    """The dealiased half spectrum of `count` pointwise products of the real
+    fields whose coefficients fill `stack`.
+
+    `stack` is a complex (planes, n, kc) buffer with kc = `grid.kept_columns`:
+    the kept columns of dealiased `rfft2` coefficients.  Its first `depth`
+    planes are transformed, and the x-pass overwrites them.  Real space is
+    visited in blocks of x-rows, as many as `_BLOCK_BYTES` holds for all of
+    the buffer's planes (so calls of different depths share one block
+    buffer): `products(real, out)` reads a block's real planes
+    (depth, rows, n) and writes its products into `out` (count, rows, n).
+    Both blocks are `scratch` buffers.
+
+    Returns a fresh, masked (count, n, n//2+1) array, bit-identical to
+    `rfft2` of the full-width products times the mask, and, with `keep` (a
+    list of plane indices), a fresh (len(keep), n, n) array of those real
+    planes, bit-identical to their `irfft2`; else None."""
+    n = grid.n
+    kc = stack.shape[-1]
+    rows = max(1, min(n, _BLOCK_BYTES // (len(stack) * n * 8)))
+    real_buf = scratch.take("real", (len(stack), rows, n), float)
+    prod_buf = scratch.take("products", (count, rows, n), float)
+    out = reals = None
+
+    coeffs = stack[:depth]
+    np.fft.ifft(coeffs, axis=-2, norm="forward", out=coeffs)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        real = np.fft.irfft(coeffs[:, start:stop], n=n, axis=-1, norm="forward",
+                            out=_leading(real_buf, (depth, stop - start, n)))
+        prods = products(real, _leading(prod_buf, (count, stop - start, n)))
+        if out is None:  # after the first block's product temporaries are freed
+            out = np.empty((count, n, n // 2 + 1), complex)
+            reals = None if keep is None else np.empty((len(keep), n, n))
+        if reals is not None:
+            for i, plane in enumerate(keep):
+                reals[i, start:stop] = real[plane]
+        np.fft.rfft(prods, axis=-1, norm="forward", out=out[:, start:stop])
+    np.fft.fft(out[..., :kc], axis=-2, norm="forward", out=out[..., :kc])
+    out *= grid.mask
+    return out, reals
+
+
 def _leading(buf: np.ndarray, shape: tuple, dtype=None) -> np.ndarray:
     """The contiguous array of `shape` at the front of `buf`'s memory, read
     as `dtype` (default: `buf`'s own)."""
@@ -115,6 +173,11 @@ class SpectralGrid:
     @property
     def spacing(self) -> float:
         return self.length / self.n
+
+    @property
+    def kept_columns(self) -> int:
+        """Half-spectrum columns the 2/3 rule keeps: ky = 0 .. n//3."""
+        return self.n // 3 + 1
 
     @property
     def area(self) -> float:

@@ -2,9 +2,10 @@
 code, with no traceback and no warning, and a non-zero exit prints exactly
 one stderr line.
 
-Two input surfaces: preset values (`amplitude`, `rho0`,
+Three input surfaces: preset values (`amplitude`, `rho0`,
 `stress_amplitude` anywhere in [0, 1e308]) for `run` at n=16 with a tiny
-`t_end`, and mutated `timeseries.csv` bytes for `bounds --traj`.  The
+`t_end`, the domain length `L` over [1e-300, 1e300] on a log scale at
+n in {8, 16}, and mutated `timeseries.csv` bytes for `bounds --traj`.  The
 examples are derandomized with a fixed count, so every run of the suite
 checks the same inputs.
 """
@@ -72,6 +73,15 @@ def test_run_with_extreme_preset_values(work, preset, values):
     cfg = work / "run.cfg"
     cfg.write_text(f"n=16\npreset={preset}\nt_end=0.001\n"
                    + "".join(f"{key}={value!r}\n" for key, value in values.items()))
+    assert_contract(*call(["run", "--config", str(cfg), "--out-dir", str(work / "out")]))
+
+
+@FUZZ
+@given(preset=st.sampled_from(PRESETS), n=st.sampled_from([8, 16]),
+       length=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e))
+def test_run_with_extreme_lengths(work, preset, n, length):
+    cfg = work / "length.cfg"
+    cfg.write_text(f"n={n}\nL={length!r}\npreset={preset}\nt_end=0.001\n")
     assert_contract(*call(["run", "--config", str(cfg), "--out-dir", str(work / "out")]))
 
 

@@ -429,6 +429,56 @@ class TestCliMain:
         if code == 2:
             assert err.startswith("config error:") and "squares" in err
 
+    @pytest.mark.parametrize("length,n", [
+        ("1e200", 16), ("1e155", 16), ("1e-200", 16), ("1e-150", 16), ("1e-75", 16),
+    ])
+    def test_extreme_length_exits_config(self, tmp_path, capsys, length, n):
+        """A grid whose area L^2 or largest |k|^2 would overflow the squares
+        of its fields is a config error that names L, reached without
+        forming the overflowing value: no `OverflowError`, no warning."""
+        cfg_path = self._write_cfg(
+            tmp_path, f"n={n}\nL={length}\npreset=random_admissible\nt_end=0.001\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert code == 2
+        assert err.startswith(f"config error: L={float(length):g} is outside")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("preset", ["taylor_green", "random_admissible"])
+    def test_small_length_builds_a_divergence_free_state(self, tmp_path, capsys, preset):
+        """At L=1e-10 the built velocity passes the divergence check (it was
+        measured against |u| alone, in the wrong unit); the run then ends in
+        a documented exit, here the CFL step falling below dt_min."""
+        cfg_path = self._write_cfg(tmp_path, f"n=16\nL=1e-10\npreset={preset}\n"
+                                             "t_end=0.001\n")
+        code = main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("monitor violation: [dt_underflow]")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run_config", "bounds_traj", "snapshot_preset"])
+    def test_directory_as_input_exits_config(self, tmp_path, capsys, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        cfg_path = self._write_cfg(tmp_path, "n=16\npreset=equilibrium\nt_end=0.01\n")
+        argv = {
+            "run_config": ["run", "--config", str(folder), "--out-dir", str(tmp_path / "o")],
+            "bounds_traj": ["bounds", "--config", cfg_path, "--traj", str(folder)],
+            "snapshot_preset": ["run", "--config", self._write_cfg(
+                tmp_path, f"n=16\npreset=snapshot:{folder}\n"), "--out-dir",
+                str(tmp_path / "o")],
+        }[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and str(folder) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @staticmethod
     def _mutate_row(lines, field, value):
         fields = lines[2].split(",")

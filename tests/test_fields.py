@@ -137,6 +137,32 @@ class TestSimState:
         with pytest.raises(ValueError, match="divergence"):
             state.validate()
 
+    @pytest.mark.parametrize("length", [1e-5, TWO_PI, 1e5])
+    def test_divergence_check_is_free_of_the_length_unit(self, length):
+        """A divergence-free velocity passes at any L, and the same
+        velocity with a divergent part fails: the divergence, which scales
+        as 1/L, is measured against |u| times 2 pi / L."""
+        grid = make_grid(16, length)
+        x, y = grid.nodes()
+        s = TWO_PI / length
+        swirl = np.stack([np.sin(s * x) * np.cos(s * y), -np.cos(s * x) * np.sin(s * y)])
+        zero = const(grid, 0)
+        stress, rho = StressField(zero, zero, const(grid, 2)), const(grid, 1)
+        SimState(0.0, vector_field(grid, swirl), stress, rho).validate()
+        bad = swirl + 1e-9 * np.stack([np.sin(s * x), 0.0 * x])
+        with pytest.raises(ValueError, match="divergence"):
+            SimState(0.0, vector_field(grid, bad), stress, rho).validate()
+
+    @pytest.mark.parametrize("amplitude", [1e-200, 2.3e-251])
+    def test_tiny_divergence_free_velocity_passes(self, grid32, amplitude):
+        """|u|'s squares underflow at these amplitudes; the check measures
+        |u| on the velocity scaled to a unit peak instead."""
+        x, y = grid32.nodes()
+        swirl = amplitude * np.stack([np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)])
+        zero = const(grid32, 0)
+        SimState(0.0, vector_field(grid32, swirl), StressField(zero, zero, const(grid32, 2)),
+                 const(grid32, 1)).validate()
+
     def test_negative_rho_rejected(self, grid32):
         zero = const(grid32, 0)
         u = vector_field(grid32, np.zeros((2, 32, 32)))

@@ -22,7 +22,7 @@ from oldb2d import (
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.config import parse_config, build_initial
 from oldb2d.dynamics import _terms, explicit_terms, pack_state, unpack_state
-from oldb2d.spectral import irfft2
+from oldb2d.spectral import irfft2, rfft2
 
 from oracles import measured_orders, relaxation_exact
 
@@ -323,6 +323,7 @@ class TestOneEvaluationPerState:
         cfg, initial = self._setup(ONE_EVALUATION_CONFIGS[name])
         advances = count_calls(monkeypatch, integrate, "_advance")
         terms = count_calls(monkeypatch, dynamics, "_terms")
+        passes = count_calls(monkeypatch, spectral, "dealiased_products")
         inverse = count_calls(monkeypatch, spectral, "irfft2")
         unpacks = count_calls(monkeypatch, dynamics, "unpack_state")
         traj = run(initial, cfg.params, cfg.control, cfg.monitors)
@@ -337,7 +338,11 @@ class TestOneEvaluationPerState:
         # only its six real planes.
         evaluated = steps + final_recorded
         assert len(terms) == evaluated + 2 * steps
-        planes = sum(int(np.prod(args[0].shape[:-2])) for args in inverse)
+        # Inverse planes: the product pass transforms the first `depth`
+        # planes of its stack, `irfft2` every plane it is given.
+        planes = (sum(args[2] for args in passes)
+                  + sum(int(np.prod(args[0].shape[:-2])) for args in inverse))
+        assert len(passes) == len(terms)
         assert planes == 18 * evaluated + 17 * 2 * steps + 6 * (not final_recorded)
         assert unpacks == []
 
@@ -370,18 +375,21 @@ class TestOneEvaluationPerState:
         """Peak traced allocation of one warm CFL-limited run at n=128, in
         packed-state units (6 half-spectrum planes; six real planes are
         about one unit too).  The warm-up run leaves `_terms`' scratch
-        stacks allocated, so the measured run allocates none: it peaks at
-        6.76 units.  The bound sits less than one unit above, so keeping
-        one more state-sized array alive through a step fails.  (With the
-        scratch freed first the peak is 12.72 units: the stacks are then
-        allocated inside the run, beside the factor memo's recompute.)"""
+        allocated (the kept-column stack and the two row blocks), so the
+        measured run allocates none: it peaks at 6.51 units.  The bound
+        sits less than one unit above, so keeping one more state-sized
+        array alive through a step fails.  (With the scratch freed first
+        the peak is 11.97 units: the buffers are then allocated inside the
+        run, beside the factor memo's recompute.)"""
         cfg, initial = self._setup("n=128\npreset=random_admissible\nseed=3\n"
                                    "amplitude=2.0\nt_end=0.03\noutput_every=1000000\n")
         unit = pack_state(initial).nbytes
         run(initial, cfg.params, cfg.control, cfg.monitors)
         n = cfg.n
+        rows = min(n, spectral._BLOCK_BYTES // (18 * n * 8))
+        assert rows < n  # two blocks, the last one ragged
         held = sum(buf.nbytes for buf in dynamics._SCRATCH._buffers.values())
-        assert held == 18 * n * (n // 2 + 1) * 16 + 18 * n * n * 8
+        assert held == 18 * n * (n // 3 + 1) * 16 + (18 + 6) * rows * n * 8
         tracemalloc.start()
         try:
             traj = run(initial, cfg.params, cfg.control, cfg.monitors)
@@ -389,13 +397,30 @@ class TestOneEvaluationPerState:
         finally:
             tracemalloc.stop()
         assert traj.final_state.time == pytest.approx(0.03)
-        assert peak <= 7.2 * unit, peak / unit
+        assert peak <= 7.0 * unit, peak / unit
+
+
+def reference_terms(grid, params, sh, planes):
+    """`_terms` written full width: the whole (depth, n, n//2+1) derivative
+    stack through `irfft2`, the products on the whole grid, `rfft2` and the
+    mask."""
+    n = grid.n
+    depth = 18 if planes else 17
+    stack = np.concatenate([sh[0:2], grid.ikx * sh, grid.iky * sh, sh[2:depth - 12]])
+    real = irfft2(stack, n)
+    nh = rfft2(dynamics._products(real, np.empty((6, n, n)))) * grid.mask
+    ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
+    nh[0] += params.bigK * (grid.ikx * (0.5 * ch + ah) + grid.iky * bh)
+    nh[1] += params.bigK * (grid.ikx * bh + grid.iky * (0.5 * ch - ah))
+    nh[4] += 4.0 * params.k * rh
+    return (nh, real[dynamics._STATE_PLANES]) if planes else nh
 
 
 class TestTransformScratch:
-    """`_terms` reuses one 18-plane complex stack and one 18-plane real
-    stack across calls; nothing it returns aliases them, and a change of
-    grid replaces them without changing any result."""
+    """`_terms` holds one complex derivative stack of the kept columns and
+    two row blocks across calls, and its product pass is bit-identical to
+    the full-width transforms; nothing it returns aliases the scratch, and
+    a change of grid replaces the buffers without changing any result."""
 
     @staticmethod
     def _packed(n, seed):
@@ -404,12 +429,36 @@ class TestTransformScratch:
                                               kmax=n // 4, amp=0.4, u_amp=0.3)
         return grid, pack_state(state)
 
+    @staticmethod
+    def _assert_matches_reference(grid, sh):
+        nh, reals = _terms(grid, PARAMS, sh, planes=True)
+        want_nh, want_reals = reference_terms(grid, PARAMS, sh, planes=True)
+        assert np.array_equal(nh, want_nh)
+        assert np.array_equal(reals, want_reals)
+        assert np.array_equal(reals, irfft2(sh, grid.n))
+        assert np.array_equal(_terms(grid, PARAMS, sh),
+                              reference_terms(grid, PARAMS, sh, planes=False))
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_bit_identical_to_full_width(self, n):
+        grid, sh = self._packed(n, 4)
+        assert np.any(sh[..., grid.kept_columns - 1] != 0)  # the last kept column is live
+        self._assert_matches_reference(grid, sh)
+
+    def test_ragged_row_blocks(self, monkeypatch):
+        """A budget of 5 rows at n=16 gives blocks of 5, 5, 5 and 1 rows."""
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 5 * 18 * 16 * 8)
+        monkeypatch.setattr(dynamics, "_SCRATCH", spectral._Scratch())
+        grid, sh = self._packed(16, 5)
+        self._assert_matches_reference(grid, sh)
+        assert dynamics._SCRATCH._buffers["real"].shape == (18, 5, 16)
+
     def test_outputs_own_their_memory(self):
         grid, sh = self._packed(16, 1)
         _, sh2 = self._packed(16, 2)
         nh, reals = _terms(grid, PARAMS, sh, planes=True)
         held = list(dynamics._SCRATCH._buffers.values())
-        assert len(held) == 2
+        assert len(held) == 3
         for out in (nh, reals):
             assert not any(np.shares_memory(out, buf) for buf in held)
         kept = nh.copy(), reals.copy()
@@ -417,19 +466,29 @@ class TestTransformScratch:
         _terms(grid, PARAMS, sh2)
         assert np.array_equal(nh, kept[0]) and np.array_equal(reals, kept[1])
 
+    def test_held_scratch_below_one_real_stack(self, monkeypatch):
+        """At n=256 the kept-column stack and the row blocks together hold
+        less than the 18-plane real stack a full-width pass needs (the
+        full-width design held that plus an 18-plane complex stack)."""
+        monkeypatch.setattr(dynamics, "_SCRATCH", spectral._Scratch())
+        grid, sh = self._packed(256, 6)
+        _terms(grid, PARAMS, sh, planes=True)
+        held = sum(buf.nbytes for buf in dynamics._SCRATCH._buffers.values())
+        assert held < 18 * 256 * 256 * 8, held
+
     def test_grid_changes_match_fresh_scratch(self, monkeypatch):
-        """Runs at n=16, 32 and 16 again, sharing the scratch, give the bits
-        of the same runs each on a fresh scratch."""
+        """Runs at n=16, 128 (two row blocks) and 16 again, sharing the
+        scratch, give the bits of the same runs each on a fresh scratch."""
         texts = {n: f"n={n}\npreset=random_admissible\nseed=3\namplitude=1.0\n"
-                    "t_end=0.02\nsnapshot_times=0.01\n" for n in (16, 32)}
+                    "t_end=0.02\nsnapshot_times=0.01\n" for n in (16, 128)}
 
         def solve(n):
             cfg = parse_config(texts[n])
             initial = build_initial(cfg, make_grid(n, cfg.length))
             return run(initial, cfg.params, cfg.control, cfg.monitors)
 
-        shared = [solve(n) for n in (16, 32, 16)]
-        for n, got in zip((16, 32, 16), shared):
+        shared = [solve(n) for n in (16, 128, 16)]
+        for n, got in zip((16, 128, 16), shared):
             monkeypatch.setattr(dynamics, "_SCRATCH", spectral._Scratch())
             want = solve(n)
             assert [r.norms.values for r in got.records] == \
