@@ -33,6 +33,7 @@ from .fields import (
     matrix_from_stress,
     min_eigenvalue,
     norms,
+    sim_state,
     stress_from_matrix,
 )
 from .integrate import (

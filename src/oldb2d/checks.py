@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import diagnostics, dynamics, picard, snapshots
-from .fields import PhysParams, SimState, StressField, norms
+from .fields import PhysParams, SimState, norms
 from .integrate import StepControl, run, step
 from .spectral import (
     dealias,
@@ -73,14 +73,7 @@ def band_limited_admissible_state(grid, seed: int, kmax: int,
     peak = np.max(np.abs(u))
     if peak > 0:
         u *= u_amp / peak
-    state = SimState(
-        time=0.0,
-        u=vector_field(grid, u),
-        stress=StressField(
-            scalar_field(grid, a), scalar_field(grid, b), scalar_field(grid, c)
-        ),
-        rho=scalar_field(grid, rho),
-    )
+    state = SimState(0.0, grid, np.stack([*u, a, b, c, rho]))
     assert diagnostics.positivity_report(state, 1e-10).passed
     return state
 
@@ -156,7 +149,7 @@ def check_gamma_equivalence(cfg) -> CheckResult:
 
 def check_trace_bound(cfg) -> CheckResult:
     state = _random_state(cfg, n=min(cfg.n, 32))
-    a, b, c = (f.values for f in (state.stress.a, state.stress.b, state.stress.c))
+    a, b, c = state.planes[2:5]
     lhs = 2.0 * np.mean(np.sqrt(a * a + b * b))
     rhs = np.mean(c)
     return _result("fields.trace_bound", lhs <= rhs * (1 + 1e-12),
@@ -216,7 +209,7 @@ def check_cubic_cancellation(cfg) -> CheckResult:
     state = _random_state(cfg, n=min(cfg.n, 32))
     g = state.grid
     strain = dynamics.strain_decompose(state.u)
-    a, b, c = (f.values for f in (state.stress.a, state.stress.b, state.stress.c))
+    a, b, c = state.planes[2:5]
     u1, u2 = state.u.values
 
     # Work of (-u.grad u + K div sigma) against 2u plus the trace-equation
@@ -266,11 +259,7 @@ def check_equilibrium_fixed_point(cfg) -> CheckResult:
     # The explicit source holds the fixed point to O((2k dt)^4 * k dt) per
     # step, so a small step keeps the drift at rounding level.
     out = step(state, 1e-3, cfg.params)
-    gap = max(
-        np.max(np.abs(out.u.values - state.u.values)),
-        np.max(np.abs(out.stress.c.values - state.stress.c.values)),
-        np.max(np.abs(out.rho.values - state.rho.values)),
-    )
+    gap = np.max(np.abs(out.planes - state.planes))
     return _result("integrate.equilibrium_fixed_point", gap <= 1e-13,
                    f"max drift {gap:.2e}")
 
@@ -282,9 +271,8 @@ def check_temporal_order(cfg) -> CheckResult:
     exact = 2.0 * rho0 + (c0 - 2.0 * rho0) * np.exp(-2.0 * params.k * t_end)
 
     def solve(dt):
-        base = cfgmod.build_initial(replace(cfg, preset="equilibrium", n=8, rho0=rho0), grid)
-        c = scalar_field(grid, np.full((8, 8), c0))
-        state = SimState(0.0, base.u, StressField(base.stress.a, base.stress.b, c), base.rho)
+        state = cfgmod.build_initial(replace(cfg, preset="equilibrium", n=8, rho0=rho0), grid)
+        state.planes[4] = c0
         steps = int(round(t_end / dt))
         for _ in range(steps):
             state = step(state, dt, params)
@@ -356,7 +344,7 @@ def check_energy_budget_gate(cfg) -> CheckResult:
 def check_positivity_scan(cfg) -> CheckResult:
     state = _random_state(cfg, n=min(cfg.n, 32))
     rep = diagnostics.positivity_report(state, tol=1e-8)
-    a, b, c = (f.values for f in (state.stress.a, state.stress.b, state.stress.c))
+    a, b, c = state.planes[2:5]
     eigs = np.linalg.eigvalsh(
         np.moveaxis(np.array([[0.5 * c + a, b], [b, 0.5 * c - a]]), (0, 1), (-2, -1))
     )
@@ -494,14 +482,8 @@ def check_picard_stepper_agreement(cfg) -> CheckResult:
         den = np.sqrt(np.mean(fb ** 2))
         return num / max(den, 1e-300)
 
-    gaps = [
-        rel(mild.u.values, stepped.u.values),
-        rel(mild.stress.a.values, stepped.stress.a.values),
-        rel(mild.stress.b.values, stepped.stress.b.values),
-        rel(mild.stress.c.values, stepped.stress.c.values),
-        rel(mild.rho.values, stepped.rho.values),
-    ]
-    worst = max(gaps)
+    # u's two planes form one field; a, b, c and rho one each.
+    worst = max(rel(mild.planes[p], stepped.planes[p]) for p in (slice(0, 2), 2, 3, 4, 5))
     return _result("picard.stepper_agreement", worst <= 1e-4,
                    f"worst relative L2 gap {worst:.2e}")
 
@@ -511,11 +493,7 @@ def check_determinism(cfg) -> CheckResult:
     grid = make_grid(tweaked.n, tweaked.length)
     s1 = cfgmod.build_initial(tweaked, grid)
     s2 = cfgmod.build_initial(tweaked, grid)
-    same = (
-        np.array_equal(s1.u.values, s2.u.values)
-        and np.array_equal(s1.stress.c.values, s2.stress.c.values)
-        and np.array_equal(s1.rho.values, s2.rho.values)
-    )
+    same = np.array_equal(s1.planes, s2.planes)
     return _result("cli_io.determinism", same, "seeded builds are bit-identical")
 
 
@@ -526,16 +504,7 @@ def check_snapshot_roundtrip(cfg) -> CheckResult:
         path = os.path.join(tmp, "state.snap")
         snapshots.write_snapshot(state, path)
         back = snapshots.read_snapshot(path, grid)
-    same = all(
-        np.array_equal(a, b)
-        for a, b in (
-            (state.u.values, back.u.values),
-            (state.stress.a.values, back.stress.a.values),
-            (state.stress.b.values, back.stress.b.values),
-            (state.stress.c.values, back.stress.c.values),
-            (state.rho.values, back.rho.values),
-        )
-    )
+    same = np.array_equal(state.planes, back.planes)
     return _result("cli_io.snapshot_roundtrip", same, "bitwise round trip")
 
 

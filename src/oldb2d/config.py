@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import positivity_report
-from .fields import PhysParams, SimState, StressField
+from .fields import PLANES, PhysParams, SimState
 from .integrate import Monitors, StepControl
-from .spectral import SpectralGrid, irfft2, rfft2, scalar_field, vector_field
+from .spectral import SpectralGrid, irfft2, rfft2
 
 
 class ConfigError(ValueError):
@@ -207,30 +207,19 @@ def band_limited_random(grid: SpectralGrid, rng: np.random.Generator,
 
 
 def _uniform_state(grid, rho0: float) -> SimState:
-    c = scalar_field(grid, np.full((grid.n, grid.n), 2.0 * rho0))
-    zero = scalar_field(grid, np.zeros((grid.n, grid.n)))
-    return SimState(
-        time=0.0,
-        u=vector_field(grid, np.zeros((2, grid.n, grid.n))),
-        stress=StressField(zero, zero, c),
-        rho=scalar_field(grid, np.full((grid.n, grid.n), rho0)),
-    )
+    planes = np.zeros((len(PLANES), grid.n, grid.n))
+    planes[4] = 2.0 * rho0
+    planes[5] = rho0
+    return SimState(0.0, grid, planes)
 
 
 def _taylor_green_state(grid, amplitude: float) -> SimState:
     x, y = grid.nodes()
     scale = 2.0 * np.pi / grid.length
-    u = np.stack([
-        amplitude * np.sin(scale * x) * np.cos(scale * y),
-        -amplitude * np.cos(scale * x) * np.sin(scale * y),
-    ])
-    zero = scalar_field(grid, np.zeros((grid.n, grid.n)))
-    return SimState(
-        time=0.0,
-        u=vector_field(grid, u),
-        stress=StressField(zero, zero, zero),
-        rho=zero,
-    )
+    planes = np.zeros((len(PLANES), grid.n, grid.n))
+    planes[0] = amplitude * np.sin(scale * x) * np.cos(scale * y)
+    planes[1] = -amplitude * np.cos(scale * x) * np.sin(scale * y)
+    return SimState(0.0, grid, planes)
 
 
 def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
@@ -256,13 +245,7 @@ def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
 
     coeffs = rfft2(np.stack([*u, a, b, c, rho]))
     coeffs *= grid.mask
-    vals = irfft2(coeffs, grid.n, overwrite_x=True)
-    return SimState(
-        time=0.0,
-        u=vector_field(grid, vals[0:2]),
-        stress=StressField(*(scalar_field(grid, x) for x in vals[2:5])),
-        rho=scalar_field(grid, vals[5]),
-    )
+    return SimState(0.0, grid, irfft2(coeffs, grid.n, overwrite_x=True))
 
 
 def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:
@@ -291,9 +274,7 @@ def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:
         else:
             raise ConfigError(f"unknown preset {cfg.preset!r}")
 
-    planes = (state.u.values, state.stress.a.values, state.stress.b.values,
-              state.stress.c.values, state.rho.values)
-    peak = float(np.max([np.max(np.abs(p)) for p in planes]))
+    peak = float(np.max([np.max(np.abs(p)) for p in state.planes]))
     if not math.isfinite(peak):
         raise ConfigError(f"preset {cfg.preset!r} produced a non-finite field value")
     # The norms and the quadratic terms square field values and weight

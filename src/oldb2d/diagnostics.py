@@ -21,15 +21,11 @@ from .fields import (
     NormReport,
     PhysParams,
     SimState,
-    StressField,
     _parseval,
-    _unmasked,
-    gamma_field,
-    min_eigenvalue,
     norms,
     packed_norms,
 )
-from .spectral import SpectralGrid, ddx, laplacian, scalar_field
+from .spectral import SpectralGrid, ddx, laplacian, rfft2, scalar_field
 from .units import CM, DIMENSIONLESS, MIXED, SEC, UnitValue, uexp, uv
 
 
@@ -114,7 +110,7 @@ class BoundCheckReport:
 def packed_energy(grid: SpectralGrid, params: PhysParams, sh: np.ndarray,
                   reals: np.ndarray) -> EnergyLedger:
     """The energy ledger from half-spectrum coefficients `sh` and real planes
-    `reals`, both ordered (u1, u2, a, b, c, rho) as in `fields.packed_norms`."""
+    `reals`, both ordered as `fields.PLANES`."""
     area = grid.area
     u1, u2, _, _, c, rho = reals
     cbar = float(np.mean(c))
@@ -126,16 +122,18 @@ def packed_energy(grid: SpectralGrid, params: PhysParams, sh: np.ndarray,
 
 
 def energy_ledger(state: SimState, params: PhysParams) -> EnergyLedger:
-    return packed_energy(state.grid, params, *_unmasked(state))
+    return packed_energy(state.grid, params, rfft2(state.planes), state.planes)
 
 
-def _positivity(stress: StressField, rho: np.ndarray, tol: float) -> PositivityReport:
-    c = stress.c.values
-    gam = gamma_field(stress).values
-    eig = min_eigenvalue(stress).values
+def _positivity(planes: np.ndarray, tol: float) -> PositivityReport:
+    """The positivity scan of state planes (6, n, n): extremes of c and rho,
+    and min gamma = c - 2 r and the min eigenvalue c/2 - r from one root
+    r = sqrt(a^2 + b^2).  `tol` only decides `passed`."""
+    a, b, c, rho = planes[2:6]
+    root = np.sqrt(a * a + b * b)
     max_c = float(np.max(c))
     max_rho = float(np.max(rho))
-    min_gamma = float(np.min(gam))
+    min_gamma = float(np.min(c - 2.0 * root))
     min_rho = float(np.min(rho))
     passed = (
         min_gamma >= -tol * max(1.0, max_c)
@@ -144,7 +142,7 @@ def _positivity(stress: StressField, rho: np.ndarray, tol: float) -> PositivityR
     return PositivityReport(
         min_c=float(np.min(c)),
         min_gamma=min_gamma,
-        min_eig=float(np.min(eig)),
+        min_eig=float(np.min(0.5 * c - root)),
         min_rho=min_rho,
         max_c=max_c,
         max_rho=max_rho,
@@ -154,7 +152,7 @@ def _positivity(stress: StressField, rho: np.ndarray, tol: float) -> PositivityR
 
 
 def positivity_report(state: SimState, tol: float) -> PositivityReport:
-    return _positivity(state.stress, state.rho.values, tol)
+    return _positivity(state.planes, tol)
 
 
 def _packed_momentum_residual(grid: SpectralGrid, params: PhysParams, sh: np.ndarray,
@@ -187,13 +185,12 @@ def make_record(grid: SpectralGrid, params: PhysParams, time: float, sh: np.ndar
     """One diagnostics record of an accepted state, from what the stepper's
     one evaluation of it, `dynamics._terms(sh, planes=True)`, holds: the
     half-spectrum coefficients `sh`, the real planes `reals`, both ordered
-    (u1, u2, a, b, c, rho), and the unprojected force `force` = nh[0:2],
+    as `fields.PLANES`, and the unprojected force `force` = nh[0:2],
     read before the stepper projects it.  No transform of the state is
     repeated here."""
     rep = packed_norms(grid, sh, reals)
     led = packed_energy(grid, params, sh, reals)
-    stress = StressField(*(scalar_field(grid, x) for x in reals[2:5]))
-    pos = _positivity(stress, reals[5], tol=0.0)
+    pos = _positivity(reals, tol=0.0)
     return DiagnosticsRecord(
         time=time,
         energy=led.energy,
@@ -379,7 +376,7 @@ def determinant_residual(states, params: PhysParams, *, informational: bool = Fa
     g = states[0].grid
 
     def det_values(s: SimState):
-        a, b, c = s.stress.a.values, s.stress.b.values, s.stress.c.values
+        a, b, c = s.planes[2:5]
         return 0.25 * c * c - a * a - b * b
 
     worst = 0.0
@@ -390,11 +387,10 @@ def determinant_residual(states, params: PhysParams, *, informational: bool = Fa
         d = det_values(s)
         dh = scalar_field(g, d).as_spectral()
         d1, d2 = ddx(dh, 1).values, ddx(dh, 2).values
-        u1, u2 = s.u.values
-        a, b, c = s.stress.a.values, s.stress.b.values, s.stress.c.values
+        u1, u2, a, b, c, rho = s.planes
         resid = (
             ddt + u1 * d1 + u2 * d2 + 4.0 * params.k * d
-            - 2.0 * params.k * s.rho.values * c
+            - 2.0 * params.k * rho * c
         )
         if params.kappa != 0.0:
             lap = lambda f: laplacian(scalar_field(g, f)).values

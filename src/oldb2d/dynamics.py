@@ -7,8 +7,9 @@ product is dealiased again immediately (2/3 rule), so transport integrals
 are exact divergences at the discrete level.
 
 The core assembly operates on packed half-spectrum (rfft2) arrays of shape
-(6, n, n//2+1) ordered as (u1, u2, a, b, c, rho); the time stepper and the
-field-level operations below share it.
+(6, n, n//2+1) ordered as `fields.PLANES`, the spectrum of
+`SimState.planes`; the time stepper and the field-level operations below
+share it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import PhysParams, SimState, StressField
+from .fields import PhysParams, SimState
 from .spectral import (
     ScalarField,
     SpectralGrid,
@@ -43,36 +44,14 @@ class StrainDecomposition:
 
 def pack_state(state: SimState) -> np.ndarray:
     """Half-spectrum coefficients (6, n, n//2+1), dealiased on entry."""
-    stack = np.stack([
-        state.u.values[0],
-        state.u.values[1],
-        state.stress.a.values,
-        state.stress.b.values,
-        state.stress.c.values,
-        state.rho.values,
-    ])
-    return rfft2(stack) * state.grid.mask
-
-
-def _state_from_planes(grid: SpectralGrid, reals: np.ndarray, time: float) -> SimState:
-    """A `SimState` on the real planes (6, n, n) ordered as `pack_state`."""
-    return SimState(
-        time=time,
-        u=vector_field(grid, reals[0:2].copy()),
-        stress=StressField(
-            scalar_field(grid, reals[2]),
-            scalar_field(grid, reals[3]),
-            scalar_field(grid, reals[4]),
-        ),
-        rho=scalar_field(grid, reals[5]),
-    )
+    return rfft2(state.planes) * state.grid.mask
 
 
 def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
-    return _state_from_planes(grid, irfft2(sh, grid.n), time)
+    return SimState(time, grid, irfft2(sh, grid.n))
 
 
-# Planes of the real derivative stack that hold (u1, u2, a, b, c, rho).
+# Planes of the real derivative stack that hold the state's `PLANES`.
 _STATE_PLANES = [0, 1, 14, 15, 16, 17]
 
 # `_terms`' derivative stack and `dealiased_products`' row blocks, held
@@ -115,9 +94,10 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     stress) are excluded.
 
     With `planes=True` rho joins the inverse transform and the result is
-    `(nh, reals)`, where `reals` holds the state's own real planes
-    (u1, u2, a, b, c, rho), bit-identical to `irfft2(sh, n)`: one
-    evaluation serves the monitors, a record and the first RK stage.
+    `(nh, reals)`, where `reals` is a fresh array of the state's own real
+    planes, bit-identical to `irfft2(sh, n)` and fit to be a
+    `SimState.planes`: one evaluation serves the monitors, a record and the
+    first RK stage.
 
     The derivative stack (u, d1 sh, d2 sh, a, b, c[, rho]) holds only the
     kept columns of `sh`, since the rest are zero, and the product pass

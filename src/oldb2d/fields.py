@@ -103,18 +103,40 @@ def gamma_field(s: StressField) -> ScalarField:
     return scalar_field(s.grid, c - 2.0 * np.sqrt(a * a + b * b))
 
 
-@dataclass(frozen=True)
+# The order of the packed state planes, in `SimState.planes`, the stepper's
+# half spectrum and snapshot files.
+PLANES = ("u1", "u2", "a", "b", "c", "rho")
+
+
+@dataclass(frozen=True, eq=False)
 class SimState:
-    """The coupled unknowns (u, sigma, rho) at one time instant."""
+    """The coupled unknowns (u, sigma, rho) at one time instant, held as one
+    real (6, n, n) array `planes` ordered as `PLANES`.  `u`, `stress` and
+    `rho` are views of it; `sim_state` stacks a state from component
+    fields."""
 
     time: float
-    u: VectorField
-    stress: StressField
-    rho: ScalarField
+    grid: SpectralGrid
+    planes: np.ndarray
+
+    def __post_init__(self):
+        shape = (len(PLANES), self.grid.n, self.grid.n)
+        if self.planes.shape != shape:
+            raise ValueError(f"state planes have shape {self.planes.shape}, expected {shape}")
+        if self.planes.dtype != np.float64:
+            raise ValueError(f"state planes must be float64, not {self.planes.dtype}")
 
     @property
-    def grid(self) -> SpectralGrid:
-        return self.u.grid
+    def u(self) -> VectorField:
+        return VectorField(self.grid, self.planes[0:2])
+
+    @property
+    def stress(self) -> StressField:
+        return StressField(*(ScalarField(self.grid, p) for p in self.planes[2:5]))
+
+    @property
+    def rho(self) -> ScalarField:
+        return ScalarField(self.grid, self.planes[5])
 
     def validate(self):
         """Check the construction invariants: u divergence-free, rho >= 0.
@@ -129,9 +151,20 @@ class SimState:
         size = peak * l2_scale(self.grid, u.data / peak) if peak > 0.0 else 0.0
         if np.max(np.abs(du)) > 1e-12 * max(k_low * size, 1e-300):
             raise ValueError("velocity is not divergence-free")
-        r = self.rho.values
+        r = self.planes[5]
         if np.min(r) < -1e-10 * max(float(np.max(r)), 1.0):
             raise ValueError("rho has a negative excursion beyond tolerance")
+
+
+def sim_state(time, u: VectorField, stress: StressField, rho: ScalarField) -> SimState:
+    """A `SimState` stacked from component fields in either space; the one
+    place that copies components into the packed layout."""
+    grid = u.grid
+    if not (same_grid(grid, stress.grid) and same_grid(grid, rho.grid)):
+        raise ValueError("state components must share a grid")
+    return SimState(time, grid, np.stack(
+        [*u.values, stress.a.values, stress.b.values, stress.c.values, rho.values],
+        dtype=float))
 
 
 @dataclass(frozen=True)
@@ -195,25 +228,16 @@ def _parseval(grid, weight, *coeffs) -> float:
     return grid.area * sum(float(np.vdot(ch, w * ch).real) for ch in coeffs)
 
 
-def _unmasked(state: SimState):
-    """rfft2 coefficients and real planes of (u1, u2, a, b, c, rho), without
-    the dealias mask: masking would move the norms of any state that is not
-    band-limited."""
-    reals = np.stack([
-        state.u.values[0], state.u.values[1], state.stress.a.values,
-        state.stress.b.values, state.stress.c.values, state.rho.values,
-    ])
-    return rfft2(reals), reals
-
-
 def norms(state: SimState) -> NormReport:
-    """Every norm used by the diagnostics and the a priori bound ledger."""
-    return packed_norms(state.grid, *_unmasked(state))
+    """Every norm used by the diagnostics and the a priori bound ledger.
+    The planes are not masked: masking would move the norms of any state
+    that is not band-limited."""
+    return packed_norms(state.grid, rfft2(state.planes), state.planes)
 
 
 def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> NormReport:
     """`norms` from half-spectrum coefficients `sh` (6, n, n//2+1) and real
-    planes `reals` (6, n, n), both ordered (u1, u2, a, b, c, rho).
+    planes `reals` (6, n, n), both ordered as `PLANES`.
 
     The stress L^1 norm is the trace integral; L^2-type stress norms are
     Frobenius, i.e. the density c^2/2 + 2a^2 + 2b^2 in (a, b, c) variables.

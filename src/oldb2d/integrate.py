@@ -18,7 +18,6 @@ import numpy as np
 from . import diagnostics
 from .dynamics import (
     _project_velocity,
-    _state_from_planes,
     _terms,
     explicit_terms,
     pack_state,
@@ -61,7 +60,6 @@ class Monitors:
     rho_tol: float = 1e-6
     energy_tol: float = 1e-2
     c_ceiling: float = 1e12
-    check_energy: bool = True
 
 
 class MonitorViolation(RuntimeError):
@@ -91,10 +89,17 @@ class Trajectory:
 
 def _step_dt(grid: SpectralGrid, ctl: StepControl, u: np.ndarray, t: float) -> float:
     """`run`'s step rule at time t: the advective CFL step of the velocity
-    planes `u`, capped at dt_max and at the time left to t_end.  Diffusion
-    and damping impose no constraint: integrating factors absorb them
-    exactly.  A non-finite speed raises `nan` and a CFL step below dt_min
-    raises `dt_underflow`; neither becomes a dt."""
+    planes `u`, capped at dt_max and at the time left to t_end.  A
+    non-finite speed raises `nan` and a CFL step below dt_min raises
+    `dt_underflow`; neither becomes a dt.
+
+    The rule has no stiffness bound, yet diffusion and damping do limit the
+    step: `_advance`'s stage 2 multiplies by 0.25 exp(+lam dt / 2), with
+    lam = kappa |k|^2 + 2k up to its largest kept value, which amplifies
+    the stiffest modes.  On `random_admissible` data at n=32, runs with
+    lam dt / 2 up to about 8 passed and one at about 20 failed; past 709
+    the factor overflows.  The monitors stop such a run (`energy`,
+    `overflow` or `nan`)."""
     umax = float(np.max(np.abs(u)))
     if not math.isfinite(umax):
         raise MonitorViolation("nan", t, umax, "non-finite velocity")
@@ -207,33 +212,27 @@ def _check_monitors(mon: Monitors, params: PhysParams, t: float, dt: float,
                     reals: np.ndarray, prev, led) -> None:
     """The monitors after `nan`, in the documented tie-break order, on the
     real planes `reals` of the state accepted at t after a step dt, whose
-    energy ledger is `led` (`prev` before the step)."""
-    c = reals[4]
-    rho = reals[5]
-    c_max = float(np.max(c))
-    if c_max > mon.c_ceiling:
+    energy ledger is `led` (`prev` before the step).  One positivity scan
+    gives every extreme they read."""
+    pos = diagnostics._positivity(reals, 0.0)
+    if pos.max_c > mon.c_ceiling:
         raise MonitorViolation(
-            "overflow", t, c_max, f"max c exceeded the ceiling {mon.c_ceiling:.3e}"
+            "overflow", t, pos.max_c, f"max c exceeded the ceiling {mon.c_ceiling:.3e}"
         )
-    scale_c = max(1.0, c_max)
-    min_c = float(np.min(c))
-    if min_c < -mon.positivity_tol * scale_c:
-        raise MonitorViolation("positivity", t, min_c, "min c went negative")
-    min_rho = float(np.min(rho))
-    if min_rho < -mon.rho_tol * max(1.0, float(np.max(rho))):
-        raise MonitorViolation("positivity", t, min_rho, "min rho went negative")
-    a, b = reals[2], reals[3]
-    min_gamma = float(np.min(c - 2.0 * np.sqrt(a * a + b * b)))
-    if min_gamma < -mon.positivity_tol * scale_c:
-        raise MonitorViolation("gamma", t, min_gamma, "min gamma went negative")
-    if mon.check_energy:
-        rate_excess = (led.energy - prev.energy) / dt - (-led.dissipation + led.source)
-        scale = max(led.dissipation, led.source, abs(led.energy) * params.k, 1e-300)
-        if rate_excess > mon.energy_tol * scale:
-            raise MonitorViolation(
-                "energy", t, rate_excess,
-                "energy production rate exceeded dissipation + source budget",
-            )
+    scale_c = max(1.0, pos.max_c)
+    if pos.min_c < -mon.positivity_tol * scale_c:
+        raise MonitorViolation("positivity", t, pos.min_c, "min c went negative")
+    if pos.min_rho < -mon.rho_tol * max(1.0, pos.max_rho):
+        raise MonitorViolation("positivity", t, pos.min_rho, "min rho went negative")
+    if pos.min_gamma < -mon.positivity_tol * scale_c:
+        raise MonitorViolation("gamma", t, pos.min_gamma, "min gamma went negative")
+    rate_excess = (led.energy - prev.energy) / dt - (-led.dissipation + led.source)
+    scale = max(led.dissipation, led.source, abs(led.energy) * params.k, 1e-300)
+    if rate_excess > mon.energy_tol * scale:
+        raise MonitorViolation(
+            "energy", t, rate_excess,
+            "energy production rate exceeded dissipation + source budget",
+        )
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -249,10 +248,11 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
 
     Each accepted state is transformed once.  After the `nan` check, one
     `dynamics._terms(sh, planes=True)` evaluation gives its real planes,
-    which the monitors, the energy, a record, snapshots and kept states
-    read, and its explicit terms: a due record reads their unprojected
-    force, then they are projected in place and become the next step's
-    first stage.  The final state needs no next stage: it gets a 6-plane
+    which the monitors, the energy and a record read and which become the
+    one `SimState` that snapshots, kept states, the determinant window and
+    the final state share, and its explicit terms: a due record reads their unprojected force,
+    then they are projected in place and become the next step's first
+    stage.  The final state needs no next stage: it gets a 6-plane
     inverse transform, and the evaluation only when a record is due there.
     """
     mon = monitors or Monitors()
@@ -269,8 +269,7 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     snapshots: list = []
     pending_snaps = sorted(ctl.snapshot_times)
 
-    # (time, real planes) of the last three states for the determinant
-    # residual; their SimStates are built only when a record is taken.
+    # The last three states, for the determinant residual.
     window: list = []
     det_window = params.kappa == 0.0
 
@@ -285,39 +284,37 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
             nh, reals = _terms(grid, params, sh, planes=True)
         else:
             reals = irfft2(sh, grid.n)
+        state = SimState(t, grid, reals)
         prev, led = led, diagnostics.packed_energy(grid, params, sh, reals)
 
         if step_index:
             _check_monitors(mon, params, t, dt, reals, prev, led)
             while pending_snaps and t >= pending_snaps[0] - eps_end:
                 pending_snaps.pop(0)
-                snapshots.append((t, _state_from_planes(grid, reals, t)))
+                snapshots.append((t, state))
 
         if det_window:
-            window.append((t, reals))
+            window.append(state)
             if len(window) > 3:
                 window.pop(0)
 
         if due:
             det_res = float("nan")
             if len(window) == 3:
-                t0, t1, t2 = (w[0] for w in window)
+                t0, t1, t2 = (w.time for w in window)
                 if abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t2 - t1, 1e-300):
-                    det_res = diagnostics.determinant_residual(
-                        [_state_from_planes(grid, w[1], w[0]) for w in window], params
-                    )
+                    det_res = diagnostics.determinant_residual(window, params)
             records.append(diagnostics.make_record(grid, params, t, sh, reals, nh[0:2],
                                                    determinant_residual=det_res))
             if states is not None:
-                states.append(_state_from_planes(grid, reals, t))
+                states.append(state)
 
         if not more:
-            return Trajectory(records, snapshots, states,
-                              _state_from_planes(grid, reals, t))
+            return Trajectory(records, snapshots, states, state)
 
         dt = _step_dt(grid, ctl, reals[0:2], t)
         _project_velocity(grid, nh)
-        del reals
+        del reals, state
         sh = _advance(grid, params, sh, dt, nh)
         del nh
         t += dt

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SimState, StressField, PhysParams
+from .fields import PhysParams, SimState, StressField, sim_state
 from .spectral import (
     ScalarField,
     SpectralGrid,
@@ -41,8 +41,6 @@ from .spectral import (
     _Scratch,
     irfft2,
     rfft2,
-    scalar_field,
-    vector_field,
 )
 
 _SUBSTEP_CFL = 0.5       # frozen-velocity transport uses the stepper's default
@@ -104,14 +102,8 @@ class MildTrajectory:
     rho: np.ndarray    # (m, n, n//2+1) half spectrum
 
     def state(self, j: int) -> SimState:
-        g = self.grid
-        a, b, c = irfft2(self.abc[j], g.n)
-        return SimState(
-            time=float(self.times[j]),
-            u=vector_field(g, irfft2(self.u[j], g.n)),
-            stress=StressField(scalar_field(g, a), scalar_field(g, b), scalar_field(g, c)),
-            rho=scalar_field(g, irfft2(self.rho[j], g.n)),
-        )
+        sh = np.concatenate([self.u[j], self.abc[j], self.rho[j, None]])
+        return SimState(float(self.times[j]), self.grid, irfft2(sh, self.grid.n))
 
 
 def _accumulate(g_path: np.ndarray, decay: np.ndarray, ds: float) -> np.ndarray:
@@ -352,9 +344,7 @@ def _initial_coeffs(u0: VectorField, sigma0: StressField, rho0: ScalarField,
                     grid: SpectralGrid):
     """Dealiased half-spectrum coefficients of the data, u0 projected; one
     `rfft2` over the six planes."""
-    values = np.stack([u0.values[0], u0.values[1], sigma0.a.values,
-                       sigma0.b.values, sigma0.c.values, rho0.values])
-    coeffs = rfft2(values) * grid.mask
+    coeffs = rfft2(sim_state(0.0, u0, sigma0, rho0).planes) * grid.mask
     u0h = _project_path(grid, coeffs[None, 0:2])[0]
     return u0h, coeffs[2:5], coeffs[5]
 

@@ -2,8 +2,9 @@
 
 Snapshot layout (little-endian): magic "OLDB2D01", format version u32,
 n u32, L f64, time f64, field count u32, then per field a u8 name length,
-the ASCII name, and n*n f64 row-major values.  Field data round-trips
-bit-exactly.
+the ASCII name, and n*n f64 row-major values.  A state is written as its
+planes, in `fields.PLANES` order; the reader takes the fields in any order.
+Field data round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -14,42 +15,29 @@ import struct
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .fields import SimState, StressField
-from .spectral import SpectralGrid, scalar_field, vector_field
+from .fields import PLANES, SimState
+from .spectral import SpectralGrid
 
 MAGIC = b"OLDB2D01"
 VERSION = 1
 _HEADER = struct.Struct("<8sIIddI")
-_FIELD_ORDER = ("u1", "u2", "a", "b", "c", "rho")
 
 
 class SnapshotFormatError(ValueError):
     pass
 
 
-def _state_fields(state: SimState) -> dict:
-    u = state.u.values
-    return {
-        "u1": u[0],
-        "u2": u[1],
-        "a": state.stress.a.values,
-        "b": state.stress.b.values,
-        "c": state.stress.c.values,
-        "rho": state.rho.values,
-    }
-
-
 def write_snapshot(state: SimState, path) -> None:
+    """Write the state's planes as field blocks named and ordered by `PLANES`."""
     grid = state.grid
-    fields = _state_fields(state)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, grid.n, grid.length,
-                              state.time, len(_FIELD_ORDER)))
-        for name in _FIELD_ORDER:
+                              state.time, len(PLANES)))
+        for name, plane in zip(PLANES, state.planes):
             encoded = name.encode("ascii")
             fh.write(struct.pack("<B", len(encoded)))
             fh.write(encoded)
-            fh.write(np.ascontiguousarray(fields[name], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(plane, dtype="<f8").tobytes())
 
 
 def read_snapshot(path, grid: SpectralGrid) -> SimState:
@@ -70,7 +58,8 @@ def read_snapshot(path, grid: SpectralGrid) -> SimState:
 
     offset = _HEADER.size
     block = 8 * n * n
-    fields = {}
+    planes = np.empty((len(PLANES), n, n))
+    seen = set()
     for _ in range(field_count):
         if offset + 1 > len(blob):
             raise SnapshotFormatError("truncated snapshot: missing field header")
@@ -80,29 +69,20 @@ def read_snapshot(path, grid: SpectralGrid) -> SimState:
             raise SnapshotFormatError("truncated snapshot: incomplete field block")
         name = blob[offset:offset + name_len].decode("ascii")
         offset += name_len
-        if name in fields:
+        if name in seen:
             raise SnapshotFormatError(f"duplicate field {name!r}")
-        if name not in _FIELD_ORDER:
+        if name not in PLANES:
             raise SnapshotFormatError(f"unexpected field {name!r}")
+        seen.add(name)
         data = np.frombuffer(blob[offset:offset + block], dtype="<f8")
-        fields[name] = data.astype(np.float64).reshape(n, n)
+        planes[PLANES.index(name)] = data.reshape(n, n)
         offset += block
     if offset != len(blob):
         raise SnapshotFormatError("trailing bytes after the last field block")
-    missing = [name for name in _FIELD_ORDER if name not in fields]
+    missing = [name for name in PLANES if name not in seen]
     if missing:
         raise SnapshotFormatError(f"missing fields: {missing}")
-
-    return SimState(
-        time=time,
-        u=vector_field(grid, np.stack([fields["u1"], fields["u2"]])),
-        stress=StressField(
-            scalar_field(grid, fields["a"]),
-            scalar_field(grid, fields["b"]),
-            scalar_field(grid, fields["c"]),
-        ),
-        rho=scalar_field(grid, fields["rho"]),
-    )
+    return SimState(time, grid, planes)
 
 
 TIMESERIES_COLUMNS = (

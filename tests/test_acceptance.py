@@ -13,7 +13,6 @@ import pytest
 from oldb2d import (
     PhysParams,
     PicardConfig,
-    SimState,
     StepControl,
     StressField,
     apriori_ledger,
@@ -28,6 +27,7 @@ from oldb2d import (
     picard_iterate,
     run,
     scalar_field,
+    sim_state,
     stress_rhs,
     vector_field,
 )
@@ -73,7 +73,7 @@ class TestCriterion1:
         dt = 1e-3 / k
         grid = make_grid(32, TWO_PI)
         zero = scalar_field(grid, np.zeros((32, 32)))
-        state = SimState(
+        state = sim_state(
             0.0,
             vector_field(grid, np.zeros((2, 32, 32))),
             StressField(zero, zero, scalar_field(grid, np.full((32, 32), c0))),
@@ -236,7 +236,7 @@ class TestCriterion7:
         uh = rfft2(u)
         w22 = float(np.sqrt(_sobolev_sq(grid, uh[None], 2)[0]))
         u *= 0.1 / w22
-        state = SimState(
+        state = sim_state(
             0.0,
             vector_field(grid, u),
             StressField(scalar_field(grid, a), scalar_field(grid, b),

@@ -1,23 +1,24 @@
 import os
 import re
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from oldb2d import (
-    SimState,
     StressField,
     make_grid,
     run,
     scalar_field,
+    sim_state,
     vector_field,
 )
 from oldb2d.cli import main
 from oldb2d.config import ConfigError, build_initial, parse_config
 from oldb2d.diagnostics import make_record, positivity_report
 from oldb2d.dynamics import _terms, pack_state
-from oldb2d.fields import min_eigenvalue
+from oldb2d.fields import PLANES, min_eigenvalue
 from oldb2d.snapshots import (
     TIMESERIES_COLUMNS,
     SnapshotFormatError,
@@ -129,6 +130,26 @@ class TestSnapshots:
         assert np.array_equal(back.stress.b.values, state.stress.b.values)
         assert np.array_equal(back.stress.c.values, state.stress.c.values)
         assert np.array_equal(back.rho.values, state.rho.values)
+
+    def test_blocks_are_the_planes_in_order(self, tmp_path):
+        state, grid = self._state()
+        path = tmp_path / "state.snap"
+        write_snapshot(state, path)
+        blob = path.read_bytes()
+        header = struct.Struct("<8sIIddI")
+        magic, version, n, length, time, count = header.unpack_from(blob, 0)
+        assert (magic, version, n, length, time, count) == (
+            b"OLDB2D01", 1, grid.n, grid.length, state.time, len(PLANES))
+        offset, names, data = header.size, [], b""
+        for _ in range(count):
+            size = blob[offset]
+            names.append(blob[offset + 1:offset + 1 + size].decode("ascii"))
+            offset += 1 + size
+            data += blob[offset:offset + 8 * n * n]
+            offset += 8 * n * n
+        assert offset == len(blob)
+        assert tuple(names) == PLANES
+        assert data == state.planes.tobytes()
 
     def test_truncated_file(self, tmp_path):
         state, grid = self._state()
@@ -575,10 +596,10 @@ class TestCliMain:
             u, a, c = np.zeros((2, 16, 16)), ones, ones
         else:
             u, a, c = np.stack([np.sin(x), 0.0 * x]), 0.0 * ones, 2.0 * ones
-        state = SimState(0.0, vector_field(grid, u),
-                         StressField(scalar_field(grid, a), scalar_field(grid, 0.0 * ones),
+        state = sim_state(0.0, vector_field(grid, u),
+                          StressField(scalar_field(grid, a), scalar_field(grid, 0.0 * ones),
                                      scalar_field(grid, c)),
-                         scalar_field(grid, ones))
+                          scalar_field(grid, ones))
         snap = tmp_path / "bad.snap"
         write_snapshot(state, snap)
         cfg_path = self._write_cfg(tmp_path, f"n=16\npreset=snapshot:{snap}\n")

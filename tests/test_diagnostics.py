@@ -3,7 +3,6 @@ import pytest
 
 from oldb2d import (
     PhysParams,
-    SimState,
     StressField,
     apriori_ledger,
     bound_check,
@@ -14,6 +13,7 @@ from oldb2d import (
     positivity_report,
     run,
     scalar_field,
+    sim_state,
     vector_field,
 )
 from oldb2d.checks import band_limited_admissible_state
@@ -34,7 +34,7 @@ def const(grid, value):
 
 def uniform_state(grid, c0, rho0, time=0.0):
     zero = const(grid, 0)
-    return SimState(
+    return sim_state(
         time,
         vector_field(grid, np.zeros((2, grid.n, grid.n))),
         StressField(zero, zero, const(grid, c0)),
@@ -66,8 +66,8 @@ class TestEnergyLedger:
     def test_taylor_green_values(self, grid64):
         x, y = grid64.nodes()
         zero = const(grid64, 0)
-        state = SimState(0.0, vector_field(grid64, taylor_green_velocity(x, y)),
-                         StressField(zero, zero, zero), zero)
+        state = sim_state(0.0, vector_field(grid64, taylor_green_velocity(x, y)),
+                          StressField(zero, zero, zero), zero)
         led = energy_ledger(state, PARAMS)
         # integral |u|^2 = 2 pi^2; integral |grad u|^2 = 2 * integral |u|^2
         assert led.energy == pytest.approx(2.0 * np.pi ** 2, rel=1e-12)
@@ -87,7 +87,7 @@ class TestPositivityReport:
 
     def test_constructed_violation(self, grid32):
         zero = const(grid32, 0)
-        state = SimState(
+        state = sim_state(
             0.0,
             vector_field(grid32, np.zeros((2, 32, 32))),
             StressField(const(grid32, 3), const(grid32, 4), const(grid32, 9.9)),
@@ -166,8 +166,8 @@ class TestAprioriLedger:
         # give nan; every bound past R0 must still read +inf.
         x, y = grid32.nodes()
         zero = const(grid32, 0)
-        state = SimState(0.0, vector_field(grid32, taylor_green_velocity(x, y)),
-                         StressField(zero, zero, zero), zero)
+        state = sim_state(0.0, vector_field(grid32, taylor_green_velocity(x, y)),
+                          StressField(zero, zero, zero), zero)
         params0 = PhysParams(nu=0.01, kappa=0.0, k=1.0, bigK=1.0)
         led = apriori_ledger(state, params0, 1.0)
         assert led.R0.value == pytest.approx(

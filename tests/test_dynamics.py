@@ -3,7 +3,6 @@ import pytest
 
 from oldb2d import (
     PhysParams,
-    SimState,
     StressField,
     determinant_rhs,
     divergence,
@@ -13,6 +12,7 @@ from oldb2d import (
     recover_pressure,
     rho_rhs,
     scalar_field,
+    sim_state,
     strain_decompose,
     stress_rhs,
     vector_field,
@@ -39,7 +39,7 @@ def const(grid, value):
 
 def uniform_state(grid, c0, rho0):
     zero = const(grid, 0)
-    return SimState(
+    return sim_state(
         0.0,
         vector_field(grid, np.zeros((2, grid.n, grid.n))),
         StressField(zero, zero, const(grid, c0)),
@@ -130,7 +130,7 @@ class TestStressRhs:
 
         def spectral_rates(grid):
             u, a, b, c, rho = analytic_fields(grid)
-            state = SimState(
+            state = sim_state(
                 0.0,
                 vector_field(grid, u),
                 StressField(scalar_field(grid, a), scalar_field(grid, b),
@@ -188,7 +188,7 @@ class TestMomentumRhs:
         x, y = grid32.nodes()
         rho = 1.0 + 0.5 * np.cos(x) * np.sin(y)
         zero = const(grid32, 0)
-        state = SimState(
+        state = sim_state(
             0.0,
             vector_field(grid32, np.zeros((2, 32, 32))),
             StressField(zero, zero, scalar_field(grid32, 2.0 * rho)),
@@ -203,7 +203,7 @@ class TestMomentumRhs:
         x, y = grid64.nodes()
         u_vals = taylor_green_velocity(x, y)
         zero = const(grid64, 0)
-        state = SimState(
+        state = sim_state(
             0.0,
             vector_field(grid64, u_vals),
             StressField(zero, zero, zero),
@@ -232,14 +232,14 @@ class TestMomentumRhs:
 class TestRhoRhs:
     def test_uniform_rho(self, grid32):
         state = band_limited_admissible_state(grid32, seed=13, kmax=4)
-        state = SimState(0.0, state.u, state.stress, const(grid32, 1.0))
+        state = sim_state(0.0, state.u, state.stress, const(grid32, 1.0))
         assert np.max(np.abs(rho_rhs(state).values)) <= 1e-13
 
     def test_zero_velocity(self, grid32):
         state = uniform_state(grid32, c0=2.0, rho0=1.0)
         x, y = grid32.nodes()
-        state = SimState(0.0, state.u, state.stress,
-                         scalar_field(grid32, 1.0 + 0.3 * np.cos(x)))
+        state = sim_state(0.0, state.u, state.stress,
+                          scalar_field(grid32, 1.0 + 0.3 * np.cos(x)))
         assert np.max(np.abs(rho_rhs(state).values)) == 0.0
 
     def test_streamline_constant_density(self, grid32):
@@ -253,7 +253,7 @@ class TestRhoRhs:
         psih = rfft2(psi)
         u = irfft2(np.stack([-grid32.iky * psih, grid32.ikx * psih]), 32)
         zero = const(grid32, 0)
-        state = SimState(
+        state = sim_state(
             0.0,
             vector_field(grid32, u),
             StressField(zero, zero, const(grid32, 2)),
@@ -281,7 +281,7 @@ class TestRecoverPressure:
         x, y = grid32.nodes()
         rho = 1.0 + 0.5 * np.cos(x) * np.sin(y)
         zero = const(grid32, 0)
-        state = SimState(
+        state = sim_state(
             0.0,
             vector_field(grid32, np.zeros((2, 32, 32))),
             StressField(zero, zero, scalar_field(grid32, 2.0 * rho)),
@@ -301,7 +301,7 @@ class TestRecoverPressure:
         x, y = grid64.nodes()
         zero = const(grid64, 0)
         u_vals = taylor_green_velocity(x, y)
-        state = SimState(
+        state = sim_state(
             0.0,
             vector_field(grid64, u_vals),
             StressField(zero, zero, zero),

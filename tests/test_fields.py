@@ -13,6 +13,7 @@ from oldb2d import (
     min_eigenvalue,
     norms,
     scalar_field,
+    sim_state,
     stress_from_matrix,
     vector_field,
 )
@@ -128,12 +129,31 @@ class TestGamma:
 
 
 class TestSimState:
+    @pytest.mark.parametrize("shape,dtype,match", [
+        ((5, 32, 32), float, "shape"),
+        ((6, 32, 17), float, "shape"),
+        ((6, 16, 16), float, "shape"),
+        ((6, 32, 32), complex, "float64"),
+    ])
+    def test_planes_of_the_wrong_shape_or_type_rejected(self, grid32, shape, dtype, match):
+        with pytest.raises(ValueError, match=match):
+            SimState(0.0, grid32, np.zeros(shape, dtype))
+
+    def test_sim_state_rejects_components_on_different_grids(self, grid32):
+        grid16 = make_grid(16, TWO_PI)
+        u = vector_field(grid32, np.zeros((2, 32, 32)))
+        zero32, zero16 = const(grid32, 0), const(grid16, 0)
+        with pytest.raises(ValueError, match="share a grid"):
+            sim_state(0.0, u, StressField(zero32, zero32, zero32), zero16)
+        with pytest.raises(ValueError, match="share a grid"):
+            sim_state(0.0, u, StressField(zero16, zero16, zero16), zero32)
+
     def test_divergence_free_enforced(self, grid32):
         x, _ = grid32.nodes()
         bad_u = vector_field(grid32, np.stack([np.sin(x), np.zeros_like(x)]))
         zero = const(grid32, 0)
-        state = SimState(0.0, bad_u, StressField(zero, zero, const(grid32, 2)),
-                         const(grid32, 1))
+        state = sim_state(0.0, bad_u, StressField(zero, zero, const(grid32, 2)),
+                          const(grid32, 1))
         with pytest.raises(ValueError, match="divergence"):
             state.validate()
 
@@ -148,10 +168,10 @@ class TestSimState:
         swirl = np.stack([np.sin(s * x) * np.cos(s * y), -np.cos(s * x) * np.sin(s * y)])
         zero = const(grid, 0)
         stress, rho = StressField(zero, zero, const(grid, 2)), const(grid, 1)
-        SimState(0.0, vector_field(grid, swirl), stress, rho).validate()
+        sim_state(0.0, vector_field(grid, swirl), stress, rho).validate()
         bad = swirl + 1e-9 * np.stack([np.sin(s * x), 0.0 * x])
         with pytest.raises(ValueError, match="divergence"):
-            SimState(0.0, vector_field(grid, bad), stress, rho).validate()
+            sim_state(0.0, vector_field(grid, bad), stress, rho).validate()
 
     @pytest.mark.parametrize("amplitude", [1e-200, 2.3e-251])
     def test_tiny_divergence_free_velocity_passes(self, grid32, amplitude):
@@ -160,14 +180,14 @@ class TestSimState:
         x, y = grid32.nodes()
         swirl = amplitude * np.stack([np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)])
         zero = const(grid32, 0)
-        SimState(0.0, vector_field(grid32, swirl), StressField(zero, zero, const(grid32, 2)),
-                 const(grid32, 1)).validate()
+        sim_state(0.0, vector_field(grid32, swirl), StressField(zero, zero, const(grid32, 2)),
+                  const(grid32, 1)).validate()
 
     def test_negative_rho_rejected(self, grid32):
         zero = const(grid32, 0)
         u = vector_field(grid32, np.zeros((2, 32, 32)))
-        state = SimState(0.0, u, StressField(zero, zero, const(grid32, 2)),
-                         const(grid32, -1.0))
+        state = sim_state(0.0, u, StressField(zero, zero, const(grid32, 2)),
+                          const(grid32, -1.0))
         with pytest.raises(ValueError, match="rho"):
             state.validate()
 
@@ -175,7 +195,7 @@ class TestSimState:
 class TestNorms:
     def test_constant_fields(self, grid64):
         zero = const(grid64, 0)
-        state = SimState(
+        state = sim_state(
             0.0,
             vector_field(grid64, np.zeros((2, 64, 64))),
             StressField(zero, zero, const(grid64, 2)),  # identity matrix
@@ -190,7 +210,7 @@ class TestNorms:
     def test_shear_velocity_against_quadrature(self, grid64):
         _, y = grid64.nodes()
         zero = const(grid64, 0)
-        state = SimState(
+        state = sim_state(
             0.0,
             vector_field(grid64, np.stack([np.sin(y), np.zeros_like(y)])),
             StressField(zero, zero, zero),
@@ -206,7 +226,7 @@ class TestNorms:
 
         # Relabel x <-> y: velocity components swap and transpose, a flips
         # sign, b and the scalars transpose.
-        swapped = SimState(
+        swapped = sim_state(
             0.0,
             vector_field(grid32, np.stack([state.u.values[1].T, state.u.values[0].T])),
             StressField(
@@ -239,9 +259,9 @@ class TestNorms:
         frob = 0.5 * c * c + 2.0 * a * a + 2.0 * b * b
         u_l4 = (np.mean((u1 * u1 + u2 * u2) ** 2) * grid32.area) ** 0.25
         sigma_l4 = (np.mean(frob * frob) * grid32.area) ** 0.25
-        big = SimState(0.0, vector_field(grid32, scale * state.u.values),
-                       StressField(*(scalar_field(grid32, scale * v) for v in (a, b, c))),
-                       state.rho)
+        big = sim_state(0.0, vector_field(grid32, scale * state.u.values),
+                        StressField(*(scalar_field(grid32, scale * v) for v in (a, b, c))),
+                        state.rho)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = norms(big)

@@ -10,12 +10,12 @@ from oldb2d import diagnostics, dynamics, integrate, spectral
 from oldb2d import (
     MonitorViolation,
     PhysParams,
-    SimState,
     StepControl,
     StressField,
     make_grid,
     run,
     scalar_field,
+    sim_state,
     step,
     vector_field,
 )
@@ -36,7 +36,7 @@ def const(grid, value):
 
 def uniform_state(grid, c0, rho0):
     zero = const(grid, 0)
-    return SimState(
+    return sim_state(
         0.0,
         vector_field(grid, np.zeros((2, grid.n, grid.n))),
         StressField(zero, zero, const(grid, c0)),
@@ -125,7 +125,7 @@ class TestStep:
         assert min(measured_orders(errors)) >= 1.9, errors
 
     def test_rejects_nonadmissible_state(self, grid32):
-        bad = SimState(
+        bad = sim_state(
             0.0,
             vector_field(grid32, np.zeros((2, 32, 32))),
             StressField(const(grid32, 3), const(grid32, 4), const(grid32, 5)),
@@ -573,7 +573,7 @@ class TestRun:
         state = uniform_state(grid, 2.0, 1.0)
         u = np.zeros((2, 16, 16))
         u[0, 2, 3] = np.nan
-        state = SimState(0.0, vector_field(grid, u), state.stress, state.rho)
+        state = sim_state(0.0, vector_field(grid, u), state.stress, state.rho)
 
         def no_evaluation(*args, **kwargs):
             raise AssertionError("evaluated a non-finite state")
@@ -612,6 +612,19 @@ class TestRun:
         t_snap, snap = traj.snapshots[0]
         assert t_snap == pytest.approx(0.05, abs=1e-9)
         assert snap.time == t_snap
+
+    def test_snapshot_and_final_states_are_views_of_one_evaluation(self):
+        cfg = parse_config("n=16\npreset=random_admissible\ndt_min=0.01\ndt_max=0.01\n"
+                           "t_end=0.05\noutput_every=2\nsnapshot_times=0.02,0.05\n")
+        grid = make_grid(16, cfg.length)
+        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        (_, mid), (_, last) = traj.snapshots
+        final = traj.final_state
+        assert last is final
+        assert not np.shares_memory(mid.planes, final.planes)
+        for state in (mid, final):
+            views = (state.u, state.stress.a, state.stress.b, state.stress.c, state.rho)
+            assert all(np.shares_memory(f.values, state.planes) for f in views)
 
     def test_record_cadence(self):
         cfg = parse_config("n=16\npreset=equilibrium\ndt_min=0.01\ndt_max=0.01\n"

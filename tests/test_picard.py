@@ -5,7 +5,6 @@ from oldb2d import (
     PhysParams,
     PicardConfig,
     PicardDivergenceError,
-    SimState,
     StepControl,
     StressField,
     contraction_estimate,
@@ -13,6 +12,7 @@ from oldb2d import (
     picard_iterate,
     run,
     scalar_field,
+    sim_state,
     vector_field,
 )
 from oldb2d import picard as picard_mod
@@ -43,7 +43,7 @@ def const(grid, value):
 
 def uniform_state(grid, c0, rho0):
     zero = const(grid, 0)
-    return SimState(
+    return sim_state(
         0.0,
         vector_field(grid, np.zeros((2, grid.n, grid.n))),
         StressField(zero, zero, const(grid, c0)),
