@@ -29,12 +29,8 @@ from .fields import (
     PhysParams,
     SimState,
     StressField,
-    gamma_field,
-    matrix_from_stress,
-    min_eigenvalue,
     norms,
     sim_state,
-    stress_from_matrix,
 )
 from .integrate import (
     MonitorViolation,
@@ -56,18 +52,15 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     VectorField,
-    curl,
     ddx,
     dealias,
     divergence,
     heat_semigroup,
-    invert_laplacian,
     laplacian,
     leray_project,
     make_grid,
     scalar_field,
     vector_field,
-    velocity_from_vorticity,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

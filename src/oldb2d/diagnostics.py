@@ -52,7 +52,6 @@ class DiagnosticsRecord:
     c_max: float
     norms: NormReport
     determinant_residual: float
-    momentum_residual: float
 
 
 @dataclass(frozen=True)
@@ -155,39 +154,27 @@ def positivity_report(state: SimState, tol: float) -> PositivityReport:
     return _positivity(state.planes, tol)
 
 
-def _packed_momentum_residual(grid: SpectralGrid, params: PhysParams, sh: np.ndarray,
-                              f: np.ndarray) -> float:
-    """L^2 norm of (force - grad p) - du from the unprojected explicit force
-    f = `dynamics._terms(sh)[0:2]`: force = f + nu lap(u) before projection,
-    p solves lap(p) = div(f), and du = P(f) + nu lap(u) is the
-    Leray-projected rate the stepper integrates.  The pressure gradient must
-    reproduce the removed gradient part."""
-    visc = -params.nu * grid.k_sq * sh[0:2]
-    ik = np.stack([grid.ikx, grid.iky])
-    k = np.stack([grid.kx, grid.ky])
-    ph = -grid.inv_k_sq_d * np.sum(ik * f, axis=0)
-    kd = grid.inv_k_sq_d * np.sum(k * f, axis=0)
-    r = (f + visc) - ik * ph - (f - k * kd + visc)
-    return math.sqrt(_parseval(grid, 1.0, r[0], r[1]))
-
-
 def momentum_residual(state: SimState, params: PhysParams) -> float:
-    """L^2 norm of (unprojected force - grad p) - momentum_rhs; the pressure
-    recovery must reproduce the discarded gradient part to rounding."""
-    sh = dynamics.pack_state(state)
-    return _packed_momentum_residual(state.grid, params, sh,
-                                     dynamics._terms(state.grid, params, sh)[0:2])
+    """L^2 norm, by Parseval, of `dynamics.unprojected_force` - grad
+    `dynamics.recover_pressure` - `dynamics.momentum_rhs`: the recovered
+    pressure must reproduce the gradient part that the Leray projection
+    removes, to rounding."""
+    g = state.grid
+    ph = dynamics.recover_pressure(state, params).coeffs
+    r = (dynamics.unprojected_force(state, params).coeffs
+         - np.stack([g.ikx * ph, g.iky * ph])
+         - dynamics.momentum_rhs(state, params).coeffs)
+    return math.sqrt(_parseval(g, 1.0, *r))
 
 
 def make_record(grid: SpectralGrid, params: PhysParams, time: float, sh: np.ndarray,
-                reals: np.ndarray, force: np.ndarray, *,
+                reals: np.ndarray, *,
                 determinant_residual: float = float("nan")) -> DiagnosticsRecord:
     """One diagnostics record of an accepted state, from what the stepper's
     one evaluation of it, `dynamics._terms(sh, planes=True)`, holds: the
-    half-spectrum coefficients `sh`, the real planes `reals`, both ordered
-    as `fields.PLANES`, and the unprojected force `force` = nh[0:2],
-    read before the stepper projects it.  No transform of the state is
-    repeated here."""
+    half-spectrum coefficients `sh` and the real planes `reals`, both
+    ordered as `fields.PLANES`.  No transform of the state is repeated
+    here."""
     rep = packed_norms(grid, sh, reals)
     led = packed_energy(grid, params, sh, reals)
     pos = _positivity(reals, tol=0.0)
@@ -200,10 +187,9 @@ def make_record(grid: SpectralGrid, params: PhysParams, time: float, sh: np.ndar
         min_rho=pos.min_rho,
         min_c=pos.min_c,
         min_eig=pos.min_eig,
-        c_max=rep["c_max"],
+        c_max=pos.max_c,
         norms=rep,
         determinant_residual=determinant_residual,
-        momentum_residual=_packed_momentum_residual(grid, params, sh, force),
     )
 
 
@@ -289,10 +275,6 @@ def apriori_ledger(initial: SimState, params: PhysParams, T: float,
     )
 
 
-def _records_of(traj) -> list:
-    return list(traj.records) if hasattr(traj, "records") else list(traj)
-
-
 def _running_sup(times, sup_part, integrand, coeff) -> float:
     """max over t of [sup_part(t) + coeff * integral_0^t integrand ds] by
     trapezoid over the recorded times."""
@@ -328,13 +310,14 @@ def _budget_rows(times, column, ledger: BoundLedger, params: PhysParams,
 
 def bound_check(traj, ledger: BoundLedger, params: PhysParams,
                 rel_tol: float = 1e-6) -> BoundCheckReport:
-    """Compare trajectory norms against the ledger.
+    """Compare the norms of the records of `traj`, an
+    `integrate.Trajectory`, against the ledger.
 
     The R0 row is the constant-free energy budget and a strict pass/fail
     (see `_budget_rows`).  The remaining rows carry generic constants, so
     only observed/bound ratios are reported.
     """
-    recs = _records_of(traj)
+    recs = traj.records
     times = np.array([r.time for r in recs])
 
     def series(key):

@@ -9,7 +9,6 @@ equivalent to gamma = c - 2*sqrt(a^2 + b^2) >= 0 pointwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .spectral import (
     l2_scale,
     rfft2,
     same_grid,
-    scalar_field,
 )
 from .units import CM, DIMENSIONLESS, MIXED, SEC
 
@@ -62,45 +60,6 @@ class StressField:
     @property
     def grid(self) -> SpectralGrid:
         return self.a.grid
-
-    def as_real(self) -> "StressField":
-        return StressField(self.a.as_real(), self.b.as_real(), self.c.as_real())
-
-
-def stress_from_matrix(s11: ScalarField, s12: ScalarField, s22: ScalarField) -> StressField:
-    """Convert matrix components to (a, b, c) = ((s11-s22)/2, s12, s11+s22)."""
-    if not (same_grid(s11.grid, s12.grid) and same_grid(s11.grid, s22.grid)):
-        raise ValueError("matrix components must share a grid")
-    g = s11.grid
-    v11, v12, v22 = s11.values, s12.values, s22.values
-    return StressField(
-        scalar_field(g, 0.5 * (v11 - v22)),
-        scalar_field(g, v12.copy()),
-        scalar_field(g, v11 + v22),
-    )
-
-
-def matrix_from_stress(s: StressField):
-    """Matrix components (s11, s12, s22) recovered from (a, b, c)."""
-    g = s.grid
-    a, b, c = s.a.values, s.b.values, s.c.values
-    return (
-        scalar_field(g, 0.5 * c + a),
-        scalar_field(g, b.copy()),
-        scalar_field(g, 0.5 * c - a),
-    )
-
-
-def min_eigenvalue(s: StressField) -> ScalarField:
-    """Pointwise smaller eigenvalue c/2 - sqrt(a^2 + b^2)."""
-    a, b, c = s.a.values, s.b.values, s.c.values
-    return scalar_field(s.grid, 0.5 * c - np.sqrt(a * a + b * b))
-
-
-def gamma_field(s: StressField) -> ScalarField:
-    """Pointwise c - 2*sqrt(a^2 + b^2); twice the smaller eigenvalue."""
-    a, b, c = s.a.values, s.b.values, s.c.values
-    return scalar_field(s.grid, c - 2.0 * np.sqrt(a * a + b * b))
 
 
 # The order of the packed state planes, in `SimState.planes`, the stepper's
@@ -185,11 +144,9 @@ class NormReport:
 # dimensionless, with the L^p integral over a cm^2 area.
 _NORM_UNITS = {
     "u_L2": CM ** 2 / SEC,
-    "u_L4": CM ** Fraction(3, 2) / SEC,
     "grad_u_L2": CM / SEC,
     "sigma_L1": CM ** 2,
     "sigma_L2": CM,
-    "sigma_L4": CM ** Fraction(1, 2),
     "grad_sigma_L2": DIMENSIONLESS,
     "delta_sigma_L2": CM ** -1,
     "omega_L2": CM / SEC,
@@ -199,7 +156,6 @@ _NORM_UNITS = {
     "rho_L2": CM,
     "grad_rho_L2": DIMENSIONLESS,
     "rho_W12": MIXED,
-    "c_max": DIMENSIONLESS,
 }
 
 
@@ -208,16 +164,6 @@ def _sq_int(grid, *real_arrays) -> float:
     for arr in real_arrays:
         total += float(np.mean(arr * arr))
     return total * grid.area
-
-
-def _l4(grid, density) -> float:
-    """(int density^2)^(1/4) of a nonnegative pointwise density, such as
-    |u|^2, computed on density / max(density): no fourth power of a field
-    value is formed, so it cannot overflow."""
-    peak = float(np.max(density))
-    if peak == 0.0:
-        return 0.0
-    return np.sqrt(peak) * (float(np.mean((density / peak) ** 2)) * grid.area) ** 0.25
 
 
 def _parseval(grid, weight, *coeffs) -> float:
@@ -252,13 +198,11 @@ def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> NormR
 
     vals = {}
     vals["u_L2"] = np.sqrt(_sq_int(grid, u1, u2))
-    vals["u_L4"] = _l4(grid, u1 * u1 + u2 * u2)
     vals["grad_u_L2"] = np.sqrt(_parseval(grid, ksq, u1h, u2h))
 
     vals["sigma_L1"] = float(np.mean(c)) * area
     frob = 0.5 * c * c + 2.0 * a * a + 2.0 * b * b
     vals["sigma_L2"] = np.sqrt(float(np.mean(frob)) * area)
-    vals["sigma_L4"] = _l4(grid, frob)
     grad_sig_sq = (
         0.5 * _parseval(grid, ksq, ch)
         + 2.0 * _parseval(grid, ksq, ah, bh)
@@ -280,8 +224,6 @@ def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> NormR
     vals["rho_L2"] = np.sqrt(rho_l2_sq)
     vals["grad_rho_L2"] = np.sqrt(grad_rho_sq)
     vals["rho_W12"] = np.sqrt(rho_l2_sq + grad_rho_sq)
-
-    vals["c_max"] = float(np.max(c))
 
     vals = {k: float(v) for k, v in vals.items()}
     units = {k: str(_NORM_UNITS[k]) for k in vals}

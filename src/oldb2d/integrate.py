@@ -23,7 +23,7 @@ from .dynamics import (
     pack_state,
     unpack_state,
 )
-from .fields import PhysParams, SimState, gamma_field
+from .fields import PhysParams, SimState
 from .spectral import SpectralGrid, irfft2
 
 _UMAX_FLOOR = 1e-12  # advective speed floor so quiescent states hit dt_max
@@ -187,14 +187,12 @@ def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float,
 
 
 def _check_admissible(state: SimState, tol: float, where: str):
-    gam = gamma_field(state.stress).values
-    cmax = float(np.max(state.stress.c.values))
-    if not np.isfinite(gam).all():
+    pos = diagnostics._positivity(state.planes, tol)
+    # A +inf in c leaves min gamma finite but makes max c infinite.
+    if not (math.isfinite(pos.min_gamma) and math.isfinite(pos.max_c)):
         raise ValueError(f"{where}: non-finite stress")
-    if float(np.min(gam)) < -tol * max(1.0, cmax):
-        raise ValueError(
-            f"{where}: state is not admissible (min gamma = {float(np.min(gam)):.3e})"
-        )
+    if pos.min_gamma < -tol * max(1.0, pos.max_c):
+        raise ValueError(f"{where}: state is not admissible (min gamma = {pos.min_gamma:.3e})")
 
 
 def step(state: SimState, dt: float, params: PhysParams) -> SimState:
@@ -250,10 +248,9 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     `dynamics._terms(sh, planes=True)` evaluation gives its real planes,
     which the monitors, the energy and a record read and which become the
     one `SimState` that snapshots, kept states, the determinant window and
-    the final state share, and its explicit terms: a due record reads their unprojected force,
-    then they are projected in place and become the next step's first
-    stage.  The final state needs no next stage: it gets a 6-plane
-    inverse transform, and the evaluation only when a record is due there.
+    the final state share, and its explicit terms, which are projected in
+    place and become the next step's first stage.  The final state needs no
+    next stage: it gets a 6-plane inverse transform only.
     """
     mon = monitors or Monitors()
     grid = initial.grid
@@ -279,8 +276,7 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
         if not np.isfinite(sh).all():
             raise MonitorViolation("nan", t, float("nan"), "non-finite field value")
         more = t < t_end - eps_end
-        due = step_index % ctl.output_every == 0
-        if more or due:
+        if more:
             nh, reals = _terms(grid, params, sh, planes=True)
         else:
             reals = irfft2(sh, grid.n)
@@ -298,13 +294,13 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
             if len(window) > 3:
                 window.pop(0)
 
-        if due:
+        if step_index % ctl.output_every == 0:
             det_res = float("nan")
             if len(window) == 3:
                 t0, t1, t2 = (w.time for w in window)
                 if abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t2 - t1, 1e-300):
                     det_res = diagnostics.determinant_residual(window, params)
-            records.append(diagnostics.make_record(grid, params, t, sh, reals, nh[0:2],
+            records.append(diagnostics.make_record(grid, params, t, sh, reals,
                                                    determinant_residual=det_res))
             if states is not None:
                 states.append(state)

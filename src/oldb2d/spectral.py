@@ -164,7 +164,6 @@ class SpectralGrid:
     ikx: np.ndarray
     iky: np.ndarray
     k_sq: np.ndarray        # |k|^2, Nyquist modes included
-    inv_k_sq: np.ndarray    # 1/|k|^2 with the (0,0) entry set to zero
     inv_k_sq_d: np.ndarray  # 1/(kx^2 + ky^2) from the derivative wavenumbers
     mask: np.ndarray        # 2/3-rule dealias mask
     weights: np.ndarray     # Hermitian weights: 2 for every column whose
@@ -218,7 +217,7 @@ def make_grid(n: int, length: float) -> SpectralGrid:
     ky = np.where(kyi == n // 2, 0.0, ky)
     mask = (3 * np.abs(kxi) <= n) & (3 * kyi <= n)
     weights = np.where((kyi == 0) | (kyi == n // 2), 1.0, 2.0)
-    return SpectralGrid(n, length, kx, ky, 1j * kx, 1j * ky, k_sq, _reciprocal(k_sq),
+    return SpectralGrid(n, length, kx, ky, 1j * kx, 1j * ky, k_sq,
                         _reciprocal(kx * kx + ky * ky), mask, weights)
 
 
@@ -371,13 +370,6 @@ def divergence(v: VectorField) -> ScalarField:
     return _same_space_out(v, g.ikx * vh[0] + g.iky * vh[1], ScalarField)
 
 
-def curl(v: VectorField) -> ScalarField:
-    """Scalar curl d1 u2 - d2 u1."""
-    g = v.grid
-    vh = v.coeffs
-    return _same_space_out(v, g.ikx * vh[1] - g.iky * vh[0], ScalarField)
-
-
 def heat_semigroup(f, diffusivity: float, damping: float, t: float):
     """Apply exp(-(diffusivity*|k|^2 + damping) * t) per mode."""
     if t < 0.0:
@@ -393,25 +385,3 @@ def l2_scale(grid: SpectralGrid, coeffs: np.ndarray) -> float:
     """sqrt of the sum of |f_k|^2 over the full spectrum, from half-spectrum
     coefficients (the root mean square of the field, by Parseval)."""
     return float(np.sqrt(np.sum(grid.weights * np.abs(coeffs) ** 2)))
-
-
-def _require_zero_mean(grid, coeffs, what):
-    if abs(coeffs[0, 0]) > 1e-10 * max(l2_scale(grid, coeffs), 1e-300):
-        raise ValueError(f"{what} must have zero mean")
-
-
-def invert_laplacian(f: ScalarField) -> ScalarField:
-    """Solve laplacian(g) = f for zero-mean f; g gets the zero-mean gauge.
-    Uses the true |k|^2 on the Nyquist row and column."""
-    fh = f.coeffs
-    _require_zero_mean(f.grid, fh, "invert_laplacian input")
-    return _same_space_out(f, -f.grid.inv_k_sq * fh, ScalarField)
-
-
-def velocity_from_vorticity(omega: ScalarField) -> VectorField:
-    """Divergence-free velocity whose scalar curl is the given vorticity."""
-    g = omega.grid
-    wh = omega.coeffs
-    _require_zero_mean(g, wh, "vorticity")
-    psih = -g.inv_k_sq * wh  # streamfunction, laplacian(psi) = omega
-    return _same_space_out(omega, np.stack([-g.iky * psih, g.ikx * psih]), VectorField)

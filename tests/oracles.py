@@ -76,8 +76,7 @@ def measured_orders(errors):
 # Each takes and returns real arrays (n, n) or (2, n, n) on [0, L)^2 and runs
 # one complex np.fft.fft2 / ifft2 pair over the full (n, n) spectrum.  Odd
 # derivatives and the Leray projection use the wavenumbers with the Nyquist
-# frequency zeroed; the Laplacian, its inverse and the heat kernel use the
-# true |k|^2.
+# frequency zeroed; the Laplacian and the heat kernel use the true |k|^2.
 
 
 def _fft2_tables(n: int, length: float):
@@ -119,21 +118,10 @@ def fft2_heat(values, diffusivity, damping, t, length):
     return _fft2_apply(values, np.exp(-(diffusivity * k_sq + damping) * t))
 
 
-def fft2_invert_laplacian(values, length):
-    _, _, k_sq, _ = _fft2_tables(values.shape[-1], length)
-    return _fft2_apply(values, -_reciprocal(k_sq))
-
-
 def fft2_divergence(v, length):
     kx, ky, _, _ = _fft2_tables(v.shape[-1], length)
     vh = np.fft.fft2(v)
     return np.fft.ifft2(1j * kx * vh[0] + 1j * ky * vh[1]).real
-
-
-def fft2_curl(v, length):
-    kx, ky, _, _ = _fft2_tables(v.shape[-1], length)
-    vh = np.fft.fft2(v)
-    return np.fft.ifft2(1j * kx * vh[1] - 1j * ky * vh[0]).real
 
 
 def fft2_leray(v, length):
@@ -141,9 +129,3 @@ def fft2_leray(v, length):
     vh = np.fft.fft2(v)
     kd = (kx * vh[0] + ky * vh[1]) * _reciprocal(kx * kx + ky * ky)
     return np.fft.ifft2(np.stack([vh[0] - kx * kd, vh[1] - ky * kd])).real
-
-
-def fft2_velocity_from_vorticity(values, length):
-    kx, ky, k_sq, _ = _fft2_tables(values.shape[-1], length)
-    psih = -_reciprocal(k_sq) * np.fft.fft2(values)
-    return np.fft.ifft2(np.stack([-1j * ky * psih, 1j * kx * psih])).real

@@ -134,6 +134,17 @@ class TestStep:
         with pytest.raises(ValueError, match="admissible"):
             step(bad, 1e-3, PARAMS)
 
+    @pytest.mark.parametrize("plane,value", [(4, np.inf), (2, np.nan)])
+    def test_rejects_nonfinite_stress(self, grid32, plane, value):
+        """One +inf in c leaves min gamma finite, so the guard reads max c
+        too; one nan in a makes min gamma nan."""
+        bad = uniform_state(grid32, 2.0, 1.0)
+        bad.planes[plane, 3, 5] = value
+        with pytest.raises(ValueError, match="non-finite stress"):
+            step(bad, 1e-3, PARAMS)
+        with pytest.raises(ValueError, match="non-finite stress"):
+            run(bad, PARAMS, StepControl(t_end=1e-3))
+
     def test_rejects_nonpositive_dt(self, grid32):
         state = uniform_state(grid32, 2.0, 1.0)
         with pytest.raises(ValueError, match="dt"):
@@ -239,8 +250,8 @@ class TestAdvance:
 def reference_run(initial, params, ctl):
     """`run` without its monitors, written in the order of a design that
     transforms each state separately for each use: `irfft2` for the real
-    planes, `unpack_state` for every state it hands out, one `_terms` of its
-    own per record, and `explicit_terms` for every stage (`reference_advance`)."""
+    planes, `unpack_state` for every state it hands out, and
+    `explicit_terms` for every stage (`reference_advance`)."""
     grid = initial.grid
     sh = pack_state(initial)
     t = float(initial.time)
@@ -255,8 +266,7 @@ def reference_run(initial, params, ctl):
             if abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t2 - t1, 1e-300):
                 det_res = diagnostics.determinant_residual(
                     [unpack_state(grid, w_sh, w_t) for w_t, w_sh in window], params)
-        force = _terms(grid, params, sh)[0:2]
-        records.append(diagnostics.make_record(grid, params, t, sh, reals, force,
+        records.append(diagnostics.make_record(grid, params, t, sh, reals,
                                                determinant_residual=det_res))
 
     reals = irfft2(sh, grid.n)
@@ -333,17 +343,16 @@ class TestOneEvaluationPerState:
         assert steps >= 3
         assert len(traj.records) == 1 + steps // cfg.control.output_every
         assert final_recorded == (name == "monitored")
-        # One evaluation per state that steps on or is recorded, and stages
-        # 2 and 3 of each step; the final state, when not recorded, needs
-        # only its six real planes.
-        evaluated = steps + final_recorded
-        assert len(terms) == evaluated + 2 * steps
+        # One evaluation per state that steps on, and stages 2 and 3 of
+        # each step; the final state, recorded or not, needs only its six
+        # real planes.
+        assert len(terms) == 3 * steps
         # Inverse planes: the product pass transforms the first `depth`
         # planes of its stack, `irfft2` every plane it is given.
         planes = (sum(args[2] for args in passes)
                   + sum(int(np.prod(args[0].shape[:-2])) for args in inverse))
         assert len(passes) == len(terms)
-        assert planes == 18 * evaluated + 17 * 2 * steps + 6 * (not final_recorded)
+        assert planes == 18 * steps + 17 * 2 * steps + 6
         assert unpacks == []
 
     @pytest.mark.parametrize("name", sorted(ONE_EVALUATION_CONFIGS))

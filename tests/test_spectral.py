@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 
 from oldb2d import (
-    curl,
     ddx,
     dealias,
     divergence,
     heat_semigroup,
-    invert_laplacian,
     laplacian,
     leray_project,
     make_grid,
     scalar_field,
     vector_field,
-    velocity_from_vorticity,
 )
 from oldb2d.spectral import irfft2, rfft2
 
@@ -231,55 +228,6 @@ class TestHeatSemigroup:
             heat_semigroup(f, 0.1, 0.0, -1e-9)
 
 
-class TestInvertLaplacian:
-    def test_single_mode(self, grid64):
-        x, _ = grid64.nodes()
-        f = scalar_field(grid64, -np.sin(x))
-        assert np.max(np.abs(invert_laplacian(f).values - np.sin(x))) <= 1e-13
-
-    def test_inverse_composition(self, grid64):
-        rng = np.random.default_rng(8)
-        g = band_limited(grid64, rng)
-        g = scalar_field(grid64, g.values - np.mean(g.values))
-        back = invert_laplacian(laplacian(g)).values
-        assert np.max(np.abs(back - g.values)) <= 1e-12 * max(1.0, np.max(np.abs(g.values)))
-
-    def test_rejects_nonzero_mean(self, grid32):
-        f = scalar_field(grid32, np.ones((32, 32)))
-        with pytest.raises(ValueError):
-            invert_laplacian(f)
-
-
-class TestVelocityFromVorticity:
-    def test_two_mode_vortex(self, grid64):
-        # curl and divergence are the oracle: curl(u) must reproduce the
-        # input vorticity and div(u) must vanish.
-        x, y = grid64.nodes()
-        w = scalar_field(grid64, 2.0 * np.sin(x) * np.sin(y))
-        u = velocity_from_vorticity(w)
-        assert np.max(np.abs(curl(u).values - w.values)) <= 1e-12
-        assert np.max(np.abs(divergence(u).values)) <= 1e-12
-        assert np.max(np.abs(u.values[0] - np.sin(x) * np.cos(y))) <= 1e-12
-        assert np.max(np.abs(u.values[1] + np.cos(x) * np.sin(y))) <= 1e-12
-
-    def test_zero(self, grid32):
-        w = scalar_field(grid32, np.zeros((32, 32)))
-        assert np.max(np.abs(velocity_from_vorticity(w).values)) == 0.0
-
-    def test_random_roundtrip(self, grid64):
-        rng = np.random.default_rng(9)
-        w = band_limited(grid64, rng)
-        w = scalar_field(grid64, w.values - np.mean(w.values))
-        u = velocity_from_vorticity(w)
-        err = np.max(np.abs(curl(u).values - w.values))
-        assert err <= 1e-12 * max(1.0, np.max(np.abs(w.values)))
-
-    def test_rejects_nonzero_mean(self, grid32):
-        w = scalar_field(grid32, np.ones((32, 32)))
-        with pytest.raises(ValueError):
-            velocity_from_vorticity(w)
-
-
 class TestParseval:
     def test_norm_equality(self, grid64):
         rng = np.random.default_rng(10)
@@ -290,7 +238,7 @@ class TestParseval:
 
 
 # Library operator, full-spectrum reference, and input: "s" a scalar, "v" a
-# vector, "s0" a zero-mean scalar.
+# vector.
 OPERATORS = {
     "ddx_1": (lambda f: ddx(f, 1), lambda x, L: oracles.fft2_ddx(x, 1, L), "s"),
     "ddx_2": (lambda f: ddx(f, 2), lambda x, L: oracles.fft2_ddx(x, 2, L), "s"),
@@ -299,14 +247,10 @@ OPERATORS = {
     "dealias_vector": (dealias, oracles.fft2_dealias, "v"),
     "leray_project": (leray_project, oracles.fft2_leray, "v"),
     "divergence": (divergence, oracles.fft2_divergence, "v"),
-    "curl": (curl, oracles.fft2_curl, "v"),
     "heat_scalar": (lambda f: heat_semigroup(f, 0.05, 1.5, 0.3),
                     lambda x, L: oracles.fft2_heat(x, 0.05, 1.5, 0.3, L), "s"),
     "heat_vector": (lambda f: heat_semigroup(f, 0.05, 1.5, 0.3),
                     lambda x, L: oracles.fft2_heat(x, 0.05, 1.5, 0.3, L), "v"),
-    "invert_laplacian": (invert_laplacian, oracles.fft2_invert_laplacian, "s0"),
-    "velocity_from_vorticity": (velocity_from_vorticity,
-                                oracles.fft2_velocity_from_vorticity, "s0"),
 }
 
 
@@ -323,8 +267,7 @@ class TestFullSpectrumOracle:
         if kind == "v":
             f = vector_field(grid, rng.standard_normal((2, n, n)))
         else:
-            noise = rng.standard_normal((n, n))
-            f = scalar_field(grid, noise - np.mean(noise) if kind == "s0" else noise)
+            f = scalar_field(grid, rng.standard_normal((n, n)))
         expected = reference(f.values, grid.length)
         scale = np.max(np.abs(expected))
         for given in (f, f.as_spectral()):
