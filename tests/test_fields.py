@@ -57,15 +57,24 @@ class TestEigenvalues:
     def test_identity(self, grid32):
         rep = positivity_report(stress_state(grid32, 0.0, 0.0, 2.0), 0.0)
         assert rep.min_eig == 1.0
-        assert rep.min_gamma == 2.0
 
     def test_rank_one_boundary(self, grid32):
         rep = positivity_report(stress_state(grid32, 3.0, 4.0, 10.0), 0.0)
         assert abs(rep.min_eig) <= 1e-14
-        assert abs(rep.min_gamma) <= 1e-14
 
 
 class TestGamma:
+    """gamma = c - 2 sqrt(a^2 + b^2), the positivity margin that
+    `positivity_report` minimises."""
+
+    def test_isotropic(self, grid32):
+        rep = positivity_report(stress_state(grid32, 0.0, 0.0, 5.0), 0.0)
+        assert rep.min_gamma == 5.0
+
+    def test_boundary(self, grid32):
+        rep = positivity_report(stress_state(grid32, 3.0, 4.0, 10.0), 0.0)
+        assert abs(rep.min_gamma) <= 1e-14
+
     def test_twice_min_eigenvalue(self, grid32):
         rng = np.random.default_rng(2)
         rep = positivity_report(stress_state(grid32, *rng.standard_normal((3, 32, 32))), 0.0)
