@@ -49,9 +49,8 @@ from .picard import (
     picard_iterate,
 )
 from .spectral import (
-    ScalarField,
+    Field,
     SpectralGrid,
-    VectorField,
     ddx,
     dealias,
     divergence,

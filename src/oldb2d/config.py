@@ -50,15 +50,6 @@ class RunConfig:
     constant_c: float
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _finite_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -93,7 +84,6 @@ _SCHEMA = {
     "t_end": (_finite_float, 1.0),
     "output_every": (int, 1),
     "snapshot_times": (_parse_times, ()),
-    "keep_states": (_parse_bool, False),
     "positivity_tol": (_finite_float, 1e-8),
     "rho_tol": (_finite_float, 1e-6),
     "energy_tol": (_finite_float, 1e-2),
@@ -136,16 +126,15 @@ def parse_config(text: str) -> RunConfig:
             t_end=values["t_end"],
             output_every=values["output_every"],
             snapshot_times=values["snapshot_times"],
-            keep_states=values["keep_states"],
+        )
+        monitors = Monitors(
+            positivity_tol=values["positivity_tol"],
+            rho_tol=values["rho_tol"],
+            energy_tol=values["energy_tol"],
+            c_ceiling=values["c_ceiling"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    monitors = Monitors(
-        positivity_tol=values["positivity_tol"],
-        rho_tol=values["rho_tol"],
-        energy_tol=values["energy_tol"],
-        c_ceiling=values["c_ceiling"],
-    )
     if values["n"] < 8 or values["n"] % 2:
         raise ConfigError("n must be an even integer of at least 8")
     if values["L"] <= 0:

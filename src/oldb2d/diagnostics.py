@@ -25,7 +25,7 @@ from .fields import (
     norms,
     packed_norms,
 )
-from .spectral import SpectralGrid, ddx, laplacian, rfft2, scalar_field
+from .spectral import SpectralGrid, irfft2, laplacian, rfft2, scalar_field
 from .units import CM, DIMENSIONLESS, MIXED, SEC, UnitValue, uexp, uv
 
 
@@ -368,8 +368,8 @@ def determinant_residual(states, params: PhysParams, *, informational: bool = Fa
         dt = times[j + 1] - times[j]
         ddt = (det_values(states[j + 1]) - det_values(states[j - 1])) / (2.0 * dt)
         d = det_values(s)
-        dh = scalar_field(g, d).as_spectral()
-        d1, d2 = ddx(dh, 1).values, ddx(dh, 2).values
+        dh = rfft2(d)
+        d1, d2 = irfft2(g.ikx * dh, g.n), irfft2(g.iky * dh, g.n)
         u1, u2, a, b, c, rho = s.planes
         resid = (
             ddt + u1 * d1 + u2 * d2 + 4.0 * params.k * d

@@ -20,12 +20,12 @@ import numpy as np
 
 from .fields import PhysParams, SimState
 from .spectral import (
-    ScalarField,
+    Field,
     SpectralGrid,
-    VectorField,
     _Scratch,
     dealiased_products,
     irfft2,
+    project,
     rfft2,
     scalar_field,
     vector_field,
@@ -37,9 +37,9 @@ class StrainDecomposition:
     """Rate-of-strain components and vorticity, each in 1/sec:
     lam = (d1u1 - d2u2)/2, mu = (d1u2 + d2u1)/2, omega = d1u2 - d2u1."""
 
-    lam: ScalarField
-    mu: ScalarField
-    omega: ScalarField
+    lam: Field
+    mu: Field
+    omega: Field
 
 
 def pack_state(state: SimState) -> np.ndarray:
@@ -126,22 +126,15 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     return (nh, reals) if planes else nh
 
 
-def _project_velocity(grid: SpectralGrid, nh: np.ndarray) -> None:
-    """Leray-project the velocity planes nh[0:2] of a packed array in place."""
-    kd = (grid.kx * nh[0] + grid.ky * nh[1]) * grid.inv_k_sq_d
-    nh[0] -= grid.kx * kd
-    nh[1] -= grid.ky * kd
-
-
 def explicit_terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np.ndarray:
     """Projected explicit right-hand sides for the integrating-factor stages:
     `_terms` with its force planes Leray-projected in place."""
     nh = _terms(grid, params, sh)
-    _project_velocity(grid, nh)
+    project(grid, nh)
     return nh
 
 
-def strain_decompose(u: VectorField) -> StrainDecomposition:
+def strain_decompose(u: Field) -> StrainDecomposition:
     g = u.grid
     uh = u.coeffs
     d1u1, d2u1, d1u2, d2u2 = irfft2(
@@ -172,7 +165,7 @@ def stress_rhs(state: SimState, params: PhysParams):
     )
 
 
-def momentum_rhs(state: SimState, params: PhysParams) -> VectorField:
+def momentum_rhs(state: SimState, params: PhysParams) -> Field:
     """Divergence-free velocity rate: P(-u.grad(u) + K div(sigma)) + nu*lap(u)."""
     g = state.grid
     sh = pack_state(state)
@@ -182,7 +175,7 @@ def momentum_rhs(state: SimState, params: PhysParams) -> VectorField:
     return vector_field(g, irfft2(du, g.n))
 
 
-def rho_rhs(state: SimState) -> ScalarField:
+def rho_rhs(state: SimState) -> Field:
     """Dealiased advection rate -u.grad(rho); its integral vanishes."""
     g = state.grid
     sh = pack_state(state)
@@ -193,7 +186,7 @@ def rho_rhs(state: SimState) -> ScalarField:
     return scalar_field(g, irfft2(nr, g.n))
 
 
-def recover_pressure(state: SimState, params: PhysParams) -> ScalarField:
+def recover_pressure(state: SimState, params: PhysParams) -> Field:
     """Zero-mean pressure from the Poisson equation lap(p) = div(force) with
     force = -u.grad(u) + K div(sigma).  Diagnostic only; the stepper never
     uses pressure."""
@@ -205,7 +198,7 @@ def recover_pressure(state: SimState, params: PhysParams) -> ScalarField:
     return scalar_field(g, irfft2(ph, g.n))
 
 
-def unprojected_force(state: SimState, params: PhysParams) -> VectorField:
+def unprojected_force(state: SimState, params: PhysParams) -> Field:
     """-u.grad(u) + K div(sigma) + nu*lap(u) before Leray projection."""
     g = state.grid
     sh = pack_state(state)
@@ -214,7 +207,7 @@ def unprojected_force(state: SimState, params: PhysParams) -> VectorField:
     return vector_field(g, irfft2(np.stack([f1 + visc * sh[0], f2 + visc * sh[1]]), g.n))
 
 
-def determinant_rhs(state: SimState, params: PhysParams) -> ScalarField:
+def determinant_rhs(state: SimState, params: PhysParams) -> Field:
     """Rate of det(sigma) = c^2/4 - a^2 - b^2 under the closed law valid at
     kappa = 0: -u.grad(d) - 4k d + 2k rho c."""
     if params.kappa != 0.0:

@@ -16,15 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import diagnostics
-from .dynamics import (
-    _project_velocity,
-    _terms,
-    explicit_terms,
-    pack_state,
-    unpack_state,
-)
+from .dynamics import _terms, explicit_terms, pack_state, unpack_state
 from .fields import PhysParams, SimState
-from .spectral import SpectralGrid, irfft2
+from .spectral import SpectralGrid, irfft2, project
 
 _UMAX_FLOOR = 1e-12  # advective speed floor so quiescent states hit dt_max
 
@@ -60,6 +54,13 @@ class Monitors:
     rho_tol: float = 1e-6
     energy_tol: float = 1e-2
     c_ceiling: float = 1e12
+
+    def __post_init__(self):
+        for name in ("positivity_tol", "rho_tol", "energy_tol"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+        if not self.c_ceiling > 0.0:
+            raise ValueError("c_ceiling must be positive")
 
 
 class MonitorViolation(RuntimeError):
@@ -182,7 +183,7 @@ def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float,
     out /= 3.0
 
     # Re-project the velocity to absorb rounding drift in the divergence.
-    _project_velocity(grid, out)
+    project(grid, out)
     return out
 
 
@@ -309,7 +310,7 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
             return Trajectory(records, snapshots, states, state)
 
         dt = _step_dt(grid, ctl, reals[0:2], t)
-        _project_velocity(grid, nh)
+        project(grid, nh)
         del reals, state
         sh = _advance(grid, params, sh, dt, nh)
         del nh

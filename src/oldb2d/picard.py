@@ -32,16 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import PhysParams, SimState, StressField, sim_state
-from .spectral import (
-    ScalarField,
-    SpectralGrid,
-    VectorField,
-    _leading,
-    _Scratch,
-    irfft2,
-    rfft2,
-)
+from .fields import PhysParams, SimState
+from .spectral import SpectralGrid, _leading, _Scratch, decay, irfft2, project, rfft2
 
 _SUBSTEP_CFL = 0.5       # frozen-velocity transport uses the stepper's default
 _MAX_SUBSTEPS = 100_000  # across the whole path; beyond this the velocity is absurd
@@ -120,19 +112,6 @@ def _step(cfg: PicardConfig) -> float:
     return times[1] - times[0]
 
 
-def _heat_decay(grid: SpectralGrid, params: PhysParams, ds: float) -> np.ndarray:
-    return np.exp(-params.nu * grid.k_sq * ds)
-
-
-def _stress_decay(grid: SpectralGrid, params: PhysParams, ds: float) -> np.ndarray:
-    return np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k) * ds)
-
-
-def _project_path(grid: SpectralGrid, f: np.ndarray) -> np.ndarray:
-    kd = (grid.kx * f[:, 0] + grid.ky * f[:, 1]) * grid.inv_k_sq_d
-    return np.stack([f[:, 0] - grid.kx * kd, f[:, 1] - grid.ky * kd], axis=1)
-
-
 def _gradient(grid: SpectralGrid) -> np.ndarray:
     """(ikx, iky) stacked, shape (2, n, n//2+1)."""
     return np.stack([grid.ikx, grid.iky])
@@ -180,16 +159,18 @@ def op_q1(u_path: np.ndarray, v_path: np.ndarray, grid: SpectralGrid,
           params: PhysParams, cfg: PicardConfig) -> np.ndarray:
     """-int_0^t heat(nu (t-s)) P(u(s).grad v(s)) ds at every node."""
     ds = _step(cfg)
-    gh = _project_path(grid, _advection(_velocity_planes(u_path, v_path, grid), grid))
-    return _accumulate(gh, _heat_decay(grid, params, ds), ds)
+    gh = _advection(_velocity_planes(u_path, v_path, grid), grid)
+    project(grid, gh)
+    return _accumulate(gh, decay(grid, params.nu, 0.0, ds), ds)
 
 
 def op_l1(abc_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
           cfg: PicardConfig) -> np.ndarray:
     """K int_0^t heat(nu (t-s)) P(div sigma(s)) ds."""
     ds = _step(cfg)
-    gh = params.bigK * _project_path(grid, _stress_divergence(abc_path, grid))
-    return _accumulate(gh, _heat_decay(grid, params, ds), ds)
+    gh = _stress_divergence(abc_path, grid)
+    project(grid, gh)
+    return _accumulate(params.bigK * gh, decay(grid, params.nu, 0.0, ds), ds)
 
 
 def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
@@ -230,7 +211,7 @@ def op_q2(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
     """int_0^t heat((kappa lap - 2k)(t-s)) [stretching - advection](s) ds."""
     ds = _step(cfg)
     return _accumulate(q2_integrand(u_path, abc_path, grid),
-                       _stress_decay(grid, params, ds), ds)
+                       decay(grid, params.kappa, 2.0 * params.k, ds), ds)
 
 
 def op_l2(rho_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
@@ -240,7 +221,7 @@ def op_l2(rho_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
     ds = _step(cfg)
     out = np.zeros((rho_path.shape[0], 3) + rho_path.shape[1:], dtype=complex)
     out[:, 2] = _accumulate(4.0 * params.k * rho_path,
-                            _stress_decay(grid, params, ds), ds)
+                            decay(grid, params.kappa, 2.0 * params.k, ds), ds)
     return out
 
 
@@ -340,21 +321,19 @@ def composite_norm(grid, u_path, abc_path, rho_path, times) -> float:
 
 # --- the iteration ----------------------------------------------------------
 
-def _initial_coeffs(u0: VectorField, sigma0: StressField, rho0: ScalarField,
-                    grid: SpectralGrid):
-    """Dealiased half-spectrum coefficients of the data, u0 projected; one
-    `rfft2` over the six planes."""
-    coeffs = rfft2(sim_state(0.0, u0, sigma0, rho0).planes) * grid.mask
-    u0h = _project_path(grid, coeffs[None, 0:2])[0]
-    return u0h, coeffs[2:5], coeffs[5]
+def _initial_coeffs(state: SimState):
+    """Dealiased half-spectrum coefficients (u0, sigma0, rho0) of the data,
+    u0 projected; one `rfft2` over the state's planes."""
+    coeffs = rfft2(state.planes) * state.grid.mask
+    project(state.grid, coeffs)
+    return coeffs[0:2], coeffs[2:5], coeffs[5]
 
 
 def semigroup_paths(u0h, abc0h, grid, params, cfg):
     """The zeroth iterate: pure heat flow of the initial data."""
     times = cfg.times()[:, None, None]
-    k_sq = grid.k_sq
-    eu = np.exp(-params.nu * k_sq * times)
-    es = np.exp(-(params.kappa * k_sq + 2.0 * params.k) * times)
+    eu = decay(grid, params.nu, 0.0, times)
+    es = decay(grid, params.kappa, 2.0 * params.k, times)
     return eu[:, None] * u0h[None], es[:, None] * abc0h[None]
 
 
@@ -373,26 +352,27 @@ def apply_map(u_path, abc_path, rho_path, u0h, abc0h, rho0h, grid, params, cfg):
     ds = _step(cfg)
     planes = _velocity_planes(u_path, u_path, grid)
     fh = _advection(planes, grid) + params.bigK * _stress_divergence(abc_path, grid)
-    new_u = sem_u + _accumulate(_project_path(grid, fh), _heat_decay(grid, params, ds), ds)
+    project(grid, fh)
+    new_u = sem_u + _accumulate(fh, decay(grid, params.nu, 0.0, ds), ds)
     gh = q2_integrand(u_path, abc_path, grid, planes=planes)
     gh[:, 2] += 4.0 * params.k * rho_path
-    new_abc = sem_abc + _accumulate(gh, _stress_decay(grid, params, ds), ds)
+    new_abc = sem_abc + _accumulate(gh, decay(grid, params.kappa, 2.0 * params.k, ds), ds)
     new_rho = op_n(u_path, rho0h, grid, cfg, planes=planes)
     return new_u, new_abc, new_rho
 
 
-def picard_iterate(u0: VectorField, sigma0: StressField, rho0: ScalarField,
-                   params: PhysParams, cfg: PicardConfig):
-    """Iterate the mild-formulation map from the heat-flow zeroth iterate
-    until the composite-norm successive difference is below tol (relative).
+def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
+    """Iterate the mild-formulation map from the heat-flow zeroth iterate of
+    the state `initial` until the composite-norm successive difference is
+    below tol (relative).
 
     Returns (MildTrajectory, PicardHistory).  Non-convergence within
     max_iter, or outright growth, raises PicardDivergenceError: the horizon
     t0 is too large for the data.
     """
-    grid = u0.grid
+    grid = initial.grid
     times = cfg.times()
-    u0h, abc0h, rho0h = _initial_coeffs(u0, sigma0, rho0, grid)
+    u0h, abc0h, rho0h = _initial_coeffs(initial)
 
     u_path, abc_path = semigroup_paths(u0h, abc0h, grid, params, cfg)
     rho_path = np.broadcast_to(rho0h, (cfg.n_time_nodes,) + rho0h.shape).copy()
@@ -442,6 +422,17 @@ def picard_iterate(u0: VectorField, sigma0: StressField, rho0: ScalarField,
         f"no convergence in {cfg.max_iter} iterations "
         f"(last contraction ratio {last:.3g}); reduce t0", hist,
     )
+
+
+def stepper_gaps(mild: SimState, stepped: SimState) -> dict:
+    """Relative L2 gap of each field of the mild solution from the stepped
+    one at the same time: u (both planes), a, b, c and rho."""
+    gaps = {}
+    for name, p in (("u", slice(0, 2)), ("a", 2), ("b", 3), ("c", 4), ("rho", 5)):
+        fa, fb = mild.planes[p], stepped.planes[p]
+        num = np.sqrt(np.mean((fa - fb) ** 2))
+        gaps[name] = num / max(np.sqrt(np.mean(fb ** 2)), 1e-300)
+    return gaps
 
 
 def contraction_estimate(history: PicardHistory) -> float:

@@ -28,6 +28,11 @@ the result is bit-identical to that full-width pass.
 Dealiasing follows the 2/3 rule: a mode with integer wavenumbers (k1, k2)
 survives iff 3 * max(|k1|, |k2|) <= N, which keeps quadratic products of
 surviving modes alias-free on the grid.
+
+A `Field` is one real array on a grid.  The per-mode Leray projection
+(`project`) and heat factor (`decay`) act on coefficient arrays of any
+batch shape; the stepper, the Picard map and the field operators
+`leray_project` and `heat_semigroup` share them.
 """
 
 from __future__ import annotations
@@ -36,9 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-REAL = "real"
-SPECTRAL = "spectral"
 
 
 def rfft2(values: np.ndarray) -> np.ndarray:
@@ -229,106 +231,69 @@ def _reciprocal(k_sq: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScalarField:
-    """A scalar field with either real-space values (n, n) or `rfft2`
-    half-spectrum coefficients (n, n//2+1)."""
+class Field:
+    """A real field on `grid`: `values` is (n, n) for a scalar and (2, n, n)
+    for a vector; `coeffs` is its `rfft2` half spectrum."""
 
     grid: SpectralGrid
-    data: np.ndarray
-    space: str = REAL
+    values: np.ndarray
 
     def __post_init__(self):
-        _check_data(self.grid, self.data, self.space, comps=())
-
-    def as_real(self) -> "ScalarField":
-        if self.space == REAL:
-            return self
-        return ScalarField(self.grid, irfft2(self.data, self.grid.n), REAL)
-
-    def as_spectral(self) -> "ScalarField":
-        if self.space == SPECTRAL:
-            return self
-        return ScalarField(self.grid, rfft2(self.data), SPECTRAL)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.as_real().data
+        n = self.grid.n
+        if self.values.shape not in ((n, n), (2, n, n)):
+            raise ValueError(f"field values have shape {self.values.shape}, "
+                             f"expected {(n, n)} or {(2, n, n)}")
+        if np.iscomplexobj(self.values):
+            raise ValueError("field values must be a real array")
 
     @property
     def coeffs(self) -> np.ndarray:
-        return self.as_spectral().data
+        return rfft2(self.values)
+
+    def component(self, i: int) -> "Field":
+        return Field(self.grid, self.values[i])
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """A two-component field; data has shape (2, n, n) in real space and
-    (2, n, n//2+1) in spectral space."""
-
-    grid: SpectralGrid
-    data: np.ndarray
-    space: str = REAL
-
-    def __post_init__(self):
-        _check_data(self.grid, self.data, self.space, comps=(2,))
-
-    def as_real(self) -> "VectorField":
-        if self.space == REAL:
-            return self
-        return VectorField(self.grid, irfft2(self.data, self.grid.n), REAL)
-
-    def as_spectral(self) -> "VectorField":
-        if self.space == SPECTRAL:
-            return self
-        return VectorField(self.grid, rfft2(self.data), SPECTRAL)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.as_real().data
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.as_spectral().data
-
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[i], self.space)
-
-
-def _plane(grid, space) -> tuple:
-    return (grid.n, grid.n // 2 + 1) if space == SPECTRAL else (grid.n, grid.n)
-
-
-def _check_data(grid, data, space, comps):
-    shape = comps + _plane(grid, space)
-    if data.shape != shape:
-        raise ValueError(f"field data has shape {data.shape}, expected {shape}")
-    if space == REAL:
-        if np.iscomplexobj(data):
-            raise ValueError("real-space field data must be a real array")
-    elif space == SPECTRAL:
-        if not np.iscomplexobj(data):
-            raise ValueError("spectral field data must be a complex array")
-    else:
-        raise ValueError(f"unknown representation tag {space!r}")
-
-
-def scalar_field(grid, data, space=REAL) -> ScalarField:
-    data = np.asarray(data, dtype=complex if space == SPECTRAL else float)
+def scalar_field(grid, data) -> Field:
+    """A scalar `Field`; a number gives a constant field."""
+    data = np.asarray(data, dtype=float)
     if data.ndim == 0:
-        data = np.full(_plane(grid, space), data)
-    return ScalarField(grid, data, space)
+        data = np.full((grid.n, grid.n), data)
+    return Field(grid, data)
 
 
-def vector_field(grid, data, space=REAL) -> VectorField:
-    data = np.asarray(data, dtype=complex if space == SPECTRAL else float)
-    return VectorField(grid, data, space)
+def vector_field(grid, data) -> Field:
+    return Field(grid, np.asarray(data, dtype=float))
 
 
-def _same_space_out(f, coeffs, cls):
-    out = cls(f.grid, coeffs, SPECTRAL)
-    return out.as_real() if f.space == REAL else out
+def _from_coeffs(f: Field, coeffs: np.ndarray) -> Field:
+    """The field on `f`'s grid whose half spectrum is `coeffs`."""
+    return Field(f.grid, irfft2(coeffs, f.grid.n))
 
 
-def ddx(f: ScalarField, axis: int) -> ScalarField:
+def project(grid: SpectralGrid, vh: np.ndarray) -> None:
+    """Leray-project, in place, the velocity pair vh[..., 0, :, :] and
+    vh[..., 1, :, :] of half-spectrum coefficients, batched over any leading
+    axes; mode (0, 0) is unchanged.
+
+    Uses the derivative wavenumbers (Nyquist zeroed), so the result is
+    divergence-free in the same convention `divergence` measures and the
+    projection of a real field stays real.  The one projection: the
+    stepper, the Picard map and `leray_project` all call it."""
+    v1, v2 = vh[..., 0, :, :], vh[..., 1, :, :]
+    kd = (grid.kx * v1 + grid.ky * v2) * grid.inv_k_sq_d
+    v1 -= grid.kx * kd
+    v2 -= grid.ky * kd
+
+
+def decay(grid: SpectralGrid, diffusivity: float, damping: float, t) -> np.ndarray:
+    """The per-mode heat factor exp(-(diffusivity*|k|^2 + damping) * t); a
+    time array `t` of shape (m, 1, 1) gives one factor per time.  The one
+    heat exponential: `heat_semigroup` and the Picard map call it."""
+    return np.exp(-(diffusivity * grid.k_sq + damping) * t)
+
+
+def ddx(f: Field, axis: int) -> Field:
     """Spectral derivative along axis 1 (x) or 2 (y).
 
     Exact for band-limited fields; the Nyquist mode is zeroed (it is masked
@@ -337,48 +302,38 @@ def ddx(f: ScalarField, axis: int) -> ScalarField:
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     mult = f.grid.ikx if axis == 1 else f.grid.iky
-    return _same_space_out(f, mult * f.coeffs, ScalarField)
+    return _from_coeffs(f, mult * f.coeffs)
 
 
-def laplacian(f: ScalarField) -> ScalarField:
-    return _same_space_out(f, -f.grid.k_sq * f.coeffs, ScalarField)
+def laplacian(f: Field) -> Field:
+    return _from_coeffs(f, -f.grid.k_sq * f.coeffs)
 
 
-def dealias(f):
+def dealias(f: Field) -> Field:
     """Zero every masked mode; survivors are untouched."""
-    cls = VectorField if isinstance(f, VectorField) else ScalarField
-    return _same_space_out(f, f.grid.mask * f.coeffs, cls)
+    return _from_coeffs(f, f.grid.mask * f.coeffs)
 
 
-def leray_project(v: VectorField) -> VectorField:
-    """Per-mode projection onto divergence-free fields; mode (0,0) unchanged.
+def leray_project(v: Field) -> Field:
+    """Per-mode projection onto divergence-free fields (`project`)."""
+    vh = v.coeffs
+    project(v.grid, vh)
+    return _from_coeffs(v, vh)
 
-    Uses the derivative wavenumbers (Nyquist zeroed), so the result is
-    divergence-free in the same convention `divergence` measures and the
-    projection of a real field stays real.
-    """
+
+def divergence(v: Field) -> Field:
     g = v.grid
     vh = v.coeffs
-    kdotv = (g.kx * vh[0] + g.ky * vh[1]) * g.inv_k_sq_d
-    out = np.stack([vh[0] - g.kx * kdotv, vh[1] - g.ky * kdotv])
-    return _same_space_out(v, out, VectorField)
+    return _from_coeffs(v, g.ikx * vh[0] + g.iky * vh[1])
 
 
-def divergence(v: VectorField) -> ScalarField:
-    g = v.grid
-    vh = v.coeffs
-    return _same_space_out(v, g.ikx * vh[0] + g.iky * vh[1], ScalarField)
-
-
-def heat_semigroup(f, diffusivity: float, damping: float, t: float):
-    """Apply exp(-(diffusivity*|k|^2 + damping) * t) per mode."""
+def heat_semigroup(f: Field, diffusivity: float, damping: float, t: float) -> Field:
+    """Apply exp(-(diffusivity*|k|^2 + damping) * t) per mode (`decay`)."""
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if diffusivity < 0.0 or damping < 0.0:
         raise ValueError("diffusivity and damping must be nonnegative")
-    mult = np.exp(-(diffusivity * f.grid.k_sq + damping) * t)
-    cls = VectorField if isinstance(f, VectorField) else ScalarField
-    return _same_space_out(f, mult * f.coeffs, cls)
+    return _from_coeffs(f, decay(f.grid, diffusivity, damping, t) * f.coeffs)
 
 
 def l2_scale(grid: SpectralGrid, coeffs: np.ndarray) -> float:

@@ -256,14 +256,12 @@ class TestCriterion7:
         for seed in range(5):
             state = self._small_smooth_state(grid, 300 + seed)
             cfg = PicardConfig(t0=t0, n_time_nodes=129, tol=1e-12, max_iter=50)
-            traj, hist = picard_iterate(state.u, state.stress, state.rho,
-                                        self.PARAMS, cfg)
+            traj, hist = picard_iterate(state, self.PARAMS, cfg)
             ratios_full.append(contraction_estimate(hist))
 
             cfg_half = PicardConfig(t0=0.5 * t0, n_time_nodes=65, tol=1e-12,
                                     max_iter=50)
-            _, hist_half = picard_iterate(state.u, state.stress, state.rho,
-                                          self.PARAMS, cfg_half)
+            _, hist_half = picard_iterate(state, self.PARAMS, cfg_half)
             ratios_half.append(contraction_estimate(hist_half))
 
             ctl = StepControl(dt_min=1e-12, dt_max=5e-4, t_end=t0,

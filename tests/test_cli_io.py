@@ -67,6 +67,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("frobnicate=1\n")
 
+    def test_keep_states_is_not_a_config_key(self):
+        # Library callers set StepControl.keep_states; `run` never reads states.
+        with pytest.raises(ConfigError, match="unknown key 'keep_states'"):
+            parse_config("keep_states=true\n")
+
     def test_unreadable_value(self):
         with pytest.raises(ConfigError, match="invalid value"):
             parse_config("nu=fast\n")
@@ -383,6 +388,27 @@ class TestCliMain:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main([command, "--config", cfg_path, *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config_line,message", [
+        ("c_ceiling=-1", "c_ceiling must be positive"),
+        ("c_ceiling=0", "c_ceiling must be positive"),
+        ("positivity_tol=-1\nrho0=0.4", "positivity_tol must be nonnegative"),
+        ("rho_tol=-1\nrho0=0.4", "rho_tol must be nonnegative"),
+        ("energy_tol=-1", "energy_tol must be nonnegative"),
+    ], ids=["negative_c_ceiling", "zero_c_ceiling", "negative_positivity_tol",
+            "negative_rho_tol", "negative_energy_tol"])
+    def test_bad_monitor_tolerance_exits_config(self, tmp_path, capsys, config_line,
+                                                message):
+        """A monitor tolerance out of range is a config error, not a
+        violation that the first step reports on a valid state."""
+        cfg_path = self._write_cfg(
+            tmp_path, f"n=16\npreset=equilibrium\nt_end=0.02\n{config_line}\n")
+        code = main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:") and message in err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -251,9 +253,10 @@ class TestRecordsMatchFieldLevelDiagnostics:
 
     def test_records_match_stored_states(self):
         cfg = parse_config("n=32\npreset=random_admissible\namplitude=1.0\n"
-                           "seed=21\nt_end=0.05\nkeep_states=true\n")
+                           "seed=21\nt_end=0.05\n")
         grid = make_grid(32, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        ctl = dataclasses.replace(cfg.control, keep_states=True)
+        traj = run(build_initial(cfg, grid), cfg.params, ctl, cfg.monitors)
         assert len(traj.states) == len(traj.records) > 2
 
         def close(got, want):

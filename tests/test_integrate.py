@@ -612,9 +612,10 @@ class TestRun:
 
     def test_keep_states_and_snapshots(self):
         cfg = parse_config("n=16\npreset=equilibrium\ndt_max=0.01\nt_end=0.1\n"
-                           "keep_states=true\nsnapshot_times=0.05\n")
+                           "snapshot_times=0.05\n")
         grid = make_grid(16, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        ctl = dataclasses.replace(cfg.control, keep_states=True)
+        traj = run(build_initial(cfg, grid), cfg.params, ctl, cfg.monitors)
         assert traj.states is not None
         assert len(traj.states) == len(traj.records)
         assert len(traj.snapshots) == 1

@@ -15,6 +15,7 @@ from oldb2d import (
     sim_state,
     vector_field,
 )
+from oldb2d import SimState
 from oldb2d import picard as picard_mod
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.picard import (
@@ -245,7 +246,7 @@ class TestPicardIterate:
         rho0 = 1.0
         state = uniform_state(grid16, 0.0, rho0)
         cfg = PicardConfig(t0=0.2, n_time_nodes=2049, tol=1e-12)
-        traj, hist = picard_iterate(state.u, state.stress, state.rho, PARAMS, cfg)
+        traj, hist = picard_iterate(state, PARAMS, cfg)
         assert len(hist.diffs) == 2
         assert hist.diffs[-1] == 0.0
         t_end = cfg.times()[-1]
@@ -258,7 +259,7 @@ class TestPicardIterate:
         c0, rho0 = 3.0, 1.0
         state = uniform_state(grid16, c0, rho0)
         cfg = PicardConfig(t0=0.2, n_time_nodes=2049, tol=1e-12)
-        traj, hist = picard_iterate(state.u, state.stress, state.rho, PARAMS, cfg)
+        traj, hist = picard_iterate(state, PARAMS, cfg)
         t_end = cfg.times()[-1]
         expected = relaxation_exact(t_end, c0, rho0, PARAMS.k)
         got = traj.state(cfg.n_time_nodes - 1).stress.c.values
@@ -267,9 +268,7 @@ class TestPicardIterate:
     def test_zeroth_iterate_is_heat_flow(self, grid16):
         state = band_limited_admissible_state(grid16, seed=8, kmax=3)
         cfg = PicardConfig(t0=0.05, n_time_nodes=9)
-        u0h, abc0h, _ = picard_mod._initial_coeffs(
-            state.u, state.stress, state.rho, grid16
-        )
+        u0h, abc0h, _ = picard_mod._initial_coeffs(state)
         sem_u, sem_abc = semigroup_paths(u0h, abc0h, grid16, PARAMS, cfg)
         times = cfg.times()
         for j in (0, 4, 8):
@@ -283,10 +282,8 @@ class TestPicardIterate:
         state = band_limited_admissible_state(grid16, seed=9, kmax=3,
                                               amp=0.05, u_amp=0.05)
         cfg = PicardConfig(t0=0.05, n_time_nodes=33, tol=1e-11, max_iter=40)
-        traj, hist = picard_iterate(state.u, state.stress, state.rho, PARAMS, cfg)
-        u0h, abc0h, rho0h = picard_mod._initial_coeffs(
-            state.u, state.stress, state.rho, grid16
-        )
+        traj, hist = picard_iterate(state, PARAMS, cfg)
+        u0h, abc0h, rho0h = picard_mod._initial_coeffs(state)
         nu_, nabc, nrho = apply_map(traj.u, traj.abc, traj.rho,
                                     u0h, abc0h, rho0h, grid16, PARAMS, cfg)
         times = cfg.times()
@@ -299,7 +296,7 @@ class TestPicardIterate:
         state = band_limited_admissible_state(grid16, seed=10, kmax=3,
                                               amp=0.05, u_amp=0.05)
         cfg = PicardConfig(t0=0.1, n_time_nodes=129, tol=1e-11, max_iter=40)
-        traj, _ = picard_iterate(state.u, state.stress, state.rho, PARAMS, cfg)
+        traj, _ = picard_iterate(state, PARAMS, cfg)
         ctl = StepControl(dt_min=1e-12, dt_max=1e-3, t_end=0.1, output_every=10**9)
         stepped = run(state, PARAMS, ctl).final_state
         mild = traj.state(cfg.n_time_nodes - 1)
@@ -311,6 +308,15 @@ class TestPicardIterate:
             num = np.sqrt(np.mean((fa - fb) ** 2))
             den = max(np.sqrt(np.mean(fb ** 2)), 1e-300)
             assert num / den <= 1e-4, name
+
+    def test_stepper_gaps_are_per_field(self, grid16):
+        state = band_limited_admissible_state(grid16, seed=10, kmax=3)
+        planes = state.planes.copy()
+        planes[4] *= 1.5
+        gaps = picard_mod.stepper_gaps(SimState(state.time, grid16, planes), state)
+        assert list(gaps) == ["u", "a", "b", "c", "rho"]
+        assert gaps["c"] == pytest.approx(0.5, rel=1e-14)
+        assert [gaps[name] for name in ("u", "a", "b", "rho")] == [0.0] * 4
 
 
 class TestFusedMap:
@@ -432,7 +438,7 @@ class TestContraction:
     def test_two_step_convergence_reports_zero(self, grid16):
         state = uniform_state(grid16, 0.0, 1.0)
         cfg = PicardConfig(t0=0.1, n_time_nodes=65, tol=1e-12)
-        _, hist = picard_iterate(state.u, state.stress, state.rho, PARAMS, cfg)
+        _, hist = picard_iterate(state, PARAMS, cfg)
         assert contraction_estimate(hist) == 0.0
 
     def test_requires_three_iterations(self):
@@ -449,7 +455,7 @@ class TestContraction:
                                               amp=0.5, u_amp=3.0)
         cfg = PicardConfig(t0=50.0, n_time_nodes=65, tol=1e-12, max_iter=12)
         with pytest.raises(PicardDivergenceError) as exc:
-            picard_iterate(state.u, state.stress, state.rho, PARAMS, cfg)
+            picard_iterate(state, PARAMS, cfg)
         hist = exc.value.history
         assert len(hist.diffs) >= 2
         assert hist.ratios[-1] >= 1.0
@@ -462,8 +468,7 @@ class TestContraction:
                 state = band_limited_admissible_state(grid16, seed=seed, kmax=3,
                                                       amp=0.05, u_amp=0.05)
                 cfg = PicardConfig(t0=t0, n_time_nodes=65, tol=1e-13, max_iter=60)
-                _, hist = picard_iterate(state.u, state.stress, state.rho,
-                                         PARAMS, cfg)
+                _, hist = picard_iterate(state, PARAMS, cfg)
                 acc.append(contraction_estimate(hist))
             ratios[t0] = np.mean(acc)
         assert ratios[0.1] <= ratios[0.2] * (1.0 + 1e-6)
