@@ -18,14 +18,10 @@ from .diagnostics import (
 from .dynamics import (
     StrainDecomposition,
     determinant_rhs,
-    momentum_rhs,
-    recover_pressure,
-    rho_rhs,
+    rates,
     strain_decompose,
-    stress_rhs,
 )
 from .fields import (
-    NormReport,
     PhysParams,
     SimState,
     StressField,

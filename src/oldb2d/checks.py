@@ -168,12 +168,9 @@ def check_norm_parseval(cfg) -> CheckResult:
 def check_determinant_cancellation(cfg) -> CheckResult:
     params = replace_kappa(cfg.params, 0.0)
     state = band_limited_admissible_state(make_grid(32, cfg.length), seed=21, kmax=3)
-    da, db, dc = dynamics.stress_rhs(state, params)
-    combo = (
-        0.5 * state.stress.c.values * dc.values
-        - 2.0 * state.stress.a.values * da.values
-        - 2.0 * state.stress.b.values * db.values
-    )
+    a, b, c = state.planes[2:5]
+    da, db, dc = dynamics.rates(state, params)[2:5]
+    combo = 0.5 * c * dc - 2.0 * a * da - 2.0 * b * db
     law = dynamics.determinant_rhs(state, params).values
     err = np.max(np.abs(combo - law))
     return _result("dynamics.determinant_cancellation", err <= 1e-10,
@@ -188,10 +185,9 @@ def check_energy_rate(cfg) -> CheckResult:
     params = cfg.params
     state = _random_state(cfg, n=min(cfg.n, 32))
     g = state.grid
-    du = dynamics.momentum_rhs(state, params).values
-    _, _, dc = dynamics.stress_rhs(state, params)
+    r = dynamics.rates(state, params)
     u1, u2 = state.u.values
-    lhs = np.mean(2.0 * (u1 * du[0] + u2 * du[1]) + params.bigK * dc.values) * g.area
+    lhs = np.mean(2.0 * (u1 * r[0] + u2 * r[1]) + params.bigK * r[4]) * g.area
     rep = norms(state)
     rhs = (
         -2.0 * params.nu * rep["grad_u_L2"] ** 2
@@ -214,8 +210,10 @@ def check_cubic_cancellation(cfg) -> CheckResult:
 
     # Work of (-u.grad u + K div sigma) against 2u plus the trace-equation
     # stretching integral: the cubic terms cancel when products share the
-    # dealiasing rule.
-    force = dynamics.unprojected_force(state, params).values
+    # dealiasing rule.  The force is taken projected, from the velocity
+    # rate less its viscous part; against a divergence-free u the
+    # projection does no work.
+    force = dynamics.rates(state, params)[0:2]
     visc = params.nu * np.stack([
         laplacian(state.u.component(0)).values,
         laplacian(state.u.component(1)).values,
@@ -230,7 +228,7 @@ def check_cubic_cancellation(cfg) -> CheckResult:
 
 def check_momentum_divfree(cfg) -> CheckResult:
     state = _random_state(cfg, n=min(cfg.n, 32))
-    du = dynamics.momentum_rhs(state, cfg.params)
+    du = vector_field(state.grid, dynamics.rates(state, cfg.params)[0:2])
     dh = divergence(du).coeffs
     scale = l2_scale(state.grid, du.coeffs)
     err = np.max(np.abs(dh)) / max(scale, 1e-300)
@@ -240,8 +238,8 @@ def check_momentum_divfree(cfg) -> CheckResult:
 def check_transport_means(cfg) -> CheckResult:
     state = _random_state(cfg, n=min(cfg.n, 32))
     g = state.grid
-    drho = dynamics.rho_rhs(state)
-    mean_rho = abs(np.mean(drho.values))
+    drho = dynamics.rates(state, cfg.params)[5]
+    mean_rho = abs(np.mean(drho))
     u = dealias(state.u)
     ch = dealias(state.stress.c)
     adv_c = dealias(scalar_field(g, u.values[0] * ddx(ch, 1).values
@@ -444,13 +442,9 @@ def check_picard_q2_consistency(cfg) -> CheckResult:
     grid, state, params, pcfg = _picard_setup(cfg)
     u0h, abc0h, rho0h = picard._initial_coeffs(state)
     integrand = picard.q2_integrand(u0h[None], abc0h[None], grid)[0]
-    da, db, dc = dynamics.stress_rhs(state, params)
     lin = -(params.kappa * grid.k_sq) - 2.0 * params.k
-    expect = np.stack([
-        rfft2(da.values) - lin * abc0h[0],
-        rfft2(db.values) - lin * abc0h[1],
-        rfft2(dc.values) - lin * abc0h[2] - 4.0 * params.k * rho0h,
-    ])
+    expect = rfft2(dynamics.rates(state, params)[2:5]) - lin * abc0h
+    expect[2] -= 4.0 * params.k * rho0h
     scale = np.max(np.abs(expect)) + 1e-300
     err = np.max(np.abs(integrand - expect)) / scale
     return _result("picard.q2_consistency", err <= 1e-12, f"rel gap {err:.2e}")

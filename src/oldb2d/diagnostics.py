@@ -5,7 +5,8 @@ dimensionless combination B literally from initial data, coefficients and
 the horizon T, carrying cm/sec units through every operation so the bound
 formulas are unit-checked as they are computed.  R0 bounds the energy
 budget with no generic constant and is a hard gate; R1..R5 involve the
-generic-constant policy value C and are reported as informational ratios.
+generic-constant policy value C and are reported as observed/bound ratios
+only.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dynamics
 from .fields import (
-    NormReport,
+    NORM_UNITS,
     PhysParams,
     SimState,
     _parseval,
     norms,
     packed_norms,
 )
-from .spectral import SpectralGrid, irfft2, laplacian, rfft2, scalar_field
-from .units import CM, DIMENSIONLESS, MIXED, SEC, UnitValue, uexp, uv
+from .spectral import SpectralGrid, irfft2, rfft2
+from .units import CM, SEC, UnitValue, uexp, uv
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class DiagnosticsRecord:
     min_c: float
     min_eig: float
     c_max: float
-    norms: NormReport
+    norms: dict
     determinant_residual: float
 
 
@@ -154,19 +154,6 @@ def positivity_report(state: SimState, tol: float) -> PositivityReport:
     return _positivity(state.planes, tol)
 
 
-def momentum_residual(state: SimState, params: PhysParams) -> float:
-    """L^2 norm, by Parseval, of `dynamics.unprojected_force` - grad
-    `dynamics.recover_pressure` - `dynamics.momentum_rhs`: the recovered
-    pressure must reproduce the gradient part that the Leray projection
-    removes, to rounding."""
-    g = state.grid
-    ph = dynamics.recover_pressure(state, params).coeffs
-    r = (dynamics.unprojected_force(state, params).coeffs
-         - np.stack([g.ikx * ph, g.iky * ph])
-         - dynamics.momentum_rhs(state, params).coeffs)
-    return math.sqrt(_parseval(g, 1.0, *r))
-
-
 def make_record(grid: SpectralGrid, params: PhysParams, time: float, sh: np.ndarray,
                 reals: np.ndarray, *,
                 determinant_residual: float = float("nan")) -> DiagnosticsRecord:
@@ -195,16 +182,6 @@ def make_record(grid: SpectralGrid, params: PhysParams, time: float, sh: np.ndar
 
 # --- a priori bound ledger ------------------------------------------------
 
-_U_L2SQ = (CM ** 2 / SEC) ** 2        # ||u||_L2^2
-_SIG_L1 = CM ** 2
-_SIG_L2SQ = CM ** 2
-_GRAD_SIG_L2SQ = DIMENSIONLESS
-_OMEGA_L2SQ = (CM / SEC) ** 2
-_GRAD_OMEGA_L2SQ = SEC ** -2
-_RHO_L1 = CM ** 2
-_RHO_L2SQ = CM ** 2
-
-
 def apriori_ledger(initial: SimState, params: PhysParams, T: float,
                    constant_c: float = 1.0) -> BoundLedger:
     """Evaluate R0..R5 and B from the initial data over the horizon T.
@@ -228,15 +205,18 @@ def apriori_ledger(initial: SimState, params: PhysParams, T: float,
     bigK = uv(params.bigK, (CM / SEC) ** 2)
     horizon = uv(T, SEC)
 
-    u0_sq = uv(rep["u_L2"] ** 2, _U_L2SQ)
-    sig_l1 = uv(rep["sigma_L1"], _SIG_L1)
-    sig_l2_sq = uv(rep["sigma_L2"] ** 2, _SIG_L2SQ)
-    grad_sig_sq = uv(rep["grad_sigma_L2"] ** 2, _GRAD_SIG_L2SQ)
-    om_sq = uv(rep["omega_L2"] ** 2, _OMEGA_L2SQ)
-    grad_om_sq = uv(rep["grad_omega_L2"] ** 2, _GRAD_OMEGA_L2SQ)
-    rho_l1 = uv(rep["rho_L1"], _RHO_L1)
-    rho_l2_sq = uv(rep["rho_L2"] ** 2, _RHO_L2SQ)
-    rho_w12 = uv(rep["rho_W12"], MIXED)
+    def norm(key, power=1):
+        return uv(rep[key] ** power, NORM_UNITS[key] ** power)
+
+    u0_sq = norm("u_L2", 2)
+    sig_l1 = norm("sigma_L1")
+    sig_l2_sq = norm("sigma_L2", 2)
+    grad_sig_sq = norm("grad_sigma_L2", 2)
+    om_sq = norm("omega_L2", 2)
+    grad_om_sq = norm("grad_omega_L2", 2)
+    rho_l1 = norm("rho_L1")
+    rho_l2_sq = norm("rho_L2", 2)
+    rho_w12 = norm("rho_W12")
 
     four = uv(4.0)
 
@@ -335,21 +315,18 @@ def bound_check(traj, ledger: BoundLedger, params: PhysParams,
     return BoundCheckReport(tuple(rows))
 
 
-def determinant_residual(states, params: PhysParams, *, informational: bool = False) -> float:
+def determinant_residual(states, params: PhysParams) -> float:
     """L^2 residual of the determinant law on a uniformly spaced window of
     consecutive states, with centered time differencing.
 
     Requires kappa = 0, where d = c^2/4 - a^2 - b^2 obeys the closed law
-    d_t d + u.grad(d) + 4k d - 2k rho c = 0.  With informational=True a
-    kappa > 0 window is accepted and the diffusion-induced correction
-    kappa*(c/2 lap(c) - 2a lap(a) - 2b lap(b)) is included in the law.
+    d_t d + u.grad(d) + 4k d - 2k rho c = 0.
     """
     states = list(states)
     if len(states) < 3:
         raise ValueError("need at least three consecutive states")
-    if params.kappa != 0.0 and not informational:
-        raise ValueError("determinant residual requires kappa = 0 "
-                         "(pass informational=True to include the diffusion term)")
+    if params.kappa != 0.0:
+        raise ValueError("determinant residual requires kappa = 0")
 
     times = [s.time for s in states]
     dts = np.diff(times)
@@ -370,13 +347,10 @@ def determinant_residual(states, params: PhysParams, *, informational: bool = Fa
         d = det_values(s)
         dh = rfft2(d)
         d1, d2 = irfft2(g.ikx * dh, g.n), irfft2(g.iky * dh, g.n)
-        u1, u2, a, b, c, rho = s.planes
+        u1, u2, _, _, c, rho = s.planes
         resid = (
             ddt + u1 * d1 + u2 * d2 + 4.0 * params.k * d
             - 2.0 * params.k * rho * c
         )
-        if params.kappa != 0.0:
-            lap = lambda f: laplacian(scalar_field(g, f)).values
-            resid -= params.kappa * (0.5 * c * lap(c) - 2.0 * a * lap(a) - 2.0 * b * lap(b))
         worst = max(worst, float(np.sqrt(np.mean(resid * resid) * g.area)))
     return worst

@@ -1,6 +1,8 @@
-"""Right-hand sides for the coupled system: strain decomposition, stress
-transport/stretching/relaxation, momentum with Leray projection, density
-advection, and the closed determinant law at zero stress diffusivity.
+"""Right-hand sides for the coupled system: strain decomposition, the
+explicit terms the integrating-factor stepper advances (velocity with Leray
+projection, stress transport/stretching and the density source, density
+advection), their sum with the linear parts as the one rate `rates`, and
+the closed determinant law at zero stress diffusivity.
 
 All quadratic products are formed pointwise from dealiased factors and the
 product is dealiased again immediately (2/3 rule), so transport integrals
@@ -8,8 +10,7 @@ are exact divergences at the discrete level.
 
 The core assembly operates on packed half-spectrum (rfft2) arrays of shape
 (6, n, n//2+1) ordered as `fields.PLANES`, the spectrum of
-`SimState.planes`; the time stepper and the field-level operations below
-share it.
+`SimState.planes`; the time stepper and `rates` share it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .spectral import (
     project,
     rfft2,
     scalar_field,
-    vector_field,
 )
 
 
@@ -134,6 +134,19 @@ def explicit_terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np
     return nh
 
 
+def rates(state: SimState, params: PhysParams) -> np.ndarray:
+    """The time derivative of `state.planes`, one real (6, n, n) array
+    ordered as `fields.PLANES`: the stepper's `explicit_terms` plus the
+    linear parts its integrating factors absorb, nu lap(u) on the velocity
+    and kappa lap(sigma) - 2k sigma on the stress."""
+    g = state.grid
+    sh = pack_state(state)
+    nh = explicit_terms(g, params, sh)
+    nh[0:2] -= params.nu * g.k_sq * sh[0:2]
+    nh[2:5] -= (params.kappa * g.k_sq + 2.0 * params.k) * sh[2:5]
+    return irfft2(nh, g.n)
+
+
 def strain_decompose(u: Field) -> StrainDecomposition:
     g = u.grid
     uh = u.coeffs
@@ -145,66 +158,6 @@ def strain_decompose(u: Field) -> StrainDecomposition:
         mu=scalar_field(g, 0.5 * (d1u2 + d2u1)),
         omega=scalar_field(g, d1u2 - d2u1),
     )
-
-
-def stress_rhs(state: SimState, params: PhysParams):
-    """Full (a, b, c) rates: advection, stretching, relaxation -2k, diffusion
-    kappa*lap, and the density source 4*k*rho in the trace equation."""
-    g = state.grid
-    sh = pack_state(state)
-    _, _, na, nb, nc, _ = _terms(g, params, sh)
-    lam_lin = -params.kappa * g.k_sq - 2.0 * params.k
-    da = na + lam_lin * sh[2]
-    db = nb + lam_lin * sh[3]
-    dc = nc + lam_lin * sh[4]
-    vals = irfft2(np.stack([da, db, dc]), g.n)
-    return (
-        scalar_field(g, vals[0]),
-        scalar_field(g, vals[1]),
-        scalar_field(g, vals[2]),
-    )
-
-
-def momentum_rhs(state: SimState, params: PhysParams) -> Field:
-    """Divergence-free velocity rate: P(-u.grad(u) + K div(sigma)) + nu*lap(u)."""
-    g = state.grid
-    sh = pack_state(state)
-    nh = explicit_terms(g, params, sh)
-    visc = -params.nu * g.k_sq
-    du = np.stack([nh[0] + visc * sh[0], nh[1] + visc * sh[1]])
-    return vector_field(g, irfft2(du, g.n))
-
-
-def rho_rhs(state: SimState) -> Field:
-    """Dealiased advection rate -u.grad(rho); its integral vanishes."""
-    g = state.grid
-    sh = pack_state(state)
-    u1, u2, dr1, dr2 = irfft2(
-        np.stack([sh[0], sh[1], g.ikx * sh[5], g.iky * sh[5]]), g.n
-    )
-    nr = rfft2(-(u1 * dr1 + u2 * dr2)) * g.mask
-    return scalar_field(g, irfft2(nr, g.n))
-
-
-def recover_pressure(state: SimState, params: PhysParams) -> Field:
-    """Zero-mean pressure from the Poisson equation lap(p) = div(force) with
-    force = -u.grad(u) + K div(sigma).  Diagnostic only; the stepper never
-    uses pressure."""
-    g = state.grid
-    sh = pack_state(state)
-    f1, f2, *_ = _terms(g, params, sh)
-    div_f = g.ikx * f1 + g.iky * f2
-    ph = -g.inv_k_sq_d * div_f
-    return scalar_field(g, irfft2(ph, g.n))
-
-
-def unprojected_force(state: SimState, params: PhysParams) -> Field:
-    """-u.grad(u) + K div(sigma) + nu*lap(u) before Leray projection."""
-    g = state.grid
-    sh = pack_state(state)
-    f1, f2, *_ = _terms(g, params, sh)
-    visc = -params.nu * g.k_sq
-    return vector_field(g, irfft2(np.stack([f1 + visc * sh[0], f2 + visc * sh[1]]), g.n))
 
 
 def determinant_rhs(state: SimState, params: PhysParams) -> Field:

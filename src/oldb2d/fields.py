@@ -1,5 +1,5 @@
 """Domain state types: physical coefficients, symmetric stress in (a, b, c)
-coordinates, bundled simulation states and norm reports.
+coordinates, bundled simulation states, and the norms with their units.
 
 The stress matrix is stored through a = (s11 - s22)/2, b = s12 and the trace
 c = s11 + s22, so symmetry is structural.  Positive semi-definiteness is
@@ -119,23 +119,10 @@ def sim_state(time, u: Field, stress: StressField, rho: Field) -> SimState:
         dtype=float))
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """Named norms with unit annotations; all values are nonnegative."""
-
-    values: dict
-    units: dict
-
-    def __getitem__(self, key: str) -> float:
-        return self.values[key]
-
-    def unit(self, key: str) -> str:
-        return self.units[key]
-
-
-# Unit tags for each norm entry, derived from u ~ cm/sec and sigma, rho
-# dimensionless, with the L^p integral over a cm^2 area.
-_NORM_UNITS = {
+# The unit of each `norms` entry, derived from u ~ cm/sec and sigma, rho
+# dimensionless, with the L^p integral over a cm^2 area; the a priori
+# ledger tags its inputs from this table.
+NORM_UNITS = {
     "u_L2": CM ** 2 / SEC,
     "grad_u_L2": CM / SEC,
     "sigma_L1": CM ** 2,
@@ -167,14 +154,15 @@ def _parseval(grid, weight, *coeffs) -> float:
     return grid.area * sum(float(np.vdot(ch, w * ch).real) for ch in coeffs)
 
 
-def norms(state: SimState) -> NormReport:
-    """Every norm used by the diagnostics and the a priori bound ledger.
-    The planes are not masked: masking would move the norms of any state
-    that is not band-limited."""
+def norms(state: SimState) -> dict:
+    """Every norm used by the diagnostics and the a priori bound ledger, a
+    dict of nonnegative floats keyed as `NORM_UNITS`.  The planes are not
+    masked: masking would move the norms of any state that is not
+    band-limited."""
     return packed_norms(state.grid, rfft2(state.planes), state.planes)
 
 
-def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> NormReport:
+def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> dict:
     """`norms` from half-spectrum coefficients `sh` (6, n, n//2+1) and real
     planes `reals` (6, n, n), both ordered as `PLANES`.
 
@@ -218,6 +206,4 @@ def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> NormR
     vals["grad_rho_L2"] = np.sqrt(grad_rho_sq)
     vals["rho_W12"] = np.sqrt(rho_l2_sq + grad_rho_sq)
 
-    vals = {k: float(v) for k, v in vals.items()}
-    units = {k: str(_NORM_UNITS[k]) for k in vals}
-    return NormReport(vals, units)
+    return {k: float(v) for k, v in vals.items()}

@@ -33,7 +33,6 @@ class StepControl:
     t_end: float = 1.0
     output_every: int = 1
     snapshot_times: tuple = ()
-    keep_states: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 1.0):
@@ -75,12 +74,11 @@ class MonitorViolation(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Diagnostics records (strictly increasing times), optional snapshots at
-    requested times, optional per-record states, and the final state."""
+    """Diagnostics records (strictly increasing times), snapshots at the
+    requested times, and the final state."""
 
     records: list
     snapshots: list
-    states: list | None
     final_state: SimState
 
     @property
@@ -97,8 +95,10 @@ def _step_dt(grid: SpectralGrid, ctl: StepControl, u: np.ndarray, t: float) -> f
     The rule has no stiffness bound, yet diffusion and damping do limit the
     step: `_advance`'s stage 2 multiplies by 0.25 exp(+lam dt / 2), with
     lam = kappa |k|^2 + 2k up to its largest kept value, which amplifies
-    the stiffest modes.  On `random_admissible` data at n=32, runs with
-    lam dt / 2 up to about 8 passed and one at about 20 failed; past 709
+    the stiffest modes.  On `random_admissible` data at n=32 (amplitude
+    0.1, seed 0, t_end=0.1) lam dt / 2 = 4 passed at kappa=5 and 8 at
+    kappa=20, while 8 at kappa=5 failed `energy` at t=0.096 and 12 at
+    kappa=20 at t=0.024; so no value above 4 is known to be safe.  Past 709
     the factor overflows.  The monitors stop such a run (`energy`,
     `overflow` or `nan`)."""
     umax = float(np.max(np.abs(u)))
@@ -248,10 +248,10 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     Each accepted state is transformed once.  After the `nan` check, one
     `dynamics._terms(sh, planes=True)` evaluation gives its real planes,
     which the monitors, the energy and a record read and which become the
-    one `SimState` that snapshots, kept states, the determinant window and
-    the final state share, and its explicit terms, which are projected in
-    place and become the next step's first stage.  The final state needs no
-    next stage: it gets a 6-plane inverse transform only.
+    one `SimState` that snapshots, the determinant window and the final
+    state share, and its explicit terms, which are projected in place and
+    become the next step's first stage.  The final state needs no next
+    stage: it gets a 6-plane inverse transform only.
     """
     mon = monitors or Monitors()
     grid = initial.grid
@@ -263,7 +263,6 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     eps_end = 1e-12 * max(1.0, abs(t_end))
 
     records: list = []
-    states: list | None = [] if ctl.keep_states else None
     snapshots: list = []
     pending_snaps = sorted(ctl.snapshot_times)
 
@@ -303,11 +302,9 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
                     det_res = diagnostics.determinant_residual(window, params)
             records.append(diagnostics.make_record(grid, params, t, sh, reals,
                                                    determinant_residual=det_res))
-            if states is not None:
-                states.append(state)
 
         if not more:
-            return Trajectory(records, snapshots, states, state)
+            return Trajectory(records, snapshots, state)
 
         dt = _step_dt(grid, ctl, reals[0:2], t)
         project(grid, nh)

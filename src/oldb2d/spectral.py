@@ -329,10 +329,10 @@ def divergence(v: Field) -> Field:
 
 def heat_semigroup(f: Field, diffusivity: float, damping: float, t: float) -> Field:
     """Apply exp(-(diffusivity*|k|^2 + damping) * t) per mode (`decay`)."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if diffusivity < 0.0 or damping < 0.0:
-        raise ValueError("diffusivity and damping must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
+    if not (0.0 <= diffusivity < math.inf and 0.0 <= damping < math.inf):
+        raise ValueError("diffusivity and damping must be nonnegative and finite")
     return _from_coeffs(f, decay(f.grid, diffusivity, damping, t) * f.coeffs)
 
 

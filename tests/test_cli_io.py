@@ -67,11 +67,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("frobnicate=1\n")
 
-    def test_keep_states_is_not_a_config_key(self):
-        # Library callers set StepControl.keep_states; `run` never reads states.
-        with pytest.raises(ConfigError, match="unknown key 'keep_states'"):
-            parse_config("keep_states=true\n")
-
     def test_unreadable_value(self):
         with pytest.raises(ConfigError, match="invalid value"):
             parse_config("nu=fast\n")

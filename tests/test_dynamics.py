@@ -8,17 +8,15 @@ from oldb2d import (
     divergence,
     laplacian,
     make_grid,
-    momentum_rhs,
-    recover_pressure,
-    rho_rhs,
+    rates,
     scalar_field,
     sim_state,
+    step,
     strain_decompose,
-    stress_rhs,
     vector_field,
 )
 from oldb2d.checks import band_limited_admissible_state
-from oldb2d.dynamics import unprojected_force
+from oldb2d.config import build_initial, parse_config
 from oldb2d.fields import norms
 
 from oracles import (
@@ -99,21 +97,36 @@ class TestStrainDecompose:
             assert np.max(np.abs(rebuilt[key] - direct[key])) <= 1e-12
 
 
+class TestRates:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_is_the_derivative_that_step_integrates(self, n):
+        """(step(state, dt) - state) / dt tends to `rates` at first order."""
+        cfg = parse_config(f"n={n}\npreset=random_admissible\nseed=0\n")
+        state = build_initial(cfg, make_grid(n, cfg.length))
+        r = rates(state, cfg.params)
+        errors = [
+            np.max(np.abs((step(state, dt, cfg.params).planes - state.planes) / dt - r))
+            for dt in (4e-3, 2e-3, 1e-3, 5e-4)
+        ]
+        orders = measured_orders(errors)
+        assert min(orders) >= 0.95, (errors, orders)
+
+
 class TestStressRhs:
+    """The stress planes (a, b, c) of `rates`."""
+
     def test_equilibrium_is_stationary(self, grid32):
         state = uniform_state(grid32, c0=2.0, rho0=1.0)
-        da, db, dc = stress_rhs(state, PARAMS)
-        for f in (da, db, dc):
-            assert np.max(np.abs(f.values)) <= 1e-13
+        assert np.max(np.abs(rates(state, PARAMS)[2:5])) <= 1e-13
 
     def test_uniform_linear_relaxation(self, grid32):
         c0, rho0 = 3.0, 1.0
         state = uniform_state(grid32, c0=c0, rho0=rho0)
-        da, db, dc = stress_rhs(state, PARAMS)
+        da, db, dc = rates(state, PARAMS)[2:5]
         expected = -2.0 * PARAMS.k * c0 + 4.0 * PARAMS.k * rho0
-        assert np.allclose(dc.values, expected, atol=1e-13)
-        assert np.max(np.abs(da.values)) <= 1e-14
-        assert np.max(np.abs(db.values)) <= 1e-14
+        assert np.allclose(dc, expected, atol=1e-13)
+        assert np.max(np.abs(da)) <= 1e-14
+        assert np.max(np.abs(db)) <= 1e-14
 
     def test_matches_matrix_form_fd_oracle(self):
         """Second-order finite differences on the matrix transport equation
@@ -137,10 +150,9 @@ class TestStressRhs:
                             scalar_field(grid, c)),
                 scalar_field(grid, rho),
             )
-            da, db, dc = stress_rhs(state, PARAMS)
+            da, db, dc = rates(state, PARAMS)[2:5]
             # matrix components: s11 = c/2 + a, s12 = b, s22 = c/2 - a
-            return (0.5 * dc.values + da.values, db.values,
-                    0.5 * dc.values - da.values)
+            return 0.5 * dc + da, db, 0.5 * dc - da
 
         def fd_rates(grid):
             u, a, b, c, rho = analytic_fields(grid)
@@ -177,10 +189,11 @@ class TestStressRhs:
 
 
 class TestMomentumRhs:
+    """The velocity planes of `rates`."""
+
     def test_uniform_stress_no_force(self, grid32):
         state = uniform_state(grid32, c0=3.0, rho0=1.0)
-        du = momentum_rhs(state, PARAMS)
-        assert np.max(np.abs(du.values)) <= 1e-13
+        assert np.max(np.abs(rates(state, PARAMS)[0:2])) <= 1e-13
 
     def test_isotropic_stress_is_pressure(self, grid32):
         # sigma = rho(x) I gives a pure gradient force, annihilated by the
@@ -194,8 +207,7 @@ class TestMomentumRhs:
             StressField(zero, zero, scalar_field(grid32, 2.0 * rho)),
             scalar_field(grid32, rho),
         )
-        du = momentum_rhs(state, PARAMS)
-        assert np.max(np.abs(du.values)) <= 1e-12
+        assert np.max(np.abs(rates(state, PARAMS)[0:2])) <= 1e-12
 
     def test_taylor_green_reduces_to_viscosity(self, grid64):
         from oldb2d import leray_project
@@ -219,28 +231,30 @@ class TestMomentumRhs:
         projected = leray_project(vector_field(grid64, adv))
         assert np.max(np.abs(projected.values)) <= 1e-7  # fd oracle accuracy
 
-        du = momentum_rhs(state, PARAMS)
-        assert np.max(np.abs(du.values + 2.0 * PARAMS.nu * u_vals)) <= 1e-12
+        du = rates(state, PARAMS)[0:2]
+        assert np.max(np.abs(du + 2.0 * PARAMS.nu * u_vals)) <= 1e-12
 
     def test_output_divergence_free(self, grid32):
         state = band_limited_admissible_state(grid32, seed=12, kmax=4)
-        du = momentum_rhs(state, PARAMS)
+        du = vector_field(grid32, rates(state, PARAMS)[0:2])
         scale = np.sqrt(np.sum(grid32.weights * np.abs(du.coeffs) ** 2)) + 1e-300
         assert np.max(np.abs(divergence(du).coeffs)) <= 1e-12 * scale
 
 
 class TestRhoRhs:
+    """The density plane of `rates`: the dealiased advection -u.grad(rho)."""
+
     def test_uniform_rho(self, grid32):
         state = band_limited_admissible_state(grid32, seed=13, kmax=4)
         state = sim_state(0.0, state.u, state.stress, const(grid32, 1.0))
-        assert np.max(np.abs(rho_rhs(state).values)) <= 1e-13
+        assert np.max(np.abs(rates(state, PARAMS)[5])) <= 1e-13
 
     def test_zero_velocity(self, grid32):
         state = uniform_state(grid32, c0=2.0, rho0=1.0)
         x, y = grid32.nodes()
         state = sim_state(0.0, state.u, state.stress,
                           scalar_field(grid32, 1.0 + 0.3 * np.cos(x)))
-        assert np.max(np.abs(rho_rhs(state).values)) == 0.0
+        assert np.max(np.abs(rates(state, PARAMS)[5])) == 0.0
 
     def test_streamline_constant_density(self, grid32):
         # u = perp-grad(psi) advects psi to itself: u . grad(psi) = 0
@@ -259,77 +273,15 @@ class TestRhoRhs:
             StressField(zero, zero, const(grid32, 2)),
             scalar_field(grid32, psi + 2.0),  # rho > 0 shifted streamfunction
         )
-        drho = rho_rhs(state)
+        drho = rates(state, PARAMS)[5]
         scale = np.max(np.abs(u)) * np.max(np.abs(psi)) + 1e-300
-        assert np.max(np.abs(drho.values)) <= 1e-13 * max(1.0, scale)
+        assert np.max(np.abs(drho)) <= 1e-13 * max(1.0, scale)
 
     def test_integral_vanishes(self, grid32):
         state = band_limited_admissible_state(grid32, seed=15, kmax=4)
-        drho = rho_rhs(state)
-        scale = np.max(np.abs(drho.values)) + 1e-300
-        assert abs(np.mean(drho.values)) * state.grid.area <= 1e-12 * max(1.0, scale)
-
-
-class TestRecoverPressure:
-    def test_zero_state(self, grid32):
-        state = uniform_state(grid32, c0=0.0, rho0=0.0)
-        assert np.max(np.abs(recover_pressure(state, PARAMS).values)) == 0.0
-
-    def test_isotropic_stress_pressure(self, grid32):
-        # Poisson oracle: lap(p) = K lap(rho) with zero-mean gauge, so
-        # p = K (rho - mean(rho)).
-        x, y = grid32.nodes()
-        rho = 1.0 + 0.5 * np.cos(x) * np.sin(y)
-        zero = const(grid32, 0)
-        state = sim_state(
-            0.0,
-            vector_field(grid32, np.zeros((2, 32, 32))),
-            StressField(zero, zero, scalar_field(grid32, 2.0 * rho)),
-            scalar_field(grid32, rho),
-        )
-        p = recover_pressure(state, PARAMS).values
-        expected = PARAMS.bigK * (rho - np.mean(rho))
-        assert np.max(np.abs(p - expected)) <= 1e-12
-        lap_fd = fd_laplacian_2nd(p, grid32.spacing)
-        rhs_fd = PARAMS.bigK * fd_laplacian_2nd(rho, grid32.spacing)
-        assert np.max(np.abs(lap_fd - rhs_fd)) <= 1e-10
-
-    def test_taylor_green_pressure(self, grid64):
-        # For the (sin x cos y, -cos x sin y) phase, u.grad(u) equals
-        # grad(-(cos 2x + cos 2y)/4), so the balancing pressure is
-        # +(cos 2x + cos 2y)/4; verified below through the gradient residual.
-        x, y = grid64.nodes()
-        zero = const(grid64, 0)
-        u_vals = taylor_green_velocity(x, y)
-        state = sim_state(
-            0.0,
-            vector_field(grid64, u_vals),
-            StressField(zero, zero, zero),
-            zero,
-        )
-        p = recover_pressure(state, PARAMS).values
-        expected = (np.cos(2 * x) + np.cos(2 * y)) / 4.0
-        assert np.max(np.abs(p - expected)) <= 1e-12
-
-        # Residual oracle: grad(p) must cancel the advective term exactly.
-        gp1 = fd_derivative(p, 0, grid64.spacing)
-        gp2 = fd_derivative(p, 1, grid64.spacing)
-        adv1 = (u_vals[0] * fd_derivative(u_vals[0], 0, grid64.spacing)
-                + u_vals[1] * fd_derivative(u_vals[0], 1, grid64.spacing))
-        adv2 = (u_vals[0] * fd_derivative(u_vals[1], 0, grid64.spacing)
-                + u_vals[1] * fd_derivative(u_vals[1], 1, grid64.spacing))
-        assert np.max(np.abs(gp1 + adv1)) <= 1e-7
-        assert np.max(np.abs(gp2 + adv2)) <= 1e-7
-
-    def test_gradient_residual(self, grid32):
-        from oldb2d import ddx
-        from oldb2d.diagnostics import momentum_residual
-
-        state = band_limited_admissible_state(grid32, seed=16, kmax=4)
-        resid = momentum_residual(state, PARAMS)
-        force = unprojected_force(state, PARAMS)
-        scale = np.sqrt(np.mean(np.sum(force.values ** 2, axis=0)) * grid32.area)
-        assert resid <= 1e-10 * max(1.0, scale)
+        drho = rates(state, PARAMS)[5]
+        scale = np.max(np.abs(drho)) + 1e-300
+        assert abs(np.mean(drho)) * state.grid.area <= 1e-12 * max(1.0, scale)
 
 
 class TestDeterminantRhs:
@@ -359,12 +311,9 @@ class TestDeterminantRhs:
         grid = make_grid(32, TWO_PI)
         params0 = PhysParams(nu=0.01, kappa=0.0, k=1.0, bigK=1.0)
         state = band_limited_admissible_state(grid, seed=seed, kmax=3)
-        da, db, dc = stress_rhs(state, params0)
-        combo = (
-            0.5 * state.stress.c.values * dc.values
-            - 2.0 * state.stress.a.values * da.values
-            - 2.0 * state.stress.b.values * db.values
-        )
+        a, b, c = state.planes[2:5]
+        da, db, dc = rates(state, params0)[2:5]
+        combo = 0.5 * c * dc - 2.0 * a * da - 2.0 * b * db
         law = determinant_rhs(state, params0).values
         assert np.max(np.abs(combo - law)) <= 1e-10
 
@@ -374,13 +323,9 @@ class TestEnergyRateIdentity:
     def test_energy_rate_inequality(self, seed):
         grid = make_grid(32, TWO_PI)
         state = band_limited_admissible_state(grid, seed=seed, kmax=4)
-        du = momentum_rhs(state, PARAMS)
-        _, _, dc = stress_rhs(state, PARAMS)
+        r = rates(state, PARAMS)
         u1, u2 = state.u.values
-        lhs = np.mean(
-            2.0 * (u1 * du.values[0] + u2 * du.values[1])
-            + PARAMS.bigK * dc.values
-        ) * grid.area
+        lhs = np.mean(2.0 * (u1 * r[0] + u2 * r[1]) + PARAMS.bigK * r[4]) * grid.area
         rep = norms(state)
         rhs = (
             -2.0 * PARAMS.nu * rep["grad_u_L2"] ** 2
@@ -395,7 +340,9 @@ class TestEnergyRateIdentity:
         state = band_limited_admissible_state(grid, seed=33, kmax=4)
         strain = strain_decompose(state.u)
         u1, u2 = state.u.values
-        force = unprojected_force(state, PARAMS).values
+        # The projected force, from the velocity rate less its viscous part,
+        # does the same work against a divergence-free u.
+        force = rates(state, PARAMS)[0:2]
         visc = PARAMS.nu * np.stack([
             laplacian(state.u.component(0)).values,
             laplacian(state.u.component(1)).values,

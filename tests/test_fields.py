@@ -13,6 +13,7 @@ from oldb2d import (
     vector_field,
 )
 from oldb2d.checks import band_limited_admissible_state
+from oldb2d.fields import NORM_UNITS
 
 from oracles import quad_integral
 
@@ -200,7 +201,7 @@ class TestNorms:
             scalar_field(grid32, state.rho.values.T),
         )
         rep_swapped = norms(swapped)
-        for key in rep.values:
+        for key in rep:
             assert rep_swapped[key] == pytest.approx(rep[key], rel=1e-12, abs=1e-13), key
 
     def test_parseval_consistency(self, grid32):
@@ -222,8 +223,9 @@ class TestNorms:
     def test_units_annotations(self, grid32):
         state = band_limited_admissible_state(grid32, seed=7, kmax=4)
         rep = norms(state)
-        assert rep.unit("u_L2") == "cm^2 sec^-1"
-        assert rep.unit("sigma_L1") == "cm^2"
-        assert rep.unit("grad_sigma_L2") == "dimensionless"
-        assert rep.unit("rho_W12") == "mixed"
-        assert all(v >= 0.0 for v in rep.values.values())
+        assert rep.keys() == NORM_UNITS.keys()
+        assert str(NORM_UNITS["u_L2"]) == "cm^2 sec^-1"
+        assert str(NORM_UNITS["sigma_L1"]) == "cm^2"
+        assert str(NORM_UNITS["grad_sigma_L2"]) == "dimensionless"
+        assert str(NORM_UNITS["rho_W12"]) == "mixed"
+        assert all(v >= 0.0 for v in rep.values())

@@ -358,16 +358,15 @@ class TestOneEvaluationPerState:
     @pytest.mark.parametrize("name", sorted(ONE_EVALUATION_CONFIGS))
     def test_bit_identical_to_separate_transforms(self, name):
         cfg, initial = self._setup(ONE_EVALUATION_CONFIGS[name])
-        ctl = dataclasses.replace(cfg.control, keep_states=True)
-        traj = run(initial, cfg.params, ctl, cfg.monitors)
-        records, snapshots, final = reference_run(initial, cfg.params, ctl)
+        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        records, snapshots, final = reference_run(initial, cfg.params, cfg.control)
 
         assert len(traj.records) == len(records)
         for got, want in zip(traj.records, records):
             for field in dataclasses.fields(diagnostics.DiagnosticsRecord):
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 if field.name == "norms":
-                    assert a.values == b.values
+                    assert a == b
                 else:
                     assert same_float(a, b), field.name
         assert [t for t, _ in traj.snapshots] == [t for t, _ in snapshots]
@@ -375,8 +374,6 @@ class TestOneEvaluationPerState:
         for (_, got), (_, want) in zip(traj.snapshots, snapshots):
             assert_same_state(got, want)
         assert_same_state(traj.final_state, final)
-        for state, rec in zip(traj.states, traj.records):
-            assert state.time == rec.time
         if cfg.params.kappa == 0.0:
             assert any(math.isfinite(r.determinant_residual) for r in records)
 
@@ -500,8 +497,7 @@ class TestTransformScratch:
         for n, got in zip((16, 128, 16), shared):
             monkeypatch.setattr(dynamics, "_SCRATCH", spectral._Scratch())
             want = solve(n)
-            assert [r.norms.values for r in got.records] == \
-                [r.norms.values for r in want.records]
+            assert [r.norms for r in got.records] == [r.norms for r in want.records]
             assert_same_state(got.snapshots[0][1], want.snapshots[0][1])
             assert_same_state(got.final_state, want.final_state)
 
@@ -610,14 +606,11 @@ class TestRun:
         assert exc.value.time > 0.0
         assert np.isfinite(exc.value.value)
 
-    def test_keep_states_and_snapshots(self):
+    def test_snapshots(self):
         cfg = parse_config("n=16\npreset=equilibrium\ndt_max=0.01\nt_end=0.1\n"
                            "snapshot_times=0.05\n")
         grid = make_grid(16, cfg.length)
-        ctl = dataclasses.replace(cfg.control, keep_states=True)
-        traj = run(build_initial(cfg, grid), cfg.params, ctl, cfg.monitors)
-        assert traj.states is not None
-        assert len(traj.states) == len(traj.records)
+        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
         assert len(traj.snapshots) == 1
         t_snap, snap = traj.snapshots[0]
         assert t_snap == pytest.approx(0.05, abs=1e-9)

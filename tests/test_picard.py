@@ -149,7 +149,7 @@ class TestQ2:
     def test_integrand_matches_dynamics(self, grid16):
         # The matrix-form assembly must agree with the strain-form stress
         # rate once relaxation, diffusion and the density source are removed.
-        from oldb2d import stress_rhs
+        from oldb2d import rates
         from oldb2d.picard import q2_integrand
 
         state = band_limited_admissible_state(grid16, seed=4, kmax=3)
@@ -157,14 +157,9 @@ class TestQ2:
         abc0h = rfft2(np.stack([state.stress.a.values, state.stress.b.values,
                                 state.stress.c.values]))
         integrand = q2_integrand(u0h[None], abc0h[None], grid16)[0]
-        da, db, dc = stress_rhs(state, PARAMS)
         lin = -(PARAMS.kappa * grid16.k_sq) - 2.0 * PARAMS.k
-        rho0h = rfft2(state.rho.values)
-        expected = np.stack([
-            rfft2(da.values) - lin * abc0h[0],
-            rfft2(db.values) - lin * abc0h[1],
-            rfft2(dc.values) - lin * abc0h[2] - 4.0 * PARAMS.k * rho0h,
-        ])
+        expected = rfft2(rates(state, PARAMS)[2:5]) - lin * abc0h
+        expected[2] -= 4.0 * PARAMS.k * rfft2(state.rho.values)
         scale = np.max(np.abs(expected)) + 1e-300
         assert np.max(np.abs(integrand - expected)) <= 1e-12 * scale
 

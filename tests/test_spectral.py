@@ -246,6 +246,17 @@ class TestHeatSemigroup:
         with pytest.raises(ValueError):
             heat_semigroup(f, 0.1, 0.0, -1e-9)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("argument", ["diffusivity", "damping", "t"])
+    def test_rejects_non_finite_arguments(self, grid32, argument, value):
+        # A nan must not pass the sign test and return an all-nan field,
+        # nor an inf end in a RuntimeWarning or a zero field.
+        args = {"diffusivity": 0.1, "damping": 0.5, "t": 0.2, argument: value}
+        f = scalar_field(grid32, np.ones((32, 32)))
+        args[argument] = value
+        with pytest.raises(ValueError, match="finite"):
+            heat_semigroup(f, **args)
+
 
 class TestParseval:
     def test_norm_equality(self, grid64):
