@@ -333,8 +333,8 @@ def check_energy_budget_gate(cfg) -> CheckResult:
     state = cfgmod.build_initial(tweaked, grid)
     ledger = diagnostics.apriori_ledger(state, tweaked.params, traj.records[-1].time,
                                         tweaked.constant_c)
-    report = diagnostics.bound_check(traj, ledger, tweaked.params)
-    row = report.rows[0]
+    row = diagnostics.bound_check(diagnostics.series(traj.records), ledger,
+                                  tweaked.params)[0]
     return _result("diagnostics.energy_budget_gate", row.passed,
                    f"observed/bound = {row.ratio:.6f}")
 

@@ -12,6 +12,7 @@ only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,16 @@ class EnergyLedger:
     source: float
 
 
+COLUMNS = (
+    "time", "energy", "dissipation", "source", "min_gamma", "min_rho",
+    "u_L2", "grad_u_L2", "sigma_L1", "sigma_L2", "grad_sigma_L2",
+    "omega_L2", "c_max",
+    "grad_omega_L2", "delta_sigma_L2", "delta_omega_L2", "rho_W12",
+)
+"""The time-series columns, in CSV order: a record's field or, failing
+that, its norm of that name.  `bound_check` reads R0..R5 from them."""
+
+
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     time: float
@@ -52,6 +63,17 @@ class DiagnosticsRecord:
     c_max: float
     norms: dict
     determinant_residual: float
+
+    def row(self) -> tuple:
+        """The record's values in `COLUMNS` order."""
+        return tuple(self.norms[key] if key in self.norms else getattr(self, key)
+                     for key in COLUMNS)
+
+
+def series(records) -> dict:
+    """Records as the `{column: array}` dict that
+    `snapshots.read_timeseries` returns for their CSV."""
+    return dict(zip(COLUMNS, np.array([rec.row() for rec in records]).T))
 
 
 @dataclass(frozen=True)
@@ -99,11 +121,6 @@ class BoundRow:
     ratio: float
     hard: bool
     passed: bool | None
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    rows: tuple
 
 
 def packed_energy(grid: SpectralGrid, params: PhysParams, sh: np.ndarray,
@@ -154,17 +171,15 @@ def positivity_report(state: SimState, tol: float) -> PositivityReport:
     return _positivity(state.planes, tol)
 
 
-def make_record(grid: SpectralGrid, params: PhysParams, time: float, sh: np.ndarray,
-                reals: np.ndarray, *,
+def make_record(grid: SpectralGrid, time: float, sh: np.ndarray, reals: np.ndarray,
+                pos: PositivityReport, led: EnergyLedger, *,
                 determinant_residual: float = float("nan")) -> DiagnosticsRecord:
-    """One diagnostics record of an accepted state, from what the stepper's
-    one evaluation of it, `dynamics._terms(sh, planes=True)`, holds: the
-    half-spectrum coefficients `sh` and the real planes `reals`, both
-    ordered as `fields.PLANES`.  No transform of the state is repeated
-    here."""
-    rep = packed_norms(grid, sh, reals)
-    led = packed_energy(grid, params, sh, reals)
-    pos = _positivity(reals, tol=0.0)
+    """One diagnostics record of an accepted state, from what `run` already
+    holds for it: the half-spectrum coefficients `sh` and real planes
+    `reals` of its one `dynamics._terms(sh, planes=True)` evaluation, both
+    ordered as `fields.PLANES`, its positivity scan `pos` and its energy
+    ledger `led`.  Only the norms are computed here; no transform of the
+    state is repeated."""
     return DiagnosticsRecord(
         time=time,
         energy=led.energy,
@@ -175,7 +190,7 @@ def make_record(grid: SpectralGrid, params: PhysParams, time: float, sh: np.ndar
         min_c=pos.min_c,
         min_eig=pos.min_eig,
         c_max=pos.max_c,
-        norms=rep,
+        norms=packed_norms(grid, sh, reals),
         determinant_residual=determinant_residual,
     )
 
@@ -272,47 +287,47 @@ def _row(name: str, obs: float, bound: float, passed: bool | None = None) -> Bou
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _budget_rows(times, column, ledger: BoundLedger, params: PhysParams,
-                 rel_tol: float) -> list:
-    """The hard R0 row, sup_t [ ||u||^2 + K ||sigma||_L1 + 2 nu int_0^t
-    ||grad u||^2 ] <= R0 at the quadrature tolerance, and the R1 ratio row.
-    `column(key)` gives one norm at the recorded times; the time-series CSV
-    carries the columns of exactly these two rows.  A norm whose square
-    overflows makes the observed value +inf, which fails the gate."""
-    obs0 = _running_sup(times, column("u_L2") ** 2 + params.bigK * column("sigma_L1"),
-                        column("grad_u_L2") ** 2, 2.0 * params.nu)
-    bound0 = ledger.R0.value
-    passed = bool(obs0 <= bound0 * (1.0 + rel_tol) or obs0 == bound0 == 0.0)
-    obs1 = _running_sup(times, column("sigma_L2") ** 2, column("grad_sigma_L2") ** 2,
-                        params.kappa)
-    return [_row("R0", obs0, bound0, passed), _row("R1", obs1, ledger.R1.value)]
+def bound_check(columns: dict, ledger: BoundLedger, params: PhysParams,
+                rel_tol: float = 1e-6) -> tuple:
+    """The rows R0..R5 of a time series against the ledger.  `columns` is
+    the `{column: array}` dict of `COLUMNS` that `series(records)` and
+    `snapshots.read_timeseries` give.
 
+    R0 is the constant-free energy budget, a strict pass/fail:
+    sup_t [ ||u||^2 + K ||sigma||_L1 + 2 nu int_0^t ||grad u||^2 ] <= R0
+    at the quadrature tolerance `rel_tol`.  A norm whose square overflows
+    makes the observed value +inf, which fails the gate.  The budget is
+    summed with every norm scaled by a power of two that makes R0 of order
+    one: the scaling is exact, so a normal R0 gets the result it would
+    unscaled, while squares that would be subnormal keep full precision.
+    A subnormal R0 (below 2^-1022) is itself three terms, each rounded to
+    a multiple of 2^-1074, so it may be low by 1.5 such units; the gate
+    allows that much beyond `rel_tol`.
 
-def bound_check(traj, ledger: BoundLedger, params: PhysParams,
-                rel_tol: float = 1e-6) -> BoundCheckReport:
-    """Compare the norms of the records of `traj`, an
-    `integrate.Trajectory`, against the ledger.
-
-    The R0 row is the constant-free energy budget and a strict pass/fail
-    (see `_budget_rows`).  The remaining rows carry generic constants, so
-    only observed/bound ratios are reported.
+    R1..R5 carry generic constants, so their rows are observed/bound ratios
+    only: sup_t [ ||f||^2 + coeff int_0^t ||g||^2 ] for R1..R4 and
+    sup_t ||rho||_W12 for R5.
     """
-    recs = traj.records
-    times = np.array([r.time for r in recs])
-
-    def series(key):
-        return np.array([r.norms[key] for r in recs])
-
-    rows = _budget_rows(times, series, ledger, params, rel_tol)
+    times = columns["time"]
+    bound0 = ledger.R0.value
+    s = -(math.frexp(bound0)[1] // 2) if 0.0 < bound0 < math.inf else 0
+    u_sq, grad_u_sq = (np.ldexp(columns[key], s) ** 2 for key in ("u_L2", "grad_u_L2"))
+    obs0 = _running_sup(times, u_sq + params.bigK * np.ldexp(columns["sigma_L1"], 2 * s),
+                        grad_u_sq, 2.0 * params.nu)
+    scaled_bound0 = math.ldexp(bound0, 2 * s)
+    slack = math.ldexp(1.5, 2 * s - 1074) if bound0 < sys.float_info.min else 0.0
+    passed = obs0 <= scaled_bound0 * (1.0 + rel_tol) + slack
+    rows = [_row("R0", float(np.ldexp(obs0, -2 * s)), bound0, bool(passed))]
     for name, sup_key, integrand_key, coeff in (
+        ("R1", "sigma_L2", "grad_sigma_L2", params.kappa),
         ("R2", "omega_L2", "grad_omega_L2", params.nu),
         ("R3", "grad_sigma_L2", "delta_sigma_L2", params.kappa),
         ("R4", "grad_omega_L2", "delta_omega_L2", params.nu),
     ):
-        obs = _running_sup(times, series(sup_key) ** 2, series(integrand_key) ** 2, coeff)
+        obs = _running_sup(times, columns[sup_key] ** 2, columns[integrand_key] ** 2, coeff)
         rows.append(_row(name, obs, getattr(ledger, name).value))
-    rows.append(_row("R5", float(np.max(series("rho_W12"))), ledger.R5.value))
-    return BoundCheckReport(tuple(rows))
+    rows.append(_row("R5", float(np.max(columns["rho_W12"])), ledger.R5.value))
+    return tuple(rows)
 
 
 def determinant_residual(states, params: PhysParams) -> float:

@@ -8,6 +8,7 @@ equivalent to gamma = c - 2*sqrt(a^2 + b^2) >= 0 pointwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,14 +94,15 @@ class SimState:
         """Check the construction invariants: u divergence-free, rho >= 0.
         The divergence is measured against |u| times the lowest wavenumber
         2 pi / L, so the test does not depend on the unit of length; |u| is
-        summed on u scaled to a unit peak, so its squares do not underflow
-        for a tiny velocity."""
+        summed on |u_k| scaled to a unit peak, so its squares do not
+        underflow for a tiny velocity; the scaling divides reals, as a
+        complex division by a subnormal peak overflows."""
         g = self.grid
         uh = rfft2(self.planes[0:2])
         du = g.ikx * uh[0] + g.iky * uh[1]
         k_low = 2.0 * np.pi / g.length
         peak = float(np.max(np.abs(uh)))
-        size = peak * l2_scale(g, uh / peak) if peak > 0.0 else 0.0
+        size = peak * l2_scale(g, np.abs(uh) / peak) if peak > 0.0 else 0.0
         if np.max(np.abs(du)) > 1e-12 * max(k_low * size, 1e-300):
             raise ValueError("velocity is not divergence-free")
         r = self.planes[5]
@@ -168,7 +170,17 @@ def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> dict:
 
     The stress L^1 norm is the trace integral; L^2-type stress norms are
     Frobenius, i.e. the density c^2/2 + 2a^2 + 2b^2 in (a, b, c) variables.
+
+    Below 2^-511 a value's square is subnormal and keeps only an absolute
+    precision of 2^-1074.  So the norms of a state whose values all lie
+    below that are taken of the state scaled by a power of two and scaled
+    back: every norm is of degree one, and the scaling is exact.
     """
+    peak = max(float(reals.max()), -float(reals.min()))
+    if 0.0 < peak < 2.0 ** -511:
+        scale = 2.0 ** min(-math.frexp(peak)[1], 1000)
+        vals = packed_norms(grid, sh * scale, reals * scale)
+        return {k: v / scale for k, v in vals.items()}
     area = grid.area
     u1, u2, a, b, c, rho = reals
     u1h, u2h, ah, bh, ch, rhoh = sh

@@ -81,10 +81,6 @@ class Trajectory:
     snapshots: list
     final_state: SimState
 
-    @property
-    def times(self):
-        return np.array([r.time for r in self.records])
-
 
 def _step_dt(grid: SpectralGrid, ctl: StepControl, u: np.ndarray, t: float) -> float:
     """`run`'s step rule at time t: the advective CFL step of the velocity
@@ -208,12 +204,11 @@ def step(state: SimState, dt: float, params: PhysParams) -> SimState:
 
 
 def _check_monitors(mon: Monitors, params: PhysParams, t: float, dt: float,
-                    reals: np.ndarray, prev, led) -> None:
+                    pos, prev, led) -> None:
     """The monitors after `nan`, in the documented tie-break order, on the
-    real planes `reals` of the state accepted at t after a step dt, whose
-    energy ledger is `led` (`prev` before the step).  One positivity scan
-    gives every extreme they read."""
-    pos = diagnostics._positivity(reals, 0.0)
+    state accepted at t after a step dt: its positivity scan `pos` gives
+    every extreme they read, and its energy ledger is `led` (`prev` before
+    the step)."""
     if pos.max_c > mon.c_ceiling:
         raise MonitorViolation(
             "overflow", t, pos.max_c, f"max c exceeded the ceiling {mon.c_ceiling:.3e}"
@@ -247,11 +242,12 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
 
     Each accepted state is transformed once.  After the `nan` check, one
     `dynamics._terms(sh, planes=True)` evaluation gives its real planes,
-    which the monitors, the energy and a record read and which become the
-    one `SimState` that snapshots, the determinant window and the final
-    state share, and its explicit terms, which are projected in place and
-    become the next step's first stage.  The final state needs no next
-    stage: it gets a 6-plane inverse transform only.
+    which one positivity scan and one energy ledger read for the monitors
+    and a due record, and which become the one `SimState` that snapshots,
+    the determinant window and the final state share, and its explicit
+    terms, which are projected in place and become the next step's first
+    stage.  The final state needs no next stage: it gets a 6-plane inverse
+    transform only.
     """
     mon = monitors or Monitors()
     grid = initial.grid
@@ -281,10 +277,11 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
         else:
             reals = irfft2(sh, grid.n)
         state = SimState(t, grid, reals)
+        pos = diagnostics._positivity(reals, 0.0)
         prev, led = led, diagnostics.packed_energy(grid, params, sh, reals)
 
         if step_index:
-            _check_monitors(mon, params, t, dt, reals, prev, led)
+            _check_monitors(mon, params, t, dt, pos, prev, led)
             while pending_snaps and t >= pending_snaps[0] - eps_end:
                 pending_snaps.pop(0)
                 snapshots.append((t, state))
@@ -300,7 +297,7 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
                 t0, t1, t2 = (w.time for w in window)
                 if abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t2 - t1, 1e-300):
                     det_res = diagnostics.determinant_residual(window, params)
-            records.append(diagnostics.make_record(grid, params, t, sh, reals,
+            records.append(diagnostics.make_record(grid, t, sh, reals, pos, led,
                                                    determinant_residual=det_res))
 
         if not more:

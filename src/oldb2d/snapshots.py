@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord
+from .diagnostics import COLUMNS, DiagnosticsRecord
 from .fields import PLANES, SimState
 from .spectral import SpectralGrid
 
@@ -85,41 +85,24 @@ def read_snapshot(path, grid: SpectralGrid) -> SimState:
     return SimState(time, grid, planes)
 
 
-TIMESERIES_COLUMNS = (
-    "time", "energy", "dissipation", "source", "min_gamma", "min_rho",
-    "u_L2", "grad_u_L2", "sigma_L1", "sigma_L2", "grad_sigma_L2",
-    "omega_L2", "c_max",
-)
-
-
-def _row_values(record: DiagnosticsRecord):
-    return (
-        record.time, record.energy, record.dissipation, record.source,
-        record.min_gamma, record.min_rho,
-        record.norms["u_L2"], record.norms["grad_u_L2"],
-        record.norms["sigma_L1"], record.norms["sigma_L2"],
-        record.norms["grad_sigma_L2"], record.norms["omega_L2"],
-        record.c_max,
-    )
-
-
 def append_timeseries(record: DiagnosticsRecord, path) -> None:
-    """Append one CSV row (17 significant digits); the header is written
-    exactly once, when the file is new or empty."""
+    """Append the record's `diagnostics.COLUMNS` as one CSV row (17
+    significant digits, which round-trip every double); the header is
+    written exactly once, when the file is new or empty."""
     import os
 
     need_header = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8") as fh:
         if need_header:
-            fh.write(",".join(TIMESERIES_COLUMNS) + "\n")
-        fh.write(",".join(f"{v:.17g}" for v in _row_values(record)) + "\n")
+            fh.write(",".join(COLUMNS) + "\n")
+        fh.write(",".join(f"{v:.17g}" for v in record.row()) + "\n")
 
 
 def _parse_row(line: str, lineno: int) -> list:
     fields = line.split(",")
-    if len(fields) != len(TIMESERIES_COLUMNS):
+    if len(fields) != len(COLUMNS):
         raise SnapshotFormatError(f"time-series line {lineno}: {len(fields)} columns, "
-                                  f"expected {len(TIMESERIES_COLUMNS)}")
+                                  f"expected {len(COLUMNS)}")
     try:
         row = [float(field) for field in fields]
     except ValueError:
@@ -130,19 +113,22 @@ def _parse_row(line: str, lineno: int) -> list:
 
 
 def read_timeseries(path) -> dict:
-    """Read a time-series CSV back into column arrays.  A row of the wrong
-    width, a value that is not a finite number, text that is not UTF-8, or
-    times that do not strictly increase raise `SnapshotFormatError`."""
+    """Read a time-series CSV back into the `{column: array}` dict that
+    `diagnostics.series` gives for its records.  A header other than
+    `COLUMNS` (such as the 13-column file of earlier versions), a row of
+    the wrong width, a value that is not a finite number, text that is not
+    UTF-8, or times that do not strictly increase raise
+    `SnapshotFormatError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            if header != list(TIMESERIES_COLUMNS):
+            if header != list(COLUMNS):
                 raise SnapshotFormatError(f"unexpected time-series header {header}")
             rows = [_parse_row(line.strip(), lineno)
                     for lineno, line in enumerate(fh, start=2) if line.strip()]
     except UnicodeDecodeError as exc:
         raise SnapshotFormatError(f"time series is not UTF-8 text: {exc.reason}") from None
-    data = np.array(rows) if rows else np.empty((0, len(TIMESERIES_COLUMNS)))
+    data = np.array(rows) if rows else np.empty((0, len(COLUMNS)))
     if np.any(np.diff(data[:, 0]) <= 0.0):
         raise SnapshotFormatError("time-series times do not strictly increase")
-    return {name: data[:, i] for i, name in enumerate(TIMESERIES_COLUMNS)}
+    return dict(zip(COLUMNS, data.T))

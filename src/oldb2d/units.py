@@ -79,7 +79,11 @@ class UnitValue:
         return UnitValue(self.value + other.value, self.unit)
 
     def __mul__(self, other: "UnitValue") -> "UnitValue":
-        return UnitValue(self.value * other.value, self.unit * other.unit)
+        # An exact zero factor gives zero even against an overflowed +inf:
+        # the overflow stands for a finite value, so the product is 0.
+        zero = self.value == 0.0 or other.value == 0.0
+        value = 0.0 if zero else self.value * other.value
+        return UnitValue(value, self.unit * other.unit)
 
     def __truediv__(self, other: "UnitValue") -> "UnitValue":
         return UnitValue(self.value / other.value, self.unit / other.unit)

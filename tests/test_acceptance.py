@@ -32,6 +32,7 @@ from oldb2d import (
     vector_field,
 )
 from oldb2d import determinant_rhs
+from oldb2d.diagnostics import series
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.cli import main as cli_main
 from oldb2d.config import parse_config, build_initial
@@ -148,7 +149,7 @@ class TestCriterion5:
         for cfg, initial, traj in runs:
             ledger = apriori_ledger(initial, cfg.params, traj.records[-1].time,
                                     cfg.constant_c)
-            row = bound_check(traj, ledger, cfg.params).rows[0]
+            row = bound_check(series(traj.records), ledger, cfg.params)[0]
             assert row.hard and row.passed, (row.observed, row.bound)
             worst_ratio = max(worst_ratio, row.ratio)
         report(5, f"energy budget observed/R0 <= {worst_ratio:.6f} on all runs "

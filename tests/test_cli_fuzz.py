@@ -76,6 +76,20 @@ def test_run_with_extreme_preset_values(work, preset, values):
     assert_contract(*call(["run", "--config", str(cfg), "--out-dir", str(work / "out")]))
 
 
+@pytest.mark.parametrize("preset", ["taylor_green", "random_admissible"])
+@pytest.mark.parametrize("value", [1e-310, 2.2250738585072014e-308])
+def test_run_with_subnormal_preset_values(work, preset, value):
+    """A velocity whose spectral peak is subnormal: the divergence check of
+    the built state divided the complex spectrum by that peak, which
+    overflowed and warned."""
+    cfg = work / "tiny.cfg"
+    cfg.write_text(f"n=16\npreset={preset}\nt_end=0.001\namplitude={value!r}\n"
+                   f"rho0={value!r}\nstress_amplitude=0\n")
+    result = call(["run", "--config", str(cfg), "--out-dir", str(work / "tiny")])
+    assert_contract(*result)
+    assert result[0] == 0
+
+
 @FUZZ
 @given(preset=st.sampled_from(PRESETS), n=st.sampled_from([8, 16]),
        length=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e))

@@ -16,11 +16,16 @@ from oldb2d import (
 )
 from oldb2d.cli import main
 from oldb2d.config import ConfigError, build_initial, parse_config
-from oldb2d.diagnostics import make_record, positivity_report
+from oldb2d.diagnostics import (
+    COLUMNS,
+    _positivity,
+    make_record,
+    packed_energy,
+    positivity_report,
+)
 from oldb2d.dynamics import pack_state
 from oldb2d.fields import PLANES
 from oldb2d.snapshots import (
-    TIMESERIES_COLUMNS,
     SnapshotFormatError,
     append_timeseries,
     read_snapshot,
@@ -193,7 +198,9 @@ class TestTimeseries:
         cfg = parse_config("n=16\npreset=equilibrium\n")
         grid = make_grid(16, cfg.length)
         sh = pack_state(build_initial(cfg, grid))
-        return make_record(grid, cfg.params, 0.0, sh, irfft2(sh, grid.n))
+        reals = irfft2(sh, grid.n)
+        return make_record(grid, 0.0, sh, reals, _positivity(reals, 0.0),
+                           packed_energy(grid, cfg.params, sh, reals))
 
     def test_header_written_once(self, tmp_path):
         path = tmp_path / "series.csv"
@@ -201,7 +208,7 @@ class TestTimeseries:
         append_timeseries(rec, path)
         append_timeseries(rec, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(TIMESERIES_COLUMNS)
+        assert lines[0] == ",".join(COLUMNS)
         assert len(lines) == 3
         assert not lines[1].startswith("time")
 
@@ -292,22 +299,54 @@ class TestCliMain:
         for name in ("R0", "R1", "R2", "R3", "R4", "R5", "B"):
             assert name in out
 
-    def test_bounds_with_trajectory(self, tmp_path, capsys):
-        cfg_path = self._write_cfg(
-            tmp_path,
-            "n=16\npreset=random_admissible\namplitude=1.0\nseed=5\n"
-            "dt_max=1e-3\nt_end=0.02\noutput_every=2\n",
-        )
+    @staticmethod
+    def _row_lines(out):
+        """The R0 gate line and the R1..R5 ratio lines of an output."""
+        return [line for line in out.splitlines()
+                if re.match(r"energy budget gate: |R[1-5] ratio: ", line)]
+
+    def _bounds_reprints_run_rows(self, tmp_path, capsys, text):
+        """`bounds --traj` on a run's CSV prints the run's six row lines,
+        string for string: the CSV's 17 digits round-trip every double."""
+        cfg_path = self._write_cfg(tmp_path, text)
         out_dir = str(tmp_path / "out")
         assert main(["run", "--config", cfg_path, "--out-dir", out_dir]) == 0
-        gate = re.search(r"energy budget gate: observed (\S+) <=", capsys.readouterr().out)
+        run_rows = self._row_lines(capsys.readouterr().out)
+        assert [line.split()[0] for line in run_rows] == [
+            "energy", "R1", "R2", "R3", "R4", "R5"]
+        assert not any("nan" in line for line in run_rows)
         code = main(["bounds", "--config", cfg_path,
                      "--traj", os.path.join(out_dir, "timeseries.csv")])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "R0 gate" in out
-        from_csv = re.search(r"R0 gate: observed (\S+) <=", out)
-        assert float(from_csv.group(1)) == pytest.approx(float(gate.group(1)), rel=1e-12)
+        assert self._row_lines(capsys.readouterr().out) == run_rows
+        return run_rows
+
+    def test_bounds_with_trajectory(self, tmp_path, capsys):
+        self._bounds_reprints_run_rows(
+            tmp_path, capsys,
+            "n=16\npreset=random_admissible\namplitude=1.0\nseed=5\n"
+            "dt_max=1e-3\nt_end=0.02\noutput_every=2\n")
+
+    def test_bounds_with_taylor_green_trajectory(self, tmp_path, capsys):
+        """Zero stress and density: R1 is an exact 0, not an overflowed
+        exponential times 0 (nan)."""
+        rows = self._bounds_reprints_run_rows(
+            tmp_path, capsys, "n=16\npreset=taylor_green\nt_end=0.05\n")
+        assert rows[1] == "R1 ratio: 0.000e+00 (observed 0, R1 0)"
+
+    def test_old_thirteen_column_timeseries_exits_config(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, "n=16\npreset=equilibrium\nt_end=0.02\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out-dir", str(out_dir)]) == 0
+        lines = (out_dir / "timeseries.csv").read_text().splitlines()
+        traj = tmp_path / "old.csv"
+        traj.write_text("".join(",".join(line.split(",")[:13]) + "\n" for line in lines))
+        capsys.readouterr()
+        code = main(["bounds", "--config", cfg_path, "--traj", str(traj)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: unexpected time-series header")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_bounds_zero_kappa_overflows(self, tmp_path, capsys):
         cfg_path = self._write_cfg(tmp_path, "n=16\npreset=equilibrium\nkappa=0\n")
@@ -543,7 +582,7 @@ class TestCliMain:
         lines = {
             "short_row": lines[:2] + ["0.1,2,3"] + lines[3:],
             "not_a_number": self._mutate_row(lines, 1, "abc"),
-            "nan_u_L2": self._mutate_row(lines, TIMESERIES_COLUMNS.index("u_L2"), "nan"),
+            "nan_u_L2": self._mutate_row(lines, COLUMNS.index("u_L2"), "nan"),
             "times_not_increasing": [lines[0], lines[2], lines[1]] + lines[3:],
         }[defect]
         traj = tmp_path / "bad.csv"
@@ -567,7 +606,7 @@ class TestCliMain:
         lines = (out_dir / "timeseries.csv").read_text().splitlines()
         traj = tmp_path / "big.csv"
         traj.write_text("\n".join(
-            self._mutate_row(lines, TIMESERIES_COLUMNS.index("u_L2"), u_l2)) + "\n")
+            self._mutate_row(lines, COLUMNS.index("u_L2"), u_l2)) + "\n")
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from oldb2d import (
 )
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.config import parse_config, build_initial
+from oldb2d.diagnostics import LedgerEntry, _running_sup, series
 from oldb2d.units import UnitsError, uexp, uv
 from oldb2d.units import CM, SEC
 
@@ -178,6 +183,20 @@ class TestAprioriLedger:
             assert entry.value == np.inf and entry.overflowed, name
             assert entry.units == getattr(apriori_ledger(state, PARAMS, 1.0), name).units
 
+    def test_zero_stress_bounds_are_exact_zeros(self, grid32):
+        # exp(R0 / (nu kappa)) overflows, but the brackets it multiplies
+        # are exact zeros, so R1, R3, R5 and B are 0 rather than inf * 0.
+        x, y = grid32.nodes()
+        zero = const(grid32, 0)
+        state = sim_state(0.0, vector_field(grid32, taylor_green_velocity(x, y)),
+                          StressField(zero, zero, zero), zero)
+        led = apriori_ledger(state, PARAMS, 1.0)
+        for name in ("R1", "R3", "R5", "B"):
+            entry = getattr(led, name)
+            assert entry.value == 0.0 and not entry.overflowed, name
+        assert led.R2.value == norms(state)["omega_L2"] ** 2
+        assert not any(math.isnan(e.value) for e in led.entries().values())
+
     def test_constant_policy_scales_r1(self, grid32):
         state = band_limited_admissible_state(grid32, seed=13, kmax=4)
         led1 = apriori_ledger(state, PARAMS, 1.0, constant_c=1.0)
@@ -194,6 +213,14 @@ class TestUnitsAlgebra:
     def test_exponent_must_be_dimensionless(self):
         with pytest.raises(UnitsError):
             uexp(uv(1.0, CM))
+
+    def test_exact_zero_factor_beats_overflow(self):
+        big = uexp(uv(1e3))
+        assert big.value == math.inf
+        for product in (uv(0.0, CM) * big, big * uv(0.0, CM)):
+            assert product.value == 0.0
+            assert str(product.unit) == "cm"
+        assert (big * uv(2.0)).value == math.inf
 
     def test_fractional_powers(self):
         v = uv(4.0, CM ** 2) ** 0.5
@@ -213,8 +240,7 @@ class TestBoundCheck:
     def test_equilibrium_passes_strictly(self):
         initial, traj, cfg = self._equilibrium_traj()
         led = apriori_ledger(initial, cfg.params, traj.records[-1].time)
-        report = bound_check(traj, led, cfg.params)
-        row = report.rows[0]
+        row = bound_check(series(traj.records), led, cfg.params)[0]
         assert row.hard and row.passed
         # strict: the source term in R0 is pure slack at equilibrium
         assert row.observed < row.bound
@@ -226,21 +252,70 @@ class TestBoundCheck:
         initial = build_initial(cfg, grid)
         traj = run(initial, cfg.params, cfg.control, cfg.monitors)
         led = apriori_ledger(initial, cfg.params, traj.records[-1].time)
-        report = bound_check(traj, led, cfg.params)
-        row = report.rows[0]
+        row = bound_check(series(traj.records), led, cfg.params)[0]
         # Energy equality: the observed budget equals E(0) = R0 up to
         # quadrature error.
         assert row.bound == pytest.approx(traj.records[0].energy, rel=1e-12)
         assert row.observed == pytest.approx(row.bound, rel=1e-5)
         assert row.passed
 
+    def test_normal_budget_gate_is_the_unscaled_sum(self):
+        """The gate sums at a power-of-two scale, which is exact for normal
+        values: the observed budget is the unscaled sum bit for bit, and
+        the result is observed <= R0 (1 + rel_tol) at any R0 near it."""
+        cfg = parse_config("n=16\npreset=random_admissible\nseed=3\nt_end=0.05\n")
+        initial = build_initial(cfg, make_grid(16, cfg.length))
+        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        cols = series(traj.records)
+        p = cfg.params
+        observed = _running_sup(cols["time"], cols["u_L2"] ** 2 + p.bigK * cols["sigma_L1"],
+                                cols["grad_u_L2"] ** 2, 2.0 * p.nu)
+        led = apriori_ledger(initial, p, cfg.control.t_end)
+        assert bound_check(cols, led, p)[0].observed == observed
+        edge = observed / (1.0 + 1e-6)
+        for bound in (edge * (1.0 - 1e-12), edge, edge * (1.0 + 1e-12), 2.0 * edge):
+            ledger = dataclasses.replace(led, R0=LedgerEntry(bound, led.R0.units, False))
+            row = bound_check(cols, ledger, p)[0]
+            assert row.observed == observed
+            assert row.passed == (observed <= bound * (1.0 + 1e-6)), bound
+
+    @pytest.mark.parametrize("amplitude,length", [
+        (1e-160, 2.0 * np.pi), (3e-158, 3.0), (1e-158, 30.0), (1e-170, 2.0 * np.pi)])
+    def test_subnormal_budget_passes(self, amplitude, length):
+        """A Taylor-Green budget holds with equality, so an R0 below 2^-1022
+        (subnormal, exactly 0 at amplitude 1e-170) must pass: its excess
+        over the observed budget was rounding, not a budget excess."""
+        cfg = parse_config(f"n=16\nL={length!r}\npreset=taylor_green\n"
+                           f"amplitude={amplitude}\nt_end=0.001\n")
+        initial = build_initial(cfg, make_grid(16, cfg.length))
+        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        led = apriori_ledger(initial, cfg.params, cfg.control.t_end)
+        assert led.R0.value < sys.float_info.min
+        cols = series(traj.records)
+        row = bound_check(cols, led, cfg.params)[0]
+        assert row.passed, (row.observed, row.bound)
+        # A 2% excess is far beyond rounding, and still fails.
+        if led.R0.value > 0.0:
+            cols["u_L2"] = cols["u_L2"] * 1.01
+            assert not bound_check(cols, led, cfg.params)[0].passed
+
+    def test_norms_of_a_tiny_state_keep_full_precision(self):
+        """Squares of values below 2^-511 are subnormal; the norms of such a
+        state are those of the unscaled state times the scale."""
+        cfg = parse_config("n=16\npreset=random_admissible\nseed=4\n")
+        state = build_initial(cfg, make_grid(16, cfg.length))
+        tiny = dataclasses.replace(state, planes=state.planes * 1e-160)
+        want, got = norms(state), norms(tiny)
+        for key, value in want.items():
+            assert got[key] == pytest.approx(1e-160 * value, rel=1e-14), key
+
     def test_report_schema(self):
         initial, traj, cfg = self._equilibrium_traj()
         led = apriori_ledger(initial, cfg.params, traj.records[-1].time)
-        report = bound_check(traj, led, cfg.params)
-        assert [r.name for r in report.rows] == ["R0", "R1", "R2", "R3", "R4", "R5"]
-        assert sum(r.hard for r in report.rows) == 1
-        for row in report.rows[1:]:
+        rows = bound_check(series(traj.records), led, cfg.params)
+        assert [r.name for r in rows] == ["R0", "R1", "R2", "R3", "R4", "R5"]
+        assert sum(r.hard for r in rows) == 1
+        for row in rows[1:]:
             assert row.passed is None
             assert row.ratio >= 0.0
 

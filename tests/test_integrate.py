@@ -223,7 +223,8 @@ class TestAdvance:
         after = integrate._multipliers.cache_info()
 
         steps = len(traj.records) - 1
-        assert len(np.unique(np.round(np.diff(traj.times), 12))) >= 5
+        times = [r.time for r in traj.records]
+        assert len(np.unique(np.round(np.diff(times), 12))) >= 5
         assert after.currsize <= 1
         # One lookup per step: the benchmark counts steps from these.
         assert (after.hits + after.misses) - (before.hits + before.misses) == steps
@@ -266,8 +267,10 @@ def reference_run(initial, params, ctl):
             if abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t2 - t1, 1e-300):
                 det_res = diagnostics.determinant_residual(
                     [unpack_state(grid, w_sh, w_t) for w_t, w_sh in window], params)
-        records.append(diagnostics.make_record(grid, params, t, sh, reals,
-                                               determinant_residual=det_res))
+        records.append(diagnostics.make_record(
+            grid, t, sh, reals, diagnostics._positivity(reals, 0.0),
+            diagnostics.packed_energy(grid, params, sh, reals),
+            determinant_residual=det_res))
 
     reals = irfft2(sh, grid.n)
     record(reals)
@@ -354,6 +357,22 @@ class TestOneEvaluationPerState:
         assert len(passes) == len(terms)
         assert planes == 18 * steps + 17 * 2 * steps + 6
         assert unpacks == []
+
+    @pytest.mark.parametrize("name", sorted(ONE_EVALUATION_CONFIGS))
+    def test_one_scan_and_one_ledger_per_state(self, monkeypatch, name):
+        """One positivity scan and one energy ledger per accepted state serve
+        the monitors and a due record; the one scan more is the admission
+        check of the initial state, which `run` takes before packing it."""
+        cfg, initial = self._setup(ONE_EVALUATION_CONFIGS[name])
+        advances = count_calls(monkeypatch, integrate, "_advance")
+        scans = count_calls(monkeypatch, diagnostics, "_positivity")
+        ledgers = count_calls(monkeypatch, diagnostics, "packed_energy")
+        run(initial, cfg.params, cfg.control, cfg.monitors)
+
+        states = len(advances) + 1
+        assert states >= 4
+        assert len(ledgers) == states
+        assert len(scans) == states + 1
 
     @pytest.mark.parametrize("name", sorted(ONE_EVALUATION_CONFIGS))
     def test_bit_identical_to_separate_transforms(self, name):
@@ -529,8 +548,7 @@ class TestRun:
         assert max(energies) - min(energies) <= 1e-12 * abs(energies[0])
         gammas = [r.min_gamma for r in traj.records]
         assert max(gammas) - min(gammas) <= 1e-12
-        times = traj.times
-        assert np.all(np.diff(times) > 0)
+        assert np.all(np.diff([r.time for r in traj.records]) > 0)
         assert traj.records[0].dissipation == pytest.approx(
             traj.records[0].source, rel=1e-14
         )
