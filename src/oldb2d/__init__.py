@@ -2,8 +2,9 @@
 
 Incompressible Navier-Stokes coupled to a symmetric positive polymeric
 stress with spatial diffusion, on the periodic square, with diagnostics
-that continuously verify positivity, the energy budget, the determinant
-transport law, and agreement with an independent mild-solution iterator.
+that continuously verify positivity and the energy budget, and checks of
+the determinant transport law and of agreement with an independent
+mild-solution iterator.
 """
 
 from .diagnostics import (
@@ -15,19 +16,8 @@ from .diagnostics import (
     energy_ledger,
     positivity_report,
 )
-from .dynamics import (
-    StrainDecomposition,
-    determinant_rhs,
-    rates,
-    strain_decompose,
-)
-from .fields import (
-    PhysParams,
-    SimState,
-    StressField,
-    norms,
-    sim_state,
-)
+from .dynamics import determinant_rhs, rates
+from .fields import PhysParams, SimState, norms
 from .integrate import (
     MonitorViolation,
     Monitors,
@@ -44,19 +34,7 @@ from .picard import (
     contraction_estimate,
     picard_iterate,
 )
-from .spectral import (
-    Field,
-    SpectralGrid,
-    ddx,
-    dealias,
-    divergence,
-    heat_semigroup,
-    laplacian,
-    leray_project,
-    make_grid,
-    scalar_field,
-    vector_field,
-)
+from .spectral import SpectralGrid, make_grid
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

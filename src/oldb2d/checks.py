@@ -18,20 +18,7 @@ from . import config as cfgmod
 from . import diagnostics, dynamics, picard, snapshots
 from .fields import PhysParams, SimState, norms
 from .integrate import StepControl, run, step
-from .spectral import (
-    dealias,
-    ddx,
-    divergence,
-    heat_semigroup,
-    irfft2,
-    l2_scale,
-    laplacian,
-    leray_project,
-    make_grid,
-    rfft2,
-    scalar_field,
-    vector_field,
-)
+from .spectral import decay, irfft2, l2_scale, make_grid, project, rfft2
 
 
 @dataclass(frozen=True)
@@ -94,11 +81,13 @@ def check_transform_roundtrip(cfg) -> CheckResult:
 def check_projector(cfg) -> CheckResult:
     g = make_grid(cfg.n, cfg.length)
     rng = np.random.default_rng(8)
-    v = vector_field(g, rng.standard_normal((2, g.n, g.n)))
-    pv = leray_project(v)
-    scale = l2_scale(g, v.coeffs)
-    div_err = np.max(np.abs(divergence(pv).coeffs)) / scale
-    idem = np.max(np.abs(leray_project(pv).coeffs - pv.coeffs)) / scale
+    vh = rfft2(rng.standard_normal((2, g.n, g.n)))
+    scale = l2_scale(g, vh)
+    project(g, vh)
+    div_err = np.max(np.abs(g.ikx * vh[0] + g.iky * vh[1])) / scale
+    again = vh.copy()
+    project(g, again)
+    idem = np.max(np.abs(again - vh)) / scale
     ok = div_err <= 1e-13 and idem <= 1e-13
     return _result("spectral.projector", ok, f"div {div_err:.2e}, idem {idem:.2e}")
 
@@ -107,28 +96,29 @@ def check_derivative_exactness(cfg) -> CheckResult:
     g = make_grid(cfg.n, cfg.length)
     x, y = g.nodes()
     s = 2.0 * np.pi / g.length
-    f = scalar_field(g, np.sin(3 * s * x) * np.cos(2 * s * y))
+    fh = rfft2(np.sin(3 * s * x) * np.cos(2 * s * y))
     exact = 3 * s * np.cos(3 * s * x) * np.cos(2 * s * y)
-    err = _rel(np.max(np.abs(ddx(f, 1).values - exact)), np.max(np.abs(exact)))
+    err = _rel(np.max(np.abs(irfft2(g.ikx * fh, g.n) - exact)), np.max(np.abs(exact)))
     return _result("spectral.derivative_exactness", err <= 1e-13, f"rel err {err:.2e}")
 
 
 def check_semigroup_law(cfg) -> CheckResult:
     g = make_grid(cfg.n, cfg.length)
     rng = np.random.default_rng(9)
-    f = scalar_field(g, rng.standard_normal((g.n, g.n)))
-    one = heat_semigroup(f, 0.01, 2.0, 0.7)
-    two = heat_semigroup(heat_semigroup(f, 0.01, 2.0, 0.3), 0.01, 2.0, 0.4)
-    err = _rel(np.max(np.abs(one.values - two.values)), np.max(np.abs(f.values)))
+    f = rng.standard_normal((g.n, g.n))
+    fh = rfft2(f)
+    one = irfft2(decay(g, 0.01, 2.0, 0.7) * fh, g.n)
+    two = irfft2(decay(g, 0.01, 2.0, 0.4) * (decay(g, 0.01, 2.0, 0.3) * fh), g.n)
+    err = _rel(np.max(np.abs(one - two)), np.max(np.abs(f)))
     return _result("spectral.semigroup_law", err <= 1e-13, f"rel err {err:.2e}")
 
 
 def check_parseval(cfg) -> CheckResult:
     g = make_grid(cfg.n, cfg.length)
     rng = np.random.default_rng(10)
-    f = scalar_field(g, rng.standard_normal((g.n, g.n)))
-    real_norm = np.sqrt(np.mean(f.values ** 2) * g.area)
-    spec_norm = l2_scale(g, f.coeffs) * np.sqrt(g.area)
+    f = rng.standard_normal((g.n, g.n))
+    real_norm = np.sqrt(np.mean(f ** 2) * g.area)
+    spec_norm = l2_scale(g, rfft2(f)) * np.sqrt(g.area)
     err = _rel(abs(real_norm - spec_norm), real_norm)
     return _result("spectral.parseval", err <= 1e-12, f"rel err {err:.2e}")
 
@@ -159,26 +149,47 @@ def check_trace_bound(cfg) -> CheckResult:
 def check_norm_parseval(cfg) -> CheckResult:
     state = _random_state(cfg, n=min(cfg.n, 32))
     rep = norms(state)
-    u1, u2 = state.u.values
+    u1, u2 = state.planes[0:2]
     direct = np.sqrt(np.mean(u1 * u1 + u2 * u2) * state.grid.area)
     err = _rel(abs(rep["u_L2"] - direct), max(direct, 1e-300))
     return _result("fields.norm_parseval", err <= 1e-12, f"rel err {err:.2e}")
 
 
 def check_determinant_cancellation(cfg) -> CheckResult:
-    params = replace_kappa(cfg.params, 0.0)
+    params = replace(cfg.params, kappa=0.0)
     state = band_limited_admissible_state(make_grid(32, cfg.length), seed=21, kmax=3)
     a, b, c = state.planes[2:5]
     da, db, dc = dynamics.rates(state, params)[2:5]
     combo = 0.5 * c * dc - 2.0 * a * da - 2.0 * b * db
-    law = dynamics.determinant_rhs(state, params).values
+    law = dynamics.determinant_rhs(state, params)
     err = np.max(np.abs(combo - law))
     return _result("dynamics.determinant_cancellation", err <= 1e-10,
                    f"pointwise gap {err:.2e}")
 
 
-def replace_kappa(params: PhysParams, kappa: float) -> PhysParams:
-    return PhysParams(params.nu, kappa, params.k, params.bigK)
+def check_determinant_order(cfg) -> CheckResult:
+    """The determinant law at kappa = 0 on stepped states: its residual on a
+    window of three states around t = 0.1 falls at second order in dt.
+
+    The problem is fixed (L = 2 pi, nu = 0.01, k = K = 1), not taken from
+    `cfg`: the residual also holds a part that does not shrink with dt, and
+    at other data that floor hides the order at these steps (k = 0.1 reads
+    2.6e-4, 2.3e-4, 2.3e-4)."""
+    params = PhysParams(nu=0.01, kappa=0.0, k=1.0, bigK=1.0)
+    state = band_limited_admissible_state(make_grid(32, 2.0 * np.pi), seed=101, kmax=3)
+    t_mid = 0.1
+
+    def residual(dt):
+        ctl = StepControl(dt_min=dt, dt_max=dt, t_end=t_mid + 2 * dt,
+                          snapshot_times=(t_mid - dt, t_mid, t_mid + dt))
+        traj = run(state, params, ctl)
+        return diagnostics.determinant_residual([s for _, s in traj.snapshots], params)
+
+    errs = [residual(dt) for dt in (0.02, 0.01, 0.005)]
+    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    return _result("dynamics.determinant_order", min(orders) >= 1.9,
+                   f"residuals {[f'{e:.2e}' for e in errs]}, "
+                   f"orders {[f'{o:.2f}' for o in orders]}")
 
 
 def check_energy_rate(cfg) -> CheckResult:
@@ -186,13 +197,13 @@ def check_energy_rate(cfg) -> CheckResult:
     state = _random_state(cfg, n=min(cfg.n, 32))
     g = state.grid
     r = dynamics.rates(state, params)
-    u1, u2 = state.u.values
+    u1, u2 = state.planes[0:2]
     lhs = np.mean(2.0 * (u1 * r[0] + u2 * r[1]) + params.bigK * r[4]) * g.area
     rep = norms(state)
     rhs = (
         -2.0 * params.nu * rep["grad_u_L2"] ** 2
         - 2.0 * params.k * params.bigK * rep["sigma_L1"]
-        + 4.0 * params.k * params.bigK * np.mean(state.rho.values) * g.area
+        + 4.0 * params.k * params.bigK * np.mean(state.planes[5]) * g.area
     )
     scale = abs(rhs) + rep["u_L2"] ** 2 + 1.0
     ok = lhs <= rhs + 1e-8 * scale
@@ -204,22 +215,21 @@ def check_cubic_cancellation(cfg) -> CheckResult:
     params = cfg.params
     state = _random_state(cfg, n=min(cfg.n, 32))
     g = state.grid
-    strain = dynamics.strain_decompose(state.u)
-    a, b, c = state.planes[2:5]
-    u1, u2 = state.u.values
+    u1, u2, a, b, c = state.planes[0:5]
+    uh = rfft2(state.planes[0:2])
+    d1u1, d2u2, d1u2, d2u1 = irfft2(
+        np.stack([g.ikx * uh[0], g.iky * uh[1], g.ikx * uh[1], g.iky * uh[0]]), g.n)
 
     # Work of (-u.grad u + K div sigma) against 2u plus the trace-equation
-    # stretching integral: the cubic terms cancel when products share the
-    # dealiasing rule.  The force is taken projected, from the velocity
-    # rate less its viscous part; against a divergence-free u the
-    # projection does no work.
+    # stretching integral 4K (lam a + mu b), with the strain lam =
+    # (d1u1 - d2u2)/2, mu = (d1u2 + d2u1)/2: the cubic terms cancel when
+    # products share the dealiasing rule.  The force is taken projected,
+    # from the velocity rate less its viscous part; against a
+    # divergence-free u the projection does no work.
     force = dynamics.rates(state, params)[0:2]
-    visc = params.nu * np.stack([
-        laplacian(state.u.component(0)).values,
-        laplacian(state.u.component(1)).values,
-    ])
+    visc = params.nu * irfft2(-g.k_sq * uh, g.n)
     work = np.mean(2.0 * (u1 * (force[0] - visc[0]) + u2 * (force[1] - visc[1]))) * g.area
-    stretch = 4.0 * params.bigK * np.mean(strain.lam.values * a + strain.mu.values * b) * g.area
+    stretch = 2.0 * params.bigK * np.mean((d1u1 - d2u2) * a + (d1u2 + d2u1) * b) * g.area
     total = work + stretch
     scale = (np.max(np.abs(u1)) + np.max(np.abs(c)) + 1.0) ** 3
     ok = abs(total) <= 1e-9 * scale + 1e-12
@@ -228,10 +238,10 @@ def check_cubic_cancellation(cfg) -> CheckResult:
 
 def check_momentum_divfree(cfg) -> CheckResult:
     state = _random_state(cfg, n=min(cfg.n, 32))
-    du = vector_field(state.grid, dynamics.rates(state, cfg.params)[0:2])
-    dh = divergence(du).coeffs
-    scale = l2_scale(state.grid, du.coeffs)
-    err = np.max(np.abs(dh)) / max(scale, 1e-300)
+    g = state.grid
+    duh = rfft2(dynamics.rates(state, cfg.params)[0:2])
+    scale = l2_scale(g, duh)
+    err = np.max(np.abs(g.ikx * duh[0] + g.iky * duh[1])) / max(scale, 1e-300)
     return _result("dynamics.momentum_divfree", err <= 1e-12, f"rel div {err:.2e}")
 
 
@@ -240,12 +250,11 @@ def check_transport_means(cfg) -> CheckResult:
     g = state.grid
     drho = dynamics.rates(state, cfg.params)[5]
     mean_rho = abs(np.mean(drho))
-    u = dealias(state.u)
-    ch = dealias(state.stress.c)
-    adv_c = dealias(scalar_field(g, u.values[0] * ddx(ch, 1).values
-                                 + u.values[1] * ddx(ch, 2).values))
-    mean_c = abs(np.mean(adv_c.values))
-    scale = np.max(np.abs(u.values)) * np.max(np.abs(ch.values)) + 1e-300
+    # u.grad(c) from dealiased factors; the mask keeps the mean mode.
+    uh, ch = rfft2(state.planes[0:2]) * g.mask, rfft2(state.planes[4]) * g.mask
+    u1, u2, c, d1c, d2c = irfft2(np.stack([*uh, ch, g.ikx * ch, g.iky * ch]), g.n)
+    mean_c = abs(np.mean(u1 * d1c + u2 * d2c))
+    scale = max(np.max(np.abs(u1)), np.max(np.abs(u2))) * np.max(np.abs(c)) + 1e-300
     ok = mean_rho <= 1e-12 * scale and mean_c <= 1e-12 * scale
     return _result("dynamics.transport_means", ok,
                    f"mean drho {mean_rho:.2e}, mean u.grad(c) {mean_c:.2e}")
@@ -274,7 +283,7 @@ def check_temporal_order(cfg) -> CheckResult:
         steps = int(round(t_end / dt))
         for _ in range(steps):
             state = step(state, dt, params)
-        return abs(np.max(state.stress.c.values) - exact)
+        return abs(np.max(state.planes[4]) - exact)
 
     errs = [solve(dt) for dt in (0.2, 0.1, 0.05)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -350,12 +359,12 @@ def check_positivity_scan(cfg) -> CheckResult:
     brute_gamma = float(np.min(c - 2.0 * np.sqrt(a * a + b * b)))
     ok = (
         rep.min_c == float(np.min(c))
-        and rep.min_rho == float(np.min(state.rho.values))
-        and abs(rep.min_eig - brute_eig) <= 1e-12
+        and rep.min_rho == float(np.min(state.planes[5]))
+        and abs(0.5 * rep.min_gamma - brute_eig) <= 1e-12
         and abs(rep.min_gamma - brute_gamma) <= 1e-12
     )
     return _result("diagnostics.positivity_scan", ok,
-                   f"min eig {rep.min_eig:.6g} vs brute {brute_eig:.6g}")
+                   f"min eig {0.5 * rep.min_gamma:.6g} vs brute {brute_eig:.6g}")
 
 
 def check_ledger_sanity(cfg) -> CheckResult:
@@ -432,9 +441,9 @@ def check_picard_zeroth_semigroup(cfg) -> CheckResult:
     u0h, abc0h, _ = picard._initial_coeffs(state)
     _, sem_abc = picard.semigroup_paths(u0h, abc0h, grid, params, pcfg)
     times = pcfg.times()
-    decay = np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k)
-                   * times[:, None, None])
-    err = np.max(np.abs(sem_abc - decay[:, None] * abc0h[None]))
+    factor = np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k)
+                    * times[:, None, None])
+    err = np.max(np.abs(sem_abc - factor[:, None] * abc0h[None]))
     return _result("picard.zeroth_semigroup", err == 0.0, f"max gap {err:.2e}")
 
 
@@ -515,6 +524,7 @@ ALL_CHECKS = (
     check_trace_bound,
     check_norm_parseval,
     check_determinant_cancellation,
+    check_determinant_order,
     check_energy_rate,
     check_cubic_cancellation,
     check_momentum_divfree,

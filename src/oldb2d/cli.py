@@ -2,14 +2,18 @@
 
 Exit codes: 0 success, 1 monitor violation (or a failed energy-budget
 gate, or fixed-point divergence), 2 configuration error, 3 numerical
-failure (NaN or overflow).  A non-zero exit prints one line on stderr.
-A path that cannot be opened (missing, a directory, unreadable) is a
-configuration error.
+failure (NaN or overflow), 4 output error: stdout or stderr could not be
+written (a closed pipe, say), which replaces any other code, since output
+was lost.  A non-zero exit prints one line on stderr, if stderr can be
+written, and never a traceback.  A path named in the arguments or the
+config that cannot be opened or written (missing, a directory,
+unreadable) is a configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -23,6 +27,18 @@ EXIT_OK = 0
 EXIT_MONITOR = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_OUTPUT = 4
+
+
+@contextlib.contextmanager
+def _paths():
+    """An `OSError` raised inside opens or writes a named path: a config
+    error.  Outside, an `OSError` can only be a failed write to stdout or
+    stderr."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,10 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _setup(args):
+    """The config and the initial state that `args` name."""
+    with _paths():
+        cfg = load_config(args.config)
+        return cfg, build_initial(cfg, make_grid(cfg.n, cfg.length))
+
+
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    grid = make_grid(cfg.n, cfg.length)
-    initial = build_initial(cfg, grid)
+    cfg, initial = _setup(args)
     t_end = cfg.control.t_end
     if not initial.time < t_end:
         raise ConfigError(f"t_end {t_end:g} is not after the initial time {initial.time:g}")
@@ -66,19 +87,22 @@ def _cmd_run(args) -> int:
         if not initial.time < t_snap <= t_end:
             raise ConfigError(f"snapshot_times entry {t_snap:g} is outside (initial time "
                               f"{initial.time:g}, t_end {t_end:g}]")
-    os.makedirs(args.out_dir, exist_ok=True)
     series_path = os.path.join(args.out_dir, "timeseries.csv")
-    if os.path.exists(series_path):
-        os.remove(series_path)
+    with _paths():
+        os.makedirs(args.out_dir, exist_ok=True)
+        if os.path.exists(series_path):
+            os.remove(series_path)
 
     traj = run(initial, cfg.params, cfg.control, cfg.monitors)
-    for record in traj.records:
-        snapshots.append_timeseries(record, series_path)
-    for t_snap, state in traj.snapshots:
-        snapshots.write_snapshot(
-            state, os.path.join(args.out_dir, f"snapshot_t{t_snap:.6g}.snap")
-        )
-    snapshots.write_snapshot(traj.final_state, os.path.join(args.out_dir, "final_state.snap"))
+    with _paths():
+        for record in traj.records:
+            snapshots.append_timeseries(record, series_path)
+        for t_snap, state in traj.snapshots:
+            snapshots.write_snapshot(
+                state, os.path.join(args.out_dir, f"snapshot_t{t_snap:.6g}.snap")
+            )
+        snapshots.write_snapshot(traj.final_state,
+                                 os.path.join(args.out_dir, "final_state.snap"))
 
     ledger = diagnostics.apriori_ledger(initial, cfg.params, cfg.control.t_end,
                                         cfg.constant_c)
@@ -92,9 +116,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_picard(args) -> int:
-    cfg = load_config(args.config)
-    grid = make_grid(cfg.n, cfg.length)
-    initial = build_initial(cfg, grid)
+    cfg, initial = _setup(args)
     try:
         pcfg = picard.PicardConfig(t0=args.t0, n_time_nodes=args.nodes,
                                    max_iter=args.max_iter, tol=args.tol)
@@ -127,7 +149,8 @@ def _cmd_picard(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = load_config(args.config)
+    with _paths():
+        cfg = load_config(args.config)
     results = run_checks(cfg)
     width = max(len(r.name) for r in results)
     failed = 0
@@ -140,9 +163,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = load_config(args.config)
-    grid = make_grid(cfg.n, cfg.length)
-    initial = build_initial(cfg, grid)
+    cfg, initial = _setup(args)
     ledger = diagnostics.apriori_ledger(initial, cfg.params, cfg.control.t_end,
                                         cfg.constant_c)
     print(f"a priori bound ledger (T={ledger.horizon:g}, C={ledger.constant_c:g}):")
@@ -151,9 +172,10 @@ def _cmd_bounds(args) -> int:
         print(f"  {name:<3} = {entry.value:<22.12g} [{entry.units}]{flag}")
 
     if args.traj:
-        series = snapshots.read_timeseries(args.traj)
-        if len(series["time"]) < 2:
-            raise ConfigError("time series too short for a bound check")
+        with _paths():
+            series = snapshots.read_timeseries(args.traj)
+        if not len(series["time"]):
+            raise ConfigError("time series has no rows")
         return _print_rows(diagnostics.bound_check(series, ledger, cfg.params))
     return EXIT_OK
 
@@ -190,20 +212,46 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    # OSError: a path in the arguments or config that cannot be opened.
-    except (ConfigError, OSError, snapshots.SnapshotFormatError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ConfigError, snapshots.SnapshotFormatError) as exc:
+        return _report(EXIT_CONFIG, f"config error: {exc}")
     except MonitorViolation as exc:
-        print(f"monitor violation: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL if exc.kind in ("nan", "overflow") else EXIT_MONITOR
+        return _report(EXIT_NUMERICAL if exc.kind in ("nan", "overflow") else EXIT_MONITOR,
+                       f"monitor violation: {exc}")
     except picard.PicardDivergenceError as exc:
-        print(f"fixed-point divergence: {exc}", file=sys.stderr)
-        return EXIT_MONITOR
+        return _report(EXIT_MONITOR, f"fixed-point divergence: {exc}")
+    except OSError as exc:  # stdout or stderr: every named path is in `_paths`
+        return _report(EXIT_OUTPUT, f"output error: {exc}")
+
+
+def _report(code: int, line: str) -> int:
+    """Print a failed exit's one stderr line; a stderr that cannot be
+    written makes it an output error."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        return EXIT_OUTPUT
+    return code
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """The `oldb2d` script: `main`, then a flush of the buffered stdout,
+    whose failure is an output error too (with no second stderr line after
+    a failed exit's first).  After an output error both streams point at
+    the null device, so that the interpreter's own flush at exit does not
+    fail again."""
+    code = main()
+    if code != EXIT_OUTPUT:
+        try:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError as exc:
+            code = _report(EXIT_OUTPUT, f"output error: {exc}") if code == EXIT_OK \
+                else EXIT_OUTPUT
+    if code == EXIT_OUTPUT:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

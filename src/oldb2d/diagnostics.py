@@ -58,11 +58,8 @@ class DiagnosticsRecord:
     source: float
     min_gamma: float
     min_rho: float
-    min_c: float
-    min_eig: float
     c_max: float
     norms: dict
-    determinant_residual: float
 
     def row(self) -> tuple:
         """The record's values in `COLUMNS` order."""
@@ -78,9 +75,12 @@ def series(records) -> dict:
 
 @dataclass(frozen=True)
 class PositivityReport:
+    """Extremes of one positivity scan.  `min_gamma / 2` is the smallest
+    stress eigenvalue, min(c/2 - sqrt(a^2 + b^2)), bit for bit: halving is
+    exact outside the subnormal range."""
+
     min_c: float
     min_gamma: float
-    min_eig: float
     min_rho: float
     max_c: float
     max_rho: float
@@ -143,13 +143,11 @@ def energy_ledger(state: SimState, params: PhysParams) -> EnergyLedger:
 
 def _positivity(planes: np.ndarray, tol: float) -> PositivityReport:
     """The positivity scan of state planes (6, n, n): extremes of c and rho,
-    and min gamma = c - 2 r and the min eigenvalue c/2 - r from one root
-    r = sqrt(a^2 + b^2).  `tol` only decides `passed`."""
+    and min gamma = c - 2 sqrt(a^2 + b^2).  `tol` only decides `passed`."""
     a, b, c, rho = planes[2:6]
-    root = np.sqrt(a * a + b * b)
     max_c = float(np.max(c))
     max_rho = float(np.max(rho))
-    min_gamma = float(np.min(c - 2.0 * root))
+    min_gamma = float(np.min(c - 2.0 * np.sqrt(a * a + b * b)))
     min_rho = float(np.min(rho))
     passed = (
         min_gamma >= -tol * max(1.0, max_c)
@@ -158,7 +156,6 @@ def _positivity(planes: np.ndarray, tol: float) -> PositivityReport:
     return PositivityReport(
         min_c=float(np.min(c)),
         min_gamma=min_gamma,
-        min_eig=float(np.min(0.5 * c - root)),
         min_rho=min_rho,
         max_c=max_c,
         max_rho=max_rho,
@@ -172,8 +169,7 @@ def positivity_report(state: SimState, tol: float) -> PositivityReport:
 
 
 def make_record(grid: SpectralGrid, time: float, sh: np.ndarray, reals: np.ndarray,
-                pos: PositivityReport, led: EnergyLedger, *,
-                determinant_residual: float = float("nan")) -> DiagnosticsRecord:
+                pos: PositivityReport, led: EnergyLedger) -> DiagnosticsRecord:
     """One diagnostics record of an accepted state, from what `run` already
     holds for it: the half-spectrum coefficients `sh` and real planes
     `reals` of its one `dynamics._terms(sh, planes=True)` evaluation, both
@@ -187,11 +183,8 @@ def make_record(grid: SpectralGrid, time: float, sh: np.ndarray, reals: np.ndarr
         source=led.source,
         min_gamma=pos.min_gamma,
         min_rho=pos.min_rho,
-        min_c=pos.min_c,
-        min_eig=pos.min_eig,
         c_max=pos.max_c,
         norms=packed_norms(grid, sh, reals),
-        determinant_residual=determinant_residual,
     )
 
 

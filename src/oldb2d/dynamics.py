@@ -1,8 +1,8 @@
-"""Right-hand sides for the coupled system: strain decomposition, the
-explicit terms the integrating-factor stepper advances (velocity with Leray
-projection, stress transport/stretching and the density source, density
-advection), their sum with the linear parts as the one rate `rates`, and
-the closed determinant law at zero stress diffusivity.
+"""Right-hand sides for the coupled system: the explicit terms the
+integrating-factor stepper advances (velocity with Leray projection, stress
+transport/stretching and the density source, density advection), their sum
+with the linear parts as the one rate `rates`, and the closed determinant
+law at zero stress diffusivity.
 
 All quadratic products are formed pointwise from dealiased factors and the
 product is dealiased again immediately (2/3 rule), so transport integrals
@@ -15,31 +15,10 @@ The core assembly operates on packed half-spectrum (rfft2) arrays of shape
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fields import PhysParams, SimState
-from .spectral import (
-    Field,
-    SpectralGrid,
-    _Scratch,
-    dealiased_products,
-    irfft2,
-    project,
-    rfft2,
-    scalar_field,
-)
-
-
-@dataclass(frozen=True)
-class StrainDecomposition:
-    """Rate-of-strain components and vorticity, each in 1/sec:
-    lam = (d1u1 - d2u2)/2, mu = (d1u2 + d2u1)/2, omega = d1u2 - d2u1."""
-
-    lam: Field
-    mu: Field
-    omega: Field
+from .spectral import SpectralGrid, _Scratch, dealiased_products, irfft2, project, rfft2
 
 
 def pack_state(state: SimState) -> np.ndarray:
@@ -147,22 +126,9 @@ def rates(state: SimState, params: PhysParams) -> np.ndarray:
     return irfft2(nh, g.n)
 
 
-def strain_decompose(u: Field) -> StrainDecomposition:
-    g = u.grid
-    uh = u.coeffs
-    d1u1, d2u1, d1u2, d2u2 = irfft2(
-        np.stack([g.ikx * uh[0], g.iky * uh[0], g.ikx * uh[1], g.iky * uh[1]]), g.n
-    )
-    return StrainDecomposition(
-        lam=scalar_field(g, 0.5 * (d1u1 - d2u2)),
-        mu=scalar_field(g, 0.5 * (d1u2 + d2u1)),
-        omega=scalar_field(g, d1u2 - d2u1),
-    )
-
-
-def determinant_rhs(state: SimState, params: PhysParams) -> Field:
+def determinant_rhs(state: SimState, params: PhysParams) -> np.ndarray:
     """Rate of det(sigma) = c^2/4 - a^2 - b^2 under the closed law valid at
-    kappa = 0: -u.grad(d) - 4k d + 2k rho c."""
+    kappa = 0, -u.grad(d) - 4k d + 2k rho c, as a real (n, n) array."""
     if params.kappa != 0.0:
         raise ValueError("the determinant law is exact only for kappa = 0")
     g = state.grid
@@ -171,4 +137,4 @@ def determinant_rhs(state: SimState, params: PhysParams) -> Field:
     d, d1d, d2d = irfft2(np.stack([dh, g.ikx * dh, g.iky * dh]), g.n)
     adv, src = irfft2(rfft2(np.stack([u1 * d1d + u2 * d2d, rho * c])) * g.mask, g.n)
     k = params.k
-    return scalar_field(g, -adv - 4.0 * k * d + 2.0 * k * src)
+    return -adv - 4.0 * k * d + 2.0 * k * src

@@ -1,5 +1,5 @@
-"""Domain state types: physical coefficients, symmetric stress in (a, b, c)
-coordinates, bundled simulation states, and the norms with their units.
+"""Domain state types: physical coefficients, the packed simulation state,
+and the norms with their units.
 
 The stress matrix is stored through a = (s11 - s22)/2, b = s12 and the trace
 c = s11 + s22, so symmetry is structural.  Positive semi-definiteness is
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, SpectralGrid, l2_scale, rfft2, same_grid
+from .spectral import Field, SpectralGrid, l2_scale, rfft2
 from .units import CM, DIMENSIONLESS, MIXED, SEC
 
 
@@ -38,23 +38,6 @@ class PhysParams:
             raise ValueError("bigK must be positive")
 
 
-@dataclass(frozen=True)
-class StressField:
-    """Symmetric 2x2 stress field in (a, b, c) coordinates."""
-
-    a: Field
-    b: Field
-    c: Field
-
-    def __post_init__(self):
-        if not (same_grid(self.a.grid, self.b.grid) and same_grid(self.a.grid, self.c.grid)):
-            raise ValueError("stress components must share a grid")
-
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.a.grid
-
-
 # The order of the packed state planes, in `SimState.planes`, the stepper's
 # half spectrum and snapshot files.
 PLANES = ("u1", "u2", "a", "b", "c", "rho")
@@ -63,9 +46,7 @@ PLANES = ("u1", "u2", "a", "b", "c", "rho")
 @dataclass(frozen=True, eq=False)
 class SimState:
     """The coupled unknowns (u, sigma, rho) at one time instant, held as one
-    real (6, n, n) array `planes` ordered as `PLANES`.  `u`, `stress` and
-    `rho` are views of it; `sim_state` stacks a state from component
-    fields."""
+    real (6, n, n) array `planes` ordered as `PLANES`."""
 
     time: float
     grid: SpectralGrid
@@ -79,15 +60,9 @@ class SimState:
             raise ValueError(f"state planes must be float64, not {self.planes.dtype}")
 
     @property
-    def u(self) -> Field:
-        return Field(self.grid, self.planes[0:2])
-
-    @property
-    def stress(self) -> StressField:
-        return StressField(*(Field(self.grid, p) for p in self.planes[2:5]))
-
-    @property
     def rho(self) -> Field:
+        """A view of the density plane.  Kept for the benchmark harness,
+        its one reader; the program reads `planes[5]`."""
         return Field(self.grid, self.planes[5])
 
     def validate(self):
@@ -108,17 +83,6 @@ class SimState:
         r = self.planes[5]
         if np.min(r) < -1e-10 * max(float(np.max(r)), 1.0):
             raise ValueError("rho has a negative excursion beyond tolerance")
-
-
-def sim_state(time, u: Field, stress: StressField, rho: Field) -> SimState:
-    """A `SimState` stacked from component fields; the one place that
-    copies components into the packed layout."""
-    grid = u.grid
-    if not (same_grid(grid, stress.grid) and same_grid(grid, rho.grid)):
-        raise ValueError("state components must share a grid")
-    return SimState(time, grid, np.stack(
-        [*u.values, stress.a.values, stress.b.values, stress.c.values, rho.values],
-        dtype=float))
 
 
 # The unit of each `norms` entry, derived from u ~ cm/sec and sigma, rho

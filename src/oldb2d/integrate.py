@@ -237,17 +237,15 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     monitor reports, so numpy's warnings for it are silenced.
 
     Records are taken at the initial state and every `output_every`-th step;
-    monitors are evaluated on every step.  The determinant-law residual is
-    attached to records only on kappa = 0 runs, where the law is exact.
+    monitors are evaluated on every step.
 
     Each accepted state is transformed once.  After the `nan` check, one
     `dynamics._terms(sh, planes=True)` evaluation gives its real planes,
     which one positivity scan and one energy ledger read for the monitors
-    and a due record, and which become the one `SimState` that snapshots,
-    the determinant window and the final state share, and its explicit
-    terms, which are projected in place and become the next step's first
-    stage.  The final state needs no next stage: it gets a 6-plane inverse
-    transform only.
+    and a due record, and which become the one `SimState` that snapshots
+    and the final state share, and its explicit terms, which are projected
+    in place and become the next step's first stage.  The final state
+    needs no next stage: it gets a 6-plane inverse transform only.
     """
     mon = monitors or Monitors()
     grid = initial.grid
@@ -261,10 +259,6 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     records: list = []
     snapshots: list = []
     pending_snaps = sorted(ctl.snapshot_times)
-
-    # The last three states, for the determinant residual.
-    window: list = []
-    det_window = params.kappa == 0.0
 
     led = None
     step_index = 0
@@ -286,19 +280,8 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
                 pending_snaps.pop(0)
                 snapshots.append((t, state))
 
-        if det_window:
-            window.append(state)
-            if len(window) > 3:
-                window.pop(0)
-
         if step_index % ctl.output_every == 0:
-            det_res = float("nan")
-            if len(window) == 3:
-                t0, t1, t2 = (w.time for w in window)
-                if abs((t2 - t1) - (t1 - t0)) <= 1e-9 * max(t2 - t1, 1e-300):
-                    det_res = diagnostics.determinant_residual(window, params)
-            records.append(diagnostics.make_record(grid, t, sh, reals, pos, led,
-                                                   determinant_residual=det_res))
+            records.append(diagnostics.make_record(grid, t, sh, reals, pos, led))
 
         if not more:
             return Trajectory(records, snapshots, state)

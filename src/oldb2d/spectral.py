@@ -29,10 +29,9 @@ Dealiasing follows the 2/3 rule: a mode with integer wavenumbers (k1, k2)
 survives iff 3 * max(|k1|, |k2|) <= N, which keeps quadratic products of
 surviving modes alias-free on the grid.
 
-A `Field` is one real array on a grid.  The per-mode Leray projection
-(`project`) and heat factor (`decay`) act on coefficient arrays of any
-batch shape; the stepper, the Picard map and the field operators
-`leray_project` and `heat_semigroup` share them.
+The per-mode Leray projection (`project`) and heat factor (`decay`) act on
+coefficient arrays of any batch shape; the stepper, the Picard map and
+`check` share them.
 """
 
 from __future__ import annotations
@@ -190,10 +189,6 @@ class SpectralGrid:
         return np.meshgrid(x, x, indexing="ij")
 
 
-def same_grid(g1: SpectralGrid, g2: SpectralGrid) -> bool:
-    return g1 is g2 or (g1.n == g2.n and g1.length == g2.length)
-
-
 def make_grid(n: int, length: float) -> SpectralGrid:
     """Build a grid with half-spectrum wavenumber tables, the 2/3-rule
     dealias mask and the Hermitian weights."""
@@ -232,43 +227,10 @@ def _reciprocal(k_sq: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """A real field on `grid`: `values` is (n, n) for a scalar and (2, n, n)
-    for a vector; `coeffs` is its `rfft2` half spectrum."""
+    """A real (n, n) array on `grid`: what `fields.SimState.rho` returns."""
 
     grid: SpectralGrid
     values: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.n
-        if self.values.shape not in ((n, n), (2, n, n)):
-            raise ValueError(f"field values have shape {self.values.shape}, "
-                             f"expected {(n, n)} or {(2, n, n)}")
-        if np.iscomplexobj(self.values):
-            raise ValueError("field values must be a real array")
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        return rfft2(self.values)
-
-    def component(self, i: int) -> "Field":
-        return Field(self.grid, self.values[i])
-
-
-def scalar_field(grid, data) -> Field:
-    """A scalar `Field`; a number gives a constant field."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 0:
-        data = np.full((grid.n, grid.n), data)
-    return Field(grid, data)
-
-
-def vector_field(grid, data) -> Field:
-    return Field(grid, np.asarray(data, dtype=float))
-
-
-def _from_coeffs(f: Field, coeffs: np.ndarray) -> Field:
-    """The field on `f`'s grid whose half spectrum is `coeffs`."""
-    return Field(f.grid, irfft2(coeffs, f.grid.n))
 
 
 def project(grid: SpectralGrid, vh: np.ndarray) -> None:
@@ -276,10 +238,10 @@ def project(grid: SpectralGrid, vh: np.ndarray) -> None:
     vh[..., 1, :, :] of half-spectrum coefficients, batched over any leading
     axes; mode (0, 0) is unchanged.
 
-    Uses the derivative wavenumbers (Nyquist zeroed), so the result is
-    divergence-free in the same convention `divergence` measures and the
-    projection of a real field stays real.  The one projection: the
-    stepper, the Picard map and `leray_project` all call it."""
+    Uses the derivative wavenumbers (Nyquist zeroed), so the divergence
+    ikx * v1 + iky * v2 of the result vanishes and the projection of a real
+    field stays real.  The one projection: the stepper and the Picard map
+    call it."""
     v1, v2 = vh[..., 0, :, :], vh[..., 1, :, :]
     kd = (grid.kx * v1 + grid.ky * v2) * grid.inv_k_sq_d
     v1 -= grid.kx * kd
@@ -289,51 +251,13 @@ def project(grid: SpectralGrid, vh: np.ndarray) -> None:
 def decay(grid: SpectralGrid, diffusivity: float, damping: float, t) -> np.ndarray:
     """The per-mode heat factor exp(-(diffusivity*|k|^2 + damping) * t); a
     time array `t` of shape (m, 1, 1) gives one factor per time.  The one
-    heat exponential: `heat_semigroup` and the Picard map call it."""
-    return np.exp(-(diffusivity * grid.k_sq + damping) * t)
-
-
-def ddx(f: Field, axis: int) -> Field:
-    """Spectral derivative along axis 1 (x) or 2 (y).
-
-    Exact for band-limited fields; the Nyquist mode is zeroed (it is masked
-    by the dealias rule anyway).
-    """
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    mult = f.grid.ikx if axis == 1 else f.grid.iky
-    return _from_coeffs(f, mult * f.coeffs)
-
-
-def laplacian(f: Field) -> Field:
-    return _from_coeffs(f, -f.grid.k_sq * f.coeffs)
-
-
-def dealias(f: Field) -> Field:
-    """Zero every masked mode; survivors are untouched."""
-    return _from_coeffs(f, f.grid.mask * f.coeffs)
-
-
-def leray_project(v: Field) -> Field:
-    """Per-mode projection onto divergence-free fields (`project`)."""
-    vh = v.coeffs
-    project(v.grid, vh)
-    return _from_coeffs(v, vh)
-
-
-def divergence(v: Field) -> Field:
-    g = v.grid
-    vh = v.coeffs
-    return _from_coeffs(v, g.ikx * vh[0] + g.iky * vh[1])
-
-
-def heat_semigroup(f: Field, diffusivity: float, damping: float, t: float) -> Field:
-    """Apply exp(-(diffusivity*|k|^2 + damping) * t) per mode (`decay`)."""
-    if not 0.0 <= t < math.inf:
+    heat exponential: the Picard map calls it.  A negative or non-finite
+    argument raises, as a nan would pass a sign test alone."""
+    if not np.all((0.0 <= t) & (t < math.inf)):
         raise ValueError("t must be nonnegative and finite")
     if not (0.0 <= diffusivity < math.inf and 0.0 <= damping < math.inf):
         raise ValueError("diffusivity and damping must be nonnegative and finite")
-    return _from_coeffs(f, decay(f.grid, diffusivity, damping, t) * f.coeffs)
+    return np.exp(-(diffusivity * grid.k_sq + damping) * t)
 
 
 def l2_scale(grid: SpectralGrid, coeffs: np.ndarray) -> float:

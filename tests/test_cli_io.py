@@ -1,20 +1,14 @@
 import os
 import re
 import struct
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from oldb2d import (
-    StressField,
-    make_grid,
-    run,
-    scalar_field,
-    sim_state,
-    vector_field,
-)
-from oldb2d.cli import main
+from oldb2d import make_grid, run
+from oldb2d.cli import EXIT_OUTPUT, main
 from oldb2d.config import ConfigError, build_initial, parse_config
 from oldb2d.diagnostics import (
     COLUMNS,
@@ -33,6 +27,8 @@ from oldb2d.snapshots import (
     write_snapshot,
 )
 from oldb2d.spectral import irfft2
+
+from conftest import state_of
 
 TWO_PI = 2.0 * np.pi
 
@@ -99,18 +95,14 @@ class TestBuildInitial:
         grid = make_grid(32, cfg.length)
         s1 = build_initial(cfg, grid)
         s2 = build_initial(cfg, grid)
-        assert np.array_equal(s1.u.values, s2.u.values)
-        assert np.array_equal(s1.stress.a.values, s2.stress.a.values)
-        assert np.array_equal(s1.stress.b.values, s2.stress.b.values)
-        assert np.array_equal(s1.stress.c.values, s2.stress.c.values)
-        assert np.array_equal(s1.rho.values, s2.rho.values)
+        assert np.array_equal(s1.planes, s2.planes)
 
     def test_random_admissible_strictly_positive(self):
         for seed in (1, 2, 3):
             cfg = parse_config(f"n=64\npreset=random_admissible\nseed={seed}\n")
             grid = make_grid(64, cfg.length)
             state = build_initial(cfg, grid)
-            assert positivity_report(state, 0.0).min_eig > 0.0
+            assert positivity_report(state, 0.0).min_gamma / 2 > 0.0
             state.validate()
 
     def test_taylor_green_admissible(self):
@@ -131,11 +123,7 @@ class TestSnapshots:
         write_snapshot(state, path)
         back = read_snapshot(path, grid)
         assert back.time == state.time
-        assert np.array_equal(back.u.values, state.u.values)
-        assert np.array_equal(back.stress.a.values, state.stress.a.values)
-        assert np.array_equal(back.stress.b.values, state.stress.b.values)
-        assert np.array_equal(back.stress.c.values, state.stress.c.values)
-        assert np.array_equal(back.rho.values, state.rho.values)
+        assert np.array_equal(back.planes, state.planes)
 
     def test_blocks_are_the_planes_in_order(self, tmp_path):
         state, grid = self._state()
@@ -190,7 +178,7 @@ class TestSnapshots:
         write_snapshot(state, path)
         cfg = parse_config(f"n=32\npreset=snapshot:{path}\n")
         back = build_initial(cfg, grid)
-        assert np.array_equal(back.stress.c.values, state.stress.c.values)
+        assert np.array_equal(back.planes[4], state.planes[4])
 
 
 class TestTimeseries:
@@ -356,18 +344,10 @@ class TestCliMain:
         r0 = next(line for line in out.splitlines() if line.strip().startswith("R0"))
         assert "[overflowed]" not in r0
 
-    def test_run_zero_kappa_with_determinant_window(self, tmp_path, capsys, monkeypatch):
-        from oldb2d import cli
-
-        trajectories = []
-
-        def spy(*args, **kwargs):
-            trajectories.append(run(*args, **kwargs))
-            return trajectories[-1]
-
-        monkeypatch.setattr(cli, "run", spy)
-        # dt_max sits far below the CFL step, so the step is fixed and the
-        # three-state window of the determinant law is uniform.
+    def test_run_zero_kappa(self, tmp_path, capsys):
+        """A kappa = 0 run passes the R0 gate; every bound past R0 divides by
+        kappa, so R1..R5 are +inf.  The determinant law that holds at
+        kappa = 0 is measured by `check` (`dynamics.determinant_order`)."""
         cfg_path = self._write_cfg(
             tmp_path,
             "n=16\npreset=random_admissible\nseed=2\nkappa=0\n"
@@ -375,9 +355,27 @@ class TestCliMain:
         )
         out_dir = str(tmp_path / "out")
         assert main(["run", "--config", cfg_path, "--out-dir", out_dir]) == 0
-        assert re.search(r"energy budget gate: .* -> PASS", capsys.readouterr().out)
-        residuals = [r.determinant_residual for r in trajectories[0].records]
-        assert any(np.isfinite(res) for res in residuals)
+        rows = self._row_lines(capsys.readouterr().out)
+        assert re.search(r"energy budget gate: .* -> PASS", rows[0])
+        assert all(re.search(r"R[1-5] inf\)$", row) for row in rows[1:])
+        assert len(read_timeseries(os.path.join(out_dir, "timeseries.csv"))["time"]) == 11
+
+    def test_bounds_with_a_one_row_trajectory(self, tmp_path, capsys):
+        """A run that records only its initial state writes a one-row CSV;
+        `bounds --traj` gives it the run's verdict, row for row."""
+        self._bounds_reprints_run_rows(
+            tmp_path, capsys, "n=16\nt_end=0.03\noutput_every=1000000\n")
+        lines = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
+        assert len(lines) == 2
+
+    def test_header_only_trajectory_exits_config(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, "n=16\npreset=equilibrium\n")
+        traj = tmp_path / "empty.csv"
+        traj.write_text(",".join(COLUMNS) + "\n")
+        code = main(["bounds", "--config", cfg_path, "--traj", str(traj)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "config error: time series has no rows\n"
 
     def test_picard_subcommand(self, tmp_path, capsys):
         cfg_path = self._write_cfg(
@@ -656,10 +654,7 @@ class TestCliMain:
             u, a, c = np.zeros((2, 16, 16)), ones, ones
         else:
             u, a, c = np.stack([np.sin(x), 0.0 * x]), 0.0 * ones, 2.0 * ones
-        state = sim_state(0.0, vector_field(grid, u),
-                          StressField(scalar_field(grid, a), scalar_field(grid, 0.0 * ones),
-                                     scalar_field(grid, c)),
-                          scalar_field(grid, ones))
+        state = state_of(grid, u=u, a=a, c=c, rho=ones)
         snap = tmp_path / "bad.snap"
         write_snapshot(state, snap)
         cfg_path = self._write_cfg(tmp_path, f"n=16\npreset=snapshot:{snap}\n")
@@ -671,6 +666,63 @@ class TestCliMain:
         assert err.startswith("config error:") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+
+class _ClosedPipe:
+    """A text stream whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestOutputErrors:
+    """A stdout or stderr that cannot be written is an output error (exit
+    4), not a config error, and ends without a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    def test_closed_stdout(self, tmp_path, capsys, monkeypatch, command):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("n=16\npreset=equilibrium\nt_end=0.01\n")
+        flags = ["--out-dir", str(tmp_path / "o")] if command == "run" else []
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main([command, "--config", str(cfg_path), *flags])
+        assert code == EXIT_OUTPUT
+        assert capsys.readouterr().err == "output error: [Errno 32] Broken pipe\n"
+
+    def test_closed_stderr(self, tmp_path, monkeypatch):
+        """A config error whose line cannot be written still ends in a
+        code, not an exception."""
+        monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+        assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == EXIT_OUTPUT
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_console_script_on_a_closed_pipe(self, tmp_path, unbuffered):
+        """The `oldb2d` script with stdout on a pipe whose reader is closed:
+        one stderr line, no "Exception ignored" from the interpreter's
+        flush at exit, whether stdout is buffered or not."""
+        import subprocess
+
+        import oldb2d
+
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("n=16\npreset=equilibrium\n")
+        src = os.path.dirname(os.path.dirname(oldb2d.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        script = ("import sys; from oldb2d.cli import console_main; "
+                  f"sys.argv = ['oldb2d', 'bounds', '--config', {str(cfg_path)!r}]; "
+                  "console_main()")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-c", script], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_OUTPUT
+        assert done.stderr == "output error: [Errno 32] Broken pipe\n"
 
 
 class TestHalfSpectrumOnly:
@@ -712,7 +764,6 @@ def test_commands_import_no_scipy(tmp_path):
     """numpy is the only runtime dependency: a `run` and a `picard` in a
     fresh process leave no scipy module loaded."""
     import subprocess
-    import sys
 
     import oldb2d
 

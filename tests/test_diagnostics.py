@@ -7,7 +7,6 @@ import pytest
 
 from oldb2d import (
     PhysParams,
-    StressField,
     apriori_ledger,
     bound_check,
     determinant_residual,
@@ -16,9 +15,6 @@ from oldb2d import (
     norms,
     positivity_report,
     run,
-    scalar_field,
-    sim_state,
-    vector_field,
 )
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.config import parse_config, build_initial
@@ -26,6 +22,7 @@ from oldb2d.diagnostics import LedgerEntry, _running_sup, series
 from oldb2d.units import UnitsError, uexp, uv
 from oldb2d.units import CM, SEC
 
+from conftest import state_of
 from oracles import eig_min_scan, relaxation_exact, taylor_green_velocity
 
 TWO_PI = 2.0 * np.pi
@@ -33,18 +30,8 @@ PARAMS = PhysParams(nu=0.01, kappa=0.01, k=1.0, bigK=1.0)
 AREA = TWO_PI ** 2
 
 
-def const(grid, value):
-    return scalar_field(grid, np.full((grid.n, grid.n), float(value)))
-
-
 def uniform_state(grid, c0, rho0, time=0.0):
-    zero = const(grid, 0)
-    return sim_state(
-        time,
-        vector_field(grid, np.zeros((2, grid.n, grid.n))),
-        StressField(zero, zero, const(grid, c0)),
-        const(grid, rho0),
-    )
+    return state_of(grid, c=c0, rho=rho0, time=time)
 
 
 class TestEnergyLedger:
@@ -70,9 +57,7 @@ class TestEnergyLedger:
 
     def test_taylor_green_values(self, grid64):
         x, y = grid64.nodes()
-        zero = const(grid64, 0)
-        state = sim_state(0.0, vector_field(grid64, taylor_green_velocity(x, y)),
-                          StressField(zero, zero, zero), zero)
+        state = state_of(grid64, u=taylor_green_velocity(x, y))
         led = energy_ledger(state, PARAMS)
         # integral |u|^2 = 2 pi^2; integral |grad u|^2 = 2 * integral |u|^2
         assert led.energy == pytest.approx(2.0 * np.pi ** 2, rel=1e-12)
@@ -91,13 +76,7 @@ class TestPositivityReport:
         assert rep.passed
 
     def test_constructed_violation(self, grid32):
-        zero = const(grid32, 0)
-        state = sim_state(
-            0.0,
-            vector_field(grid32, np.zeros((2, 32, 32))),
-            StressField(const(grid32, 3), const(grid32, 4), const(grid32, 9.9)),
-            const(grid32, 1),
-        )
+        state = state_of(grid32, a=3.0, b=4.0, c=9.9, rho=1.0)
         rep = positivity_report(state, tol=1e-8)
         assert rep.min_gamma == pytest.approx(-0.1, abs=1e-12)
         assert not rep.passed
@@ -105,12 +84,11 @@ class TestPositivityReport:
     def test_matches_brute_force_scan(self, grid32):
         state = band_limited_admissible_state(grid32, seed=8, kmax=4)
         rep = positivity_report(state, tol=1e-8)
-        a, b, c = (f.values for f in
-                   (state.stress.a, state.stress.b, state.stress.c))
+        a, b, c = state.planes[2:5]
         assert rep.min_c == float(np.min(c))
-        assert rep.min_rho == float(np.min(state.rho.values))
-        assert rep.min_eig == pytest.approx(float(np.min(eig_min_scan(a, b, c))),
-                                            abs=1e-12)
+        assert rep.min_rho == float(np.min(state.planes[5]))
+        assert rep.min_gamma / 2 == pytest.approx(float(np.min(eig_min_scan(a, b, c))),
+                                                  abs=1e-12)
 
 
 class TestAprioriLedger:
@@ -170,9 +148,7 @@ class TestAprioriLedger:
         # Zero stress and density make the R1 bracket 0, so inf * 0 would
         # give nan; every bound past R0 must still read +inf.
         x, y = grid32.nodes()
-        zero = const(grid32, 0)
-        state = sim_state(0.0, vector_field(grid32, taylor_green_velocity(x, y)),
-                          StressField(zero, zero, zero), zero)
+        state = state_of(grid32, u=taylor_green_velocity(x, y))
         params0 = PhysParams(nu=0.01, kappa=0.0, k=1.0, bigK=1.0)
         led = apriori_ledger(state, params0, 1.0)
         assert led.R0.value == pytest.approx(
@@ -187,9 +163,7 @@ class TestAprioriLedger:
         # exp(R0 / (nu kappa)) overflows, but the brackets it multiplies
         # are exact zeros, so R1, R3, R5 and B are 0 rather than inf * 0.
         x, y = grid32.nodes()
-        zero = const(grid32, 0)
-        state = sim_state(0.0, vector_field(grid32, taylor_green_velocity(x, y)),
-                          StressField(zero, zero, zero), zero)
+        state = state_of(grid32, u=taylor_green_velocity(x, y))
         led = apriori_ledger(state, PARAMS, 1.0)
         for name in ("R1", "R3", "R5", "B"):
             entry = getattr(led, name)
@@ -346,7 +320,7 @@ class TestRecordsMatchFieldLevelDiagnostics:
             rep = norms(state)
             for key in ("energy", "dissipation", "source"):
                 assert close(getattr(rec, key), getattr(led, key)), key
-            for key in ("min_gamma", "min_rho", "min_c", "min_eig"):
+            for key in ("min_gamma", "min_rho"):
                 assert close(getattr(rec, key), getattr(pos, key)), key
             assert close(rec.c_max, pos.max_c)
             assert rec.norms.keys() == rep.keys()

@@ -1,24 +1,13 @@
 import numpy as np
 import pytest
 
-from oldb2d import (
-    PhysParams,
-    StressField,
-    determinant_rhs,
-    divergence,
-    laplacian,
-    make_grid,
-    rates,
-    scalar_field,
-    sim_state,
-    step,
-    strain_decompose,
-    vector_field,
-)
+from oldb2d import PhysParams, determinant_rhs, make_grid, rates, step
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.config import build_initial, parse_config
 from oldb2d.fields import norms
+from oldb2d.spectral import irfft2, project, rfft2
 
+from conftest import state_of
 from oracles import (
     fd_derivative,
     fd_derivative_2nd,
@@ -31,67 +20,65 @@ TWO_PI = 2.0 * np.pi
 PARAMS = PhysParams(nu=0.01, kappa=0.01, k=1.0, bigK=1.0)
 
 
-def const(grid, value):
-    return scalar_field(grid, np.full((grid.n, grid.n), float(value)))
-
-
 def uniform_state(grid, c0, rho0):
-    zero = const(grid, 0)
-    return sim_state(
-        0.0,
-        vector_field(grid, np.zeros((2, grid.n, grid.n))),
-        StressField(zero, zero, const(grid, c0)),
-        const(grid, rho0),
-    )
+    return state_of(grid, c=c0, rho=rho0)
+
+
+def strain(grid, u):
+    """The strain lam = (d1u1 - d2u2)/2, mu = (d1u2 + d2u1)/2 and the
+    vorticity omega = d1u2 - d2u1 of a velocity pair `u`, as `rates`
+    stretches the stress with them: on the uniform stress (0, 0, 1) the a
+    and b rates are lam and mu, and on (1, 0, 0) the b rate is omega."""
+    lam, mu = rates(state_of(grid, u=u, c=1.0), PARAMS)[2:4]
+    omega = rates(state_of(grid, u=u, a=1.0), PARAMS)[3]
+    return lam, mu, omega
 
 
 class TestStrainDecompose:
+    """The rate of strain and the vorticity that stretch the stress in
+    `rates`."""
+
     def test_zero(self, grid32):
-        u = vector_field(grid32, np.zeros((2, 32, 32)))
-        sd = strain_decompose(u)
-        assert np.max(np.abs(sd.lam.values)) == 0.0
-        assert np.max(np.abs(sd.mu.values)) == 0.0
-        assert np.max(np.abs(sd.omega.values)) == 0.0
+        for part in strain(grid32, np.zeros((2, 32, 32))):
+            assert np.max(np.abs(part)) == 0.0
 
     def test_shear_against_fd_oracle(self, grid64):
         _, y = grid64.nodes()
         vals = np.stack([np.sin(y), np.zeros_like(y)])
-        u = vector_field(grid64, vals)
-        sd = strain_decompose(u)
+        lam, mu, omega = strain(grid64, vals)
         d2u1 = fd_derivative(vals[0], axis=1, h=grid64.spacing)
-        assert np.max(np.abs(sd.lam.values)) <= 1e-13
-        assert np.max(np.abs(sd.mu.values - 0.5 * d2u1)) <= 1e-8
-        assert np.max(np.abs(sd.mu.values - 0.5 * np.cos(y))) <= 1e-13
-        assert np.max(np.abs(sd.omega.values + np.cos(y))) <= 1e-13
+        assert np.max(np.abs(lam)) <= 1e-13
+        assert np.max(np.abs(mu - 0.5 * d2u1)) <= 1e-8
+        assert np.max(np.abs(mu - 0.5 * np.cos(y))) <= 1e-13
+        assert np.max(np.abs(omega + np.cos(y))) <= 1e-13
 
     def test_taylor_green_strain(self, grid64):
         x, y = grid64.nodes()
-        u = vector_field(grid64, taylor_green_velocity(x, y))
-        sd = strain_decompose(u)
-        assert np.max(np.abs(sd.lam.values - np.cos(x) * np.cos(y))) <= 1e-13
-        assert np.max(np.abs(sd.mu.values)) <= 1e-13
-        assert np.max(np.abs(sd.omega.values - 2.0 * np.sin(x) * np.sin(y))) <= 1e-13
+        lam, mu, omega = strain(grid64, taylor_green_velocity(x, y))
+        assert np.max(np.abs(lam - np.cos(x) * np.cos(y))) <= 1e-13
+        assert np.max(np.abs(mu)) <= 1e-13
+        assert np.max(np.abs(omega - 2.0 * np.sin(x) * np.sin(y))) <= 1e-13
 
     def test_gradient_reconstruction(self, grid32):
         state = band_limited_admissible_state(grid32, seed=11, kmax=4)
-        sd = strain_decompose(state.u)
-        u1 = state.u.component(0)
-        u2 = state.u.component(1)
-        from oldb2d import ddx
+        u = state.planes[0:2]
+        lam, mu, omega = strain(grid32, u)
+        uh = rfft2(u)
+        g = grid32
 
         # div u = 0 forces d1u1 = lam; the four gradient entries rebuild from
         # (lam, mu, omega).
         rebuilt = {
-            (1, 1): sd.lam.values,
-            (2, 1): sd.mu.values - 0.5 * sd.omega.values,
-            (1, 2): sd.mu.values + 0.5 * sd.omega.values,
-            (2, 2): -sd.lam.values,
+            (1, 1): lam,
+            (2, 1): mu - 0.5 * omega,
+            (1, 2): mu + 0.5 * omega,
+            (2, 2): -lam,
         }
         direct = {
-            (1, 1): ddx(u1, 1).values,
-            (2, 1): ddx(u1, 2).values,
-            (1, 2): ddx(u2, 1).values,
-            (2, 2): ddx(u2, 2).values,
+            (1, 1): irfft2(g.ikx * uh[0], g.n),
+            (2, 1): irfft2(g.iky * uh[0], g.n),
+            (1, 2): irfft2(g.ikx * uh[1], g.n),
+            (2, 2): irfft2(g.iky * uh[1], g.n),
         }
         for key in rebuilt:
             assert np.max(np.abs(rebuilt[key] - direct[key])) <= 1e-12
@@ -143,13 +130,7 @@ class TestStressRhs:
 
         def spectral_rates(grid):
             u, a, b, c, rho = analytic_fields(grid)
-            state = sim_state(
-                0.0,
-                vector_field(grid, u),
-                StressField(scalar_field(grid, a), scalar_field(grid, b),
-                            scalar_field(grid, c)),
-                scalar_field(grid, rho),
-            )
+            state = state_of(grid, u=u, a=a, b=b, c=c, rho=rho)
             da, db, dc = rates(state, PARAMS)[2:5]
             # matrix components: s11 = c/2 + a, s12 = b, s22 = c/2 - a
             return 0.5 * dc + da, db, 0.5 * dc - da
@@ -200,27 +181,13 @@ class TestMomentumRhs:
         # projection.
         x, y = grid32.nodes()
         rho = 1.0 + 0.5 * np.cos(x) * np.sin(y)
-        zero = const(grid32, 0)
-        state = sim_state(
-            0.0,
-            vector_field(grid32, np.zeros((2, 32, 32))),
-            StressField(zero, zero, scalar_field(grid32, 2.0 * rho)),
-            scalar_field(grid32, rho),
-        )
+        state = state_of(grid32, c=2.0 * rho, rho=rho)
         assert np.max(np.abs(rates(state, PARAMS)[0:2])) <= 1e-12
 
     def test_taylor_green_reduces_to_viscosity(self, grid64):
-        from oldb2d import leray_project
-
         x, y = grid64.nodes()
         u_vals = taylor_green_velocity(x, y)
-        zero = const(grid64, 0)
-        state = sim_state(
-            0.0,
-            vector_field(grid64, u_vals),
-            StressField(zero, zero, zero),
-            zero,
-        )
+        state = state_of(grid64, u=u_vals)
         # The advective term is a pure gradient: its projection vanishes.
         adv = np.stack([
             u_vals[0] * fd_derivative(u_vals[0], 0, grid64.spacing)
@@ -228,17 +195,19 @@ class TestMomentumRhs:
             u_vals[0] * fd_derivative(u_vals[1], 0, grid64.spacing)
             + u_vals[1] * fd_derivative(u_vals[1], 1, grid64.spacing),
         ])
-        projected = leray_project(vector_field(grid64, adv))
-        assert np.max(np.abs(projected.values)) <= 1e-7  # fd oracle accuracy
+        adv_h = rfft2(adv)
+        project(grid64, adv_h)
+        assert np.max(np.abs(irfft2(adv_h, 64))) <= 1e-7  # fd oracle accuracy
 
         du = rates(state, PARAMS)[0:2]
         assert np.max(np.abs(du + 2.0 * PARAMS.nu * u_vals)) <= 1e-12
 
     def test_output_divergence_free(self, grid32):
         state = band_limited_admissible_state(grid32, seed=12, kmax=4)
-        du = vector_field(grid32, rates(state, PARAMS)[0:2])
-        scale = np.sqrt(np.sum(grid32.weights * np.abs(du.coeffs) ** 2)) + 1e-300
-        assert np.max(np.abs(divergence(du).coeffs)) <= 1e-12 * scale
+        duh = rfft2(rates(state, PARAMS)[0:2])
+        scale = np.sqrt(np.sum(grid32.weights * np.abs(duh) ** 2)) + 1e-300
+        div = grid32.ikx * duh[0] + grid32.iky * duh[1]
+        assert np.max(np.abs(div)) <= 1e-12 * scale
 
 
 class TestRhoRhs:
@@ -246,33 +215,25 @@ class TestRhoRhs:
 
     def test_uniform_rho(self, grid32):
         state = band_limited_admissible_state(grid32, seed=13, kmax=4)
-        state = sim_state(0.0, state.u, state.stress, const(grid32, 1.0))
+        state.planes[5] = 1.0
         assert np.max(np.abs(rates(state, PARAMS)[5])) <= 1e-13
 
     def test_zero_velocity(self, grid32):
         state = uniform_state(grid32, c0=2.0, rho0=1.0)
         x, y = grid32.nodes()
-        state = sim_state(0.0, state.u, state.stress,
-                          scalar_field(grid32, 1.0 + 0.3 * np.cos(x)))
+        state.planes[5] = 1.0 + 0.3 * np.cos(x)
         assert np.max(np.abs(rates(state, PARAMS)[5])) == 0.0
 
     def test_streamline_constant_density(self, grid32):
         # u = perp-grad(psi) advects psi to itself: u . grad(psi) = 0
         # pointwise, because the two product terms cancel algebraically.
         from oldb2d.config import band_limited_random
-        from oldb2d.spectral import irfft2, rfft2
 
         rng = np.random.default_rng(14)
         psi = band_limited_random(grid32, rng, 4)
         psih = rfft2(psi)
         u = irfft2(np.stack([-grid32.iky * psih, grid32.ikx * psih]), 32)
-        zero = const(grid32, 0)
-        state = sim_state(
-            0.0,
-            vector_field(grid32, u),
-            StressField(zero, zero, const(grid32, 2)),
-            scalar_field(grid32, psi + 2.0),  # rho > 0 shifted streamfunction
-        )
+        state = state_of(grid32, u=u, c=2.0, rho=psi + 2.0)  # rho > 0 shifted streamfunction
         drho = rates(state, PARAMS)[5]
         scale = np.max(np.abs(u)) * np.max(np.abs(psi)) + 1e-300
         assert np.max(np.abs(drho)) <= 1e-13 * max(1.0, scale)
@@ -288,13 +249,13 @@ class TestDeterminantRhs:
     def test_equilibrium_stationary(self, grid32):
         params0 = PhysParams(nu=0.01, kappa=0.0, k=1.0, bigK=1.0)
         state = uniform_state(grid32, c0=2.0, rho0=1.0)
-        assert np.max(np.abs(determinant_rhs(state, params0).values)) <= 1e-14
+        assert np.max(np.abs(determinant_rhs(state, params0))) <= 1e-14
 
     def test_uniform_substitution(self, grid32):
         params0 = PhysParams(nu=0.01, kappa=0.0, k=1.0, bigK=1.0)
         c0, rho0 = 3.0, 1.0
         state = uniform_state(grid32, c0=c0, rho0=rho0)
-        got = determinant_rhs(state, params0).values
+        got = determinant_rhs(state, params0)
         expected = -params0.k * c0 * c0 + 2.0 * params0.k * rho0 * c0
         assert np.allclose(got, expected, atol=1e-12)
 
@@ -314,7 +275,7 @@ class TestDeterminantRhs:
         a, b, c = state.planes[2:5]
         da, db, dc = rates(state, params0)[2:5]
         combo = 0.5 * c * dc - 2.0 * a * da - 2.0 * b * db
-        law = determinant_rhs(state, params0).values
+        law = determinant_rhs(state, params0)
         assert np.max(np.abs(combo - law)) <= 1e-10
 
 
@@ -324,13 +285,13 @@ class TestEnergyRateIdentity:
         grid = make_grid(32, TWO_PI)
         state = band_limited_admissible_state(grid, seed=seed, kmax=4)
         r = rates(state, PARAMS)
-        u1, u2 = state.u.values
+        u1, u2 = state.planes[0:2]
         lhs = np.mean(2.0 * (u1 * r[0] + u2 * r[1]) + PARAMS.bigK * r[4]) * grid.area
         rep = norms(state)
         rhs = (
             -2.0 * PARAMS.nu * rep["grad_u_L2"] ** 2
             - 2.0 * PARAMS.k * PARAMS.bigK * rep["sigma_L1"]
-            + 4.0 * PARAMS.k * PARAMS.bigK * np.mean(state.rho.values) * grid.area
+            + 4.0 * PARAMS.k * PARAMS.bigK * np.mean(state.planes[5]) * grid.area
         )
         scale = abs(rhs) + rep["u_L2"] ** 2 + 1.0
         assert lhs <= rhs + 1e-8 * scale
@@ -338,20 +299,14 @@ class TestEnergyRateIdentity:
     def test_cubic_cancellation(self):
         grid = make_grid(32, TWO_PI)
         state = band_limited_admissible_state(grid, seed=33, kmax=4)
-        strain = strain_decompose(state.u)
-        u1, u2 = state.u.values
+        u1, u2, a, b, c = state.planes[0:5]
+        lam, mu, _ = strain(grid, state.planes[0:2])
         # The projected force, from the velocity rate less its viscous part,
         # does the same work against a divergence-free u.
         force = rates(state, PARAMS)[0:2]
-        visc = PARAMS.nu * np.stack([
-            laplacian(state.u.component(0)).values,
-            laplacian(state.u.component(1)).values,
-        ])
+        visc = PARAMS.nu * irfft2(-grid.k_sq * rfft2(state.planes[0:2]), grid.n)
         work = np.mean(2.0 * (u1 * (force[0] - visc[0])
                               + u2 * (force[1] - visc[1]))) * grid.area
-        stretch = 4.0 * PARAMS.bigK * np.mean(
-            strain.lam.values * state.stress.a.values
-            + strain.mu.values * state.stress.b.values
-        ) * grid.area
-        scale = (np.max(np.abs(u1)) + np.max(np.abs(state.stress.c.values)) + 1.0) ** 3
+        stretch = 4.0 * PARAMS.bigK * np.mean(lam * a + mu * b) * grid.area
+        scale = (np.max(np.abs(u1)) + np.max(np.abs(c)) + 1.0) ** 3
         assert abs(work + stretch) <= 1e-9 * scale

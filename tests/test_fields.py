@@ -1,35 +1,20 @@
 import numpy as np
 import pytest
 
-from oldb2d import (
-    PhysParams,
-    SimState,
-    StressField,
-    make_grid,
-    norms,
-    positivity_report,
-    scalar_field,
-    sim_state,
-    vector_field,
-)
+from oldb2d import PhysParams, SimState, make_grid, norms, positivity_report
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.fields import NORM_UNITS
 
-from oracles import quad_integral
+from conftest import state_of
+from oracles import eig_min_scan, quad_integral
 
 TWO_PI = 2.0 * np.pi
-
-
-def const(grid, value):
-    return scalar_field(grid, np.full((grid.n, grid.n), float(value)))
 
 
 def stress_state(grid, a, b, c):
     """A fluid at rest with rho = 1 and stress planes a, b, c (numbers or
     (n, n) arrays)."""
-    planes = np.zeros((6, grid.n, grid.n))
-    planes[2], planes[3], planes[4], planes[5] = a, b, c, 1.0
-    return SimState(0.0, grid, planes)
+    return state_of(grid, a=a, b=b, c=c, rho=1.0)
 
 
 class TestPhysParams:
@@ -52,16 +37,36 @@ class TestPhysParams:
 
 
 class TestEigenvalues:
-    """The smaller eigenvalue c/2 - sqrt(a^2 + b^2) that `positivity_report`
-    minimises."""
+    """The smaller eigenvalue c/2 - sqrt(a^2 + b^2), which is half the
+    `min_gamma` that `positivity_report` minimises."""
 
     def test_identity(self, grid32):
         rep = positivity_report(stress_state(grid32, 0.0, 0.0, 2.0), 0.0)
-        assert rep.min_eig == 1.0
+        assert rep.min_gamma / 2 == 1.0
 
     def test_rank_one_boundary(self, grid32):
         rep = positivity_report(stress_state(grid32, 3.0, 4.0, 10.0), 0.0)
-        assert abs(rep.min_eig) <= 1e-14
+        assert abs(rep.min_gamma / 2) <= 1e-14
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_half_min_gamma_is_the_smallest_eigenvalue(self, grid32, seed):
+        """Against a dense eigensolver at every point, to 1e-12 relative."""
+        rng = np.random.default_rng(seed)
+        a, b, c = rng.standard_normal((3, 32, 32))
+        rep = positivity_report(stress_state(grid32, a, b, c), 0.0)
+        brute = float(np.min(eig_min_scan(a, b, c)))
+        assert abs(rep.min_gamma / 2 - brute) <= 1e-12 * abs(brute)
+
+    def test_halving_is_exact_at_every_scale(self, grid32):
+        """min(c - 2 sqrt(a^2 + b^2)) / 2 equals min(c/2 - sqrt(a^2 + b^2))
+        bit for bit on random stresses at scales 1e-140 to 1e140, where no
+        value is subnormal."""
+        rng = np.random.default_rng(9)
+        for scale in 10.0 ** np.arange(-140, 141, 20):
+            for _ in range(5):
+                a, b, c = scale * rng.standard_normal((3, 32, 32))
+                rep = positivity_report(stress_state(grid32, a, b, c), 0.0)
+                assert rep.min_gamma / 2 == float(np.min(c / 2 - np.sqrt(a * a + b * b)))
 
 
 class TestGamma:
@@ -76,10 +81,11 @@ class TestGamma:
         rep = positivity_report(stress_state(grid32, 3.0, 4.0, 10.0), 0.0)
         assert abs(rep.min_gamma) <= 1e-14
 
-    def test_twice_min_eigenvalue(self, grid32):
+    def test_twice_smallest_eigenvalue(self, grid32):
         rng = np.random.default_rng(2)
-        rep = positivity_report(stress_state(grid32, *rng.standard_normal((3, 32, 32))), 0.0)
-        assert abs(rep.min_gamma - 2.0 * rep.min_eig) <= 1e-13
+        a, b, c = rng.standard_normal((3, 32, 32))
+        rep = positivity_report(stress_state(grid32, a, b, c), 0.0)
+        assert abs(rep.min_gamma - 2.0 * float(np.min(eig_min_scan(a, b, c)))) <= 1e-13
 
     def test_equivalence_with_determinant_positivity(self, grid32):
         rng = np.random.default_rng(3)
@@ -103,21 +109,10 @@ class TestSimState:
         with pytest.raises(ValueError, match=match):
             SimState(0.0, grid32, np.zeros(shape, dtype))
 
-    def test_sim_state_rejects_components_on_different_grids(self, grid32):
-        grid16 = make_grid(16, TWO_PI)
-        u = vector_field(grid32, np.zeros((2, 32, 32)))
-        zero32, zero16 = const(grid32, 0), const(grid16, 0)
-        with pytest.raises(ValueError, match="share a grid"):
-            sim_state(0.0, u, StressField(zero32, zero32, zero32), zero16)
-        with pytest.raises(ValueError, match="share a grid"):
-            sim_state(0.0, u, StressField(zero16, zero16, zero16), zero32)
-
     def test_divergence_free_enforced(self, grid32):
         x, _ = grid32.nodes()
-        bad_u = vector_field(grid32, np.stack([np.sin(x), np.zeros_like(x)]))
-        zero = const(grid32, 0)
-        state = sim_state(0.0, bad_u, StressField(zero, zero, const(grid32, 2)),
-                          const(grid32, 1))
+        bad_u = np.stack([np.sin(x), np.zeros_like(x)])
+        state = state_of(grid32, u=bad_u, c=2.0, rho=1.0)
         with pytest.raises(ValueError, match="divergence"):
             state.validate()
 
@@ -130,12 +125,10 @@ class TestSimState:
         x, y = grid.nodes()
         s = TWO_PI / length
         swirl = np.stack([np.sin(s * x) * np.cos(s * y), -np.cos(s * x) * np.sin(s * y)])
-        zero = const(grid, 0)
-        stress, rho = StressField(zero, zero, const(grid, 2)), const(grid, 1)
-        sim_state(0.0, vector_field(grid, swirl), stress, rho).validate()
+        state_of(grid, u=swirl, c=2.0, rho=1.0).validate()
         bad = swirl + 1e-9 * np.stack([np.sin(s * x), 0.0 * x])
         with pytest.raises(ValueError, match="divergence"):
-            sim_state(0.0, vector_field(grid, bad), stress, rho).validate()
+            state_of(grid, u=bad, c=2.0, rho=1.0).validate()
 
     @pytest.mark.parametrize("amplitude", [1e-200, 2.3e-251])
     def test_tiny_divergence_free_velocity_passes(self, grid32, amplitude):
@@ -143,28 +136,17 @@ class TestSimState:
         |u| on the velocity scaled to a unit peak instead."""
         x, y = grid32.nodes()
         swirl = amplitude * np.stack([np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)])
-        zero = const(grid32, 0)
-        sim_state(0.0, vector_field(grid32, swirl), StressField(zero, zero, const(grid32, 2)),
-                  const(grid32, 1)).validate()
+        state_of(grid32, u=swirl, c=2.0, rho=1.0).validate()
 
     def test_negative_rho_rejected(self, grid32):
-        zero = const(grid32, 0)
-        u = vector_field(grid32, np.zeros((2, 32, 32)))
-        state = sim_state(0.0, u, StressField(zero, zero, const(grid32, 2)),
-                          const(grid32, -1.0))
+        state = state_of(grid32, c=2.0, rho=-1.0)
         with pytest.raises(ValueError, match="rho"):
             state.validate()
 
 
 class TestNorms:
     def test_constant_fields(self, grid64):
-        zero = const(grid64, 0)
-        state = sim_state(
-            0.0,
-            vector_field(grid64, np.zeros((2, 64, 64))),
-            StressField(zero, zero, const(grid64, 2)),  # identity matrix
-            const(grid64, 1),
-        )
+        state = state_of(grid64, c=2.0, rho=1.0)  # identity matrix
         rep = norms(state)
         area = TWO_PI ** 2
         assert rep["u_L2"] == 0.0
@@ -173,13 +155,7 @@ class TestNorms:
 
     def test_shear_velocity_against_quadrature(self, grid64):
         _, y = grid64.nodes()
-        zero = const(grid64, 0)
-        state = sim_state(
-            0.0,
-            vector_field(grid64, np.stack([np.sin(y), np.zeros_like(y)])),
-            StressField(zero, zero, zero),
-            zero,
-        )
+        state = state_of(grid64, u=np.stack([np.sin(y), np.zeros_like(y)]))
         expected_sq = quad_integral(lambda x, y: np.sin(y) ** 2, TWO_PI)
         assert expected_sq == pytest.approx(2.0 * np.pi ** 2, rel=1e-12)
         assert norms(state)["u_L2"] == pytest.approx(np.sqrt(expected_sq), rel=1e-12)
@@ -190,16 +166,9 @@ class TestNorms:
 
         # Relabel x <-> y: velocity components swap and transpose, a flips
         # sign, b and the scalars transpose.
-        swapped = sim_state(
-            0.0,
-            vector_field(grid32, np.stack([state.u.values[1].T, state.u.values[0].T])),
-            StressField(
-                scalar_field(grid32, -state.stress.a.values.T),
-                scalar_field(grid32, state.stress.b.values.T),
-                scalar_field(grid32, state.stress.c.values.T),
-            ),
-            scalar_field(grid32, state.rho.values.T),
-        )
+        u1, u2, a, b, c, rho = state.planes
+        swapped = state_of(grid32, u=np.stack([u2.T, u1.T]), a=-a.T, b=b.T, c=c.T,
+                           rho=rho.T)
         rep_swapped = norms(swapped)
         for key in rep:
             assert rep_swapped[key] == pytest.approx(rep[key], rel=1e-12, abs=1e-13), key
@@ -207,16 +176,15 @@ class TestNorms:
     def test_parseval_consistency(self, grid32):
         state = band_limited_admissible_state(grid32, seed=5, kmax=4)
         rep = norms(state)
-        u1, u2 = state.u.values
+        u1, u2 = state.planes[0:2]
         direct = np.sqrt(np.mean(u1 * u1 + u2 * u2) * grid32.area)
         assert rep["u_L2"] == pytest.approx(direct, rel=1e-12)
-        rho_direct = np.sqrt(np.mean(state.rho.values ** 2) * grid32.area)
+        rho_direct = np.sqrt(np.mean(state.planes[5] ** 2) * grid32.area)
         assert rep["rho_L2"] == pytest.approx(rho_direct, rel=1e-12)
 
     def test_trace_dominates_deviatoric_part(self, grid32):
         state = band_limited_admissible_state(grid32, seed=6, kmax=4)
-        a, b, c = (f.values for f in
-                   (state.stress.a, state.stress.b, state.stress.c))
+        a, b, c = state.planes[2:5]
         lhs = 2.0 * np.mean(np.sqrt(a * a + b * b)) * grid32.area
         assert lhs <= np.mean(c) * grid32.area * (1.0 + 1e-12)
 

@@ -6,14 +6,10 @@ from oldb2d import (
     PicardConfig,
     PicardDivergenceError,
     StepControl,
-    StressField,
     contraction_estimate,
     make_grid,
     picard_iterate,
     run,
-    scalar_field,
-    sim_state,
-    vector_field,
 )
 from oldb2d import SimState
 from oldb2d import picard as picard_mod
@@ -32,24 +28,15 @@ from oldb2d.picard import (
 from oldb2d.spectral import _Scratch, rfft2
 from oldb2d.config import band_limited_random
 
+from conftest import state_of
 from oracles import relaxation_exact
 
 TWO_PI = 2.0 * np.pi
 PARAMS = PhysParams(nu=0.01, kappa=0.01, k=1.0, bigK=1.0)
 
 
-def const(grid, value):
-    return scalar_field(grid, np.full((grid.n, grid.n), float(value)))
-
-
 def uniform_state(grid, c0, rho0):
-    zero = const(grid, 0)
-    return sim_state(
-        0.0,
-        vector_field(grid, np.zeros((2, grid.n, grid.n))),
-        StressField(zero, zero, const(grid, c0)),
-        const(grid, rho0),
-    )
+    return state_of(grid, c=c0, rho=rho0)
 
 
 def masked_noise(grid, rng, shape):
@@ -153,13 +140,12 @@ class TestQ2:
         from oldb2d.picard import q2_integrand
 
         state = band_limited_admissible_state(grid16, seed=4, kmax=3)
-        u0h = rfft2(state.u.values)
-        abc0h = rfft2(np.stack([state.stress.a.values, state.stress.b.values,
-                                state.stress.c.values]))
+        u0h = rfft2(state.planes[0:2])
+        abc0h = rfft2(state.planes[2:5])
         integrand = q2_integrand(u0h[None], abc0h[None], grid16)[0]
         lin = -(PARAMS.kappa * grid16.k_sq) - 2.0 * PARAMS.k
         expected = rfft2(rates(state, PARAMS)[2:5]) - lin * abc0h
-        expected[2] -= 4.0 * PARAMS.k * rfft2(state.rho.values)
+        expected[2] -= 4.0 * PARAMS.k * rfft2(state.planes[5])
         scale = np.max(np.abs(expected)) + 1e-300
         assert np.max(np.abs(integrand - expected)) <= 1e-12 * scale
 
@@ -246,7 +232,7 @@ class TestPicardIterate:
         assert hist.diffs[-1] == 0.0
         t_end = cfg.times()[-1]
         expected_c = 2.0 * rho0 * (1.0 - np.exp(-2.0 * PARAMS.k * t_end))
-        got_c = traj.state(cfg.n_time_nodes - 1).stress.c.values
+        got_c = traj.state(cfg.n_time_nodes - 1).planes[4]
         assert np.max(np.abs(got_c - expected_c)) <= 1e-8
         assert np.max(np.abs(traj.u)) == 0.0
 
@@ -257,7 +243,7 @@ class TestPicardIterate:
         traj, hist = picard_iterate(state, PARAMS, cfg)
         t_end = cfg.times()[-1]
         expected = relaxation_exact(t_end, c0, rho0, PARAMS.k)
-        got = traj.state(cfg.n_time_nodes - 1).stress.c.values
+        got = traj.state(cfg.n_time_nodes - 1).planes[4]
         assert np.max(np.abs(got - expected)) <= 1e-8 * expected
 
     def test_zeroth_iterate_is_heat_flow(self, grid16):
@@ -296,9 +282,9 @@ class TestPicardIterate:
         stepped = run(state, PARAMS, ctl).final_state
         mild = traj.state(cfg.n_time_nodes - 1)
         for name, fa, fb in (
-            ("u", mild.u.values, stepped.u.values),
-            ("c", mild.stress.c.values, stepped.stress.c.values),
-            ("rho", mild.rho.values, stepped.rho.values),
+            ("u", mild.planes[0:2], stepped.planes[0:2]),
+            ("c", mild.planes[4], stepped.planes[4]),
+            ("rho", mild.planes[5], stepped.planes[5]),
         ):
             num = np.sqrt(np.mean((fa - fb) ** 2))
             den = max(np.sqrt(np.mean(fb ** 2)), 1e-300)

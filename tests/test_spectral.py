@@ -1,23 +1,30 @@
 import numpy as np
 import pytest
 
-from oldb2d import (
-    ddx,
-    dealias,
-    divergence,
-    heat_semigroup,
-    laplacian,
-    leray_project,
-    make_grid,
-    scalar_field,
-    vector_field,
-)
-from oldb2d.spectral import irfft2, project, rfft2
+from oldb2d import make_grid
+from oldb2d.spectral import decay, irfft2, project, rfft2
 
 import oracles
 from oracles import fd_derivative
 
 TWO_PI = 2.0 * np.pi
+
+
+def apply(grid, mult, values):
+    """A per-mode operator with multiplier `mult` (a grid table, or an
+    expression of them) on real `values`: irfft2(mult * rfft2(values))."""
+    return irfft2(mult * rfft2(values), grid.n)
+
+
+def projected(grid, values):
+    """The Leray projection of a real (2, n, n) velocity, through `project`."""
+    vh = rfft2(values)
+    project(grid, vh)
+    return irfft2(vh, grid.n)
+
+
+def divergence_coeffs(grid, vh):
+    return grid.ikx * vh[0] + grid.iky * vh[1]
 
 
 def band_limited(grid, rng, kmax=None):
@@ -28,7 +35,7 @@ def band_limited(grid, rng, kmax=None):
         kj = np.arange(grid.n // 2 + 1)
         ki, kj = np.meshgrid(ki, kj, indexing="ij")
         fh *= (np.abs(ki) <= kmax) & (np.abs(kj) <= kmax)
-    return scalar_field(grid, irfft2(fh, grid.n))
+    return irfft2(fh, grid.n)
 
 
 class TestMakeGrid:
@@ -97,99 +104,98 @@ class TestTwoPassTransforms:
 
 
 class TestDdx:
+    """Spectral derivatives: `ikx` and `iky` on the half spectrum."""
+
     def test_single_mode(self, grid64):
         x, y = grid64.nodes()
-        f = scalar_field(grid64, np.sin(x))
-        assert np.max(np.abs(ddx(f, 1).values - np.cos(x))) <= 1e-13
+        assert np.max(np.abs(apply(grid64, grid64.ikx, np.sin(x)) - np.cos(x))) <= 1e-13
 
     def test_constant(self, grid32):
-        f = scalar_field(grid32, np.full((32, 32), 4.2))
-        assert np.max(np.abs(ddx(f, 1).values)) <= 1e-14
-        assert np.max(np.abs(ddx(f, 2).values)) <= 1e-14
+        f = np.full((32, 32), 4.2)
+        assert np.max(np.abs(apply(grid32, grid32.ikx, f))) <= 1e-14
+        assert np.max(np.abs(apply(grid32, grid32.iky, f))) <= 1e-14
 
     def test_against_finite_difference_oracle(self, grid64):
         # d/dy sin(3x)cos(2y) = -2 sin(3x) sin(2y); the 8th-order stencil
         # resolves it to ~1e-9 at this spacing.
         x, y = grid64.nodes()
         vals = np.sin(3 * x) * np.cos(2 * y)
-        f = scalar_field(grid64, vals)
-        got = ddx(f, 2).values
+        got = apply(grid64, grid64.iky, vals)
         oracle = fd_derivative(vals, axis=1, h=grid64.spacing)
         exact = -2.0 * np.sin(3 * x) * np.sin(2 * y)
         assert np.max(np.abs(got - oracle)) <= 1e-8
         assert np.max(np.abs(got - exact)) <= 1e-13
 
-    def test_axis_validation(self, grid32):
-        f = scalar_field(grid32, np.zeros((32, 32)))
-        with pytest.raises(ValueError):
-            ddx(f, 3)
-
 
 class TestLaplacian:
+    """-k_sq on the half spectrum."""
+
     def test_eigenfunction(self, grid64):
         # |k|^2 amplifies the transform's rounding noise, so the tolerance
         # is 1e-12 rather than the first-derivative 1e-13.
         x, _ = grid64.nodes()
-        f = scalar_field(grid64, np.sin(x))
-        assert np.max(np.abs(laplacian(f).values + np.sin(x))) <= 1e-12
+        assert np.max(np.abs(apply(grid64, -grid64.k_sq, np.sin(x)) + np.sin(x))) <= 1e-12
 
     def test_constant(self, grid32):
-        f = scalar_field(grid32, np.ones((32, 32)))
-        assert np.max(np.abs(laplacian(f).values)) <= 1e-14
+        assert np.max(np.abs(apply(grid32, -grid32.k_sq, np.ones((32, 32))))) <= 1e-14
 
     def test_matches_composed_derivatives(self, grid64):
         rng = np.random.default_rng(3)
         f = band_limited(grid64, rng)
-        composed = ddx(ddx(f, 1), 1).values + ddx(ddx(f, 2), 2).values
-        err = np.max(np.abs(laplacian(f).values - composed))
-        assert err <= 1e-12 * max(1.0, np.max(np.abs(f.values)))
+        g = grid64
+        composed = (apply(g, g.ikx, apply(g, g.ikx, f))
+                    + apply(g, g.iky, apply(g, g.iky, f)))
+        err = np.max(np.abs(apply(g, -g.k_sq, f) - composed))
+        assert err <= 1e-12 * max(1.0, np.max(np.abs(f)))
 
 
 class TestDealias:
+    """The 2/3-rule `mask` on the half spectrum."""
+
     def test_low_mode_unchanged(self, grid64):
         x, y = grid64.nodes()
-        f = scalar_field(grid64, np.cos(x))
-        assert np.max(np.abs(dealias(f).values - f.values)) <= 1e-15
+        f = np.cos(x)
+        assert np.max(np.abs(apply(grid64, grid64.mask, f) - f)) <= 1e-15
 
     def test_high_mode_removed(self, grid64):
         x, _ = grid64.nodes()
-        f = scalar_field(grid64, np.cos(31 * x))  # mode (n/2 - 1, 0)
-        assert np.max(np.abs(dealias(f).values)) <= 1e-13
+        f = np.cos(31 * x)  # mode (n/2 - 1, 0)
+        assert np.max(np.abs(apply(grid64, grid64.mask, f))) <= 1e-13
 
     def test_idempotent(self, grid64):
         # Masking twice is masking once, to the rounding of a transform pair.
         rng = np.random.default_rng(4)
-        f = scalar_field(grid64, rng.standard_normal((64, 64)))
-        once = dealias(f)
-        twice = dealias(once)
-        scale = np.max(np.abs(f.values))
-        assert np.max(np.abs(twice.values - once.values)) <= 1e-15 * scale
-        assert np.max(np.abs(once.coeffs[~grid64.mask])) <= 1e-16 * scale
+        f = rng.standard_normal((64, 64))
+        once = apply(grid64, grid64.mask, f)
+        twice = apply(grid64, grid64.mask, once)
+        scale = np.max(np.abs(f))
+        assert np.max(np.abs(twice - once)) <= 1e-15 * scale
+        assert np.max(np.abs(rfft2(once)[~grid64.mask])) <= 1e-16 * scale
 
 
 class TestLerayProjection:
+    """`project` on the half spectrum."""
+
     def test_divergence_free_fixed_point(self, grid64):
         _, y = grid64.nodes()
-        v = vector_field(grid64, np.stack([np.sin(y), np.zeros_like(y)]))
-        pv = leray_project(v)
-        assert np.max(np.abs(pv.values - v.values)) <= 1e-13
+        v = np.stack([np.sin(y), np.zeros_like(y)])
+        assert np.max(np.abs(projected(grid64, v) - v)) <= 1e-13
 
     def test_gradient_annihilated(self, grid64):
         x, y = grid64.nodes()
-        phi = scalar_field(grid64, np.sin(x) * np.sin(y))
-        grad = vector_field(
-            grid64, np.stack([ddx(phi, 1).values, ddx(phi, 2).values])
-        )
-        assert np.max(np.abs(leray_project(grad).values)) <= 1e-13
+        phi = np.sin(x) * np.sin(y)
+        grad = np.stack([apply(grid64, grid64.ikx, phi), apply(grid64, grid64.iky, phi)])
+        assert np.max(np.abs(projected(grid64, grad))) <= 1e-13
 
     def test_idempotent_and_divergence_free(self, grid64):
         rng = np.random.default_rng(5)
-        v = vector_field(grid64, rng.standard_normal((2, 64, 64)))
-        pv = leray_project(v)
-        scale = np.sqrt(np.sum(grid64.weights * np.abs(v.coeffs) ** 2))
-        assert np.max(np.abs(divergence(pv).coeffs)) <= 1e-13 * scale
-        again = leray_project(pv)
-        assert np.max(np.abs(again.coeffs - pv.coeffs)) <= 1e-13 * scale
+        vh = rfft2(rng.standard_normal((2, 64, 64)))
+        scale = np.sqrt(np.sum(grid64.weights * np.abs(vh) ** 2))
+        project(grid64, vh)
+        assert np.max(np.abs(divergence_coeffs(grid64, vh))) <= 1e-13 * scale
+        again = vh.copy()
+        project(grid64, again)
+        assert np.max(np.abs(again - vh)) <= 1e-13 * scale
 
     def test_batched_in_place_matches_each_node(self, grid32):
         # A (nodes, pair, n, n//2+1) stack, as the Picard map projects it.
@@ -214,79 +220,82 @@ class TestLerayProjection:
 
 
 class TestHeatSemigroup:
+    """The heat factor `decay` on the half spectrum."""
+
     def test_identity_at_zero_time(self, grid32):
         rng = np.random.default_rng(6)
-        f = scalar_field(grid32, rng.standard_normal((32, 32)))
-        real_gap = np.max(np.abs(heat_semigroup(f, 0.5, 1.0, 0.0).values - f.values))
+        f = rng.standard_normal((32, 32))
+        real_gap = np.max(np.abs(apply(grid32, decay(grid32, 0.5, 1.0, 0.0), f) - f))
         assert real_gap <= 1e-14
 
     def test_single_mode_decay(self, grid64):
         x, _ = grid64.nodes()
         nu, t = 0.3, 0.8
-        f = scalar_field(grid64, np.sin(x))
         expected = np.exp(-nu * t) * np.sin(x)
-        assert np.max(np.abs(heat_semigroup(f, nu, 0.0, t).values - expected)) <= 1e-13
+        got = apply(grid64, decay(grid64, nu, 0.0, t), np.sin(x))
+        assert np.max(np.abs(got - expected)) <= 1e-13
 
     def test_zero_mode_feels_only_damping(self, grid32):
         k, t = 1.7, 0.4
-        f = scalar_field(grid32, np.ones((32, 32)))
-        got = heat_semigroup(f, 0.05, 2.0 * k, t).values
+        got = apply(grid32, decay(grid32, 0.05, 2.0 * k, t), np.ones((32, 32)))
         assert np.max(np.abs(got - np.exp(-2.0 * k * t))) <= 1e-14
 
     def test_semigroup_law(self, grid64):
         rng = np.random.default_rng(7)
-        f = scalar_field(grid64, rng.standard_normal((64, 64)))
-        whole = heat_semigroup(f, 0.02, 3.0, 0.9)
-        split = heat_semigroup(heat_semigroup(f, 0.02, 3.0, 0.5), 0.02, 3.0, 0.4)
-        err = np.max(np.abs(whole.values - split.values))
-        assert err <= 1e-13 * max(1.0, np.max(np.abs(f.values)))
+        f = rng.standard_normal((64, 64))
+        whole = apply(grid64, decay(grid64, 0.02, 3.0, 0.9), f)
+        split = apply(grid64, decay(grid64, 0.02, 3.0, 0.4),
+                      apply(grid64, decay(grid64, 0.02, 3.0, 0.5), f))
+        err = np.max(np.abs(whole - split))
+        assert err <= 1e-13 * max(1.0, np.max(np.abs(f)))
 
     def test_rejects_negative_time(self, grid32):
-        f = scalar_field(grid32, np.zeros((32, 32)))
         with pytest.raises(ValueError):
-            heat_semigroup(f, 0.1, 0.0, -1e-9)
+            decay(grid32, 0.1, 0.0, -1e-9)
+        with pytest.raises(ValueError):
+            decay(grid32, 0.1, 0.0, np.array([0.0, 0.1, -1e-9])[:, None, None])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("argument", ["diffusivity", "damping", "t"])
     def test_rejects_non_finite_arguments(self, grid32, argument, value):
-        # A nan must not pass the sign test and return an all-nan field,
-        # nor an inf end in a RuntimeWarning or a zero field.
+        # A nan must not pass the sign test and give an all-nan factor, nor
+        # an inf end in a RuntimeWarning or a zero factor.
         args = {"diffusivity": 0.1, "damping": 0.5, "t": 0.2, argument: value}
-        f = scalar_field(grid32, np.ones((32, 32)))
-        args[argument] = value
         with pytest.raises(ValueError, match="finite"):
-            heat_semigroup(f, **args)
+            decay(grid32, **args)
 
 
 class TestParseval:
     def test_norm_equality(self, grid64):
         rng = np.random.default_rng(10)
-        f = scalar_field(grid64, rng.standard_normal((64, 64)))
-        real_norm = np.sqrt(np.mean(f.values ** 2) * grid64.area)
-        spec_norm = np.sqrt(np.sum(grid64.weights * np.abs(f.coeffs) ** 2) * grid64.area)
+        f = rng.standard_normal((64, 64))
+        real_norm = np.sqrt(np.mean(f ** 2) * grid64.area)
+        spec_norm = np.sqrt(np.sum(grid64.weights * np.abs(rfft2(f)) ** 2) * grid64.area)
         assert abs(real_norm - spec_norm) <= 1e-12 * real_norm
 
 
-# Library operator, full-spectrum reference, and input: "s" a scalar, "v" a
-# vector.
+# Per-mode operator from the grid's tables, full-spectrum reference, and
+# input: "s" a scalar, "v" a vector.
 OPERATORS = {
-    "ddx_1": (lambda f: ddx(f, 1), lambda x, L: oracles.fft2_ddx(x, 1, L), "s"),
-    "ddx_2": (lambda f: ddx(f, 2), lambda x, L: oracles.fft2_ddx(x, 2, L), "s"),
-    "laplacian": (laplacian, oracles.fft2_laplacian, "s"),
-    "dealias_scalar": (dealias, oracles.fft2_dealias, "s"),
-    "dealias_vector": (dealias, oracles.fft2_dealias, "v"),
-    "leray_project": (leray_project, oracles.fft2_leray, "v"),
-    "divergence": (divergence, oracles.fft2_divergence, "v"),
-    "heat_scalar": (lambda f: heat_semigroup(f, 0.05, 1.5, 0.3),
+    "ddx_1": (lambda g, f: apply(g, g.ikx, f), lambda x, L: oracles.fft2_ddx(x, 1, L), "s"),
+    "ddx_2": (lambda g, f: apply(g, g.iky, f), lambda x, L: oracles.fft2_ddx(x, 2, L), "s"),
+    "laplacian": (lambda g, f: apply(g, -g.k_sq, f), oracles.fft2_laplacian, "s"),
+    "dealias_scalar": (lambda g, f: apply(g, g.mask, f), oracles.fft2_dealias, "s"),
+    "dealias_vector": (lambda g, f: apply(g, g.mask, f), oracles.fft2_dealias, "v"),
+    "project": (projected, oracles.fft2_leray, "v"),
+    "divergence": (lambda g, f: irfft2(divergence_coeffs(g, rfft2(f)), g.n),
+                   oracles.fft2_divergence, "v"),
+    "heat_scalar": (lambda g, f: apply(g, decay(g, 0.05, 1.5, 0.3), f),
                     lambda x, L: oracles.fft2_heat(x, 0.05, 1.5, 0.3, L), "s"),
-    "heat_vector": (lambda f: heat_semigroup(f, 0.05, 1.5, 0.3),
+    "heat_vector": (lambda g, f: apply(g, decay(g, 0.05, 1.5, 0.3), f),
                     lambda x, L: oracles.fft2_heat(x, 0.05, 1.5, 0.3, L), "v"),
 }
 
 
 class TestFullSpectrumOracle:
-    """Every operator on white noise, which fills every mode including the
-    Nyquist row and column, against an np.fft.fft2 reference."""
+    """Every per-mode operator on white noise, which fills every mode
+    including the Nyquist row and column, against an np.fft.fft2
+    reference."""
 
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("name", sorted(OPERATORS))
@@ -294,23 +303,16 @@ class TestFullSpectrumOracle:
         op, reference, kind = OPERATORS[name]
         grid = make_grid(n, 3.0)
         rng = np.random.default_rng(n)
-        if kind == "v":
-            f = vector_field(grid, rng.standard_normal((2, n, n)))
-        else:
-            f = scalar_field(grid, rng.standard_normal((n, n)))
-        expected = reference(f.values, grid.length)
+        f = rng.standard_normal((2, n, n) if kind == "v" else (n, n))
+        expected = reference(f, grid.length)
         scale = np.max(np.abs(expected))
-        got = op(f)
-        assert np.max(np.abs(got.values - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(op(grid, f) - expected)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_spectral_data_is_half_spectrum(self, n):
-        grid = make_grid(n, TWO_PI)
         rng = np.random.default_rng(1)
-        f = scalar_field(grid, rng.standard_normal((n, n)))
-        v = vector_field(grid, rng.standard_normal((2, n, n)))
-        assert f.coeffs.shape == (n, n // 2 + 1)
-        assert v.coeffs.shape == (2, n, n // 2 + 1)
+        assert rfft2(rng.standard_normal((n, n))).shape == (n, n // 2 + 1)
+        assert rfft2(rng.standard_normal((2, n, n))).shape == (2, n, n // 2 + 1)
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_grid_tables_are_contiguous_half_spectrum(self, n):
