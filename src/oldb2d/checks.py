@@ -438,22 +438,24 @@ def check_picard_bilinearity(cfg) -> CheckResult:
 
 def check_picard_zeroth_semigroup(cfg) -> CheckResult:
     grid, state, params, pcfg = _picard_setup(cfg)
-    u0h, abc0h, _ = picard._initial_coeffs(state)
-    _, sem_abc = picard.semigroup_paths(u0h, abc0h, grid, params, pcfg)
+    sh0 = picard._initial_coeffs(state)
+    sem = picard.semigroup_paths(sh0, grid, params, pcfg)
     times = pcfg.times()
     factor = np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k)
                     * times[:, None, None])
-    err = np.max(np.abs(sem_abc - factor[:, None] * abc0h[None]))
-    return _result("picard.zeroth_semigroup", err == 0.0, f"max gap {err:.2e}")
+    err = np.max(np.abs(sem[:, 2:5] - factor[:, None] * sh0[None, 2:5]))
+    rho_err = np.max(np.abs(sem[:, 5] - sh0[5]))
+    return _result("picard.zeroth_semigroup", err == 0.0 and rho_err == 0.0,
+                   f"max gap {err:.2e}, rho {rho_err:.2e}")
 
 
 def check_picard_q2_consistency(cfg) -> CheckResult:
     grid, state, params, pcfg = _picard_setup(cfg)
-    u0h, abc0h, rho0h = picard._initial_coeffs(state)
-    integrand = picard.q2_integrand(u0h[None], abc0h[None], grid)[0]
+    sh0 = picard._initial_coeffs(state)
+    integrand = picard.q2_integrand(sh0[None, 0:2], sh0[None, 2:5], grid)[0]
     lin = -(params.kappa * grid.k_sq) - 2.0 * params.k
-    expect = rfft2(dynamics.rates(state, params)[2:5]) - lin * abc0h
-    expect[2] -= 4.0 * params.k * rho0h
+    expect = rfft2(dynamics.rates(state, params)[2:5]) - lin * sh0[2:5]
+    expect[2] -= 4.0 * params.k * sh0[5]
     scale = np.max(np.abs(expect)) + 1e-300
     err = np.max(np.abs(integrand - expect)) / scale
     return _result("picard.q2_consistency", err <= 1e-12, f"rel gap {err:.2e}")
@@ -462,13 +464,10 @@ def check_picard_q2_consistency(cfg) -> CheckResult:
 def check_picard_fixed_point(cfg) -> CheckResult:
     grid, state, params, pcfg = _picard_setup(cfg)
     traj, hist = picard.picard_iterate(state, params, pcfg)
-    u0h, abc0h, rho0h = picard._initial_coeffs(state)
-    nu, nabc, nrho = picard.apply_map(traj.u, traj.abc, traj.rho,
-                                      u0h, abc0h, rho0h, grid, params, pcfg)
+    again = picard.apply_map(traj.path, picard._initial_coeffs(state), grid, params, pcfg)
     times = pcfg.times()
-    change = picard.composite_norm(grid, nu - traj.u, nabc - traj.abc,
-                                   nrho - traj.rho, times)
-    scale = picard.composite_norm(grid, traj.u, traj.abc, traj.rho, times)
+    change = picard.composite_norm(grid, again - traj.path, times)
+    scale = picard.composite_norm(grid, traj.path, times)
     ok = change <= 2.0 * pcfg.tol * max(scale, 1e-300)
     return _result("picard.fixed_point", ok, f"reapplication change {change:.2e}")
 

@@ -9,6 +9,7 @@ positive determinant margin, and `snapshot:<path>` restores a saved state.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -64,6 +65,12 @@ def _parse_times(raw: str) -> tuple:
     return tuple(_finite_float(part) for part in raw.split(","))
 
 
+# Run policies whose fields are config keys of the same name, parsed by
+# the type of their default and defaulting to it: RunConfig attribute and
+# policy class.
+_POLICIES = (("control", StepControl), ("monitors", Monitors))
+_PARSERS = {float: _finite_float, int: int, tuple: _parse_times}
+
 _SCHEMA = {
     # key: (parser, default)
     "n": (int, 64),
@@ -78,17 +85,9 @@ _SCHEMA = {
     "stress_amplitude": (_finite_float, 0.2),
     "init_kmax": (int, 4),
     "seed": (int, 0),
-    "cfl": (_finite_float, 0.5),
-    "dt_min": (_finite_float, 1e-10),
-    "dt_max": (_finite_float, 1e-2),
-    "t_end": (_finite_float, 1.0),
-    "output_every": (int, 1),
-    "snapshot_times": (_parse_times, ()),
-    "positivity_tol": (_finite_float, 1e-8),
-    "rho_tol": (_finite_float, 1e-6),
-    "energy_tol": (_finite_float, 1e-2),
-    "c_ceiling": (_finite_float, 1e12),
     "constant_c": (_finite_float, 1.0),
+    **{f.name: (_PARSERS[type(f.default)], f.default)
+       for _, policy in _POLICIES for f in dataclasses.fields(policy)},
 }
 
 
@@ -119,20 +118,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown preset {values['preset']!r}")
     try:
         params = PhysParams(values["nu"], values["kappa"], values["k"], values["bigK"])
-        control = StepControl(
-            cfl=values["cfl"],
-            dt_min=values["dt_min"],
-            dt_max=values["dt_max"],
-            t_end=values["t_end"],
-            output_every=values["output_every"],
-            snapshot_times=values["snapshot_times"],
-        )
-        monitors = Monitors(
-            positivity_tol=values["positivity_tol"],
-            rho_tol=values["rho_tol"],
-            energy_tol=values["energy_tol"],
-            c_ceiling=values["c_ceiling"],
-        )
+        policies = {name: policy(**{f.name: values[f.name]
+                                    for f in dataclasses.fields(policy)})
+                    for name, policy in _POLICIES}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if values["n"] < 8 or values["n"] % 2:
@@ -156,9 +144,8 @@ def parse_config(text: str) -> RunConfig:
         stress_amplitude=values["stress_amplitude"],
         init_kmax=values["init_kmax"],
         seed=values["seed"],
-        control=control,
-        monitors=monitors,
         constant_c=values["constant_c"],
+        **policies,
     )
 
 

@@ -26,7 +26,8 @@ from .fields import (
     norms,
     packed_norms,
 )
-from .spectral import SpectralGrid, irfft2, rfft2
+from .dynamics import determinant, determinant_rhs
+from .spectral import SpectralGrid, rfft2
 from .units import CM, SEC, UnitValue, uexp, uv
 
 
@@ -325,10 +326,11 @@ def bound_check(columns: dict, ledger: BoundLedger, params: PhysParams,
 
 def determinant_residual(states, params: PhysParams) -> float:
     """L^2 residual of the determinant law on a uniformly spaced window of
-    consecutive states, with centered time differencing.
+    consecutive states: the centered time difference of
+    `dynamics.determinant` minus the law's rate `dynamics.determinant_rhs`
+    at each inner state.
 
-    Requires kappa = 0, where d = c^2/4 - a^2 - b^2 obeys the closed law
-    d_t d + u.grad(d) + 4k d - 2k rho c = 0.
+    Requires kappa = 0, where the law is closed.
     """
     states = list(states)
     if len(states) < 3:
@@ -341,24 +343,10 @@ def determinant_residual(states, params: PhysParams) -> float:
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(dts[0], 1e-300):
         raise ValueError("window must be uniformly spaced in time")
 
-    g = states[0].grid
-
-    def det_values(s: SimState):
-        a, b, c = s.planes[2:5]
-        return 0.25 * c * c - a * a - b * b
-
+    area = states[0].grid.area
     worst = 0.0
     for j in range(1, len(states) - 1):
-        s = states[j]
-        dt = times[j + 1] - times[j]
-        ddt = (det_values(states[j + 1]) - det_values(states[j - 1])) / (2.0 * dt)
-        d = det_values(s)
-        dh = rfft2(d)
-        d1, d2 = irfft2(g.ikx * dh, g.n), irfft2(g.iky * dh, g.n)
-        u1, u2, _, _, c, rho = s.planes
-        resid = (
-            ddt + u1 * d1 + u2 * d2 + 4.0 * params.k * d
-            - 2.0 * params.k * rho * c
-        )
-        worst = max(worst, float(np.sqrt(np.mean(resid * resid) * g.area)))
+        before, after = (determinant(s.planes) for s in (states[j - 1], states[j + 1]))
+        resid = (after - before) / (2.0 * dts[j]) - determinant_rhs(states[j], params)
+        worst = max(worst, float(np.sqrt(np.mean(resid * resid) * area)))
     return worst

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import PhysParams, SimState
+from .fields import PLANE_OPERATOR, PhysParams, SimState, linear_operators
 from .spectral import SpectralGrid, _Scratch, dealiased_products, irfft2, project, rfft2
 
 
@@ -116,24 +116,34 @@ def explicit_terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np
 def rates(state: SimState, params: PhysParams) -> np.ndarray:
     """The time derivative of `state.planes`, one real (6, n, n) array
     ordered as `fields.PLANES`: the stepper's `explicit_terms` plus the
-    linear parts its integrating factors absorb, nu lap(u) on the velocity
-    and kappa lap(sigma) - 2k sigma on the stress."""
+    linear parts its integrating factors absorb, D lap - g on each plane
+    for the (D, g) that `fields.PLANE_OPERATOR` gives it."""
     g = state.grid
     sh = pack_state(state)
     nh = explicit_terms(g, params, sh)
-    nh[0:2] -= params.nu * g.k_sq * sh[0:2]
-    nh[2:5] -= (params.kappa * g.k_sq + 2.0 * params.k) * sh[2:5]
+    lam = np.stack([diffusivity * g.k_sq + damping
+                    for diffusivity, damping in linear_operators(params)])
+    nh -= np.take(lam, PLANE_OPERATOR, axis=0) * sh
     return irfft2(nh, g.n)
 
 
+def determinant(planes: np.ndarray) -> np.ndarray:
+    """det(sigma) = c^2/4 - a^2 - b^2 pointwise, from real state planes
+    (6, n, n) ordered as `fields.PLANES`."""
+    a, b, c = planes[2:5]
+    return 0.25 * c * c - a * a - b * b
+
+
 def determinant_rhs(state: SimState, params: PhysParams) -> np.ndarray:
-    """Rate of det(sigma) = c^2/4 - a^2 - b^2 under the closed law valid at
-    kappa = 0, -u.grad(d) - 4k d + 2k rho c, as a real (n, n) array."""
+    """Rate of d = `determinant` under the closed law valid at kappa = 0,
+    -u.grad(d) - 4k d + 2k rho c, as a real (n, n) array, on the dealiased
+    state."""
     if params.kappa != 0.0:
         raise ValueError("the determinant law is exact only for kappa = 0")
     g = state.grid
-    u1, u2, a, b, c, rho = irfft2(pack_state(state), g.n)
-    dh = rfft2(0.25 * c * c - a * a - b * b) * g.mask
+    planes = irfft2(pack_state(state), g.n)
+    u1, u2, _, _, c, rho = planes
+    dh = rfft2(determinant(planes)) * g.mask
     d, d1d, d2d = irfft2(np.stack([dh, g.ikx * dh, g.iky * dh]), g.n)
     adv, src = irfft2(rfft2(np.stack([u1 * d1d + u2 * d2d, rho * c])) * g.mask, g.n)
     k = params.k

@@ -39,8 +39,26 @@ class PhysParams:
 
 
 # The order of the packed state planes, in `SimState.planes`, the stepper's
-# half spectrum and snapshot files.
+# half spectrum, the Picard path and snapshot files.
 PLANES = ("u1", "u2", "a", "b", "c", "rho")
+
+# The linear operator of each plane, an index into `linear_operators`:
+# viscosity on u, diffusion and damping on the stress, none on rho.
+PLANE_OPERATOR = (0, 0, 1, 1, 1, 2)
+
+
+def linear_operators(params: PhysParams) -> tuple:
+    """The (diffusivity, damping) pair of each linear operator, so that the
+    linear part of a plane under operator (D, g) is D lap - g; the stepper's
+    integrating factors, `dynamics.rates` and the Picard heat factors all
+    read it."""
+    return (params.nu, 0.0), (params.kappa, 2.0 * params.k), (0.0, 0.0)
+
+
+# The planes of each linear operator as one slice: they are contiguous.
+OPERATOR_PLANES = tuple(slice(PLANE_OPERATOR.index(op),
+                              PLANE_OPERATOR.index(op) + PLANE_OPERATOR.count(op))
+                        for op in range(max(PLANE_OPERATOR) + 1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,6 @@
 """Time integration: integrating-factor SSP-RK3 with exact exponentials for
-the stiff linear parts (nu*lap on velocity, kappa*lap - 2k on the stress),
-advective CFL step control, and the monitored simulation loop.
+the stiff linear parts (`fields.linear_operators`), advective CFL step
+control, and the monitored simulation loop.
 
 Monitor violations abort the run with the failed invariant, the time and
 the offending value.  The fixed reporting order on a step with several
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diagnostics
 from .dynamics import _terms, explicit_terms, pack_state, unpack_state
-from .fields import PhysParams, SimState
+from .fields import PLANE_OPERATOR, PhysParams, SimState, linear_operators
 from .spectral import SpectralGrid, irfft2, project
 
 _UMAX_FLOOR = 1e-12  # advective speed floor so quiescent states hit dt_max
@@ -86,7 +86,8 @@ def _step_dt(grid: SpectralGrid, ctl: StepControl, u: np.ndarray, t: float) -> f
     """`run`'s step rule at time t: the advective CFL step of the velocity
     planes `u`, capped at dt_max and at the time left to t_end.  A
     non-finite speed raises `nan` and a CFL step below dt_min raises
-    `dt_underflow`; neither becomes a dt.
+    `dt_underflow`, as does a step too small to change t (t + dt == t,
+    at |t| beyond about 1e17 for dt_max = 1e-2); none becomes a dt.
 
     The rule has no stiffness bound, yet diffusion and damping do limit the
     step: `_advance`'s stage 2 multiplies by 0.25 exp(+lam dt / 2), with
@@ -106,11 +107,14 @@ def _step_dt(grid: SpectralGrid, ctl: StepControl, u: np.ndarray, t: float) -> f
             "dt_underflow", t, raw,
             f"CFL step {raw:.3e} fell below dt_min={ctl.dt_min:.3e}",
         )
-    return min(raw, ctl.dt_max, ctl.t_end - t)
+    dt = min(raw, ctl.dt_max, ctl.t_end - t)
+    if t + dt == t:
+        raise MonitorViolation("dt_underflow", t, dt, f"step {dt:.3e} does not advance t")
+    return dt
 
 
 @lru_cache(maxsize=1)
-def _multipliers(grid: SpectralGrid, nu: float, kappa: float, k: float, dt: float):
+def _multipliers(grid: SpectralGrid, params: PhysParams, dt: float):
     """Per-mode integrating factors for the current step, stacked per packed
     field and pre-scaled by the SSP-RK3 weights they meet in `_advance`:
     e(dt), 0.75 e(dt/2), 0.25 e(-dt/2) and 2 e(dt/2).  Masked modes get
@@ -119,20 +123,20 @@ def _multipliers(grid: SpectralGrid, nu: float, kappa: float, k: float, dt: floa
     One entry, keyed by the grid's identity: a CFL-limited run changes dt
     every step, so older entries would only hold memory."""
     ksq, mask = grid.k_sq, grid.mask
-    # The three distinct linear operators (nu, stress, zero), expanded to
-    # the six packed planes (u1, u2, a, b, c, rho) by indexing.  Each factor
-    # is formed in place and expanded straight into its output, so the
-    # recompute holds little beside the outputs and the entry it replaces.
-    lin = np.stack([-nu * ksq, -(kappa * ksq + 2.0 * k), np.zeros_like(ksq)])
+    # The distinct linear operators of `fields.linear_operators`, expanded
+    # to the six packed planes by `PLANE_OPERATOR`.  Each factor is formed
+    # in place and expanded straight into its output, so the recompute
+    # holds little beside the outputs and the entry it replaces.
+    lin = np.stack([-(diffusivity * ksq + damping)
+                    for diffusivity, damping in linear_operators(params)])
     lin[:, ~mask] = 0.0
-    planes = [0, 0, 1, 1, 1, 2]
 
     def factors(tau, *scales):
         """exp(lin * tau) on the kept modes, expanded, times each scale."""
         e = lin * tau
         np.exp(e, out=e)
         e *= mask
-        outs = [np.take(e, planes, axis=0) for _ in scales]
+        outs = [np.take(e, PLANE_OPERATOR, axis=0) for _ in scales]
         for out, scale in zip(outs, scales):
             out *= scale
         return outs
@@ -155,9 +159,7 @@ def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float,
     n0's buffer is overwritten: s1 and then s2 are formed in place in it,
     so a caller that still holds n0 adds nothing to the step's peak memory,
     and `out` is formed in the array stage 3's `explicit_terms` returned."""
-    e_full, e_mid_34, e_back_14, e_mid_2 = _multipliers(
-        grid, params.nu, params.kappa, params.k, dt
-    )
+    e_full, e_mid_34, e_back_14, e_mid_2 = _multipliers(grid, params, dt)
 
     s = n0
     s *= dt

@@ -2,27 +2,31 @@
 per-mode heat kernels and trapezoidal quadrature in time, the successive
 substitution loop, and contraction diagnostics.
 
-Time-indexed fields are half-spectrum (`rfft2`) coefficient arrays sampled
-on uniform nodes over [0, t0]: velocity (m, 2, n, n//2+1), stress
-(m, 3, n, n//2+1) in (a, b, c) order, density (m, n, n//2+1).  The map
-sends (u, sigma, rho) to
+A path is one half-spectrum (`rfft2`) coefficient array (m, 6, n, n//2+1)
+sampled on uniform nodes over [0, t0], its planes ordered as
+`fields.PLANES` like a state's.  The operators take and return plane
+groups: velocity (m, 2, ...), stress (m, 3, ...) in (a, b, c) order,
+density (m, ...).  The map sends (u, sigma, rho) to
 
-    u_new     = heat(nu t) u0          + Q1(u, u) + L1(sigma)
-    sigma_new = heat((kappa lap - 2k) t) sigma0 + Q2(u, sigma) + L2(rho)
+    u_new     = heat_u(t) u0         + Q1(u, u) + L1(sigma)
+    sigma_new = heat_sigma(t) sigma0 + Q2(u, sigma) + L2(rho)
     rho_new   = transport of rho0 by the frozen velocity u
 
-so a fixed point solves the coupled system in integral form.  The stress
+where each heat factor is that of the plane's operator in
+`fields.linear_operators` (nu lap on u, kappa lap - 2k on the stress), so
+a fixed point solves the coupled system in integral form.  The stress
 stretching term inside Q2 is assembled in matrix components, independently
 of the strain-based assembly in `dynamics`.
 
 One application of the map transforms the velocity path and its gradient
 to real space once, in a single `irfft2` over (m, 6, n, n//2+1), and shares
 those planes between Q1, Q2 and the transport.  Integrands under the same
-kernel (Q1 + L1, Q2 + L2) are summed before one quadrature.  The public
-operators `op_q1`, `op_l1`, `op_q2`, `op_l2` and `op_n` remain the
-definitions; the map is their composition.  The complex stacks behind both
-transforms share one scratch buffer, held across calls with the two real
-outputs, so a warm map allocates none of them.
+kernel (Q1 + L1, Q2 + L2) are summed before one quadrature, which adds
+into the new path's planes for that kernel.  The public operators `op_q1`,
+`op_l1`, `op_q2`, `op_l2` and `op_n` remain the definitions; the map is
+their composition.  The complex stacks behind both transforms share one
+scratch buffer, held across calls with the two real outputs, so a warm map
+allocates none of them; so `apply_map` is not reentrant across threads.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import PhysParams, SimState
+from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
 from .spectral import SpectralGrid, _leading, _Scratch, decay, irfft2, project, rfft2
 
 _SUBSTEP_CFL = 0.5       # frozen-velocity transport uses the stepper's default
@@ -87,15 +91,14 @@ class PicardDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MildTrajectory:
+    """The converged path, at `times` measured from the initial state."""
+
     grid: SpectralGrid
     times: np.ndarray
-    u: np.ndarray      # (m, 2, n, n//2+1) half spectrum
-    abc: np.ndarray    # (m, 3, n, n//2+1) half spectrum
-    rho: np.ndarray    # (m, n, n//2+1) half spectrum
+    path: np.ndarray   # (m, 6, n, n//2+1) half spectrum, `PLANES` order
 
     def state(self, j: int) -> SimState:
-        sh = np.concatenate([self.u[j], self.abc[j], self.rho[j, None]])
-        return SimState(float(self.times[j]), self.grid, irfft2(sh, self.grid.n))
+        return SimState(float(self.times[j]), self.grid, irfft2(self.path[j], self.grid.n))
 
 
 def _accumulate(g_path: np.ndarray, decay: np.ndarray, ds: float) -> np.ndarray:
@@ -110,6 +113,12 @@ def _accumulate(g_path: np.ndarray, decay: np.ndarray, ds: float) -> np.ndarray:
 def _step(cfg: PicardConfig) -> float:
     times = cfg.times()
     return times[1] - times[0]
+
+
+def _heat(grid: SpectralGrid, params: PhysParams, op: int, t) -> np.ndarray:
+    """The heat factor of linear operator `op` over a time `t`."""
+    diffusivity, damping = linear_operators(params)[op]
+    return decay(grid, diffusivity, damping, t)
 
 
 def _gradient(grid: SpectralGrid) -> np.ndarray:
@@ -161,7 +170,7 @@ def op_q1(u_path: np.ndarray, v_path: np.ndarray, grid: SpectralGrid,
     ds = _step(cfg)
     gh = _advection(_velocity_planes(u_path, v_path, grid), grid)
     project(grid, gh)
-    return _accumulate(gh, decay(grid, params.nu, 0.0, ds), ds)
+    return _accumulate(gh, _heat(grid, params, 0, ds), ds)
 
 
 def op_l1(abc_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
@@ -170,7 +179,7 @@ def op_l1(abc_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
     ds = _step(cfg)
     gh = _stress_divergence(abc_path, grid)
     project(grid, gh)
-    return _accumulate(params.bigK * gh, decay(grid, params.nu, 0.0, ds), ds)
+    return _accumulate(params.bigK * gh, _heat(grid, params, 0, ds), ds)
 
 
 def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
@@ -210,8 +219,7 @@ def op_q2(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
           params: PhysParams, cfg: PicardConfig) -> np.ndarray:
     """int_0^t heat((kappa lap - 2k)(t-s)) [stretching - advection](s) ds."""
     ds = _step(cfg)
-    return _accumulate(q2_integrand(u_path, abc_path, grid),
-                       decay(grid, params.kappa, 2.0 * params.k, ds), ds)
+    return _accumulate(q2_integrand(u_path, abc_path, grid), _heat(grid, params, 1, ds), ds)
 
 
 def op_l2(rho_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
@@ -220,8 +228,7 @@ def op_l2(rho_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
     coordinates the identity matrix contributes only to c, with weight 2."""
     ds = _step(cfg)
     out = np.zeros((rho_path.shape[0], 3) + rho_path.shape[1:], dtype=complex)
-    out[:, 2] = _accumulate(4.0 * params.k * rho_path,
-                            decay(grid, params.kappa, 2.0 * params.k, ds), ds)
+    out[:, 2] = _accumulate(4.0 * params.k * rho_path, _heat(grid, params, 1, ds), ds)
     return out
 
 
@@ -311,54 +318,70 @@ def _rho_norm(grid, rho_path, times) -> float:
     return float(np.max(l1 + w12))
 
 
-def composite_norm(grid, u_path, abc_path, rho_path, times) -> float:
-    return (
-        _u_norm(grid, u_path, times)
-        + _sigma_norm(grid, abc_path, times)
-        + _rho_norm(grid, rho_path, times)
-    )
+def _norms(grid, path, times) -> tuple:
+    """The parts of the composite norm of a path: |u|_X, |sigma|_Y, |rho|_Z."""
+    return (_u_norm(grid, path[:, 0:2], times), _sigma_norm(grid, path[:, 2:5], times),
+            _rho_norm(grid, path[:, 5], times))
+
+
+def composite_norm(grid, path, times) -> float:
+    u_part, sigma_part, rho_part = _norms(grid, path, times)
+    return u_part + sigma_part + rho_part
 
 
 # --- the iteration ----------------------------------------------------------
 
-def _initial_coeffs(state: SimState):
-    """Dealiased half-spectrum coefficients (u0, sigma0, rho0) of the data,
-    u0 projected; one `rfft2` over the state's planes."""
+def _initial_coeffs(state: SimState) -> np.ndarray:
+    """Dealiased half-spectrum coefficients (6, n, n//2+1) of the data, u0
+    projected; one `rfft2` over the state's planes."""
     coeffs = rfft2(state.planes) * state.grid.mask
     project(state.grid, coeffs)
-    return coeffs[0:2], coeffs[2:5], coeffs[5]
+    return coeffs
 
 
-def semigroup_paths(u0h, abc0h, grid, params, cfg):
-    """The zeroth iterate: pure heat flow of the initial data."""
+def _heat_flow(sh0, grid, params, cfg, path, ops):
+    """Write heat(t) sh0 into the planes of the linear operators `ops` of
+    `path` at every node t, one factor per operator; returns `path`."""
     times = cfg.times()[:, None, None]
-    eu = decay(grid, params.nu, 0.0, times)
-    es = decay(grid, params.kappa, 2.0 * params.k, times)
-    return eu[:, None] * u0h[None], es[:, None] * abc0h[None]
+    for op in ops:
+        planes = OPERATOR_PLANES[op]
+        np.multiply(_heat(grid, params, op, times)[:, None], sh0[planes], out=path[:, planes])
+    return path
 
 
-def apply_map(u_path, abc_path, rho_path, u0h, abc0h, rho0h, grid, params, cfg):
-    """One application of the fixed-point map to a time-indexed triple.
-    Equal, to rounding, to
+def semigroup_paths(sh0, grid, params, cfg):
+    """The zeroth iterate: pure heat flow of the initial data `sh0`.  Its
+    density plane is rho0 at every node exactly: rho's operator is (0, 0),
+    whose factor is exp(0) = 1."""
+    path = np.empty((cfg.n_time_nodes,) + sh0.shape, dtype=complex)
+    return _heat_flow(sh0, grid, params, cfg, path, range(len(OPERATOR_PLANES)))
+
+
+def apply_map(path, sh0, grid, params, cfg):
+    """One application of the fixed-point map to a path.  Equal, to
+    rounding, to the path with planes
 
         sem_u + op_q1(u, u) + op_l1(sigma),
         sem_sigma + op_q2(u, sigma) + op_l2(rho),
         op_n(u, rho0),
 
     with one velocity transform shared by all three and one quadrature per
-    kernel.  The transform stacks are module scratch (`_SCRATCH`), so
-    calls must not overlap across threads."""
-    sem_u, sem_abc = semigroup_paths(u0h, abc0h, grid, params, cfg)
+    kernel; the density plane gets no heat flow, as `op_n` writes it.  The
+    transform stacks are module scratch (`_SCRATCH`), so calls must not
+    overlap across threads."""
     ds = _step(cfg)
-    planes = _velocity_planes(u_path, u_path, grid)
-    fh = _advection(planes, grid) + params.bigK * _stress_divergence(abc_path, grid)
+    u, abc = path[:, 0:2], path[:, 2:5]
+    planes = _velocity_planes(u, u, grid)
+    fh = _advection(planes, grid) + params.bigK * _stress_divergence(abc, grid)
     project(grid, fh)
-    new_u = sem_u + _accumulate(fh, decay(grid, params.nu, 0.0, ds), ds)
-    gh = q2_integrand(u_path, abc_path, grid, planes=planes)
-    gh[:, 2] += 4.0 * params.k * rho_path
-    new_abc = sem_abc + _accumulate(gh, decay(grid, params.kappa, 2.0 * params.k, ds), ds)
-    new_rho = op_n(u_path, rho0h, grid, cfg, planes=planes)
-    return new_u, new_abc, new_rho
+    gh = q2_integrand(u, abc, grid, planes=planes)
+    gh[:, 2] += 4.0 * params.k * path[:, 5]
+    new = np.empty_like(path)
+    new[:, 5] = op_n(u, sh0[5], grid, cfg, planes=planes)
+    _heat_flow(sh0, grid, params, cfg, new, (0, 1))
+    for op, integrand in enumerate((fh, gh)):
+        new[:, OPERATOR_PLANES[op]] += _accumulate(integrand, _heat(grid, params, op, ds), ds)
+    return new
 
 
 def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
@@ -372,40 +395,34 @@ def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
     """
     grid = initial.grid
     times = cfg.times()
-    u0h, abc0h, rho0h = _initial_coeffs(initial)
-
-    u_path, abc_path = semigroup_paths(u0h, abc0h, grid, params, cfg)
-    rho_path = np.broadcast_to(rho0h, (cfg.n_time_nodes,) + rho0h.shape).copy()
+    sh0 = _initial_coeffs(initial)
+    path = semigroup_paths(sh0, grid, params, cfg)
 
     hist = PicardHistory()
 
-    def log_norms(up, ap, rp):
-        hist.u_norms.append(_u_norm(grid, up, times))
-        hist.sigma_norms.append(_sigma_norm(grid, ap, times))
-        hist.rho_norms.append(_rho_norm(grid, rp, times))
+    def log_norms(p):
+        for log, value in zip((hist.u_norms, hist.sigma_norms, hist.rho_norms),
+                              _norms(grid, p, times)):
+            log.append(value)
 
-    log_norms(u_path, abc_path, rho_path)
+    log_norms(path)
 
     for _ in range(cfg.max_iter):
         try:
-            new_u, new_abc, new_rho = apply_map(
-                u_path, abc_path, rho_path, u0h, abc0h, rho0h, grid, params, cfg
-            )
+            new = apply_map(path, sh0, grid, params, cfg)
         except ValueError as exc:
             # Transport sub-stepping ran out of CFL budget: the iterate has
             # already blown up.
             raise PicardDivergenceError(
                 f"iteration diverged ({exc}); reduce t0", hist
             ) from exc
-        diff = composite_norm(
-            grid, new_u - u_path, new_abc - abc_path, new_rho - rho_path, times
-        )
-        log_norms(new_u, new_abc, new_rho)
+        diff = composite_norm(grid, new - path, times)
+        log_norms(new)
         hist.diffs.append(diff)
         if len(hist.diffs) >= 2 and hist.diffs[-2] > 0.0:
             hist.ratios.append(diff / hist.diffs[-2])
 
-        u_path, abc_path, rho_path = new_u, new_abc, new_rho
+        path = new
 
         scale = hist.u_norms[-1] + hist.sigma_norms[-1] + hist.rho_norms[-1]
         if not np.isfinite(diff) or diff > 1e10 * max(hist.diffs[0], 1e-300):
@@ -415,7 +432,7 @@ def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
                 "reduce t0", hist,
             )
         if diff <= cfg.tol * max(scale, 1e-300):
-            return MildTrajectory(grid, times, u_path, abc_path, rho_path), hist
+            return MildTrajectory(grid, times, path), hist
 
     last = hist.ratios[-1] if hist.ratios else float("nan")
     raise PicardDivergenceError(

@@ -50,11 +50,14 @@ def read_snapshot(path, grid: SpectralGrid) -> SimState:
         raise SnapshotFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise SnapshotFormatError(f"unsupported format version {version}")
-    if n != grid.n or abs(length - grid.length) > 1e-12 * max(1.0, grid.length):
+    # Negated, so that a nan L fails the comparison.
+    if n != grid.n or not abs(length - grid.length) <= 1e-12 * max(1.0, grid.length):
         raise SnapshotFormatError(
             f"grid mismatch: snapshot has n={n}, L={length:.12g}, "
             f"expected n={grid.n}, L={grid.length:.12g}"
         )
+    if not math.isfinite(time):
+        raise SnapshotFormatError(f"non-finite time {time!r}")
 
     offset = _HEADER.size
     block = 8 * n * n
@@ -67,7 +70,8 @@ def read_snapshot(path, grid: SpectralGrid) -> SimState:
         offset += 1
         if offset + name_len + block > len(blob):
             raise SnapshotFormatError("truncated snapshot: incomplete field block")
-        name = blob[offset:offset + name_len].decode("ascii")
+        # A byte beyond ASCII stays escaped, so the name is unexpected.
+        name = blob[offset:offset + name_len].decode("ascii", "backslashreplace")
         offset += name_len
         if name in seen:
             raise SnapshotFormatError(f"duplicate field {name!r}")

@@ -2,16 +2,20 @@
 code, with no traceback and no warning, and a non-zero exit prints exactly
 one stderr line.
 
-Three input surfaces: preset values (`amplitude`, `rho0`,
+Four input surfaces: preset values (`amplitude`, `rho0`,
 `stress_amplitude` anywhere in [0, 1e308]) for `run` at n=16 with a tiny
 `t_end`, the domain length `L` over [1e-300, 1e300] on a log scale at
-n in {8, 16}, and mutated `timeseries.csv` bytes for `bounds --traj`.  The
+n in {8, 16}, mutated `timeseries.csv` bytes for `bounds --traj`, and
+mutated snapshot bytes for `bounds` with a `snapshot:` preset.  The
 examples are derandomized with a fixed count, so every run of the suite
-checks the same inputs.
+checks the same inputs; inputs found so far are pinned as explicit cases
+on top of them.
 """
 
 import contextlib
 import io
+import math
+import struct
 import warnings
 
 import pytest
@@ -19,7 +23,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oldb2d.cli import main
-from oldb2d.config import PRESETS
+from oldb2d.config import PRESETS, build_initial, parse_config
+from oldb2d.snapshots import write_snapshot
+from oldb2d.spectral import make_grid
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -109,16 +115,86 @@ def edits(draw):
             draw(st.none() | st.integers(0, 10 ** 6)))
 
 
-@FUZZ
-@given(mutation=edits())
-def test_bounds_with_mutated_timeseries(work, timeseries, mutation):
-    cfg, blob = timeseries
+def mutated(blob, mutation):
+    """`blob` after the byte edits and the truncation of `mutation`."""
     changes, cut = mutation
     for position, chunk in changes:
         i = position % len(blob)
         blob = blob[:i] + chunk + blob[i + 1:]
     if cut is not None:
         blob = blob[:cut % (len(blob) + 1)]
+    return blob
+
+
+@FUZZ
+@given(mutation=edits())
+def test_bounds_with_mutated_timeseries(work, timeseries, mutation):
+    cfg, blob = timeseries
     traj = work / "mutated.csv"
-    traj.write_bytes(blob)
+    traj.write_bytes(mutated(blob, mutation))
     assert_contract(*call(["bounds", "--config", str(cfg), "--traj", str(traj)]))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("line,code", [("amplitude=1e-160", 0), ("L=1e200", 2)])
+def test_run_with_pinned_inputs(work, preset, line, code):
+    """Inputs the fuzzer drew on earlier versions, pinned so that they stay
+    checked when the drawn sequence moves."""
+    cfg = work / "pinned.cfg"
+    cfg.write_text(f"n=16\npreset={preset}\nt_end=0.001\n{line}\n")
+    result = call(["run", "--config", str(cfg), "--out-dir", str(work / "pinned")])
+    assert_contract(*result)
+    assert result[0] == code
+
+
+SNAP_CFG = "n=8\npreset=random_admissible\nseed=3\n"
+NAME_OFFSET = struct.calcsize("<8sIIddI") + 1   # the first field name's first byte
+LENGTH_OFFSET = struct.calcsize("<8sII")         # the header's L
+
+
+@pytest.fixture(scope="module")
+def snapshot(work):
+    """The bytes of a valid n=8 snapshot."""
+    cfg = parse_config(SNAP_CFG)
+    path = work / "valid.snap"
+    write_snapshot(build_initial(cfg, make_grid(cfg.n, cfg.length)), path)
+    return path.read_bytes()
+
+
+def bounds_on_snapshot(work, blob):
+    """`bounds` on a config whose preset is a snapshot of bytes `blob`: it
+    reads and builds the state, and never steps it."""
+    snap = work / "mutated.snap"
+    snap.write_bytes(blob)
+    cfg = work / "snap.cfg"
+    cfg.write_text(f"n=8\npreset=snapshot:{snap}\n")
+    return call(["bounds", "--config", str(cfg)])
+
+
+@st.composite
+def snapshot_edits(draw):
+    """Byte edits as in `edits`, at positions drawn over the whole file or
+    inside its header and first field name, where a chunk may also be a
+    special double; then an optional truncation."""
+    position = st.integers(0, 10 ** 6) | st.integers(0, NAME_OFFSET + 8)
+    doubles = st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 0.0, 5e-324])
+    chunk = st.binary(max_size=3) | doubles.map(lambda v: struct.pack("<d", v))
+    return (draw(st.lists(st.tuples(position, chunk), min_size=1, max_size=4)),
+            draw(st.none() | st.integers(0, 10 ** 6)))
+
+
+@FUZZ
+@given(mutation=snapshot_edits())
+def test_bounds_with_mutated_snapshot(work, snapshot, mutation):
+    assert_contract(*bounds_on_snapshot(work, mutated(snapshot, mutation)))
+
+
+@pytest.mark.parametrize("offset,chunk", [
+    (NAME_OFFSET, b"\xff"),                                 # a name byte beyond ASCII
+    (LENGTH_OFFSET, struct.pack("<d", math.nan)),           # a nan L
+], ids=["name_byte_0xff", "nan_length"])
+def test_bounds_with_pinned_snapshot_edits(work, snapshot, offset, chunk):
+    blob = snapshot[:offset] + chunk + snapshot[offset + len(chunk):]
+    result = bounds_on_snapshot(work, blob)
+    assert_contract(*result)
+    assert result[0] == 2

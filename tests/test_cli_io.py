@@ -3,6 +3,7 @@ import re
 import struct
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,42 @@ class TestSnapshots:
         other = make_grid(64, TWO_PI)
         with pytest.raises(SnapshotFormatError, match="grid mismatch"):
             read_snapshot(path, other)
+
+    @staticmethod
+    def _edited(tmp_path, state, offset, chunk):
+        """A snapshot of `state` with the bytes at `offset` replaced."""
+        path = tmp_path / "state.snap"
+        write_snapshot(state, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:offset] + chunk + blob[offset + len(chunk):])
+        return path
+
+    def test_non_ascii_field_name(self, tmp_path, capsys):
+        state, grid = self._state()
+        name_offset = struct.calcsize("<8sIIddI") + 1
+        path = self._edited(tmp_path, state, name_offset, b"\xff")
+        with pytest.raises(SnapshotFormatError, match="unexpected field"):
+            read_snapshot(path, grid)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"n=32\npreset=snapshot:{path}\n")
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_nan_length(self, tmp_path):
+        state, grid = self._state()
+        path = self._edited(tmp_path, state, struct.calcsize("<8sII"),
+                            struct.pack("<d", float("nan")))
+        with pytest.raises(SnapshotFormatError, match="grid mismatch"):
+            read_snapshot(path, grid)
+
+    @pytest.mark.parametrize("time", [float("inf"), -float("inf"), float("nan")])
+    def test_nonfinite_time(self, tmp_path, time):
+        state, grid = self._state()
+        path = self._edited(tmp_path, state, struct.calcsize("<8sIId"),
+                            struct.pack("<d", time))
+        with pytest.raises(SnapshotFormatError, match="non-finite time"):
+            read_snapshot(path, grid)
 
     def test_snapshot_preset_round_trip(self, tmp_path):
         state, grid = self._state()
@@ -389,6 +426,45 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "converged" in out
         assert "agreement" in out
+
+    def test_picard_compare_from_a_later_snapshot(self, tmp_path, capsys):
+        """The stepper covers the mild path's duration t0 from the initial
+        state's own time: from a snapshot at t = 0.03 every gap stays
+        within the `picard.stepper_agreement` bound, as it does from
+        t = 0 (3.8e-6); running to the absolute time t0 gave 1.6e-1."""
+        cfg = parse_config("n=16\npreset=random_admissible\namplitude=0.05\n"
+                           "stress_amplitude=0.05\nseed=5\n")
+        grid = make_grid(16, cfg.length)
+        snap = tmp_path / "later.snap"
+        write_snapshot(replace(build_initial(cfg, grid), time=0.03), snap)
+        cfg_path = self._write_cfg(tmp_path, f"n=16\npreset=snapshot:{snap}\n")
+        assert main(["picard", "--config", cfg_path, "--t0", "0.05", "--nodes", "17",
+                     "--compare"]) == 0
+        out = capsys.readouterr().out
+        gaps = re.findall(r"^ +(u|a|b|c|rho): (\S+)$", out, re.MULTILINE)
+        assert [name for name, _ in gaps] == ["u", "a", "b", "c", "rho"]
+        assert all(float(gap) <= 1e-4 for _, gap in gaps), gaps
+
+    @pytest.mark.parametrize("time,t_end", [(-1e300, 1.0), (1e17, 2e17)])
+    def test_step_that_cannot_advance_t_exits_one(self, tmp_path, time, t_end):
+        """At |t| this large t + dt == t, and `run` looped until killed; it
+        runs in a child process, so that such a loop fails on its timeout."""
+        import subprocess
+
+        import oldb2d
+
+        grid = make_grid(16, TWO_PI)
+        snap = tmp_path / "far.snap"
+        write_snapshot(state_of(grid, c=2.0, rho=1.0, time=time), snap)
+        cfg_path = self._write_cfg(tmp_path, f"n=16\npreset=snapshot:{snap}\n"
+                                             f"t_end={t_end!r}\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oldb2d.__file__)))
+        done = subprocess.run([sys.executable, "-m", "oldb2d.cli", "run", "--config",
+                               cfg_path, "--out-dir", str(tmp_path / "o")],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 1
+        assert done.stderr.startswith("monitor violation: [dt_underflow]")
+        assert done.stderr.count("\n") == 1
 
     def test_picard_divergence_exit_one(self, tmp_path):
         cfg_path = self._write_cfg(

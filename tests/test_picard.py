@@ -234,7 +234,7 @@ class TestPicardIterate:
         expected_c = 2.0 * rho0 * (1.0 - np.exp(-2.0 * PARAMS.k * t_end))
         got_c = traj.state(cfg.n_time_nodes - 1).planes[4]
         assert np.max(np.abs(got_c - expected_c)) <= 1e-8
-        assert np.max(np.abs(traj.u)) == 0.0
+        assert np.max(np.abs(traj.path[:, 0:2])) == 0.0
 
     def test_uniform_relaxation_limit(self, grid16):
         c0, rho0 = 3.0, 1.0
@@ -249,28 +249,26 @@ class TestPicardIterate:
     def test_zeroth_iterate_is_heat_flow(self, grid16):
         state = band_limited_admissible_state(grid16, seed=8, kmax=3)
         cfg = PicardConfig(t0=0.05, n_time_nodes=9)
-        u0h, abc0h, _ = picard_mod._initial_coeffs(state)
-        sem_u, sem_abc = semigroup_paths(u0h, abc0h, grid16, PARAMS, cfg)
+        sh0 = picard_mod._initial_coeffs(state)
+        sem = semigroup_paths(sh0, grid16, PARAMS, cfg)
         times = cfg.times()
         for j in (0, 4, 8):
             k_sq = grid16.k_sq
             decay_u = np.exp(-PARAMS.nu * k_sq * times[j])
             decay_s = np.exp(-(PARAMS.kappa * k_sq + 2.0 * PARAMS.k) * times[j])
-            assert np.max(np.abs(sem_u[j] - decay_u * u0h)) == 0.0
-            assert np.max(np.abs(sem_abc[j] - decay_s * abc0h)) == 0.0
+            assert np.max(np.abs(sem[j, 0:2] - decay_u * sh0[0:2])) == 0.0
+            assert np.max(np.abs(sem[j, 2:5] - decay_s * sh0[2:5])) == 0.0
+            assert np.max(np.abs(sem[j, 5] - sh0[5])) == 0.0
 
     def test_fixed_point_reapplication(self, grid16):
         state = band_limited_admissible_state(grid16, seed=9, kmax=3,
                                               amp=0.05, u_amp=0.05)
         cfg = PicardConfig(t0=0.05, n_time_nodes=33, tol=1e-11, max_iter=40)
         traj, hist = picard_iterate(state, PARAMS, cfg)
-        u0h, abc0h, rho0h = picard_mod._initial_coeffs(state)
-        nu_, nabc, nrho = apply_map(traj.u, traj.abc, traj.rho,
-                                    u0h, abc0h, rho0h, grid16, PARAMS, cfg)
+        again = apply_map(traj.path, picard_mod._initial_coeffs(state), grid16, PARAMS, cfg)
         times = cfg.times()
-        change = composite_norm(grid16, nu_ - traj.u, nabc - traj.abc,
-                                nrho - traj.rho, times)
-        scale = composite_norm(grid16, traj.u, traj.abc, traj.rho, times)
+        change = composite_norm(grid16, again - traj.path, times)
+        scale = composite_norm(grid16, traj.path, times)
         assert change <= 2.0 * cfg.tol * scale
 
     def test_agreement_with_time_stepper(self, grid16):
@@ -307,21 +305,18 @@ class TestFusedMap:
     def test_equals_composition_of_operators(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
         rng = np.random.default_rng(12)
-        u = masked_noise(grid16, rng, (9, 2, 16, 16))
-        abc = masked_noise(grid16, rng, (9, 3, 16, 16))
-        rho = masked_noise(grid16, rng, (9, 16, 16))
-        u0h = masked_noise(grid16, rng, (2, 16, 16))
-        abc0h = masked_noise(grid16, rng, (3, 16, 16))
-        rho0h = masked_noise(grid16, rng, (16, 16))
+        path = masked_noise(grid16, rng, (9, 6, 16, 16))
+        sh0 = masked_noise(grid16, rng, (6, 16, 16))
+        u, abc, rho = path[:, 0:2], path[:, 2:5], path[:, 5]
 
-        got = apply_map(u, abc, rho, u0h, abc0h, rho0h, grid16, PARAMS, cfg)
-        sem_u, sem_abc = semigroup_paths(u0h, abc0h, grid16, PARAMS, cfg)
+        got = apply_map(path, sh0, grid16, PARAMS, cfg)
+        sem = semigroup_paths(sh0, grid16, PARAMS, cfg)
         expected = (
-            sem_u + op_q1(u, u, grid16, PARAMS, cfg) + op_l1(abc, grid16, PARAMS, cfg),
-            sem_abc + op_q2(u, abc, grid16, PARAMS, cfg) + op_l2(rho, grid16, PARAMS, cfg),
-            op_n(u, rho0h, grid16, cfg),
+            sem[:, 0:2] + op_q1(u, u, grid16, PARAMS, cfg) + op_l1(abc, grid16, PARAMS, cfg),
+            sem[:, 2:5] + op_q2(u, abc, grid16, PARAMS, cfg) + op_l2(rho, grid16, PARAMS, cfg),
+            op_n(u, sh0[5], grid16, cfg),
         )
-        for g, e in zip(got, expected):
+        for g, e in zip((got[:, 0:2], got[:, 2:5], got[:, 5]), expected):
             assert g.shape == e.shape
             assert np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e))
 
@@ -334,12 +329,8 @@ class TestMapScratch:
     @staticmethod
     def _inputs(grid, m):
         rng = np.random.default_rng(m)
-        return (masked_noise(grid, rng, (m, 2, 16, 16)),
-                masked_noise(grid, rng, (m, 3, 16, 16)),
-                masked_noise(grid, rng, (m, 16, 16)),
-                masked_noise(grid, rng, (2, 16, 16)),
-                masked_noise(grid, rng, (3, 16, 16)),
-                masked_noise(grid, rng, (16, 16)))
+        return (masked_noise(grid, rng, (m, 6, 16, 16)),
+                masked_noise(grid, rng, (6, 16, 16)))
 
     def test_node_changes_match_fresh_scratch(self, grid16, monkeypatch):
         def apply(m):
@@ -352,11 +343,10 @@ class TestMapScratch:
             held = list(picard_mod._SCRATCH._buffers.values())
             assert [buf.shape for buf in held] == [
                 (m, 9, 16, 9), (m, 6, 16, 16), (m, 3, 3, 16, 16)]
-            assert not any(np.shares_memory(out, buf) for out in shared[-1] for buf in held)
+            assert not any(np.shares_memory(shared[-1], buf) for buf in held)
         for m, got in zip((9, 33, 9), shared):
             monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
-            for g, w in zip(got, apply(m)):
-                assert np.array_equal(g, w)
+            assert np.array_equal(got, apply(m))
 
 
 def _full_sobolev_sq(values, order, length, weights=None):
@@ -411,7 +401,8 @@ class TestHalfSpectrumNorms:
         rho_ref = np.max(np.mean(np.abs(rho), axis=(-2, -1)) * L ** 2
                          + np.sqrt(_full_sobolev_sq(rho, 1, L)))
         ref = u_ref + sigma_ref + rho_ref
-        got = composite_norm(grid16, rfft2(u), rfft2(abc), rfft2(rho), times)
+        got = composite_norm(grid16, rfft2(np.concatenate([u, abc, rho[:, None]], axis=1)),
+                             times)
         assert abs(got - ref) <= 1e-12 * ref
 
 
