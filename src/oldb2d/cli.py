@@ -79,11 +79,20 @@ def _setup(args):
         return cfg, build_initial(cfg, make_grid(cfg.n, cfg.length))
 
 
-def _cmd_run(args) -> int:
-    cfg, initial = _setup(args)
+def _horizon(cfg, initial) -> float:
+    """The duration t_end - (initial time) of the configured run: the
+    horizon of its a priori ledger, as the system is autonomous.  A t_end
+    that is not after the initial time is a config error."""
     t_end = cfg.control.t_end
     if not initial.time < t_end:
         raise ConfigError(f"t_end {t_end:g} is not after the initial time {initial.time:g}")
+    return t_end - initial.time
+
+
+def _cmd_run(args) -> int:
+    cfg, initial = _setup(args)
+    t_end = cfg.control.t_end
+    horizon = _horizon(cfg, initial)
     for t_snap in cfg.control.snapshot_times:
         if not initial.time < t_snap <= t_end:
             raise ConfigError(f"snapshot_times entry {t_snap:g} is outside (initial time "
@@ -105,8 +114,7 @@ def _cmd_run(args) -> int:
         snapshots.write_snapshot(traj.final_state,
                                  os.path.join(args.out_dir, "final_state.snap"))
 
-    ledger = diagnostics.apriori_ledger(initial, cfg.params, cfg.control.t_end,
-                                        cfg.constant_c)
+    ledger = diagnostics.apriori_ledger(initial, cfg.params, horizon, cfg.constant_c)
     rows = diagnostics.bound_check(diagnostics.series(traj.records), ledger, cfg.params)
     last = traj.records[-1]
     print(f"run complete: t={last.time:.6g}, energy={last.energy:.9g}, "
@@ -163,7 +171,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg, initial = _setup(args)
-    ledger = diagnostics.apriori_ledger(initial, cfg.params, cfg.control.t_end,
+    ledger = diagnostics.apriori_ledger(initial, cfg.params, _horizon(cfg, initial),
                                         cfg.constant_c)
     print(f"a priori bound ledger (T={ledger.horizon:g}, C={ledger.constant_c:g}):")
     for name, entry in ledger.entries().items():

@@ -199,29 +199,42 @@ def _taylor_green_state(grid, amplitude: float) -> SimState:
 
 
 def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
+    """Band-limited data built in one (6, n, n) array of `PLANES`: each
+    random draw is written into its plane and dropped, and the dealiased
+    state is transformed back into the same array."""
     rng = np.random.default_rng(cfg.seed)
     kmax = min(cfg.init_kmax, grid.n // 3)
-    g_a = band_limited_random(grid, rng, kmax)
-    g_b = band_limited_random(grid, rng, kmax)
-    g_d = band_limited_random(grid, rng, kmax)
-    g_rho = band_limited_random(grid, rng, kmax)
-    g_psi = band_limited_random(grid, rng, kmax)
+    planes = np.empty((len(PLANES), grid.n, grid.n))
+    u, a, b, c, rho = planes[0:2], *planes[2:]
 
-    a = cfg.stress_amplitude * g_a
-    b = cfg.stress_amplitude * g_b
-    det_margin = cfg.rho0 * cfg.rho0 * (1.0 + 0.5 * g_d)  # strictly positive
-    c = 2.0 * np.sqrt(a * a + b * b + det_margin)
-    rho = cfg.rho0 * (1.0 + 0.5 * g_rho)
+    np.multiply(cfg.stress_amplitude, band_limited_random(grid, rng, kmax), out=a)
+    np.multiply(cfg.stress_amplitude, band_limited_random(grid, rng, kmax), out=b)
+    # c = 2 sqrt(a^2 + b^2 + det_margin), det_margin = rho0^2 (1 + g_d / 2)
+    # strictly positive, formed in c's plane.
+    np.multiply(0.5, band_limited_random(grid, rng, kmax), out=c)
+    c += 1.0
+    c *= cfg.rho0 * cfg.rho0
+    square = a * a
+    square += b * b
+    c += square
+    del square
+    np.sqrt(c, out=c)
+    c *= 2.0
+    np.multiply(0.5, band_limited_random(grid, rng, kmax), out=rho)
+    rho += 1.0
+    rho *= cfg.rho0
 
-    psih = rfft2(g_psi)
-    u = irfft2(np.stack([-grid.iky * psih, grid.ikx * psih]), grid.n)
+    psih = rfft2(band_limited_random(grid, rng, kmax))
+    irfft2(np.stack([-grid.iky * psih, grid.ikx * psih]), grid.n, overwrite_x=True, out=u)
+    del psih
     umax = np.max(np.abs(u))
     if umax > 0:
         u *= cfg.amplitude / umax
 
-    coeffs = rfft2(np.stack([*u, a, b, c, rho]))
+    coeffs = rfft2(planes)
     coeffs *= grid.mask
-    return SimState(0.0, grid, irfft2(coeffs, grid.n, overwrite_x=True))
+    irfft2(coeffs, grid.n, overwrite_x=True, out=planes)
+    return SimState(0.0, grid, planes)
 
 
 def build_initial(cfg: RunConfig, grid: SpectralGrid) -> SimState:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import PLANE_OPERATOR, PhysParams, SimState, linear_operators
+from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
 from .spectral import SpectralGrid, _Scratch, dealiased_products, irfft2, project, rfft2
 
 
@@ -116,14 +116,17 @@ def explicit_terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray) -> np
 def rates(state: SimState, params: PhysParams) -> np.ndarray:
     """The time derivative of `state.planes`, one real (6, n, n) array
     ordered as `fields.PLANES`: the stepper's `explicit_terms` plus the
-    linear parts its integrating factors absorb, D lap - g on each plane
-    for the (D, g) that `fields.PLANE_OPERATOR` gives it."""
+    linear parts its integrating factors absorb, D lap - g on the planes of
+    each operator (D, g) of `fields.linear_operators`
+    (`fields.OPERATOR_PLANES`), on the kept columns, as the packed state is
+    zero beyond them."""
     g = state.grid
     sh = pack_state(state)
     nh = explicit_terms(g, params, sh)
-    lam = np.stack([diffusivity * g.k_sq + damping
-                    for diffusivity, damping in linear_operators(params)])
-    nh -= np.take(lam, PLANE_OPERATOR, axis=0) * sh
+    kc = g.kept_columns
+    ksq = g.k_sq[:, :kc]
+    for (diffusivity, damping), planes in zip(linear_operators(params), OPERATOR_PLANES):
+        nh[planes, :, :kc] -= (diffusivity * ksq + damping) * sh[planes, :, :kc]
     return irfft2(nh, g.n)
 
 

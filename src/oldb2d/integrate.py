@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diagnostics
 from .dynamics import _terms, explicit_terms, pack_state, unpack_state
-from .fields import PLANE_OPERATOR, PhysParams, SimState, linear_operators
+from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
 from .spectral import SpectralGrid, irfft2, project
 
 _UMAX_FLOOR = 1e-12  # advective speed floor so quiescent states hit dt_max
@@ -39,8 +39,8 @@ class StepControl:
             raise ValueError("cfl must be in (0, 1]")
         if not (0.0 < self.dt_min <= self.dt_max):
             raise ValueError("dt_min must be positive and at most dt_max")
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if self.output_every < 1:
             raise ValueError("output_every must be at least 1")
 
@@ -90,14 +90,15 @@ def _step_dt(grid: SpectralGrid, ctl: StepControl, u: np.ndarray, t: float) -> f
     at |t| beyond about 1e17 for dt_max = 1e-2); none becomes a dt.
 
     The rule has no stiffness bound, yet diffusion and damping do limit the
-    step: `_advance`'s stage 2 multiplies by 0.25 exp(+lam dt / 2), with
-    lam = kappa |k|^2 + 2k up to its largest kept value, which amplifies
-    the stiffest modes.  On `random_admissible` data at n=32 (amplitude
-    0.1, seed 0, t_end=0.1) lam dt / 2 = 4 passed at kappa=5 and 8 at
-    kappa=20, while 8 at kappa=5 failed `energy` at t=0.096 and 12 at
-    kappa=20 at t=0.024; so no value above 4 is known to be safe.  Past 709
-    the factor overflows.  The monitors stop such a run (`energy`,
-    `overflow` or `nan`)."""
+    step: `_advance`'s stage 2 multiplies by 0.25 e(-dt/2), which grows as
+    exp(+lam dt / 2), with lam = kappa |k|^2 + 2k up to its largest kept
+    value, and so amplifies the stiffest modes.  A sweep at dt = dt_max =
+    2 x / lam on `random_admissible` data (seeds 0-2, amplitudes 0.1 and 1,
+    n = 16, 32 and 64, kappa = 5, 20 and 80, t_end = min(0.1, 200 dt))
+    passed all 54 runs at x = 1 to 4; its smallest failure was x = 5 (n=16,
+    kappa=5, amplitude 1, seed 2: `energy` at the first step).  So no
+    value above 4 is known to be safe.  Past 709 the factor overflows.  The
+    monitors stop such a run (`energy`, `overflow` or `nan`)."""
     umax = float(np.max(np.abs(u)))
     if not math.isfinite(umax):
         raise MonitorViolation("nan", t, umax, "non-finite velocity")
@@ -115,36 +116,45 @@ def _step_dt(grid: SpectralGrid, ctl: StepControl, u: np.ndarray, t: float) -> f
 
 @lru_cache(maxsize=1)
 def _multipliers(grid: SpectralGrid, params: PhysParams, dt: float):
-    """Per-mode integrating factors for the current step, stacked per packed
-    field and pre-scaled by the SSP-RK3 weights they meet in `_advance`:
-    e(dt), 0.75 e(dt/2), 0.25 e(-dt/2) and 2 e(dt/2).  Masked modes get
-    factor zero so they stay inert.
+    """Per-mode integrating factors for the current step, pre-scaled by the
+    SSP-RK3 weights they meet in `_advance`: e(dt), 0.75 e(dt/2),
+    0.25 e(-dt/2) and 2 e(dt/2).  Each is one (3, n, n//3+1) array: one
+    plane per operator of `fields.linear_operators`, on the half-spectrum
+    columns the 2/3 rule keeps (`grid.kept_columns`); `_apply` gives each
+    plane to its operator's planes of the state.  Masked modes within those
+    columns get factor zero so they stay inert.
 
     One entry, keyed by the grid's identity: a CFL-limited run changes dt
-    every step, so older entries would only hold memory."""
-    ksq, mask = grid.k_sq, grid.mask
-    # The distinct linear operators of `fields.linear_operators`, expanded
-    # to the six packed planes by `PLANE_OPERATOR`.  Each factor is formed
-    # in place and expanded straight into its output, so the recompute
-    # holds little beside the outputs and the entry it replaces.
+    every step, so older entries would only hold memory.  At n=256 the
+    entry holds 2.1 MB (six full-width planes per factor held 6.3 MB)."""
+    kc = grid.kept_columns
+    ksq, mask = grid.k_sq[:, :kc], grid.mask[:, :kc]
     lin = np.stack([-(diffusivity * ksq + damping)
                     for diffusivity, damping in linear_operators(params)])
     lin[:, ~mask] = 0.0
 
     def factors(tau, *scales):
-        """exp(lin * tau) on the kept modes, expanded, times each scale."""
+        """exp(lin * tau) on the kept modes, times each scale."""
         e = lin * tau
         np.exp(e, out=e)
         e *= mask
-        outs = [np.take(e, PLANE_OPERATOR, axis=0) for _ in scales]
-        for out, scale in zip(outs, scales):
-            out *= scale
-        return outs
+        return [e * scale for scale in scales]
 
     (e_full,) = factors(dt, 1.0)
     e_mid_34, e_mid_2 = factors(0.5 * dt, 0.75, 2.0)
     (e_back_14,) = factors(-0.5 * dt, 0.25)
     return e_full, e_mid_34, e_back_14, e_mid_2
+
+
+def _apply(factor: np.ndarray, sh: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = factor * sh on the kept columns, where each operator's plane of
+    a `_multipliers` factor multiplies that operator's planes of the packed
+    coefficients `sh` (`fields.OPERATOR_PLANES`).  The columns beyond are
+    left as they are: they hold exact zeros in every stage."""
+    kc = factor.shape[-1]
+    for f, planes in zip(factor, OPERATOR_PLANES):
+        np.multiply(f, sh[planes, :, :kc], out=out[planes, :, :kc])
+    return out
 
 
 def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float,
@@ -156,6 +166,9 @@ def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float,
         s2  = 0.75 e(dt/2) sh + 0.25 e(-dt/2) (s1 + dt N(s1))
         out = (e(dt) sh + 2 e(dt/2) (s2 + dt N(s2))) / 3
 
+    Each factor acts per operator on the kept columns (`_apply`); sh, the
+    explicit terms and so every stage are zero beyond them.
+
     n0's buffer is overwritten: s1 and then s2 are formed in place in it,
     so a caller that still holds n0 adds nothing to the step's peak memory,
     and `out` is formed in the array stage 3's `explicit_terms` returned."""
@@ -164,20 +177,20 @@ def _advance(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, dt: float,
     s = n0
     s *= dt
     s += sh
-    s *= e_full
+    _apply(e_full, s, s)
 
     n1 = explicit_terms(grid, params, s)
     n1 *= dt
     n1 += s
-    n1 *= e_back_14
-    np.add(n1, np.multiply(e_mid_34, sh, out=s), out=s)
+    _apply(e_back_14, n1, n1)
+    np.add(n1, _apply(e_mid_34, sh, s), out=s)
     del n1
 
     out = explicit_terms(grid, params, s)
     out *= dt
     out += s
-    out *= e_mid_2
-    out += np.multiply(e_full, sh, out=s)
+    _apply(e_mid_2, out, out)
+    out += _apply(e_full, sh, s)
     out /= 3.0
 
     # Re-project the velocity to absorb rounding drift in the divergence.

@@ -2,6 +2,7 @@ import os
 import re
 import struct
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -110,6 +111,29 @@ class TestBuildInitial:
         cfg = parse_config("n=32\npreset=taylor_green\n")
         state = build_initial(cfg, make_grid(32, cfg.length))
         assert positivity_report(state, tol=1e-10).passed
+
+    def test_peak_memory_of_random_admissible(self):
+        """Peak traced allocation of building `random_admissible` data at
+        n=128, in packed-state units (6 half-spectrum planes; the six real
+        planes are about one unit too).  The state is built in its own
+        planes and its dealiased spectrum transformed back into them, so the
+        build peaks at 2.15 units: the planes, that spectrum and a few
+        (n, n) temporaries.  Five draws held to the end and a second copy
+        of the planes stacked for the transform peaked at 4.13.  A first
+        build runs untraced, as its lazy import of `numpy.random` would
+        count."""
+        cfg = parse_config("n=128\npreset=random_admissible\n")
+        grid = make_grid(128, cfg.length)
+        unit = 6 * 128 * 65 * 16
+        build_initial(cfg, grid)
+        tracemalloc.start()
+        try:
+            state = build_initial(cfg, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.planes.shape == (6, 128, 128)
+        assert peak <= 3.0 * unit, peak / unit
 
 
 class TestSnapshots:
@@ -465,6 +489,26 @@ class TestCliMain:
         assert done.returncode == 1
         assert done.stderr.startswith("monitor violation: [dt_underflow]")
         assert done.stderr.count("\n") == 1
+
+    def test_restart_at_a_negative_time(self, tmp_path, capsys):
+        """A `snapshot:` restart may run between negative times: `run` needs
+        only a t_end after the initial time, and its ledger's horizon is the
+        run's duration, which `bounds` shares."""
+        grid = make_grid(16, TWO_PI)
+        snap = tmp_path / "early.snap"
+        write_snapshot(state_of(grid, c=2.0, rho=1.0, time=-1.0), snap)
+        cfg_path = self._write_cfg(tmp_path, f"n=16\npreset=snapshot:{snap}\nt_end=-0.5\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out-dir", str(out_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "run complete: t=-0.5," in out
+        assert main(["bounds", "--config", cfg_path,
+                     "--traj", str(out_dir / "timeseries.csv")]) == 0
+        bounds = capsys.readouterr().out
+        assert "(T=0.5," in bounds
+        rows = re.compile(r"^(energy budget gate:|R[1-5] ratio).*$", re.MULTILINE)
+        assert rows.findall(bounds) == rows.findall(out)
+        assert len(rows.findall(out)) == 6
 
     def test_picard_divergence_exit_one(self, tmp_path):
         cfg_path = self._write_cfg(

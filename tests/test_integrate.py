@@ -205,6 +205,17 @@ class TestAdvance:
         assert (after.hits + after.misses) - (before.hits + before.misses) == steps
         assert calls == []
 
+    def test_factor_entry_holds_kept_columns_per_operator(self):
+        """The memo's entry is four factors of one plane per operator on the
+        kept columns, 4 * 3 * n * (n//3+1) float64: six full-width planes
+        per factor held 4 * 6 * n * (n//2+1)."""
+        grid, params, sh = self._state(32)
+        integrate._advance(grid, params, sh, 2e-3, explicit_terms(grid, params, sh))
+        entry = integrate._multipliers(grid, params, 2e-3)
+        assert len(entry) == 4
+        assert all(f.shape == (3, 32, grid.kept_columns) for f in entry)
+        assert sum(f.nbytes for f in entry) <= 4 * 3 * 32 * (32 // 3 + 1) * 8
+
     def test_transient_memory_of_one_step(self):
         """Peak traced allocation of one step at n=128, in packed-state units
         (6 half-spectrum planes).  Stages built in place and the single
@@ -362,11 +373,12 @@ class TestOneEvaluationPerState:
         packed-state units (6 half-spectrum planes; six real planes are
         about one unit too).  The warm-up run leaves `_terms`' scratch
         allocated (the kept-column stack and the two row blocks), so the
-        measured run allocates none: it peaks at 6.51 units.  The bound
-        sits less than one unit above, so keeping one more state-sized
-        array alive through a step fails.  (With the scratch freed first
-        the peak is 11.97 units: the buffers are then allocated inside the
-        run, beside the factor memo's recompute.)"""
+        measured run allocates none: it peaks at 4.17 units, inside a step
+        whose factor memo is recomputed beside the entry it replaces.  Each
+        memo entry holds one plane per operator on the kept columns, 0.7
+        units; six full-width planes per factor held 2 units, and the run
+        peaked at 6.51.  The bound sits less than one unit above, so keeping
+        one more state-sized array alive through a step fails."""
         cfg, initial = self._setup("n=128\npreset=random_admissible\nseed=3\n"
                                    "amplitude=2.0\nt_end=0.03\noutput_every=1000000\n")
         unit = pack_state(initial).nbytes
@@ -383,7 +395,7 @@ class TestOneEvaluationPerState:
         finally:
             tracemalloc.stop()
         assert traj.final_state.time == pytest.approx(0.03)
-        assert peak <= 7.0 * unit, peak / unit
+        assert peak <= 5.0 * unit, peak / unit
 
 
 def reference_terms(grid, params, sh, planes):
