@@ -18,7 +18,7 @@ from . import config as cfgmod
 from . import diagnostics, dynamics, picard, snapshots
 from .fields import PhysParams, SimState, norms
 from .integrate import StepControl, run, step
-from .spectral import decay, irfft2, l2_scale, make_grid, project, rfft2
+from .spectral import dealias, decay, irfft2, l2_scale, make_grid, project, rfft2
 
 
 @dataclass(frozen=True)
@@ -251,8 +251,9 @@ def check_transport_means(cfg) -> CheckResult:
     drho = dynamics.rates(state, cfg.params)[5]
     mean_rho = abs(np.mean(drho))
     # u.grad(c) from dealiased factors; the mask keeps the mean mode.
-    uh, ch = rfft2(state.planes[0:2]) * g.mask, rfft2(state.planes[4]) * g.mask
-    u1, u2, c, d1c, d2c = irfft2(np.stack([*uh, ch, g.ikx * ch, g.iky * ch]), g.n)
+    uh, ch = dealias(g, state.planes[0:2]), dealias(g, state.planes[4])
+    u1, u2, c, d1c, d2c = irfft2(np.stack([*uh, ch, g.at(g.ikx, ch) * ch,
+                                           g.at(g.iky, ch) * ch]), g.n)
     mean_c = abs(np.mean(u1 * d1c + u2 * d2c))
     scale = max(np.max(np.abs(u1)), np.max(np.abs(u2))) * np.max(np.abs(c)) + 1e-300
     ok = mean_rho <= 1e-12 * scale and mean_c <= 1e-12 * scale
@@ -416,8 +417,7 @@ def check_picard_bilinearity(cfg) -> CheckResult:
     m = pcfg.n_time_nodes
 
     def rand_u():
-        raw = rng.standard_normal((m, 2, grid.n, grid.n))
-        return rfft2(raw) * grid.mask
+        return dealias(grid, rng.standard_normal((m, 2, grid.n, grid.n)))
 
     u, v, w = rand_u(), rand_u(), rand_u()
     q_scaled = picard.op_q1(2.5 * u, v, grid, params, pcfg)
@@ -428,8 +428,8 @@ def check_picard_bilinearity(cfg) -> CheckResult:
     err1 = np.max(np.abs(q_scaled - 2.5 * q_base)) / scale
     err2 = np.max(np.abs(q_sum - q_parts)) / scale
 
-    iso = np.zeros((m, 3) + grid.mask.shape, dtype=complex)
-    iso[:, 2] = 2.0 * rfft2(rng.standard_normal((m, grid.n, grid.n))) * grid.mask
+    iso = np.zeros((m, 3, grid.n, grid.kept_columns), dtype=complex)
+    iso[:, 2] = 2.0 * dealias(grid, rng.standard_normal((m, grid.n, grid.n)))
     l1_iso = np.max(np.abs(picard.op_l1(iso, grid, params, pcfg)))
     ok = err1 <= 1e-12 and err2 <= 1e-12 and l1_iso <= 1e-13
     return _result("picard.bilinearity", ok,
@@ -441,7 +441,7 @@ def check_picard_zeroth_semigroup(cfg) -> CheckResult:
     sh0 = picard._initial_coeffs(state)
     sem = picard.semigroup_paths(sh0, grid, params, pcfg)
     times = pcfg.times()
-    factor = np.exp(-(params.kappa * grid.k_sq + 2.0 * params.k)
+    factor = np.exp(-(params.kappa * grid.at(grid.k_sq, sh0) + 2.0 * params.k)
                     * times[:, None, None])
     err = np.max(np.abs(sem[:, 2:5] - factor[:, None] * sh0[None, 2:5]))
     rho_err = np.max(np.abs(sem[:, 5] - sh0[5]))
@@ -453,8 +453,8 @@ def check_picard_q2_consistency(cfg) -> CheckResult:
     grid, state, params, pcfg = _picard_setup(cfg)
     sh0 = picard._initial_coeffs(state)
     integrand = picard.q2_integrand(sh0[None, 0:2], sh0[None, 2:5], grid)[0]
-    lin = -(params.kappa * grid.k_sq) - 2.0 * params.k
-    expect = rfft2(dynamics.rates(state, params)[2:5]) - lin * sh0[2:5]
+    lin = -(params.kappa * grid.at(grid.k_sq, sh0)) - 2.0 * params.k
+    expect = rfft2(dynamics.rates(state, params)[2:5], grid.kept_columns) - lin * sh0[2:5]
     expect[2] -= 4.0 * params.k * sh0[5]
     scale = np.max(np.abs(expect)) + 1e-300
     err = np.max(np.abs(integrand - expect)) / scale

@@ -18,7 +18,7 @@ import numpy as np
 from .diagnostics import positivity_report
 from .fields import PLANES, PhysParams, SimState
 from .integrate import Monitors, StepControl
-from .spectral import SpectralGrid, irfft2, rfft2
+from .spectral import SpectralGrid, dealias, irfft2, rfft2
 
 
 class ConfigError(ValueError):
@@ -231,9 +231,7 @@ def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
     if umax > 0:
         u *= cfg.amplitude / umax
 
-    coeffs = rfft2(planes)
-    coeffs *= grid.mask
-    irfft2(coeffs, grid.n, overwrite_x=True, out=planes)
+    irfft2(dealias(grid, planes), grid.n, overwrite_x=True, out=planes)
     return SimState(0.0, grid, planes)
 
 

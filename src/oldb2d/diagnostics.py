@@ -126,13 +126,13 @@ class BoundRow:
 
 def packed_energy(grid: SpectralGrid, params: PhysParams, sh: np.ndarray,
                   reals: np.ndarray) -> EnergyLedger:
-    """The energy ledger from half-spectrum coefficients `sh` and real planes
-    `reals`, both ordered as `fields.PLANES`."""
+    """The energy ledger from half-spectrum coefficients `sh`, of either
+    width, and real planes `reals`, both ordered as `fields.PLANES`."""
     area = grid.area
     u1, u2, _, _, c, rho = reals
     cbar = float(np.mean(c))
     energy = area * (float(np.mean(u1 * u1 + u2 * u2)) + params.bigK * cbar)
-    grad_u_sq = _parseval(grid, grid.k_sq, sh[0], sh[1])
+    grad_u_sq = _parseval(grid, grid.at(grid.k_sq, sh), sh[0], sh[1])
     dissipation = 2.0 * params.nu * grad_u_sq + 2.0 * params.k * params.bigK * cbar * area
     source = 4.0 * params.k * params.bigK * float(np.mean(rho)) * area
     return EnergyLedger(energy, dissipation, source)
@@ -172,7 +172,7 @@ def positivity_report(state: SimState, tol: float) -> PositivityReport:
 def make_record(grid: SpectralGrid, time: float, sh: np.ndarray, reals: np.ndarray,
                 pos: PositivityReport, led: EnergyLedger) -> DiagnosticsRecord:
     """One diagnostics record of an accepted state, from what `run` already
-    holds for it: the half-spectrum coefficients `sh` and real planes
+    holds for it: the packed coefficients `sh` (kept width) and real planes
     `reals` of its one `dynamics._terms(sh, planes=True)` evaluation, both
     ordered as `fields.PLANES`, its positivity scan `pos` and its energy
     ledger `led`.  Only the norms are computed here; no transform of the

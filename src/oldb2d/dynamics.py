@@ -8,9 +8,12 @@ All quadratic products are formed pointwise from dealiased factors and the
 product is dealiased again immediately (2/3 rule), so transport integrals
 are exact divergences at the discrete level.
 
-The core assembly operates on packed half-spectrum (rfft2) arrays of shape
-(6, n, n//2+1) ordered as `fields.PLANES`, the spectrum of
-`SimState.planes`; the time stepper and `rates` share it.
+The core assembly operates on packed dealiased spectra at the kept width,
+(6, n, n//3+1) arrays ordered as `fields.PLANES`: the kept columns of the
+`rfft2` half spectrum of `SimState.planes`, whose other columns the 2/3
+rule zeroes (`spectral.dealias`).  The time stepper and `rates` share it.
+At n=256 one such array holds 2.0 MiB, where the full half spectrum held
+3.0 MiB.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
-from .spectral import SpectralGrid, _Scratch, dealiased_products, irfft2, project, rfft2
+from .spectral import SpectralGrid, _Scratch, dealias, dealiased_products, irfft2, project
 
 
 def pack_state(state: SimState) -> np.ndarray:
-    """Half-spectrum coefficients (6, n, n//2+1), dealiased on entry."""
-    return rfft2(state.planes) * state.grid.mask
+    """Dealiased coefficients (6, n, n//3+1) at the kept width."""
+    return dealias(state.grid, state.planes)
 
 
 def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
@@ -66,7 +69,7 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     """Dealiased explicit terms from packed coefficients `sh`, which must be
     dealiased: `pack_state` output, or a stage formed with masked factors.
 
-    Returns one (6, n, n//2+1) array (f1, f2, na, nb, nc, nr): the
+    Returns one (6, n, n//3+1) array (f1, f2, na, nb, nc, nr): the
     unprojected momentum force -u.grad(u) + K div(sigma), the stress
     advection+stretching terms, the c source 4*k*rho, and -u.grad(rho).
     Semigroup-absorbed linear parts (nu*lap(u), kappa*lap - 2k on the
@@ -78,23 +81,20 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     `SimState.planes`: one evaluation serves the monitors, a record and the
     first RK stage.
 
-    The derivative stack (u, d1 sh, d2 sh, a, b, c[, rho]) holds only the
-    kept columns of `sh`, since the rest are zero, and the product pass
-    (`spectral.dealiased_products`) visits real space in row blocks.  Both
-    are module scratch (`_SCRATCH`), so calls must not overlap across
-    threads; the returned arrays are the caller's own.
+    The derivative stack (u, d1 sh, d2 sh, a, b, c[, rho]) and the product
+    pass (`spectral.dealiased_products`), which visits real space in row
+    blocks, are module scratch (`_SCRATCH`), so calls must not overlap
+    across threads; the returned arrays are the caller's own.
     """
-    ikx, iky = grid.ikx, grid.iky
+    ikx, iky = grid.at(grid.ikx, sh), grid.at(grid.iky, sh)
     ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
 
-    kc = grid.kept_columns
     depth = 18 if planes else 17
-    kept = sh[..., :kc]
-    stack = _SCRATCH.take("stack", (18, grid.n, kc))
-    stack[0:2] = kept[0:2]
-    np.multiply(ikx[:, :kc], kept, out=stack[2:8])
-    np.multiply(iky[:, :kc], kept, out=stack[8:14])
-    stack[14:depth] = kept[2:depth - 12]
+    stack = _SCRATCH.take("stack", (18,) + sh.shape[1:])
+    stack[0:2] = sh[0:2]
+    np.multiply(ikx, sh, out=stack[2:8])
+    np.multiply(iky, sh, out=stack[8:14])
+    stack[14:depth] = sh[2:depth - 12]
     nh, reals = dealiased_products(grid, stack, depth, _products, 6, _SCRATCH,
                                    keep=_STATE_PLANES if planes else None)
 
@@ -118,15 +118,13 @@ def rates(state: SimState, params: PhysParams) -> np.ndarray:
     ordered as `fields.PLANES`: the stepper's `explicit_terms` plus the
     linear parts its integrating factors absorb, D lap - g on the planes of
     each operator (D, g) of `fields.linear_operators`
-    (`fields.OPERATOR_PLANES`), on the kept columns, as the packed state is
-    zero beyond them."""
+    (`fields.OPERATOR_PLANES`)."""
     g = state.grid
     sh = pack_state(state)
     nh = explicit_terms(g, params, sh)
-    kc = g.kept_columns
-    ksq = g.k_sq[:, :kc]
+    ksq = g.at(g.k_sq, sh)
     for (diffusivity, damping), planes in zip(linear_operators(params), OPERATOR_PLANES):
-        nh[planes, :, :kc] -= (diffusivity * ksq + damping) * sh[planes, :, :kc]
+        nh[planes] -= (diffusivity * ksq + damping) * sh[planes]
     return irfft2(nh, g.n)
 
 
@@ -146,8 +144,8 @@ def determinant_rhs(state: SimState, params: PhysParams) -> np.ndarray:
     g = state.grid
     planes = irfft2(pack_state(state), g.n)
     u1, u2, _, _, c, rho = planes
-    dh = rfft2(determinant(planes)) * g.mask
-    d, d1d, d2d = irfft2(np.stack([dh, g.ikx * dh, g.iky * dh]), g.n)
-    adv, src = irfft2(rfft2(np.stack([u1 * d1d + u2 * d2d, rho * c])) * g.mask, g.n)
+    dh = dealias(g, determinant(planes))
+    d, d1d, d2d = irfft2(np.stack([dh, g.at(g.ikx, dh) * dh, g.at(g.iky, dh) * dh]), g.n)
+    adv, src = irfft2(dealias(g, np.stack([u1 * d1d + u2 * d2d, rho * c])), g.n)
     k = params.k
     return -adv - 4.0 * k * d + 2.0 * k * src

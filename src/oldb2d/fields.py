@@ -132,9 +132,10 @@ def _sq_int(grid, *real_arrays) -> float:
 
 def _parseval(grid, weight, *coeffs) -> float:
     """area * sum of weight * |f_k|^2 over the full spectrum, from rfft2
-    half-spectrum coefficients: `grid.weights` counts every column whose
-    conjugate partner the half spectrum omits twice."""
-    w = grid.weights * weight
+    half-spectrum coefficients of either width, `weight` a scalar or a table
+    at their width: `grid.weights` counts every column whose conjugate
+    partner the half spectrum omits twice."""
+    w = grid.at(grid.weights, coeffs[0]) * weight
     return grid.area * sum(float(np.vdot(ch, w * ch).real) for ch in coeffs)
 
 
@@ -147,8 +148,10 @@ def norms(state: SimState) -> dict:
 
 
 def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> dict:
-    """`norms` from half-spectrum coefficients `sh` (6, n, n//2+1) and real
-    planes `reals` (6, n, n), both ordered as `PLANES`.
+    """`norms` from half-spectrum coefficients `sh` (6, n, w) and real
+    planes `reals` (6, n, n), both ordered as `PLANES`: `sh` is the full
+    half spectrum (w = n//2+1) of `norms`, or the stepper's packed state at
+    the kept width (w = n//3+1), zero beyond it.
 
     The stress L^1 norm is the trace integral; L^2-type stress norms are
     Frobenius, i.e. the density c^2/2 + 2a^2 + 2b^2 in (a, b, c) variables.
@@ -166,9 +169,9 @@ def packed_norms(grid: SpectralGrid, sh: np.ndarray, reals: np.ndarray) -> dict:
     area = grid.area
     u1, u2, a, b, c, rho = reals
     u1h, u2h, ah, bh, ch, rhoh = sh
-    omh = grid.ikx * u2h - grid.iky * u1h
+    omh = grid.at(grid.ikx, sh) * u2h - grid.at(grid.iky, sh) * u1h
 
-    ksq = grid.k_sq
+    ksq = grid.at(grid.k_sq, sh)
     ksq2 = ksq * ksq
 
     vals = {}

@@ -2,11 +2,12 @@
 per-mode heat kernels and trapezoidal quadrature in time, the successive
 substitution loop, and contraction diagnostics.
 
-A path is one half-spectrum (`rfft2`) coefficient array (m, 6, n, n//2+1)
-sampled on uniform nodes over [0, t0], its planes ordered as
-`fields.PLANES` like a state's.  The operators take and return plane
-groups: velocity (m, 2, ...), stress (m, 3, ...) in (a, b, c) order,
-density (m, ...).  The map sends (u, sigma, rho) to
+A path is one dealiased spectrum at the kept width (`spectral.dealias`),
+an array (m, 6, n, n//3+1) sampled on uniform nodes over [0, t0], its
+planes ordered as `fields.PLANES` like a state's.  The operators take and
+return spectra at that width, and read the grid tables and heat factors
+at it, in plane groups: velocity (m, 2, ...), stress (m, 3, ...) in
+(a, b, c) order, density (m, ...).  The map sends (u, sigma, rho) to
 
     u_new     = heat_u(t) u0         + Q1(u, u) + L1(sigma)
     sigma_new = heat_sigma(t) sigma0 + Q2(u, sigma) + L2(rho)
@@ -19,7 +20,7 @@ stretching term inside Q2 is assembled in matrix components, independently
 of the strain-based assembly in `dynamics`.
 
 One application of the map transforms the velocity path and its gradient
-to real space once, in a single `irfft2` over (m, 6, n, n//2+1), and shares
+to real space once, in a single `irfft2` over (m, 6, n, n//3+1), and shares
 those planes between Q1, Q2 and the transport.  Integrands under the same
 kernel (Q1 + L1, Q2 + L2) are summed before one quadrature, which adds
 into the new path's planes for that kernel.  The public operators `op_q1`,
@@ -27,6 +28,9 @@ into the new path's planes for that kernel.  The public operators `op_q1`,
 their composition.  The complex stacks behind both transforms share one
 scratch buffer, held across calls with the two real outputs, so a warm map
 allocates none of them; so `apply_map` is not reentrant across threads.
+At the picard-compare benchmark config (n=32, 33 nodes) one path holds
+1.06 MiB and the stack 1.60 MiB; at the full width they held 1.64 and
+2.47 MiB.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
-from .spectral import SpectralGrid, _leading, _Scratch, decay, irfft2, project, rfft2
+from .spectral import SpectralGrid, _leading, _Scratch, dealias, decay, irfft2, project
 
 _SUBSTEP_CFL = 0.5       # frozen-velocity transport uses the stepper's default
 _MAX_SUBSTEPS = 100_000  # across the whole path; beyond this the velocity is absurd
@@ -95,7 +99,7 @@ class MildTrajectory:
 
     grid: SpectralGrid
     times: np.ndarray
-    path: np.ndarray   # (m, 6, n, n//2+1) half spectrum, `PLANES` order
+    path: np.ndarray   # (m, 6, n, n//3+1) kept columns, `PLANES` order
 
     def state(self, j: int) -> SimState:
         return SimState(float(self.times[j]), self.grid, irfft2(self.path[j], self.grid.n))
@@ -116,22 +120,24 @@ def _step(cfg: PicardConfig) -> float:
 
 
 def _heat(grid: SpectralGrid, params: PhysParams, op: int, t) -> np.ndarray:
-    """The heat factor of linear operator `op` over a time `t`."""
+    """The heat factor of linear operator `op` over a time `t`, at the kept
+    width."""
     diffusivity, damping = linear_operators(params)[op]
-    return decay(grid, diffusivity, damping, t)
+    return decay(grid, diffusivity, damping, t, columns=grid.kept_columns)
 
 
 def _gradient(grid: SpectralGrid) -> np.ndarray:
-    """(ikx, iky) stacked, shape (2, n, n//2+1)."""
-    return np.stack([grid.ikx, grid.iky])
+    """(ikx, iky) stacked at the kept width, shape (2, n, n//3+1)."""
+    kc = grid.kept_columns
+    return np.stack([grid.ikx[:, :kc], grid.iky[:, :kc]])
 
 
 def _stack(grid: SpectralGrid, m: int) -> np.ndarray:
-    """The complex scratch stack (m, 9, n, n//2+1).  The velocity stack is
+    """The complex scratch stack (m, 9, n, n//3+1).  The velocity stack is
     its leading (m, 6, ...) block and the stress stack all of it; each is
     dead once its transform has read it, and the stress integrand then
     takes its leading real planes."""
-    return _SCRATCH.take("stack", (m, 9, grid.n, grid.n // 2 + 1))
+    return _SCRATCH.take("stack", (m, 9, grid.n, grid.kept_columns))
 
 
 def _velocity_planes(u_path: np.ndarray, v_path: np.ndarray,
@@ -153,14 +159,16 @@ def _advection(planes: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """Dealiased -(u.grad v) from velocity planes, before projection."""
     u1, u2, d1v1, d2v1, d1v2, d2v2 = np.moveaxis(planes, 1, 0)
     g = np.stack([u1 * d1v1 + u2 * d2v1, u1 * d1v2 + u2 * d2v2], axis=1)
-    return -rfft2(g) * grid.mask
+    gh = dealias(grid, g)
+    return np.negative(gh, out=gh)
 
 
 def _stress_divergence(abc_path: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """div sigma in (a, b, c) coordinates, before projection."""
     ah, bh, ch = abc_path[:, 0], abc_path[:, 1], abc_path[:, 2]
-    f1 = grid.ikx * (0.5 * ch + ah) + grid.iky * bh
-    f2 = grid.ikx * bh + grid.iky * (0.5 * ch - ah)
+    ikx, iky = grid.at(grid.ikx, abc_path), grid.at(grid.iky, abc_path)
+    f1 = ikx * (0.5 * ch + ah) + iky * bh
+    f2 = ikx * bh + iky * (0.5 * ch - ah)
     return np.stack([f1, f2], axis=1)
 
 
@@ -210,9 +218,7 @@ def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
 
     out = np.stack([0.5 * (i11 - i22), i12, i11 + i22], axis=1,
                    out=_leading(spec, (m, 3, n, n), float))
-    gh = rfft2(out)
-    gh *= grid.mask
-    return gh
+    return dealias(grid, out)
 
 
 def op_q2(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
@@ -241,16 +247,16 @@ def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
     holds them; only the first two (u1, u2) are read."""
     times = cfg.times()
     m = len(times)
-    mask = grid.mask
     grad = _gradient(grid)
     out = np.empty((m,) + rho0.shape, dtype=complex)
-    out[0] = rho0 * mask
+    out[0] = rho0 * grid.at(grid.mask, rho0)
     u_r = planes[:, :2] if planes is not None else irfft2(u_path, grid.n)
     h = grid.spacing
 
     def rhs(rho_h, u):
         dr = irfft2(grad * rho_h, grid.n)
-        return -rfft2(u[0] * dr[0] + u[1] * dr[1]) * mask
+        gh = dealias(grid, u[0] * dr[0] + u[1] * dr[1])
+        return np.negative(gh, out=gh)
 
     # Budget the whole path up front so an exploding velocity fails fast
     # instead of grinding through millions of sub-steps.
@@ -286,9 +292,9 @@ def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
 def _sobolev_sq(grid: SpectralGrid, coeffs: np.ndarray, order: int,
                 weights: np.ndarray | None = None) -> np.ndarray:
     """Bessel-type Sobolev proxy (1 + |k|^2)^order per node, a Parseval sum
-    over the half spectrum with the Hermitian weights; `weights` mixes
-    components (Frobenius weights for the stress)."""
-    bess = grid.weights * (1.0 + grid.k_sq) ** order
+    over the half spectrum, of either width, with the Hermitian weights;
+    `weights` mixes components (Frobenius weights for the stress)."""
+    bess = grid.at(grid.weights, coeffs) * (1.0 + grid.at(grid.k_sq, coeffs)) ** order
     mag = np.abs(coeffs) ** 2
     if weights is not None:
         mag = np.tensordot(weights, mag, axes=([0], [1]))
@@ -332,9 +338,9 @@ def composite_norm(grid, path, times) -> float:
 # --- the iteration ----------------------------------------------------------
 
 def _initial_coeffs(state: SimState) -> np.ndarray:
-    """Dealiased half-spectrum coefficients (6, n, n//2+1) of the data, u0
-    projected; one `rfft2` over the state's planes."""
-    coeffs = rfft2(state.planes) * state.grid.mask
+    """Dealiased coefficients (6, n, n//3+1) of the data at the kept width,
+    u0 projected; one `rfft2` over the state's planes."""
+    coeffs = dealias(state.grid, state.planes)
     project(state.grid, coeffs)
     return coeffs
 

@@ -1,37 +1,52 @@
 """Spectral operators on the periodic square.
 
-Fields live on an N x N uniform grid over [0, L)^2.  The one spectral
-representation is the `rfft2` half spectrum, (N, N//2+1) coefficients per
-real field; norms summed over it count every column whose conjugate partner
-it omits twice (`SpectralGrid.weights`).  Transforms use the
+Fields live on an N x N uniform grid over [0, L)^2.  Spectra come in two
+widths of one layout, the `rfft2` half spectrum:
+
+- raw data (a state's planes, a snapshot read from disk, a field that is
+  not band-limited) is transformed at the full width, (N, N//2+1)
+  coefficients per real field;
+- a dealiased spectrum (the stepper's packed state, its explicit terms and
+  stages, the Picard path and its integrands) holds only the columns the
+  2/3 rule keeps, (N, N//3+1): the columns beyond are zero by
+  construction, so they are never stored.
+
+The grid tables are full width, and an operation reads them at its
+operand's width w as `table[:, :w]` (`SpectralGrid.at`); so norms summed
+over either width count every column whose conjugate partner the half
+spectrum omits twice (`SpectralGrid.weights`).  Transforms use the
 mean-preserving normalization: the forward FFT divides by N^2, so the (0, 0)
 coefficient of a field equals its spatial mean.  `rfft2` and `irfft2` are
 two `numpy.fft` passes over the last two axes, batched over any leading
-axes: the forward pass transforms the last axis and then axis -2 in place;
-the inverse undoes them in reverse order.  `irfft2(..., overwrite_x=True)`
-lets its first pass write into the input, for callers that drop a scratch
-stack right after its transform: it saves a complex temporary the size of
-that stack.  `irfft2(..., out=)` writes the real result into a buffer the
-caller holds.  `_Scratch` holds such buffers across calls, so that a warm
-caller reuses its transform stacks instead of allocating, and faulting in,
-fresh ones on every evaluation.
+axes: the forward pass transforms the last axis and then axis -2; the
+inverse undoes them in reverse order.  `rfft2(..., columns=w)` keeps the
+first w columns before its axis -2 pass, which then transforms only those,
+and `dealias` gives the kept-width, masked spectrum of real planes.
+`irfft2` reads a spectrum of either width: `numpy.fft.irfft` pads the
+missing columns with zeros.  Both are bit-identical, on the columns kept,
+to the full-width transforms, since every 1-D transform sees the same
+operands.  `irfft2(..., overwrite_x=True)` lets its first pass write into
+the input, for callers that drop a scratch stack right after its
+transform: it saves a complex temporary the size of that stack.
+`irfft2(..., out=)` writes the real result into a buffer the caller holds.
+`_Scratch` holds such buffers across calls, so that a warm caller reuses
+its transform stacks instead of allocating, and faulting in, fresh ones on
+every evaluation.
 
 `dealiased_products` is the pseudo-spectral product pass in bounded memory.
-It reads a stack of dealiased factors as their kept columns only (the 2/3
-rule zeroes every half-spectrum column from n//3 + 1 on) and transforms only
-those columns along x.  It visits real space one block of x-rows at a time:
-the y-passes, the caller's pointwise products and the copy of any real
-planes the caller keeps run per block in small held buffers.  Every 1-D
-transform sees the same operands as `irfft2`/`rfft2` of the full stack, so
-the result is bit-identical to that full-width pass.
+It reads a stack of dealiased factors at the kept width and visits real
+space one block of x-rows at a time: the y-passes, the caller's pointwise
+products and the copy of any real planes the caller keeps run per block in
+small held buffers, and each block's products are transformed into a held
+buffer from which only the kept columns are copied out.
 
 Dealiasing follows the 2/3 rule: a mode with integer wavenumbers (k1, k2)
 survives iff 3 * max(|k1|, |k2|) <= N, which keeps quadratic products of
 surviving modes alias-free on the grid.
 
 The per-mode Leray projection (`project`) and heat factor (`decay`) act on
-coefficient arrays of any batch shape; the stepper, the Picard map and
-`check` share them.
+coefficient arrays of any batch shape and either width; the stepper, the
+Picard map and `check` share them.
 """
 
 from __future__ import annotations
@@ -42,17 +57,45 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def rfft2(values: np.ndarray) -> np.ndarray:
+# Bytes of full-width `rfft` rows that `rfft2(..., columns=)` holds at once.
+_ROW_BYTES = 256 << 10
+
+
+def rfft2(values: np.ndarray, columns: int | None = None) -> np.ndarray:
     """Forward real FFT over the last two axes (batches over leading axes):
-    `rfft` along the last axis, then `fft` along axis -2 in place."""
-    coeffs = np.fft.rfft(values, axis=-1, norm="forward")
+    `rfft` along the last axis, then `fft` along axis -2 in place.
+
+    With `columns`, the result holds only the first `columns` coefficients
+    of each row, bit for bit `rfft2(values)[..., :columns]`: the `rfft`
+    runs on blocks of rows of at most `_ROW_BYTES`, each block's kept
+    columns are copied into the result, and the `fft` transforms only
+    those."""
+    if columns is None:
+        coeffs = np.fft.rfft(values, axis=-1, norm="forward")
+        return np.fft.fft(coeffs, axis=-2, norm="forward", out=coeffs)
+    n = values.shape[-2]
+    coeffs = np.empty(values.shape[:-1] + (columns,), complex)
+    row_bytes = math.prod(values.shape[:-2]) * (values.shape[-1] // 2 + 1) * 16
+    rows = max(1, _ROW_BYTES // row_bytes)
+    for start in range(0, n, rows):
+        block = np.fft.rfft(values[..., start:start + rows, :], axis=-1, norm="forward")
+        coeffs[..., start:start + rows, :] = block[..., :columns]
     return np.fft.fft(coeffs, axis=-2, norm="forward", out=coeffs)
+
+
+def dealias(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """The dealiased spectrum of real planes `values` (..., n, n) at the
+    kept width: `rfft2` on the kept columns, times the mask."""
+    coeffs = rfft2(values, grid.kept_columns)
+    coeffs *= grid.at(grid.mask, coeffs)
+    return coeffs
 
 
 def irfft2(coeffs: np.ndarray, n: int, *, overwrite_x: bool = False,
            out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of `rfft2` onto an n x n real grid: `ifft` along axis -2,
-    then `irfft` along the last axis.  With `overwrite_x` the `ifft` pass
+    then `irfft` along the last axis, which reads a spectrum narrower than
+    n//2+1 columns as zero beyond them.  With `overwrite_x` the `ifft` pass
     writes into `coeffs`, which the caller must not read afterwards.  With
     `out`, a float array of the result's shape, the `irfft` pass writes the
     result there and returns `out`."""
@@ -87,28 +130,34 @@ class _Scratch:
 
 
 # Bytes of real derivative planes that one row block of `dealiased_products`
-# holds; a grid whose whole stack fits in it is one block.
-_BLOCK_BYTES = 2 << 20
+# holds; a grid whose whole stack fits in it is one block (up to n=64 for
+# the stepper's 18 planes).  At n=256 the ten 1 MiB blocks hold 1.3 MiB
+# with the product block, where five 2 MiB blocks held 2.6 MiB, and
+# run-large's peak RSS is 1.3 MiB lower, with no slower solve.
+_BLOCK_BYTES = 1 << 20
 
 
 def dealiased_products(grid: SpectralGrid, stack: np.ndarray, depth: int, products,
                        count: int, scratch: _Scratch, keep=None):
-    """The dealiased half spectrum of `count` pointwise products of the real
-    fields whose coefficients fill `stack`.
+    """The dealiased spectrum, at the kept width, of `count` pointwise
+    products of the real fields whose coefficients fill `stack`.
 
     `stack` is a complex (planes, n, kc) buffer with kc = `grid.kept_columns`:
-    the kept columns of dealiased `rfft2` coefficients.  Its first `depth`
-    planes are transformed, and the x-pass overwrites them.  Real space is
-    visited in blocks of x-rows, as many as `_BLOCK_BYTES` holds for all of
-    the buffer's planes (so calls of different depths share one block
-    buffer): `products(real, out)` reads a block's real planes
-    (depth, rows, n) and writes its products into `out` (count, rows, n).
-    Both blocks are `scratch` buffers.
+    dealiased coefficients at the kept width.  Its first `depth` planes are
+    transformed, and the x-pass overwrites them.  Real space is visited in
+    blocks of x-rows, as many as `_BLOCK_BYTES` holds for all of the
+    buffer's planes (so calls of different depths share one block buffer):
+    `products(real, out)` reads a block's real planes (depth, rows, n) and
+    writes its products into `out` (count, rows, n).  Both blocks are
+    `scratch` buffers.  Once a block's products are formed its real planes
+    are dead, so their `rfft` is written into the real block's memory, and
+    only the kept columns are copied out; this needs planes * n >=
+    count * (n + 2).
 
-    Returns a fresh, masked (count, n, n//2+1) array, bit-identical to
-    `rfft2` of the full-width products times the mask, and, with `keep` (a
-    list of plane indices), a fresh (len(keep), n, n) array of those real
-    planes, bit-identical to their `irfft2`; else None."""
+    Returns a fresh, masked (count, n, kc) array, bit-identical to the kept
+    columns of `rfft2` of the full-width products times the mask, and, with
+    `keep` (a list of plane indices), a fresh (len(keep), n, n) array of
+    those real planes, bit-identical to their `irfft2`; else None."""
     n = grid.n
     kc = stack.shape[-1]
     rows = max(1, min(n, _BLOCK_BYTES // (len(stack) * n * 8)))
@@ -124,14 +173,16 @@ def dealiased_products(grid: SpectralGrid, stack: np.ndarray, depth: int, produc
                             out=_leading(real_buf, (depth, stop - start, n)))
         prods = products(real, _leading(prod_buf, (count, stop - start, n)))
         if out is None:  # after the first block's product temporaries are freed
-            out = np.empty((count, n, n // 2 + 1), complex)
+            out = np.empty((count, n, kc), complex)
             reals = None if keep is None else np.empty((len(keep), n, n))
         if reals is not None:
             for i, plane in enumerate(keep):
                 reals[i, start:stop] = real[plane]
-        np.fft.rfft(prods, axis=-1, norm="forward", out=out[:, start:stop])
-    np.fft.fft(out[..., :kc], axis=-2, norm="forward", out=out[..., :kc])
-    out *= grid.mask
+        half = np.fft.rfft(prods, axis=-1, norm="forward",
+                           out=_leading(real_buf, (count, stop - start, n // 2 + 1), complex))
+        out[:, start:stop] = half[..., :kc]
+    np.fft.fft(out, axis=-2, norm="forward", out=out)
+    out *= grid.at(grid.mask, out)
     return out, reals
 
 
@@ -151,7 +202,8 @@ class SpectralGrid:
     Index convention: array element [i, j] sits at (x_i, y_j), so the first
     array axis is the x-direction (derivative index 1) and the second is y
     (index 2).  Every table is a contiguous (n, n//2+1) array over the
-    `rfft2` half spectrum: row i holds the x wavenumber in `fftfreq` order,
+    full-width `rfft2` half spectrum, read at a narrower operand's width
+    through `at`: row i holds the x wavenumber in `fftfreq` order,
     column j the y wavenumber j >= 0.  `kx`, `ky` are the physical
     derivative wavenumbers 2*pi/L * integer with the Nyquist frequency
     zeroed, so that derivatives of real fields stay real; `ikx`, `iky` are
@@ -173,6 +225,12 @@ class SpectralGrid:
     @property
     def spacing(self) -> float:
         return self.length / self.n
+
+    def at(self, table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """`table`, one of this grid's tables, read at the width of the
+        spectrum `coeffs`: its first coeffs.shape[-1] columns.  The one rule
+        by which a full-width table meets a kept-width operand."""
+        return table[:, :coeffs.shape[-1]]
 
     @property
     def kept_columns(self) -> int:
@@ -241,26 +299,31 @@ def project(grid: SpectralGrid, vh: np.ndarray) -> None:
     Uses the derivative wavenumbers (Nyquist zeroed), so the divergence
     ikx * v1 + iky * v2 of the result vanishes and the projection of a real
     field stays real.  The one projection: the stepper and the Picard map
-    call it."""
+    call it, at the kept width; it reads the tables at `vh`'s width."""
     v1, v2 = vh[..., 0, :, :], vh[..., 1, :, :]
-    kd = (grid.kx * v1 + grid.ky * v2) * grid.inv_k_sq_d
-    v1 -= grid.kx * kd
-    v2 -= grid.ky * kd
+    kx, ky = grid.at(grid.kx, vh), grid.at(grid.ky, vh)
+    kd = (kx * v1 + ky * v2) * grid.at(grid.inv_k_sq_d, vh)
+    v1 -= kx * kd
+    v2 -= ky * kd
 
 
-def decay(grid: SpectralGrid, diffusivity: float, damping: float, t) -> np.ndarray:
+def decay(grid: SpectralGrid, diffusivity: float, damping: float, t,
+          columns: int | None = None) -> np.ndarray:
     """The per-mode heat factor exp(-(diffusivity*|k|^2 + damping) * t); a
-    time array `t` of shape (m, 1, 1) gives one factor per time.  The one
-    heat exponential: the Picard map calls it.  A negative or non-finite
-    argument raises, as a nan would pass a sign test alone."""
+    time array `t` of shape (m, 1, 1) gives one factor per time.  With
+    `columns`, only the first `columns` half-spectrum columns.  The one
+    heat exponential: the Picard map calls it at the kept width.  A
+    negative or non-finite argument raises, as a nan would pass a sign test
+    alone."""
     if not np.all((0.0 <= t) & (t < math.inf)):
         raise ValueError("t must be nonnegative and finite")
     if not (0.0 <= diffusivity < math.inf and 0.0 <= damping < math.inf):
         raise ValueError("diffusivity and damping must be nonnegative and finite")
-    return np.exp(-(diffusivity * grid.k_sq + damping) * t)
+    return np.exp(-(diffusivity * grid.k_sq[:, :columns] + damping) * t)
 
 
 def l2_scale(grid: SpectralGrid, coeffs: np.ndarray) -> float:
     """sqrt of the sum of |f_k|^2 over the full spectrum, from half-spectrum
-    coefficients (the root mean square of the field, by Parseval)."""
-    return float(np.sqrt(np.sum(grid.weights * np.abs(coeffs) ** 2)))
+    coefficients of either width (the root mean square of the field, by
+    Parseval)."""
+    return float(np.sqrt(np.sum(grid.at(grid.weights, coeffs) * np.abs(coeffs) ** 2)))

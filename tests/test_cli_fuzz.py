@@ -70,16 +70,33 @@ def timeseries(work):
     return cfg, (out / "timeseries.csv").read_bytes()
 
 
+def preset_run(work, preset, values):
+    """`run` at n=16 to t_end=0.001 with the preset values `values`.  With
+    dt_min=1e-6 a run takes at most 1000 steps: a draw whose CFL step is
+    smaller ends in `dt_underflow` (exit 1) instead of stepping for
+    minutes."""
+    cfg = work / "run.cfg"
+    cfg.write_text(f"n=16\npreset={preset}\nt_end=0.001\ndt_min=1e-6\n"
+                   + "".join(f"{key}={value!r}\n" for key, value in values.items()))
+    return call(["run", "--config", str(cfg), "--out-dir", str(work / "out")])
+
+
 @FUZZ
 @given(preset=st.sampled_from(PRESETS),
        values=st.fixed_dictionaries({
            key: st.floats(min_value=0.0, max_value=1e308)
            for key in ("amplitude", "rho0", "stress_amplitude")}))
 def test_run_with_extreme_preset_values(work, preset, values):
-    cfg = work / "run.cfg"
-    cfg.write_text(f"n=16\npreset={preset}\nt_end=0.001\n"
-                   + "".join(f"{key}={value!r}\n" for key, value in values.items()))
-    assert_contract(*call(["run", "--config", str(cfg), "--out-dir", str(work / "out")]))
+    assert_contract(*preset_run(work, preset, values))
+
+
+def test_run_with_a_cfl_limited_preset_value(work):
+    """`taylor_green` at amplitude 1e8 has a CFL step of about 2e-9 s: with
+    the default dt_min its 0.001 s took 5.1e5 steps and about 9 minutes;
+    under the fuzzer's dt_min it exits 1 at once."""
+    code, err, caught = preset_run(work, "taylor_green", {"amplitude": 1e8})
+    assert_contract(code, err, caught)
+    assert code == 1 and "[dt_underflow]" in err, err
 
 
 @pytest.mark.parametrize("preset", ["taylor_green", "random_admissible"])

@@ -253,6 +253,20 @@ class TestBoundCheck:
             assert row.observed == observed
             assert row.passed == (observed <= bound * (1.0 + 1e-6)), bound
 
+    def test_excess_beyond_rel_tol_fails(self):
+        """The exact decaying Taylor-Green flow at nu=0.1 with a record every
+        step passes the gate (its trapezoid excess is +4.4e-7 of R0); the
+        same series with u_L2 scaled by 1 + 2e-6, a 4e-6 energy excess
+        beyond `rel_tol` = 1e-6, fails."""
+        cfg = parse_config("n=32\npreset=taylor_green\nnu=0.1\nt_end=1\n")
+        initial = build_initial(cfg, make_grid(32, cfg.length))
+        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        led = apriori_ledger(initial, cfg.params, cfg.control.t_end)
+        cols = series(traj.records)
+        assert bound_check(cols, led, cfg.params)[0].passed
+        cols["u_L2"] = cols["u_L2"] * (1.0 + 2e-6)
+        assert not bound_check(cols, led, cfg.params)[0].passed
+
     @pytest.mark.parametrize("amplitude,length", [
         (1e-160, 2.0 * np.pi), (3e-158, 3.0), (1e-158, 30.0), (1e-170, 2.0 * np.pi)])
     def test_subnormal_budget_passes(self, amplitude, length):

@@ -132,9 +132,41 @@ class TestStep:
             step(state, dt, PARAMS)
 
 
+def full_width(grid, sh):
+    """A kept-width spectrum (..., n, n//3+1) padded with zeros to the full
+    half spectrum (..., n, n//2+1)."""
+    out = np.zeros(sh.shape[:-1] + (grid.n // 2 + 1,), complex)
+    out[..., :sh.shape[-1]] = sh
+    return out
+
+
+def assert_kept_columns(grid, got, want):
+    """`got` is the kept width, bit for bit the kept columns of the
+    full-width `want`, which is exactly zero beyond them."""
+    kc = grid.kept_columns
+    assert got.shape == want.shape[:-1] + (kc,)
+    assert np.array_equal(got, want[..., :kc])
+    assert np.all(want[..., kc:] == 0.0)
+
+
+def reference_explicit(grid, params, sh):
+    """`explicit_terms` written full width: `reference_terms` and the Leray
+    projection written out."""
+    nh = reference_terms(grid, params, sh, planes=False)
+    project_full(grid, nh)
+    return nh
+
+
+def project_full(grid, vh):
+    kd = (grid.kx * vh[0] + grid.ky * vh[1]) * grid.inv_k_sq_d
+    vh[0] -= grid.kx * kd
+    vh[1] -= grid.ky * kd
+
+
 def reference_advance(grid, params, sh, dt):
-    """SSP-RK3 written out with fresh six-plane factors and one temporary per
-    operation, in the association order `_advance` must reproduce."""
+    """SSP-RK3 written full width, on (6, n, n//2+1) spectra, with fresh
+    six-plane factors and one temporary per operation, in the association
+    order `_advance` must reproduce."""
     ksq, mask = grid.k_sq, grid.mask
     lin = np.stack([-params.nu * ksq] * 2
                    + [-(params.kappa * ksq + 2.0 * params.k)] * 3
@@ -142,16 +174,14 @@ def reference_advance(grid, params, sh, dt):
     lin = np.where(mask, lin, 0.0)
     e_full, e_mid, e_back = (np.exp(lin * tau) * mask for tau in (dt, 0.5 * dt, -0.5 * dt))
 
-    n0 = explicit_terms(grid, params, sh)
+    n0 = reference_explicit(grid, params, sh)
     s1 = e_full * (sh + dt * n0)
-    n1 = explicit_terms(grid, params, s1)
+    n1 = reference_explicit(grid, params, s1)
     s2 = 0.75 * e_mid * sh + 0.25 * e_back * (s1 + dt * n1)
-    n2 = explicit_terms(grid, params, s2)
+    n2 = reference_explicit(grid, params, s2)
     out = (e_full * sh + 2.0 * e_mid * (s2 + dt * n2)) / 3.0
 
-    kd = (grid.kx * out[0] + grid.ky * out[1]) * grid.inv_k_sq_d
-    out[0] -= grid.kx * kd
-    out[1] -= grid.ky * kd
+    project_full(grid, out)
     return out
 
 
@@ -184,8 +214,18 @@ class TestAdvance:
         for dt in (2e-3, 3.7e-3):  # a memo hit, then a miss
             got = integrate._advance(grid, params, sh, dt,
                                      explicit_terms(grid, params, sh))
-            assert np.array_equal(got, reference_advance(grid, params, sh, dt))
+            assert_kept_columns(grid, got,
+                                reference_advance(grid, params, full_width(grid, sh), dt))
             sh = got
+
+    def test_spectra_hold_the_kept_columns(self):
+        """The packed state, its explicit terms and a step are all
+        (6, n, n//3+1): the columns the 2/3 rule zeroes are not stored."""
+        grid, params, sh = self._state(32)
+        shape = (6, 32, 32 // 3 + 1)
+        nh = explicit_terms(grid, params, sh)
+        assert sh.shape == nh.shape == shape
+        assert integrate._advance(grid, params, sh, 2e-3, nh).shape == shape
 
     def test_one_factor_entry_and_no_grid_builds(self, monkeypatch):
         cfg = parse_config("n=32\npreset=random_admissible\nseed=4\namplitude=2.0\n"
@@ -217,10 +257,13 @@ class TestAdvance:
         assert sum(f.nbytes for f in entry) <= 4 * 3 * 32 * (32 // 3 + 1) * 8
 
     def test_transient_memory_of_one_step(self):
-        """Peak traced allocation of one step at n=128, in packed-state units
-        (6 half-spectrum planes).  Stages built in place and the single
-        derivative buffer keep it near 7 units; one fresh temporary per
-        operation reached 13."""
+        """Peak traced allocation of one step at n=128, in packed units: one
+        full-width (6, n, n//2+1) complex state, fixed whatever width the
+        stepper stores.  Stages built in place at the kept width and the
+        single derivative buffer keep it at 1.83 units (2.50 when the
+        stages were full width); one fresh full-width temporary per
+        operation reached 13.  The bound sits a quarter of a kept-width
+        state above."""
         grid, params, sh = self._state(128)
         integrate._advance(grid, params, sh, 1e-3, explicit_terms(grid, params, sh))
         tracemalloc.start()
@@ -230,26 +273,32 @@ class TestAdvance:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        unit = 6 * 128 * (128 // 2 + 1) * 16
         assert out.shape == sh.shape
-        assert peak <= 10.0 * sh.nbytes, peak / sh.nbytes
+        assert peak <= 2.0 * unit, peak / unit
 
 
 def reference_run(initial, params, ctl):
-    """`run` without its monitors, written in the order of a design that
-    transforms each state separately for each use: `irfft2` for the real
-    planes, `unpack_state` for every state it hands out, and
-    `explicit_terms` for every stage (`reference_advance`)."""
+    """`run` without its monitors, written full width in the order of a
+    design that transforms each state separately for each use: `irfft2`
+    for the real planes, `unpack_state` for every state it hands out, and
+    full-width explicit terms for every stage (`reference_advance`).  A
+    record reads the kept columns of the state, after checking that it is
+    zero beyond them."""
     grid = initial.grid
-    sh = pack_state(initial)
+    kc = grid.kept_columns
+    sh = rfft2(initial.planes) * grid.mask
     t = float(initial.time)
     eps_end = 1e-12 * max(1.0, abs(ctl.t_end))
     records, snapshots = [], []
     pending = sorted(ctl.snapshot_times)
 
     def record(reals):
+        assert np.all(sh[..., kc:] == 0.0)
+        kept = sh[..., :kc].copy()
         records.append(diagnostics.make_record(
-            grid, t, sh, reals, diagnostics._positivity(reals, 0.0),
-            diagnostics.packed_energy(grid, params, sh, reals)))
+            grid, t, kept, reals, diagnostics._positivity(reals, 0.0),
+            diagnostics.packed_energy(grid, params, kept, reals)))
 
     reals = irfft2(sh, grid.n)
     record(reals)
@@ -370,18 +419,19 @@ class TestOneEvaluationPerState:
 
     def test_peak_memory_of_one_run(self):
         """Peak traced allocation of one warm CFL-limited run at n=128, in
-        packed-state units (6 half-spectrum planes; six real planes are
-        about one unit too).  The warm-up run leaves `_terms`' scratch
-        allocated (the kept-column stack and the two row blocks), so the
-        measured run allocates none: it peaks at 4.17 units, inside a step
-        whose factor memo is recomputed beside the entry it replaces.  Each
-        memo entry holds one plane per operator on the kept columns, 0.7
-        units; six full-width planes per factor held 2 units, and the run
-        peaked at 6.51.  The bound sits less than one unit above, so keeping
-        one more state-sized array alive through a step fails."""
+        packed units: one full-width (6, n, n//2+1) complex state (six real
+        planes are about one unit too), fixed whatever width the stepper
+        stores; a packed state at the kept width is 0.67 units.  The warm-up
+        run leaves `_terms`' scratch allocated (the kept-column stack and
+        the two row blocks), so the measured run allocates none.  With
+        every dealiased spectrum at the kept width it peaks at 3.48 units;
+        with full-width spectra it peaked at 4.17, and with six full-width
+        factor planes per memo entry at 6.51.  The bound sits a third of a
+        kept-width state above, so keeping one more such array alive
+        through a step fails."""
         cfg, initial = self._setup("n=128\npreset=random_admissible\nseed=3\n"
                                    "amplitude=2.0\nt_end=0.03\noutput_every=1000000\n")
-        unit = pack_state(initial).nbytes
+        unit = 6 * 128 * (128 // 2 + 1) * 16
         run(initial, cfg.params, cfg.control, cfg.monitors)
         n = cfg.n
         rows = min(n, spectral._BLOCK_BYTES // (18 * n * 8))
@@ -395,13 +445,13 @@ class TestOneEvaluationPerState:
         finally:
             tracemalloc.stop()
         assert traj.final_state.time == pytest.approx(0.03)
-        assert peak <= 5.0 * unit, peak / unit
+        assert peak <= 3.7 * unit, peak / unit
 
 
 def reference_terms(grid, params, sh, planes):
-    """`_terms` written full width: the whole (depth, n, n//2+1) derivative
-    stack through `irfft2`, the products on the whole grid, `rfft2` and the
-    mask."""
+    """`_terms` written full width, from full-width coefficients `sh`: the
+    whole (depth, n, n//2+1) derivative stack through `irfft2`, the
+    products on the whole grid, `rfft2` and the mask."""
     n = grid.n
     depth = 18 if planes else 17
     stack = np.concatenate([sh[0:2], grid.ikx * sh, grid.iky * sh, sh[2:depth - 12]])
@@ -416,9 +466,10 @@ def reference_terms(grid, params, sh, planes):
 
 class TestTransformScratch:
     """`_terms` holds one complex derivative stack of the kept columns and
-    two row blocks across calls, and its product pass is bit-identical to
-    the full-width transforms; nothing it returns aliases the scratch, and
-    a change of grid replaces the buffers without changing any result."""
+    two row blocks across calls, and its product pass is bit-identical, on
+    the kept columns, to the full-width transforms, which are zero beyond
+    them; nothing it returns aliases the scratch, and a change of grid
+    replaces the buffers without changing any result."""
 
     @staticmethod
     def _packed(n, seed):
@@ -429,13 +480,14 @@ class TestTransformScratch:
 
     @staticmethod
     def _assert_matches_reference(grid, sh):
+        full = full_width(grid, sh)
         nh, reals = _terms(grid, PARAMS, sh, planes=True)
-        want_nh, want_reals = reference_terms(grid, PARAMS, sh, planes=True)
-        assert np.array_equal(nh, want_nh)
+        want_nh, want_reals = reference_terms(grid, PARAMS, full, planes=True)
+        assert_kept_columns(grid, nh, want_nh)
         assert np.array_equal(reals, want_reals)
-        assert np.array_equal(reals, irfft2(sh, grid.n))
-        assert np.array_equal(_terms(grid, PARAMS, sh),
-                              reference_terms(grid, PARAMS, sh, planes=False))
+        assert np.array_equal(reals, irfft2(full, grid.n))
+        assert_kept_columns(grid, _terms(grid, PARAMS, sh),
+                            reference_terms(grid, PARAMS, full, planes=False))
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_bit_identical_to_full_width(self, n):

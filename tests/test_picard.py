@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,14 +27,15 @@ from oldb2d.picard import (
     op_q2,
     semigroup_paths,
 )
-from oldb2d.spectral import _Scratch, rfft2
-from oldb2d.config import band_limited_random
+from oldb2d.spectral import _Scratch, dealias, rfft2
+from oldb2d.config import band_limited_random, build_initial, parse_config
 
 from conftest import state_of
 from oracles import relaxation_exact
 
 TWO_PI = 2.0 * np.pi
 PARAMS = PhysParams(nu=0.01, kappa=0.01, k=1.0, bigK=1.0)
+KC = 16 // 3 + 1  # the kept width of a path at n=16
 
 
 def uniform_state(grid, c0, rho0):
@@ -40,8 +43,8 @@ def uniform_state(grid, c0, rho0):
 
 
 def masked_noise(grid, rng, shape):
-    raw = rng.standard_normal(shape)
-    return rfft2(raw) * grid.mask
+    """The dealiased spectrum, at the kept width, of real noise of `shape`."""
+    return dealias(grid, rng.standard_normal(shape))
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +55,7 @@ def grid16():
 class TestQ1:
     def test_zero_arguments(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
-        zero = np.zeros((9, 2, 16, 9), dtype=complex)
+        zero = np.zeros((9, 2, 16, KC), dtype=complex)
         rng = np.random.default_rng(0)
         u = masked_noise(grid16, rng, (9, 2, 16, 16))
         assert np.max(np.abs(op_q1(zero, u, grid16, PARAMS, cfg))) == 0.0
@@ -62,8 +65,8 @@ class TestQ1:
         # u = (sin y, 0): u.grad(u) = 0, so Q1(u, u) vanishes.
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
         _, y = grid16.nodes()
-        uh = rfft2(np.stack([np.sin(y), np.zeros_like(y)]))
-        path = np.broadcast_to(uh, (9, 2, 16, 9)).copy()
+        uh = dealias(grid16, np.stack([np.sin(y), np.zeros_like(y)]))
+        path = np.broadcast_to(uh, (9, 2, 16, KC)).copy()
         assert np.max(np.abs(op_q1(path, path, grid16, PARAMS, cfg))) <= 1e-15
 
     def test_bilinearity(self, grid16):
@@ -86,13 +89,13 @@ class TestL1:
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
         rng = np.random.default_rng(2)
         rho = masked_noise(grid16, rng, (9, 16, 16))
-        abc = np.zeros((9, 3, 16, 9), dtype=complex)
+        abc = np.zeros((9, 3, 16, KC), dtype=complex)
         abc[:, 2] = 2.0 * rho  # sigma = rho * I
         assert np.max(np.abs(op_l1(abc, grid16, PARAMS, cfg))) <= 1e-14
 
     def test_zero(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
-        zero = np.zeros((9, 3, 16, 9), dtype=complex)
+        zero = np.zeros((9, 3, 16, KC), dtype=complex)
         assert np.max(np.abs(op_l1(zero, grid16, PARAMS, cfg))) == 0.0
 
     def test_single_mode_closed_form(self, grid16):
@@ -102,19 +105,21 @@ class TestL1:
         cfg = PicardConfig(t0=t0, n_time_nodes=1025)
         x, y = grid16.nodes()
         b = np.cos(2 * x + y)
-        abc = np.zeros((cfg.n_time_nodes, 3, 16, 9), dtype=complex)
-        abc[:, 1] = rfft2(b)
+        abc = np.zeros((cfg.n_time_nodes, 3, 16, KC), dtype=complex)
+        abc[:, 1] = dealias(grid16, b)
 
         got = op_l1(abc, grid16, PARAMS, cfg)[-1]
 
-        f1 = grid16.ikx * 0.0 + grid16.iky * abc[0, 1]
-        f2 = grid16.ikx * abc[0, 1]
-        kd = (grid16.kx * f1 + grid16.ky * f2) * grid16.inv_k_sq_d
-        p1, p2 = f1 - grid16.kx * kd, f2 - grid16.ky * kd
+        kx, ky, ikx, iky, k_sq = (grid16.at(table, got) for table in (
+            grid16.kx, grid16.ky, grid16.ikx, grid16.iky, grid16.k_sq))
+        f1 = ikx * 0.0 + iky * abc[0, 1]
+        f2 = ikx * abc[0, 1]
+        kd = (kx * f1 + ky * f2) * grid16.at(grid16.inv_k_sq_d, got)
+        p1, p2 = f1 - kx * kd, f2 - ky * kd
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.where(
-                grid16.k_sq > 0,
-                (1.0 - np.exp(-PARAMS.nu * grid16.k_sq * t0)) / (PARAMS.nu * grid16.k_sq),
+                k_sq > 0,
+                (1.0 - np.exp(-PARAMS.nu * k_sq * t0)) / (PARAMS.nu * k_sq),
                 t0,
             )
         expected = PARAMS.bigK * factor * np.stack([p1, p2])
@@ -140,12 +145,12 @@ class TestQ2:
         from oldb2d.picard import q2_integrand
 
         state = band_limited_admissible_state(grid16, seed=4, kmax=3)
-        u0h = rfft2(state.planes[0:2])
-        abc0h = rfft2(state.planes[2:5])
+        u0h = dealias(grid16, state.planes[0:2])
+        abc0h = dealias(grid16, state.planes[2:5])
         integrand = q2_integrand(u0h[None], abc0h[None], grid16)[0]
-        lin = -(PARAMS.kappa * grid16.k_sq) - 2.0 * PARAMS.k
-        expected = rfft2(rates(state, PARAMS)[2:5]) - lin * abc0h
-        expected[2] -= 4.0 * PARAMS.k * rfft2(state.planes[5])
+        lin = -(PARAMS.kappa * grid16.at(grid16.k_sq, abc0h)) - 2.0 * PARAMS.k
+        expected = rfft2(rates(state, PARAMS)[2:5], KC) - lin * abc0h
+        expected[2] -= 4.0 * PARAMS.k * rfft2(state.planes[5], KC)
         scale = np.max(np.abs(expected)) + 1e-300
         assert np.max(np.abs(integrand - expected)) <= 1e-12 * scale
 
@@ -155,7 +160,7 @@ class TestL2:
         t0 = 0.1
         cfg = PicardConfig(t0=t0, n_time_nodes=1025)
         rho0 = 1.3
-        rho = np.zeros((cfg.n_time_nodes, 16, 9), dtype=complex)
+        rho = np.zeros((cfg.n_time_nodes, 16, KC), dtype=complex)
         rho[:, 0, 0] = rho0
         out = op_l2(rho, grid16, PARAMS, cfg)
         c_mode = out[-1, 2, 0, 0].real
@@ -166,7 +171,7 @@ class TestL2:
 
     def test_zero(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
-        rho = np.zeros((9, 16, 9), dtype=complex)
+        rho = np.zeros((9, 16, KC), dtype=complex)
         assert np.max(np.abs(op_l2(rho, grid16, PARAMS, cfg))) == 0.0
 
     def test_single_mode_closed_form(self, grid16):
@@ -174,9 +179,9 @@ class TestL2:
         cfg = PicardConfig(t0=t0, n_time_nodes=1025)
         x, y = grid16.nodes()
         rho_vals = np.cos(x + 2 * y)
-        rho = np.broadcast_to(rfft2(rho_vals), (cfg.n_time_nodes, 16, 9)).copy()
+        rho = np.broadcast_to(dealias(grid16, rho_vals), (cfg.n_time_nodes, 16, KC)).copy()
         out = op_l2(rho, grid16, PARAMS, cfg)
-        beta = PARAMS.kappa * grid16.k_sq + 2.0 * PARAMS.k
+        beta = PARAMS.kappa * grid16.at(grid16.k_sq, rho) + 2.0 * PARAMS.k
         expected_c = 2.0 * rho[0] * 2.0 * PARAMS.k * (1.0 - np.exp(-beta * t0)) / beta
         err = np.max(np.abs(out[-1, 2] - expected_c))
         assert err <= 1e-8 * max(np.max(np.abs(expected_c)), 1e-300)
@@ -186,19 +191,20 @@ class TestTransportMap:
     def test_zero_velocity(self, grid16):
         cfg = PicardConfig(t0=0.2, n_time_nodes=17)
         rng = np.random.default_rng(5)
-        rho0 = rfft2(1.0 + 0.5 * band_limited_random(grid16, rng, 3))
-        u = np.zeros((17, 2, 16, 9), dtype=complex)
+        rho0 = dealias(grid16, 1.0 + 0.5 * band_limited_random(grid16, rng, 3))
+        u = np.zeros((17, 2, 16, KC), dtype=complex)
         out = op_n(u, rho0, grid16, cfg)
         for j in range(17):
-            assert np.max(np.abs(out[j] - rho0 * grid16.mask)) <= 1e-15
+            assert np.max(np.abs(out[j] - rho0 * grid16.at(grid16.mask, rho0))) <= 1e-15
 
     def test_uniform_density_invariant(self, grid16):
         cfg = PicardConfig(t0=0.2, n_time_nodes=17)
         rng = np.random.default_rng(6)
-        psih = rfft2(band_limited_random(grid16, rng, 3))
-        u_single = np.stack([-grid16.iky * psih, grid16.ikx * psih])
-        u = np.broadcast_to(u_single, (17, 2, 16, 9)).copy()
-        rho0 = np.zeros((16, 9), dtype=complex)
+        psih = dealias(grid16, band_limited_random(grid16, rng, 3))
+        u_single = np.stack([-grid16.at(grid16.iky, psih) * psih,
+                             grid16.at(grid16.ikx, psih) * psih])
+        u = np.broadcast_to(u_single, (17, 2, 16, KC)).copy()
+        rho0 = np.zeros((16, KC), dtype=complex)
         rho0[0, 0] = 2.0
         out = op_n(u, rho0, grid16, cfg)
         assert np.max(np.abs(out - out[0])) <= 1e-13
@@ -206,18 +212,20 @@ class TestTransportMap:
     def test_integral_conservation(self, grid16):
         cfg = PicardConfig(t0=0.5, n_time_nodes=33)
         rng = np.random.default_rng(7)
-        psih = rfft2(band_limited_random(grid16, rng, 3))
-        u_single = 0.25 * np.stack([-grid16.iky * psih, grid16.ikx * psih])
-        u = np.broadcast_to(u_single, (33, 2, 16, 9)).copy()
-        rho0 = rfft2(1.0 + 0.5 * band_limited_random(grid16, rng, 3))
+        psih = dealias(grid16, band_limited_random(grid16, rng, 3))
+        u_single = 0.25 * np.stack([-grid16.at(grid16.iky, psih) * psih,
+                                    grid16.at(grid16.ikx, psih) * psih])
+        u = np.broadcast_to(u_single, (33, 2, 16, KC)).copy()
+        rho0 = dealias(grid16, 1.0 + 0.5 * band_limited_random(grid16, rng, 3))
         out = op_n(u, rho0, grid16, cfg)
         mass0 = out[0, 0, 0].real
         # Parseval over the half spectrum: Hermitian weights count each
         # conjugate pair once per member.
-        l2_0 = np.sum(grid16.weights * np.abs(out[0]) ** 2)
+        weights = grid16.at(grid16.weights, out)
+        l2_0 = np.sum(weights * np.abs(out[0]) ** 2)
         for j in (16, 32):
             assert abs(out[j, 0, 0].real - mass0) <= 1e-8 * abs(mass0)
-            assert abs(np.sum(grid16.weights * np.abs(out[j]) ** 2) - l2_0) <= 1e-8 * l2_0
+            assert abs(np.sum(weights * np.abs(out[j]) ** 2) - l2_0) <= 1e-8 * l2_0
 
 
 class TestPicardIterate:
@@ -253,7 +261,7 @@ class TestPicardIterate:
         sem = semigroup_paths(sh0, grid16, PARAMS, cfg)
         times = cfg.times()
         for j in (0, 4, 8):
-            k_sq = grid16.k_sq
+            k_sq = grid16.at(grid16.k_sq, sh0)
             decay_u = np.exp(-PARAMS.nu * k_sq * times[j])
             decay_s = np.exp(-(PARAMS.kappa * k_sq + 2.0 * PARAMS.k) * times[j])
             assert np.max(np.abs(sem[j, 0:2] - decay_u * sh0[0:2])) == 0.0
@@ -342,11 +350,46 @@ class TestMapScratch:
             shared.append(apply(m))
             held = list(picard_mod._SCRATCH._buffers.values())
             assert [buf.shape for buf in held] == [
-                (m, 9, 16, 9), (m, 6, 16, 16), (m, 3, 3, 16, 16)]
+                (m, 9, 16, KC), (m, 6, 16, 16), (m, 3, 3, 16, 16)]
             assert not any(np.shares_memory(shared[-1], buf) for buf in held)
         for m, got in zip((9, 33, 9), shared):
             monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
             assert np.array_equal(got, apply(m))
+
+
+class TestKeptWidth:
+    """The Picard path and every spectrum the map holds store only the
+    columns the 2/3 rule keeps, (..., n, n//3+1)."""
+
+    @staticmethod
+    def _setup():
+        cfg = parse_config("n=32\npreset=random_admissible\namplitude=0.05\nkappa=0.01\n")
+        grid = make_grid(32, cfg.length)
+        return grid, build_initial(cfg, grid), cfg.params, PicardConfig(t0=0.05, n_time_nodes=33)
+
+    def test_path_holds_the_kept_columns(self):
+        grid, state, params, cfg = self._setup()
+        traj, _ = picard_iterate(state, params, cfg)
+        assert traj.path.shape == (33, 6, 32, 32 // 3 + 1)
+        sh0 = picard_mod._initial_coeffs(state)
+        assert apply_map(traj.path, sh0, grid, params, cfg).shape == traj.path.shape
+
+    def test_peak_memory_of_one_solve(self):
+        """Peak traced allocation of a warm `picard_iterate` at the
+        picard-compare config (n=32, 33 nodes), in units of one full-width
+        (33, 6, 32, 17) complex path.  At the kept width it peaks at 2.35
+        units; with full-width paths, stacks and integrands it peaked at
+        3.62.  A first solve runs untraced, so the map's scratch is held."""
+        grid, state, params, cfg = self._setup()
+        unit = 33 * 6 * 32 * (32 // 2 + 1) * 16
+        picard_iterate(state, params, cfg)
+        tracemalloc.start()
+        try:
+            picard_iterate(state, params, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * unit, peak / unit
 
 
 def _full_sobolev_sq(values, order, length, weights=None):

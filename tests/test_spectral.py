@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oldb2d import make_grid
-from oldb2d.spectral import decay, irfft2, project, rfft2
+from oldb2d import spectral
+from oldb2d.spectral import dealias, decay, irfft2, project, rfft2
 
 import oracles
 from oracles import fd_derivative
@@ -101,6 +102,41 @@ class TestTwoPassTransforms:
         assert irfft2(kept.copy(), n, out=out) is out
         assert np.array_equal(out, back)
         assert np.array_equal(irfft2(coeffs, n, overwrite_x=True), back)
+
+
+class TestKeptWidth:
+    """A dealiased spectrum is stored at the kept width, (..., n, n//3+1).
+    Keeping those columns before the axis -2 pass gives the bits of the
+    full-width transform's kept columns, and `irfft2` of the kept columns
+    gives the bits of `irfft2` of the zero-padded full width."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 256])
+    @pytest.mark.parametrize("lead", [(), (6,), (4, 3)])
+    def test_transform_identities(self, n, lead):
+        grid = make_grid(n, 2.0 * np.pi)
+        kc = grid.kept_columns
+        rng = np.random.default_rng(n + len(lead))
+        values = rng.standard_normal(lead + (n, n))
+        kept = rfft2(values, kc)
+        assert kept.shape == lead + (n, kc)
+        assert np.array_equal(kept, rfft2(values)[..., :kc])
+        padded = np.zeros(lead + (n, n // 2 + 1), complex)
+        padded[..., :kc] = kept
+        assert np.array_equal(irfft2(kept, n), irfft2(padded, n))
+
+    def test_row_blocks_of_the_forward_pass(self, monkeypatch):
+        """The `rfft` pass runs on blocks of rows, the last one ragged."""
+        monkeypatch.setattr(spectral, "_ROW_BYTES", 5 * 6 * 9 * 16)
+        values = np.random.default_rng(2).standard_normal((6, 16, 16))
+        assert np.array_equal(rfft2(values, 6), rfft2(values)[..., :6])
+
+    def test_dealias_masks_the_kept_columns(self, grid64):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((2, 64, 64))
+        kc = grid64.kept_columns
+        got = dealias(grid64, values)
+        assert got.shape == (2, 64, kc)
+        assert np.array_equal(got, rfft2(values)[..., :kc] * grid64.mask[:, :kc])
 
 
 class TestDdx:

@@ -1,19 +1,21 @@
-"""Traced peak memory of building the initial state and of one cold run, at
-the benchmark's `run-large` config (n=256), and the process's peak RSS.
+"""Traced peak memory of building the initial state and of one cold solve,
+at a benchmark workload's config, and the process's peak RSS.
 
-    python3 tools/peak_memory.py [--seed S]
+    python3 tools/peak_memory.py [--workload W] [--seed S]
 
-In one fresh process it takes the `run-large` config of
-`perfbench/workloads.py` (imported, not edited) with config seed S
+In one fresh process it takes the config of workload W of
+`perfbench/workloads.py` (imported, not edited; `run-large`, n=256, by
+default; also `run-monitored` and `picard-compare`) with config seed S
 (default 0) and traces two things in turn: `config.build_initial` on that
-config, and then one cold solve, `oldb2d run` through `cli.main` as the
-benchmark calls it, with its outputs written to a temporary directory.
-Nothing is held from an earlier solve, so the transform scratch and the
-integrating-factor memo are allocated inside the traced solve.  It prints
-the `tracemalloc` peak of each in MiB and in packed units (one
-(6, n, n//2+1) complex half-spectrum state, 3.02 MiB at n=256), then the
-process's high-water RSS (`VmHWM`, Linux only), which tracing itself
-raises.  Informational: it gates nothing.
+config, and then one cold solve, the workload's `oldb2d run` or
+`oldb2d picard` through `cli.main` as the benchmark calls it, with its
+outputs written to a temporary directory.  Nothing is held from an
+earlier solve, so the transform scratch and the integrating-factor memo
+are allocated inside the traced solve.  It prints the `tracemalloc` peak
+of each in MiB and in packed units (one full-width (6, n, n//2+1) complex
+half-spectrum state, 3.02 MiB at n=256), then the process's high-water RSS
+(`VmHWM`, Linux only), which tracing itself raises.  Informational: it
+gates nothing.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ def vm_hwm_kib():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), default="run-large",
+                        help="benchmark workload whose config is solved (default run-large)")
     parser.add_argument("--seed", type=int, default=0, help="config seed (default 0)")
     args = parser.parse_args(argv)
     if not workloads.pin_environment():
@@ -70,7 +74,7 @@ def main(argv=None) -> int:
     from oldb2d.config import build_initial, parse_config
     from oldb2d.spectral import make_grid
 
-    workload = workloads.get("run-large")
+    workload = workloads.get(args.workload)
     text = workload.config_text(args.seed)
     cfg = parse_config(text)
     unit = 6 * cfg.n * (cfg.n // 2 + 1) * 16
@@ -86,7 +90,7 @@ def main(argv=None) -> int:
         print(f"the solve exited {code}", file=sys.stderr)
         return 1
 
-    print(f"run-large n={cfg.n} seed={args.seed}; packed unit {unit / MIB:.2f} MiB")
+    print(f"{workload.name} n={cfg.n} seed={args.seed}; packed unit {unit / MIB:.2f} MiB")
     for name, peak in (("build_initial", build_peak), ("cold solve", run_peak)):
         print(f"{name:14s} traced peak {peak / MIB:7.2f} MiB  {peak / unit:5.2f} units")
     hwm = vm_hwm_kib()
