@@ -19,18 +19,27 @@ a fixed point solves the coupled system in integral form.  The stress
 stretching term inside Q2 is assembled in matrix components, independently
 of the strain-based assembly in `dynamics`.
 
-One application of the map transforms the velocity path and its gradient
-to real space once, in a single `irfft2` over (m, 6, n, n//3+1), and shares
-those planes between Q1, Q2 and the transport.  Integrands under the same
-kernel (Q1 + L1, Q2 + L2) are summed before one quadrature, which adds
-into the new path's planes for that kernel.  The public operators `op_q1`,
-`op_l1`, `op_q2`, `op_l2` and `op_n` remain the definitions; the map is
-their composition.  The complex stacks behind both transforms share one
-scratch buffer, held across calls with the two real outputs, so a warm map
-allocates none of them; so `apply_map` is not reentrant across threads.
-At the picard-compare benchmark config (n=32, 33 nodes) one path holds
-1.06 MiB and the stack 1.60 MiB; at the full width they held 1.64 and
-2.47 MiB.
+One application of the map works through the path in blocks of nodes, as
+many as `spectral._BLOCK_BYTES` holds of the 15 real planes a node's
+integrands read (8 at n=32, 2 at n=64, 1 from n=128 up), the way
+`spectral.dealiased_products` works through rows.  A block transforms its
+velocity and gradient to real space once, in one `irfft2` over
+(b, 6, n, n//3+1), and shares those planes between Q1 and Q2.  Integrands
+under the same kernel (Q1 + L1, Q2 + L2) are summed before one quadrature,
+which adds into the new path's planes for that kernel and carries its last
+node over to the next block.  The transport needs every node's speed
+before it starts, so the blocks gather their (u1, u2) planes into one
+(m, 2, n, n) array for it.  No integrand, accumulation or real stack spans
+the whole path.  The public operators `op_q1`, `op_l1`, `op_q2`, `op_l2`
+and `op_n` remain the full-path definitions; the map is their composition.
+The complex stacks behind both transforms share one scratch buffer, held
+across calls with the two real outputs, all sized for one block: a warm map
+allocates none of them, a ragged last block reads their front, and
+`apply_map` is not reentrant across threads.  At the picard-compare
+benchmark config (n=32, 33 nodes) one path holds 1.06 MiB and the held
+buffers 1.32 MiB, and a cold `picard_iterate` peaks at 4.70 MiB traced; at
+n=64 with 65 nodes it peaks at 24.4 MiB.  Buffers spanning the whole path
+held 5.46 MiB there, and the two peaks were 9.32 and 73.2 MiB.
 """
 
 from __future__ import annotations
@@ -40,13 +49,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spectral
 from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
 from .spectral import SpectralGrid, _leading, _Scratch, dealias, decay, irfft2, project
 
 _SUBSTEP_CFL = 0.5       # frozen-velocity transport uses the stepper's default
 _MAX_SUBSTEPS = 100_000  # across the whole path; beyond this the velocity is absurd
 
-# The map's transform stacks and their real transforms, held across calls.
+# The map's transform stacks and their real transforms for one block of
+# nodes, held across calls.
 _SCRATCH = _Scratch()
 
 
@@ -65,6 +76,10 @@ class PicardConfig:
             raise ValueError("t0 must be positive and finite")
         if self.n_time_nodes < 4:
             raise ValueError("n_time_nodes must be at least 4")
+        if not np.all(np.diff(self.times()) > 0.0):
+            # A subnormal t0 rounds node spacings to zero, and a zero span
+            # has no sub-step length in `op_n`.
+            raise ValueError("t0 is too small to separate the time nodes")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
@@ -105,12 +120,21 @@ class MildTrajectory:
         return SimState(float(self.times[j]), self.grid, irfft2(self.path[j], self.grid.n))
 
 
-def _accumulate(g_path: np.ndarray, decay: np.ndarray, ds: float) -> np.ndarray:
+def _accumulate(g_path: np.ndarray, decay: np.ndarray, ds: float,
+                carry: tuple | None = None) -> np.ndarray:
     """I(t_j) = int_0^{t_j} E(t_j - s) G(s) ds, trapezoid in s with the exact
-    per-mode kernel E applied through the semigroup recursion."""
-    out = np.zeros_like(g_path)
-    for j in range(1, g_path.shape[0]):
-        out[j] = decay * (out[j - 1] + 0.5 * ds * g_path[j - 1]) + 0.5 * ds * g_path[j]
+    per-mode kernel E applied through the semigroup recursion.  Without
+    `carry`, g_path[0] is at t = 0, where I vanishes; a block of nodes that
+    starts later passes (I, G) at the node before its first."""
+    out = np.empty_like(g_path)
+    first = 0
+    if carry is None:
+        out[0] = 0.0
+        carry, first = (out[0], g_path[0]), 1
+    prev_out, prev_g = carry
+    for j in range(first, g_path.shape[0]):
+        out[j] = decay * (prev_out + 0.5 * ds * prev_g) + 0.5 * ds * g_path[j]
+        prev_out, prev_g = out[j], g_path[j]
     return out
 
 
@@ -132,27 +156,35 @@ def _gradient(grid: SpectralGrid) -> np.ndarray:
     return np.stack([grid.ikx[:, :kc], grid.iky[:, :kc]])
 
 
-def _stack(grid: SpectralGrid, m: int) -> np.ndarray:
+def _held(role: str, shape: tuple, held: int | None, dtype=complex) -> np.ndarray:
+    """The `_SCRATCH` buffer of `role` for `held` nodes (default shape[0]),
+    read as its leading `shape`: the map's ragged last block reads the
+    front of its block's buffers instead of re-taking them."""
+    nodes = shape[0] if held is None else held
+    return _leading(_SCRATCH.take(role, (nodes,) + shape[1:], dtype), shape)
+
+
+def _stack(grid: SpectralGrid, m: int, held: int | None) -> np.ndarray:
     """The complex scratch stack (m, 9, n, n//3+1).  The velocity stack is
     its leading (m, 6, ...) block and the stress stack all of it; each is
     dead once its transform has read it, and the stress integrand then
     takes its leading real planes."""
-    return _SCRATCH.take("stack", (m, 9, grid.n, grid.kept_columns))
+    return _held("stack", (m, 9, grid.n, grid.kept_columns), held)
 
 
-def _velocity_planes(u_path: np.ndarray, v_path: np.ndarray,
-                     grid: SpectralGrid) -> np.ndarray:
+def _velocity_planes(u_path: np.ndarray, v_path: np.ndarray, grid: SpectralGrid,
+                     held: int | None = None) -> np.ndarray:
     """Real planes (u1, u2, d1v1, d2v1, d1v2, d2v2) per node, shape
-    (m, 6, n, n), from one `irfft2`.  The result is a scratch buffer: it
-    stays valid until the next call."""
+    (m, 6, n, n), from one `irfft2` into the buffers held for `held` nodes
+    (default m).  The result is a scratch buffer: it stays valid until the
+    next call."""
     m, n = u_path.shape[0], grid.n
     grad = _gradient(grid)
-    spec = _leading(_stack(grid, m), (m, 6) + u_path.shape[2:])
+    spec = _leading(_stack(grid, m, held), (m, 6) + u_path.shape[2:])
     spec[:, 0:2] = u_path
     np.multiply(grad, v_path[:, 0, None], out=spec[:, 2:4])
     np.multiply(grad, v_path[:, 1, None], out=spec[:, 4:6])
-    return irfft2(spec, n, overwrite_x=True,
-                  out=_SCRATCH.take("velocity", (m, 6, n, n), float))
+    return irfft2(spec, n, overwrite_x=True, out=_held("velocity", (m, 6, n, n), held, float))
 
 
 def _advection(planes: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -191,23 +223,23 @@ def op_l1(abc_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
 
 
 def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
-                 *, planes: np.ndarray | None = None) -> np.ndarray:
+                 *, planes: np.ndarray | None = None, held: int | None = None) -> np.ndarray:
     """(grad u) sigma + sigma (grad u)^T - u.grad(sigma) in (a, b, c) order,
     assembled from matrix components; dealiased half-spectrum output.
 
     `planes` are the velocity planes of `u_path` (see `_velocity_planes`)
-    when the caller already holds them."""
+    when the caller already holds them, and `held` the node count of the
+    scratch buffers to transform in (default the path's)."""
     if planes is None:
-        planes = _velocity_planes(u_path, u_path, grid)
+        planes = _velocity_planes(u_path, u_path, grid, held)
     m, n = abc_path.shape[0], grid.n
     grad = _gradient(grid)
-    spec = _stack(grid, m).reshape((m, 3, 3) + abc_path.shape[2:])
+    spec = _leading(_stack(grid, m, held), (m, 3, 3) + abc_path.shape[2:])
     spec[:, 0, 0] = 0.5 * abc_path[:, 2] + abc_path[:, 0]   # s11
     spec[:, 1, 0] = abc_path[:, 1]                          # s12
     spec[:, 2, 0] = 0.5 * abc_path[:, 2] - abc_path[:, 0]   # s22
     np.multiply(grad, spec[:, :, 0, None], out=spec[:, :, 1:])
-    real = irfft2(spec, n, overwrite_x=True,
-                  out=_SCRATCH.take("stress", (m, 3, 3, n, n), float))
+    real = irfft2(spec, n, overwrite_x=True, out=_held("stress", (m, 3, 3, n, n), held, float))
     (s11, d1s11, d2s11), (s12, d1s12, d2s12), (s22, d1s22, d2s22) = (
         np.moveaxis(real, (1, 2), (0, 1)))
     u1, u2, g11, g12, g21, g22 = np.moveaxis(planes, 1, 0)
@@ -243,8 +275,9 @@ def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
     """Transport rho0 by the frozen, time-interpolated velocity; sampled at
     the quadrature nodes.  Sub-steps between nodes obey the advective CFL.
 
-    `planes` are the velocity planes of `u_path` when the caller already
-    holds them; only the first two (u1, u2) are read."""
+    `planes` are real planes of `u_path` per node, (u1, u2) first, when the
+    caller already holds them (the map gathers just those two); only the
+    first two are read."""
     times = cfg.times()
     m = len(times)
     grad = _gradient(grid)
@@ -254,13 +287,14 @@ def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
     h = grid.spacing
 
     def rhs(rho_h, u):
+        """u.grad(rho), dealiased; the stages subtract it."""
         dr = irfft2(grad * rho_h, grid.n)
-        gh = dealias(grid, u[0] * dr[0] + u[1] * dr[1])
-        return np.negative(gh, out=gh)
+        return dealias(grid, u[0] * dr[0] + u[1] * dr[1])
 
     # Budget the whole path up front so an exploding velocity fails fast
-    # instead of grinding through millions of sub-steps.
-    umaxes = np.max(np.abs(u_r), axis=(1, 2, 3))
+    # instead of grinding through millions of sub-steps.  max |u| per node
+    # is max(max u, -min u), as `integrate._step_dt` takes it.
+    umaxes = np.maximum(np.max(u_r, axis=(1, 2, 3)), -np.min(u_r, axis=(1, 2, 3)))
     spans = np.diff(times)
     counts = np.maximum(
         1,
@@ -280,9 +314,9 @@ def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
             th0 = (s * dt) / span
             th1 = ((s + 1) * dt) / span
             thh = ((s + 0.5) * dt) / span
-            r1 = rho_h + dt * rhs(rho_h, u_start + th0 * u_jump)
-            r2 = 0.75 * rho_h + 0.25 * (r1 + dt * rhs(r1, u_start + th1 * u_jump))
-            rho_h = (rho_h + 2.0 * (r2 + dt * rhs(r2, u_start + thh * u_jump))) / 3.0
+            r1 = rho_h - dt * rhs(rho_h, u_start + th0 * u_jump)
+            r2 = 0.75 * rho_h + 0.25 * (r1 - dt * rhs(r1, u_start + th1 * u_jump))
+            rho_h = (rho_h + 2.0 * (r2 - dt * rhs(r2, u_start + thh * u_jump))) / 3.0
         out[j + 1] = rho_h
     return out
 
@@ -363,6 +397,35 @@ def semigroup_paths(sh0, grid, params, cfg):
     return _heat_flow(sh0, grid, params, cfg, path, range(len(OPERATOR_PLANES)))
 
 
+def _node_block(grid: SpectralGrid) -> int:
+    """Nodes per block of `apply_map`: as many as `spectral._BLOCK_BYTES`
+    holds of the 15 real planes a node's integrands read (6 velocity, 9
+    stress); 8 at n=32, 2 at n=64, 1 from n=128 up."""
+    return max(1, spectral._BLOCK_BYTES // (15 * grid.n * grid.n * 8))
+
+
+def _integrands(block_path, grid, params, held, speeds):
+    """The integrands under the two heat kernels, Q1 + L1 and Q2 + L2
+    before quadrature, at a block of nodes, from one velocity transform in
+    the buffers held for `held` nodes; the (u1, u2) planes go to `speeds`."""
+    u, abc = block_path[:, 0:2], block_path[:, 2:5]
+    planes = _velocity_planes(u, u, grid, held)
+    speeds[...] = planes[:, :2]
+    fh = _advection(planes, grid) + params.bigK * _stress_divergence(abc, grid)
+    project(grid, fh)
+    gh = q2_integrand(u, abc, grid, planes=planes, held=held)
+    gh[:, 2] += 4.0 * params.k * block_path[:, 5]
+    return fh, gh
+
+
+def _add_integral(planes, integrand, decay, ds, carry):
+    """Add the quadrature of a block's `integrand` into `planes`, the
+    block's planes of the new path; returns the carry of the next block."""
+    acc = _accumulate(integrand, decay, ds, carry)
+    planes += acc
+    return acc[-1].copy(), integrand[-1].copy()
+
+
 def apply_map(path, sh0, grid, params, cfg):
     """One application of the fixed-point map to a path.  Equal, to
     rounding, to the path with planes
@@ -373,20 +436,28 @@ def apply_map(path, sh0, grid, params, cfg):
 
     with one velocity transform shared by all three and one quadrature per
     kernel; the density plane gets no heat flow, as `op_n` writes it.  The
-    transform stacks are module scratch (`_SCRATCH`), so calls must not
-    overlap across threads."""
+    nodes are visited in blocks of `_node_block`: a block's integrands are
+    summed into the new path, carrying the quadrature on from the block
+    before, and its (u1, u2) planes are gathered for `op_n`, which needs
+    every node's speed before it starts.  The transform buffers are module
+    scratch (`_SCRATCH`) for one block, so calls must not overlap across
+    threads."""
     ds = _step(cfg)
-    u, abc = path[:, 0:2], path[:, 2:5]
-    planes = _velocity_planes(u, u, grid)
-    fh = _advection(planes, grid) + params.bigK * _stress_divergence(abc, grid)
-    project(grid, fh)
-    gh = q2_integrand(u, abc, grid, planes=planes)
-    gh[:, 2] += 4.0 * params.k * path[:, 5]
+    m, n = path.shape[0], grid.n
+    block = min(m, _node_block(grid))
+    heats = [_heat(grid, params, op, ds) for op in (0, 1)]
     new = np.empty_like(path)
-    new[:, 5] = op_n(u, sh0[5], grid, cfg, planes=planes)
     _heat_flow(sh0, grid, params, cfg, new, (0, 1))
-    for op, integrand in enumerate((fh, gh)):
-        new[:, OPERATOR_PLANES[op]] += _accumulate(integrand, _heat(grid, params, op, ds), ds)
+    speeds = np.empty((m, 2, n, n))
+    carry = (None, None)
+    for start in range(0, m, block):
+        nodes = slice(start, min(start + block, m))
+        # A block's integrands live only inside this list, so they are
+        # freed before the next block forms its own.
+        carry = [_add_integral(new[nodes, OPERATOR_PLANES[op]], g, heats[op], ds, carry[op])
+                 for op, g in enumerate(
+                     _integrands(path[nodes], grid, params, block, speeds[nodes]))]
+    new[:, 5] = op_n(path[:, 0:2], sh0[5], grid, cfg, planes=speeds)
     return new
 
 
@@ -422,7 +493,8 @@ def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
             raise PicardDivergenceError(
                 f"iteration diverged ({exc}); reduce t0", hist
             ) from exc
-        diff = composite_norm(grid, new - path, times)
+        # The outgoing path is dropped below, so it takes the difference.
+        diff = composite_norm(grid, np.subtract(new, path, out=path), times)
         log_norms(new)
         hist.diffs.append(diff)
         if len(hist.diffs) >= 2 and hist.diffs[-2] > 0.0:

@@ -130,10 +130,11 @@ class _Scratch:
 
 
 # Bytes of real derivative planes that one row block of `dealiased_products`
-# holds; a grid whose whole stack fits in it is one block (up to n=64 for
-# the stepper's 18 planes).  At n=256 the ten 1 MiB blocks hold 1.3 MiB
-# with the product block, where five 2 MiB blocks held 2.6 MiB, and
-# run-large's peak RSS is 1.3 MiB lower, with no slower solve.
+# holds, and the real planes of one node block of `picard.apply_map`; a grid
+# whose whole stack fits in it is one block (up to n=64 for the stepper's 18
+# planes).  At n=256 the ten 1 MiB blocks hold 1.3 MiB with the product
+# block, where five 2 MiB blocks held 2.6 MiB, and run-large's peak RSS is
+# 1.3 MiB lower, with no slower solve.
 _BLOCK_BYTES = 1 << 20
 
 

@@ -2,14 +2,16 @@
 code, with no traceback and no warning, and a non-zero exit prints exactly
 one stderr line.
 
-Four input surfaces: preset values (`amplitude`, `rho0`,
+Five input surfaces: preset values (`amplitude`, `rho0`,
 `stress_amplitude` anywhere in [0, 1e308]) for `run` at n=16 with a tiny
 `t_end`, the domain length `L` over [1e-300, 1e300] on a log scale at
-n in {8, 16}, mutated `timeseries.csv` bytes for `bounds --traj`, and
-mutated snapshot bytes for `bounds` with a `snapshot:` preset.  The
-examples are derandomized with a fixed count, so every run of the suite
-checks the same inputs; inputs found so far are pinned as explicit cases
-on top of them.
+n in {8, 16}, `picard`'s flags (`--t0` up to 1e-2, `--nodes` up to 17,
+`--max-iter` up to 5, `--tol` edge values, each possibly out of range,
+with and without `--compare`) at n=16, mutated `timeseries.csv` bytes for
+`bounds --traj`, and mutated snapshot bytes for `bounds` with a
+`snapshot:` preset.  The examples are derandomized with a fixed count, so
+every run of the suite checks the same inputs; inputs found so far are
+pinned as explicit cases on top of them.
 """
 
 import contextlib
@@ -120,6 +122,54 @@ def test_run_with_extreme_lengths(work, preset, n, length):
     cfg = work / "length.cfg"
     cfg.write_text(f"n={n}\nL={length!r}\npreset={preset}\nt_end=0.001\n")
     assert_contract(*call(["run", "--config", str(cfg), "--out-dir", str(work / "out")]))
+
+
+PICARD_CFG = "n=16\npreset=random_admissible\nseed=5\n"
+PICARD_OUT_OF_RANGE = {"t0": [0.0, -1.0, math.nan, math.inf], "nodes": [-1, 0, 3],
+                       "max-iter": [-1, 0], "tol": [0.0, -1.0, math.nan, math.inf]}
+
+
+@st.composite
+def picard_flags(draw):
+    """`picard`'s numeric flags in range, edge values included, with at
+    most one of them then replaced by an out-of-range value."""
+    flags = {
+        "t0": draw(st.floats(min_value=0.0, max_value=1e-2, exclude_min=True)),
+        "nodes": draw(st.integers(4, 17)),
+        "max-iter": draw(st.integers(1, 5)),
+        "tol": draw(st.sampled_from([5e-324, 1e-300, 1.0, 1e300]) | st.floats(1e-16, 1.0)),
+    }
+    bad = draw(st.none() | st.sampled_from(sorted(PICARD_OUT_OF_RANGE)))
+    if bad:
+        flags[bad] = draw(st.sampled_from(PICARD_OUT_OF_RANGE[bad]))
+    return flags
+
+
+def picard_call(work, flags, compare):
+    """`picard` at n=16 on `random_admissible` at its default amplitude:
+    with t0 <= 1e-2, `--compare` steps at dt_max = t0/50, so no draw starts
+    a long stepper run."""
+    cfg = work / "picard.cfg"
+    cfg.write_text(PICARD_CFG)
+    return call(["picard", "--config", str(cfg)]
+                + [f"--{flag}={value!r}" for flag, value in flags.items()]
+                + ["--compare"] * compare)
+
+
+@FUZZ
+@given(flags=picard_flags(), compare=st.booleans())
+def test_picard_with_extreme_flags(work, flags, compare):
+    assert_contract(*picard_call(work, flags, compare))
+
+
+def test_picard_with_a_subnormal_horizon(work):
+    """t0 = 5e-324 rounds every node spacing but the last to zero, and
+    `op_n` divided a zero span by itself with a warning; the config is now
+    refused."""
+    flags = {"t0": 5e-324, "nodes": 4, "max-iter": 1, "tol": 5e-324}
+    code, err, caught = picard_call(work, flags, compare=False)
+    assert_contract(code, err, caught)
+    assert code == 2 and "separate the time nodes" in err, err
 
 
 @st.composite

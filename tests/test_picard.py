@@ -15,6 +15,7 @@ from oldb2d import (
 )
 from oldb2d import SimState
 from oldb2d import picard as picard_mod
+from oldb2d import spectral
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.picard import (
     PicardHistory,
@@ -306,6 +307,21 @@ class TestPicardIterate:
         assert [gaps[name] for name in ("u", "a", "b", "rho")] == [0.0] * 4
 
 
+def assert_equals_composition(got, path, sh0, grid, cfg):
+    """`got`, the map of `path`, is the composition of the public operators
+    to within 1e-13 of each field's largest coefficient."""
+    u, abc, rho = path[:, 0:2], path[:, 2:5], path[:, 5]
+    sem = semigroup_paths(sh0, grid, PARAMS, cfg)
+    expected = (
+        sem[:, 0:2] + op_q1(u, u, grid, PARAMS, cfg) + op_l1(abc, grid, PARAMS, cfg),
+        sem[:, 2:5] + op_q2(u, abc, grid, PARAMS, cfg) + op_l2(rho, grid, PARAMS, cfg),
+        op_n(u, sh0[5], grid, cfg),
+    )
+    for g, e in zip((got[:, 0:2], got[:, 2:5], got[:, 5]), expected):
+        assert g.shape == e.shape
+        assert np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e))
+
+
 class TestFusedMap:
     """`apply_map` shares one velocity transform and sums integrands under
     one kernel; it must still be the composition of the public operators."""
@@ -315,24 +331,16 @@ class TestFusedMap:
         rng = np.random.default_rng(12)
         path = masked_noise(grid16, rng, (9, 6, 16, 16))
         sh0 = masked_noise(grid16, rng, (6, 16, 16))
-        u, abc, rho = path[:, 0:2], path[:, 2:5], path[:, 5]
-
-        got = apply_map(path, sh0, grid16, PARAMS, cfg)
-        sem = semigroup_paths(sh0, grid16, PARAMS, cfg)
-        expected = (
-            sem[:, 0:2] + op_q1(u, u, grid16, PARAMS, cfg) + op_l1(abc, grid16, PARAMS, cfg),
-            sem[:, 2:5] + op_q2(u, abc, grid16, PARAMS, cfg) + op_l2(rho, grid16, PARAMS, cfg),
-            op_n(u, sh0[5], grid16, cfg),
-        )
-        for g, e in zip((got[:, 0:2], got[:, 2:5], got[:, 5]), expected):
-            assert g.shape == e.shape
-            assert np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e))
+        assert_equals_composition(apply_map(path, sh0, grid16, PARAMS, cfg),
+                                  path, sh0, grid16, cfg)
 
 
 class TestMapScratch:
-    """`apply_map` holds its transform stacks across calls: a change of node
-    count replaces them without changing any result, and nothing it
-    returns aliases them."""
+    """`apply_map` works through the path in blocks of nodes and holds its
+    transform buffers across calls, sized for one block of min(m,
+    `_node_block`) nodes: a change of node count replaces them without
+    changing any result, a ragged last block reads the front of them, and
+    nothing it returns aliases them."""
 
     @staticmethod
     def _inputs(grid, m):
@@ -345,16 +353,33 @@ class TestMapScratch:
             cfg = PicardConfig(t0=0.05, n_time_nodes=m)
             return apply_map(*self._inputs(grid16, m), grid16, PARAMS, cfg)
 
+        block = picard_mod._node_block(grid16)
+        assert block == 34  # 65 nodes are two blocks, the last one ragged
         shared = []
-        for m in (9, 33, 9):
+        for m in (9, 65, 9):
             shared.append(apply(m))
             held = list(picard_mod._SCRATCH._buffers.values())
+            b = min(m, block)
             assert [buf.shape for buf in held] == [
-                (m, 9, 16, KC), (m, 6, 16, 16), (m, 3, 3, 16, 16)]
+                (b, 9, 16, KC), (b, 6, 16, 16), (b, 3, 3, 16, 16)]
             assert not any(np.shares_memory(shared[-1], buf) for buf in held)
-        for m, got in zip((9, 33, 9), shared):
+        for m, got in zip((9, 65, 9), shared):
             monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
             assert np.array_equal(got, apply(m))
+
+    def test_ragged_node_blocks(self, grid16, monkeypatch):
+        """A budget of 2 nodes at n=16 maps 9 nodes in blocks of 2, 2, 2, 2
+        and 1: bit for bit the one-block map."""
+        cfg = PicardConfig(t0=0.05, n_time_nodes=9)
+        path, sh0 = self._inputs(grid16, 9)
+        one_block = apply_map(path, sh0, grid16, PARAMS, cfg)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 2 * 15 * 16 * 16 * 8)
+        monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
+        assert picard_mod._node_block(grid16) == 2
+        got = apply_map(path, sh0, grid16, PARAMS, cfg)
+        assert [buf.shape[0] for buf in picard_mod._SCRATCH._buffers.values()] == [2, 2, 2]
+        assert np.array_equal(got, one_block)
+        assert_equals_composition(got, path, sh0, grid16, cfg)
 
 
 class TestKeptWidth:
@@ -377,9 +402,11 @@ class TestKeptWidth:
     def test_peak_memory_of_one_solve(self):
         """Peak traced allocation of a warm `picard_iterate` at the
         picard-compare config (n=32, 33 nodes), in units of one full-width
-        (33, 6, 32, 17) complex path.  At the kept width it peaks at 2.35
-        units; with full-width paths, stacks and integrands it peaked at
-        3.62.  A first solve runs untraced, so the map's scratch is held."""
+        (33, 6, 32, 17) complex path.  With the map in node blocks and the
+        successive difference taken in place it peaks at 2.05 units; over
+        the whole path at once it peaked at 2.34, and with full-width
+        paths, stacks and integrands at 3.62.  A first solve runs untraced,
+        so the map's scratch is held."""
         grid, state, params, cfg = self._setup()
         unit = 33 * 6 * 32 * (32 // 2 + 1) * 16
         picard_iterate(state, params, cfg)
@@ -389,7 +416,28 @@ class TestKeptWidth:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.6 * unit, peak / unit
+        assert peak <= 2.15 * unit, peak / unit
+
+    def test_cold_peak_memory_of_one_solve(self, monkeypatch):
+        """The same solve with no scratch held, so the map's buffers are
+        allocated inside it: one block of 8 nodes.  It peaks at 2.86 units
+        and holds 0.81 after; with buffers for the whole path it peaked at
+        5.67 and held 3.32."""
+        grid, state, params, cfg = self._setup()
+        n, kc = 32, 32 // 3 + 1
+        unit = 33 * 6 * n * (n // 2 + 1) * 16
+        monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
+        tracemalloc.start()
+        try:
+            picard_iterate(state, params, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = picard_mod._node_block(grid)
+        assert block == 8
+        held = sum(buf.nbytes for buf in picard_mod._SCRATCH._buffers.values())
+        assert held == block * (9 * n * kc * 16 + 15 * n * n * 8), held / unit
+        assert peak <= 3.5 * unit, peak / unit
 
 
 def _full_sobolev_sq(values, order, length, weights=None):
