@@ -4,13 +4,20 @@ Each check returns (name, passed, detail).  The set mirrors the library's
 documented invariants: spectral exactness, positivity equivalences, the
 nonlinearity cancellations, discrete conservation, ledger sanity, and the
 fixed-point diagnostics.  `check` exits zero iff every entry passes.
+
+Every entry runs the fixed problem its tolerance was set for: the
+documented defaults (L = 2 pi, nu = kappa = 0.01, k = K = 1, the default
+monitors and C = 1) and, where it needs data, `random_admissible` at its
+default seed, amplitudes and `init_kmax`.  A user's own problem is checked
+by `run`'s monitors and its R0 gate.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +39,15 @@ def _result(name, passed, detail) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def _random_state(cfg, n=None, seed=None, amplitude=None) -> SimState:
-    tweaked = replace(
-        cfg,
-        preset="random_admissible",
-        n=n or cfg.n,
-        seed=cfg.seed if seed is None else seed,
-        amplitude=cfg.amplitude if amplitude is None else amplitude,
-    )
-    return cfgmod.build_initial(tweaked, make_grid(tweaked.n, tweaked.length))
+_LENGTH = 2.0 * np.pi
+_PARAMS = PhysParams(nu=0.01, kappa=0.01, k=1.0, bigK=1.0)
+_PARAMS_KAPPA0 = PhysParams(nu=0.01, kappa=0.0, k=1.0, bigK=1.0)
+
+
+def _initial(n: int = 32, text: str = "preset=random_admissible") -> SimState:
+    """The initial state of the config `text`, every other key at its
+    default, on the n-point grid of side `_LENGTH`."""
+    return cfgmod.build_initial(cfgmod.parse_config(f"n={n}\n{text}"), make_grid(n, _LENGTH))
 
 
 def band_limited_admissible_state(grid, seed: int, kmax: int,
@@ -69,8 +76,8 @@ def _rel(err, scale) -> float:
     return err / max(scale, 1e-300)
 
 
-def check_transform_roundtrip(cfg) -> CheckResult:
-    g = make_grid(cfg.n, cfg.length)
+def check_transform_roundtrip() -> CheckResult:
+    g = make_grid(64, _LENGTH)
     rng = np.random.default_rng(7)
     f = rng.standard_normal((g.n, g.n))
     back = irfft2(rfft2(f), g.n)
@@ -78,8 +85,8 @@ def check_transform_roundtrip(cfg) -> CheckResult:
     return _result("spectral.transform_roundtrip", err <= 1e-13, f"rel err {err:.2e}")
 
 
-def check_projector(cfg) -> CheckResult:
-    g = make_grid(cfg.n, cfg.length)
+def check_projector() -> CheckResult:
+    g = make_grid(64, _LENGTH)
     rng = np.random.default_rng(8)
     vh = rfft2(rng.standard_normal((2, g.n, g.n)))
     scale = l2_scale(g, vh)
@@ -92,8 +99,8 @@ def check_projector(cfg) -> CheckResult:
     return _result("spectral.projector", ok, f"div {div_err:.2e}, idem {idem:.2e}")
 
 
-def check_derivative_exactness(cfg) -> CheckResult:
-    g = make_grid(cfg.n, cfg.length)
+def check_derivative_exactness() -> CheckResult:
+    g = make_grid(64, _LENGTH)
     x, y = g.nodes()
     s = 2.0 * np.pi / g.length
     fh = rfft2(np.sin(3 * s * x) * np.cos(2 * s * y))
@@ -102,8 +109,8 @@ def check_derivative_exactness(cfg) -> CheckResult:
     return _result("spectral.derivative_exactness", err <= 1e-13, f"rel err {err:.2e}")
 
 
-def check_semigroup_law(cfg) -> CheckResult:
-    g = make_grid(cfg.n, cfg.length)
+def check_semigroup_law() -> CheckResult:
+    g = make_grid(64, _LENGTH)
     rng = np.random.default_rng(9)
     f = rng.standard_normal((g.n, g.n))
     fh = rfft2(f)
@@ -113,8 +120,8 @@ def check_semigroup_law(cfg) -> CheckResult:
     return _result("spectral.semigroup_law", err <= 1e-13, f"rel err {err:.2e}")
 
 
-def check_parseval(cfg) -> CheckResult:
-    g = make_grid(cfg.n, cfg.length)
+def check_parseval() -> CheckResult:
+    g = make_grid(64, _LENGTH)
     rng = np.random.default_rng(10)
     f = rng.standard_normal((g.n, g.n))
     real_norm = np.sqrt(np.mean(f ** 2) * g.area)
@@ -123,8 +130,8 @@ def check_parseval(cfg) -> CheckResult:
     return _result("spectral.parseval", err <= 1e-12, f"rel err {err:.2e}")
 
 
-def check_gamma_equivalence(cfg) -> CheckResult:
-    g = make_grid(min(cfg.n, 32), cfg.length)
+def check_gamma_equivalence() -> CheckResult:
+    g = make_grid(32, _LENGTH)
     rng = np.random.default_rng(11)
     agree = True
     for _ in range(5):
@@ -137,8 +144,8 @@ def check_gamma_equivalence(cfg) -> CheckResult:
     return _result("fields.gamma_detpos_equivalence", agree, "pointwise predicates agree")
 
 
-def check_trace_bound(cfg) -> CheckResult:
-    state = _random_state(cfg, n=min(cfg.n, 32))
+def check_trace_bound() -> CheckResult:
+    state = _initial()
     a, b, c = state.planes[2:5]
     lhs = 2.0 * np.mean(np.sqrt(a * a + b * b))
     rhs = np.mean(c)
@@ -146,8 +153,8 @@ def check_trace_bound(cfg) -> CheckResult:
                    f"2 int sqrt(a^2+b^2) = {lhs:.6g} <= int c = {rhs:.6g}")
 
 
-def check_norm_parseval(cfg) -> CheckResult:
-    state = _random_state(cfg, n=min(cfg.n, 32))
+def check_norm_parseval() -> CheckResult:
+    state = _initial()
     rep = norms(state)
     u1, u2 = state.planes[0:2]
     direct = np.sqrt(np.mean(u1 * u1 + u2 * u2) * state.grid.area)
@@ -155,28 +162,25 @@ def check_norm_parseval(cfg) -> CheckResult:
     return _result("fields.norm_parseval", err <= 1e-12, f"rel err {err:.2e}")
 
 
-def check_determinant_cancellation(cfg) -> CheckResult:
-    params = replace(cfg.params, kappa=0.0)
-    state = band_limited_admissible_state(make_grid(32, cfg.length), seed=21, kmax=3)
+def check_determinant_cancellation() -> CheckResult:
+    state = band_limited_admissible_state(make_grid(32, _LENGTH), seed=21, kmax=3)
     a, b, c = state.planes[2:5]
-    da, db, dc = dynamics.rates(state, params)[2:5]
+    da, db, dc = dynamics.rates(state, _PARAMS_KAPPA0)[2:5]
     combo = 0.5 * c * dc - 2.0 * a * da - 2.0 * b * db
-    law = dynamics.determinant_rhs(state, params)
+    law = dynamics.determinant_rhs(state, _PARAMS_KAPPA0)
     err = np.max(np.abs(combo - law))
     return _result("dynamics.determinant_cancellation", err <= 1e-10,
                    f"pointwise gap {err:.2e}")
 
 
-def check_determinant_order(cfg) -> CheckResult:
+def check_determinant_order() -> CheckResult:
     """The determinant law at kappa = 0 on stepped states: its residual on a
     window of three states around t = 0.1 falls at second order in dt.
-
-    The problem is fixed (L = 2 pi, nu = 0.01, k = K = 1), not taken from
-    `cfg`: the residual also holds a part that does not shrink with dt, and
-    at other data that floor hides the order at these steps (k = 0.1 reads
+    The residual also holds a part that does not shrink with dt, and at
+    other data that floor hides the order at these steps (k = 0.1 reads
     2.6e-4, 2.3e-4, 2.3e-4)."""
-    params = PhysParams(nu=0.01, kappa=0.0, k=1.0, bigK=1.0)
-    state = band_limited_admissible_state(make_grid(32, 2.0 * np.pi), seed=101, kmax=3)
+    params = _PARAMS_KAPPA0
+    state = band_limited_admissible_state(make_grid(32, _LENGTH), seed=101, kmax=3)
     t_mid = 0.1
 
     def residual(dt):
@@ -192,9 +196,9 @@ def check_determinant_order(cfg) -> CheckResult:
                    f"orders {[f'{o:.2f}' for o in orders]}")
 
 
-def check_energy_rate(cfg) -> CheckResult:
-    params = cfg.params
-    state = _random_state(cfg, n=min(cfg.n, 32))
+def check_energy_rate() -> CheckResult:
+    params = _PARAMS
+    state = _initial()
     g = state.grid
     r = dynamics.rates(state, params)
     u1, u2 = state.planes[0:2]
@@ -211,9 +215,9 @@ def check_energy_rate(cfg) -> CheckResult:
                    f"rate {lhs:.6g} vs budget {rhs:.6g}")
 
 
-def check_cubic_cancellation(cfg) -> CheckResult:
-    params = cfg.params
-    state = _random_state(cfg, n=min(cfg.n, 32))
+def check_cubic_cancellation() -> CheckResult:
+    params = _PARAMS
+    state = _initial()
     g = state.grid
     u1, u2, a, b, c = state.planes[0:5]
     uh = rfft2(state.planes[0:2])
@@ -236,19 +240,19 @@ def check_cubic_cancellation(cfg) -> CheckResult:
     return _result("dynamics.cubic_cancellation", ok, f"residual {total:.2e}")
 
 
-def check_momentum_divfree(cfg) -> CheckResult:
-    state = _random_state(cfg, n=min(cfg.n, 32))
+def check_momentum_divfree() -> CheckResult:
+    state = _initial()
     g = state.grid
-    duh = rfft2(dynamics.rates(state, cfg.params)[0:2])
+    duh = rfft2(dynamics.rates(state, _PARAMS)[0:2])
     scale = l2_scale(g, duh)
     err = np.max(np.abs(g.ikx * duh[0] + g.iky * duh[1])) / max(scale, 1e-300)
     return _result("dynamics.momentum_divfree", err <= 1e-12, f"rel div {err:.2e}")
 
 
-def check_transport_means(cfg) -> CheckResult:
-    state = _random_state(cfg, n=min(cfg.n, 32))
+def check_transport_means() -> CheckResult:
+    state = _initial()
     g = state.grid
-    drho = dynamics.rates(state, cfg.params)[5]
+    drho = dynamics.rates(state, _PARAMS)[5]
     mean_rho = abs(np.mean(drho))
     # u.grad(c) from dealiased factors; the mask keeps the mean mode.
     uh, ch = dealias(g, state.planes[0:2]), dealias(g, state.planes[4])
@@ -261,29 +265,26 @@ def check_transport_means(cfg) -> CheckResult:
                    f"mean drho {mean_rho:.2e}, mean u.grad(c) {mean_c:.2e}")
 
 
-def check_equilibrium_fixed_point(cfg) -> CheckResult:
-    grid = make_grid(16, cfg.length)
-    state = cfgmod.build_initial(replace(cfg, preset="equilibrium", n=16), grid)
+def check_equilibrium_fixed_point() -> CheckResult:
+    state = _initial(16, "preset=equilibrium")
     # The explicit source holds the fixed point to O((2k dt)^4 * k dt) per
     # step, so a small step keeps the drift at rounding level.
-    out = step(state, 1e-3, cfg.params)
+    out = step(state, 1e-3, _PARAMS)
     gap = np.max(np.abs(out.planes - state.planes))
     return _result("integrate.equilibrium_fixed_point", gap <= 1e-13,
                    f"max drift {gap:.2e}")
 
 
-def check_temporal_order(cfg) -> CheckResult:
-    params = cfg.params
-    grid = make_grid(8, cfg.length)
-    rho0, c0, t_end = 1.0, 3.0, 1.0
-    exact = 2.0 * rho0 + (c0 - 2.0 * rho0) * np.exp(-2.0 * params.k * t_end)
+def check_temporal_order() -> CheckResult:
+    rho0, c0, t_end = 1.0, 3.0, 1.0  # rho0: the preset's default
+    exact = 2.0 * rho0 + (c0 - 2.0 * rho0) * np.exp(-2.0 * _PARAMS.k * t_end)
 
     def solve(dt):
-        state = cfgmod.build_initial(replace(cfg, preset="equilibrium", n=8, rho0=rho0), grid)
+        state = _initial(8, "preset=equilibrium")
         state.planes[4] = c0
         steps = int(round(t_end / dt))
         for _ in range(steps):
-            state = step(state, dt, params)
+            state = step(state, dt, _PARAMS)
         return abs(np.max(state.planes[4]) - exact)
 
     errs = [solve(dt) for dt in (0.2, 0.1, 0.05)]
@@ -293,17 +294,16 @@ def check_temporal_order(cfg) -> CheckResult:
                    f"errors {[f'{e:.2e}' for e in errs]}, orders {[f'{o:.2f}' for o in orders]}")
 
 
-def _short_random_run(cfg):
-    n = min(cfg.n, 32)
-    tweaked = replace(cfg, preset="random_admissible", n=n)
-    grid = make_grid(n, tweaked.length)
-    state = cfgmod.build_initial(tweaked, grid)
-    ctl = StepControl(dt_max=0.01, t_end=0.5, output_every=5)
-    return run(state, tweaked.params, ctl, tweaked.monitors)
+@functools.cache
+def _short_random_run():
+    """The initial state and the trajectory of the 50-step run that three
+    entries read: run once."""
+    state = _initial()
+    return state, run(state, _PARAMS, StepControl(dt_max=0.01, t_end=0.5, output_every=5))
 
 
-def check_rho_conservation(cfg) -> CheckResult:
-    traj = _short_random_run(cfg)
+def check_rho_conservation() -> CheckResult:
+    _, traj = _short_random_run()
     first, last = traj.records[0], traj.records[-1]
     span = last.time - first.time
     drift1 = abs(last.norms["rho_L1"] - first.norms["rho_L1"]) / first.norms["rho_L1"]
@@ -313,21 +313,20 @@ def check_rho_conservation(cfg) -> CheckResult:
                    f"relative drifts {drift1:.2e}, {drift2:.2e} over {span:.2g}s")
 
 
-def check_run_positivity(cfg) -> CheckResult:
-    traj = _short_random_run(cfg)
+def check_run_positivity() -> CheckResult:
+    _, traj = _short_random_run()
     worst = min(r.min_gamma for r in traj.records)
     ceiling = max(r.c_max for r in traj.records)
     ok = worst >= -1e-8 * max(1.0, ceiling)
     return _result("integrate.run_positivity", ok, f"min gamma {worst:.3e}")
 
 
-def check_equilibrium_balance(cfg) -> CheckResult:
-    grid = make_grid(16, cfg.length)
-    state = cfgmod.build_initial(replace(cfg, preset="equilibrium", n=16), grid)
-    led = diagnostics.energy_ledger(state, cfg.params)
+def check_equilibrium_balance() -> CheckResult:
+    state = _initial(16, "preset=equilibrium")
+    led = diagnostics.energy_ledger(state, _PARAMS)
     gap = _rel(abs(led.dissipation - led.source), led.source)
     ctl = StepControl(dt_max=1e-3, t_end=0.05, output_every=10)
-    traj = run(state, cfg.params, ctl, cfg.monitors)
+    traj = run(state, _PARAMS, ctl)
     energies = [r.energy for r in traj.records]
     drift = _rel(max(energies) - min(energies), abs(energies[0]))
     ok = gap <= 1e-12 and drift <= 1e-12
@@ -335,22 +334,16 @@ def check_equilibrium_balance(cfg) -> CheckResult:
                    f"balance gap {gap:.2e}, energy drift {drift:.2e}")
 
 
-def check_energy_budget_gate(cfg) -> CheckResult:
-    traj = _short_random_run(cfg)
-    n = min(cfg.n, 32)
-    tweaked = replace(cfg, preset="random_admissible", n=n)
-    grid = make_grid(n, tweaked.length)
-    state = cfgmod.build_initial(tweaked, grid)
-    ledger = diagnostics.apriori_ledger(state, tweaked.params, traj.records[-1].time,
-                                        tweaked.constant_c)
-    row = diagnostics.bound_check(diagnostics.series(traj.records), ledger,
-                                  tweaked.params)[0]
+def check_energy_budget_gate() -> CheckResult:
+    state, traj = _short_random_run()
+    ledger = diagnostics.apriori_ledger(state, _PARAMS, traj.records[-1].time)
+    row = diagnostics.bound_check(diagnostics.series(traj.records), ledger, _PARAMS)[0]
     return _result("diagnostics.energy_budget_gate", row.passed,
                    f"observed/bound = {row.ratio:.6f}")
 
 
-def check_positivity_scan(cfg) -> CheckResult:
-    state = _random_state(cfg, n=min(cfg.n, 32))
+def check_positivity_scan() -> CheckResult:
+    state = _initial()
     rep = diagnostics.positivity_report(state, tol=1e-8)
     a, b, c = state.planes[2:5]
     eigs = np.linalg.eigvalsh(
@@ -368,8 +361,8 @@ def check_positivity_scan(cfg) -> CheckResult:
                    f"min eig {0.5 * rep.min_gamma:.6g} vs brute {brute_eig:.6g}")
 
 
-def check_ledger_sanity(cfg) -> CheckResult:
-    state = _random_state(cfg, n=16)
+def check_ledger_sanity() -> CheckResult:
+    state = _initial(16)
     rng = np.random.default_rng(13)
     monotone = True
     for _ in range(5):
@@ -386,15 +379,15 @@ def check_ledger_sanity(cfg) -> CheckResult:
             e2 = getattr(led2, name)
             if e2.value < e1.value * (1 - 1e-12):
                 monotone = False
-    led = diagnostics.apriori_ledger(state, cfg.params, 1.0, cfg.constant_c)
+    led = diagnostics.apriori_ledger(state, _PARAMS, 1.0)
     units_ok = led.R0.units == "cm^4 sec^-2" and led.B.units == "dimensionless"
     ok = monotone and units_ok
     return _result("diagnostics.ledger_sanity", ok,
                    f"R0 [{led.R0.units}], B [{led.B.units}], monotone={monotone}")
 
 
-def check_ledger_overflow(cfg) -> CheckResult:
-    state = _random_state(cfg, n=16)
+def check_ledger_overflow() -> CheckResult:
+    state = _initial(16)
     params = PhysParams(nu=1e-8, kappa=1e-8, k=1.0, bigK=1.0)
     led = diagnostics.apriori_ledger(state, params, 10.0)
     ok = led.R1.overflowed and np.isinf(led.R1.value)
@@ -402,17 +395,15 @@ def check_ledger_overflow(cfg) -> CheckResult:
                    f"R1 = {led.R1.value}, flagged {led.R1.overflowed}")
 
 
-def _picard_setup(cfg, n=16, t0=0.1, nodes=33, seed=5, amplitude=0.05):
-    tweaked = replace(cfg, preset="random_admissible", n=n, seed=seed,
-                      amplitude=amplitude, stress_amplitude=0.05)
-    grid = make_grid(n, tweaked.length)
-    state = cfgmod.build_initial(tweaked, grid)
-    pcfg = picard.PicardConfig(t0=t0, n_time_nodes=nodes, max_iter=40, tol=1e-11)
-    return grid, state, tweaked.params, pcfg
+def _picard_setup(nodes=33):
+    state = _initial(16, "preset=random_admissible\nseed=5\namplitude=0.05\n"
+                         "stress_amplitude=0.05")
+    pcfg = picard.PicardConfig(t0=0.1, n_time_nodes=nodes, max_iter=40, tol=1e-11)
+    return state.grid, state, pcfg
 
 
-def check_picard_bilinearity(cfg) -> CheckResult:
-    grid, state, params, pcfg = _picard_setup(cfg)
+def check_picard_bilinearity() -> CheckResult:
+    grid, state, pcfg = _picard_setup()
     rng = np.random.default_rng(17)
     m = pcfg.n_time_nodes
 
@@ -420,28 +411,28 @@ def check_picard_bilinearity(cfg) -> CheckResult:
         return dealias(grid, rng.standard_normal((m, 2, grid.n, grid.n)))
 
     u, v, w = rand_u(), rand_u(), rand_u()
-    q_scaled = picard.op_q1(2.5 * u, v, grid, params, pcfg)
-    q_base = picard.op_q1(u, v, grid, params, pcfg)
-    q_sum = picard.op_q1(u, v + w, grid, params, pcfg)
-    q_parts = q_base + picard.op_q1(u, w, grid, params, pcfg)
+    q_scaled = picard.op_q1(2.5 * u, v, grid, _PARAMS, pcfg)
+    q_base = picard.op_q1(u, v, grid, _PARAMS, pcfg)
+    q_sum = picard.op_q1(u, v + w, grid, _PARAMS, pcfg)
+    q_parts = q_base + picard.op_q1(u, w, grid, _PARAMS, pcfg)
     scale = np.max(np.abs(q_base)) + 1e-300
     err1 = np.max(np.abs(q_scaled - 2.5 * q_base)) / scale
     err2 = np.max(np.abs(q_sum - q_parts)) / scale
 
     iso = np.zeros((m, 3, grid.n, grid.kept_columns), dtype=complex)
     iso[:, 2] = 2.0 * dealias(grid, rng.standard_normal((m, grid.n, grid.n)))
-    l1_iso = np.max(np.abs(picard.op_l1(iso, grid, params, pcfg)))
+    l1_iso = np.max(np.abs(picard.op_l1(iso, grid, _PARAMS, pcfg)))
     ok = err1 <= 1e-12 and err2 <= 1e-12 and l1_iso <= 1e-13
     return _result("picard.bilinearity", ok,
                    f"homog {err1:.2e}, additive {err2:.2e}, L1(rho I) {l1_iso:.2e}")
 
 
-def check_picard_zeroth_semigroup(cfg) -> CheckResult:
-    grid, state, params, pcfg = _picard_setup(cfg)
+def check_picard_zeroth_semigroup() -> CheckResult:
+    grid, state, pcfg = _picard_setup()
     sh0 = picard._initial_coeffs(state)
-    sem = picard.semigroup_paths(sh0, grid, params, pcfg)
+    sem = picard.semigroup_paths(sh0, grid, _PARAMS, pcfg)
     times = pcfg.times()
-    factor = np.exp(-(params.kappa * grid.at(grid.k_sq, sh0) + 2.0 * params.k)
+    factor = np.exp(-(_PARAMS.kappa * grid.at(grid.k_sq, sh0) + 2.0 * _PARAMS.k)
                     * times[:, None, None])
     err = np.max(np.abs(sem[:, 2:5] - factor[:, None] * sh0[None, 2:5]))
     rho_err = np.max(np.abs(sem[:, 5] - sh0[5]))
@@ -449,22 +440,22 @@ def check_picard_zeroth_semigroup(cfg) -> CheckResult:
                    f"max gap {err:.2e}, rho {rho_err:.2e}")
 
 
-def check_picard_q2_consistency(cfg) -> CheckResult:
-    grid, state, params, pcfg = _picard_setup(cfg)
+def check_picard_q2_consistency() -> CheckResult:
+    grid, state, pcfg = _picard_setup()
     sh0 = picard._initial_coeffs(state)
     integrand = picard.q2_integrand(sh0[None, 0:2], sh0[None, 2:5], grid)[0]
-    lin = -(params.kappa * grid.at(grid.k_sq, sh0)) - 2.0 * params.k
-    expect = rfft2(dynamics.rates(state, params)[2:5], grid.kept_columns) - lin * sh0[2:5]
-    expect[2] -= 4.0 * params.k * sh0[5]
+    lin = -(_PARAMS.kappa * grid.at(grid.k_sq, sh0)) - 2.0 * _PARAMS.k
+    expect = rfft2(dynamics.rates(state, _PARAMS)[2:5], grid.kept_columns) - lin * sh0[2:5]
+    expect[2] -= 4.0 * _PARAMS.k * sh0[5]
     scale = np.max(np.abs(expect)) + 1e-300
     err = np.max(np.abs(integrand - expect)) / scale
     return _result("picard.q2_consistency", err <= 1e-12, f"rel gap {err:.2e}")
 
 
-def check_picard_fixed_point(cfg) -> CheckResult:
-    grid, state, params, pcfg = _picard_setup(cfg)
-    traj, hist = picard.picard_iterate(state, params, pcfg)
-    again = picard.apply_map(traj.path, picard._initial_coeffs(state), grid, params, pcfg)
+def check_picard_fixed_point() -> CheckResult:
+    grid, state, pcfg = _picard_setup()
+    traj, hist = picard.picard_iterate(state, _PARAMS, pcfg)
+    again = picard.apply_map(traj.path, picard._initial_coeffs(state), grid, _PARAMS, pcfg)
     times = pcfg.times()
     change = picard.composite_norm(grid, again - traj.path, times)
     scale = picard.composite_norm(grid, traj.path, times)
@@ -472,27 +463,24 @@ def check_picard_fixed_point(cfg) -> CheckResult:
     return _result("picard.fixed_point", ok, f"reapplication change {change:.2e}")
 
 
-def check_picard_stepper_agreement(cfg) -> CheckResult:
-    grid, state, params, pcfg = _picard_setup(cfg, n=16, t0=0.1, nodes=65)
-    traj, _ = picard.picard_iterate(state, params, pcfg)
+def check_picard_stepper_agreement() -> CheckResult:
+    _, state, pcfg = _picard_setup(nodes=65)
+    traj, _ = picard.picard_iterate(state, _PARAMS, pcfg)
     ctl = StepControl(dt_min=1e-12, dt_max=2e-3, t_end=pcfg.t0, output_every=10**9)
-    stepped = run(state, params, ctl).final_state
+    stepped = run(state, _PARAMS, ctl).final_state
     worst = max(picard.stepper_gaps(traj.state(pcfg.n_time_nodes - 1), stepped).values())
     return _result("picard.stepper_agreement", worst <= 1e-4,
                    f"worst relative L2 gap {worst:.2e}")
 
 
-def check_determinism(cfg) -> CheckResult:
-    tweaked = replace(cfg, preset="random_admissible", n=min(cfg.n, 32), seed=42)
-    grid = make_grid(tweaked.n, tweaked.length)
-    s1 = cfgmod.build_initial(tweaked, grid)
-    s2 = cfgmod.build_initial(tweaked, grid)
+def check_determinism() -> CheckResult:
+    s1, s2 = (_initial(32, "preset=random_admissible\nseed=42") for _ in range(2))
     same = np.array_equal(s1.planes, s2.planes)
     return _result("cli_io.determinism", same, "seeded builds are bit-identical")
 
 
-def check_snapshot_roundtrip(cfg) -> CheckResult:
-    state = _random_state(cfg, n=16)
+def check_snapshot_roundtrip() -> CheckResult:
+    state = _initial(16)
     grid = state.grid
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.snap")
@@ -502,7 +490,7 @@ def check_snapshot_roundtrip(cfg) -> CheckResult:
     return _result("cli_io.snapshot_roundtrip", same, "bitwise round trip")
 
 
-def check_config_validation(cfg) -> CheckResult:
+def check_config_validation() -> CheckResult:
     rejected = 0
     for text in ("bogus_key=1\n", "n=32\nn=64\n", "kappa=-1\n", "cfl=2\n"):
         try:
@@ -548,11 +536,11 @@ ALL_CHECKS = (
 )
 
 
-def run_checks(cfg) -> list:
+def run_checks() -> list:
     results = []
     for fn in ALL_CHECKS:
         try:
-            results.append(fn(cfg))
+            results.append(fn())
         except Exception as exc:  # a crashed check is a failed check
             results.append(CheckResult(fn.__name__, False, f"raised {exc!r}"))
     return results

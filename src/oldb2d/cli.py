@@ -1,13 +1,17 @@
 """Command-line entry points: run, picard, check, bounds.
 
+`run`, `picard` and `bounds` read the problem from `--config`; `check`
+takes no arguments and runs the invariant suite on the fixed problems of
+`checks`.
+
 Exit codes: 0 success, 1 monitor violation (or a failed energy-budget
 gate, or fixed-point divergence), 2 configuration error, 3 numerical
 failure (NaN or overflow), 4 output error: stdout or stderr could not be
 written (a closed pipe, say), which replaces any other code, since output
 was lost.  A non-zero exit prints one line on stderr, if stderr can be
-written, and never a traceback.  A path named in the arguments or the
-config that cannot be opened or written (missing, a directory,
-unreadable) is a configuration error.
+written, and never a traceback.  Bad arguments are a configuration error,
+and so is a path named in the arguments or the config that cannot be
+opened or written (missing, a directory, unreadable).
 """
 
 from __future__ import annotations
@@ -42,8 +46,16 @@ def _paths():
         raise ConfigError(str(exc)) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments are a config error, with one stderr line and no usage
+    block; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oldb2d",
         description="Pseudo-spectral 2D diffusive Oldroyd-B solver",
     )
@@ -62,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pic.add_argument("--compare", action="store_true",
                        help="also run the time stepper and report field gaps")
 
-    p_chk = sub.add_parser("check", help="run the invariant/property suite")
-    p_chk.add_argument("--config", required=True)
+    sub.add_parser("check", help="run the invariant/property suite on its fixed problems")
 
     p_bnd = sub.add_parser("bounds", help="print the a priori bound ledger")
     p_bnd.add_argument("--config", required=True)
@@ -129,8 +140,9 @@ def _cmd_picard(args) -> int:
     try:
         pcfg = picard.PicardConfig(t0=args.t0, n_time_nodes=args.nodes,
                                    max_iter=args.max_iter, tol=args.tol)
-        ctl = replace(cfg.control, dt_min=min(cfg.control.dt_min, 1e-12),
-                      dt_max=min(cfg.control.dt_max, args.t0 / 50.0), t_end=args.t0,
+        dt_cap = args.t0 / 50.0
+        ctl = replace(cfg.control, dt_min=min(cfg.control.dt_min, 1e-12, dt_cap),
+                      dt_max=min(cfg.control.dt_max, dt_cap), t_end=args.t0,
                       output_every=10 ** 9, snapshot_times=()) if args.compare else None
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -156,9 +168,7 @@ def _cmd_picard(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    with _paths():
-        cfg = load_config(args.config)
-    results = run_checks(cfg)
+    results = run_checks()
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -205,12 +215,6 @@ def _print_rows(rows) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-
     handlers = {
         "run": _cmd_run,
         "picard": _cmd_picard,
@@ -218,7 +222,10 @@ def main(argv=None) -> int:
         "bounds": _cmd_bounds,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit:  # -h, after argparse printed the help
+        return EXIT_OK
     except (ConfigError, snapshots.SnapshotFormatError) as exc:
         return _report(EXIT_CONFIG, f"config error: {exc}")
     except MonitorViolation as exc:

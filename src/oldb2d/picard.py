@@ -512,10 +512,11 @@ def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
         if diff <= cfg.tol * max(scale, 1e-300):
             return MildTrajectory(grid, times, path), hist
 
-    last = hist.ratios[-1] if hist.ratios else float("nan")
+    # A ratio needs two differences; with one there is none to print.
+    last = (f"last contraction ratio {hist.ratios[-1]:.3g}" if hist.ratios
+            else "one difference, so no contraction ratio")
     raise PicardDivergenceError(
-        f"no convergence in {cfg.max_iter} iterations "
-        f"(last contraction ratio {last:.3g}); reduce t0", hist,
+        f"no convergence in {cfg.max_iter} iterations ({last}); reduce t0", hist,
     )
 
 

@@ -173,7 +173,7 @@ class TestCriterion6:
     def test_residual_convergence_order(self):
         """`oldb2d check`'s measurement: the law's residual on three stepped
         states falls at order >= 1.9 in dt."""
-        result = check_determinant_order(parse_config(""))
+        result = check_determinant_order()
         assert result.passed, result.detail
         report(6, f"determinant residual (>= 1.9): {result.detail}")
 
@@ -326,6 +326,6 @@ class TestCriterion10:
         cfg_path = tmp_path / "default.cfg"
         cfg_path.write_text("")  # every key at its documented default
         assert cli_main(["bounds", "--config", str(cfg_path)]) == 0
-        assert cli_main(["check", "--config", str(cfg_path)]) == 0
-        report(10, "ledger units/monotonicity verified; bounds and check "
-                   "exit 0 on the default config")
+        assert cli_main(["check"]) == 0
+        report(10, "ledger units/monotonicity verified; bounds exits 0 on the "
+                   "default config, check on its fixed problems")

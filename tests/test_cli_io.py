@@ -522,6 +522,41 @@ class TestCliMain:
     def test_unknown_subcommand_exit_config(self):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run"], "the following arguments are required: --config"),
+        (["check", "--config", "run.cfg"], "unrecognized arguments: --config run.cfg"),
+    ], ids=["run_without_config", "check_with_config"])
+    def test_bad_arguments_print_one_line(self, capsys, argv, message):
+        """A parser error is a config error: one stderr line, no usage
+        block."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["check", "-h"]) == 0
+        assert "usage: oldb2d check" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("t0", ["1e-12", "1e-20", "1e-100"])
+    def test_picard_compare_at_a_tiny_t0(self, tmp_path, capsys, t0):
+        """The stepper's dt_min is capped at t0 / 50, as its dt_max is, so
+        no t0 makes them cross: a config that sets neither is not an
+        error."""
+        cfg_path = self._write_cfg(tmp_path, "n=16\npreset=random_admissible\n")
+        assert main(["picard", "--config", cfg_path, "--t0", t0, "--nodes", "5",
+                     "--compare"]) == 0
+        gaps = re.findall(r"^ +(u|a|b|c|rho): (\S+)$", capsys.readouterr().out, re.MULTILINE)
+        assert len(gaps) == 5 and all(float(gap) <= 1e-10 for _, gap in gaps), gaps
+
+    def test_picard_one_iteration_prints_no_ratio(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, "n=16\npreset=random_admissible\n")
+        assert main(["picard", "--config", cfg_path, "--t0", "0.01", "--nodes", "5",
+                     "--max-iter", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "fixed-point divergence: no convergence in 1 iterations "
+            "(one difference, so no contraction ratio); reduce t0\n")
+
     @pytest.mark.parametrize("config_line,extra_argv,message", [
         ("t_end=inf", (), "t_end"),
         ("snapshot_times=0.1,nan", (), "snapshot_times"),
@@ -531,7 +566,6 @@ class TestCliMain:
         ("", ("picard", "--t0", "-1"), "t0"),
         ("", ("picard", "--t0", "inf"), "t0"),
         ("", ("picard", "--t0", "0.05", "--tol", "inf"), "tol"),
-        ("", ("picard", "--t0", "1e-20", "--compare"), "dt_min"),
     ])
     def test_bad_value_exits_config_without_traceback(self, tmp_path, capsys,
                                                       config_line, extra_argv, message):
