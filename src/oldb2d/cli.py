@@ -11,7 +11,8 @@ written (a closed pipe, say), which replaces any other code, since output
 was lost.  A non-zero exit prints one line on stderr, if stderr can be
 written, and never a traceback.  Bad arguments are a configuration error,
 and so is a path named in the arguments or the config that cannot be
-opened or written (missing, a directory, unreadable).
+opened or written (missing, a directory, unreadable), or a problem whose
+arrays the machine refuses to allocate (a `MemoryError`).
 """
 
 from __future__ import annotations
@@ -228,6 +229,8 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (ConfigError, snapshots.SnapshotFormatError) as exc:
         return _report(EXIT_CONFIG, f"config error: {exc}")
+    except MemoryError as exc:  # a grid or path too large for this machine
+        return _report(EXIT_CONFIG, f"config error: {str(exc) or 'out of memory'}")
     except MonitorViolation as exc:
         return _report(EXIT_NUMERICAL if exc.kind in ("nan", "overflow") else EXIT_MONITOR,
                        f"monitor violation: {exc}")

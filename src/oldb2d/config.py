@@ -231,7 +231,8 @@ def _random_admissible_state(grid, cfg: RunConfig) -> SimState:
     if umax > 0:
         u *= cfg.amplitude / umax
 
-    irfft2(dealias(grid, planes), grid.n, overwrite_x=True, out=planes)
+    for plane in planes:  # one plane's transforms at a time
+        irfft2(dealias(grid, plane), grid.n, overwrite_x=True, out=plane)
     return SimState(0.0, grid, planes)
 
 

@@ -20,26 +20,27 @@ stretching term inside Q2 is assembled in matrix components, independently
 of the strain-based assembly in `dynamics`.
 
 One application of the map works through the path in blocks of nodes, as
-many as `spectral._BLOCK_BYTES` holds of the 15 real planes a node's
-integrands read (8 at n=32, 2 at n=64, 1 from n=128 up), the way
-`spectral.dealiased_products` works through rows.  A block transforms its
-velocity and gradient to real space once, in one `irfft2` over
-(b, 6, n, n//3+1), and shares those planes between Q1 and Q2.  Integrands
-under the same kernel (Q1 + L1, Q2 + L2) are summed before one quadrature,
-which adds into the new path's planes for that kernel and carries its last
-node over to the next block.  The transport needs every node's speed
-before it starts, so the blocks gather their (u1, u2) planes into one
-(m, 2, n, n) array for it.  No integrand, accumulation or real stack spans
-the whole path.  The public operators `op_q1`, `op_l1`, `op_q2`, `op_l2`
-and `op_n` remain the full-path definitions; the map is their composition.
-The complex stacks behind both transforms share one scratch buffer, held
-across calls with the two real outputs, all sized for one block: a warm map
-allocates none of them, a ragged last block reads their front, and
-`apply_map` is not reentrant across threads.  At the picard-compare
-benchmark config (n=32, 33 nodes) one path holds 1.06 MiB and the held
-buffers 1.32 MiB, and a cold `picard_iterate` peaks at 4.70 MiB traced; at
-n=64 with 65 nodes it peaks at 24.4 MiB.  Buffers spanning the whole path
-held 5.46 MiB there, and the two peaks were 9.32 and 73.2 MiB.
+many as `spectral._BLOCK_BYTES` holds of one node's product pass: 15
+kept-width complex planes and 20 real planes (16 nodes at n=16, 4 at n=32,
+1 from n=64 up).  A block fills one kept-width stack with the 15 planes its
+nodes' integrands read (`_node_stack`: u, grad u, the stress in matrix
+components and its gradient) and forms every product of Q1 and Q2 in one
+`spectral.dealiased_products` pass, the stepper's product pass, which also
+keeps the (u1, u2) real planes.  Integrands under the same kernel
+(Q1 + L1, Q2 + L2) are summed before one quadrature, which adds into the
+new path's planes for that kernel and carries its last node over to the
+next block.  The transport needs every node's speed before it starts, so
+the blocks gather their (u1, u2) planes into one (m, 2, n, n) array for it.
+No integrand, accumulation or real stack spans the whole path.  The public
+operators `op_q1`, `op_l1`, `op_q2`, `op_l2` and `op_n` remain the
+full-path definitions, with one `irfft2` and one `dealias` over the whole
+path; the map is their composition.  The stack and the pass's row blocks
+are held across calls (`_SCRATCH`): a warm map allocates none of them, a
+ragged last block reads their front, and `apply_map` is not reentrant
+across threads.  At the picard-compare benchmark config (n=32, 33 nodes)
+one path holds 1.06 MiB and the held buffers 0.95 MiB, and a cold
+`picard_iterate` peaks at 4.07 MiB traced; at n=64 with 65 nodes it peaks
+at 24.0 MiB.
 """
 
 from __future__ import annotations
@@ -51,12 +52,13 @@ import numpy as np
 
 from . import spectral
 from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
-from .spectral import SpectralGrid, _leading, _Scratch, dealias, decay, irfft2, project
+from .spectral import (SpectralGrid, _Scratch, dealias, dealiased_products, decay, irfft2,
+                       project)
 
 _SUBSTEP_CFL = 0.5       # frozen-velocity transport uses the stepper's default
 _MAX_SUBSTEPS = 100_000  # across the whole path; beyond this the velocity is absurd
 
-# The map's transform stacks and their real transforms for one block of
+# The map's stack and the row blocks of its product pass for one block of
 # nodes, held across calls.
 _SCRATCH = _Scratch()
 
@@ -156,43 +158,56 @@ def _gradient(grid: SpectralGrid) -> np.ndarray:
     return np.stack([grid.ikx[:, :kc], grid.iky[:, :kc]])
 
 
-def _held(role: str, shape: tuple, held: int | None, dtype=complex) -> np.ndarray:
-    """The `_SCRATCH` buffer of `role` for `held` nodes (default shape[0]),
-    read as its leading `shape`: the map's ragged last block reads the
-    front of its block's buffers instead of re-taking them."""
-    nodes = shape[0] if held is None else held
-    return _leading(_SCRATCH.take(role, (nodes,) + shape[1:], dtype), shape)
-
-
-def _stack(grid: SpectralGrid, m: int, held: int | None) -> np.ndarray:
-    """The complex scratch stack (m, 9, n, n//3+1).  The velocity stack is
-    its leading (m, 6, ...) block and the stress stack all of it; each is
-    dead once its transform has read it, and the stress integrand then
-    takes its leading real planes."""
-    return _held("stack", (m, 9, grid.n, grid.kept_columns), held)
-
-
-def _velocity_planes(u_path: np.ndarray, v_path: np.ndarray, grid: SpectralGrid,
-                     held: int | None = None) -> np.ndarray:
-    """Real planes (u1, u2, d1v1, d2v1, d1v2, d2v2) per node, shape
-    (m, 6, n, n), from one `irfft2` into the buffers held for `held` nodes
-    (default m).  The result is a scratch buffer: it stays valid until the
-    next call."""
-    m, n = u_path.shape[0], grid.n
+def _node_stack(u_path: np.ndarray, v_path: np.ndarray, abc_path: np.ndarray,
+                grid: SpectralGrid, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, (m, 15, n, n//3+1), with the kept-width planes a node's
+    integrands read: u1, u2; grad v as d1v1, d2v1, d1v2, d2v2; the stress
+    in matrix components s11, s12, s22; their x derivatives; their y
+    derivatives.  Returns `out`."""
     grad = _gradient(grid)
-    spec = _leading(_stack(grid, m, held), (m, 6) + u_path.shape[2:])
-    spec[:, 0:2] = u_path
-    np.multiply(grad, v_path[:, 0, None], out=spec[:, 2:4])
-    np.multiply(grad, v_path[:, 1, None], out=spec[:, 4:6])
-    return irfft2(spec, n, overwrite_x=True, out=_held("velocity", (m, 6, n, n), held, float))
+    out[:, 0:2] = u_path
+    np.multiply(grad, v_path[:, 0, None], out=out[:, 2:4])
+    np.multiply(grad, v_path[:, 1, None], out=out[:, 4:6])
+    out[:, 6] = 0.5 * abc_path[:, 2] + abc_path[:, 0]
+    out[:, 7] = abc_path[:, 1]
+    out[:, 8] = 0.5 * abc_path[:, 2] - abc_path[:, 0]
+    np.multiply(grad[0], out[:, 6:9], out=out[:, 9:12])
+    np.multiply(grad[1], out[:, 6:9], out=out[:, 12:15])
+    return out
 
 
-def _advection(planes: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """Dealiased -(u.grad v) from velocity planes, before projection."""
-    u1, u2, d1v1, d2v1, d1v2, d2v2 = np.moveaxis(planes, 1, 0)
-    g = np.stack([u1 * d1v1 + u2 * d2v1, u1 * d1v2 + u2 * d2v2], axis=1)
-    gh = dealias(grid, g)
-    return np.negative(gh, out=gh)
+def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The five integrand planes per node, before dealiasing, from a block
+    of rows of real planes (15 per node, in `_node_stack` order), written
+    into `out` (5 per node): -(u.grad v), then Q2's
+    (grad u) sigma + sigma (grad u)^T - u.grad(sigma), assembled in matrix
+    components and written in (a, b, c) order (it reads grad v as grad u)."""
+    nodes = len(real) // 15
+    (u1, u2, g11, g12, g21, g22, s11, s12, s22,
+     d1s11, d1s12, d1s22, d2s11, d2s12, d2s22) = np.moveaxis(
+        real.reshape((nodes, 15) + real.shape[1:]), 1, 0)
+    f = np.moveaxis(out.reshape((nodes, 5) + out.shape[1:]), 1, 0)
+
+    f[0] = -(u1 * g11 + u2 * g12)
+    f[1] = -(u1 * g21 + u2 * g22)
+    i11 = 2.0 * (g11 * s11 + g12 * s12) - (u1 * d1s11 + u2 * d2s11)
+    i12 = g11 * s12 + g12 * s22 + s11 * g21 + s12 * g22 - (u1 * d1s12 + u2 * d2s12)
+    i22 = 2.0 * (g21 * s12 + g22 * s22) - (u1 * d1s22 + u2 * d2s22)
+    f[2] = 0.5 * (i11 - i22)
+    f[3] = i12
+    f[4] = i11 + i22
+    return out
+
+
+def _path_integrands(u_path: np.ndarray, v_path: np.ndarray, abc_path: np.ndarray,
+                     grid: SpectralGrid) -> np.ndarray:
+    """The five dealiased integrand planes of `_products` at every node,
+    (m, 5, n, n//3+1), from one `irfft2` of the whole path's stack and one
+    `dealias` of its products."""
+    m, n, kc = u_path.shape[0], grid.n, grid.kept_columns
+    stack = _node_stack(u_path, v_path, abc_path, grid, np.empty((m, 15, n, kc), complex))
+    real = irfft2(stack, n, overwrite_x=True).reshape(m * 15, n, n)
+    return dealias(grid, _products(real, np.empty((m * 5, n, n)))).reshape(m, 5, n, kc)
 
 
 def _stress_divergence(abc_path: np.ndarray, grid: SpectralGrid) -> np.ndarray:
@@ -208,7 +223,8 @@ def op_q1(u_path: np.ndarray, v_path: np.ndarray, grid: SpectralGrid,
           params: PhysParams, cfg: PicardConfig) -> np.ndarray:
     """-int_0^t heat(nu (t-s)) P(u(s).grad v(s)) ds at every node."""
     ds = _step(cfg)
-    gh = _advection(_velocity_planes(u_path, v_path, grid), grid)
+    no_stress = np.zeros((u_path.shape[0], 3) + u_path.shape[2:], complex)
+    gh = _path_integrands(u_path, v_path, no_stress, grid)[:, 0:2]
     project(grid, gh)
     return _accumulate(gh, _heat(grid, params, 0, ds), ds)
 
@@ -222,35 +238,10 @@ def op_l1(abc_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
     return _accumulate(params.bigK * gh, _heat(grid, params, 0, ds), ds)
 
 
-def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
-                 *, planes: np.ndarray | None = None, held: int | None = None) -> np.ndarray:
+def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid) -> np.ndarray:
     """(grad u) sigma + sigma (grad u)^T - u.grad(sigma) in (a, b, c) order,
-    assembled from matrix components; dealiased half-spectrum output.
-
-    `planes` are the velocity planes of `u_path` (see `_velocity_planes`)
-    when the caller already holds them, and `held` the node count of the
-    scratch buffers to transform in (default the path's)."""
-    if planes is None:
-        planes = _velocity_planes(u_path, u_path, grid, held)
-    m, n = abc_path.shape[0], grid.n
-    grad = _gradient(grid)
-    spec = _leading(_stack(grid, m, held), (m, 3, 3) + abc_path.shape[2:])
-    spec[:, 0, 0] = 0.5 * abc_path[:, 2] + abc_path[:, 0]   # s11
-    spec[:, 1, 0] = abc_path[:, 1]                          # s12
-    spec[:, 2, 0] = 0.5 * abc_path[:, 2] - abc_path[:, 0]   # s22
-    np.multiply(grad, spec[:, :, 0, None], out=spec[:, :, 1:])
-    real = irfft2(spec, n, overwrite_x=True, out=_held("stress", (m, 3, 3, n, n), held, float))
-    (s11, d1s11, d2s11), (s12, d1s12, d2s12), (s22, d1s22, d2s22) = (
-        np.moveaxis(real, (1, 2), (0, 1)))
-    u1, u2, g11, g12, g21, g22 = np.moveaxis(planes, 1, 0)
-
-    i11 = 2.0 * (g11 * s11 + g12 * s12) - (u1 * d1s11 + u2 * d2s11)
-    i12 = g11 * s12 + g12 * s22 + s11 * g21 + s12 * g22 - (u1 * d1s12 + u2 * d2s12)
-    i22 = 2.0 * (g21 * s12 + g22 * s22) - (u1 * d1s22 + u2 * d2s22)
-
-    out = np.stack([0.5 * (i11 - i22), i12, i11 + i22], axis=1,
-                   out=_leading(spec, (m, 3, n, n), float))
-    return dealias(grid, out)
+    assembled from matrix components; dealiased half-spectrum output."""
+    return _path_integrands(u_path, u_path, abc_path, grid)[:, 2:5]
 
 
 def op_q2(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
@@ -297,11 +288,12 @@ def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
     umaxes = np.maximum(np.max(u_r, axis=(1, 2, 3)), -np.min(u_r, axis=(1, 2, 3)))
     spans = np.diff(times)
     counts = np.maximum(
-        1,
+        1.0,
         np.ceil(spans / (_SUBSTEP_CFL * h / np.maximum(
             np.maximum(umaxes[:-1], umaxes[1:]), 1e-12))),
-    ).astype(int)
-    if int(np.sum(counts)) > _MAX_SUBSTEPS:
+    )
+    # Compared as floats: past 2**63 a cast to int wraps, and nan fails too.
+    if not np.sum(counts) <= _MAX_SUBSTEPS:
         raise ValueError("transport sub-stepping CFL violation: velocity too large")
 
     for j in range(m - 1):
@@ -399,21 +391,28 @@ def semigroup_paths(sh0, grid, params, cfg):
 
 def _node_block(grid: SpectralGrid) -> int:
     """Nodes per block of `apply_map`: as many as `spectral._BLOCK_BYTES`
-    holds of the 15 real planes a node's integrands read (6 velocity, 9
-    stress); 8 at n=32, 2 at n=64, 1 from n=128 up."""
-    return max(1, spectral._BLOCK_BYTES // (15 * grid.n * grid.n * 8))
+    holds of one node's product pass, its 15 kept-width complex stack
+    planes and 20 real planes (15 transformed, 5 products); 16 at n=16, 4
+    at n=32, 1 from n=64 up."""
+    n = grid.n
+    return max(1, spectral._BLOCK_BYTES // (15 * n * grid.kept_columns * 16 + 20 * n * n * 8))
 
 
-def _integrands(block_path, grid, params, held, speeds):
+def _integrands(block_path, grid, params, speeds):
     """The integrands under the two heat kernels, Q1 + L1 and Q2 + L2
-    before quadrature, at a block of nodes, from one velocity transform in
-    the buffers held for `held` nodes; the (u1, u2) planes go to `speeds`."""
+    before quadrature, at a block of nodes, from one product pass over the
+    block's stack; the (u1, u2) planes go to `speeds`."""
+    b, n = len(block_path), grid.n
     u, abc = block_path[:, 0:2], block_path[:, 2:5]
-    planes = _velocity_planes(u, u, grid, held)
-    speeds[...] = planes[:, :2]
-    fh = _advection(planes, grid) + params.bigK * _stress_divergence(abc, grid)
+    stack = _SCRATCH.take("stack", (b * 15, n, grid.kept_columns))
+    _node_stack(u, u, abc, grid, stack.reshape((b, 15) + stack.shape[1:]))
+    prods, reals = dealiased_products(grid, stack, len(stack), _products, 5 * b, _SCRATCH,
+                                      keep=[15 * j + p for j in range(b) for p in (0, 1)])
+    speeds[...] = reals.reshape(speeds.shape)
+    prods = prods.reshape((b, 5) + stack.shape[1:])
+    fh = prods[:, 0:2] + params.bigK * _stress_divergence(abc, grid)
     project(grid, fh)
-    gh = q2_integrand(u, abc, grid, planes=planes, held=held)
+    gh = prods[:, 2:5]
     gh[:, 2] += 4.0 * params.k * block_path[:, 5]
     return fh, gh
 
@@ -434,14 +433,14 @@ def apply_map(path, sh0, grid, params, cfg):
         sem_sigma + op_q2(u, sigma) + op_l2(rho),
         op_n(u, rho0),
 
-    with one velocity transform shared by all three and one quadrature per
-    kernel; the density plane gets no heat flow, as `op_n` writes it.  The
-    nodes are visited in blocks of `_node_block`: a block's integrands are
-    summed into the new path, carrying the quadrature on from the block
-    before, and its (u1, u2) planes are gathered for `op_n`, which needs
-    every node's speed before it starts.  The transform buffers are module
-    scratch (`_SCRATCH`) for one block, so calls must not overlap across
-    threads."""
+    with one product pass per block of nodes shared by all three and one
+    quadrature per kernel; the density plane gets no heat flow, as `op_n`
+    writes it.  The nodes are visited in blocks of `_node_block`: a block's
+    integrands are summed into the new path, carrying the quadrature on
+    from the block before, and its (u1, u2) planes are gathered for `op_n`,
+    which needs every node's speed before it starts.  The stack and the
+    pass's row blocks are module scratch (`_SCRATCH`) for one block, so
+    calls must not overlap across threads."""
     ds = _step(cfg)
     m, n = path.shape[0], grid.n
     block = min(m, _node_block(grid))
@@ -456,11 +455,12 @@ def apply_map(path, sh0, grid, params, cfg):
         # freed before the next block forms its own.
         carry = [_add_integral(new[nodes, OPERATOR_PLANES[op]], g, heats[op], ds, carry[op])
                  for op, g in enumerate(
-                     _integrands(path[nodes], grid, params, block, speeds[nodes]))]
+                     _integrands(path[nodes], grid, params, speeds[nodes]))]
     new[:, 5] = op_n(path[:, 0:2], sh0[5], grid, cfg, planes=speeds)
     return new
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
     """Iterate the mild-formulation map from the heat-flow zeroth iterate of
     the state `initial` until the composite-norm successive difference is
@@ -468,7 +468,8 @@ def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
 
     Returns (MildTrajectory, PicardHistory).  Non-convergence within
     max_iter, or outright growth, raises PicardDivergenceError: the horizon
-    t0 is too large for the data.
+    t0 is too large for the data.  Overflow and nan are not warned of, as
+    in `integrate.run`: the divergence test reports them.
     """
     grid = initial.grid
     times = cfg.times()

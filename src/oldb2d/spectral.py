@@ -29,16 +29,20 @@ operands.  `irfft2(..., overwrite_x=True)` lets its first pass write into
 the input, for callers that drop a scratch stack right after its
 transform: it saves a complex temporary the size of that stack.
 `irfft2(..., out=)` writes the real result into a buffer the caller holds.
-`_Scratch` holds such buffers across calls, so that a warm caller reuses
-its transform stacks instead of allocating, and faulting in, fresh ones on
-every evaluation.
+`_Scratch` holds transform buffers across calls, so that a warm caller
+reuses its stacks instead of allocating, and faulting in, fresh ones on
+every evaluation; a buffer is replaced only by a larger one, and a smaller
+request reads its front.
 
-`dealiased_products` is the pseudo-spectral product pass in bounded memory.
-It reads a stack of dealiased factors at the kept width and visits real
-space one block of x-rows at a time: the y-passes, the caller's pointwise
-products and the copy of any real planes the caller keeps run per block in
-small held buffers, and each block's products are transformed into a held
-buffer from which only the kept columns are copied out.
+`dealiased_products` is the one pseudo-spectral product pass, in bounded
+memory: the stepper's explicit terms and the Picard map's integrands both
+go through it.  It reads a stack of dealiased factors at the kept width
+and visits real space one block of x-rows at a time: the y-passes, the
+caller's pointwise products and the copy of any real planes the caller
+keeps run per block in small held buffers, and each block's products are
+transformed into a held buffer from which only the kept columns are
+copied out.  `_BLOCK_BYTES` is the one budget that sizes the row blocks
+and the Picard map's node blocks.
 
 Dealiasing follows the 2/3 rule: a mode with integer wavenumbers (k1, k2)
 survives iff 3 * max(|k1|, |k2|) <= N, which keeps quadratic products of
@@ -57,30 +61,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Bytes of full-width `rfft` rows that `rfft2(..., columns=)` holds at once.
-_ROW_BYTES = 256 << 10
-
-
 def rfft2(values: np.ndarray, columns: int | None = None) -> np.ndarray:
     """Forward real FFT over the last two axes (batches over leading axes):
-    `rfft` along the last axis, then `fft` along axis -2 in place.
+    `rfft` along the last axis, then `fft` along axis -2.
 
-    With `columns`, the result holds only the first `columns` coefficients
-    of each row, bit for bit `rfft2(values)[..., :columns]`: the `rfft`
-    runs on blocks of rows of at most `_ROW_BYTES`, each block's kept
-    columns are copied into the result, and the `fft` transforms only
-    those."""
+    With `columns`, the `fft` transforms only the first `columns`
+    coefficients of each row into a fresh array of that width, bit for bit
+    `rfft2(values)[..., :columns]`."""
+    coeffs = np.fft.rfft(values, axis=-1, norm="forward")
     if columns is None:
-        coeffs = np.fft.rfft(values, axis=-1, norm="forward")
         return np.fft.fft(coeffs, axis=-2, norm="forward", out=coeffs)
-    n = values.shape[-2]
-    coeffs = np.empty(values.shape[:-1] + (columns,), complex)
-    row_bytes = math.prod(values.shape[:-2]) * (values.shape[-1] // 2 + 1) * 16
-    rows = max(1, _ROW_BYTES // row_bytes)
-    for start in range(0, n, rows):
-        block = np.fft.rfft(values[..., start:start + rows, :], axis=-1, norm="forward")
-        coeffs[..., start:start + rows, :] = block[..., :columns]
-    return np.fft.fft(coeffs, axis=-2, norm="forward", out=coeffs)
+    return np.fft.fft(coeffs[..., :columns], axis=-2, norm="forward")
 
 
 def dealias(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
@@ -109,32 +100,34 @@ class _Scratch:
     A caller that builds a stack, transforms it and drops it on every call
     takes the stack from here instead: a fresh allocation of that size is
     returned to the operating system when it is freed and faulted back in,
-    page by page, on the next call.  `take` returns a role's buffer, and
-    replaces it when asked for another shape or dtype (a new n or node
-    count).  Contents are not kept: the caller writes every element it
-    reads.  An array taken is valid until the next `take` of its role, so
-    a caller that uses one is not reentrant across threads, and a public
-    function must not return one."""
+    page by page, on the next call.  `take` has one rule: it returns the
+    front of a role's buffer, read as `shape`, for any shape that fits in
+    it, and replaces the buffer only for a larger shape or another dtype.
+    So a ragged last block, or a smaller grid, reads the front of the
+    buffer, and a held buffer only grows while its dtype stays.
+    Contents are not kept: the caller writes every element it reads.  An
+    array taken is valid until the next `take` of its role, so a caller
+    that uses one is not reentrant across threads, and a public function
+    must not return one."""
 
     def __init__(self):
         self._buffers: dict = {}
 
     def take(self, role: str, shape: tuple, dtype=complex) -> np.ndarray:
         buf = self._buffers.get(role)
-        if buf is not None and buf.shape == shape and buf.dtype == dtype:
-            return buf
-        del buf
-        self._buffers.pop(role, None)  # free the old buffer before the new one
-        buf = self._buffers[role] = np.empty(shape, dtype)
-        return buf
+        if buf is None or buf.dtype != dtype or buf.size < math.prod(shape):
+            del buf
+            self._buffers.pop(role, None)  # free the old buffer before the new one
+            buf = self._buffers[role] = np.empty(shape, dtype)
+        return _leading(buf, shape)
 
 
-# Bytes of real derivative planes that one row block of `dealiased_products`
-# holds, and the real planes of one node block of `picard.apply_map`; a grid
-# whose whole stack fits in it is one block (up to n=64 for the stepper's 18
-# planes).  At n=256 the ten 1 MiB blocks hold 1.3 MiB with the product
-# block, where five 2 MiB blocks held 2.6 MiB, and run-large's peak RSS is
-# 1.3 MiB lower, with no slower solve.
+# The one memory budget of the product passes.  A row block of
+# `dealiased_products` holds this many bytes of real planes: a grid whose
+# whole stack fits is one block (up to n=64 for the stepper's 18 planes),
+# and n=256 takes ten.  A node block of `picard.apply_map` holds as many
+# nodes as fit one node's pass, its kept-width stack and real blocks: 16
+# nodes at n=16, 4 at n=32, 1 from n=64 up.
 _BLOCK_BYTES = 1 << 20
 
 

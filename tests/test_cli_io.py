@@ -116,12 +116,10 @@ class TestBuildInitial:
         """Peak traced allocation of building `random_admissible` data at
         n=128, in packed-state units (6 half-spectrum planes; the six real
         planes are about one unit too).  The state is built in its own
-        planes and its dealiased spectrum transformed back into them, so the
-        build peaks at 2.15 units: the planes, that spectrum and a few
-        (n, n) temporaries.  Five draws held to the end and a second copy
-        of the planes stacked for the transform peaked at 4.13.  A first
-        build runs untraced, as its lazy import of `numpy.random` would
-        count."""
+        planes, and each plane's dealiased spectrum is transformed back into
+        it, so the build peaks at 1.99 units: the planes, one plane's
+        spectra and a few (n, n) temporaries.  A first build runs untraced,
+        as its lazy import of `numpy.random` would count."""
         cfg = parse_config("n=128\npreset=random_admissible\n")
         grid = make_grid(128, cfg.length)
         unit = 6 * 128 * 65 * 16
@@ -556,6 +554,53 @@ class TestCliMain:
         assert capsys.readouterr().err == (
             "fixed-point divergence: no convergence in 1 iterations "
             "(one difference, so no contraction ratio); reduce t0\n")
+
+    @staticmethod
+    def _child(argv, **kwargs):
+        """`python -m oldb2d.cli argv` in a child process, which fails on
+        its timeout instead of hanging the suite."""
+        import subprocess
+
+        import oldb2d
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oldb2d.__file__)),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        return subprocess.run([sys.executable, "-m", "oldb2d.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60, **kwargs)
+
+    @pytest.mark.parametrize("t0", ["1e20", "1e50", "1e308"])
+    def test_picard_at_a_huge_t0_exits_one(self, tmp_path, t0):
+        """The transport's sub-step budget is checked in floating point.
+        Cast to int64 first, the counts wrapped past 9.2e18 and passed it:
+        at t0 = 1e20 the map sub-stepped until killed, and at 1e50 and
+        1e308 it printed numpy warnings before its divergence line."""
+        cfg_path = self._write_cfg(tmp_path, "n=16\npreset=random_admissible\n")
+        done = self._child(["picard", "--config", cfg_path, "--t0", t0, "--nodes", "5"])
+        assert done.returncode == 1
+        assert done.stderr == ("fixed-point divergence: iteration diverged (transport "
+                               "sub-stepping CFL violation: velocity too large); reduce t0\n")
+
+    @pytest.mark.parametrize("command,config_text", [
+        (["run", "--out-dir", "o"], "n=200000\n"),
+        (["bounds"], "n=200000\n"),
+        (["picard", "--t0", "0.01", "--nodes", "10000000"], "n=16\npreset=random_admissible\n"),
+    ], ids=["run", "bounds", "picard"])
+    def test_refused_allocation_exits_config(self, tmp_path, command, config_text):
+        """An array the machine will not allocate (149 GiB of grid tables
+        at n=200000, 85.8 GiB of path at 10**7 nodes) is a config error:
+        exit 2, one stderr line, no traceback.  The child's address space
+        is capped at 2 GiB, so every host refuses it."""
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        cfg_path = self._write_cfg(tmp_path, config_text)
+        done = self._child([command[0], "--config", cfg_path, *command[1:]],
+                           cwd=tmp_path, preexec_fn=cap)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error: Unable to allocate ")
+        assert done.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("config_line,extra_argv,message", [
         ("t_end=inf", (), "t_end"),

@@ -417,21 +417,21 @@ class TestOneEvaluationPerState:
             assert_same_state(got, want)
         assert_same_state(traj.final_state, final)
 
-    def test_peak_memory_of_one_run(self):
+    def test_peak_memory_of_one_run(self, monkeypatch):
         """Peak traced allocation of one warm CFL-limited run at n=128, in
         packed units: one full-width (6, n, n//2+1) complex state (six real
         planes are about one unit too), fixed whatever width the stepper
         stores; a packed state at the kept width is 0.67 units.  The warm-up
-        run leaves `_terms`' scratch allocated (the kept-column stack and
-        the two row blocks), so the measured run allocates none.  With
-        every dealiased spectrum at the kept width it peaks at 3.48 units;
-        with full-width spectra it peaked at 4.17, and with six full-width
-        factor planes per memo entry at 6.51.  The bound sits a third of a
+        run, on a fresh scratch (a held buffer only grows), leaves `_terms`'
+        scratch allocated (the kept-column stack and the two row blocks), so
+        the measured run allocates none.  With every dealiased spectrum at
+        the kept width it peaks at 3.48 units.  The bound sits a third of a
         kept-width state above, so keeping one more such array alive
         through a step fails."""
         cfg, initial = self._setup("n=128\npreset=random_admissible\nseed=3\n"
                                    "amplitude=2.0\nt_end=0.03\noutput_every=1000000\n")
         unit = 6 * 128 * (128 // 2 + 1) * 16
+        monkeypatch.setattr(dynamics, "_SCRATCH", spectral._Scratch())
         run(initial, cfg.params, cfg.control, cfg.monitors)
         n = cfg.n
         rows = min(n, spectral._BLOCK_BYTES // (18 * n * 8))

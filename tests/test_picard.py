@@ -337,9 +337,9 @@ class TestFusedMap:
 
 class TestMapScratch:
     """`apply_map` works through the path in blocks of nodes and holds its
-    transform buffers across calls, sized for one block of min(m,
-    `_node_block`) nodes: a change of node count replaces them without
-    changing any result, a ragged last block reads the front of them, and
+    stack and the product pass's row blocks across calls, sized for one
+    block of min(m, `_node_block`) nodes: a larger block replaces them and
+    a smaller one reads their front, without changing any result, and
     nothing it returns aliases them."""
 
     @staticmethod
@@ -354,15 +354,16 @@ class TestMapScratch:
             return apply_map(*self._inputs(grid16, m), grid16, PARAMS, cfg)
 
         block = picard_mod._node_block(grid16)
-        assert block == 34  # 65 nodes are two blocks, the last one ragged
+        assert block == 16  # 65 nodes are five blocks, the last one ragged
+        monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
         shared = []
-        for m in (9, 65, 9):
+        for m, b in zip((9, 65, 9), (9, 16, 16)):  # the buffers only grow
             shared.append(apply(m))
-            held = list(picard_mod._SCRATCH._buffers.values())
-            b = min(m, block)
-            assert [buf.shape for buf in held] == [
-                (b, 9, 16, KC), (b, 6, 16, 16), (b, 3, 3, 16, 16)]
-            assert not any(np.shares_memory(shared[-1], buf) for buf in held)
+            held = picard_mod._SCRATCH._buffers
+            assert {role: buf.shape for role, buf in held.items()} == {
+                "stack": (15 * b, 16, KC), "real": (15 * b, 16, 16),
+                "products": (5 * b, 16, 16)}
+            assert not any(np.shares_memory(shared[-1], buf) for buf in held.values())
         for m, got in zip((9, 65, 9), shared):
             monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
             assert np.array_equal(got, apply(m))
@@ -373,11 +374,13 @@ class TestMapScratch:
         cfg = PicardConfig(t0=0.05, n_time_nodes=9)
         path, sh0 = self._inputs(grid16, 9)
         one_block = apply_map(path, sh0, grid16, PARAMS, cfg)
-        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 2 * 15 * 16 * 16 * 8)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES",
+                            2 * (15 * 16 * KC * 16 + 20 * 16 * 16 * 8))
         monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
         assert picard_mod._node_block(grid16) == 2
         got = apply_map(path, sh0, grid16, PARAMS, cfg)
-        assert [buf.shape[0] for buf in picard_mod._SCRATCH._buffers.values()] == [2, 2, 2]
+        assert {role: buf.shape[0] for role, buf in picard_mod._SCRATCH._buffers.items()} == {
+            "stack": 30, "real": 30, "products": 10}
         assert np.array_equal(got, one_block)
         assert_equals_composition(got, path, sh0, grid16, cfg)
 
@@ -403,10 +406,8 @@ class TestKeptWidth:
         """Peak traced allocation of a warm `picard_iterate` at the
         picard-compare config (n=32, 33 nodes), in units of one full-width
         (33, 6, 32, 17) complex path.  With the map in node blocks and the
-        successive difference taken in place it peaks at 2.05 units; over
-        the whole path at once it peaked at 2.34, and with full-width
-        paths, stacks and integrands at 3.62.  A first solve runs untraced,
-        so the map's scratch is held."""
+        successive difference taken in place it peaks at 1.90 units.  A
+        first solve runs untraced, so the map's scratch is held."""
         grid, state, params, cfg = self._setup()
         unit = 33 * 6 * 32 * (32 // 2 + 1) * 16
         picard_iterate(state, params, cfg)
@@ -420,9 +421,9 @@ class TestKeptWidth:
 
     def test_cold_peak_memory_of_one_solve(self, monkeypatch):
         """The same solve with no scratch held, so the map's buffers are
-        allocated inside it: one block of 8 nodes.  It peaks at 2.86 units
-        and holds 0.81 after; with buffers for the whole path it peaked at
-        5.67 and held 3.32."""
+        allocated inside it: one block of 4 nodes, whose product pass holds
+        15 kept-width complex stack planes and 20 real planes per node.  It
+        peaks at 2.48 units and holds 0.58 after."""
         grid, state, params, cfg = self._setup()
         n, kc = 32, 32 // 3 + 1
         unit = 33 * 6 * n * (n // 2 + 1) * 16
@@ -434,9 +435,9 @@ class TestKeptWidth:
         finally:
             tracemalloc.stop()
         block = picard_mod._node_block(grid)
-        assert block == 8
+        assert block == 4
         held = sum(buf.nbytes for buf in picard_mod._SCRATCH._buffers.values())
-        assert held == block * (9 * n * kc * 16 + 15 * n * n * 8), held / unit
+        assert held == block * (15 * n * kc * 16 + 20 * n * n * 8), held / unit
         assert peak <= 3.5 * unit, peak / unit
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from oldb2d import make_grid
-from oldb2d import spectral
-from oldb2d.spectral import dealias, decay, irfft2, project, rfft2
+from oldb2d.spectral import _Scratch, dealias, decay, irfft2, project, rfft2
 
 import oracles
 from oracles import fd_derivative
@@ -124,12 +123,6 @@ class TestKeptWidth:
         padded[..., :kc] = kept
         assert np.array_equal(irfft2(kept, n), irfft2(padded, n))
 
-    def test_row_blocks_of_the_forward_pass(self, monkeypatch):
-        """The `rfft` pass runs on blocks of rows, the last one ragged."""
-        monkeypatch.setattr(spectral, "_ROW_BYTES", 5 * 6 * 9 * 16)
-        values = np.random.default_rng(2).standard_normal((6, 16, 16))
-        assert np.array_equal(rfft2(values, 6), rfft2(values)[..., :6])
-
     def test_dealias_masks_the_kept_columns(self, grid64):
         rng = np.random.default_rng(5)
         values = rng.standard_normal((2, 64, 64))
@@ -137,6 +130,32 @@ class TestKeptWidth:
         got = dealias(grid64, values)
         assert got.shape == (2, 64, kc)
         assert np.array_equal(got, rfft2(values)[..., :kc] * grid64.mask[:, :kc])
+
+
+class TestScratch:
+    """`_Scratch.take` returns the front of a role's held buffer for any
+    shape that fits in it, and replaces the buffer only for a larger shape
+    or another dtype."""
+
+    def test_take_rule(self):
+        scratch = _Scratch()
+        first = scratch.take("stack", (4, 8))
+        assert first.shape == (4, 8) and first.dtype == complex
+
+        smaller = scratch.take("stack", (3, 5))
+        assert smaller.shape == (3, 5) and smaller.flags.c_contiguous
+        assert smaller.ctypes.data == first.ctypes.data  # the same memory
+        assert scratch._buffers["stack"].shape == (4, 8)
+
+        larger = scratch.take("stack", (5, 8))
+        assert larger.shape == (5, 8) and not np.shares_memory(larger, first)
+        assert scratch._buffers["stack"].shape == (5, 8)
+        assert scratch.take("stack", (4, 8)).ctypes.data == larger.ctypes.data
+
+        real = scratch.take("stack", (2, 2), float)
+        assert real.dtype == float and not np.shares_memory(real, larger)
+        assert scratch._buffers["stack"].shape == (2, 2)
+        assert not np.shares_memory(scratch.take("other", (2, 2), float), real)
 
 
 class TestDdx:
