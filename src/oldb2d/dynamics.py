@@ -13,7 +13,9 @@ The core assembly operates on packed dealiased spectra at the kept width,
 `rfft2` half spectrum of `SimState.planes`, whose other columns the 2/3
 rule zeroes (`spectral.dealias`).  The time stepper and `rates` share it.
 At n=256 one such array holds 2.0 MiB, where the full half spectrum held
-3.0 MiB.
+3.0 MiB.  An evaluation's derivative stack holds 12 planes, the state
+and its x-derivatives (4.0 MiB at n=256): the product pass x-passes those
+12 and forms the six y-derivatives after its x-pass, so it y-passes 18.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
 
 
 # Planes of the real derivative stack that hold the state's `PLANES`.
-_STATE_PLANES = [0, 1, 14, 15, 16, 17]
+_STATE_PLANES = range(6)
 
 # `_terms`' derivative stack and `dealiased_products`' row blocks, held
 # across calls.
@@ -43,12 +45,10 @@ _SCRATCH = _Scratch()
 
 def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The six quadratic terms, before dealiasing, from a block of the real
-    derivative stack (u, d1 sh, d2 sh, a, b, c, ...), written into `out`
-    (6, rows, n)."""
-    (u1, u2,
+    derivative stack (sh, d1 sh, d2 sh), written into `out` (6, rows, n)."""
+    (u1, u2, a, b, c, _,
      d1u1, d1u2, da1, db1, dc1, dr1,
-     d2u1, d2u2, da2, db2, dc2, dr2,
-     a, b, c) = real[:17]
+     d2u1, d2u2, da2, db2, dc2, dr2) = real
 
     lam = 0.5 * (d1u1 - d2u2)
     mu = 0.5 * (d1u2 + d2u1)
@@ -75,27 +75,24 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     Semigroup-absorbed linear parts (nu*lap(u), kappa*lap - 2k on the
     stress) are excluded.
 
-    With `planes=True` rho joins the inverse transform and the result is
-    `(nh, reals)`, where `reals` is a fresh array of the state's own real
-    planes, bit-identical to `irfft2(sh, n)` and fit to be a
-    `SimState.planes`: one evaluation serves the monitors, a record and the
-    first RK stage.
+    With `planes=True` the result is `(nh, reals)`, where `reals` is a
+    fresh array of the state's own real planes, bit-identical to
+    `irfft2(sh, n)` and fit to be a `SimState.planes`: one evaluation
+    serves the monitors, a record and the first RK stage.
 
-    The derivative stack (u, d1 sh, d2 sh, a, b, c[, rho]) and the product
-    pass (`spectral.dealiased_products`), which visits real space in row
-    blocks, are module scratch (`_SCRATCH`), so calls must not overlap
-    across threads; the returned arrays are the caller's own.
+    The derivative stack (sh, d1 sh) and the product pass
+    (`spectral.dealiased_products`), which forms d2 sh after its x-pass and
+    visits real space in row blocks, are module scratch (`_SCRATCH`), so
+    calls must not overlap across threads; the returned arrays are the
+    caller's own.
     """
     ikx, iky = grid.at(grid.ikx, sh), grid.at(grid.iky, sh)
     ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
 
-    depth = 18 if planes else 17
-    stack = _SCRATCH.take("stack", (18,) + sh.shape[1:])
-    stack[0:2] = sh[0:2]
-    np.multiply(ikx, sh, out=stack[2:8])
-    np.multiply(iky, sh, out=stack[8:14])
-    stack[14:depth] = sh[2:depth - 12]
-    nh, reals = dealiased_products(grid, stack, depth, _products, 6, _SCRATCH,
+    stack = _SCRATCH.take("stack", (12,) + sh.shape[1:])
+    stack[0:6] = sh
+    np.multiply(ikx, sh, out=stack[6:12])
+    nh, reals = dealiased_products(grid, stack, 6, _products, 6, _SCRATCH,
                                    keep=_STATE_PLANES if planes else None)
 
     bigK = params.bigK

@@ -20,27 +20,30 @@ stretching term inside Q2 is assembled in matrix components, independently
 of the strain-based assembly in `dynamics`.
 
 One application of the map works through the path in blocks of nodes, as
-many as `spectral._BLOCK_BYTES` holds of one node's product pass: 15
-kept-width complex planes and 20 real planes (16 nodes at n=16, 4 at n=32,
-1 from n=64 up).  A block fills one kept-width stack with the 15 planes its
-nodes' integrands read (`_node_stack`: u, grad u, the stress in matrix
-components and its gradient) and forms every product of Q1 and Q2 in one
-`spectral.dealiased_products` pass, the stepper's product pass, which also
-keeps the (u1, u2) real planes.  Integrands under the same kernel
-(Q1 + L1, Q2 + L2) are summed before one quadrature, which adds into the
-new path's planes for that kernel and carries its last node over to the
-next block.  The transport needs every node's speed before it starts, so
-the blocks gather their (u1, u2) planes into one (m, 2, n, n) array for it.
-No integrand, accumulation or real stack spans the whole path.  The public
-operators `op_q1`, `op_l1`, `op_q2`, `op_l2` and `op_n` remain the
-full-path definitions, with one `irfft2` and one `dealias` over the whole
-path; the map is their composition.  The stack and the pass's row blocks
-are held across calls (`_SCRATCH`): a warm map allocates none of them, a
-ragged last block reads their front, and `apply_map` is not reentrant
-across threads.  At the picard-compare benchmark config (n=32, 33 nodes)
-one path holds 1.06 MiB and the held buffers 0.95 MiB, and a cold
-`picard_iterate` peaks at 4.07 MiB traced; at n=64 with 65 nodes it peaks
-at 24.0 MiB.
+many as `spectral._BLOCK_BYTES` holds of one node's product pass: 10
+kept-width complex planes and 20 real planes (18 nodes at n=16, 4 at n=32,
+1 from n=64 up).  A block fills one kept-width stack, plane-major, with
+the 10 planes its nodes' integrands read before their y-derivatives
+(`_node_stack`: u, the stress in matrix components, and their x
+derivatives) and forms every product of Q1 and Q2 in one
+`spectral.dealiased_products` pass, the stepper's product pass, which
+forms the y-derivatives of the first five planes per node after its
+x-pass and also keeps the (u1, u2) real planes.  Integrands under the
+same kernel (Q1 + L1, Q2 + L2) are summed before one quadrature, which
+adds into the new path's planes for that kernel and carries its last node
+over to the next block.  The transport needs every node's speed before it
+starts, so the blocks gather their (u1, u2) planes into one (m, 2, n, n)
+array for it.  No integrand, accumulation or real stack spans the whole
+path.  The public operators `op_q1`, `op_l1`, `op_q2`, `op_l2` and `op_n`
+remain the full-path definitions, with one `irfft2` and one `dealias`
+over the whole path and the y-derivatives formed spectrally; the map is
+their composition.  The stack and the pass's row blocks are held across
+calls (`_SCRATCH`): a warm map allocates none of them, a ragged last
+block reads their front, and `apply_map` is not reentrant across
+threads.  At the picard-compare benchmark config (n=32, 33 nodes)
+one path holds 1.06 MiB and the held buffers 0.84 MiB, and a cold
+`picard_iterate` peaks at 3.97 MiB traced; at n=64 with 65 nodes it peaks
+at 23.9 MiB.
 """
 
 from __future__ import annotations
@@ -158,34 +161,31 @@ def _gradient(grid: SpectralGrid) -> np.ndarray:
     return np.stack([grid.ikx[:, :kc], grid.iky[:, :kc]])
 
 
-def _node_stack(u_path: np.ndarray, v_path: np.ndarray, abc_path: np.ndarray,
-                grid: SpectralGrid, out: np.ndarray) -> np.ndarray:
-    """Fill `out`, (m, 15, n, n//3+1), with the kept-width planes a node's
-    integrands read: u1, u2; grad v as d1v1, d2v1, d1v2, d2v2; the stress
-    in matrix components s11, s12, s22; their x derivatives; their y
-    derivatives.  Returns `out`."""
-    grad = _gradient(grid)
-    out[:, 0:2] = u_path
-    np.multiply(grad, v_path[:, 0, None], out=out[:, 2:4])
-    np.multiply(grad, v_path[:, 1, None], out=out[:, 4:6])
-    out[:, 6] = 0.5 * abc_path[:, 2] + abc_path[:, 0]
-    out[:, 7] = abc_path[:, 1]
-    out[:, 8] = 0.5 * abc_path[:, 2] - abc_path[:, 0]
-    np.multiply(grad[0], out[:, 6:9], out=out[:, 9:12])
-    np.multiply(grad[1], out[:, 6:9], out=out[:, 12:15])
+def _node_stack(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
+                out: np.ndarray) -> np.ndarray:
+    """Fill `out`, (10, m, n, n//3+1) plane-major, with the kept-width
+    planes a node's integrands read before their y-derivatives: u1, u2; the
+    stress in matrix components s11, s12, s22; the x derivatives of those
+    five.  Returns `out`."""
+    out[0:2] = np.moveaxis(u_path, 1, 0)
+    out[2] = 0.5 * abc_path[:, 2] + abc_path[:, 0]
+    out[3] = abc_path[:, 1]
+    out[4] = 0.5 * abc_path[:, 2] - abc_path[:, 0]
+    np.multiply(grid.at(grid.ikx, out), out[0:5], out=out[5:10])
     return out
 
 
 def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The five integrand planes per node, before dealiasing, from a block
-    of rows of real planes (15 per node, in `_node_stack` order), written
-    into `out` (5 per node): -(u.grad v), then Q2's
+    of rows of real planes, plane-major: the 10 of `_node_stack`, then the
+    y derivatives of its first five.  Writes into `out` five planes per
+    node, node-major: -(u.grad v), then Q2's
     (grad u) sigma + sigma (grad u)^T - u.grad(sigma), assembled in matrix
     components and written in (a, b, c) order (it reads grad v as grad u)."""
     nodes = len(real) // 15
-    (u1, u2, g11, g12, g21, g22, s11, s12, s22,
-     d1s11, d1s12, d1s22, d2s11, d2s12, d2s22) = np.moveaxis(
-        real.reshape((nodes, 15) + real.shape[1:]), 1, 0)
+    (u1, u2, s11, s12, s22,
+     g11, g21, d1s11, d1s12, d1s22,
+     g12, g22, d2s11, d2s12, d2s22) = real.reshape((15, nodes) + real.shape[1:])
     f = np.moveaxis(out.reshape((nodes, 5) + out.shape[1:]), 1, 0)
 
     f[0] = -(u1 * g11 + u2 * g12)
@@ -202,11 +202,14 @@ def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _path_integrands(u_path: np.ndarray, v_path: np.ndarray, abc_path: np.ndarray,
                      grid: SpectralGrid) -> np.ndarray:
     """The five dealiased integrand planes of `_products` at every node,
-    (m, 5, n, n//3+1), from one `irfft2` of the whole path's stack and one
-    `dealias` of its products."""
+    (m, 5, n, n//3+1), from one `irfft2` of the whole path's stack, its y
+    derivatives formed spectrally, and one `dealias` of its products."""
     m, n, kc = u_path.shape[0], grid.n, grid.kept_columns
-    stack = _node_stack(u_path, v_path, abc_path, grid, np.empty((m, 15, n, kc), complex))
-    real = irfft2(stack, n, overwrite_x=True).reshape(m * 15, n, n)
+    stack = np.empty((15, m, n, kc), complex)
+    _node_stack(v_path, abc_path, grid, stack[:10])
+    np.multiply(grid.at(grid.iky, stack), stack[0:5], out=stack[10:15])
+    stack[0:2] = np.moveaxis(u_path, 1, 0)  # u carries v's gradient
+    real = irfft2(stack, n, overwrite_x=True).reshape(15 * m, n, n)
     return dealias(grid, _products(real, np.empty((m * 5, n, n)))).reshape(m, 5, n, kc)
 
 
@@ -391,11 +394,11 @@ def semigroup_paths(sh0, grid, params, cfg):
 
 def _node_block(grid: SpectralGrid) -> int:
     """Nodes per block of `apply_map`: as many as `spectral._BLOCK_BYTES`
-    holds of one node's product pass, its 15 kept-width complex stack
-    planes and 20 real planes (15 transformed, 5 products); 16 at n=16, 4
+    holds of one node's product pass, its 10 kept-width complex stack
+    planes and 20 real planes (15 transformed, 5 products); 18 at n=16, 4
     at n=32, 1 from n=64 up."""
     n = grid.n
-    return max(1, spectral._BLOCK_BYTES // (15 * n * grid.kept_columns * 16 + 20 * n * n * 8))
+    return max(1, spectral._BLOCK_BYTES // (10 * n * grid.kept_columns * 16 + 20 * n * n * 8))
 
 
 def _integrands(block_path, grid, params, speeds):
@@ -404,11 +407,11 @@ def _integrands(block_path, grid, params, speeds):
     block's stack; the (u1, u2) planes go to `speeds`."""
     b, n = len(block_path), grid.n
     u, abc = block_path[:, 0:2], block_path[:, 2:5]
-    stack = _SCRATCH.take("stack", (b * 15, n, grid.kept_columns))
-    _node_stack(u, u, abc, grid, stack.reshape((b, 15) + stack.shape[1:]))
-    prods, reals = dealiased_products(grid, stack, len(stack), _products, 5 * b, _SCRATCH,
-                                      keep=[15 * j + p for j in range(b) for p in (0, 1)])
-    speeds[...] = reals.reshape(speeds.shape)
+    stack = _SCRATCH.take("stack", (b * 10, n, grid.kept_columns))
+    _node_stack(u, abc, grid, stack.reshape((10, b) + stack.shape[1:]))
+    prods, reals = dealiased_products(grid, stack, 5 * b, _products, 5 * b, _SCRATCH,
+                                      keep=range(2 * b))
+    speeds[...] = np.moveaxis(reals.reshape((2, b, n, n)), 0, 1)
     prods = prods.reshape((b, 5) + stack.shape[1:])
     fh = prods[:, 0:2] + params.bigK * _stress_divergence(abc, grid)
     project(grid, fh)

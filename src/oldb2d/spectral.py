@@ -41,8 +41,12 @@ and visits real space one block of x-rows at a time: the y-passes, the
 caller's pointwise products and the copy of any real planes the caller
 keeps run per block in small held buffers, and each block's products are
 transformed into a held buffer from which only the kept columns are
-copied out.  `_BLOCK_BYTES` is the one budget that sizes the row blocks
-and the Picard map's node blocks.
+copied out.  The y-derivatives of the stack's first planes are not
+stored in it: `iky` depends on the column only, so it commutes with the
+axis -2 transform, and each block forms them from its x-passed rows and
+y-passes them with the other planes.  They equal the y-pass of the
+spectral-first `iky * f_hat` to rounding.  `_BLOCK_BYTES` is the one
+budget that sizes the row blocks and the Picard map's node blocks.
 
 Dealiasing follows the 2/3 rule: a mode with integer wavenumbers (k1, k2)
 survives iff 3 * max(|k1|, |k2|) <= N, which keeps quadratic products of
@@ -124,47 +128,64 @@ class _Scratch:
 
 # The one memory budget of the product passes.  A row block of
 # `dealiased_products` holds this many bytes of real planes: a grid whose
-# whole stack fits is one block (up to n=64 for the stepper's 18 planes),
-# and n=256 takes ten.  A node block of `picard.apply_map` holds as many
-# nodes as fit one node's pass, its kept-width stack and real blocks: 16
-# nodes at n=16, 4 at n=32, 1 from n=64 up.
+# rows all fit is one block (up to n=64 for the stepper's 18 real planes,
+# its 12 stack planes and 6 y-derivatives), and n=256 takes ten.  A
+# node block of `picard.apply_map` holds as many nodes as fit one node's
+# pass, its kept-width stack and real blocks: 18 nodes at n=16, 4 at n=32,
+# 1 from n=64 up.
 _BLOCK_BYTES = 1 << 20
 
 
-def dealiased_products(grid: SpectralGrid, stack: np.ndarray, depth: int, products,
+def dealiased_products(grid: SpectralGrid, stack: np.ndarray, dy: int, products,
                        count: int, scratch: _Scratch, keep=None):
     """The dealiased spectrum, at the kept width, of `count` pointwise
-    products of the real fields whose coefficients fill `stack`.
+    products of the real fields whose coefficients fill `stack`, and of the
+    y-derivatives of its first `dy` fields.
 
     `stack` is a complex (planes, n, kc) buffer with kc = `grid.kept_columns`:
-    dealiased coefficients at the kept width.  Its first `depth` planes are
-    transformed, and the x-pass overwrites them.  Real space is visited in
-    blocks of x-rows, as many as `_BLOCK_BYTES` holds for all of the
-    buffer's planes (so calls of different depths share one block buffer):
-    `products(real, out)` reads a block's real planes (depth, rows, n) and
-    writes its products into `out` (count, rows, n).  Both blocks are
-    `scratch` buffers.  Once a block's products are formed its real planes
-    are dead, so their `rfft` is written into the real block's memory, and
-    only the kept columns are copied out; this needs planes * n >=
-    count * (n + 2).
+    dealiased coefficients at the kept width, which the x-pass overwrites.
+    Real space is visited in blocks of x-rows, as many as `_BLOCK_BYTES`
+    holds for the planes + dy real planes: `products(real, out)` reads a
+    block's real planes (planes + dy, rows, n), the stack's planes and then
+    the y-derivatives, and writes its products into `out` (count, rows, n).
+    Both blocks are `scratch` buffers.  `iky` depends on the column only,
+    so it commutes with the x-pass: a block's y-derivative spectra are its
+    x-passed rows times one row of `iky`, written into the products block,
+    which is free until the products are formed (this needs
+    count * n >= 2 * dy * kc).  Once a block's products are formed its real
+    planes are dead, so their `rfft` is written into the real block's
+    memory, and only the kept columns are copied out (this needs
+    (planes + dy) * n >= count * (n + 2)).  Either need unmet raises
+    ValueError.
 
     Returns a fresh, masked (count, n, kc) array, bit-identical to the kept
     columns of `rfft2` of the full-width products times the mask, and, with
-    `keep` (a list of plane indices), a fresh (len(keep), n, n) array of
-    those real planes, bit-identical to their `irfft2`; else None."""
+    `keep` (a list of real plane indices), a fresh (len(keep), n, n) array
+    of those real planes, bit-identical to their `irfft2` for a plane of
+    the stack; else None."""
     n = grid.n
-    kc = stack.shape[-1]
-    rows = max(1, min(n, _BLOCK_BYTES // (len(stack) * n * 8)))
-    real_buf = scratch.take("real", (len(stack), rows, n), float)
+    depth, kc = len(stack) + dy, stack.shape[-1]
+    if depth * n < count * (n + 2):
+        raise ValueError("the products' rfft does not fit the real block: (planes + dy) * n "
+                         f"= {depth * n} < count * (n + 2) = {count * (n + 2)}")
+    if count * n < 2 * dy * kc:
+        raise ValueError("the y-derivative spectra do not fit the products block: "
+                         f"count * n = {count * n} < 2 * dy * kc = {2 * dy * kc}")
+    rows = max(1, min(n, _BLOCK_BYTES // (depth * n * 8)))
+    real_buf = scratch.take("real", (depth, rows, n), float)
     prod_buf = scratch.take("products", (count, rows, n), float)
+    iky = grid.iky[0, :kc]
     out = reals = None
 
-    coeffs = stack[:depth]
-    np.fft.ifft(coeffs, axis=-2, norm="forward", out=coeffs)
+    np.fft.ifft(stack, axis=-2, norm="forward", out=stack)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        real = np.fft.irfft(coeffs[:, start:stop], n=n, axis=-1, norm="forward",
-                            out=_leading(real_buf, (depth, stop - start, n)))
+        real = _leading(real_buf, (depth, stop - start, n))
+        coeffs = stack[:, start:stop]
+        dy_coeffs = np.multiply(iky, coeffs[:dy],
+                                out=_leading(prod_buf, (dy, stop - start, kc), complex))
+        np.fft.irfft(coeffs, n=n, axis=-1, norm="forward", out=real[:len(stack)])
+        np.fft.irfft(dy_coeffs, n=n, axis=-1, norm="forward", out=real[len(stack):])
         prods = products(real, _leading(prod_buf, (count, stop - start, n)))
         if out is None:  # after the first block's product temporaries are freed
             out = np.empty((count, n, kc), complex)

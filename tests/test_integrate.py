@@ -345,8 +345,8 @@ ONE_EVALUATION_CONFIGS = {
 
 class TestOneEvaluationPerState:
     """`run` transforms each accepted state once: one `_terms` evaluation
-    (18 inverse planes) serves the monitors, the energy, a record and the
-    next step's first stage."""
+    (12 planes in the x-pass, 18 in the y-pass) serves the monitors, the
+    energy, a record and the next step's first stage."""
 
     @staticmethod
     def _setup(text):
@@ -373,12 +373,15 @@ class TestOneEvaluationPerState:
         # each step; the final state, recorded or not, needs only its six
         # real planes.
         assert len(terms) == 3 * steps
-        # Inverse planes: the product pass transforms the first `depth`
-        # planes of its stack, `irfft2` every plane it is given.
-        planes = (sum(args[2] for args in passes)
-                  + sum(int(np.prod(args[0].shape[:-2])) for args in inverse))
+        # Inverse planes: the product pass x-passes every plane of its
+        # stack and y-passes those and the y-derivatives of its first `dy`;
+        # `irfft2` passes every plane it is given in both.
+        given = sum(int(np.prod(args[0].shape[:-2])) for args in inverse)
+        x_planes = sum(len(args[1]) for args in passes) + given
+        y_planes = sum(len(args[1]) + args[2] for args in passes) + given
         assert len(passes) == len(terms)
-        assert planes == 18 * steps + 17 * 2 * steps + 6
+        assert x_planes == 12 * 3 * steps + 6
+        assert y_planes == 18 * 3 * steps + 6
         assert unpacks == []
 
     @pytest.mark.parametrize("name", sorted(ONE_EVALUATION_CONFIGS))
@@ -423,8 +426,8 @@ class TestOneEvaluationPerState:
         planes are about one unit too), fixed whatever width the stepper
         stores; a packed state at the kept width is 0.67 units.  The warm-up
         run, on a fresh scratch (a held buffer only grows), leaves `_terms`'
-        scratch allocated (the kept-column stack and the two row blocks), so
-        the measured run allocates none.  With every dealiased spectrum at
+        scratch allocated (the 12-plane kept-column stack and the two row
+        blocks), so the measured run allocates none.  With every dealiased spectrum at
         the kept width it peaks at 3.48 units.  The bound sits a third of a
         kept-width state above, so keeping one more such array alive
         through a step fails."""
@@ -437,7 +440,7 @@ class TestOneEvaluationPerState:
         rows = min(n, spectral._BLOCK_BYTES // (18 * n * 8))
         assert rows < n  # two blocks, the last one ragged
         held = sum(buf.nbytes for buf in dynamics._SCRATCH._buffers.values())
-        assert held == 18 * n * (n // 3 + 1) * 16 + (18 + 6) * rows * n * 8
+        assert held == 12 * n * (n // 3 + 1) * 16 + (18 + 6) * rows * n * 8
         tracemalloc.start()
         try:
             traj = run(initial, cfg.params, cfg.control, cfg.monitors)
@@ -450,12 +453,14 @@ class TestOneEvaluationPerState:
 
 def reference_terms(grid, params, sh, planes):
     """`_terms` written full width, from full-width coefficients `sh`: the
-    whole (depth, n, n//2+1) derivative stack through `irfft2`, the
-    products on the whole grid, `rfft2` and the mask."""
+    whole (12, n, n//2+1) stack of sh and its x-derivatives through the
+    x-pass of `irfft2`, the y-derivatives formed from the x-passed sh, all
+    18 planes through the y-pass, the products on the whole grid, `rfft2`
+    and the mask."""
     n = grid.n
-    depth = 18 if planes else 17
-    stack = np.concatenate([sh[0:2], grid.ikx * sh, grid.iky * sh, sh[2:depth - 12]])
-    real = irfft2(stack, n)
+    mixed = np.fft.ifft(np.concatenate([sh, grid.ikx * sh]), axis=-2, norm="forward")
+    real = np.fft.irfft(np.concatenate([mixed, grid.iky * mixed[:6]]), n=n, axis=-1,
+                        norm="forward")
     nh = rfft2(dynamics._products(real, np.empty((6, n, n)))) * grid.mask
     ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
     nh[0] += params.bigK * (grid.ikx * (0.5 * ch + ah) + grid.iky * bh)

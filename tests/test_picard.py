@@ -354,14 +354,14 @@ class TestMapScratch:
             return apply_map(*self._inputs(grid16, m), grid16, PARAMS, cfg)
 
         block = picard_mod._node_block(grid16)
-        assert block == 16  # 65 nodes are five blocks, the last one ragged
+        assert block == 18  # 65 nodes are four blocks, the last one ragged
         monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
         shared = []
-        for m, b in zip((9, 65, 9), (9, 16, 16)):  # the buffers only grow
+        for m, b in zip((9, 65, 9), (9, 18, 18)):  # the buffers only grow
             shared.append(apply(m))
             held = picard_mod._SCRATCH._buffers
             assert {role: buf.shape for role, buf in held.items()} == {
-                "stack": (15 * b, 16, KC), "real": (15 * b, 16, 16),
+                "stack": (10 * b, 16, KC), "real": (15 * b, 16, 16),
                 "products": (5 * b, 16, 16)}
             assert not any(np.shares_memory(shared[-1], buf) for buf in held.values())
         for m, got in zip((9, 65, 9), shared):
@@ -375,12 +375,12 @@ class TestMapScratch:
         path, sh0 = self._inputs(grid16, 9)
         one_block = apply_map(path, sh0, grid16, PARAMS, cfg)
         monkeypatch.setattr(spectral, "_BLOCK_BYTES",
-                            2 * (15 * 16 * KC * 16 + 20 * 16 * 16 * 8))
+                            2 * (10 * 16 * KC * 16 + 20 * 16 * 16 * 8))
         monkeypatch.setattr(picard_mod, "_SCRATCH", _Scratch())
         assert picard_mod._node_block(grid16) == 2
         got = apply_map(path, sh0, grid16, PARAMS, cfg)
         assert {role: buf.shape[0] for role, buf in picard_mod._SCRATCH._buffers.items()} == {
-            "stack": 30, "real": 30, "products": 10}
+            "stack": 20, "real": 30, "products": 10}
         assert np.array_equal(got, one_block)
         assert_equals_composition(got, path, sh0, grid16, cfg)
 
@@ -422,8 +422,8 @@ class TestKeptWidth:
     def test_cold_peak_memory_of_one_solve(self, monkeypatch):
         """The same solve with no scratch held, so the map's buffers are
         allocated inside it: one block of 4 nodes, whose product pass holds
-        15 kept-width complex stack planes and 20 real planes per node.  It
-        peaks at 2.48 units and holds 0.58 after."""
+        10 kept-width complex stack planes and 20 real planes per node.  It
+        peaks at 2.42 units and holds 0.51 after."""
         grid, state, params, cfg = self._setup()
         n, kc = 32, 32 // 3 + 1
         unit = 33 * 6 * n * (n // 2 + 1) * 16
@@ -437,7 +437,7 @@ class TestKeptWidth:
         block = picard_mod._node_block(grid)
         assert block == 4
         held = sum(buf.nbytes for buf in picard_mod._SCRATCH._buffers.values())
-        assert held == block * (15 * n * kc * 16 + 20 * n * n * 8), held / unit
+        assert held == block * (10 * n * kc * 16 + 20 * n * n * 8), held / unit
         assert peak <= 3.5 * unit, peak / unit
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oldb2d import make_grid
-from oldb2d.spectral import _Scratch, dealias, decay, irfft2, project, rfft2
+from oldb2d.spectral import (_Scratch, dealias, dealiased_products, decay, irfft2, project,
+                             rfft2)
 
 import oracles
 from oracles import fd_derivative
@@ -156,6 +157,45 @@ class TestScratch:
         assert real.dtype == float and not np.shares_memory(real, larger)
         assert scratch._buffers["stack"].shape == (2, 2)
         assert not np.shares_memory(scratch.take("other", (2, 2), float), real)
+
+
+class TestProductPass:
+    """`dealiased_products` forms the y-derivatives of its stack's first
+    `dy` planes after the x-pass, as one row of `iky` times the x-passed
+    rows: `iky` depends on the column only, so it commutes with the axis -2
+    transform.  It checks that the buffers it reuses are large enough."""
+
+    @staticmethod
+    def _copy_y_derivatives(real, out):
+        out[...] = real[len(real) - len(out):]
+        return out
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 256])
+    def test_commuted_y_derivatives(self, n):
+        grid = make_grid(n, TWO_PI)
+        assert np.all(grid.iky == grid.iky[0])
+        rng = np.random.default_rng(n)
+        sh = dealias(grid, rng.standard_normal((3, n, n)))
+        want = irfft2(grid.at(grid.iky, sh) * sh, n)
+        prods, reals = dealiased_products(grid, sh.copy(), 3, self._copy_y_derivatives, 3,
+                                          _Scratch(), keep=range(6))
+        assert np.array_equal(reals[:3], irfft2(sh, n))
+        rms = np.sqrt(np.mean(want ** 2, axis=(-2, -1)))
+        err = np.max(np.abs(reals[3:] - want), axis=(-2, -1))
+        assert np.all(err <= 1e-14 * rms), err / rms
+        assert np.allclose(prods, dealias(grid, want), rtol=0.0, atol=1e-14 * rms.max())
+
+    def test_buffer_reuse_preconditions(self):
+        grid16 = make_grid(16, TWO_PI)
+        sh = dealias(grid16, np.random.default_rng(1).standard_normal((2, 16, 16)))
+        given = sh.copy()
+        # (planes + dy) * n = 16 < count * (n + 2) = 18
+        with pytest.raises(ValueError, match="products' rfft does not fit the real block"):
+            dealiased_products(grid16, sh[:1], 0, self._copy_y_derivatives, 1, _Scratch())
+        # count * n = 16 < 2 * dy * kc = 24
+        with pytest.raises(ValueError, match="y-derivative spectra do not fit the products"):
+            dealiased_products(grid16, sh, 2, self._copy_y_derivatives, 1, _Scratch())
+        assert np.array_equal(sh, given)  # refused before the x-pass
 
 
 class TestDdx:
