@@ -16,6 +16,9 @@ At n=256 one such array holds 2.0 MiB, where the full half spectrum held
 3.0 MiB.  An evaluation's derivative stack holds 12 planes, the state
 and its x-derivatives (4.0 MiB at n=256): the product pass x-passes those
 12 and forms the six y-derivatives after its x-pass, so it y-passes 18.
+The stack and the pass's row blocks are allocated per evaluation and
+freed on return: nothing is held between calls, so evaluations may overlap
+across threads.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
-from .spectral import SpectralGrid, _Scratch, dealias, dealiased_products, irfft2, project
+from .spectral import SpectralGrid, dealias, dealiased_products, irfft2, project
 
 
 def pack_state(state: SimState) -> np.ndarray:
@@ -37,10 +40,6 @@ def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
 
 # Planes of the real derivative stack that hold the state's `PLANES`.
 _STATE_PLANES = range(6)
-
-# `_terms`' derivative stack and `dealiased_products`' row blocks, held
-# across calls.
-_SCRATCH = _Scratch()
 
 
 def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -80,19 +79,18 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     `irfft2(sh, n)` and fit to be a `SimState.planes`: one evaluation
     serves the monitors, a record and the first RK stage.
 
-    The derivative stack (sh, d1 sh) and the product pass
-    (`spectral.dealiased_products`), which forms d2 sh after its x-pass and
-    visits real space in row blocks, are module scratch (`_SCRATCH`), so
-    calls must not overlap across threads; the returned arrays are the
-    caller's own.
+    The derivative stack (sh, d1 sh) and the row blocks of the product
+    pass (`spectral.dealiased_products`), which forms d2 sh after its
+    x-pass, are allocated per call and freed on return; the returned
+    arrays are the caller's own.
     """
     ikx, iky = grid.at(grid.ikx, sh), grid.at(grid.iky, sh)
     ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
 
-    stack = _SCRATCH.take("stack", (12,) + sh.shape[1:])
+    stack = np.empty((12,) + sh.shape[1:], complex)
     stack[0:6] = sh
     np.multiply(ikx, sh, out=stack[6:12])
-    nh, reals = dealiased_products(grid, stack, 6, _products, 6, _SCRATCH,
+    nh, reals = dealiased_products(grid, stack, 6, _products, 6,
                                    keep=_STATE_PLANES if planes else None)
 
     bigK = params.bigK

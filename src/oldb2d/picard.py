@@ -28,22 +28,18 @@ the 10 planes its nodes' integrands read before their y-derivatives
 derivatives) and forms every product of Q1 and Q2 in one
 `spectral.dealiased_products` pass, the stepper's product pass, which
 forms the y-derivatives of the first five planes per node after its
-x-pass and also keeps the (u1, u2) real planes.  Integrands under the
-same kernel (Q1 + L1, Q2 + L2) are summed before one quadrature, which
-adds into the new path's planes for that kernel and carries its last node
-over to the next block.  The transport needs every node's speed before it
-starts, so the blocks gather their (u1, u2) planes into one (m, 2, n, n)
-array for it.  No integrand, accumulation or real stack spans the whole
-path.  The public operators `op_q1`, `op_l1`, `op_q2`, `op_l2` and `op_n`
-remain the full-path definitions, with one `irfft2` and one `dealias`
-over the whole path and the y-derivatives formed spectrally; the map is
-their composition.  The stack and the pass's row blocks are held across
-calls (`_SCRATCH`): a warm map allocates none of them, a ragged last
-block reads their front, and `apply_map` is not reentrant across
-threads.  At the picard-compare benchmark config (n=32, 33 nodes)
-one path holds 1.06 MiB and the held buffers 0.84 MiB, and a cold
-`picard_iterate` peaks at 3.97 MiB traced; at n=64 with 65 nodes it peaks
-at 23.9 MiB.
+x-pass.  Integrands under the same kernel (Q1 + L1, Q2 + L2) are summed
+before one quadrature, which adds into the new path's planes for that
+kernel and carries its last node over to the next block.  The transport,
+`op_n`, forms the real speeds of the whole path itself.  No integrand,
+accumulation or product stack spans the whole path.  The public operators
+`op_q1`, `op_l1`, `op_q2`, `op_l2` and `op_n` remain the full-path
+definitions, with one `irfft2` and one `dealias` over the whole path and
+the y-derivatives formed spectrally; the map is their composition.  A
+block's stack and the pass's row blocks are allocated per block and freed
+after it (0.84 MiB at the picard-compare benchmark config, n=32 with 33
+nodes, where one path holds 1.06 MiB): nothing is held between calls, so
+maps may overlap across threads.
 """
 
 from __future__ import annotations
@@ -55,15 +51,10 @@ import numpy as np
 
 from . import spectral
 from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
-from .spectral import (SpectralGrid, _Scratch, dealias, dealiased_products, decay, irfft2,
-                       project)
+from .spectral import SpectralGrid, dealias, dealiased_products, decay, irfft2, project
 
 _SUBSTEP_CFL = 0.5       # frozen-velocity transport uses the stepper's default
 _MAX_SUBSTEPS = 100_000  # across the whole path; beyond this the velocity is absurd
-
-# The map's stack and the row blocks of its product pass for one block of
-# nodes, held across calls.
-_SCRATCH = _Scratch()
 
 
 @dataclass(frozen=True)
@@ -265,19 +256,15 @@ def op_l2(rho_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
 
 
 def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
-         cfg: PicardConfig, *, planes: np.ndarray | None = None) -> np.ndarray:
+         cfg: PicardConfig) -> np.ndarray:
     """Transport rho0 by the frozen, time-interpolated velocity; sampled at
-    the quadrature nodes.  Sub-steps between nodes obey the advective CFL.
-
-    `planes` are real planes of `u_path` per node, (u1, u2) first, when the
-    caller already holds them (the map gathers just those two); only the
-    first two are read."""
+    the quadrature nodes.  Sub-steps between nodes obey the advective CFL."""
     times = cfg.times()
     m = len(times)
     grad = _gradient(grid)
     out = np.empty((m,) + rho0.shape, dtype=complex)
     out[0] = rho0 * grid.at(grid.mask, rho0)
-    u_r = planes[:, :2] if planes is not None else irfft2(u_path, grid.n)
+    u_r = irfft2(u_path, grid.n)
     h = grid.spacing
 
     def rhs(rho_h, u):
@@ -401,17 +388,15 @@ def _node_block(grid: SpectralGrid) -> int:
     return max(1, spectral._BLOCK_BYTES // (10 * n * grid.kept_columns * 16 + 20 * n * n * 8))
 
 
-def _integrands(block_path, grid, params, speeds):
+def _integrands(block_path, grid, params):
     """The integrands under the two heat kernels, Q1 + L1 and Q2 + L2
     before quadrature, at a block of nodes, from one product pass over the
-    block's stack; the (u1, u2) planes go to `speeds`."""
-    b, n = len(block_path), grid.n
+    block's stack."""
+    b = len(block_path)
     u, abc = block_path[:, 0:2], block_path[:, 2:5]
-    stack = _SCRATCH.take("stack", (b * 10, n, grid.kept_columns))
+    stack = np.empty((b * 10, grid.n, grid.kept_columns), complex)
     _node_stack(u, abc, grid, stack.reshape((10, b) + stack.shape[1:]))
-    prods, reals = dealiased_products(grid, stack, 5 * b, _products, 5 * b, _SCRATCH,
-                                      keep=range(2 * b))
-    speeds[...] = np.moveaxis(reals.reshape((2, b, n, n)), 0, 1)
+    prods, _ = dealiased_products(grid, stack, 5 * b, _products, 5 * b)
     prods = prods.reshape((b, 5) + stack.shape[1:])
     fh = prods[:, 0:2] + params.bigK * _stress_divergence(abc, grid)
     project(grid, fh)
@@ -440,17 +425,13 @@ def apply_map(path, sh0, grid, params, cfg):
     quadrature per kernel; the density plane gets no heat flow, as `op_n`
     writes it.  The nodes are visited in blocks of `_node_block`: a block's
     integrands are summed into the new path, carrying the quadrature on
-    from the block before, and its (u1, u2) planes are gathered for `op_n`,
-    which needs every node's speed before it starts.  The stack and the
-    pass's row blocks are module scratch (`_SCRATCH`) for one block, so
-    calls must not overlap across threads."""
+    from the block before."""
     ds = _step(cfg)
-    m, n = path.shape[0], grid.n
+    m = path.shape[0]
     block = min(m, _node_block(grid))
     heats = [_heat(grid, params, op, ds) for op in (0, 1)]
     new = np.empty_like(path)
     _heat_flow(sh0, grid, params, cfg, new, (0, 1))
-    speeds = np.empty((m, 2, n, n))
     carry = (None, None)
     for start in range(0, m, block):
         nodes = slice(start, min(start + block, m))
@@ -458,8 +439,8 @@ def apply_map(path, sh0, grid, params, cfg):
         # freed before the next block forms its own.
         carry = [_add_integral(new[nodes, OPERATOR_PLANES[op]], g, heats[op], ds, carry[op])
                  for op, g in enumerate(
-                     _integrands(path[nodes], grid, params, speeds[nodes]))]
-    new[:, 5] = op_n(path[:, 0:2], sh0[5], grid, cfg, planes=speeds)
+                     _integrands(path[nodes], grid, params))]
+    new[:, 5] = op_n(path[:, 0:2], sh0[5], grid, cfg)
     return new
 
 

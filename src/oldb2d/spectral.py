@@ -26,25 +26,23 @@ and `dealias` gives the kept-width, masked spectrum of real planes.
 missing columns with zeros.  Both are bit-identical, on the columns kept,
 to the full-width transforms, since every 1-D transform sees the same
 operands.  `irfft2(..., overwrite_x=True)` lets its first pass write into
-the input, for callers that drop a scratch stack right after its
+the input, for callers that drop a temporary stack right after its
 transform: it saves a complex temporary the size of that stack.
 `irfft2(..., out=)` writes the real result into a buffer the caller holds.
-`_Scratch` holds transform buffers across calls, so that a warm caller
-reuses its stacks instead of allocating, and faulting in, fresh ones on
-every evaluation; a buffer is replaced only by a larger one, and a smaller
-request reads its front.
 
 `dealiased_products` is the one pseudo-spectral product pass, in bounded
 memory: the stepper's explicit terms and the Picard map's integrands both
 go through it.  It reads a stack of dealiased factors at the kept width
 and visits real space one block of x-rows at a time: the y-passes, the
 caller's pointwise products and the copy of any real planes the caller
-keeps run per block in small held buffers, and each block's products are
-transformed into a held buffer from which only the kept columns are
-copied out.  The y-derivatives of the stack's first planes are not
-stored in it: `iky` depends on the column only, so it commutes with the
-axis -2 transform, and each block forms them from its x-passed rows and
-y-passes them with the other planes.  They equal the y-pass of the
+keeps run per block in a small real block and products block, and each
+block's products are transformed into the real block, from which only
+the kept columns are copied out.  Every buffer is allocated per call and freed on return, so
+the pass holds nothing between calls, and calls may overlap across
+threads.  The y-derivatives of the stack's first planes are not stored in
+it: `iky` depends on the column only, so it commutes with the axis -2
+transform, and each block forms them from its x-passed rows and y-passes
+them with the other planes.  They equal the y-pass of the
 spectral-first `iky * f_hat` to rounding.  `_BLOCK_BYTES` is the one
 budget that sizes the row blocks and the Picard map's node blocks.
 
@@ -98,34 +96,6 @@ def irfft2(coeffs: np.ndarray, n: int, *, overwrite_x: bool = False,
     return np.fft.irfft(mixed, n=n, axis=-1, norm="forward", out=out)
 
 
-class _Scratch:
-    """Transform buffers reused across calls, one per role.
-
-    A caller that builds a stack, transforms it and drops it on every call
-    takes the stack from here instead: a fresh allocation of that size is
-    returned to the operating system when it is freed and faulted back in,
-    page by page, on the next call.  `take` has one rule: it returns the
-    front of a role's buffer, read as `shape`, for any shape that fits in
-    it, and replaces the buffer only for a larger shape or another dtype.
-    So a ragged last block, or a smaller grid, reads the front of the
-    buffer, and a held buffer only grows while its dtype stays.
-    Contents are not kept: the caller writes every element it reads.  An
-    array taken is valid until the next `take` of its role, so a caller
-    that uses one is not reentrant across threads, and a public function
-    must not return one."""
-
-    def __init__(self):
-        self._buffers: dict = {}
-
-    def take(self, role: str, shape: tuple, dtype=complex) -> np.ndarray:
-        buf = self._buffers.get(role)
-        if buf is None or buf.dtype != dtype or buf.size < math.prod(shape):
-            del buf
-            self._buffers.pop(role, None)  # free the old buffer before the new one
-            buf = self._buffers[role] = np.empty(shape, dtype)
-        return _leading(buf, shape)
-
-
 # The one memory budget of the product passes.  A row block of
 # `dealiased_products` holds this many bytes of real planes: a grid whose
 # rows all fit is one block (up to n=64 for the stepper's 18 real planes,
@@ -137,7 +107,7 @@ _BLOCK_BYTES = 1 << 20
 
 
 def dealiased_products(grid: SpectralGrid, stack: np.ndarray, dy: int, products,
-                       count: int, scratch: _Scratch, keep=None):
+                       count: int, keep=None):
     """The dealiased spectrum, at the kept width, of `count` pointwise
     products of the real fields whose coefficients fill `stack`, and of the
     y-derivatives of its first `dy` fields.
@@ -148,7 +118,7 @@ def dealiased_products(grid: SpectralGrid, stack: np.ndarray, dy: int, products,
     holds for the planes + dy real planes: `products(real, out)` reads a
     block's real planes (planes + dy, rows, n), the stack's planes and then
     the y-derivatives, and writes its products into `out` (count, rows, n).
-    Both blocks are `scratch` buffers.  `iky` depends on the column only,
+    Both blocks are allocated per call.  `iky` depends on the column only,
     so it commutes with the x-pass: a block's y-derivative spectra are its
     x-passed rows times one row of `iky`, written into the products block,
     which is free until the products are formed (this needs
@@ -172,8 +142,8 @@ def dealiased_products(grid: SpectralGrid, stack: np.ndarray, dy: int, products,
         raise ValueError("the y-derivative spectra do not fit the products block: "
                          f"count * n = {count * n} < 2 * dy * kc = {2 * dy * kc}")
     rows = max(1, min(n, _BLOCK_BYTES // (depth * n * 8)))
-    real_buf = scratch.take("real", (depth, rows, n), float)
-    prod_buf = scratch.take("products", (count, rows, n), float)
+    real_buf = np.empty((depth, rows, n))
+    prod_buf = np.empty((count, rows, n))
     iky = grid.iky[0, :kc]
     out = reals = None
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from oldb2d import make_grid
-from oldb2d.spectral import (_Scratch, dealias, dealiased_products, decay, irfft2, project,
-                             rfft2)
+from oldb2d.spectral import dealias, dealiased_products, decay, irfft2, project, rfft2
 
 import oracles
 from oracles import fd_derivative
@@ -133,32 +132,6 @@ class TestKeptWidth:
         assert np.array_equal(got, rfft2(values)[..., :kc] * grid64.mask[:, :kc])
 
 
-class TestScratch:
-    """`_Scratch.take` returns the front of a role's held buffer for any
-    shape that fits in it, and replaces the buffer only for a larger shape
-    or another dtype."""
-
-    def test_take_rule(self):
-        scratch = _Scratch()
-        first = scratch.take("stack", (4, 8))
-        assert first.shape == (4, 8) and first.dtype == complex
-
-        smaller = scratch.take("stack", (3, 5))
-        assert smaller.shape == (3, 5) and smaller.flags.c_contiguous
-        assert smaller.ctypes.data == first.ctypes.data  # the same memory
-        assert scratch._buffers["stack"].shape == (4, 8)
-
-        larger = scratch.take("stack", (5, 8))
-        assert larger.shape == (5, 8) and not np.shares_memory(larger, first)
-        assert scratch._buffers["stack"].shape == (5, 8)
-        assert scratch.take("stack", (4, 8)).ctypes.data == larger.ctypes.data
-
-        real = scratch.take("stack", (2, 2), float)
-        assert real.dtype == float and not np.shares_memory(real, larger)
-        assert scratch._buffers["stack"].shape == (2, 2)
-        assert not np.shares_memory(scratch.take("other", (2, 2), float), real)
-
-
 class TestProductPass:
     """`dealiased_products` forms the y-derivatives of its stack's first
     `dy` planes after the x-pass, as one row of `iky` times the x-passed
@@ -178,7 +151,7 @@ class TestProductPass:
         sh = dealias(grid, rng.standard_normal((3, n, n)))
         want = irfft2(grid.at(grid.iky, sh) * sh, n)
         prods, reals = dealiased_products(grid, sh.copy(), 3, self._copy_y_derivatives, 3,
-                                          _Scratch(), keep=range(6))
+                                          keep=range(6))
         assert np.array_equal(reals[:3], irfft2(sh, n))
         rms = np.sqrt(np.mean(want ** 2, axis=(-2, -1)))
         err = np.max(np.abs(reals[3:] - want), axis=(-2, -1))
@@ -191,10 +164,10 @@ class TestProductPass:
         given = sh.copy()
         # (planes + dy) * n = 16 < count * (n + 2) = 18
         with pytest.raises(ValueError, match="products' rfft does not fit the real block"):
-            dealiased_products(grid16, sh[:1], 0, self._copy_y_derivatives, 1, _Scratch())
+            dealiased_products(grid16, sh[:1], 0, self._copy_y_derivatives, 1)
         # count * n = 16 < 2 * dy * kc = 24
         with pytest.raises(ValueError, match="y-derivative spectra do not fit the products"):
-            dealiased_products(grid16, sh, 2, self._copy_y_derivatives, 1, _Scratch())
+            dealiased_products(grid16, sh, 2, self._copy_y_derivatives, 1)
         assert np.array_equal(sh, given)  # refused before the x-pass
 
 

@@ -10,14 +10,11 @@ default; also `run-monitored` and `picard-compare`) with config seed S
 config, and then one cold solve, the workload's `oldb2d run` or
 `oldb2d picard` through `cli.main` as the benchmark calls it, with its
 outputs written to a temporary directory.  Nothing is held from an
-earlier solve, so the transform scratch and the integrating-factor memo
-are allocated inside the traced solve.  It prints the `tracemalloc` peak
-of each in MiB and in packed units (one full-width (6, n, n//2+1) complex
-half-spectrum state, 3.02 MiB at n=256), then the transform scratch the
-solve left held, per module and per role (`dynamics._SCRATCH`,
-`picard._SCRATCH`: each role's shape, dtype and MiB, and each module's
-total), then the process's high-water RSS (`VmHWM`, Linux only), which
-tracing itself raises.  Informational: it gates nothing.
+earlier solve, so the integrating-factor memo is allocated inside the
+traced solve.  It prints the `tracemalloc` peak of each in MiB and in
+packed units (one full-width (6, n, n//2+1) complex half-spectrum state,
+3.02 MiB at n=256), then the process's high-water RSS (`VmHWM`, Linux
+only), which tracing itself raises.  Informational: it gates nothing.
 """
 
 from __future__ import annotations
@@ -61,20 +58,6 @@ def vm_hwm_kib():
     return None
 
 
-def held_scratch(modules) -> list:
-    """One line per role of each module's `_SCRATCH`, and its total."""
-    lines = []
-    for module in modules:
-        name = module.__name__.rsplit(".", 1)[-1]
-        buffers = module._SCRATCH._buffers
-        for role, buf in buffers.items():
-            lines.append(f"  {name + '.' + role:18s} {str(buf.shape):16s} {str(buf.dtype):10s}"
-                         f" {buf.nbytes / MIB:7.2f} MiB")
-        total = sum(buf.nbytes for buf in buffers.values())
-        lines.append(f"  {name + ' total':18s} {'':27s} {total / MIB:7.2f} MiB")
-    return lines
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), default="run-large",
@@ -86,7 +69,7 @@ def main(argv=None) -> int:
         return 2
     import numpy.random  # noqa: F401  (lazily imported by the build; not traced)
 
-    from oldb2d import cli, dynamics, picard
+    from oldb2d import cli
     from oldb2d.config import build_initial, parse_config
     from oldb2d.spectral import make_grid
 
@@ -109,8 +92,6 @@ def main(argv=None) -> int:
     print(f"{workload.name} n={cfg.n} seed={args.seed}; packed unit {unit / MIB:.2f} MiB")
     for name, peak in (("build_initial", build_peak), ("cold solve", run_peak)):
         print(f"{name:14s} traced peak {peak / MIB:7.2f} MiB  {peak / unit:5.2f} units")
-    print("held scratch after the cold solve:")
-    print("\n".join(held_scratch((dynamics, picard))))
     hwm = vm_hwm_kib()
     print(f"{'VmHWM':14s} {'n/a' if hwm is None else f'{hwm / 1024:.2f} MiB'}")
     return 0
