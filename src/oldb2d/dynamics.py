@@ -16,16 +16,15 @@ At n=256 one such array holds 2.0 MiB, where the full half spectrum held
 3.0 MiB.  An evaluation's derivative stack holds 12 planes, the state
 and its x-derivatives (4.0 MiB at n=256): the product pass x-passes those
 12 and forms the six y-derivatives after its x-pass, so it y-passes 18.
-The stack and the pass's row blocks are allocated per evaluation and
-freed on return: nothing is held between calls, so evaluations may overlap
-across threads.
+Nothing is held between evaluations, so they may overlap across threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
+from .fields import (OPERATOR_PLANES, PhysParams, SimState, add_stress_divergence,
+                     linear_operators)
 from .spectral import SpectralGrid, dealias, dealiased_products, irfft2, project
 
 
@@ -38,13 +37,9 @@ def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
     return SimState(time, grid, irfft2(sh, grid.n))
 
 
-# Planes of the real derivative stack that hold the state's `PLANES`.
-_STATE_PLANES = range(6)
-
-
-def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _products(real: np.ndarray) -> np.ndarray:
     """The six quadratic terms, before dealiasing, from a block of the real
-    derivative stack (sh, d1 sh, d2 sh), written into `out` (6, rows, n)."""
+    derivative stack (sh, d1 sh, d2 sh), as a fresh (6, rows, n) array."""
     (u1, u2, a, b, c, _,
      d1u1, d1u2, da1, db1, dc1, dr1,
      d2u1, d2u2, da2, db2, dc2, dr2) = real
@@ -54,6 +49,7 @@ def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
     om = d1u2 - d2u1
 
     # One plane at a time, so a plane's temporaries are gone before the next.
+    out = np.empty((6,) + real.shape[1:])
     out[0] = -(u1 * d1u1 + u2 * d2u1)
     out[1] = -(u1 * d1u2 + u2 * d2u2)
     out[2] = -(u1 * da1 + u2 * da2) - om * b + c * lam
@@ -79,24 +75,16 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     `irfft2(sh, n)` and fit to be a `SimState.planes`: one evaluation
     serves the monitors, a record and the first RK stage.
 
-    The derivative stack (sh, d1 sh) and the row blocks of the product
-    pass (`spectral.dealiased_products`), which forms d2 sh after its
-    x-pass, are allocated per call and freed on return; the returned
-    arrays are the caller's own.
+    The product pass (`spectral.dealiased_products`) reads the derivative
+    stack (sh, d1 sh) and forms d2 sh after its x-pass.
     """
-    ikx, iky = grid.at(grid.ikx, sh), grid.at(grid.iky, sh)
-    ah, bh, ch, rh = sh[2], sh[3], sh[4], sh[5]
-
     stack = np.empty((12,) + sh.shape[1:], complex)
     stack[0:6] = sh
-    np.multiply(ikx, sh, out=stack[6:12])
-    nh, reals = dealiased_products(grid, stack, 6, _products, 6,
-                                   keep=_STATE_PLANES if planes else None)
+    np.multiply(grid.at(grid.ikx, sh), sh, out=stack[6:12])
+    nh, reals = dealiased_products(grid, stack, 6, _products, keep=6 if planes else 0)
 
-    bigK = params.bigK
-    nh[0] += bigK * (ikx * (0.5 * ch + ah) + iky * bh)
-    nh[1] += bigK * (ikx * bh + iky * (0.5 * ch - ah))
-    nh[4] += 4.0 * params.k * rh
+    add_stress_divergence(grid, sh[2:5], params.bigK, nh[0:2])
+    nh[4] += 4.0 * params.k * sh[5]
     return (nh, reals) if planes else nh
 
 

@@ -61,6 +61,20 @@ OPERATOR_PLANES = tuple(slice(PLANE_OPERATOR.index(op),
                         for op in range(max(PLANE_OPERATOR) + 1))
 
 
+def add_stress_divergence(grid: SpectralGrid, abc: np.ndarray, scale: float,
+                          out: np.ndarray) -> None:
+    """Add `scale` times div sigma, in (a, b, c) coordinates, to the velocity
+    pair `out`: the stress spectra (..., 3, n, w) and the pair
+    (..., 2, n, w) are batched over any leading axes, and the tables are
+    read at their width.  The one K div sigma of the stepper and the Picard
+    map."""
+    a, b, c = abc[..., 0, :, :], abc[..., 1, :, :], abc[..., 2, :, :]
+    f1, f2 = out[..., 0, :, :], out[..., 1, :, :]
+    ikx, iky = grid.at(grid.ikx, abc), grid.at(grid.iky, abc)
+    f1 += scale * (ikx * (0.5 * c + a) + iky * b)
+    f2 += scale * (ikx * b + iky * (0.5 * c - a))
+
+
 @dataclass(frozen=True, eq=False)
 class SimState:
     """The coupled unknowns (u, sigma, rho) at one time instant, held as one

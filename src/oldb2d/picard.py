@@ -17,7 +17,8 @@ where each heat factor is that of the plane's operator in
 `fields.linear_operators` (nu lap on u, kappa lap - 2k on the stress), so
 a fixed point solves the coupled system in integral form.  The stress
 stretching term inside Q2 is assembled in matrix components, independently
-of the strain-based assembly in `dynamics`.
+of the strain-based assembly in `dynamics`; the force K div sigma is the
+stepper's, `fields.add_stress_divergence`.
 
 One application of the map works through the path in blocks of nodes, as
 many as `spectral._BLOCK_BYTES` holds of one node's product pass: 10
@@ -35,11 +36,8 @@ kernel and carries its last node over to the next block.  The transport,
 accumulation or product stack spans the whole path.  The public operators
 `op_q1`, `op_l1`, `op_q2`, `op_l2` and `op_n` remain the full-path
 definitions, with one `irfft2` and one `dealias` over the whole path and
-the y-derivatives formed spectrally; the map is their composition.  A
-block's stack and the pass's row blocks are allocated per block and freed
-after it (0.84 MiB at the picard-compare benchmark config, n=32 with 33
-nodes, where one path holds 1.06 MiB): nothing is held between calls, so
-maps may overlap across threads.
+the y-derivatives formed spectrally; the map is their composition.
+Nothing is held between calls, so maps may overlap across threads.
 """
 
 from __future__ import annotations
@@ -50,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .fields import OPERATOR_PLANES, PhysParams, SimState, linear_operators
+from .fields import (OPERATOR_PLANES, PhysParams, SimState, add_stress_divergence,
+                     linear_operators)
 from .spectral import SpectralGrid, dealias, dealiased_products, decay, irfft2, project
 
 _SUBSTEP_CFL = 0.5       # frozen-velocity transport uses the stepper's default
@@ -166,17 +165,18 @@ def _node_stack(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
     return out
 
 
-def _products(real: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _products(real: np.ndarray) -> np.ndarray:
     """The five integrand planes per node, before dealiasing, from a block
     of rows of real planes, plane-major: the 10 of `_node_stack`, then the
-    y derivatives of its first five.  Writes into `out` five planes per
-    node, node-major: -(u.grad v), then Q2's
+    y derivatives of its first five.  Returns a fresh array of five planes
+    per node, node-major: -(u.grad v), then Q2's
     (grad u) sigma + sigma (grad u)^T - u.grad(sigma), assembled in matrix
     components and written in (a, b, c) order (it reads grad v as grad u)."""
     nodes = len(real) // 15
     (u1, u2, s11, s12, s22,
      g11, g21, d1s11, d1s12, d1s22,
      g12, g22, d2s11, d2s12, d2s22) = real.reshape((15, nodes) + real.shape[1:])
+    out = np.empty((5 * nodes,) + real.shape[1:])
     f = np.moveaxis(out.reshape((nodes, 5) + out.shape[1:]), 1, 0)
 
     f[0] = -(u1 * g11 + u2 * g12)
@@ -201,16 +201,7 @@ def _path_integrands(u_path: np.ndarray, v_path: np.ndarray, abc_path: np.ndarra
     np.multiply(grid.at(grid.iky, stack), stack[0:5], out=stack[10:15])
     stack[0:2] = np.moveaxis(u_path, 1, 0)  # u carries v's gradient
     real = irfft2(stack, n, overwrite_x=True).reshape(15 * m, n, n)
-    return dealias(grid, _products(real, np.empty((m * 5, n, n)))).reshape(m, 5, n, kc)
-
-
-def _stress_divergence(abc_path: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """div sigma in (a, b, c) coordinates, before projection."""
-    ah, bh, ch = abc_path[:, 0], abc_path[:, 1], abc_path[:, 2]
-    ikx, iky = grid.at(grid.ikx, abc_path), grid.at(grid.iky, abc_path)
-    f1 = ikx * (0.5 * ch + ah) + iky * bh
-    f2 = ikx * bh + iky * (0.5 * ch - ah)
-    return np.stack([f1, f2], axis=1)
+    return dealias(grid, _products(real)).reshape(m, 5, n, kc)
 
 
 def op_q1(u_path: np.ndarray, v_path: np.ndarray, grid: SpectralGrid,
@@ -227,7 +218,8 @@ def op_l1(abc_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
           cfg: PicardConfig) -> np.ndarray:
     """K int_0^t heat(nu (t-s)) P(div sigma(s)) ds."""
     ds = _step(cfg)
-    gh = _stress_divergence(abc_path, grid)
+    gh = np.zeros((abc_path.shape[0], 2) + abc_path.shape[2:], complex)
+    add_stress_divergence(grid, abc_path, 1.0, gh)
     project(grid, gh)
     return _accumulate(params.bigK * gh, _heat(grid, params, 0, ds), ds)
 
@@ -396,9 +388,10 @@ def _integrands(block_path, grid, params):
     u, abc = block_path[:, 0:2], block_path[:, 2:5]
     stack = np.empty((b * 10, grid.n, grid.kept_columns), complex)
     _node_stack(u, abc, grid, stack.reshape((10, b) + stack.shape[1:]))
-    prods, _ = dealiased_products(grid, stack, 5 * b, _products, 5 * b)
+    prods, _ = dealiased_products(grid, stack, 5 * b, _products)
     prods = prods.reshape((b, 5) + stack.shape[1:])
-    fh = prods[:, 0:2] + params.bigK * _stress_divergence(abc, grid)
+    fh = prods[:, 0:2]
+    add_stress_divergence(grid, abc, params.bigK, fh)
     project(grid, fh)
     gh = prods[:, 2:5]
     gh[:, 2] += 4.0 * params.k * block_path[:, 5]

@@ -33,18 +33,15 @@ transform: it saves a complex temporary the size of that stack.
 `dealiased_products` is the one pseudo-spectral product pass, in bounded
 memory: the stepper's explicit terms and the Picard map's integrands both
 go through it.  It reads a stack of dealiased factors at the kept width
-and visits real space one block of x-rows at a time: the y-passes, the
-caller's pointwise products and the copy of any real planes the caller
-keeps run per block in a small real block and products block, and each
-block's products are transformed into the real block, from which only
-the kept columns are copied out.  Every buffer is allocated per call and freed on return, so
-the pass holds nothing between calls, and calls may overlap across
-threads.  The y-derivatives of the stack's first planes are not stored in
-it: `iky` depends on the column only, so it commutes with the axis -2
-transform, and each block forms them from its x-passed rows and y-passes
-them with the other planes.  They equal the y-pass of the
-spectral-first `iky * f_hat` to rounding.  `_BLOCK_BYTES` is the one
-budget that sizes the row blocks and the Picard map's node blocks.
+and visits real space one block of x-rows at a time, in fresh arrays per
+block: the y-passes, the caller's pointwise products and their `rfft`,
+of which only the kept columns are copied out.  The y-derivatives of the
+stack's first planes are not stored in it: `iky` depends on the column
+only, so it commutes with the axis -2 transform, and each block forms
+them from its x-passed rows and y-passes them with the other planes.
+They equal the y-pass of the spectral-first `iky * f_hat` to rounding.
+`_BLOCK_BYTES` is the one budget that sizes the row blocks and the Picard
+map's node blocks.
 
 Dealiasing follows the 2/3 rule: a mode with integer wavenumbers (k1, k2)
 survives iff 3 * max(|k1|, |k2|) <= N, which keeps quadratic products of
@@ -107,77 +104,49 @@ _BLOCK_BYTES = 1 << 20
 
 
 def dealiased_products(grid: SpectralGrid, stack: np.ndarray, dy: int, products,
-                       count: int, keep=None):
-    """The dealiased spectrum, at the kept width, of `count` pointwise
-    products of the real fields whose coefficients fill `stack`, and of the
+                       keep: int = 0):
+    """The dealiased spectrum, at the kept width, of the pointwise products
+    of the real fields whose coefficients fill `stack` and of the
     y-derivatives of its first `dy` fields.
 
-    `stack` is a complex (planes, n, kc) buffer with kc = `grid.kept_columns`:
+    `stack` is a complex (planes, n, kc) array with kc = `grid.kept_columns`:
     dealiased coefficients at the kept width, which the x-pass overwrites.
     Real space is visited in blocks of x-rows, as many as `_BLOCK_BYTES`
-    holds for the planes + dy real planes: `products(real, out)` reads a
-    block's real planes (planes + dy, rows, n), the stack's planes and then
-    the y-derivatives, and writes its products into `out` (count, rows, n).
-    Both blocks are allocated per call.  `iky` depends on the column only,
-    so it commutes with the x-pass: a block's y-derivative spectra are its
-    x-passed rows times one row of `iky`, written into the products block,
-    which is free until the products are formed (this needs
-    count * n >= 2 * dy * kc).  Once a block's products are formed its real
-    planes are dead, so their `rfft` is written into the real block's
-    memory, and only the kept columns are copied out (this needs
-    (planes + dy) * n >= count * (n + 2)).  Either need unmet raises
-    ValueError.
+    holds for the planes + dy real planes.  Each block takes fresh arrays:
+    its real planes (planes + dy, rows, n), the stack's planes and then the
+    y-derivatives, which `products(real)` reads to return a fresh array of
+    products (count, rows, n).  `iky` depends on the column only, so it
+    commutes with the x-pass: a block's y-derivative spectra are its
+    x-passed rows times one row of `iky`.
 
-    Returns a fresh, masked (count, n, kc) array, bit-identical to the kept
-    columns of `rfft2` of the full-width products times the mask, and, with
-    `keep` (a list of real plane indices), a fresh (len(keep), n, n) array
-    of those real planes, bit-identical to their `irfft2` for a plane of
-    the stack; else None."""
+    Returns a masked (count, n, kc) array, bit-identical to the kept
+    columns of `rfft2` of the full-width products times the mask, and a
+    (keep, n, n) array of the first `keep` real planes, bit-identical to
+    their `irfft2` for planes of the stack."""
     n = grid.n
-    depth, kc = len(stack) + dy, stack.shape[-1]
-    if depth * n < count * (n + 2):
-        raise ValueError("the products' rfft does not fit the real block: (planes + dy) * n "
-                         f"= {depth * n} < count * (n + 2) = {count * (n + 2)}")
-    if count * n < 2 * dy * kc:
-        raise ValueError("the y-derivative spectra do not fit the products block: "
-                         f"count * n = {count * n} < 2 * dy * kc = {2 * dy * kc}")
-    rows = max(1, min(n, _BLOCK_BYTES // (depth * n * 8)))
-    real_buf = np.empty((depth, rows, n))
-    prod_buf = np.empty((count, rows, n))
+    planes, kc = len(stack), stack.shape[-1]
+    rows = max(1, min(n, _BLOCK_BYTES // ((planes + dy) * n * 8)))
     iky = grid.iky[0, :kc]
     out = reals = None
 
     np.fft.ifft(stack, axis=-2, norm="forward", out=stack)
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        real = _leading(real_buf, (depth, stop - start, n))
-        coeffs = stack[:, start:stop]
-        dy_coeffs = np.multiply(iky, coeffs[:dy],
-                                out=_leading(prod_buf, (dy, stop - start, kc), complex))
-        np.fft.irfft(coeffs, n=n, axis=-1, norm="forward", out=real[:len(stack)])
-        np.fft.irfft(dy_coeffs, n=n, axis=-1, norm="forward", out=real[len(stack):])
-        prods = products(real, _leading(prod_buf, (count, stop - start, n)))
+        block = slice(start, start + rows)
+        coeffs = stack[:, block]
+        real = np.empty((planes + dy, coeffs.shape[1], n))
+        np.fft.irfft(coeffs, n=n, axis=-1, norm="forward", out=real[:planes])
+        np.fft.irfft(iky * coeffs[:dy], n=n, axis=-1, norm="forward", out=real[planes:])
+        prods = products(real)
         if out is None:  # after the first block's product temporaries are freed
-            out = np.empty((count, n, kc), complex)
-            reals = None if keep is None else np.empty((len(keep), n, n))
-        if reals is not None:
-            for i, plane in enumerate(keep):
-                reals[i, start:stop] = real[plane]
-        half = np.fft.rfft(prods, axis=-1, norm="forward",
-                           out=_leading(real_buf, (count, stop - start, n // 2 + 1), complex))
-        out[:, start:stop] = half[..., :kc]
+            out = np.empty((len(prods), n, kc), complex)
+            reals = np.empty((keep, n, n))
+        reals[:, block] = real[:keep]
+        del real  # before the products' spectra are formed
+        out[:, block] = np.fft.rfft(prods, axis=-1, norm="forward")[..., :kc]
+        del prods  # before the next block's real planes
     np.fft.fft(out, axis=-2, norm="forward", out=out)
     out *= grid.at(grid.mask, out)
     return out, reals
-
-
-def _leading(buf: np.ndarray, shape: tuple, dtype=None) -> np.ndarray:
-    """The contiguous array of `shape` at the front of `buf`'s memory, read
-    as `dtype` (default: `buf`'s own)."""
-    flat = buf.reshape(-1)
-    if dtype is not None:
-        flat = flat.view(dtype)
-    return flat[:math.prod(shape)].reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -136,12 +136,7 @@ class TestProductPass:
     """`dealiased_products` forms the y-derivatives of its stack's first
     `dy` planes after the x-pass, as one row of `iky` times the x-passed
     rows: `iky` depends on the column only, so it commutes with the axis -2
-    transform.  It checks that the buffers it reuses are large enough."""
-
-    @staticmethod
-    def _copy_y_derivatives(real, out):
-        out[...] = real[len(real) - len(out):]
-        return out
+    transform.  Its callback returns as many products as it likes."""
 
     @pytest.mark.parametrize("n", [16, 32, 64, 256])
     def test_commuted_y_derivatives(self, n):
@@ -150,25 +145,38 @@ class TestProductPass:
         rng = np.random.default_rng(n)
         sh = dealias(grid, rng.standard_normal((3, n, n)))
         want = irfft2(grid.at(grid.iky, sh) * sh, n)
-        prods, reals = dealiased_products(grid, sh.copy(), 3, self._copy_y_derivatives, 3,
-                                          keep=range(6))
+        prods, reals = dealiased_products(grid, sh.copy(), 3, lambda real: real[3:].copy(),
+                                          keep=6)
         assert np.array_equal(reals[:3], irfft2(sh, n))
         rms = np.sqrt(np.mean(want ** 2, axis=(-2, -1)))
         err = np.max(np.abs(reals[3:] - want), axis=(-2, -1))
         assert np.all(err <= 1e-14 * rms), err / rms
         assert np.allclose(prods, dealias(grid, want), rtol=0.0, atol=1e-14 * rms.max())
 
-    def test_buffer_reuse_preconditions(self):
-        grid16 = make_grid(16, TWO_PI)
-        sh = dealias(grid16, np.random.default_rng(1).standard_normal((2, 16, 16)))
-        given = sh.copy()
-        # (planes + dy) * n = 16 < count * (n + 2) = 18
-        with pytest.raises(ValueError, match="products' rfft does not fit the real block"):
-            dealiased_products(grid16, sh[:1], 0, self._copy_y_derivatives, 1)
-        # count * n = 16 < 2 * dy * kc = 24
-        with pytest.raises(ValueError, match="y-derivative spectra do not fit the products"):
-            dealiased_products(grid16, sh, 2, self._copy_y_derivatives, 1)
-        assert np.array_equal(sh, given)  # refused before the x-pass
+    def test_products_outnumber_planes(self):
+        """More products than the block has real planes, and more
+        y-derivative spectra than products: each is the dealiased spectrum
+        of the same products formed on the whole grid."""
+        grid = make_grid(16, TWO_PI)
+        sh = dealias(grid, np.random.default_rng(1).standard_normal((2, 16, 16)))
+
+        def squares(real):
+            return np.stack([real[0] * real[0], 3.0 * real[0]])
+
+        prods, reals = dealiased_products(grid, sh[:1].copy(), 0, squares)
+        assert prods.shape == (2, 16, grid.kept_columns) and reals.shape == (0, 16, 16)
+        assert np.array_equal(prods, dealias(grid, squares(irfft2(sh[:1], 16))))
+
+        def advection(real):
+            return (real[0] * real[2] + real[1] * real[3])[None]
+
+        # The y-derivatives as the pass forms them: `iky` times x-passed rows.
+        mixed = np.fft.ifft(sh, axis=-2, norm="forward")
+        real = np.fft.irfft(np.concatenate([mixed, grid.at(grid.iky, sh) * mixed]), n=16,
+                            axis=-1, norm="forward")
+        prods, _ = dealiased_products(grid, sh.copy(), 2, advection)
+        assert prods.shape == (1, 16, grid.kept_columns)
+        assert np.array_equal(prods, dealias(grid, advection(real)))
 
 
 class TestDdx:

@@ -20,6 +20,8 @@ import sys
 import tokenize
 from pathlib import Path
 
+import closed_stdout  # a sibling: a script's directory is on the path
+
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -60,4 +62,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    closed_stdout.run(main, sys.argv[1:])

@@ -30,6 +30,7 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import closed_stdout  # noqa: E402  (a sibling: a script's directory is on the path)
 import workloads  # noqa: E402  (needs the path above)
 
 MIB = 1 << 20
@@ -98,4 +99,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    closed_stdout.run(main)

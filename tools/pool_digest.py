@@ -37,6 +37,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
+import closed_stdout  # noqa: E402  (a sibling: a script's directory is on the path)
 import workloads  # noqa: E402  (needs the path above)
 
 OUT_TOKEN = "<OUT>"
@@ -95,4 +96,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    closed_stdout.run(main)

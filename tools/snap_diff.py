@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 
+import closed_stdout  # a sibling: a script's directory is on the path
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -64,4 +65,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    closed_stdout.run(main)
