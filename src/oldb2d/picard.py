@@ -24,20 +24,17 @@ One application of the map works through the path in blocks of nodes, as
 many as `spectral._BLOCK_BYTES` holds of one node's product pass: 10
 kept-width complex planes and 20 real planes (18 nodes at n=16, 4 at n=32,
 1 from n=64 up).  A block fills one kept-width stack, plane-major, with
-the 10 planes its nodes' integrands read before their y-derivatives
-(`_node_stack`: u, the stress in matrix components, and their x
-derivatives) and forms every product of Q1 and Q2 in one
-`spectral.dealiased_products` pass, the stepper's product pass, which
-forms the y-derivatives of the first five planes per node after its
-x-pass.  Integrands under the same kernel (Q1 + L1, Q2 + L2) are summed
-before one quadrature, which adds into the new path's planes for that
-kernel and carries its last node over to the next block.  The transport,
-`op_n`, forms the real speeds of the whole path itself.  No integrand,
-accumulation or product stack spans the whole path.  The public operators
-`op_q1`, `op_l1`, `op_q2`, `op_l2` and `op_n` remain the full-path
-definitions, with one `irfft2` and one `dealias` over the whole path and
-the y-derivatives formed spectrally; the map is their composition.
-Nothing is held between calls, so maps may overlap across threads.
+the 10 planes its nodes' integrands read before their y-derivatives (u,
+the stress in matrix components, and their x derivatives) and forms
+every product of Q1 and Q2 in one `spectral.dealiased_products` pass, the
+stepper's product pass, which forms the y-derivatives of the first five
+planes per node after its x-pass (`_integrands`).  Integrands under the
+same kernel (Q1 + L1, Q2 + L2) are summed before one quadrature, which
+adds into the new path's planes for that kernel and carries its last node
+over to the next block.  The transport, `op_n`, forms the real speeds of
+the whole path itself.  No integrand, accumulation or product stack spans
+the whole path.  Nothing is held between calls, so maps may overlap
+across threads.
 """
 
 from __future__ import annotations
@@ -96,7 +93,8 @@ class PicardHistory:
 
 
 class PicardDivergenceError(RuntimeError):
-    """Iteration failed to contract; t0 is too large for this data."""
+    """Iteration failed to converge: it grew, so t0 is too large for this
+    data, or it ran out of iterations."""
 
     def __init__(self, message: str, history: PicardHistory):
         super().__init__(message)
@@ -151,27 +149,13 @@ def _gradient(grid: SpectralGrid) -> np.ndarray:
     return np.stack([grid.ikx[:, :kc], grid.iky[:, :kc]])
 
 
-def _node_stack(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
-                out: np.ndarray) -> np.ndarray:
-    """Fill `out`, (10, m, n, n//3+1) plane-major, with the kept-width
-    planes a node's integrands read before their y-derivatives: u1, u2; the
-    stress in matrix components s11, s12, s22; the x derivatives of those
-    five.  Returns `out`."""
-    out[0:2] = np.moveaxis(u_path, 1, 0)
-    out[2] = 0.5 * abc_path[:, 2] + abc_path[:, 0]
-    out[3] = abc_path[:, 1]
-    out[4] = 0.5 * abc_path[:, 2] - abc_path[:, 0]
-    np.multiply(grid.at(grid.ikx, out), out[0:5], out=out[5:10])
-    return out
-
-
 def _products(real: np.ndarray) -> np.ndarray:
     """The five integrand planes per node, before dealiasing, from a block
-    of rows of real planes, plane-major: the 10 of `_node_stack`, then the
-    y derivatives of its first five.  Returns a fresh array of five planes
-    per node, node-major: -(u.grad v), then Q2's
+    of rows of real planes, plane-major: the 10 of `_integrands`' stack,
+    then the y derivatives of its first five.  Returns a fresh array of
+    five planes per node, node-major: -(u.grad u), then Q2's
     (grad u) sigma + sigma (grad u)^T - u.grad(sigma), assembled in matrix
-    components and written in (a, b, c) order (it reads grad v as grad u)."""
+    components and written in (a, b, c) order."""
     nodes = len(real) // 15
     (u1, u2, s11, s12, s22,
      g11, g21, d1s11, d1s12, d1s22,
@@ -187,63 +171,6 @@ def _products(real: np.ndarray) -> np.ndarray:
     f[2] = 0.5 * (i11 - i22)
     f[3] = i12
     f[4] = i11 + i22
-    return out
-
-
-def _path_integrands(u_path: np.ndarray, v_path: np.ndarray, abc_path: np.ndarray,
-                     grid: SpectralGrid) -> np.ndarray:
-    """The five dealiased integrand planes of `_products` at every node,
-    (m, 5, n, n//3+1), from one `irfft2` of the whole path's stack, its y
-    derivatives formed spectrally, and one `dealias` of its products."""
-    m, n, kc = u_path.shape[0], grid.n, grid.kept_columns
-    stack = np.empty((15, m, n, kc), complex)
-    _node_stack(v_path, abc_path, grid, stack[:10])
-    np.multiply(grid.at(grid.iky, stack), stack[0:5], out=stack[10:15])
-    stack[0:2] = np.moveaxis(u_path, 1, 0)  # u carries v's gradient
-    real = irfft2(stack, n, overwrite_x=True).reshape(15 * m, n, n)
-    return dealias(grid, _products(real)).reshape(m, 5, n, kc)
-
-
-def op_q1(u_path: np.ndarray, v_path: np.ndarray, grid: SpectralGrid,
-          params: PhysParams, cfg: PicardConfig) -> np.ndarray:
-    """-int_0^t heat(nu (t-s)) P(u(s).grad v(s)) ds at every node."""
-    ds = _step(cfg)
-    no_stress = np.zeros((u_path.shape[0], 3) + u_path.shape[2:], complex)
-    gh = _path_integrands(u_path, v_path, no_stress, grid)[:, 0:2]
-    project(grid, gh)
-    return _accumulate(gh, _heat(grid, params, 0, ds), ds)
-
-
-def op_l1(abc_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
-          cfg: PicardConfig) -> np.ndarray:
-    """K int_0^t heat(nu (t-s)) P(div sigma(s)) ds."""
-    ds = _step(cfg)
-    gh = np.zeros((abc_path.shape[0], 2) + abc_path.shape[2:], complex)
-    add_stress_divergence(grid, abc_path, 1.0, gh)
-    project(grid, gh)
-    return _accumulate(params.bigK * gh, _heat(grid, params, 0, ds), ds)
-
-
-def q2_integrand(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid) -> np.ndarray:
-    """(grad u) sigma + sigma (grad u)^T - u.grad(sigma) in (a, b, c) order,
-    assembled from matrix components; dealiased half-spectrum output."""
-    return _path_integrands(u_path, u_path, abc_path, grid)[:, 2:5]
-
-
-def op_q2(u_path: np.ndarray, abc_path: np.ndarray, grid: SpectralGrid,
-          params: PhysParams, cfg: PicardConfig) -> np.ndarray:
-    """int_0^t heat((kappa lap - 2k)(t-s)) [stretching - advection](s) ds."""
-    ds = _step(cfg)
-    return _accumulate(q2_integrand(u_path, abc_path, grid), _heat(grid, params, 1, ds), ds)
-
-
-def op_l2(rho_path: np.ndarray, grid: SpectralGrid, params: PhysParams,
-          cfg: PicardConfig) -> np.ndarray:
-    """2k int_0^t heat((kappa lap - 2k)(t-s)) rho(s) I ds; in (a, b, c)
-    coordinates the identity matrix contributes only to c, with weight 2."""
-    ds = _step(cfg)
-    out = np.zeros((rho_path.shape[0], 3) + rho_path.shape[1:], dtype=complex)
-    out[:, 2] = _accumulate(4.0 * params.k * rho_path, _heat(grid, params, 1, ds), ds)
     return out
 
 
@@ -383,11 +310,18 @@ def _node_block(grid: SpectralGrid) -> int:
 def _integrands(block_path, grid, params):
     """The integrands under the two heat kernels, Q1 + L1 and Q2 + L2
     before quadrature, at a block of nodes, from one product pass over the
-    block's stack."""
+    block's stack: (10 b, n, n//3+1), plane-major, of the kept-width planes
+    the integrands read before their y-derivatives, u1, u2, the stress in
+    matrix components s11, s12, s22, and the x derivatives of those five."""
     b = len(block_path)
     u, abc = block_path[:, 0:2], block_path[:, 2:5]
     stack = np.empty((b * 10, grid.n, grid.kept_columns), complex)
-    _node_stack(u, abc, grid, stack.reshape((10, b) + stack.shape[1:]))
+    planes = stack.reshape((10, b) + stack.shape[1:])
+    planes[0:2] = np.moveaxis(u, 1, 0)
+    planes[2] = 0.5 * abc[:, 2] + abc[:, 0]
+    planes[3] = abc[:, 1]
+    planes[4] = 0.5 * abc[:, 2] - abc[:, 0]
+    np.multiply(grid.at(grid.ikx, planes), planes[0:5], out=planes[5:10])
     prods, _ = dealiased_products(grid, stack, 5 * b, _products)
     prods = prods.reshape((b, 5) + stack.shape[1:])
     fh = prods[:, 0:2]
@@ -407,16 +341,17 @@ def _add_integral(planes, integrand, decay, ds, carry):
 
 
 def apply_map(path, sh0, grid, params, cfg):
-    """One application of the fixed-point map to a path.  Equal, to
-    rounding, to the path with planes
+    """One application of the fixed-point map to a path: the path with
+    planes
 
-        sem_u + op_q1(u, u) + op_l1(sigma),
-        sem_sigma + op_q2(u, sigma) + op_l2(rho),
+        heat_u(t) u0         + Q1(u, u) + L1(sigma),
+        heat_sigma(t) sigma0 + Q2(u, sigma) + L2(rho),
         op_n(u, rho0),
 
-    with one product pass per block of nodes shared by all three and one
-    quadrature per kernel; the density plane gets no heat flow, as `op_n`
-    writes it.  The nodes are visited in blocks of `_node_block`: a block's
+    of the module docstring, from the data `sh0`, with one product pass per
+    block of nodes (`_integrands`) and one trapezoid quadrature per kernel
+    (`_accumulate`); the density plane gets no heat flow, as `op_n` writes
+    it.  The nodes are visited in blocks of `_node_block`: a block's
     integrands are summed into the new path, carrying the quadrature on
     from the block before."""
     ds = _step(cfg)
@@ -444,8 +379,9 @@ def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
     below tol (relative).
 
     Returns (MildTrajectory, PicardHistory).  Non-convergence within
-    max_iter, or outright growth, raises PicardDivergenceError: the horizon
-    t0 is too large for the data.  Overflow and nan are not warned of, as
+    max_iter, or outright growth, raises PicardDivergenceError, whose
+    message advises raising max_iter if the last contraction ratio is below
+    one and reducing t0 otherwise.  Overflow and nan are not warned of, as
     in `integrate.run`: the divergence test reports them.
     """
     grid = initial.grid
@@ -490,11 +426,13 @@ def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
         if diff <= cfg.tol * max(scale, 1e-300):
             return MildTrajectory(grid, times, path), hist
 
-    # A ratio needs two differences; with one there is none to print.
+    # A ratio needs two differences; with one there is none to print.  A
+    # last ratio below one contracts, and more iterations would converge.
     last = (f"last contraction ratio {hist.ratios[-1]:.3g}" if hist.ratios
             else "one difference, so no contraction ratio")
+    advice = "raise max_iter" if hist.ratios and hist.ratios[-1] < 1.0 else "reduce t0"
     raise PicardDivergenceError(
-        f"no convergence in {cfg.max_iter} iterations ({last}); reduce t0", hist,
+        f"no convergence in {cfg.max_iter} iterations ({last}); {advice}", hist,
     )
 
 

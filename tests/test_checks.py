@@ -1,3 +1,4 @@
+from oldb2d import picard
 from oldb2d.checks import run_checks
 from oldb2d.cli import main
 
@@ -12,3 +13,17 @@ def test_all_checks_pass_on_small_config():
 def test_check_command_takes_no_config(capsys):
     assert main(["check"]) == 0
     assert capsys.readouterr().out.endswith("\n31/31 checks passed\n")
+
+
+def test_checks_see_a_perturbed_picard_product_pass(monkeypatch):
+    """`check` verifies the integrands the Picard map runs: with the map's
+    product pass off by a relative 1e-9, `picard.q2_consistency` fails."""
+    exact = picard.dealiased_products
+
+    def perturbed(*args, **kwargs):
+        spectra, reals = exact(*args, **kwargs)
+        return spectra * (1.0 + 1e-9), reals
+
+    monkeypatch.setattr(picard, "dealiased_products", perturbed)
+    results = {r.name: r for r in run_checks()}
+    assert not results["picard.q2_consistency"].passed, results["picard.q2_consistency"]

@@ -555,6 +555,18 @@ class TestCliMain:
             "fixed-point divergence: no convergence in 1 iterations "
             "(one difference, so no contraction ratio); reduce t0\n")
 
+    def test_picard_out_of_iterations_while_contracting(self, tmp_path, capsys):
+        """An iteration that contracts but stops at `--max-iter` advises
+        more iterations, not a shorter horizon: on CI's n=16 picard config
+        two iterations end at a contraction ratio of 0.0721."""
+        cfg_path = self._write_cfg(tmp_path, "n=16\npreset=random_admissible\namplitude=0.05\n"
+                                             "stress_amplitude=0.05\nseed=5\n")
+        assert main(["picard", "--config", cfg_path, "--t0", "0.05", "--nodes", "5",
+                     "--max-iter", "2"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"fixed-point divergence: no convergence in 2 iterations "
+                            r"\(last contraction ratio 0\.0\d+\); raise max_iter\n", err), err
+
     @staticmethod
     def _child(argv, **kwargs):
         """`python -m oldb2d.cli argv` in a child process, which fails on

@@ -22,18 +22,14 @@ from oldb2d.picard import (
     PicardHistory,
     apply_map,
     composite_norm,
-    op_l1,
-    op_l2,
     op_n,
-    op_q1,
-    op_q2,
     semigroup_paths,
 )
-from oldb2d.spectral import dealias, rfft2
+from oldb2d.spectral import dealias, irfft2, rfft2
 from oldb2d.config import band_limited_random, build_initial, parse_config
 
 from conftest import in_threads, state_of
-from oracles import relaxation_exact
+from oracles import mild_map, relaxation_exact
 
 TWO_PI = 2.0 * np.pi
 PARAMS = PhysParams(nu=0.01, kappa=0.01, k=1.0, bigK=1.0)
@@ -54,51 +50,74 @@ def grid16():
     return make_grid(16, TWO_PI)
 
 
+PLANE_GROUPS = {"u": slice(0, 2), "abc": slice(2, 5), "rho": 5}
+
+
+def path_of(m, **planes):
+    """A kept-width path at n=16 over m nodes that holds the given plane
+    groups, `u`, `abc` or `rho`, and zero elsewhere."""
+    path = np.zeros((m, 6, 16, KC), dtype=complex)
+    for name, value in planes.items():
+        path[:, PLANE_GROUPS[name]] = value
+    return path
+
+
+def mapped(path, grid, cfg):
+    """`apply_map` of `path` from zero data: its velocity planes are
+    Q1(u, u) + L1(sigma), its stress planes Q2(u, sigma) + L2(rho)."""
+    return apply_map(path, np.zeros((6, 16, KC), dtype=complex), grid, PARAMS, cfg)
+
+
 class TestQ1:
+    """Q1, the map's velocity planes of a path with zero stress.  The map
+    reads grad u as grad v, so Q1(u, v) with v != u is not formed: Q1 is
+    tested as the quadratic form Q(u) = Q1(u, u)."""
+
     def test_zero_arguments(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
-        zero = np.zeros((9, 2, 16, KC), dtype=complex)
         rng = np.random.default_rng(0)
-        u = masked_noise(grid16, rng, (9, 2, 16, 16))
-        assert np.max(np.abs(op_q1(zero, u, grid16, PARAMS, cfg))) == 0.0
-        assert np.max(np.abs(op_q1(u, zero, grid16, PARAMS, cfg))) == 0.0
+        path = path_of(9, rho=masked_noise(grid16, rng, (9, 16, 16)))
+        assert np.max(np.abs(mapped(path, grid16, cfg)[:, 0:2])) == 0.0
 
     def test_steady_shear_self_advection(self, grid16):
         # u = (sin y, 0): u.grad(u) = 0, so Q1(u, u) vanishes.
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
         _, y = grid16.nodes()
         uh = dealias(grid16, np.stack([np.sin(y), np.zeros_like(y)]))
-        path = np.broadcast_to(uh, (9, 2, 16, KC)).copy()
-        assert np.max(np.abs(op_q1(path, path, grid16, PARAMS, cfg))) <= 1e-15
+        assert np.max(np.abs(mapped(path_of(9, u=uh), grid16, cfg)[:, 0:2])) <= 1e-15
 
     def test_bilinearity(self, grid16):
+        """Q(3 u) = 9 Q(u), and the parallelogram law
+        Q(u + w) + Q(u - w) = 2 Q(u) + 2 Q(w)."""
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
         rng = np.random.default_rng(1)
         u = masked_noise(grid16, rng, (9, 2, 16, 16))
-        v = masked_noise(grid16, rng, (9, 2, 16, 16))
         w = masked_noise(grid16, rng, (9, 2, 16, 16))
-        base = op_q1(u, v, grid16, PARAMS, cfg)
+
+        def q(v):
+            return mapped(path_of(9, u=v), grid16, cfg)[:, 0:2]
+
+        base = q(u)
         scale = np.max(np.abs(base)) + 1e-300
-        homog = op_q1(3.0 * u, v, grid16, PARAMS, cfg)
-        assert np.max(np.abs(homog - 3.0 * base)) <= 1e-12 * scale
-        additive = op_q1(u, v + w, grid16, PARAMS, cfg)
-        parts = base + op_q1(u, w, grid16, PARAMS, cfg)
-        assert np.max(np.abs(additive - parts)) <= 1e-12 * scale
+        assert np.max(np.abs(q(3.0 * u) - 9.0 * base)) <= 1e-12 * scale
+        parallelogram = q(u + w) + q(u - w) - 2.0 * (base + q(w))
+        assert np.max(np.abs(parallelogram)) <= 1e-12 * scale
 
 
 class TestL1:
+    """L1, the map's velocity planes of a path with zero velocity."""
+
     def test_isotropic_stress_annihilated(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
         rng = np.random.default_rng(2)
         rho = masked_noise(grid16, rng, (9, 16, 16))
         abc = np.zeros((9, 3, 16, KC), dtype=complex)
         abc[:, 2] = 2.0 * rho  # sigma = rho * I
-        assert np.max(np.abs(op_l1(abc, grid16, PARAMS, cfg))) <= 1e-14
+        assert np.max(np.abs(mapped(path_of(9, abc=abc), grid16, cfg)[:, 0:2])) <= 1e-14
 
     def test_zero(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
-        zero = np.zeros((9, 3, 16, KC), dtype=complex)
-        assert np.max(np.abs(op_l1(zero, grid16, PARAMS, cfg))) == 0.0
+        assert np.max(np.abs(mapped(path_of(9), grid16, cfg)[:, 0:2])) == 0.0
 
     def test_single_mode_closed_form(self, grid16):
         # Time-constant sigma with a single b-mode: per mode the Duhamel
@@ -110,7 +129,7 @@ class TestL1:
         abc = np.zeros((cfg.n_time_nodes, 3, 16, KC), dtype=complex)
         abc[:, 1] = dealias(grid16, b)
 
-        got = op_l1(abc, grid16, PARAMS, cfg)[-1]
+        got = mapped(path_of(cfg.n_time_nodes, abc=abc), grid16, cfg)[-1, 0:2]
 
         kx, ky, ikx, iky, k_sq = (grid16.at(table, got) for table in (
             grid16.kx, grid16.ky, grid16.ikx, grid16.iky, grid16.k_sq))
@@ -130,41 +149,44 @@ class TestL1:
 
 
 class TestQ2:
+    """Q2, the map's stress planes of a path with zero density."""
+
     def test_zero_arguments(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
         rng = np.random.default_rng(3)
         u = masked_noise(grid16, rng, (9, 2, 16, 16))
         abc = masked_noise(grid16, rng, (9, 3, 16, 16))
-        zero_u = np.zeros_like(u)
-        zero_abc = np.zeros_like(abc)
-        assert np.max(np.abs(op_q2(zero_u, abc, grid16, PARAMS, cfg))) == 0.0
-        assert np.max(np.abs(op_q2(u, zero_abc, grid16, PARAMS, cfg))) == 0.0
+        assert np.max(np.abs(mapped(path_of(9, abc=abc), grid16, cfg)[:, 2:5])) == 0.0
+        assert np.max(np.abs(mapped(path_of(9, u=u), grid16, cfg)[:, 2:5])) == 0.0
 
     def test_integrand_matches_dynamics(self, grid16):
         # The matrix-form assembly must agree with the strain-form stress
-        # rate once relaxation, diffusion and the density source are removed.
+        # rate once relaxation and diffusion are removed, and the density
+        # source 4k rho, which both hold in c, is taken from both.
         from oldb2d import rates
-        from oldb2d.picard import q2_integrand
 
         state = band_limited_admissible_state(grid16, seed=4, kmax=3)
-        u0h = dealias(grid16, state.planes[0:2])
-        abc0h = dealias(grid16, state.planes[2:5])
-        integrand = q2_integrand(u0h[None], abc0h[None], grid16)[0]
-        lin = -(PARAMS.kappa * grid16.at(grid16.k_sq, abc0h)) - 2.0 * PARAMS.k
-        expected = rfft2(rates(state, PARAMS)[2:5], KC) - lin * abc0h
+        sh = dealias(grid16, state.planes)
+        integrand = picard_mod._integrands(sh[None], grid16, PARAMS)[1][0]
+        lin = -(PARAMS.kappa * grid16.at(grid16.k_sq, sh)) - 2.0 * PARAMS.k
+        expected = rfft2(rates(state, PARAMS)[2:5], KC) - lin * sh[2:5]
+        integrand[2] -= 4.0 * PARAMS.k * sh[5]
         expected[2] -= 4.0 * PARAMS.k * rfft2(state.planes[5], KC)
         scale = np.max(np.abs(expected)) + 1e-300
         assert np.max(np.abs(integrand - expected)) <= 1e-12 * scale
 
 
 class TestL2:
+    """L2, the map's stress planes of a path with zero velocity and
+    stress."""
+
     def test_uniform_density(self, grid16):
         t0 = 0.1
         cfg = PicardConfig(t0=t0, n_time_nodes=1025)
         rho0 = 1.3
         rho = np.zeros((cfg.n_time_nodes, 16, KC), dtype=complex)
         rho[:, 0, 0] = rho0
-        out = op_l2(rho, grid16, PARAMS, cfg)
+        out = mapped(path_of(cfg.n_time_nodes, rho=rho), grid16, cfg)[:, 2:5]
         c_mode = out[-1, 2, 0, 0].real
         expected = 2.0 * rho0 * (1.0 - np.exp(-2.0 * PARAMS.k * t0))
         assert abs(c_mode - expected) <= 1e-8 * expected
@@ -173,8 +195,7 @@ class TestL2:
 
     def test_zero(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
-        rho = np.zeros((9, 16, KC), dtype=complex)
-        assert np.max(np.abs(op_l2(rho, grid16, PARAMS, cfg))) == 0.0
+        assert np.max(np.abs(mapped(path_of(9), grid16, cfg)[:, 2:5])) == 0.0
 
     def test_single_mode_closed_form(self, grid16):
         t0 = 0.1
@@ -182,7 +203,7 @@ class TestL2:
         x, y = grid16.nodes()
         rho_vals = np.cos(x + 2 * y)
         rho = np.broadcast_to(dealias(grid16, rho_vals), (cfg.n_time_nodes, 16, KC)).copy()
-        out = op_l2(rho, grid16, PARAMS, cfg)
+        out = mapped(path_of(cfg.n_time_nodes, rho=rho), grid16, cfg)[:, 2:5]
         beta = PARAMS.kappa * grid16.at(grid16.k_sq, rho) + 2.0 * PARAMS.k
         expected_c = 2.0 * rho[0] * 2.0 * PARAMS.k * (1.0 - np.exp(-beta * t0)) / beta
         err = np.max(np.abs(out[-1, 2] - expected_c))
@@ -309,23 +330,24 @@ class TestPicardIterate:
 
 
 def assert_equals_composition(got, path, sh0, grid, cfg):
-    """`got`, the map of `path`, is the composition of the public operators
-    to within 1e-13 of each field's largest coefficient."""
-    u, abc, rho = path[:, 0:2], path[:, 2:5], path[:, 5]
-    sem = semigroup_paths(sh0, grid, PARAMS, cfg)
-    expected = (
-        sem[:, 0:2] + op_q1(u, u, grid, PARAMS, cfg) + op_l1(abc, grid, PARAMS, cfg),
-        sem[:, 2:5] + op_q2(u, abc, grid, PARAMS, cfg) + op_l2(rho, grid, PARAMS, cfg),
-        op_n(u, sh0[5], grid, cfg),
-    )
+    """`got`, the map of `path` from the data `sh0`, is the composition of
+    the Duhamel operators to within 1e-13 of each field's largest
+    coefficient: its velocity and stress planes are the oracle's direct
+    trapezoid sums of real-space products (`oracles.mild_map`), its density
+    plane the transport `op_n`."""
+    n = grid.n
+    ref = mild_map(irfft2(path, n), irfft2(sh0, n), cfg.t0, PARAMS, grid.length)
+    ref = ref[..., :grid.kept_columns]
+    expected = (ref[:, 0:2], ref[:, 2:5], op_n(path[:, 0:2], sh0[5], grid, cfg))
     for g, e in zip((got[:, 0:2], got[:, 2:5], got[:, 5]), expected):
         assert g.shape == e.shape
         assert np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e))
 
 
 class TestFusedMap:
-    """`apply_map` shares one velocity transform and sums integrands under
-    one kernel; it must still be the composition of the public operators."""
+    """`apply_map` forms every integrand of a block of nodes in one product
+    pass and sums the integrands under one kernel before one quadrature; it
+    must still be the composition of the Duhamel operators."""
 
     def test_equals_composition_of_operators(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
