@@ -7,36 +7,37 @@ an array (m, 6, n, n//3+1) sampled on uniform nodes over [0, t0], its
 planes ordered as `fields.PLANES` like a state's.  The operators take and
 return spectra at that width, and read the grid tables and heat factors
 at it, in plane groups: velocity (m, 2, ...), stress (m, 3, ...) in
-(a, b, c) order, density (m, ...).  The map sends (u, sigma, rho) to
+(a, b, c) order, density (m, 1, ...).  The map sends (u, sigma, rho) to
 
     u_new     = heat_u(t) u0         + Q1(u, u) + L1(sigma)
     sigma_new = heat_sigma(t) sigma0 + Q2(u, sigma) + L2(rho)
-    rho_new   = transport of rho0 by the frozen velocity u
+    rho_new   = rho0                 + N(u, rho)
 
 where each heat factor is that of the plane's operator in
-`fields.linear_operators` (nu lap on u, kappa lap - 2k on the stress), so
-a fixed point solves the coupled system in integral form.  The stress
-stretching term inside Q2 is assembled in matrix components, independently
-of the strain-based assembly in `dynamics`; the force K div sigma is the
-stepper's, `fields.add_stress_divergence`.
+`fields.linear_operators` (nu lap on u, kappa lap - 2k on the stress, and
+1 on rho, whose operator is (0, 0)), and N is the Duhamel integral of
+-(u.grad rho) under that unit kernel, so a fixed point solves the coupled
+system in integral form: one formula, path_new = heat(t) sh0 plus the
+trapezoid integral of E(t - s) times the integrand of `path(s)`, for
+every plane.  The stress stretching term inside Q2 is assembled in matrix
+components, independently of the strain-based assembly in `dynamics`;
+the force K div sigma is the stepper's, `fields.add_stress_divergence`.
 
 One application of the map works through the path in blocks of nodes, as
-many as `spectral._BLOCK_BYTES` holds of one node's product pass: 10
-kept-width complex planes and 20 real planes (18 nodes at n=16, 4 at n=32,
-1 from n=64 up).  A block fills one kept-width stack, plane-major, with
-the 10 planes its nodes' integrands read before their y-derivatives (u,
-the stress in matrix components, and their x derivatives) and forms
-every product of Q1 and Q2 in one `spectral.dealiased_products` pass, the
-stepper's product pass, which forms the y-derivatives of the first five
+many as `spectral._BLOCK_BYTES` holds of one node's product pass: 12
+kept-width complex planes and 24 real planes (15 nodes at n=16, 3 at
+n=32, 1 from n=64 up).  A block fills one kept-width stack, plane-major,
+with the 12 planes its nodes' integrands read before their y-derivatives
+(u, the stress in matrix components, rho, and their x derivatives) and
+forms every product in one `spectral.dealiased_products` pass, the
+stepper's product pass, which forms the y-derivatives of the first six
 planes per node after its x-pass (`_integrands`).  Integrands under the
-same kernel (Q1 + L1, Q2 + L2) are summed before one quadrature, which
-adds into the new path's planes for that kernel and carries its last node
-over to the next block.  The transport, `op_n`, forms the real speeds of
-the whole path itself.  No integrand, accumulation or product stack spans
-the whole path.  Nothing is held between calls, so maps may overlap
-across threads.
+same kernel (Q1 + L1, Q2 + L2, N) are summed before one quadrature per
+operator, which adds into the new path's planes for that operator and
+carries its last node over to the next block.  No integrand,
+accumulation or product stack spans the whole path.  Nothing is held
+between calls, so maps may overlap across threads.
 """
-
 from __future__ import annotations
 
 import math
@@ -48,9 +49,6 @@ from . import spectral
 from .fields import (OPERATOR_PLANES, PhysParams, SimState, add_stress_divergence,
                      linear_operators)
 from .spectral import SpectralGrid, dealias, dealiased_products, decay, irfft2, project
-
-_SUBSTEP_CFL = 0.5       # frozen-velocity transport uses the stepper's default
-_MAX_SUBSTEPS = 100_000  # across the whole path; beyond this the velocity is absurd
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,8 @@ class PicardConfig:
         if self.n_time_nodes < 4:
             raise ValueError("n_time_nodes must be at least 4")
         if not np.all(np.diff(self.times()) > 0.0):
-            # A subnormal t0 rounds node spacings to zero, and a zero span
-            # has no sub-step length in `op_n`.
+            # A subnormal t0 rounds node spacings to zero, so the nodes are
+            # not the uniform grid of step `_step` that the quadrature sums.
             raise ValueError("t0 is too small to separate the time nodes")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
@@ -143,25 +141,19 @@ def _heat(grid: SpectralGrid, params: PhysParams, op: int, t) -> np.ndarray:
     return decay(grid, diffusivity, damping, t, columns=grid.kept_columns)
 
 
-def _gradient(grid: SpectralGrid) -> np.ndarray:
-    """(ikx, iky) stacked at the kept width, shape (2, n, n//3+1)."""
-    kc = grid.kept_columns
-    return np.stack([grid.ikx[:, :kc], grid.iky[:, :kc]])
-
-
 def _products(real: np.ndarray) -> np.ndarray:
-    """The five integrand planes per node, before dealiasing, from a block
-    of rows of real planes, plane-major: the 10 of `_integrands`' stack,
-    then the y derivatives of its first five.  Returns a fresh array of
-    five planes per node, node-major: -(u.grad u), then Q2's
+    """The six integrand planes per node, before dealiasing, from a block
+    of rows of real planes, plane-major: the 12 of `_integrands`' stack,
+    then the y derivatives of its first six.  Returns a fresh array of six
+    planes per node, node-major: -(u.grad u), then Q2's
     (grad u) sigma + sigma (grad u)^T - u.grad(sigma), assembled in matrix
-    components and written in (a, b, c) order."""
-    nodes = len(real) // 15
-    (u1, u2, s11, s12, s22,
-     g11, g21, d1s11, d1s12, d1s22,
-     g12, g22, d2s11, d2s12, d2s22) = real.reshape((15, nodes) + real.shape[1:])
-    out = np.empty((5 * nodes,) + real.shape[1:])
-    f = np.moveaxis(out.reshape((nodes, 5) + out.shape[1:]), 1, 0)
+    components and written in (a, b, c) order, then -(u.grad rho)."""
+    nodes = len(real) // 18
+    (u1, u2, s11, s12, s22, _,
+     g11, g21, d1s11, d1s12, d1s22, d1rho,
+     g12, g22, d2s11, d2s12, d2s22, d2rho) = real.reshape((18, nodes) + real.shape[1:])
+    out = np.empty((6 * nodes,) + real.shape[1:])
+    f = np.moveaxis(out.reshape((nodes, 6) + out.shape[1:]), 1, 0)
 
     f[0] = -(u1 * g11 + u2 * g12)
     f[1] = -(u1 * g21 + u2 * g22)
@@ -171,54 +163,7 @@ def _products(real: np.ndarray) -> np.ndarray:
     f[2] = 0.5 * (i11 - i22)
     f[3] = i12
     f[4] = i11 + i22
-    return out
-
-
-def op_n(u_path: np.ndarray, rho0: np.ndarray, grid: SpectralGrid,
-         cfg: PicardConfig) -> np.ndarray:
-    """Transport rho0 by the frozen, time-interpolated velocity; sampled at
-    the quadrature nodes.  Sub-steps between nodes obey the advective CFL."""
-    times = cfg.times()
-    m = len(times)
-    grad = _gradient(grid)
-    out = np.empty((m,) + rho0.shape, dtype=complex)
-    out[0] = rho0 * grid.at(grid.mask, rho0)
-    u_r = irfft2(u_path, grid.n)
-    h = grid.spacing
-
-    def rhs(rho_h, u):
-        """u.grad(rho), dealiased; the stages subtract it."""
-        dr = irfft2(grad * rho_h, grid.n)
-        return dealias(grid, u[0] * dr[0] + u[1] * dr[1])
-
-    # Budget the whole path up front so an exploding velocity fails fast
-    # instead of grinding through millions of sub-steps.  max |u| per node
-    # is max(max u, -min u), as `integrate._step_dt` takes it.
-    umaxes = np.maximum(np.max(u_r, axis=(1, 2, 3)), -np.min(u_r, axis=(1, 2, 3)))
-    spans = np.diff(times)
-    counts = np.maximum(
-        1.0,
-        np.ceil(spans / (_SUBSTEP_CFL * h / np.maximum(
-            np.maximum(umaxes[:-1], umaxes[1:]), 1e-12))),
-    )
-    # Compared as floats: past 2**63 a cast to int wraps, and nan fails too.
-    if not np.sum(counts) <= _MAX_SUBSTEPS:
-        raise ValueError("transport sub-stepping CFL violation: velocity too large")
-
-    for j in range(m - 1):
-        span = spans[j]
-        n_sub = int(counts[j])
-        dt = span / n_sub
-        rho_h = out[j].copy()
-        u_start, u_jump = u_r[j], u_r[j + 1] - u_r[j]
-        for s in range(n_sub):
-            th0 = (s * dt) / span
-            th1 = ((s + 1) * dt) / span
-            thh = ((s + 0.5) * dt) / span
-            r1 = rho_h - dt * rhs(rho_h, u_start + th0 * u_jump)
-            r2 = 0.75 * rho_h + 0.25 * (r1 - dt * rhs(r1, u_start + th1 * u_jump))
-            rho_h = (rho_h + 2.0 * (r2 - dt * rhs(r2, u_start + thh * u_jump))) / 3.0
-        out[j + 1] = rho_h
+    f[5] = -(u1 * d1rho + u2 * d2rho)
     return out
 
 
@@ -280,11 +225,11 @@ def _initial_coeffs(state: SimState) -> np.ndarray:
     return coeffs
 
 
-def _heat_flow(sh0, grid, params, cfg, path, ops):
-    """Write heat(t) sh0 into the planes of the linear operators `ops` of
-    `path` at every node t, one factor per operator; returns `path`."""
+def _heat_flow(sh0, grid, params, cfg, path):
+    """Write heat(t) sh0 into every plane of `path` at every node t, one
+    factor per linear operator; returns `path`."""
     times = cfg.times()[:, None, None]
-    for op in ops:
+    for op in range(len(OPERATOR_PLANES)):
         planes = OPERATOR_PLANES[op]
         np.multiply(_heat(grid, params, op, times)[:, None], sh0[planes], out=path[:, planes])
     return path
@@ -295,41 +240,43 @@ def semigroup_paths(sh0, grid, params, cfg):
     density plane is rho0 at every node exactly: rho's operator is (0, 0),
     whose factor is exp(0) = 1."""
     path = np.empty((cfg.n_time_nodes,) + sh0.shape, dtype=complex)
-    return _heat_flow(sh0, grid, params, cfg, path, range(len(OPERATOR_PLANES)))
+    return _heat_flow(sh0, grid, params, cfg, path)
 
 
 def _node_block(grid: SpectralGrid) -> int:
     """Nodes per block of `apply_map`: as many as `spectral._BLOCK_BYTES`
-    holds of one node's product pass, its 10 kept-width complex stack
-    planes and 20 real planes (15 transformed, 5 products); 18 at n=16, 4
+    holds of one node's product pass, its 12 kept-width complex stack
+    planes and 24 real planes (18 transformed, 6 products); 15 at n=16, 3
     at n=32, 1 from n=64 up."""
     n = grid.n
-    return max(1, spectral._BLOCK_BYTES // (10 * n * grid.kept_columns * 16 + 20 * n * n * 8))
+    return max(1, spectral._BLOCK_BYTES // (12 * n * grid.kept_columns * 16 + 24 * n * n * 8))
 
 
 def _integrands(block_path, grid, params):
-    """The integrands under the two heat kernels, Q1 + L1 and Q2 + L2
-    before quadrature, at a block of nodes, from one product pass over the
-    block's stack: (10 b, n, n//3+1), plane-major, of the kept-width planes
-    the integrands read before their y-derivatives, u1, u2, the stress in
-    matrix components s11, s12, s22, and the x derivatives of those five."""
+    """The integrands under the three heat kernels, Q1 + L1, Q2 + L2 and
+    N, one per operator of `fields.OPERATOR_PLANES`, before quadrature, at
+    a block of nodes, from one product pass over the block's stack:
+    (12 b, n, n//3+1), plane-major, of the kept-width planes the integrands
+    read before their y-derivatives, u1, u2, the stress in matrix
+    components s11, s12, s22, rho, and the x derivatives of those six."""
     b = len(block_path)
     u, abc = block_path[:, 0:2], block_path[:, 2:5]
-    stack = np.empty((b * 10, grid.n, grid.kept_columns), complex)
-    planes = stack.reshape((10, b) + stack.shape[1:])
+    stack = np.empty((b * 12, grid.n, grid.kept_columns), complex)
+    planes = stack.reshape((12, b) + stack.shape[1:])
     planes[0:2] = np.moveaxis(u, 1, 0)
     planes[2] = 0.5 * abc[:, 2] + abc[:, 0]
     planes[3] = abc[:, 1]
     planes[4] = 0.5 * abc[:, 2] - abc[:, 0]
-    np.multiply(grid.at(grid.ikx, planes), planes[0:5], out=planes[5:10])
-    prods, _ = dealiased_products(grid, stack, 5 * b, _products)
-    prods = prods.reshape((b, 5) + stack.shape[1:])
+    planes[5] = block_path[:, 5]
+    np.multiply(grid.at(grid.ikx, planes), planes[0:6], out=planes[6:12])
+    prods, _ = dealiased_products(grid, stack, 6 * b, _products)
+    prods = prods.reshape((b, 6) + stack.shape[1:])
     fh = prods[:, 0:2]
     add_stress_divergence(grid, abc, params.bigK, fh)
     project(grid, fh)
     gh = prods[:, 2:5]
     gh[:, 2] += 4.0 * params.k * block_path[:, 5]
-    return fh, gh
+    return fh, gh, prods[:, 5:6]
 
 
 def _add_integral(planes, integrand, decay, ds, carry):
@@ -346,29 +293,26 @@ def apply_map(path, sh0, grid, params, cfg):
 
         heat_u(t) u0         + Q1(u, u) + L1(sigma),
         heat_sigma(t) sigma0 + Q2(u, sigma) + L2(rho),
-        op_n(u, rho0),
+        rho0                 + N(u, rho),
 
     of the module docstring, from the data `sh0`, with one product pass per
-    block of nodes (`_integrands`) and one trapezoid quadrature per kernel
-    (`_accumulate`); the density plane gets no heat flow, as `op_n` writes
-    it.  The nodes are visited in blocks of `_node_block`: a block's
-    integrands are summed into the new path, carrying the quadrature on
-    from the block before."""
+    block of nodes (`_integrands`) and one trapezoid quadrature per
+    operator (`_accumulate`).  The nodes are visited in blocks of
+    `_node_block`: a block's integrands are summed into the new path,
+    carrying the quadrature on from the block before."""
     ds = _step(cfg)
     m = path.shape[0]
     block = min(m, _node_block(grid))
-    heats = [_heat(grid, params, op, ds) for op in (0, 1)]
-    new = np.empty_like(path)
-    _heat_flow(sh0, grid, params, cfg, new, (0, 1))
-    carry = (None, None)
+    ops = range(len(OPERATOR_PLANES))
+    heats = [_heat(grid, params, op, ds) for op in ops]
+    new = _heat_flow(sh0, grid, params, cfg, np.empty_like(path))
+    carry = [None for _ in ops]
     for start in range(0, m, block):
         nodes = slice(start, min(start + block, m))
         # A block's integrands live only inside this list, so they are
         # freed before the next block forms its own.
         carry = [_add_integral(new[nodes, OPERATOR_PLANES[op]], g, heats[op], ds, carry[op])
-                 for op, g in enumerate(
-                     _integrands(path[nodes], grid, params))]
-    new[:, 5] = op_n(path[:, 0:2], sh0[5], grid, cfg)
+                 for op, g in zip(ops, _integrands(path[nodes], grid, params))]
     return new
 
 
@@ -399,14 +343,7 @@ def picard_iterate(initial: SimState, params: PhysParams, cfg: PicardConfig):
     log_norms(path)
 
     for _ in range(cfg.max_iter):
-        try:
-            new = apply_map(path, sh0, grid, params, cfg)
-        except ValueError as exc:
-            # Transport sub-stepping ran out of CFL budget: the iterate has
-            # already blown up.
-            raise PicardDivergenceError(
-                f"iteration diverged ({exc}); reduce t0", hist
-            ) from exc
+        new = apply_map(path, sh0, grid, params, cfg)
         # The outgoing path is dropped below, so it takes the difference.
         diff = composite_norm(grid, np.subtract(new, path, out=path), times)
         log_norms(new)
@@ -448,12 +385,11 @@ def stepper_gaps(mild: SimState, stepped: SimState) -> dict:
 
 
 def contraction_estimate(history: PicardHistory) -> float:
-    """Geometric-mean ratio of successive differences; below one for a
-    contracting iteration, exactly zero once a difference hits zero."""
-    diffs = history.diffs
-    if any(d == 0.0 for d in diffs):
+    """Geometric mean of the history's ratios of successive differences;
+    below one for a contracting iteration, exactly zero once a difference
+    hits zero."""
+    if any(d == 0.0 for d in history.diffs):
         return 0.0
-    if len(diffs) < 3:
+    if len(history.ratios) < 2:
         raise ValueError("need at least three iterations to estimate contraction")
-    ratios = np.array(diffs[1:]) / np.array(diffs[:-1])
-    return float(np.exp(np.mean(np.log(ratios))))
+    return float(np.exp(np.mean(np.log(history.ratios))))

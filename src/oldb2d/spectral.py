@@ -98,8 +98,8 @@ def irfft2(coeffs: np.ndarray, n: int, *, overwrite_x: bool = False,
 # rows all fit is one block (up to n=64 for the stepper's 18 real planes,
 # its 12 stack planes and 6 y-derivatives), and n=256 takes ten.  A
 # node block of `picard.apply_map` holds as many nodes as fit one node's
-# pass, its kept-width stack and real blocks: 18 nodes at n=16, 4 at n=32,
-# 1 from n=64 up.
+# pass, its 12 kept-width stack planes and 24 real planes: 15 nodes at
+# n=16, 3 at n=32, 1 from n=64 up.
 _BLOCK_BYTES = 1 << 20
 
 

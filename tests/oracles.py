@@ -4,8 +4,7 @@ These deliberately avoid the library's spectral machinery: finite
 differences on periodic grids, brute-force pointwise eigensolves, refined
 quadrature, closed-form ODE solutions, full-spectrum `np.fft.fft2`
 references of the field operators, and `mild_map`, the Picard map's
-velocity and stress planes as direct trapezoid Duhamel sums of real-space
-products.
+planes as direct trapezoid Duhamel sums of real-space products.
 """
 
 import numpy as np
@@ -137,8 +136,8 @@ def fft2_leray(v, length):
 
 
 def mild_map(path, initial, t0, params, length):
-    """The velocity and stress planes of one application of the mild map,
-    as full `np.fft.fft2` spectra (m, 5, n, n) divided by n^2, from a path
+    """The planes of one application of the mild map, as full
+    `np.fft.fft2` spectra (m, 6, n, n) divided by n^2, from a path
     of real planes (m, 6, n, n) ordered (u1, u2, a, b, c, rho) on m uniform
     nodes over [0, t0] and real initial data (6, n, n).  `params` carries
     nu, kappa, k and bigK.  At node t_j:
@@ -146,6 +145,7 @@ def mild_map(path, initial, t0, params, length):
         u     = heat_u(t_j) u0 + int_0^t_j heat_u(t_j - s) P[-(u.grad u) + K div sigma] ds
         sigma = heat_s(t_j) sigma0 + int_0^t_j heat_s(t_j - s) [G sigma + sigma G^T
                 - u.grad sigma + 2k rho I] ds
+        rho   = rho0 - int_0^t_j u.grad rho ds
 
     with G_ij = d_j u_i, the products formed pointwise on the grid and
     dealiased, sigma = [[c/2 + a, b], [b, c/2 - a]] as matrices, and each
@@ -163,7 +163,7 @@ def mild_map(path, initial, t0, params, length):
 
     u, a, b, c, rho = path[:, 0:2], path[:, 2], path[:, 3], path[:, 4], path[:, 5]
     sigma = np.stack([np.stack([0.5 * c + a, b], 1), np.stack([b, 0.5 * c - a], 1)], 1)
-    du, dsigma = grad(u), grad(sigma)
+    du, dsigma, drho = grad(u), grad(sigma), grad(rho)
     force = (-np.einsum("mjxy,mijxy->mixy", u, du)
              + params.bigK * np.einsum("mijjxy->mixy", dsigma))
     q = (np.einsum("mikxy,mkjxy->mijxy", du, sigma) + np.einsum("mikxy,mjkxy->mijxy", sigma, du)
@@ -174,12 +174,15 @@ def mild_map(path, initial, t0, params, length):
     fh = mask * spectrum(force)
     kd = (kx * fh[:, 0] + ky * fh[:, 1]) * _reciprocal(kx * kx + ky * ky)
     fh -= np.stack([kx, ky]) * kd[:, None]
-    integrands = np.concatenate([fh, mask * spectrum(stress)], axis=1)
+    transport = -np.einsum("mjxy,mjxy->mxy", u, drho)[:, None]
+    integrands = np.concatenate([fh, mask * spectrum(stress), mask * spectrum(transport)],
+                                axis=1)
 
     rates = np.concatenate([np.repeat(params.nu * k_sq[None], 2, 0),
-                            np.repeat((params.kappa * k_sq + 2.0 * params.k)[None], 3, 0)])
+                            np.repeat((params.kappa * k_sq + 2.0 * params.k)[None], 3, 0),
+                            np.zeros_like(k_sq)[None]])
     times = np.linspace(0.0, t0, m)
-    out = np.exp(-rates * times[:, None, None, None]) * spectrum(initial[0:5])
+    out = np.exp(-rates * times[:, None, None, None]) * spectrum(initial)
     for j in range(1, m):
         kernel = np.exp(-rates * (times[j] - times[:j + 1, None, None, None]))
         out[j] += np.trapezoid(kernel * integrands[:j + 1], times[:j + 1], axis=0)

@@ -163,8 +163,8 @@ def test_picard_with_extreme_flags(work, flags, compare):
 
 
 def test_picard_with_a_subnormal_horizon(work):
-    """t0 = 5e-324 rounds every node spacing but the last to zero, and
-    `op_n` divided a zero span by itself with a warning; the config is now
+    """t0 = 5e-324 rounds every node spacing but the last to zero, so the
+    nodes are not the uniform grid the quadrature sums over; the config is
     refused."""
     flags = {"t0": 5e-324, "nodes": 4, "max-iter": 1, "tol": 5e-324}
     code, err, caught = picard_call(work, flags, compare=False)

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from oldb2d.picard import (
     PicardHistory,
     apply_map,
     composite_norm,
-    op_n,
     semigroup_paths,
 )
 from oldb2d.spectral import dealias, irfft2, rfft2
@@ -64,7 +64,8 @@ def path_of(m, **planes):
 
 def mapped(path, grid, cfg):
     """`apply_map` of `path` from zero data: its velocity planes are
-    Q1(u, u) + L1(sigma), its stress planes Q2(u, sigma) + L2(rho)."""
+    Q1(u, u) + L1(sigma), its stress planes Q2(u, sigma) + L2(rho), its
+    density plane N(u, rho)."""
     return apply_map(path, np.zeros((6, 16, KC), dtype=complex), grid, PARAMS, cfg)
 
 
@@ -211,36 +212,54 @@ class TestL2:
 
 
 class TestTransportMap:
+    """N, the map's density plane: rho0 plus the trapezoid Duhamel integral
+    of -(u.grad rho) under the unit kernel of rho's operator (0, 0)."""
+
     def test_zero_velocity(self, grid16):
         cfg = PicardConfig(t0=0.2, n_time_nodes=17)
         rng = np.random.default_rng(5)
         rho0 = dealias(grid16, 1.0 + 0.5 * band_limited_random(grid16, rng, 3))
-        u = np.zeros((17, 2, 16, KC), dtype=complex)
-        out = op_n(u, rho0, grid16, cfg)
+        sh0 = np.zeros((6, 16, KC), dtype=complex)
+        sh0[5] = rho0
+        path = path_of(17, rho=masked_noise(grid16, rng, (17, 16, 16)))
+        out = apply_map(path, sh0, grid16, PARAMS, cfg)[:, 5]
         for j in range(17):
             assert np.max(np.abs(out[j] - rho0 * grid16.at(grid16.mask, rho0))) <= 1e-15
+
+    @staticmethod
+    def _velocity(grid, rng, m, scale=1.0):
+        """A divergence-free velocity, fixed in time, over m nodes."""
+        psih = dealias(grid, band_limited_random(grid, rng, 3))
+        u_single = scale * np.stack([-grid.at(grid.iky, psih) * psih,
+                                     grid.at(grid.ikx, psih) * psih])
+        return np.broadcast_to(u_single, (m, 2, 16, KC)).copy()
 
     def test_uniform_density_invariant(self, grid16):
         cfg = PicardConfig(t0=0.2, n_time_nodes=17)
         rng = np.random.default_rng(6)
-        psih = dealias(grid16, band_limited_random(grid16, rng, 3))
-        u_single = np.stack([-grid16.at(grid16.iky, psih) * psih,
-                             grid16.at(grid16.ikx, psih) * psih])
-        u = np.broadcast_to(u_single, (17, 2, 16, KC)).copy()
-        rho0 = np.zeros((16, KC), dtype=complex)
-        rho0[0, 0] = 2.0
-        out = op_n(u, rho0, grid16, cfg)
-        assert np.max(np.abs(out - out[0])) <= 1e-13
+        sh0 = np.zeros((6, 16, KC), dtype=complex)
+        sh0[5, 0, 0] = 2.0
+        path = path_of(17, u=self._velocity(grid16, rng, 17), rho=sh0[5])
+        out = apply_map(path, sh0, grid16, PARAMS, cfg)[:, 5]
+        assert np.max(np.abs(out - sh0[5])) <= 1e-13
 
     def test_integral_conservation(self, grid16):
+        """With the velocity held fixed, the density plane's fixed point is
+        the Crank-Nicolson transport of rho0, which keeps its mass and,
+        for a divergence-free velocity, its L2 norm."""
         cfg = PicardConfig(t0=0.5, n_time_nodes=33)
         rng = np.random.default_rng(7)
-        psih = dealias(grid16, band_limited_random(grid16, rng, 3))
-        u_single = 0.25 * np.stack([-grid16.at(grid16.iky, psih) * psih,
-                                    grid16.at(grid16.ikx, psih) * psih])
-        u = np.broadcast_to(u_single, (33, 2, 16, KC)).copy()
-        rho0 = dealias(grid16, 1.0 + 0.5 * band_limited_random(grid16, rng, 3))
-        out = op_n(u, rho0, grid16, cfg)
+        u = self._velocity(grid16, rng, 33, scale=0.25)
+        sh0 = np.zeros((6, 16, KC), dtype=complex)
+        sh0[5] = dealias(grid16, 1.0 + 0.5 * band_limited_random(grid16, rng, 3))
+        path = path_of(33, u=u, rho=sh0[5])
+        for _ in range(200):
+            out = apply_map(path, sh0, grid16, PARAMS, cfg)[:, 5]
+            change = np.max(np.abs(out - path[:, 5]))
+            path[:, 5] = out
+            if change <= 1e-15 * np.max(np.abs(out)):
+                break
+        assert change <= 1e-15 * np.max(np.abs(out))
         mass0 = out[0, 0, 0].real
         # Parseval over the half spectrum: Hermitian weights count each
         # conjugate pair once per member.
@@ -249,6 +268,18 @@ class TestTransportMap:
         for j in (16, 32):
             assert abs(out[j, 0, 0].real - mass0) <= 1e-8 * abs(mass0)
             assert abs(np.sum(weights * np.abs(out[j]) ** 2) - l2_0) <= 1e-8 * l2_0
+
+    def test_integrand_matches_dynamics(self, grid16):
+        # The density integrand is the density rate: rho's operator is
+        # (0, 0), so the rate has no linear part to remove.
+        from oldb2d import rates
+
+        state = band_limited_admissible_state(grid16, seed=4, kmax=3)
+        sh = dealias(grid16, state.planes)
+        integrand = picard_mod._integrands(sh[None], grid16, PARAMS)[2][0, 0]
+        expected = rfft2(rates(state, PARAMS)[5], KC)
+        scale = np.max(np.abs(expected)) + 1e-300
+        assert np.max(np.abs(integrand - expected)) <= 1e-12 * scale
 
 
 class TestPicardIterate:
@@ -332,14 +363,14 @@ class TestPicardIterate:
 def assert_equals_composition(got, path, sh0, grid, cfg):
     """`got`, the map of `path` from the data `sh0`, is the composition of
     the Duhamel operators to within 1e-13 of each field's largest
-    coefficient: its velocity and stress planes are the oracle's direct
-    trapezoid sums of real-space products (`oracles.mild_map`), its density
-    plane the transport `op_n`."""
+    coefficient: each of its velocity, stress and density planes is the
+    oracle's direct trapezoid sum of real-space products
+    (`oracles.mild_map`)."""
     n = grid.n
     ref = mild_map(irfft2(path, n), irfft2(sh0, n), cfg.t0, PARAMS, grid.length)
     ref = ref[..., :grid.kept_columns]
-    expected = (ref[:, 0:2], ref[:, 2:5], op_n(path[:, 0:2], sh0[5], grid, cfg))
-    for g, e in zip((got[:, 0:2], got[:, 2:5], got[:, 5]), expected):
+    for planes in (slice(0, 2), slice(2, 5), 5):
+        g, e = got[:, planes], ref[:, planes]
         assert g.shape == e.shape
         assert np.max(np.abs(g - e)) <= 1e-13 * np.max(np.abs(e))
 
@@ -376,7 +407,7 @@ class TestMapScratch:
             return apply_map(*self._inputs(grid16, m), grid16, PARAMS, cfg)
 
         block = picard_mod._node_block(grid16)
-        assert block == 18  # 65 nodes are four blocks, the last one ragged
+        assert block == 15  # 65 nodes are five blocks, the last one ragged
         shared = [apply(m) for m in (9, 65, 9)]
         for m, got in zip((9, 65, 9), shared):
             assert np.array_equal(got, apply(m))
@@ -388,7 +419,7 @@ class TestMapScratch:
         path, sh0 = self._inputs(grid16, 9)
         one_block = apply_map(path, sh0, grid16, PARAMS, cfg)
         monkeypatch.setattr(spectral, "_BLOCK_BYTES",
-                            2 * (10 * 16 * KC * 16 + 20 * 16 * 16 * 8))
+                            2 * (12 * 16 * KC * 16 + 24 * 16 * 16 * 8))
         assert picard_mod._node_block(grid16) == 2
         got = apply_map(path, sh0, grid16, PARAMS, cfg)
         assert np.array_equal(got, one_block)
@@ -419,12 +450,14 @@ class TestKeptWidth:
         successive difference taken in place it read 1.90 units when a
         block's stack and row blocks (0.51 units) were held across calls,
         outside the traced window; allocated per block, they are inside
-        it, and it reads 2.01 units.  A first solve runs untraced, as for
-        that reading."""
+        it, and it read 2.01 units in blocks of 4 nodes of 10 stack planes
+        each, and reads 1.92 in blocks of 3 nodes of 12, with the density
+        in the product pass.  A first solve runs untraced, as for those
+        readings."""
         grid, state, params, cfg = self._setup()
         n, kc = 32, 32 // 3 + 1
         unit = 33 * 6 * n * (n // 2 + 1) * 16
-        block = picard_mod._node_block(grid) * (10 * n * kc * 16 + 20 * n * n * 8)
+        block = picard_mod._node_block(grid) * (12 * n * kc * 16 + 24 * n * n * 8)
         picard_iterate(state, params, cfg)
         tracemalloc.start()
         try:
@@ -435,10 +468,12 @@ class TestKeptWidth:
         assert peak <= 2.15 * unit + block, peak / unit
 
     def test_cold_peak_memory_of_one_solve(self):
-        """The same solve without an untraced one before it, in blocks of 4
-        nodes, whose product pass takes 10 kept-width complex stack planes
-        and 20 real planes per node.  It peaked at 2.42 units when the
-        map's buffers were held after it."""
+        """The same solve without an untraced one before it, in blocks of 3
+        nodes, whose product pass takes 12 kept-width complex stack planes
+        and 24 real planes per node.  It peaks at 1.92 units; it peaked at
+        2.01 in blocks of 4 nodes of 10 stack planes, with the density
+        transported outside the product pass, and at 2.42 when the map's
+        buffers were held after it."""
         grid, state, params, cfg = self._setup()
         unit = 33 * 6 * 32 * (32 // 2 + 1) * 16
         tracemalloc.start()
@@ -447,7 +482,7 @@ class TestKeptWidth:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert picard_mod._node_block(grid) == 4
+        assert picard_mod._node_block(grid) == 3
         assert peak <= 3.5 * unit, peak / unit
 
 
@@ -536,14 +571,27 @@ class TestContraction:
         _, hist = picard_iterate(state, PARAMS, cfg)
         assert contraction_estimate(hist) == 0.0
 
+    @staticmethod
+    def _history(diffs):
+        """A history with `diffs` and the ratios `picard_iterate` logs."""
+        return PicardHistory(diffs=diffs, ratios=[b / a for a, b in zip(diffs, diffs[1:])])
+
     def test_requires_three_iterations(self):
-        hist = PicardHistory(diffs=[1.0, 0.5])
         with pytest.raises(ValueError):
-            contraction_estimate(hist)
+            contraction_estimate(self._history([1.0, 0.5]))
 
     def test_geometric_mean(self):
-        hist = PicardHistory(diffs=[1.0, 0.2, 0.04, 0.008])
+        hist = self._history([1.0, 0.2, 0.04, 0.008])
         assert contraction_estimate(hist) == pytest.approx(0.2, rel=1e-12)
+
+    def test_estimate_is_the_mean_over_the_diffs(self, grid16):
+        """The logged ratios are the successive quotients of the logged
+        differences, so the estimate is bit for bit their geometric mean."""
+        state = band_limited_admissible_state(grid16, seed=21, kmax=3, amp=0.05, u_amp=0.05)
+        _, hist = picard_iterate(state, PARAMS, PicardConfig(t0=0.1, n_time_nodes=33))
+        diffs = np.array(hist.diffs)
+        assert len(diffs) >= 3
+        assert contraction_estimate(hist) == float(np.exp(np.mean(np.log(diffs[1:] / diffs[:-1]))))
 
     def test_divergence_raises_with_ratio(self, grid16):
         state = band_limited_admissible_state(grid16, seed=11, kmax=3,
@@ -554,6 +602,17 @@ class TestContraction:
         hist = exc.value.history
         assert len(hist.diffs) >= 2
         assert hist.ratios[-1] >= 1.0
+
+    @pytest.mark.parametrize("t0", [1e20, 1e308])
+    def test_exploding_iterate_is_a_divergence(self, grid16, t0):
+        """The map has no budget of its own that could raise: an iterate
+        that explodes reaches the divergence test, which raises
+        PicardDivergenceError and warns of nothing."""
+        state = band_limited_admissible_state(grid16, seed=11, kmax=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PicardDivergenceError, match=r"diverged \(last ratio"):
+                picard_iterate(state, PARAMS, PicardConfig(t0=t0, n_time_nodes=5))
 
     def test_halving_horizon_does_not_worsen_contraction(self, grid16):
         ratios = {}
