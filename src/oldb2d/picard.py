@@ -303,16 +303,16 @@ def apply_map(path, sh0, grid, params, cfg):
     ds = _step(cfg)
     m = path.shape[0]
     block = min(m, _node_block(grid))
-    ops = range(len(OPERATOR_PLANES))
-    heats = [_heat(grid, params, op, ds) for op in ops]
+    heats = [_heat(grid, params, op, ds) for op in range(len(OPERATOR_PLANES))]
     new = _heat_flow(sh0, grid, params, cfg, np.empty_like(path))
-    carry = [None for _ in ops]
+    carry = [None] * len(heats)
     for start in range(0, m, block):
         nodes = slice(start, min(start + block, m))
         # A block's integrands live only inside this list, so they are
         # freed before the next block forms its own.
-        carry = [_add_integral(new[nodes, OPERATOR_PLANES[op]], g, heats[op], ds, carry[op])
-                 for op, g in zip(ops, _integrands(path[nodes], grid, params))]
+        carry = [_add_integral(new[nodes, planes], g, heat, ds, c)
+                 for planes, g, heat, c in zip(OPERATOR_PLANES, _integrands(
+                     path[nodes], grid, params), heats, carry)]
     return new
 
 
