@@ -418,7 +418,7 @@ def check_picard_bilinearity() -> CheckResult:
         """Q1 + L1 of a path holding `value` in `planes`, zero elsewhere."""
         path = np.zeros((m, 6, grid.n, grid.kept_columns), complex)
         path[:, planes] = value
-        return picard._integrands(path, grid, _PARAMS)[0]
+        return picard._integrands(path, grid, _PARAMS)[:, 0:2]
 
     def q(u):
         return velocity_integrand(slice(0, 2), u)
@@ -456,7 +456,7 @@ def check_picard_q2_consistency() -> CheckResult:
     # The map's stress integrand and the stress rate less its linear part
     # both hold the source 4k rho in c; it is taken from both, so the gap is
     # measured against Q2 alone.
-    integrand = picard._integrands(sh0[None], grid, _PARAMS)[1][0]
+    integrand = picard._integrands(sh0[None], grid, _PARAMS)[0, 2:5]
     lin = -(_PARAMS.kappa * grid.at(grid.k_sq, sh0)) - 2.0 * _PARAMS.k
     expect = rfft2(dynamics.rates(state, _PARAMS)[2:5], grid.kept_columns) - lin * sh0[2:5]
     for planes in (integrand, expect):

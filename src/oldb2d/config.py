@@ -134,6 +134,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("seed must be a non-negative integer")
     if values["rho0"] < 0:
         raise ConfigError("rho0 must be non-negative: it is a density")
+    if values["constant_c"] < 0:
+        raise ConfigError("constant_c must be non-negative")
     return RunConfig(
         n=values["n"],
         length=values["L"],

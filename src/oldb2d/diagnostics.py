@@ -200,9 +200,12 @@ def apriori_ledger(initial: SimState, params: PhysParams, T: float,
     an exception: the bounds are legitimately astronomic for small nu*kappa.
     At kappa = 0 every bound past R0 divides by kappa, so R1..R5 and B are
     +inf entries flagged `overflowed`; R0 stays finite and remains the gate.
+    A negative or non-finite `constant_c` raises `ValueError`.
     """
     if not T > 0.0:
         raise ValueError("T must be positive")
+    if not 0.0 <= constant_c < math.inf:
+        raise ValueError("constant_c must be non-negative and finite")
     rep = norms(initial)
 
     C = uv(constant_c)
@@ -280,23 +283,26 @@ def _row(name: str, obs: float, bound: float, passed: bool | None = None) -> Bou
     return BoundRow(name, obs, bound, ratio, hard=passed is not None, passed=passed)
 
 
+# The R0 gate's relative quadrature tolerance.
+_REL_TOL = 1e-6
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def bound_check(columns: dict, ledger: BoundLedger, params: PhysParams,
-                rel_tol: float = 1e-6) -> tuple:
+def bound_check(columns: dict, ledger: BoundLedger, params: PhysParams) -> tuple:
     """The rows R0..R5 of a time series against the ledger.  `columns` is
     the `{column: array}` dict of `COLUMNS` that `series(records)` and
     `snapshots.read_timeseries` give.
 
     R0 is the constant-free energy budget, a strict pass/fail:
     sup_t [ ||u||^2 + K ||sigma||_L1 + 2 nu int_0^t ||grad u||^2 ] <= R0
-    at the quadrature tolerance `rel_tol`.  A norm whose square overflows
+    at the quadrature tolerance `_REL_TOL`.  A norm whose square overflows
     makes the observed value +inf, which fails the gate.  The budget is
     summed with every norm scaled by a power of two that makes R0 of order
     one: the scaling is exact, so a normal R0 gets the result it would
     unscaled, while squares that would be subnormal keep full precision.
     A subnormal R0 (below 2^-1022) is itself three terms, each rounded to
     a multiple of 2^-1074, so it may be low by 1.5 such units; the gate
-    allows that much beyond `rel_tol`.
+    allows that much beyond `_REL_TOL`.
 
     R1..R5 carry generic constants, so their rows are observed/bound ratios
     only: sup_t [ ||f||^2 + coeff int_0^t ||g||^2 ] for R1..R4 and
@@ -310,7 +316,7 @@ def bound_check(columns: dict, ledger: BoundLedger, params: PhysParams,
                         grad_u_sq, 2.0 * params.nu)
     scaled_bound0 = math.ldexp(bound0, 2 * s)
     slack = math.ldexp(1.5, 2 * s - 1074) if bound0 < sys.float_info.min else 0.0
-    passed = obs0 <= scaled_bound0 * (1.0 + rel_tol) + slack
+    passed = obs0 <= scaled_bound0 * (1.0 + _REL_TOL) + slack
     rows = [_row("R0", float(np.ldexp(obs0, -2 * s)), bound0, bool(passed))]
     for name, sup_key, integrand_key, coeff in (
         ("R1", "sigma_L2", "grad_sigma_L2", params.kappa),

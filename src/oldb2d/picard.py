@@ -31,11 +31,14 @@ with the 12 planes its nodes' integrands read before their y-derivatives
 (u, the stress in matrix components, rho, and their x derivatives) and
 forms every product in one `spectral.dealiased_products` pass, the
 stepper's product pass, which forms the y-derivatives of the first six
-planes per node after its x-pass (`_integrands`).  Integrands under the
-same kernel (Q1 + L1, Q2 + L2, N) are summed before one quadrature per
-operator, which adds into the new path's planes for that operator and
-carries its last node over to the next block.  No integrand,
-accumulation or product stack spans the whole path.  Nothing is held
+planes per node after its x-pass (`_integrands`), one integrand array
+per block in `PLANES` order.  On uniform nodes heat(t_j) =
+E heat(t_{j-1}), with E the heat factor over one node step, so the heat
+flow of the data and the trapezoid Duhamel sum are one recursion,
+new_j = E (new_{j-1} + h G_{j-1}) + h G_j from new_0 = sh0, with h half
+the node step and G_j node j's integrand; it runs through each block's
+nodes and carries one array, new_j + h G_j, to the next block.  No
+integrand or product stack spans the whole path.  Nothing is held
 between calls, so maps may overlap across threads.
 """
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .fields import (OPERATOR_PLANES, PhysParams, SimState, add_stress_divergence,
+from .fields import (PLANE_OPERATOR, PhysParams, SimState, add_stress_divergence,
                      linear_operators)
 from .spectral import SpectralGrid, dealias, dealiased_products, decay, irfft2, project
 
@@ -111,34 +114,18 @@ class MildTrajectory:
         return SimState(float(self.times[j]), self.grid, irfft2(self.path[j], self.grid.n))
 
 
-def _accumulate(g_path: np.ndarray, decay: np.ndarray, ds: float,
-                carry: tuple | None = None) -> np.ndarray:
-    """I(t_j) = int_0^{t_j} E(t_j - s) G(s) ds, trapezoid in s with the exact
-    per-mode kernel E applied through the semigroup recursion.  Without
-    `carry`, g_path[0] is at t = 0, where I vanishes; a block of nodes that
-    starts later passes (I, G) at the node before its first."""
-    out = np.empty_like(g_path)
-    first = 0
-    if carry is None:
-        out[0] = 0.0
-        carry, first = (out[0], g_path[0]), 1
-    prev_out, prev_g = carry
-    for j in range(first, g_path.shape[0]):
-        out[j] = decay * (prev_out + 0.5 * ds * prev_g) + 0.5 * ds * g_path[j]
-        prev_out, prev_g = out[j], g_path[j]
-    return out
-
-
 def _step(cfg: PicardConfig) -> float:
     times = cfg.times()
     return times[1] - times[0]
 
 
-def _heat(grid: SpectralGrid, params: PhysParams, op: int, t) -> np.ndarray:
-    """The heat factor of linear operator `op` over a time `t`, at the kept
-    width."""
-    diffusivity, damping = linear_operators(params)[op]
-    return decay(grid, diffusivity, damping, t, columns=grid.kept_columns)
+def _heat(grid: SpectralGrid, params: PhysParams, t) -> np.ndarray:
+    """The heat factor of each plane's linear operator over a time `t`, at
+    the kept width: (..., 6, n, n//3+1) in `PLANES` order, one `decay` per
+    operator of `fields.linear_operators`."""
+    factors = [decay(grid, diffusivity, damping, t, columns=grid.kept_columns)
+               for diffusivity, damping in linear_operators(params)]
+    return np.stack([factors[op] for op in PLANE_OPERATOR], axis=-3)
 
 
 def _products(real: np.ndarray) -> np.ndarray:
@@ -225,22 +212,11 @@ def _initial_coeffs(state: SimState) -> np.ndarray:
     return coeffs
 
 
-def _heat_flow(sh0, grid, params, cfg, path):
-    """Write heat(t) sh0 into every plane of `path` at every node t, one
-    factor per linear operator; returns `path`."""
-    times = cfg.times()[:, None, None]
-    for op in range(len(OPERATOR_PLANES)):
-        planes = OPERATOR_PLANES[op]
-        np.multiply(_heat(grid, params, op, times)[:, None], sh0[planes], out=path[:, planes])
-    return path
-
-
 def semigroup_paths(sh0, grid, params, cfg):
     """The zeroth iterate: pure heat flow of the initial data `sh0`.  Its
     density plane is rho0 at every node exactly: rho's operator is (0, 0),
     whose factor is exp(0) = 1."""
-    path = np.empty((cfg.n_time_nodes,) + sh0.shape, dtype=complex)
-    return _heat_flow(sh0, grid, params, cfg, path)
+    return _heat(grid, params, cfg.times()[:, None, None]) * sh0
 
 
 def _node_block(grid: SpectralGrid) -> int:
@@ -253,12 +229,12 @@ def _node_block(grid: SpectralGrid) -> int:
 
 
 def _integrands(block_path, grid, params):
-    """The integrands under the three heat kernels, Q1 + L1, Q2 + L2 and
-    N, one per operator of `fields.OPERATOR_PLANES`, before quadrature, at
-    a block of nodes, from one product pass over the block's stack:
-    (12 b, n, n//3+1), plane-major, of the kept-width planes the integrands
-    read before their y-derivatives, u1, u2, the stress in matrix
-    components s11, s12, s22, rho, and the x derivatives of those six."""
+    """The integrand of every plane before quadrature, Q1 + L1, Q2 + L2 and
+    N, at a block of nodes: one (b, 6, n, n//3+1) array in `PLANES` order,
+    from one product pass over the block's stack (12 b, n, n//3+1),
+    plane-major, of the kept-width planes the integrands read before their
+    y-derivatives, u1, u2, the stress in matrix components s11, s12, s22,
+    rho, and the x derivatives of those six."""
     b = len(block_path)
     u, abc = block_path[:, 0:2], block_path[:, 2:5]
     stack = np.empty((b * 12, grid.n, grid.kept_columns), complex)
@@ -274,17 +250,8 @@ def _integrands(block_path, grid, params):
     fh = prods[:, 0:2]
     add_stress_divergence(grid, abc, params.bigK, fh)
     project(grid, fh)
-    gh = prods[:, 2:5]
-    gh[:, 2] += 4.0 * params.k * block_path[:, 5]
-    return fh, gh, prods[:, 5:6]
-
-
-def _add_integral(planes, integrand, decay, ds, carry):
-    """Add the quadrature of a block's `integrand` into `planes`, the
-    block's planes of the new path; returns the carry of the next block."""
-    acc = _accumulate(integrand, decay, ds, carry)
-    planes += acc
-    return acc[-1].copy(), integrand[-1].copy()
+    prods[:, 4] += 4.0 * params.k * block_path[:, 5]
+    return prods
 
 
 def apply_map(path, sh0, grid, params, cfg):
@@ -295,24 +262,34 @@ def apply_map(path, sh0, grid, params, cfg):
         heat_sigma(t) sigma0 + Q2(u, sigma) + L2(rho),
         rho0                 + N(u, rho),
 
-    of the module docstring, from the data `sh0`, with one product pass per
-    block of nodes (`_integrands`) and one trapezoid quadrature per
-    operator (`_accumulate`).  The nodes are visited in blocks of
-    `_node_block`: a block's integrands are summed into the new path,
-    carrying the quadrature on from the block before."""
+    of the module docstring, from the data `sh0`, as one trapezoid
+    recursion over the nodes with E each plane's heat factor over one node
+    step, h = ds/2 and G_j the integrand of node j:
+
+        new_0 = sh0,    new_j = E (new_{j-1} + h G_{j-1}) + h G_j.
+
+    It carries the heat flow of the data and the Duhamel sum at once, since
+    heat(t_j) = E heat(t_{j-1}) on uniform nodes.  The nodes are visited in
+    blocks of `_node_block`, one product pass per block (`_integrands`);
+    the one carry array, new_j + h G_j, runs on from block to block."""
     ds = _step(cfg)
-    m = path.shape[0]
-    block = min(m, _node_block(grid))
-    heats = [_heat(grid, params, op, ds) for op in range(len(OPERATOR_PLANES))]
-    new = _heat_flow(sh0, grid, params, cfg, np.empty_like(path))
-    carry = [None] * len(heats)
-    for start in range(0, m, block):
-        nodes = slice(start, min(start + block, m))
-        # A block's integrands live only inside this list, so they are
-        # freed before the next block forms its own.
-        carry = [_add_integral(new[nodes, planes], g, heat, ds, c)
-                 for planes, g, heat, c in zip(OPERATOR_PLANES, _integrands(
-                     path[nodes], grid, params), heats, carry)]
+    h = 0.5 * ds
+    block = min(len(path), _node_block(grid))
+    heat = _heat(grid, params, ds)
+    new = np.empty_like(path)
+    carry = np.empty_like(sh0)
+    for start in range(0, len(path), block):
+        g = _integrands(path[start:start + block], grid, params)
+        g *= h
+        for j, g_j in enumerate(g, start):
+            if j == 0:
+                new[0] = sh0
+            else:
+                np.multiply(heat, carry, out=new[j])
+                new[j] += g_j
+            np.add(new[j], g_j, out=carry)
+        # A block's integrands are freed before the next block forms its own.
+        del g, g_j
     return new
 
 

@@ -203,12 +203,18 @@ def test_bounds_with_mutated_timeseries(work, timeseries, mutation):
 
 
 @pytest.mark.parametrize("preset", PRESETS)
-@pytest.mark.parametrize("line,code", [("amplitude=1e-160", 0), ("L=1e200", 2)])
+@pytest.mark.parametrize("line,code", [
+    ("amplitude=1e-160", 0), ("L=1e200", 2),
+    ("constant_c=0", 0), ("constant_c=1e308", 0), ("init_kmax=100000", 0),
+    ("t_end=1e-300", 0), ("dt_max=1e300", 0), ("init_kmax=0", 2),
+])
 def test_run_with_pinned_inputs(work, preset, line, code):
-    """Inputs the fuzzer drew on earlier versions, pinned so that they stay
-    checked when the drawn sequence moves."""
+    """Inputs the fuzzer drew on earlier versions, and edge values of the
+    config keys it does not draw, pinned so that they stay checked when the
+    drawn sequence moves.  A `t_end` line replaces the default one."""
+    t_end = "" if line.startswith("t_end=") else "t_end=0.001\n"
     cfg = work / "pinned.cfg"
-    cfg.write_text(f"n=16\npreset={preset}\nt_end=0.001\n{line}\n")
+    cfg.write_text(f"n=16\npreset={preset}\n{t_end}{line}\n")
     result = call(["run", "--config", str(cfg), "--out-dir", str(work / "pinned")])
     assert_contract(*result)
     assert result[0] == code

@@ -11,7 +11,7 @@ import pytest
 
 from oldb2d import make_grid, run
 from oldb2d.cli import EXIT_OUTPUT, main
-from oldb2d.config import ConfigError, build_initial, parse_config
+from oldb2d.config import PRESETS, ConfigError, build_initial, parse_config
 from oldb2d.diagnostics import (
     COLUMNS,
     _positivity,
@@ -696,6 +696,24 @@ class TestCliMain:
         assert code == 2
         assert err.startswith("config error:") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-300"])
+    @pytest.mark.parametrize("command", ["run", "bounds"])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_negative_constant_c_exits_config(self, tmp_path, capsys, preset, command,
+                                              value):
+        """A negative generic constant is refused before any state is
+        built: the ledger's fractional powers of it are not real, and its
+        R1..R5 bounds would be negative."""
+        cfg_path = self._write_cfg(
+            tmp_path, f"n=16\npreset={preset}\nt_end=0.001\nconstant_c={value}\n")
+        flags = ["--out-dir", str(tmp_path / "o")] if command == "run" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", cfg_path, *flags])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: constant_c must be non-negative\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config_text,code", [

@@ -178,6 +178,12 @@ class TestAprioriLedger:
         assert led2.R1.value == pytest.approx(2.0 * led1.R1.value, rel=1e-12)
         assert led2.constant_c == 2.0
 
+    @pytest.mark.parametrize("constant_c", [-1.0, -1e-300, math.inf, math.nan])
+    def test_refuses_negative_or_nonfinite_constant(self, grid32, constant_c):
+        state = band_limited_admissible_state(grid32, seed=13, kmax=4)
+        with pytest.raises(ValueError, match="constant_c"):
+            apriori_ledger(state, PARAMS, 1.0, constant_c=constant_c)
+
 
 class TestUnitsAlgebra:
     def test_mismatched_addition_rejected(self):
@@ -236,7 +242,7 @@ class TestBoundCheck:
     def test_normal_budget_gate_is_the_unscaled_sum(self):
         """The gate sums at a power-of-two scale, which is exact for normal
         values: the observed budget is the unscaled sum bit for bit, and
-        the result is observed <= R0 (1 + rel_tol) at any R0 near it."""
+        the result is observed <= R0 (1 + `_REL_TOL`) at any R0 near it."""
         cfg = parse_config("n=16\npreset=random_admissible\nseed=3\nt_end=0.05\n")
         initial = build_initial(cfg, make_grid(16, cfg.length))
         traj = run(initial, cfg.params, cfg.control, cfg.monitors)
@@ -257,7 +263,7 @@ class TestBoundCheck:
         """The exact decaying Taylor-Green flow at nu=0.1 with a record every
         step passes the gate (its trapezoid excess is +4.4e-7 of R0); the
         same series with u_L2 scaled by 1 + 2e-6, a 4e-6 energy excess
-        beyond `rel_tol` = 1e-6, fails."""
+        beyond `_REL_TOL` = 1e-6, fails."""
         cfg = parse_config("n=32\npreset=taylor_green\nnu=0.1\nt_end=1\n")
         initial = build_initial(cfg, make_grid(32, cfg.length))
         traj = run(initial, cfg.params, cfg.control, cfg.monitors)

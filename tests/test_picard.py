@@ -168,7 +168,7 @@ class TestQ2:
 
         state = band_limited_admissible_state(grid16, seed=4, kmax=3)
         sh = dealias(grid16, state.planes)
-        integrand = picard_mod._integrands(sh[None], grid16, PARAMS)[1][0]
+        integrand = picard_mod._integrands(sh[None], grid16, PARAMS)[0, 2:5]
         lin = -(PARAMS.kappa * grid16.at(grid16.k_sq, sh)) - 2.0 * PARAMS.k
         expected = rfft2(rates(state, PARAMS)[2:5], KC) - lin * sh[2:5]
         integrand[2] -= 4.0 * PARAMS.k * sh[5]
@@ -276,7 +276,7 @@ class TestTransportMap:
 
         state = band_limited_admissible_state(grid16, seed=4, kmax=3)
         sh = dealias(grid16, state.planes)
-        integrand = picard_mod._integrands(sh[None], grid16, PARAMS)[2][0, 0]
+        integrand = picard_mod._integrands(sh[None], grid16, PARAMS)[0, 5]
         expected = rfft2(rates(state, PARAMS)[5], KC)
         scale = np.max(np.abs(expected)) + 1e-300
         assert np.max(np.abs(integrand - expected)) <= 1e-12 * scale
@@ -451,9 +451,10 @@ class TestKeptWidth:
         block's stack and row blocks (0.51 units) were held across calls,
         outside the traced window; allocated per block, they are inside
         it, and it read 2.01 units in blocks of 4 nodes of 10 stack planes
-        each, and reads 1.92 in blocks of 3 nodes of 12, with the density
-        in the product pass.  A first solve runs untraced, as for those
-        readings."""
+        each, 1.92 in blocks of 3 nodes of 12, with the density in the
+        product pass, and reads 1.90 with the map one recursion that carries
+        one array from block to block.  A first solve runs untraced, as for
+        those readings."""
         grid, state, params, cfg = self._setup()
         n, kc = 32, 32 // 3 + 1
         unit = 33 * 6 * n * (n // 2 + 1) * 16
@@ -470,7 +471,8 @@ class TestKeptWidth:
     def test_cold_peak_memory_of_one_solve(self):
         """The same solve without an untraced one before it, in blocks of 3
         nodes, whose product pass takes 12 kept-width complex stack planes
-        and 24 real planes per node.  It peaks at 1.92 units; it peaked at
+        and 24 real planes per node.  It peaks at 1.91 units; it peaked at
+        1.92 with a per-operator quadrature carried from block to block, at
         2.01 in blocks of 4 nodes of 10 stack planes, with the density
         transported outside the product pass, and at 2.42 when the map's
         buffers were held after it."""
