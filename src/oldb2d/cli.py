@@ -24,7 +24,6 @@ import sys
 from dataclasses import replace
 
 from . import diagnostics, picard, snapshots
-from .checks import run_checks
 from .config import ConfigError, build_initial, load_config
 from .integrate import MonitorViolation, run
 from .spectral import make_grid
@@ -85,10 +84,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _setup(args):
-    """The config and the initial state that `args` name."""
+    """The config and the initial state that `args` name.  An initial max c
+    above `c_ceiling` is a config error: the `overflow` monitor would stop
+    the run at its first step with nothing overflowed."""
     with _paths():
         cfg = load_config(args.config)
-        return cfg, build_initial(cfg, make_grid(cfg.n, cfg.length))
+        initial = build_initial(cfg, make_grid(cfg.n, cfg.length))
+    max_c, ceiling = float(initial.planes[4].max()), cfg.monitors.c_ceiling
+    if max_c > ceiling:
+        raise ConfigError(f"the initial max c {max_c!r} exceeds c_ceiling {ceiling!r}")
+    return cfg, initial
 
 
 def _horizon(cfg, initial) -> float:
@@ -169,6 +174,8 @@ def _cmd_picard(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_checks
+
     results = run_checks()
     width = max(len(r.name) for r in results)
     failed = 0

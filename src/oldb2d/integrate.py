@@ -264,10 +264,11 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     needs no next stage: it gets a 6-plane inverse transform only.
 
     Every spectrum the loop holds is at the kept width.  A cold run of the
-    run-large config (n=256) peaks at 20.12 MiB traced (numpy 2.4.6), in
+    run-large config (n=256) peaks at 18.36 MiB traced (numpy 2.4.6), in
     the `_terms` evaluation of an accepted state: its derivative stack and
     row blocks, its terms and real planes, beside the packed state, the
-    caller's initial state and the factor memo; full-width spectra and
+    caller's initial state, the grid's tables (0.57 MB; 20.12 MiB peak
+    with full-width ones) and the factor memo; full-width spectra and
     2 MiB row blocks peaked at 26.2 MiB, in the third stage of a step.
     """
     mon = monitors or Monitors()

@@ -11,12 +11,16 @@ widths of one layout, the `rfft2` half spectrum:
   2/3 rule keeps, (N, N//3+1): the columns beyond are zero by
   construction, so they are never stored.
 
-The grid tables are full width, and an operation reads them at its
-operand's width w as `table[:, :w]` (`SpectralGrid.at`); so norms summed
-over either width count every column whose conjugate partner the half
-spectrum omits twice (`SpectralGrid.weights`).  Transforms use the
-mean-preserving normalization: the forward FFT divides by N^2, so the (0, 0)
-coefficient of a field equals its spatial mean.  `rfft2` and `irfft2` are
+Each grid table is stored at the shape of the axes it depends on: an (n, 1)
+column for the x wavenumbers, a (1, n//2+1) row for the y wavenumbers and
+the Hermitian weights, and the full (n, n//2+1) half spectrum for the
+tables of both axes.  An operation reads a table at its operand's width w
+as `table[:, :w]` (`SpectralGrid.at`), which leaves a column whole, and
+lets it broadcast; so norms summed over either width count every column
+whose conjugate partner the half spectrum omits twice
+(`SpectralGrid.weights`).  Transforms use the mean-preserving
+normalization: the forward FFT divides by N^2, so the (0, 0) coefficient
+of a field equals its spatial mean.  `rfft2` and `irfft2` are
 two `numpy.fft` passes over the last two axes, batched over any leading
 axes: the forward pass transforms the last axis and then axis -2; the
 inverse undoes them in reverse order.  `rfft2(..., columns=w)` keeps the
@@ -126,7 +130,7 @@ def dealiased_products(grid: SpectralGrid, stack: np.ndarray, dy: int, products,
     n = grid.n
     planes, kc = len(stack), stack.shape[-1]
     rows = max(1, min(n, _BLOCK_BYTES // ((planes + dy) * n * 8)))
-    iky = grid.iky[0, :kc]
+    iky = grid.at(grid.iky, stack)
     out = reals = None
 
     np.fft.ifft(stack, axis=-2, norm="forward", out=stack)
@@ -155,26 +159,27 @@ class SpectralGrid:
 
     Index convention: array element [i, j] sits at (x_i, y_j), so the first
     array axis is the x-direction (derivative index 1) and the second is y
-    (index 2).  Every table is a contiguous (n, n//2+1) array over the
-    full-width `rfft2` half spectrum, read at a narrower operand's width
-    through `at`: row i holds the x wavenumber in `fftfreq` order,
-    column j the y wavenumber j >= 0.  `kx`, `ky` are the physical
-    derivative wavenumbers 2*pi/L * integer with the Nyquist frequency
-    zeroed, so that derivatives of real fields stay real; `ikx`, `iky` are
-    the derivative multipliers 1j * kx, 1j * ky.
+    (index 2).  Every table is a contiguous array over the full-width
+    `rfft2` half spectrum, (n, n//2+1) or, for a table of one axis, the
+    (n, 1) column or (1, n//2+1) row that broadcasts to it, read at a
+    narrower operand's width through `at`: row i holds the x wavenumber in
+    `fftfreq` order, column j the y wavenumber j >= 0.  `kx`, `ky` are the
+    physical derivative wavenumbers 2*pi/L * integer with the Nyquist
+    frequency zeroed, so that derivatives of real fields stay real; `ikx`,
+    `iky` are the derivative multipliers 1j * kx, 1j * ky.
     """
 
     n: int
     length: float
-    kx: np.ndarray
-    ky: np.ndarray
-    ikx: np.ndarray
-    iky: np.ndarray
-    k_sq: np.ndarray        # |k|^2, Nyquist modes included
+    kx: np.ndarray          # (n, 1)
+    ky: np.ndarray          # (1, n//2+1)
+    ikx: np.ndarray         # (n, 1)
+    iky: np.ndarray         # (1, n//2+1)
+    k_sq: np.ndarray        # |k|^2, Nyquist modes included; (n, n//2+1)
     inv_k_sq_d: np.ndarray  # 1/(kx^2 + ky^2) from the derivative wavenumbers
-    mask: np.ndarray        # 2/3-rule dealias mask
-    weights: np.ndarray     # Hermitian weights: 2 for every column whose
-                            # conjugate partner the half spectrum omits
+    mask: np.ndarray        # 2/3-rule dealias mask; (n, n//2+1)
+    weights: np.ndarray     # Hermitian weights, (1, n//2+1): 2 for every column
+                            # whose conjugate partner the half spectrum omits
 
     @property
     def spacing(self) -> float:
@@ -182,8 +187,10 @@ class SpectralGrid:
 
     def at(self, table: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """`table`, one of this grid's tables, read at the width of the
-        spectrum `coeffs`: its first coeffs.shape[-1] columns.  The one rule
-        by which a full-width table meets a kept-width operand."""
+        spectrum `coeffs`: its first coeffs.shape[-1] columns, which is the
+        whole of an (n, 1) column.  The one rule by which a full-width
+        table meets a kept-width operand; the result broadcasts against
+        it."""
         return table[:, :coeffs.shape[-1]]
 
     @property
@@ -203,7 +210,9 @@ class SpectralGrid:
 
 def make_grid(n: int, length: float) -> SpectralGrid:
     """Build a grid with half-spectrum wavenumber tables, the 2/3-rule
-    dealias mask and the Hermitian weights."""
+    dealias mask and the Hermitian weights: x tables as (n, 1) columns, y
+    tables and the weights as (1, n//2+1) rows, and the tables of both axes
+    at (n, n//2+1).  At n=256 they hold 0.57 MB; full width, 2.41 MB."""
     if int(n) != n:
         raise ValueError("n must be an integer")
     n = int(n)
@@ -215,8 +224,8 @@ def make_grid(n: int, length: float) -> SpectralGrid:
     if not np.isfinite(length) or length <= 0.0:
         raise ValueError("length must be positive")
 
-    kxi, kyi = np.meshgrid(np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(np.int64),
-                           np.arange(n // 2 + 1), indexing="ij")
+    kxi = np.rint(np.fft.fftfreq(n, 1.0 / n)).astype(np.int64)[:, None]
+    kyi = np.arange(n // 2 + 1)[None, :]
     scale = 2.0 * np.pi / length
     kx, ky = scale * kxi, scale * kyi
     k_sq = kx * kx + ky * ky

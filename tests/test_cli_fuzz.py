@@ -207,11 +207,20 @@ def test_bounds_with_mutated_timeseries(work, timeseries, mutation):
     ("amplitude=1e-160", 0), ("L=1e200", 2),
     ("constant_c=0", 0), ("constant_c=1e308", 0), ("init_kmax=100000", 0),
     ("t_end=1e-300", 0), ("dt_max=1e300", 0), ("init_kmax=0", 2),
+    ("n=32", 2), ("foo=1", 2), ("snapshot_times=,", 2), ("cfl=1e-300", 1),
+    ("cfl=1", 0), ("seed=99999999999999999999999", 0),
+    ("output_every=99999999999999999999999999", 0), ("dt_min=1e-300", 0),
+    pytest.param("c_ceiling=1e-300", {"taylor_green": 0}, id="c_ceiling=1e-300-2"),
 ])
 def test_run_with_pinned_inputs(work, preset, line, code):
     """Inputs the fuzzer drew on earlier versions, and edge values of the
     config keys it does not draw, pinned so that they stay checked when the
-    drawn sequence moves.  A `t_end` line replaces the default one."""
+    drawn sequence moves.  A `t_end` line replaces the default one, and an
+    `n` line duplicates the config's own.  A tiny `c_ceiling` is below the
+    initial stress of every preset but `taylor_green`, whose stress is
+    zero: the one code that depends on the preset."""
+    if isinstance(code, dict):
+        code = code.get(preset, 2)
     t_end = "" if line.startswith("t_end=") else "t_end=0.001\n"
     cfg = work / "pinned.cfg"
     cfg.write_text(f"n=16\npreset={preset}\n{t_end}{line}\n")

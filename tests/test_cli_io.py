@@ -325,11 +325,16 @@ class TestCliMain:
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
-    def test_overflow_exit_three(self, tmp_path):
+    def test_overflow_exit_three(self, tmp_path, capsys):
+        """max c rises from 2.465 at t=0 through the ceiling 2.5 at t=0.031:
+        the `overflow` monitor's exit 3.  A ceiling below the initial max c
+        is a config error instead (`test_c_ceiling_below_the_initial_data`)."""
         cfg_path = self._write_cfg(
-            tmp_path, "n=16\npreset=equilibrium\nc_ceiling=1.0\nt_end=0.05\n"
+            tmp_path, "n=16\npreset=random_admissible\namplitude=3\nc_ceiling=2.5\n"
+                      "dt_max=1e-3\nt_end=0.05\n"
         )
         assert main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("monitor violation: [overflow] t=0.031: ")
 
     def test_monitor_violation_exit_one(self, tmp_path):
         cfg_path = self._write_cfg(
@@ -716,17 +721,55 @@ class TestCliMain:
         assert capsys.readouterr().err == "config error: constant_c must be non-negative\n"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("config_text,code", [
-        ("preset=taylor_green\namplitude=1e80", 1),
-        ("preset=taylor_green\namplitude=1e100", 1),
-        ("preset=taylor_green\namplitude=1e200", 2),
-        ("preset=equilibrium\nrho0=1e150", 3),
-        ("preset=equilibrium\nrho0=1e200", 2),
-    ], ids=["tg_1e80", "tg_1e100", "tg_1e200", "equilibrium_1e150", "equilibrium_1e200"])
-    def test_huge_finite_values_print_one_line(self, tmp_path, capsys, config_text, code):
+    @pytest.mark.parametrize("command", [
+        ["run", "--out-dir", "o"], ["picard", "--t0", "0.01", "--nodes", "5", "--compare"],
+        ["bounds"],
+    ], ids=["run", "picard_compare", "bounds"])
+    @pytest.mark.parametrize("preset,ceiling", [
+        ("equilibrium", "1e-300"), ("equilibrium", "1.99"),
+        ("random_admissible", "1e-300"), ("random_admissible", "2.4"),
+        ("taylor_green", "1e-300"),
+    ])
+    def test_c_ceiling_below_the_initial_data(self, tmp_path, capsys, monkeypatch, preset,
+                                              ceiling, command):
+        """An initial max c above `c_ceiling` is a config error whose one
+        line names both values: the `overflow` monitor stopped such a run at
+        its first step (exit 3), with nothing overflowed.  Taylor-Green's
+        stress is zero, so no positive ceiling is below it."""
+        text = f"n=16\npreset={preset}\nt_end=0.001\nc_ceiling={ceiling}\n"
+        cfg = parse_config(text)
+        max_c = float(build_initial(cfg, make_grid(cfg.n, cfg.length)).planes[4].max())
+        monkeypatch.chdir(tmp_path)
+        cfg_path = self._write_cfg(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command[0], "--config", cfg_path, *command[1:]])
+        err = capsys.readouterr().err
+        if max_c > float(ceiling):
+            assert code == 2
+            assert err == (f"config error: the initial max c {max_c!r} exceeds "
+                           f"c_ceiling {float(ceiling)!r}\n")
+            assert not (tmp_path / "o").exists()
+        else:
+            assert preset == "taylor_green" and max_c == 0.0
+            assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("config_text,code,message", [
+        ("preset=taylor_green\namplitude=1e80", 1, None),
+        ("preset=taylor_green\namplitude=1e100", 1, None),
+        ("preset=taylor_green\namplitude=1e200", 2, "squares"),
+        ("preset=equilibrium\nrho0=1e150", 2, "exceeds c_ceiling"),
+        ("preset=equilibrium\nrho0=1e150\nc_ceiling=1e300", 0, None),
+        ("preset=equilibrium\nrho0=1e200", 2, "squares"),
+    ], ids=["tg_1e80", "tg_1e100", "tg_1e200", "equilibrium_1e150",
+            "equilibrium_1e150_ceiling_1e300", "equilibrium_1e200"])
+    def test_huge_finite_values_print_one_line(self, tmp_path, capsys, config_text, code,
+                                               message):
         """Fourth powers in the norms are formed on scaled values, and a
         state whose squares would overflow is a config error: no
-        `RuntimeWarning` precedes the one line."""
+        `RuntimeWarning` precedes the one line.  An initial max c of 2e150
+        is above the default `c_ceiling`, a config error; under a higher
+        ceiling the same state steps with no warning."""
         cfg_path = self._write_cfg(tmp_path, f"n=16\nt_end=0.001\n{config_text}\n")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -734,9 +777,9 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert [str(w.message) for w in caught] == []
         assert got == code
-        assert err.count("\n") == 1 and "Traceback" not in err
-        if code == 2:
-            assert err.startswith("config error:") and "squares" in err
+        assert err.count("\n") == (1 if code else 0) and "Traceback" not in err
+        if message:
+            assert err.startswith("config error:") and message in err
 
     @pytest.mark.parametrize("length,n", [
         ("1e200", 16), ("1e155", 16), ("1e-200", 16), ("1e-150", 16), ("1e-75", 16),
