@@ -22,7 +22,6 @@ from .integrate import (
     MonitorViolation,
     Monitors,
     StepControl,
-    Trajectory,
     run,
     step,
 )

@@ -186,8 +186,9 @@ def check_determinant_order() -> CheckResult:
     def residual(dt):
         ctl = StepControl(dt_min=dt, dt_max=dt, t_end=t_mid + 2 * dt,
                           snapshot_times=(t_mid - dt, t_mid, t_mid + dt))
-        traj = run(state, params, ctl)
-        return diagnostics.determinant_residual([s for _, s in traj.snapshots], params)
+        states = []
+        run(state, params, ctl, on_snapshot=lambda _, snap: states.append(snap))
+        return diagnostics.determinant_residual(states, params)
 
     errs = [residual(dt) for dt in (0.02, 0.01, 0.005)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -296,15 +297,17 @@ def check_temporal_order() -> CheckResult:
 
 @functools.cache
 def _short_random_run():
-    """The initial state and the trajectory of the 50-step run that three
+    """The initial state and the records of the 50-step run that three
     entries read: run once."""
-    state = _initial()
-    return state, run(state, _PARAMS, StepControl(dt_max=0.01, t_end=0.5, output_every=5))
+    state, records = _initial(), []
+    run(state, _PARAMS, StepControl(dt_max=0.01, t_end=0.5, output_every=5),
+        on_record=records.append)
+    return state, records
 
 
 def check_rho_conservation() -> CheckResult:
-    _, traj = _short_random_run()
-    first, last = traj.records[0], traj.records[-1]
+    _, records = _short_random_run()
+    first, last = records[0], records[-1]
     span = last.time - first.time
     drift1 = abs(last.norms["rho_L1"] - first.norms["rho_L1"]) / first.norms["rho_L1"]
     drift2 = abs(last.norms["rho_L2"] - first.norms["rho_L2"]) / first.norms["rho_L2"]
@@ -314,9 +317,9 @@ def check_rho_conservation() -> CheckResult:
 
 
 def check_run_positivity() -> CheckResult:
-    _, traj = _short_random_run()
-    worst = min(r.min_gamma for r in traj.records)
-    ceiling = max(r.c_max for r in traj.records)
+    _, records = _short_random_run()
+    worst = min(r.min_gamma for r in records)
+    ceiling = max(r.c_max for r in records)
     ok = worst >= -1e-8 * max(1.0, ceiling)
     return _result("integrate.run_positivity", ok, f"min gamma {worst:.3e}")
 
@@ -326,8 +329,9 @@ def check_equilibrium_balance() -> CheckResult:
     led = diagnostics.energy_ledger(state, _PARAMS)
     gap = _rel(abs(led.dissipation - led.source), led.source)
     ctl = StepControl(dt_max=1e-3, t_end=0.05, output_every=10)
-    traj = run(state, _PARAMS, ctl)
-    energies = [r.energy for r in traj.records]
+    records = []
+    run(state, _PARAMS, ctl, on_record=records.append)
+    energies = [r.energy for r in records]
     drift = _rel(max(energies) - min(energies), abs(energies[0]))
     ok = gap <= 1e-12 and drift <= 1e-12
     return _result("diagnostics.equilibrium_balance", ok,
@@ -335,9 +339,9 @@ def check_equilibrium_balance() -> CheckResult:
 
 
 def check_energy_budget_gate() -> CheckResult:
-    state, traj = _short_random_run()
-    ledger = diagnostics.apriori_ledger(state, _PARAMS, traj.records[-1].time)
-    row = diagnostics.bound_check(diagnostics.series(traj.records), ledger, _PARAMS)[0]
+    state, records = _short_random_run()
+    ledger = diagnostics.apriori_ledger(state, _PARAMS, records[-1].time)
+    row = diagnostics.bound_check(diagnostics.series(records), ledger, _PARAMS)[0]
     return _result("diagnostics.energy_budget_gate", row.passed,
                    f"observed/bound = {row.ratio:.6f}")
 
@@ -481,7 +485,7 @@ def check_picard_stepper_agreement() -> CheckResult:
     _, state, pcfg = _picard_setup(nodes=65)
     traj, _ = picard.picard_iterate(state, _PARAMS, pcfg)
     ctl = StepControl(dt_min=1e-12, dt_max=2e-3, t_end=pcfg.t0, output_every=10**9)
-    stepped = run(state, _PARAMS, ctl).final_state
+    stepped = run(state, _PARAMS, ctl)
     worst = max(picard.stepper_gaps(traj.state(pcfg.n_time_nodes - 1), stepped).values())
     return _result("picard.stepper_agreement", worst <= 1e-4,
                    f"worst relative L2 gap {worst:.2e}")

@@ -115,25 +115,33 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"snapshot_times entry {t_snap:g} is outside (initial time "
                               f"{initial.time:g}, t_end {t_end:g}]")
     series_path = os.path.join(args.out_dir, "timeseries.csv")
+    final_path = os.path.join(args.out_dir, "final_state.snap")
     with _paths():
         os.makedirs(args.out_dir, exist_ok=True)
-        if os.path.exists(series_path):
-            os.remove(series_path)
+        for path in (series_path, final_path):
+            if os.path.exists(path):
+                os.remove(path)
 
-    traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+    records = []
+
+    def write_record(record):
+        snapshots.append_timeseries(record, series_path)
+        records.append(record)
+
+    def write_snapshot(t_snap, state):
+        snapshots.write_snapshot(
+            state, os.path.join(args.out_dir, f"snapshot_t{t_snap:.6g}.snap"))
+
+    # A monitor violation leaves the rows and snapshots of the states
+    # accepted before it, and no final state.
     with _paths():
-        for record in traj.records:
-            snapshots.append_timeseries(record, series_path)
-        for t_snap, state in traj.snapshots:
-            snapshots.write_snapshot(
-                state, os.path.join(args.out_dir, f"snapshot_t{t_snap:.6g}.snap")
-            )
-        snapshots.write_snapshot(traj.final_state,
-                                 os.path.join(args.out_dir, "final_state.snap"))
+        final = run(initial, cfg.params, cfg.control, cfg.monitors,
+                    on_record=write_record, on_snapshot=write_snapshot)
+        snapshots.write_snapshot(final, final_path)
 
     ledger = diagnostics.apriori_ledger(initial, cfg.params, horizon, cfg.constant_c)
-    rows = diagnostics.bound_check(diagnostics.series(traj.records), ledger, cfg.params)
-    last = traj.records[-1]
+    rows = diagnostics.bound_check(diagnostics.series(records), ledger, cfg.params)
+    last = records[-1]
     print(f"run complete: t={last.time:.6g}, energy={last.energy:.9g}, "
           f"min gamma={last.min_gamma:.3e}")
     code = _print_rows(rows)
@@ -165,7 +173,7 @@ def _cmd_picard(args) -> int:
     if args.compare:
         # The mild path spans t0 from the initial state, whatever its time;
         # the system is autonomous, so the stepper starts at t = 0.
-        stepped = run(replace(initial, time=0.0), cfg.params, ctl, cfg.monitors).final_state
+        stepped = run(replace(initial, time=0.0), cfg.params, ctl, cfg.monitors)
         gaps = picard.stepper_gaps(traj.state(pcfg.n_time_nodes - 1), stepped)
         print("agreement with the time stepper at t0 (relative L2):")
         for name, gap in gaps.items():

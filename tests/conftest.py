@@ -1,11 +1,12 @@
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oldb2d import SimState, make_grid
+from oldb2d import SimState, make_grid, run
 
 TWO_PI = 2.0 * np.pi
 
@@ -27,6 +28,15 @@ def state_of(grid, u=0.0, a=0.0, b=0.0, c=0.0, rho=0.0, time=0.0) -> SimState:
     planes = np.empty((6, grid.n, grid.n))
     planes[0:2], planes[2], planes[3], planes[4], planes[5] = u, a, b, c, rho
     return SimState(time, grid, planes)
+
+
+def run_collected(initial, params, ctl, monitors=None) -> SimpleNamespace:
+    """`run`, with what it hands out collected: `records`, `snapshots` as
+    (t, state) pairs, and the `final_state` it returns."""
+    records, snapshots = [], []
+    final = run(initial, params, ctl, monitors, on_record=records.append,
+                on_snapshot=lambda t, state: snapshots.append((t, state)))
+    return SimpleNamespace(records=records, snapshots=snapshots, final_state=final)
 
 
 def in_threads(fn, args, timeout=300.0) -> list:

@@ -30,7 +30,7 @@ from oldb2d.config import parse_config, build_initial
 from oldb2d.picard import _sobolev_sq
 from oldb2d.spectral import decay, irfft2, project, rfft2
 
-from conftest import state_of
+from conftest import run_collected, state_of
 from oracles import relaxation_exact
 
 TWO_PI = 2.0 * np.pi
@@ -52,7 +52,7 @@ def positivity_batch():
         )
         grid = make_grid(cfg.n, cfg.length)
         initial = build_initial(cfg, grid)
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
         runs.append((cfg, initial, traj))
     elapsed = time.perf_counter() - t_start
     return runs, elapsed
@@ -68,7 +68,7 @@ class TestCriterion1:
         state = state_of(grid, c=c0, rho=rho0)
         ctl = StepControl(dt_min=dt, dt_max=dt, t_end=T, output_every=10**9)
         t0 = time.perf_counter()
-        traj = run(state, params, ctl)
+        traj = run_collected(state, params, ctl)
         elapsed = time.perf_counter() - t0
         expected = relaxation_exact(T, c0, rho0, k)
         got = float(np.max(traj.final_state.planes[4]))
@@ -87,7 +87,7 @@ class TestCriterion2:
         grid = make_grid(cfg.n, cfg.length)
         initial = build_initial(cfg, grid)
         t0 = time.perf_counter()
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
         elapsed = time.perf_counter() - t0
         E0 = traj.records[0].norms["u_L2"] ** 2
         u1, u2 = traj.final_state.planes[0:2]
@@ -149,8 +149,8 @@ class TestCriterion5:
                 f"t_end=0.2\noutput_every=1\ndt_min={dt}\ndt_max={dt}\n"
             )
             grid = make_grid(cfg.n, cfg.length)
-            traj = run(build_initial(cfg, grid), cfg.params, cfg.control,
-                       cfg.monitors)
+            traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control,
+                                 cfg.monitors)
             excess = []
             for prev, cur in zip(traj.records, traj.records[1:]):
                 h = cur.time - prev.time
@@ -234,7 +234,7 @@ class TestCriterion7:
 
             ctl = StepControl(dt_min=1e-12, dt_max=5e-4, t_end=t0,
                               output_every=10**9)
-            stepped = run(state, self.PARAMS, ctl).final_state
+            stepped = run(state, self.PARAMS, ctl)
             mild = traj.state(cfg.n_time_nodes - 1)
             for fa, fb in (
                 (mild.planes[0:2], stepped.planes[0:2]),

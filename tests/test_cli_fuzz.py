@@ -211,6 +211,11 @@ def test_bounds_with_mutated_timeseries(work, timeseries, mutation):
     ("cfl=1", 0), ("seed=99999999999999999999999", 0),
     ("output_every=99999999999999999999999999", 0), ("dt_min=1e-300", 0),
     pytest.param("c_ceiling=1e-300", {"taylor_green": 0}, id="c_ceiling=1e-300-2"),
+    ("positivity_tol=0", 0), ("positivity_tol=1e308", 0), ("rho_tol=0", 0),
+    ("rho_tol=1e308", 0), ("energy_tol=0", 0), ("energy_tol=1e308", 0),
+    pytest.param("t_end=0.05\nenergy_tol=0",
+                 {preset: int(preset == "equilibrium") for preset in PRESETS},
+                 id="t_end=0.05-energy_tol=0-1"),
 ])
 def test_run_with_pinned_inputs(work, preset, line, code):
     """Inputs the fuzzer drew on earlier versions, and edge values of the
@@ -218,7 +223,10 @@ def test_run_with_pinned_inputs(work, preset, line, code):
     drawn sequence moves.  A `t_end` line replaces the default one, and an
     `n` line duplicates the config's own.  A tiny `c_ceiling` is below the
     initial stress of every preset but `taylor_green`, whose stress is
-    zero: the one code that depends on the preset."""
+    zero.  Every monitor tolerance at 0 and at 1e308 passes the short run;
+    over 50 steps `energy_tol=0` stops `equilibrium` (an energy excess of
+    8.86e-9 at t=0.01: the scheme drifts off that equilibrium), and no
+    other preset.  Those two are the codes that depend on the preset."""
     if isinstance(code, dict):
         code = code.get(preset, 2)
     t_end = "" if line.startswith("t_end=") else "t_end=0.001\n"

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oldb2d import make_grid, run
+from oldb2d import make_grid
 from oldb2d.cli import EXIT_OUTPUT, main
 from oldb2d.config import PRESETS, ConfigError, build_initial, parse_config
 from oldb2d.diagnostics import (
@@ -30,7 +30,7 @@ from oldb2d.snapshots import (
 )
 from oldb2d.spectral import irfft2
 
-from conftest import state_of
+from conftest import run_collected, state_of
 
 TWO_PI = 2.0 * np.pi
 
@@ -273,7 +273,7 @@ class TestTimeseries:
             "output_every=3\n"
         )
         grid = make_grid(16, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
         path = tmp_path / "series.csv"
         for rec in traj.records:
             append_timeseries(rec, path)
@@ -335,6 +335,42 @@ class TestCliMain:
         )
         assert main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("monitor violation: [overflow] t=0.031: ")
+
+    # `test_overflow_exit_three`'s config, a record at every step.
+    LATE_OVERFLOW = ("n=16\npreset=random_admissible\namplitude=3\nc_ceiling=2.5\n"
+                     "dt_max=1e-3\noutput_every=1\n")
+
+    def test_failed_run_leaves_what_it_accepted(self, tmp_path, capsys):
+        """A run stopped by a monitor leaves a row for every state accepted
+        before it, the snapshots those states gave, and no final state."""
+        cfg_path = self._write_cfg(tmp_path, self.LATE_OVERFLOW
+                                   + "t_end=0.05\nsnapshot_times=0.02\n")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out-dir", str(out_dir)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("monitor violation: [overflow] t=0.031: ")
+        assert err.count("\n") == 1
+        series_path = str(out_dir / "timeseries.csv")
+        times = read_timeseries(series_path)["time"]
+        assert len(times) == 31
+        assert times[0] == 0.0 and times[-1] == pytest.approx(0.03, abs=1e-12)
+        assert main(["bounds", "--config", cfg_path, "--traj", series_path]) == 0
+        assert "energy budget gate:" in capsys.readouterr().out
+        snap = read_snapshot(out_dir / "snapshot_t0.02.snap", make_grid(16, TWO_PI))
+        assert snap.time == pytest.approx(0.02, abs=1e-12)
+        assert not (out_dir / "final_state.snap").exists()
+
+    def test_failed_run_removes_an_earlier_final_state(self, tmp_path):
+        """A run that fails into the directory of an earlier run that
+        succeeded does not leave that run's final state beside its own
+        rows."""
+        out_dir = tmp_path / "o"
+        for t_end, code in (("0.02", 0), ("0.05", 3)):
+            cfg_path = self._write_cfg(tmp_path, self.LATE_OVERFLOW + f"t_end={t_end}\n")
+            assert main(["run", "--config", cfg_path, "--out-dir", str(out_dir)]) == code
+        assert not (out_dir / "final_state.snap").exists()
+        assert read_timeseries(out_dir / "timeseries.csv")["time"][-1] == pytest.approx(
+            0.03, abs=1e-12)
 
     def test_monitor_violation_exit_one(self, tmp_path):
         cfg_path = self._write_cfg(

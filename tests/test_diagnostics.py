@@ -14,7 +14,6 @@ from oldb2d import (
     make_grid,
     norms,
     positivity_report,
-    run,
 )
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.config import parse_config, build_initial
@@ -22,7 +21,7 @@ from oldb2d.diagnostics import LedgerEntry, _running_sup, series
 from oldb2d.units import UnitsError, uexp, uv
 from oldb2d.units import CM, SEC
 
-from conftest import state_of
+from conftest import run_collected, state_of
 from oracles import eig_min_scan, relaxation_exact, taylor_green_velocity
 
 TWO_PI = 2.0 * np.pi
@@ -214,7 +213,7 @@ class TestBoundCheck:
                            "output_every=20\n")
         grid = make_grid(16, cfg.length)
         initial = build_initial(cfg, grid)
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
         return initial, traj, cfg
 
     def test_equilibrium_passes_strictly(self):
@@ -230,7 +229,7 @@ class TestBoundCheck:
                            "dt_max=5e-3\nt_end=0.5\noutput_every=1\n")
         grid = make_grid(32, cfg.length)
         initial = build_initial(cfg, grid)
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
         led = apriori_ledger(initial, cfg.params, traj.records[-1].time)
         row = bound_check(series(traj.records), led, cfg.params)[0]
         # Energy equality: the observed budget equals E(0) = R0 up to
@@ -245,7 +244,7 @@ class TestBoundCheck:
         the result is observed <= R0 (1 + `_REL_TOL`) at any R0 near it."""
         cfg = parse_config("n=16\npreset=random_admissible\nseed=3\nt_end=0.05\n")
         initial = build_initial(cfg, make_grid(16, cfg.length))
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
         cols = series(traj.records)
         p = cfg.params
         observed = _running_sup(cols["time"], cols["u_L2"] ** 2 + p.bigK * cols["sigma_L1"],
@@ -266,7 +265,7 @@ class TestBoundCheck:
         beyond `_REL_TOL` = 1e-6, fails."""
         cfg = parse_config("n=32\npreset=taylor_green\nnu=0.1\nt_end=1\n")
         initial = build_initial(cfg, make_grid(32, cfg.length))
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
         led = apriori_ledger(initial, cfg.params, cfg.control.t_end)
         cols = series(traj.records)
         assert bound_check(cols, led, cfg.params)[0].passed
@@ -282,7 +281,7 @@ class TestBoundCheck:
         cfg = parse_config(f"n=16\nL={length!r}\npreset=taylor_green\n"
                            f"amplitude={amplitude}\nt_end=0.001\n")
         initial = build_initial(cfg, make_grid(16, cfg.length))
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
         led = apriori_ledger(initial, cfg.params, cfg.control.t_end)
         assert led.R0.value < sys.float_info.min
         cols = series(traj.records)
@@ -323,7 +322,7 @@ class TestRecordsMatchFieldLevelDiagnostics:
                            "seed=21\nt_end=0.05\n"
                            "snapshot_times=0.01,0.02,0.03,0.04,0.05\n")
         initial = build_initial(cfg, make_grid(32, cfg.length))
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
         # Every step is recorded, so each snapshot is a recorded state.
         by_time = {rec.time: rec for rec in traj.records}
         pairs = [(traj.records[0], initial)]

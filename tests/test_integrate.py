@@ -13,7 +13,7 @@ from oldb2d.config import parse_config, build_initial
 from oldb2d.dynamics import _terms, explicit_terms, pack_state, unpack_state
 from oldb2d.spectral import irfft2, rfft2
 
-from conftest import in_threads, state_of
+from conftest import in_threads, run_collected, state_of
 from oracles import measured_orders, relaxation_exact
 
 TWO_PI = 2.0 * np.pi
@@ -242,7 +242,7 @@ class TestAdvance:
         initial = build_initial(cfg, grid)
         calls = count_calls(monkeypatch, spectral, "make_grid")
         before = integrate._multipliers.cache_info()
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
         after = integrate._multipliers.cache_info()
 
         steps = len(traj.records) - 1
@@ -389,7 +389,7 @@ class TestOneEvaluationPerState:
         passes = count_calls(monkeypatch, spectral, "dealiased_products")
         inverse = count_calls(monkeypatch, spectral, "irfft2")
         unpacks = count_calls(monkeypatch, dynamics, "unpack_state")
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
 
         steps = len(advances)
         final_recorded = steps % cfg.control.output_every == 0
@@ -430,7 +430,7 @@ class TestOneEvaluationPerState:
     @pytest.mark.parametrize("name", sorted(ONE_EVALUATION_CONFIGS))
     def test_bit_identical_to_separate_transforms(self, name):
         cfg, initial = self._setup(ONE_EVALUATION_CONFIGS[name])
-        traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
         records, snapshots, final = reference_run(initial, cfg.params, cfg.control)
         assert len(snapshots) >= 1
         assert_same_run(traj, records, snapshots, final)
@@ -454,7 +454,7 @@ class TestOneEvaluationPerState:
         assert spectral._BLOCK_BYTES // (18 * cfg.n * 8) < cfg.n  # two row blocks
         tracemalloc.start()
         try:
-            traj = run(initial, cfg.params, cfg.control, cfg.monitors)
+            traj = run_collected(initial, cfg.params, cfg.control, cfg.monitors)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -570,7 +570,7 @@ class TestTransformScratch:
         def solve(n):
             cfg = parse_config(texts[n])
             initial = build_initial(cfg, make_grid(n, cfg.length))
-            return run(initial, cfg.params, cfg.control, cfg.monitors)
+            return run_collected(initial, cfg.params, cfg.control, cfg.monitors)
 
         shared = [solve(n) for n in (16, 128, 16)]
         for n, got in zip((16, 128, 16), shared):
@@ -608,7 +608,7 @@ class TestThreads:
                                "amplitude=1.0\nt_end=0.05\noutput_every=1\n"
                                "snapshot_times=0.01\n")
             initial = build_initial(cfg, make_grid(cfg.n, cfg.length))
-            return run(initial, cfg.params, cfg.control, cfg.monitors)
+            return run_collected(initial, cfg.params, cfg.control, cfg.monitors)
 
         serial = [solve(seed) for seed in (0, 1)]
         for got, want in zip(in_threads(solve, (0, 1)), serial):
@@ -621,7 +621,7 @@ class TestRun:
         cfg = parse_config("n=16\npreset=equilibrium\ndt_max=1e-3\nt_end=1.0\n"
                            "output_every=100\n")
         grid = make_grid(16, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
         energies = [r.energy for r in traj.records]
         assert max(energies) - min(energies) <= 1e-12 * abs(energies[0])
         gammas = [r.min_gamma for r in traj.records]
@@ -635,7 +635,7 @@ class TestRun:
         cfg = parse_config("n=32\npreset=taylor_green\namplitude=1.0\n"
                            "t_end=0.5\noutput_every=10\n")
         grid = make_grid(32, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
         E0 = traj.records[0].norms["u_L2"] ** 2
         for rec in traj.records:
             expected = E0 * np.exp(-4.0 * cfg.params.nu * rec.time)
@@ -646,7 +646,7 @@ class TestRun:
         cfg = parse_config("n=32\npreset=random_admissible\nseed=77\n"
                            "t_end=0.5\noutput_every=10\n")
         grid = make_grid(32, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
         ceiling = max(r.c_max for r in traj.records)
         assert min(r.min_gamma / 2 for r in traj.records) >= -1e-8 * max(1.0, ceiling)
 
@@ -654,7 +654,7 @@ class TestRun:
         cfg = parse_config("n=32\npreset=random_admissible\nseed=5\n"
                            "t_end=1.0\noutput_every=20\n")
         grid = make_grid(32, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
         first, last = traj.records[0], traj.records[-1]
         span = last.time - first.time
         for key in ("rho_L1", "rho_L2"):
@@ -683,6 +683,46 @@ class TestRun:
         assert exc.value.kind == "nan"
         assert exc.value.time == 0.0
 
+    @staticmethod
+    def _run_with_injected_source(monkeypatch, eps):
+        """`random_admissible`, n=32, amplitude 1, to t=0.2, with eps u
+        added to the velocity's explicit terms at every evaluation: an
+        energy source of 2 eps int |u|^2 per unit time that the budget the
+        `energy` monitor checks does not hold.  Returns the violation that
+        stopped the run, or None."""
+        terms, explicit = integrate._terms, integrate.explicit_terms
+
+        def injected_terms(grid, params, sh, *, planes=False):
+            out = terms(grid, params, sh, planes=planes)
+            (out[0] if planes else out)[0:2] += eps * sh[0:2]
+            return out
+
+        def injected_explicit(grid, params, sh):
+            nh = explicit(grid, params, sh)
+            nh[0:2] += eps * sh[0:2]
+            return nh
+
+        monkeypatch.setattr(integrate, "_terms", injected_terms)
+        monkeypatch.setattr(integrate, "explicit_terms", injected_explicit)
+        cfg = parse_config("n=32\npreset=random_admissible\namplitude=1\nt_end=0.2\n")
+        try:
+            run(build_initial(cfg, make_grid(32, cfg.length)), cfg.params, cfg.control,
+                cfg.monitors)
+        except MonitorViolation as exc:
+            return exc
+        return None
+
+    def test_energy_monitor_stops_an_injected_source(self, monkeypatch):
+        """eps = 0.3 stops the run at its first step, t = 0.01.  (eps = 0.1
+        passes: the monitor's scale is set by the polymer terms, about 25x
+        the kinetic energy.)"""
+        exc = self._run_with_injected_source(monkeypatch, 0.3)
+        assert isinstance(exc, MonitorViolation) and exc.kind == "energy"
+        assert exc.time == pytest.approx(0.01, abs=1e-12)
+
+    def test_energy_monitor_passes_without_a_source(self, monkeypatch):
+        assert self._run_with_injected_source(monkeypatch, 0.0) is None
+
     def test_dt_underflow_monitor(self):
         cfg = parse_config("n=16\npreset=random_admissible\namplitude=100.0\n"
                            "dt_min=0.1\ndt_max=0.2\nt_end=1.0\n")
@@ -704,7 +744,7 @@ class TestRun:
         cfg = parse_config("n=16\npreset=equilibrium\ndt_max=0.01\nt_end=0.1\n"
                            "snapshot_times=0.05\n")
         grid = make_grid(16, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
         assert len(traj.snapshots) == 1
         t_snap, snap = traj.snapshots[0]
         assert t_snap == pytest.approx(0.05, abs=1e-9)
@@ -714,7 +754,7 @@ class TestRun:
         cfg = parse_config("n=16\npreset=random_admissible\ndt_min=0.01\ndt_max=0.01\n"
                            "t_end=0.05\noutput_every=2\nsnapshot_times=0.02,0.05\n")
         grid = make_grid(16, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
         (_, mid), (_, last) = traj.snapshots
         final = traj.final_state
         assert last is final
@@ -724,14 +764,14 @@ class TestRun:
         cfg = parse_config("n=16\npreset=equilibrium\ndt_min=0.01\ndt_max=0.01\n"
                            "t_end=0.1\noutput_every=3\n")
         grid = make_grid(16, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
         # 10 steps, every third recorded, plus the initial record.
         assert len(traj.records) == 10 // 3 + 1
 
     def test_final_time_hit_exactly(self):
         cfg = parse_config("n=16\npreset=equilibrium\ndt_max=0.0299\nt_end=0.1\n")
         grid = make_grid(16, cfg.length)
-        traj = run(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
+        traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control, cfg.monitors)
         assert traj.final_state.time == pytest.approx(0.1, abs=1e-12)
 
 
@@ -743,8 +783,8 @@ class TestDiscreteEnergyInequality:
         def max_excess(dt):
             cfg = parse_config(cfg_text.format(dt=dt))
             grid = make_grid(32, cfg.length)
-            traj = run(build_initial(cfg, grid), cfg.params, cfg.control,
-                       cfg.monitors)
+            traj = run_collected(build_initial(cfg, grid), cfg.params, cfg.control,
+                                 cfg.monitors)
             recs = traj.records
             excess = []
             for prev, cur in zip(recs, recs[1:]):

@@ -339,7 +339,7 @@ class TestPicardIterate:
         cfg = PicardConfig(t0=0.1, n_time_nodes=129, tol=1e-11, max_iter=40)
         traj, _ = picard_iterate(state, PARAMS, cfg)
         ctl = StepControl(dt_min=1e-12, dt_max=1e-3, t_end=0.1, output_every=10**9)
-        stepped = run(state, PARAMS, ctl).final_state
+        stepped = run(state, PARAMS, ctl)
         mild = traj.state(cfg.n_time_nodes - 1)
         for name, fa, fb in (
             ("u", mild.planes[0:2], stepped.planes[0:2]),
