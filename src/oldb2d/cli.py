@@ -116,9 +116,16 @@ def _cmd_run(args) -> int:
                               f"{initial.time:g}, t_end {t_end:g}]")
     series_path = os.path.join(args.out_dir, "timeseries.csv")
     final_path = os.path.join(args.out_dir, "final_state.snap")
+
+    def snapshot_path(t_snap):
+        return os.path.join(args.out_dir, f"snapshot_t{t_snap:.6g}.snap")
+
+    # Every file this run may write is removed first, so that a failed run
+    # leaves no earlier run's output under its names.
     with _paths():
         os.makedirs(args.out_dir, exist_ok=True)
-        for path in (series_path, final_path):
+        for path in [series_path, final_path,
+                     *map(snapshot_path, cfg.control.snapshot_times)]:
             if os.path.exists(path):
                 os.remove(path)
 
@@ -129,8 +136,7 @@ def _cmd_run(args) -> int:
         records.append(record)
 
     def write_snapshot(t_snap, state):
-        snapshots.write_snapshot(
-            state, os.path.join(args.out_dir, f"snapshot_t{t_snap:.6g}.snap"))
+        snapshots.write_snapshot(state, snapshot_path(t_snap))
 
     # A monitor violation leaves the rows and snapshots of the states
     # accepted before it, and no final state.

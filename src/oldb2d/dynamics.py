@@ -11,11 +11,13 @@ are exact divergences at the discrete level.
 The core assembly operates on packed dealiased spectra at the kept width,
 (6, n, n//3+1) arrays ordered as `fields.PLANES`: the kept columns of the
 `rfft2` half spectrum of `SimState.planes`, whose other columns the 2/3
-rule zeroes (`spectral.dealias`).  The time stepper and `rates` share it.
-At n=256 one such array holds 2.0 MiB, where the full half spectrum held
-3.0 MiB.  An evaluation's derivative stack holds 12 planes, the state
-and its x-derivatives (4.0 MiB at n=256): the product pass x-passes those
-12 and forms the six y-derivatives after its x-pass, so it y-passes 18.
+rule zeroes (`spectral.dealias`).  The time stepper and `rates` share it,
+and so does the Picard map, which evaluates a block of path nodes at once
+with its own product algebra (`picard._integrands`).  At n=256 one such
+array holds 2.0 MiB, where the full half spectrum held 3.0 MiB.  An
+evaluation's derivative stack holds 12 planes per state, the state and
+its x-derivatives (4.0 MiB at n=256): the product pass x-passes those 12
+and forms the six y-derivatives after its x-pass, so it y-passes 18.
 Nothing is held between evaluations, so they may overlap across threads.
 """
 
@@ -38,53 +40,67 @@ def unpack_state(grid: SpectralGrid, sh: np.ndarray, time: float) -> SimState:
 
 
 def _products(real: np.ndarray) -> np.ndarray:
-    """The six quadratic terms, before dealiasing, from a block of the real
-    derivative stack (sh, d1 sh, d2 sh), as a fresh (6, rows, n) array."""
+    """The six quadratic terms per state, before dealiasing, from a block of
+    rows of the real derivative stack of b states, plane-major: the 18 b
+    planes (sh, d1 sh, d2 sh), each plane of the b states in turn.  Returns
+    a fresh (6 b, rows, n) array, state-major: each state's six terms in
+    turn."""
+    states = len(real) // 18
     (u1, u2, a, b, c, _,
      d1u1, d1u2, da1, db1, dc1, dr1,
-     d2u1, d2u2, da2, db2, dc2, dr2) = real
+     d2u1, d2u2, da2, db2, dc2, dr2) = real.reshape((18, states) + real.shape[1:])
 
     lam = 0.5 * (d1u1 - d2u2)
     mu = 0.5 * (d1u2 + d2u1)
     om = d1u2 - d2u1
 
     # One plane at a time, so a plane's temporaries are gone before the next.
-    out = np.empty((6,) + real.shape[1:])
-    out[0] = -(u1 * d1u1 + u2 * d2u1)
-    out[1] = -(u1 * d1u2 + u2 * d2u2)
-    out[2] = -(u1 * da1 + u2 * da2) - om * b + c * lam
-    out[3] = -(u1 * db1 + u2 * db2) + om * a + c * mu
-    out[4] = -(u1 * dc1 + u2 * dc2) + 4.0 * (lam * a + mu * b)
-    out[5] = -(u1 * dr1 + u2 * dr2)
-    return out
+    out = np.empty((states, 6) + real.shape[1:])
+    out[:, 0] = -(u1 * d1u1 + u2 * d2u1)
+    out[:, 1] = -(u1 * d1u2 + u2 * d2u2)
+    out[:, 2] = -(u1 * da1 + u2 * da2) - om * b + c * lam
+    out[:, 3] = -(u1 * db1 + u2 * db2) + om * a + c * mu
+    out[:, 4] = -(u1 * dc1 + u2 * dc2) + 4.0 * (lam * a + mu * b)
+    out[:, 5] = -(u1 * dr1 + u2 * dr2)
+    return out.reshape((6 * states,) + real.shape[1:])
 
 
 def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
-           planes: bool = False):
+           planes: bool = False, products=_products):
     """Dealiased explicit terms from packed coefficients `sh`, which must be
-    dealiased: `pack_state` output, or a stage formed with masked factors.
+    dealiased: `pack_state` output, a stage formed with masked factors, or
+    a Picard path's nodes.  `sh` is one state (6, n, n//3+1) or a block of
+    b states (b, 6, n, n//3+1), and the result has its shape.
 
-    Returns one (6, n, n//3+1) array (f1, f2, na, nb, nc, nr): the
-    unprojected momentum force -u.grad(u) + K div(sigma), the stress
+    Each state's terms are (f1, f2, na, nb, nc, nr): the unprojected
+    momentum force -u.grad(u) + K div(sigma), the stress
     advection+stretching terms, the c source 4*k*rho, and -u.grad(rho).
     Semigroup-absorbed linear parts (nu*lap(u), kappa*lap - 2k on the
     stress) are excluded.
 
-    With `planes=True` the result is `(nh, reals)`, where `reals` is a
-    fresh array of the state's own real planes, bit-identical to
-    `irfft2(sh, n)` and fit to be a `SimState.planes`: one evaluation
-    serves the monitors, a record and the first RK stage.
+    With `planes=True`, for one state only, the result is `(nh, reals)`,
+    where `reals` is a fresh array of the state's own real planes,
+    bit-identical to `irfft2(sh, n)` and fit to be a `SimState.planes`: one
+    evaluation serves the monitors, a record and the first RK stage.
 
     The product pass (`spectral.dealiased_products`) reads the derivative
-    stack (sh, d1 sh) and forms d2 sh after its x-pass.
+    stack (sh, d1 sh), 12 b planes, plane-major, and forms d2 sh after its
+    x-pass.  `products` forms the quadratic terms from a row block of its
+    real planes in `_products`' layout; it is `_products` by default, and
+    the Picard map passes its own algebra (`picard._products`).
     """
-    stack = np.empty((12,) + sh.shape[1:], complex)
-    stack[0:6] = sh
-    np.multiply(grid.at(grid.ikx, sh), sh, out=stack[6:12])
-    nh, reals = dealiased_products(grid, stack, 6, _products, keep=6 if planes else 0)
+    n, w = sh.shape[-2:]
+    states = sh.reshape((-1, 6, n, w))
+    b = len(states)
+    stack = np.empty((12, b, n, w), complex)
+    stack[0:6] = states.swapaxes(0, 1)
+    np.multiply(grid.at(grid.ikx, sh), stack[0:6], out=stack[6:12])
+    nh, reals = dealiased_products(grid, stack.reshape((12 * b, n, w)), 6 * b, products,
+                                   keep=6 if planes else 0)
+    nh = nh.reshape(sh.shape)
 
-    add_stress_divergence(grid, sh[2:5], params.bigK, nh[0:2])
-    nh[4] += 4.0 * params.k * sh[5]
+    add_stress_divergence(grid, sh[..., 2:5, :, :], params.bigK, nh[..., 0:2, :, :])
+    nh[..., 4, :, :] += 4.0 * params.k * sh[..., 5, :, :]
     return (nh, reals) if planes else nh
 
 

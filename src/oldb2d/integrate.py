@@ -246,11 +246,14 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
 
     Records are taken at the initial state and every `output_every`-th step;
     monitors are evaluated on every step.  `run` keeps neither records nor
-    snapshots: it hands each record to `on_record(record)` and each due
-    snapshot to `on_snapshot(t, state)` as soon as the state that gives it
-    has passed the monitors, so when a monitor stops the run the caller has
-    had every record and snapshot of the states accepted before it.  Both
-    default to discarding them.
+    snapshots: it hands each record to `on_record(record)`, and each
+    requested time t of `snapshot_times` to `on_snapshot(t, state)` with
+    the first accepted state at or past t, less 1e-12 max(1, |t_end|) for
+    rounding, whose own `time` may be later; one step may pass several
+    requests, and then each gets a call with the same state.  Each is handed out as soon as
+    the state that gives it has passed the monitors, so when a monitor
+    stops the run the caller has had every record and snapshot of the
+    states accepted before it.  Both default to discarding them.
 
     Each accepted state is transformed once.  After the `nan` check, one
     `dynamics._terms(sh, planes=True)` evaluation gives its real planes,
@@ -301,8 +304,7 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
         if step_index:
             _check_monitors(mon, params, t, dt, pos, prev, led)
             while pending_snaps and t >= pending_snaps[0] - eps_end:
-                pending_snaps.pop(0)
-                on_snapshot(t, state)
+                on_snapshot(pending_snaps.pop(0), state)
 
         if step_index % ctl.output_every == 0:
             on_record(diagnostics.make_record(grid, t, sh, reals, pos, led))

@@ -19,27 +19,28 @@ where each heat factor is that of the plane's operator in
 -(u.grad rho) under that unit kernel, so a fixed point solves the coupled
 system in integral form: one formula, path_new = heat(t) sh0 plus the
 trapezoid integral of E(t - s) times the integrand of `path(s)`, for
-every plane.  The stress stretching term inside Q2 is assembled in matrix
-components, independently of the strain-based assembly in `dynamics`;
-the force K div sigma is the stepper's, `fields.add_stress_divergence`.
+every plane.  The integrand at a node is the stepper's projected explicit
+term: the stepper's `dynamics._terms` with the map's own product algebra
+(`_products`), then `spectral.project`.  Q2's stretching term is
+assembled there in matrix components, independently of the stepper's
+strain-based assembly; K div sigma, the source 4k rho and the projection
+are the stepper's.  So the two solvers differ only in their time
+quadrature and their product algebra, which `picard --compare` and
+`check` cross-check.
 
 One application of the map works through the path in blocks of nodes, as
 many as `spectral._BLOCK_BYTES` holds of one node's product pass: 12
 kept-width complex planes and 24 real planes (15 nodes at n=16, 3 at
-n=32, 1 from n=64 up).  A block fills one kept-width stack, plane-major,
-with the 12 planes its nodes' integrands read before their y-derivatives
-(u, the stress in matrix components, rho, and their x derivatives) and
-forms every product in one `spectral.dealiased_products` pass, the
-stepper's product pass, which forms the y-derivatives of the first six
-planes per node after its x-pass (`_integrands`), one integrand array
-per block in `PLANES` order.  On uniform nodes heat(t_j) =
-E heat(t_{j-1}), with E the heat factor over one node step, so the heat
-flow of the data and the trapezoid Duhamel sum are one recursion,
-new_j = E (new_{j-1} + h G_{j-1}) + h G_j from new_0 = sh0, with h half
-the node step and G_j node j's integrand; it runs through each block's
-nodes and carries one array, new_j + h G_j, to the next block.  No
-integrand or product stack spans the whole path.  Nothing is held
-between calls, so maps may overlap across threads.
+n=32, 1 from n=64 up).  A block's integrands are one `_terms` evaluation
+over its nodes (`_integrands`): one derivative stack, plane-major, one
+product pass, and one integrand array in `PLANES` order.  On uniform
+nodes heat(t_j) = E heat(t_{j-1}), with E the heat factor over one node
+step, so the heat flow of the data and the trapezoid Duhamel sum are one
+recursion, new_j = E (new_{j-1} + h G_{j-1}) + h G_j from new_0 = sh0,
+with h half the node step and G_j node j's integrand; it runs through
+each block's nodes and carries one array, new_j + h G_j, to the next
+block.  No integrand or product stack spans the whole path.  Nothing is
+held between calls, so maps may overlap across threads.
 """
 from __future__ import annotations
 
@@ -49,9 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .fields import (PLANE_OPERATOR, PhysParams, SimState, add_stress_divergence,
-                     linear_operators)
-from .spectral import SpectralGrid, dealias, dealiased_products, decay, irfft2, project
+from .dynamics import _terms
+from .fields import PLANE_OPERATOR, PhysParams, SimState, linear_operators
+from .spectral import SpectralGrid, dealias, decay, irfft2, project
 
 
 @dataclass(frozen=True)
@@ -130,28 +131,37 @@ def _heat(grid: SpectralGrid, params: PhysParams, t) -> np.ndarray:
 
 def _products(real: np.ndarray) -> np.ndarray:
     """The six integrand planes per node, before dealiasing, from a block
-    of rows of real planes, plane-major: the 12 of `_integrands`' stack,
-    then the y derivatives of its first six.  Returns a fresh array of six
-    planes per node, node-major: -(u.grad u), then Q2's
-    (grad u) sigma + sigma (grad u)^T - u.grad(sigma), assembled in matrix
-    components and written in (a, b, c) order, then -(u.grad rho)."""
+    of rows of the stepper's real derivative stack of b nodes, plane-major,
+    as `dynamics._products` reads it: u, the stress (a, b, c), rho, and
+    their x and y derivatives.  Returns a fresh (6 b, rows, n) array,
+    node-major: -(u.grad u), then Q2's
+    (grad u) sigma + sigma (grad u)^T - u.grad(sigma), assembled in the
+    matrix components s11 = c/2 + a, s12 = b and s22 = c/2 - a and written
+    in (a, b, c) order, then -(u.grad rho)."""
     nodes = len(real) // 18
-    (u1, u2, s11, s12, s22, _,
-     g11, g21, d1s11, d1s12, d1s22, d1rho,
-     g12, g22, d2s11, d2s12, d2s22, d2rho) = real.reshape((18, nodes) + real.shape[1:])
-    out = np.empty((6 * nodes,) + real.shape[1:])
-    f = np.moveaxis(out.reshape((nodes, 6) + out.shape[1:]), 1, 0)
-
-    f[0] = -(u1 * g11 + u2 * g12)
-    f[1] = -(u1 * g21 + u2 * g22)
+    planes = real.reshape((18, nodes) + real.shape[1:])
+    (u1, u2, _, s12, _, _,
+     g11, g21, _, d1s12, _, d1rho,
+     g12, g22, _, d2s12, _, d2rho) = planes
+    out = np.empty((nodes, 6) + real.shape[1:])
+    # s11 and s22 and their x and y derivatives, from the a and c planes of
+    # each group of six, are held in `out`'s planes, which are written only
+    # once Q2's components are formed: they take no memory of their own.
+    s = out.swapaxes(0, 1)
+    np.multiply(0.5, planes[4::6], out=s[0:3])
+    np.subtract(s[0:3], planes[2::6], out=s[3:6])
+    s[0:3] += planes[2::6]
+    s11, d1s11, d2s11, s22, d1s22, d2s22 = s
     i11 = 2.0 * (g11 * s11 + g12 * s12) - (u1 * d1s11 + u2 * d2s11)
     i12 = g11 * s12 + g12 * s22 + s11 * g21 + s12 * g22 - (u1 * d1s12 + u2 * d2s12)
     i22 = 2.0 * (g21 * s12 + g22 * s22) - (u1 * d1s22 + u2 * d2s22)
-    f[2] = 0.5 * (i11 - i22)
-    f[3] = i12
-    f[4] = i11 + i22
-    f[5] = -(u1 * d1rho + u2 * d2rho)
-    return out
+    out[:, 0] = -(u1 * g11 + u2 * g12)
+    out[:, 1] = -(u1 * g21 + u2 * g22)
+    out[:, 2] = 0.5 * (i11 - i22)
+    out[:, 3] = i12
+    out[:, 4] = i11 + i22
+    out[:, 5] = -(u1 * d1rho + u2 * d2rho)
+    return out.reshape((6 * nodes,) + real.shape[1:])
 
 
 # --- composite norm proxies -------------------------------------------------
@@ -221,9 +231,9 @@ def semigroup_paths(sh0, grid, params, cfg):
 
 def _node_block(grid: SpectralGrid) -> int:
     """Nodes per block of `apply_map`: as many as `spectral._BLOCK_BYTES`
-    holds of one node's product pass, its 12 kept-width complex stack
-    planes and 24 real planes (18 transformed, 6 products); 15 at n=16, 3
-    at n=32, 1 from n=64 up."""
+    holds of one node's `_terms` evaluation, its 12 kept-width complex
+    stack planes and 24 real planes (18 transformed, 6 products); 15 at
+    n=16, 3 at n=32, 1 from n=64 up."""
     n = grid.n
     return max(1, spectral._BLOCK_BYTES // (12 * n * grid.kept_columns * 16 + 24 * n * n * 8))
 
@@ -231,27 +241,11 @@ def _node_block(grid: SpectralGrid) -> int:
 def _integrands(block_path, grid, params):
     """The integrand of every plane before quadrature, Q1 + L1, Q2 + L2 and
     N, at a block of nodes: one (b, 6, n, n//3+1) array in `PLANES` order,
-    from one product pass over the block's stack (12 b, n, n//3+1),
-    plane-major, of the kept-width planes the integrands read before their
-    y-derivatives, u1, u2, the stress in matrix components s11, s12, s22,
-    rho, and the x derivatives of those six."""
-    b = len(block_path)
-    u, abc = block_path[:, 0:2], block_path[:, 2:5]
-    stack = np.empty((b * 12, grid.n, grid.kept_columns), complex)
-    planes = stack.reshape((12, b) + stack.shape[1:])
-    planes[0:2] = np.moveaxis(u, 1, 0)
-    planes[2] = 0.5 * abc[:, 2] + abc[:, 0]
-    planes[3] = abc[:, 1]
-    planes[4] = 0.5 * abc[:, 2] - abc[:, 0]
-    planes[5] = block_path[:, 5]
-    np.multiply(grid.at(grid.ikx, planes), planes[0:6], out=planes[6:12])
-    prods, _ = dealiased_products(grid, stack, 6 * b, _products)
-    prods = prods.reshape((b, 6) + stack.shape[1:])
-    fh = prods[:, 0:2]
-    add_stress_divergence(grid, abc, params.bigK, fh)
-    project(grid, fh)
-    prods[:, 4] += 4.0 * params.k * block_path[:, 5]
-    return prods
+    the stepper's unprojected terms (`dynamics._terms`) with the map's own
+    product algebra, `_products`, and the force Leray-projected."""
+    g = _terms(grid, params, block_path, products=_products)
+    project(grid, g)
+    return g
 
 
 def apply_map(path, sh0, grid, params, cfg):

@@ -32,7 +32,7 @@ def state_of(grid, u=0.0, a=0.0, b=0.0, c=0.0, rho=0.0, time=0.0) -> SimState:
 
 def run_collected(initial, params, ctl, monitors=None) -> SimpleNamespace:
     """`run`, with what it hands out collected: `records`, `snapshots` as
-    (t, state) pairs, and the `final_state` it returns."""
+    (requested time, state) pairs, and the `final_state` it returns."""
     records, snapshots = [], []
     final = run(initial, params, ctl, monitors, on_record=records.append,
                 on_snapshot=lambda t, state: snapshots.append((t, state)))

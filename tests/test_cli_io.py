@@ -949,6 +949,43 @@ class TestCliMain:
         assert sorted(p.name for p in out_dir.glob("snapshot_*.snap")) == [
             "snapshot_t0.005.snap", "snapshot_t0.01.snap"]
 
+    @pytest.mark.parametrize("n,config_text,requests", [
+        # One step of dt_max = 0.01 passes both requests.
+        (16, "preset=equilibrium\nt_end=0.05\nsnapshot_times=0.002,0.004\n",
+         ("0.002", "0.004")),
+        (32, "preset=random_admissible\nt_end=0.02\nsnapshot_times=0.0075\n", ("0.0075",)),
+    ], ids=["two_requests_in_one_step", "request_inside_a_step"])
+    def test_snapshot_files_are_named_by_the_requested_time(self, tmp_path, n, config_text,
+                                                            requests):
+        """Each request writes its own file, named by the requested time,
+        holding the first state at or past it: the state at t=0.01."""
+        cfg_path = self._write_cfg(tmp_path, f"n={n}\n{config_text}")
+        out_dir = tmp_path / "o"
+        assert main(["run", "--config", cfg_path, "--out-dir", str(out_dir)]) == 0
+        names = [f"snapshot_t{t}.snap" for t in requests]
+        assert sorted(p.name for p in out_dir.glob("snapshot_*.snap")) == names
+        states = [read_snapshot(out_dir / name, make_grid(n, TWO_PI)) for name in names]
+        for state in states:
+            assert state.time == pytest.approx(0.01, abs=1e-12)
+            assert np.array_equal(state.planes, states[0].planes)
+
+    def test_failed_run_removes_an_earlier_snapshot_it_requests(self, tmp_path, capsys):
+        """A run that fails before a requested snapshot time does not leave
+        an earlier run's snapshot of that name; a snapshot file that it does
+        not request is left alone."""
+        out_dir = tmp_path / "o"
+        text = ("n=16\npreset=random_admissible\namplitude=3\ndt_max=1e-3\nt_end=0.05\n"
+                "snapshot_times=0.04\n")
+        assert main(["run", "--config", self._write_cfg(tmp_path, text),
+                     "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "snapshot_t0.04.snap").exists()
+        (out_dir / "snapshot_t0.5.snap").write_bytes(b"kept")
+        assert main(["run", "--config", self._write_cfg(tmp_path, text + "c_ceiling=2.5\n"),
+                     "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err.startswith("monitor violation: [overflow] t=0.031: ")
+        assert not (out_dir / "snapshot_t0.04.snap").exists()
+        assert (out_dir / "snapshot_t0.5.snap").read_bytes() == b"kept"
+
     @pytest.mark.parametrize("command", ["run", "bounds", "picard"])
     @pytest.mark.parametrize("defect,message", [
         ("indefinite_stress", "inadmissible"),

@@ -326,7 +326,7 @@ class TestRecordsMatchFieldLevelDiagnostics:
         # Every step is recorded, so each snapshot is a recorded state.
         by_time = {rec.time: rec for rec in traj.records}
         pairs = [(traj.records[0], initial)]
-        pairs += [(by_time[t], snap) for t, snap in traj.snapshots]
+        pairs += [(by_time[snap.time], snap) for _, snap in traj.snapshots]
         assert len(pairs) == 6
 
         def close(got, want):

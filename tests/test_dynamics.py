@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from oldb2d import PhysParams, determinant_rhs, make_grid, rates, step
+from oldb2d import PhysParams, determinant_rhs, dynamics, make_grid, picard, rates, spectral, step
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.config import build_initial, parse_config
 from oldb2d.fields import norms
-from oldb2d.spectral import irfft2, project, rfft2
+from oldb2d.spectral import dealias, irfft2, project, rfft2
 
 from conftest import state_of
 from oracles import (
@@ -310,3 +310,25 @@ class TestEnergyRateIdentity:
         stretch = 4.0 * PARAMS.bigK * np.mean(lam * a + mu * b) * grid.area
         scale = (np.max(np.abs(u1)) + np.max(np.abs(c)) + 1.0) ** 3
         assert abs(work + stretch) <= 1e-9 * scale
+
+
+class TestTermsOfABlock:
+    """`_terms` evaluates a block of states (b, 6, n, n//3+1) in one
+    derivative stack and one product pass, as the Picard map does with its
+    nodes; each state's terms are bit for bit those of the state alone,
+    with the stepper's products and with the map's."""
+
+    @pytest.mark.parametrize("products", [dynamics._products, picard._products],
+                             ids=["stepper", "picard"])
+    # The product pass visits the grid in row blocks: at n=64 a block of 3
+    # states takes two, of 37 rows and a ragged 27.
+    @pytest.mark.parametrize("n,b,row_blocks", [(16, 1, 1), (16, 3, 1), (64, 3, 2)])
+    def test_block_equals_each_state(self, n, b, row_blocks, products):
+        grid = make_grid(n, TWO_PI)
+        assert -(-n // (spectral._BLOCK_BYTES // (18 * b * n * 8))) == row_blocks
+        block = dealias(grid, np.random.default_rng(n + b).standard_normal((b, 6, n, n)))
+        got = dynamics._terms(grid, PARAMS, block, products=products)
+        assert got.shape == block.shape
+        for state, terms in zip(block, got):
+            assert np.array_equal(terms, dynamics._terms(grid, PARAMS, state,
+                                                          products=products))
