@@ -422,7 +422,7 @@ def check_picard_bilinearity() -> CheckResult:
         """Q1 + L1 of a path holding `value` in `planes`, zero elsewhere."""
         path = np.zeros((m, 6, grid.n, grid.kept_columns), complex)
         path[:, planes] = value
-        return picard._integrands(path, grid, _PARAMS)[:, 0:2]
+        return dynamics.explicit_terms(grid, _PARAMS, path)[:, 0:2]
 
     def q(u):
         return velocity_integrand(slice(0, 2), u)
@@ -455,16 +455,26 @@ def check_picard_zeroth_semigroup() -> CheckResult:
 
 
 def check_picard_q2_consistency() -> CheckResult:
+    """The map's stress integrand, `dynamics.explicit_terms` less the
+    source 4k rho in c, is Q2 in matrix form: (grad u) sigma +
+    sigma (grad u)^T minus u.grad(sigma), with s11 = c/2 + a, s12 = b and
+    s22 = c/2 - a, formed here pointwise from the data's real planes and
+    derivatives, without the product pass."""
     grid, state, pcfg = _picard_setup()
     sh0 = picard._initial_coeffs(state)
-    # The map's stress integrand and the stress rate less its linear part
-    # both hold the source 4k rho in c; it is taken from both, so the gap is
-    # measured against Q2 alone.
-    integrand = picard._integrands(sh0[None], grid, _PARAMS)[0, 2:5]
-    lin = -(_PARAMS.kappa * grid.at(grid.k_sq, sh0)) - 2.0 * _PARAMS.k
-    expect = rfft2(dynamics.rates(state, _PARAMS)[2:5], grid.kept_columns) - lin * sh0[2:5]
-    for planes in (integrand, expect):
-        planes[2] -= 4.0 * _PARAMS.k * sh0[5]
+    integrand = dynamics.explicit_terms(grid, _PARAMS, sh0)[2:5]
+    integrand[2] -= 4.0 * _PARAMS.k * sh0[5]
+    f = irfft2(sh0, grid.n)
+    df = np.stack([irfft2(grid.at(d, sh0) * sh0, grid.n) for d in (grid.ikx, grid.iky)])
+
+    def matrix(p):  # [[c/2 + a, b], [b, c/2 - a]] from the (a, b, c) planes of p
+        a, b, c = p[..., 2, :, :], p[..., 3, :, :], p[..., 4, :, :]
+        return np.stack([np.stack([0.5 * c + a, b], -3), np.stack([b, 0.5 * c - a], -3)], -4)
+
+    du, s = df[:, 0:2], matrix(f)  # du[j, i] = d_j u_i
+    q = (np.einsum("kixy,kjxy->ijxy", du, s) + np.einsum("ikxy,kjxy->ijxy", s, du)
+         - np.einsum("lxy,lijxy->ijxy", f[0:2], matrix(df)))
+    expect = dealias(grid, np.stack([0.5 * (q[0, 0] - q[1, 1]), q[0, 1], q[0, 0] + q[1, 1]]))
     scale = np.max(np.abs(expect)) + 1e-300
     err = np.max(np.abs(integrand - expect)) / scale
     return _result("picard.q2_consistency", err <= 1e-12, f"rel gap {err:.2e}")

@@ -12,8 +12,8 @@ The core assembly operates on packed dealiased spectra at the kept width,
 (6, n, n//3+1) arrays ordered as `fields.PLANES`: the kept columns of the
 `rfft2` half spectrum of `SimState.planes`, whose other columns the 2/3
 rule zeroes (`spectral.dealias`).  The time stepper and `rates` share it,
-and so does the Picard map, which evaluates a block of path nodes at once
-with its own product algebra (`picard._integrands`).  At n=256 one such
+and so does the Picard map, whose integrand at a block of path nodes is
+one `explicit_terms` evaluation of the block.  At n=256 one such
 array holds 2.0 MiB, where the full half spectrum held 3.0 MiB.  An
 evaluation's derivative stack holds 12 planes per state, the state and
 its x-derivatives (4.0 MiB at n=256): the product pass x-passes those 12
@@ -66,7 +66,7 @@ def _products(real: np.ndarray) -> np.ndarray:
 
 
 def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
-           planes: bool = False, products=_products):
+           planes: bool = False):
     """Dealiased explicit terms from packed coefficients `sh`, which must be
     dealiased: `pack_state` output, a stage formed with masked factors, or
     a Picard path's nodes.  `sh` is one state (6, n, n//3+1) or a block of
@@ -85,9 +85,10 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
 
     The product pass (`spectral.dealiased_products`) reads the derivative
     stack (sh, d1 sh), 12 b planes, plane-major, and forms d2 sh after its
-    x-pass.  `products` forms the quadratic terms from a row block of its
-    real planes in `_products`' layout; it is `_products` by default, and
-    the Picard map passes its own algebra (`picard._products`).
+    x-pass; `_products` forms the quadratic terms from a row block of its
+    real planes.  The stretching is in strain form, which equals the
+    matrix form (grad u) sigma + sigma (grad u)^T of the mild map only for
+    a divergence-free u: they differ by sigma (div u).
     """
     n, w = sh.shape[-2:]
     states = sh.reshape((-1, 6, n, w))
@@ -95,7 +96,7 @@ def _terms(grid: SpectralGrid, params: PhysParams, sh: np.ndarray, *,
     stack = np.empty((12, b, n, w), complex)
     stack[0:6] = states.swapaxes(0, 1)
     np.multiply(grid.at(grid.ikx, sh), stack[0:6], out=stack[6:12])
-    nh, reals = dealiased_products(grid, stack.reshape((12 * b, n, w)), 6 * b, products,
+    nh, reals = dealiased_products(grid, stack.reshape((12 * b, n, w)), 6 * b, _products,
                                    keep=6 if planes else 0)
     nh = nh.reshape(sh.shape)
 

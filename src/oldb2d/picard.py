@@ -20,19 +20,19 @@ where each heat factor is that of the plane's operator in
 system in integral form: one formula, path_new = heat(t) sh0 plus the
 trapezoid integral of E(t - s) times the integrand of `path(s)`, for
 every plane.  The integrand at a node is the stepper's projected explicit
-term: the stepper's `dynamics._terms` with the map's own product algebra
-(`_products`), then `spectral.project`.  Q2's stretching term is
-assembled there in matrix components, independently of the stepper's
-strain-based assembly; K div sigma, the source 4k rho and the projection
-are the stepper's.  So the two solvers differ only in their time
-quadrature and their product algebra, which `picard --compare` and
-`check` cross-check.
+term, `dynamics.explicit_terms`.  The map is posed on divergence-free
+velocity, as every iterate is: sh0 and the force are projected and the
+heat factors act per mode.  On that space Q2's matrix form,
+(grad u) sigma + sigma (grad u)^T - u.grad(sigma), equals the stepper's
+strain form; off it they differ by sigma (div u).  So the two solvers
+differ only in their time quadrature, which `picard --compare`
+cross-checks; `check` holds a matrix-form Q2 of its own as the reference.
 
 One application of the map works through the path in blocks of nodes, as
 many as `spectral._BLOCK_BYTES` holds of one node's product pass: 12
 kept-width complex planes and 24 real planes (15 nodes at n=16, 3 at
-n=32, 1 from n=64 up).  A block's integrands are one `_terms` evaluation
-over its nodes (`_integrands`): one derivative stack, plane-major, one
+n=32, 1 from n=64 up).  A block's integrands are one `explicit_terms`
+evaluation over its nodes: one derivative stack, plane-major, one
 product pass, and one integrand array in `PLANES` order.  On uniform
 nodes heat(t_j) = E heat(t_{j-1}), with E the heat factor over one node
 step, so the heat flow of the data and the trapezoid Duhamel sum are one
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .dynamics import _terms
+from .dynamics import explicit_terms
 from .fields import PLANE_OPERATOR, PhysParams, SimState, linear_operators
 from .spectral import SpectralGrid, dealias, decay, irfft2, project
 
@@ -129,41 +129,6 @@ def _heat(grid: SpectralGrid, params: PhysParams, t) -> np.ndarray:
     return np.stack([factors[op] for op in PLANE_OPERATOR], axis=-3)
 
 
-def _products(real: np.ndarray) -> np.ndarray:
-    """The six integrand planes per node, before dealiasing, from a block
-    of rows of the stepper's real derivative stack of b nodes, plane-major,
-    as `dynamics._products` reads it: u, the stress (a, b, c), rho, and
-    their x and y derivatives.  Returns a fresh (6 b, rows, n) array,
-    node-major: -(u.grad u), then Q2's
-    (grad u) sigma + sigma (grad u)^T - u.grad(sigma), assembled in the
-    matrix components s11 = c/2 + a, s12 = b and s22 = c/2 - a and written
-    in (a, b, c) order, then -(u.grad rho)."""
-    nodes = len(real) // 18
-    planes = real.reshape((18, nodes) + real.shape[1:])
-    (u1, u2, _, s12, _, _,
-     g11, g21, _, d1s12, _, d1rho,
-     g12, g22, _, d2s12, _, d2rho) = planes
-    out = np.empty((nodes, 6) + real.shape[1:])
-    # s11 and s22 and their x and y derivatives, from the a and c planes of
-    # each group of six, are held in `out`'s planes, which are written only
-    # once Q2's components are formed: they take no memory of their own.
-    s = out.swapaxes(0, 1)
-    np.multiply(0.5, planes[4::6], out=s[0:3])
-    np.subtract(s[0:3], planes[2::6], out=s[3:6])
-    s[0:3] += planes[2::6]
-    s11, d1s11, d2s11, s22, d1s22, d2s22 = s
-    i11 = 2.0 * (g11 * s11 + g12 * s12) - (u1 * d1s11 + u2 * d2s11)
-    i12 = g11 * s12 + g12 * s22 + s11 * g21 + s12 * g22 - (u1 * d1s12 + u2 * d2s12)
-    i22 = 2.0 * (g21 * s12 + g22 * s22) - (u1 * d1s22 + u2 * d2s22)
-    out[:, 0] = -(u1 * g11 + u2 * g12)
-    out[:, 1] = -(u1 * g21 + u2 * g22)
-    out[:, 2] = 0.5 * (i11 - i22)
-    out[:, 3] = i12
-    out[:, 4] = i11 + i22
-    out[:, 5] = -(u1 * d1rho + u2 * d2rho)
-    return out.reshape((6 * nodes,) + real.shape[1:])
-
-
 # --- composite norm proxies -------------------------------------------------
 
 def _sobolev_sq(grid: SpectralGrid, coeffs: np.ndarray, order: int,
@@ -231,21 +196,11 @@ def semigroup_paths(sh0, grid, params, cfg):
 
 def _node_block(grid: SpectralGrid) -> int:
     """Nodes per block of `apply_map`: as many as `spectral._BLOCK_BYTES`
-    holds of one node's `_terms` evaluation, its 12 kept-width complex
-    stack planes and 24 real planes (18 transformed, 6 products); 15 at
-    n=16, 3 at n=32, 1 from n=64 up."""
+    holds of one node's `dynamics.explicit_terms` evaluation, its 12
+    kept-width complex stack planes and 24 real planes (18 transformed, 6
+    products); 15 at n=16, 3 at n=32, 1 from n=64 up."""
     n = grid.n
     return max(1, spectral._BLOCK_BYTES // (12 * n * grid.kept_columns * 16 + 24 * n * n * 8))
-
-
-def _integrands(block_path, grid, params):
-    """The integrand of every plane before quadrature, Q1 + L1, Q2 + L2 and
-    N, at a block of nodes: one (b, 6, n, n//3+1) array in `PLANES` order,
-    the stepper's unprojected terms (`dynamics._terms`) with the map's own
-    product algebra, `_products`, and the force Leray-projected."""
-    g = _terms(grid, params, block_path, products=_products)
-    project(grid, g)
-    return g
 
 
 def apply_map(path, sh0, grid, params, cfg):
@@ -264,8 +219,12 @@ def apply_map(path, sh0, grid, params, cfg):
 
     It carries the heat flow of the data and the Duhamel sum at once, since
     heat(t_j) = E heat(t_{j-1}) on uniform nodes.  The nodes are visited in
-    blocks of `_node_block`, one product pass per block (`_integrands`);
-    the one carry array, new_j + h G_j, runs on from block to block."""
+    blocks of `_node_block`, one `explicit_terms` evaluation per block; the
+    one carry array, new_j + h G_j, runs on from block to block.
+
+    The path's velocity must be divergence-free, as every iterate's is:
+    the integrand's stretching is the stepper's strain form, which is
+    Q2's matrix form only on that space (they differ by sigma (div u))."""
     ds = _step(cfg)
     h = 0.5 * ds
     block = min(len(path), _node_block(grid))
@@ -273,7 +232,7 @@ def apply_map(path, sh0, grid, params, cfg):
     new = np.empty_like(path)
     carry = np.empty_like(sh0)
     for start in range(0, len(path), block):
-        g = _integrands(path[start:start + block], grid, params)
+        g = explicit_terms(grid, params, path[start:start + block])
         g *= h
         for j, g_j in enumerate(g, start):
             if j == 0:

@@ -4,7 +4,8 @@ These deliberately avoid the library's spectral machinery: finite
 differences on periodic grids, brute-force pointwise eigensolves, refined
 quadrature, closed-form ODE solutions, full-spectrum `np.fft.fft2`
 references of the field operators, and `mild_map`, the Picard map's
-planes as direct trapezoid Duhamel sums of real-space products.
+planes as direct trapezoid Duhamel sums (`mild_duhamel`) of real-space
+products (`mild_integrands`).
 """
 
 import numpy as np
@@ -135,23 +136,21 @@ def fft2_leray(v, length):
 # --- the mild (Duhamel) map ---------------------------------------------------
 
 
-def mild_map(path, initial, t0, params, length):
-    """The planes of one application of the mild map, as full
-    `np.fft.fft2` spectra (m, 6, n, n) divided by n^2, from a path
-    of real planes (m, 6, n, n) ordered (u1, u2, a, b, c, rho) on m uniform
-    nodes over [0, t0] and real initial data (6, n, n).  `params` carries
-    nu, kappa, k and bigK.  At node t_j:
+def mild_integrands(path, params, length):
+    """The integrand of every plane of the mild map at each node, as full
+    `np.fft.fft2` spectra (m, 6, n, n) divided by n^2, from a path of real
+    planes (m, 6, n, n) ordered (u1, u2, a, b, c, rho) with side `length`.
+    `params` carries k and bigK.  They are
 
-        u     = heat_u(t_j) u0 + int_0^t_j heat_u(t_j - s) P[-(u.grad u) + K div sigma] ds
-        sigma = heat_s(t_j) sigma0 + int_0^t_j heat_s(t_j - s) [G sigma + sigma G^T
-                - u.grad sigma + 2k rho I] ds
-        rho   = rho0 - int_0^t_j u.grad rho ds
+        P[-(u.grad u) + K div sigma],
+        G sigma + sigma G^T - u.grad sigma + 2k rho I,
+        -u.grad rho,
 
     with G_ij = d_j u_i, the products formed pointwise on the grid and
-    dealiased, sigma = [[c/2 + a, b], [b, c/2 - a]] as matrices, and each
-    integral a direct trapezoid sum over the nodes up to t_j."""
-    m, _, n, _ = path.shape
-    kx, ky, k_sq, mask = _fft2_tables(n, length)
+    dealiased, and sigma = [[c/2 + a, b], [b, c/2 - a]] as matrices, its
+    integrand written back in (a, b, c) order."""
+    n = path.shape[-1]
+    kx, ky, _, mask = _fft2_tables(n, length)
     ik = np.stack([1j * kx, 1j * ky])
 
     def spectrum(values):
@@ -175,15 +174,40 @@ def mild_map(path, initial, t0, params, length):
     kd = (kx * fh[:, 0] + ky * fh[:, 1]) * _reciprocal(kx * kx + ky * ky)
     fh -= np.stack([kx, ky]) * kd[:, None]
     transport = -np.einsum("mjxy,mjxy->mxy", u, drho)[:, None]
-    integrands = np.concatenate([fh, mask * spectrum(stress), mask * spectrum(transport)],
-                                axis=1)
+    return np.concatenate([fh, mask * spectrum(stress), mask * spectrum(transport)], axis=1)
 
+
+def mild_duhamel(integrands, initial, t0, params, length):
+    """heat(t_j) initial plus the direct trapezoid sum over the nodes up to
+    t_j of heat(t_j - s) times `integrands` (m, 6, n, n), full
+    `np.fft.fft2` spectra divided by n^2 on m uniform nodes over [0, t0],
+    from real initial data (6, n, n).  The heat kernels are those of
+    nu lap on u, kappa lap - 2k on the stress and 1 on rho."""
+    m, _, n, _ = integrands.shape
+    _, _, k_sq, _ = _fft2_tables(n, length)
     rates = np.concatenate([np.repeat(params.nu * k_sq[None], 2, 0),
                             np.repeat((params.kappa * k_sq + 2.0 * params.k)[None], 3, 0),
                             np.zeros_like(k_sq)[None]])
     times = np.linspace(0.0, t0, m)
-    out = np.exp(-rates * times[:, None, None, None]) * spectrum(initial)
+    out = np.exp(-rates * times[:, None, None, None]) * (np.fft.fft2(initial) / n ** 2)
     for j in range(1, m):
         kernel = np.exp(-rates * (times[j] - times[:j + 1, None, None, None]))
         out[j] += np.trapezoid(kernel * integrands[:j + 1], times[:j + 1], axis=0)
     return out
+
+
+def mild_map(path, initial, t0, params, length):
+    """The planes of one application of the mild map, as full
+    `np.fft.fft2` spectra (m, 6, n, n) divided by n^2, from a path
+    of real planes (m, 6, n, n) ordered (u1, u2, a, b, c, rho) on m uniform
+    nodes over [0, t0] and real initial data (6, n, n).  `params` carries
+    nu, kappa, k and bigK.  At node t_j:
+
+        u     = heat_u(t_j) u0 + int_0^t_j heat_u(t_j - s) P[-(u.grad u) + K div sigma] ds
+        sigma = heat_s(t_j) sigma0 + int_0^t_j heat_s(t_j - s) [G sigma + sigma G^T
+                - u.grad sigma + 2k rho I] ds
+        rho   = rho0 - int_0^t_j u.grad rho ds
+
+    with the integrands of `mild_integrands` and each integral the direct
+    trapezoid sum of `mild_duhamel`."""
+    return mild_duhamel(mild_integrands(path, params, length), initial, t0, params, length)

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 
-from oldb2d import picard
+from oldb2d import dynamics
 from oldb2d.checks import run_checks
 from oldb2d.cli import main
 
@@ -45,9 +45,11 @@ def test_cli_loads_the_check_suite_for_check_only():
 
 
 def test_checks_see_a_perturbed_picard_product_pass(monkeypatch):
-    """`check` verifies the integrands the Picard map runs: with the map's
-    products off by a relative 1e-9, `picard.q2_consistency` fails."""
-    exact = picard._products
-    monkeypatch.setattr(picard, "_products", lambda real: exact(real) * (1.0 + 1e-9))
+    """`check` verifies the integrands the Picard map runs: with the
+    products of `dynamics.explicit_terms`, the map's integrand, off by a
+    relative 1e-9, `picard.q2_consistency` fails against its own
+    matrix-form Q2."""
+    exact = dynamics._products
+    monkeypatch.setattr(dynamics, "_products", lambda real: exact(real) * (1.0 + 1e-9))
     results = {r.name: r for r in run_checks()}
     assert not results["picard.q2_consistency"].passed, results["picard.q2_consistency"]

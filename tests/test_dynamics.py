@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oldb2d import PhysParams, determinant_rhs, dynamics, make_grid, picard, rates, spectral, step
+from oldb2d import PhysParams, determinant_rhs, dynamics, make_grid, rates, spectral, step
 from oldb2d.checks import band_limited_admissible_state
 from oldb2d.config import build_initial, parse_config
 from oldb2d.fields import norms
@@ -314,21 +314,20 @@ class TestEnergyRateIdentity:
 
 class TestTermsOfABlock:
     """`_terms` evaluates a block of states (b, 6, n, n//3+1) in one
-    derivative stack and one product pass, as the Picard map does with its
-    nodes; each state's terms are bit for bit those of the state alone,
-    with the stepper's products and with the map's."""
+    derivative stack and one product pass; each state's terms are bit for
+    bit those of the state alone, from `_terms` and from `explicit_terms`,
+    which the Picard map calls on its blocks of nodes."""
 
-    @pytest.mark.parametrize("products", [dynamics._products, picard._products],
+    @pytest.mark.parametrize("terms", [dynamics._terms, dynamics.explicit_terms],
                              ids=["stepper", "picard"])
     # The product pass visits the grid in row blocks: at n=64 a block of 3
     # states takes two, of 37 rows and a ragged 27.
     @pytest.mark.parametrize("n,b,row_blocks", [(16, 1, 1), (16, 3, 1), (64, 3, 2)])
-    def test_block_equals_each_state(self, n, b, row_blocks, products):
+    def test_block_equals_each_state(self, n, b, row_blocks, terms):
         grid = make_grid(n, TWO_PI)
         assert -(-n // (spectral._BLOCK_BYTES // (18 * b * n * 8))) == row_blocks
         block = dealias(grid, np.random.default_rng(n + b).standard_normal((b, 6, n, n)))
-        got = dynamics._terms(grid, PARAMS, block, products=products)
+        got = terms(grid, PARAMS, block)
         assert got.shape == block.shape
-        for state, terms in zip(block, got):
-            assert np.array_equal(terms, dynamics._terms(grid, PARAMS, state,
-                                                          products=products))
+        for state, state_terms in zip(block, got):
+            assert np.array_equal(state_terms, terms(grid, PARAMS, state))

@@ -25,11 +25,13 @@ from oldb2d.picard import (
     composite_norm,
     semigroup_paths,
 )
-from oldb2d.spectral import dealias, irfft2, rfft2
+from oldb2d.dynamics import explicit_terms
+from oldb2d.spectral import dealias, irfft2, project, rfft2
 from oldb2d.config import band_limited_random, build_initial, parse_config
 
 from conftest import in_threads, state_of
-from oracles import mild_map, relaxation_exact
+from oracles import (fft2_dealias, fft2_divergence, mild_duhamel, mild_integrands, mild_map,
+                     relaxation_exact)
 
 TWO_PI = 2.0 * np.pi
 PARAMS = PhysParams(nu=0.01, kappa=0.01, k=1.0, bigK=1.0)
@@ -43,6 +45,13 @@ def uniform_state(grid, c0, rho0):
 def masked_noise(grid, rng, shape):
     """The dealiased spectrum, at the kept width, of real noise of `shape`."""
     return dealias(grid, rng.standard_normal(shape))
+
+
+def divergence_free(grid, path):
+    """`path` with its velocity planes Leray-projected in place: the space
+    the map is posed on, which holds every iterate."""
+    project(grid, path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -161,20 +170,34 @@ class TestQ2:
         assert np.max(np.abs(mapped(path_of(9, u=u), grid16, cfg)[:, 2:5])) == 0.0
 
     def test_integrand_matches_dynamics(self, grid16):
-        # The matrix-form assembly must agree with the strain-form stress
-        # rate once relaxation and diffusion are removed, and the density
-        # source 4k rho, which both hold in c, is taken from both.
-        from oldb2d import rates
-
+        """The map's stress integrand, the strain-form stress terms of
+        `explicit_terms`, is the oracle's matrix-form Q2(u, sigma) + L2(rho)
+        on a divergence-free velocity."""
         state = band_limited_admissible_state(grid16, seed=4, kmax=3)
         sh = dealias(grid16, state.planes)
-        integrand = picard_mod._integrands(sh[None], grid16, PARAMS)[0, 2:5]
-        lin = -(PARAMS.kappa * grid16.at(grid16.k_sq, sh)) - 2.0 * PARAMS.k
-        expected = rfft2(rates(state, PARAMS)[2:5], KC) - lin * sh[2:5]
-        integrand[2] -= 4.0 * PARAMS.k * sh[5]
-        expected[2] -= 4.0 * PARAMS.k * rfft2(state.planes[5], KC)
+        integrand = explicit_terms(grid16, PARAMS, sh[None])[0, 2:5]
+        expected = mild_integrands(irfft2(sh, 16)[None], PARAMS, grid16.length)[0, 2:5, :, :KC]
         scale = np.max(np.abs(expected)) + 1e-300
         assert np.max(np.abs(integrand - expected)) <= 1e-12 * scale
+
+    def test_strain_form_off_the_divergence_free_space(self, grid16):
+        """On a path whose velocity is not divergence-free, the map's stress
+        planes are the Duhamel sums of the matrix form less
+        dealias(sigma (div u)): the map is posed on divergence-free
+        velocity, where the two forms agree."""
+        cfg = PicardConfig(t0=0.1, n_time_nodes=9)
+        rng = np.random.default_rng(24)
+        path = masked_noise(grid16, rng, (9, 6, 16, 16))
+        sh0 = masked_noise(grid16, rng, (6, 16, 16))
+        length = grid16.length
+        planes = irfft2(path, 16)
+        div = fft2_divergence(np.moveaxis(planes[:, 0:2], 1, 0), length)
+        integrands = mild_integrands(planes, PARAMS, length)
+        integrands[:, 2:5] -= np.fft.fft2(fft2_dealias(planes[:, 2:5] * div[:, None], length)) / 16 ** 2
+        expected = mild_duhamel(integrands, irfft2(sh0, 16), cfg.t0, PARAMS, length)
+        got = apply_map(path, sh0, grid16, PARAMS, cfg)[:, 2:5]
+        expected = expected[:, 2:5, :, :KC]
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestL2:
@@ -270,14 +293,12 @@ class TestTransportMap:
             assert abs(np.sum(weights * np.abs(out[j]) ** 2) - l2_0) <= 1e-8 * l2_0
 
     def test_integrand_matches_dynamics(self, grid16):
-        # The density integrand is the density rate: rho's operator is
-        # (0, 0), so the rate has no linear part to remove.
-        from oldb2d import rates
-
+        """The map's density integrand, the density plane of
+        `explicit_terms`, is the oracle's -(u.grad rho)."""
         state = band_limited_admissible_state(grid16, seed=4, kmax=3)
         sh = dealias(grid16, state.planes)
-        integrand = picard_mod._integrands(sh[None], grid16, PARAMS)[0, 5]
-        expected = rfft2(rates(state, PARAMS)[5], KC)
+        integrand = explicit_terms(grid16, PARAMS, sh[None])[0, 5]
+        expected = mild_integrands(irfft2(sh, 16)[None], PARAMS, grid16.length)[0, 5, :, :KC]
         scale = np.max(np.abs(expected)) + 1e-300
         assert np.max(np.abs(integrand - expected)) <= 1e-12 * scale
 
@@ -333,6 +354,18 @@ class TestPicardIterate:
         scale = composite_norm(grid16, traj.path, times)
         assert change <= 2.0 * cfg.tol * scale
 
+    def test_converged_path_is_divergence_free(self, grid16):
+        """Every iterate lies in the map's domain: sh0 and the force are
+        projected and the heat factors act per mode, so each node of the
+        converged path has |ikx u1 + iky u2| within 1e-13 of its largest
+        velocity coefficient."""
+        state = band_limited_admissible_state(grid16, seed=9, kmax=3, amp=0.05, u_amp=0.05)
+        cfg = PicardConfig(t0=0.05, n_time_nodes=33, tol=1e-11, max_iter=40)
+        path = picard_iterate(state, PARAMS, cfg)[0].path
+        div = grid16.at(grid16.ikx, path) * path[:, 0] + grid16.at(grid16.iky, path) * path[:, 1]
+        for div_j, u_j in zip(div, path[:, 0:2]):
+            assert np.max(np.abs(div_j)) <= 1e-13 * np.max(np.abs(u_j))
+
     def test_agreement_with_time_stepper(self, grid16):
         state = band_limited_admissible_state(grid16, seed=10, kmax=3,
                                               amp=0.05, u_amp=0.05)
@@ -383,8 +416,8 @@ class TestFusedMap:
     def test_equals_composition_of_operators(self, grid16):
         cfg = PicardConfig(t0=0.1, n_time_nodes=9)
         rng = np.random.default_rng(12)
-        path = masked_noise(grid16, rng, (9, 6, 16, 16))
-        sh0 = masked_noise(grid16, rng, (6, 16, 16))
+        path = divergence_free(grid16, masked_noise(grid16, rng, (9, 6, 16, 16)))
+        sh0 = divergence_free(grid16, masked_noise(grid16, rng, (6, 16, 16)))
         assert_equals_composition(apply_map(path, sh0, grid16, PARAMS, cfg),
                                   path, sh0, grid16, cfg)
 
@@ -398,8 +431,8 @@ class TestMapScratch:
     @staticmethod
     def _inputs(grid, m):
         rng = np.random.default_rng(m)
-        return (masked_noise(grid, rng, (m, 6, 16, 16)),
-                masked_noise(grid, rng, (6, 16, 16)))
+        return (divergence_free(grid, masked_noise(grid, rng, (m, 6, 16, 16))),
+                divergence_free(grid, masked_noise(grid, rng, (6, 16, 16))))
 
     def test_node_changes_match_fresh_scratch(self, grid16):
         def apply(m):
