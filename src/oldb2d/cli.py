@@ -138,14 +138,18 @@ def _cmd_run(args) -> int:
     def write_snapshot(t_snap, state):
         snapshots.write_snapshot(state, snapshot_path(t_snap))
 
-    # A monitor violation leaves the rows and snapshots of the states
-    # accepted before it, and no final state.
+    # The ledger reads only the initial state, so it is taken first, and
+    # `run` gets the one reference to that state, which it lets go of once
+    # it has packed it.  A monitor violation leaves the rows and snapshots
+    # of the states accepted before it, and no final state.
+    ledger = diagnostics.apriori_ledger(initial, cfg.params, horizon, cfg.constant_c)
+    states = [initial]
+    del initial
     with _paths():
-        final = run(initial, cfg.params, cfg.control, cfg.monitors,
+        final = run(states.pop(), cfg.params, cfg.control, cfg.monitors,
                     on_record=write_record, on_snapshot=write_snapshot)
         snapshots.write_snapshot(final, final_path)
 
-    ledger = diagnostics.apriori_ledger(initial, cfg.params, horizon, cfg.constant_c)
     rows = diagnostics.bound_check(diagnostics.series(records), ledger, cfg.params)
     last = records[-1]
     print(f"run complete: t={last.time:.6g}, energy={last.energy:.9g}, "

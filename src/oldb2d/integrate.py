@@ -238,14 +238,19 @@ def _check_monitors(mon: Monitors, params: PhysParams, t: float, dt: float,
         )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def run(initial: SimState, params: PhysParams, ctl: StepControl,
         monitors: Monitors | None = None, *, on_record=lambda record: None,
         on_snapshot=lambda t, state: None) -> SimState:
     """Run to t_end under the monitors and return the final state; raises
     MonitorViolation on failure.  An overflow inside the solve gives a
     non-finite state, which the `nan` monitor reports, so numpy's warnings
-    for it are silenced.
+    for it are silenced, in a `with` block: a decorator's wrapper would
+    hold the call's arguments, and so the initial state, for the whole
+    run.
+
+    `run` keeps no reference to `initial` once it has checked and packed
+    it.  So a caller that hands over its only reference, as `oldb2d run`
+    does, has that state freed before the first record is made.
 
     Records are taken at the initial state and every `output_every`-th step;
     monitors are evaluated on every step.  `run` keeps neither records nor
@@ -267,58 +272,64 @@ def run(initial: SimState, params: PhysParams, ctl: StepControl,
     needs no next stage: it gets a 6-plane inverse transform only.
 
     Every spectrum the loop holds is at the kept width.  A cold run of the
-    run-large config (n=256) peaks at 18.36 MiB traced (numpy 2.4.6), in
-    the `_terms` evaluation of an accepted state: its derivative stack and
-    row blocks, its terms and real planes, beside the packed state, the
-    caller's initial state, the grid's tables (0.57 MB; 20.12 MiB peak
-    with full-width ones) and the factor memo; full-width spectra and
-    2 MiB row blocks peaked at 26.2 MiB, in the third stage of a step.
-    Four `snapshot_times` add nothing to that peak, where holding their
-    states until the return took it to 26.37 MiB.  A cold run of the
+    run-large config (n=256, seed 3) through `oldb2d run` peaks at
+    13.33 MiB traced (numpy 2.4.6), in the `_terms` evaluation of an
+    accepted state: its two 6-plane x-pass arrays, the first of which
+    becomes its terms, its row blocks and its real planes, beside the
+    packed state, the grid's tables (0.57 MB) and the factor memo.  It
+    peaked at 18.36 MiB while the run held the caller's initial state
+    (3.0 MiB) and each evaluation a separate terms array (2.0 MiB), and at
+    15.34 MiB with only the first let go; full-width spectra and 2 MiB row
+    blocks peaked at 26.2 MiB, in the third stage of a step.  Four
+    `snapshot_times` add nothing to that peak, where holding their states
+    until the return took it to 26.37 MiB.  A cold run of the
     run-monitored config (n=64, seed 3: 21 records over 20 steps, three
-    snapshots) through `oldb2d run` peaks at 1.91 MiB traced (2.46 MiB
-    with its snapshots held).
+    snapshots) through `oldb2d run` peaks at 1.70 MiB traced: 1.91 MiB
+    when the initial state and a separate terms array were held, and
+    2.46 MiB when its snapshots were held too.
     """
-    mon = monitors or Monitors()
-    grid = initial.grid
-    _check_admissible(initial, max(mon.positivity_tol, 1e-10), "run initial state")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mon = monitors or Monitors()
+        grid = initial.grid
+        _check_admissible(initial, max(mon.positivity_tol, 1e-10), "run initial state")
 
-    sh = pack_state(initial)
-    t = float(initial.time)
-    t_end = ctl.t_end
-    eps_end = 1e-12 * max(1.0, abs(t_end))
+        sh = pack_state(initial)
+        t = float(initial.time)
+        del initial
+        t_end = ctl.t_end
+        eps_end = 1e-12 * max(1.0, abs(t_end))
 
-    pending_snaps = sorted(ctl.snapshot_times)
+        pending_snaps = sorted(ctl.snapshot_times)
 
-    led = None
-    step_index = 0
-    while True:
-        if not np.isfinite(sh).all():
-            raise MonitorViolation("nan", t, float("nan"), "non-finite field value")
-        more = t < t_end - eps_end
-        if more:
-            nh, reals = _terms(grid, params, sh, planes=True)
-        else:
-            reals = irfft2(sh, grid.n)
-        state = SimState(t, grid, reals)
-        pos = diagnostics._positivity(reals, 0.0)
-        prev, led = led, diagnostics.packed_energy(grid, params, sh, reals)
+        led = None
+        step_index = 0
+        while True:
+            if not np.isfinite(sh).all():
+                raise MonitorViolation("nan", t, float("nan"), "non-finite field value")
+            more = t < t_end - eps_end
+            if more:
+                nh, reals = _terms(grid, params, sh, planes=True)
+            else:
+                reals = irfft2(sh, grid.n)
+            state = SimState(t, grid, reals)
+            pos = diagnostics._positivity(reals, 0.0)
+            prev, led = led, diagnostics.packed_energy(grid, params, sh, reals)
 
-        if step_index:
-            _check_monitors(mon, params, t, dt, pos, prev, led)
-            while pending_snaps and t >= pending_snaps[0] - eps_end:
-                on_snapshot(pending_snaps.pop(0), state)
+            if step_index:
+                _check_monitors(mon, params, t, dt, pos, prev, led)
+                while pending_snaps and t >= pending_snaps[0] - eps_end:
+                    on_snapshot(pending_snaps.pop(0), state)
 
-        if step_index % ctl.output_every == 0:
-            on_record(diagnostics.make_record(grid, t, sh, reals, pos, led))
+            if step_index % ctl.output_every == 0:
+                on_record(diagnostics.make_record(grid, t, sh, reals, pos, led))
 
-        if not more:
-            return state
+            if not more:
+                return state
 
-        dt = _step_dt(grid, ctl, reals[0:2], t)
-        project(grid, nh)
-        del reals, state
-        sh = _advance(grid, params, sh, dt, nh)
-        del nh
-        t += dt
-        step_index += 1
+            dt = _step_dt(grid, ctl, reals[0:2], t)
+            project(grid, nh)
+            del reals, state
+            sh = _advance(grid, params, sh, dt, nh)
+            del nh
+            t += dt
+            step_index += 1

@@ -32,8 +32,9 @@ One application of the map works through the path in blocks of nodes, as
 many as `spectral._BLOCK_BYTES` holds of one node's product pass: 12
 kept-width complex planes and 24 real planes (15 nodes at n=16, 3 at
 n=32, 1 from n=64 up).  A block's integrands are one `explicit_terms`
-evaluation over its nodes: one derivative stack, plane-major, one
-product pass, and one integrand array in `PLANES` order.  On uniform
+evaluation over its nodes: one product pass, which x-passes the block
+through a plane-major view with no copy, and one integrand array in
+`PLANES` order.  On uniform
 nodes heat(t_j) = E heat(t_{j-1}), with E the heat factor over one node
 step, so the heat flow of the data and the trapezoid Duhamel sum are one
 recursion, new_j = E (new_{j-1} + h G_{j-1}) + h G_j from new_0 = sh0,
@@ -197,8 +198,9 @@ def semigroup_paths(sh0, grid, params, cfg):
 def _node_block(grid: SpectralGrid) -> int:
     """Nodes per block of `apply_map`: as many as `spectral._BLOCK_BYTES`
     holds of one node's `dynamics.explicit_terms` evaluation, its 12
-    kept-width complex stack planes and 24 real planes (18 transformed, 6
-    products); 15 at n=16, 3 at n=32, 1 from n=64 up."""
+    kept-width complex planes (the x-passed state and its x-derivatives)
+    and 24 real planes (18 transformed, 6 products); 15 at n=16, 3 at
+    n=32, 1 from n=64 up."""
     n = grid.n
     return max(1, spectral._BLOCK_BYTES // (12 * n * grid.kept_columns * 16 + 24 * n * n * 8))
 

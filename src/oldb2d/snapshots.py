@@ -10,6 +10,7 @@ Field data round-trips bit-exactly.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -28,7 +29,8 @@ class SnapshotFormatError(ValueError):
 
 
 def write_snapshot(state: SimState, path) -> None:
-    """Write the state's planes as field blocks named and ordered by `PLANES`."""
+    """Write the state's planes as field blocks named and ordered by
+    `PLANES`, each straight from its plane's buffer."""
     grid = state.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, grid.n, grid.length,
@@ -37,64 +39,65 @@ def write_snapshot(state: SimState, path) -> None:
             encoded = name.encode("ascii")
             fh.write(struct.pack("<B", len(encoded)))
             fh.write(encoded)
-            fh.write(np.ascontiguousarray(plane, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(plane, dtype="<f8"))
 
 
 def read_snapshot(path, grid: SpectralGrid) -> SimState:
+    """The state a snapshot holds, read field block by field block straight
+    into its planes; the file's size, from `os.fstat`, bounds every read.
+    A malformed file raises `SnapshotFormatError`."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise SnapshotFormatError("truncated snapshot: header incomplete")
-    magic, version, n, length, time, field_count = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise SnapshotFormatError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise SnapshotFormatError(f"unsupported format version {version}")
-    # Negated, so that a nan L fails the comparison.
-    if n != grid.n or not abs(length - grid.length) <= 1e-12 * max(1.0, grid.length):
-        raise SnapshotFormatError(
-            f"grid mismatch: snapshot has n={n}, L={length:.12g}, "
-            f"expected n={grid.n}, L={grid.length:.12g}"
-        )
-    if not math.isfinite(time):
-        raise SnapshotFormatError(f"non-finite time {time!r}")
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise SnapshotFormatError("truncated snapshot: header incomplete")
+        magic, version, n, length, time, field_count = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise SnapshotFormatError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise SnapshotFormatError(f"unsupported format version {version}")
+        # Negated, so that a nan L fails the comparison.
+        if n != grid.n or not abs(length - grid.length) <= 1e-12 * max(1.0, grid.length):
+            raise SnapshotFormatError(
+                f"grid mismatch: snapshot has n={n}, L={length:.12g}, "
+                f"expected n={grid.n}, L={grid.length:.12g}"
+            )
+        if not math.isfinite(time):
+            raise SnapshotFormatError(f"non-finite time {time!r}")
 
-    offset = _HEADER.size
-    block = 8 * n * n
-    planes = np.empty((len(PLANES), n, n))
-    seen = set()
-    for _ in range(field_count):
-        if offset + 1 > len(blob):
-            raise SnapshotFormatError("truncated snapshot: missing field header")
-        (name_len,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        if offset + name_len + block > len(blob):
-            raise SnapshotFormatError("truncated snapshot: incomplete field block")
-        # A byte beyond ASCII stays escaped, so the name is unexpected.
-        name = blob[offset:offset + name_len].decode("ascii", "backslashreplace")
-        offset += name_len
-        if name in seen:
-            raise SnapshotFormatError(f"duplicate field {name!r}")
-        if name not in PLANES:
-            raise SnapshotFormatError(f"unexpected field {name!r}")
-        seen.add(name)
-        data = np.frombuffer(blob[offset:offset + block], dtype="<f8")
-        planes[PLANES.index(name)] = data.reshape(n, n)
-        offset += block
-    if offset != len(blob):
+        offset = _HEADER.size
+        block = 8 * n * n
+        planes = np.empty((len(PLANES), n, n), dtype="<f8")
+        seen = set()
+        for _ in range(field_count):
+            if offset + 1 > size:
+                raise SnapshotFormatError("truncated snapshot: missing field header")
+            (name_len,) = fh.read(1)
+            offset += 1
+            if offset + name_len + block > size:
+                raise SnapshotFormatError("truncated snapshot: incomplete field block")
+            # A byte beyond ASCII stays escaped, so the name is unexpected.
+            name = fh.read(name_len).decode("ascii", "backslashreplace")
+            offset += name_len
+            if name in seen:
+                raise SnapshotFormatError(f"duplicate field {name!r}")
+            if name not in PLANES:
+                raise SnapshotFormatError(f"unexpected field {name!r}")
+            seen.add(name)
+            if fh.readinto(planes[PLANES.index(name)]) != block:
+                raise SnapshotFormatError("truncated snapshot: incomplete field block")
+            offset += block
+    if offset != size:
         raise SnapshotFormatError("trailing bytes after the last field block")
     missing = [name for name in PLANES if name not in seen]
     if missing:
         raise SnapshotFormatError(f"missing fields: {missing}")
-    return SimState(time, grid, planes)
+    return SimState(time, grid, planes.astype(float, copy=False))
 
 
 def append_timeseries(record: DiagnosticsRecord, path) -> None:
     """Append the record's `diagnostics.COLUMNS` as one CSV row (17
     significant digits, which round-trip every double); the header is
     written exactly once, when the file is new or empty."""
-    import os
-
     need_header = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8") as fh:
         if need_header:

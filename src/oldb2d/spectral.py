@@ -36,16 +36,21 @@ transform: it saves a complex temporary the size of that stack.
 
 `dealiased_products` is the one pseudo-spectral product pass, in bounded
 memory: the stepper's explicit terms and the Picard map's integrands both
-go through it.  It reads a stack of dealiased factors at the kept width
-and visits real space one block of x-rows at a time, in fresh arrays per
+go through it.  It reads dealiased fields at the kept width, x-passes
+them into one fresh array and their x-derivatives into a second, and
+visits real space one block of x-rows at a time, in fresh arrays per
 block: the y-passes, the caller's pointwise products and their `rfft`,
-of which only the kept columns are copied out.  The y-derivatives of the
-stack's first planes are not stored in it: `iky` depends on the column
-only, so it commutes with the axis -2 transform, and each block forms
-them from its x-passed rows and y-passes them with the other planes.
-They equal the y-pass of the spectral-first `iky * f_hat` to rounding.
-`_BLOCK_BYTES` is the one budget that sizes the row blocks and the Picard
-map's node blocks.
+of which only the kept columns are copied out, into the rows of the
+fields' array that the block has read when there are as many products as
+fields.  So the pass holds two arrays the size of its input and no
+output array beside them: one `dynamics._terms` evaluation at n=256
+peaks at 8.73 MiB traced with its real planes, 5.73 MiB without (10.75
+and 7.75 MiB with a separate output array).  The y-derivatives are not
+stored: `iky` depends on the column only, so it commutes with the axis
+-2 transform, and each block forms them from its x-passed rows and
+y-passes them with the x-derivatives.  They equal the y-pass of the
+spectral-first `iky * f_hat` to rounding.  `_BLOCK_BYTES` is the one
+budget that sizes the row blocks and the Picard map's node blocks.
 
 Dealiasing follows the 2/3 rule: a mode with integer wavenumbers (k1, k2)
 survives iff 3 * max(|k1|, |k2|) <= N, which keeps quadratic products of
@@ -100,49 +105,66 @@ def irfft2(coeffs: np.ndarray, n: int, *, overwrite_x: bool = False,
 # The one memory budget of the product passes.  A row block of
 # `dealiased_products` holds this many bytes of real planes: a grid whose
 # rows all fit is one block (up to n=64 for the stepper's 18 real planes,
-# its 12 stack planes and 6 y-derivatives), and n=256 takes ten.  A
+# its six fields and their x- and y-derivatives), and n=256 takes ten.  A
 # node block of `picard.apply_map` holds as many nodes as fit one node's
-# pass, its 12 kept-width stack planes and 24 real planes: 15 nodes at
-# n=16, 3 at n=32, 1 from n=64 up.
+# pass, its 12 kept-width planes and 24 real planes: 15 nodes at n=16, 3
+# at n=32, 1 from n=64 up.
 _BLOCK_BYTES = 1 << 20
 
 
-def dealiased_products(grid: SpectralGrid, stack: np.ndarray, dy: int, products,
-                       keep: int = 0):
+def dealiased_products(grid: SpectralGrid, coeffs: np.ndarray, products, keep: int = 0):
     """The dealiased spectrum, at the kept width, of the pointwise products
-    of the real fields whose coefficients fill `stack` and of the
-    y-derivatives of its first `dy` fields.
+    of the real fields whose coefficients fill `coeffs` and of their x- and
+    y-derivatives.
 
-    `stack` is a complex (planes, n, kc) array with kc = `grid.kept_columns`:
-    dealiased coefficients at the kept width, which the x-pass overwrites.
-    Real space is visited in blocks of x-rows, as many as `_BLOCK_BYTES`
-    holds for the planes + dy real planes.  Each block takes fresh arrays:
-    its real planes (planes + dy, rows, n), the stack's planes and then the
+    `coeffs` is a complex (..., n, kc) array, kc = `grid.kept_columns`, of
+    dealiased coefficients at the kept width, whose leading axes list its
+    planes in C order; it may be a strided view, and is only read.  The
+    x-pass writes it into a fresh array, and its x-derivatives into a
+    second, which is freed on return.  Real space is visited in blocks of
+    x-rows, as many as `_BLOCK_BYTES` holds for three real planes per plane
+    of `coeffs`.  Each block takes fresh arrays: its real planes (3 p, rows,
+    n) for p planes of `coeffs`, the fields, their x-derivatives and their
     y-derivatives, which `products(real)` reads to return a fresh array of
     products (count, rows, n).  `iky` depends on the column only, so it
     commutes with the x-pass: a block's y-derivative spectra are its
-    x-passed rows times one row of `iky`.
+    x-passed rows times one row of `iky`, which one per-block temporary
+    holds beside the block's x-derivative rows, so that a block takes two
+    inverse transforms.
+
+    When the products are as many as the planes of `coeffs`, their spectra
+    are written into the array the fields' x-pass filled, each block's into
+    its own rows, which that block's inverse transform has already read:
+    the pass allocates no output.  Otherwise it allocates one.
 
     Returns a masked (count, n, kc) array, bit-identical to the kept
     columns of `rfft2` of the full-width products times the mask, and a
     (keep, n, n) array of the first `keep` real planes, bit-identical to
-    their `irfft2` for planes of the stack."""
+    their `irfft2`."""
     n = grid.n
-    planes, kc = len(stack), stack.shape[-1]
-    rows = max(1, min(n, _BLOCK_BYTES // ((planes + dy) * n * 8)))
-    iky = grid.at(grid.iky, stack)
+    kc = coeffs.shape[-1]
+    mixed = np.fft.ifft(coeffs, axis=-2, norm="forward", out=np.empty(coeffs.shape, complex))
+    derivs = np.multiply(grid.at(grid.ikx, coeffs), coeffs, out=np.empty(coeffs.shape, complex))
+    np.fft.ifft(derivs, axis=-2, norm="forward", out=derivs)
+    mixed, derivs = mixed.reshape((-1, n, kc)), derivs.reshape((-1, n, kc))
+    planes = len(mixed)
+    rows = max(1, min(n, _BLOCK_BYTES // (3 * planes * n * 8)))
+    iky = grid.at(grid.iky, coeffs)
     out = reals = None
 
-    np.fft.ifft(stack, axis=-2, norm="forward", out=stack)
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        coeffs = stack[:, block]
-        real = np.empty((planes + dy, coeffs.shape[1], n))
-        np.fft.irfft(coeffs, n=n, axis=-1, norm="forward", out=real[:planes])
-        np.fft.irfft(iky * coeffs[:dy], n=n, axis=-1, norm="forward", out=real[planes:])
+        head = mixed[:, block]
+        tail = np.empty((2 * planes,) + head.shape[1:], complex)
+        tail[:planes] = derivs[:, block]
+        np.multiply(iky, head, out=tail[planes:])
+        real = np.empty((3 * planes, head.shape[1], n))
+        np.fft.irfft(head, n=n, axis=-1, norm="forward", out=real[:planes])
+        np.fft.irfft(tail, n=n, axis=-1, norm="forward", out=real[planes:])
+        del tail  # before the products' temporaries
         prods = products(real)
         if out is None:  # after the first block's product temporaries are freed
-            out = np.empty((len(prods), n, kc), complex)
+            out = mixed if len(prods) == planes else np.empty((len(prods), n, kc), complex)
             reals = np.empty((keep, n, n))
         reals[:, block] = real[:keep]
         del real  # before the products' spectra are formed

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -400,11 +401,15 @@ class TestOneEvaluationPerState:
         # real planes.
         assert len(terms) == 3 * steps
         # Inverse planes: the product pass x-passes every plane of its
-        # stack and y-passes those and the y-derivatives of its first `dy`;
-        # `irfft2` passes every plane it is given in both.
-        given = sum(int(np.prod(args[0].shape[:-2])) for args in inverse)
-        x_planes = sum(len(args[1]) for args in passes) + given
-        y_planes = sum(len(args[1]) + args[2] for args in passes) + given
+        # coefficients and of their x-derivatives, and y-passes those and
+        # their y-derivatives; `irfft2` passes every plane it is given in
+        # both.
+        def planes(array):
+            return int(np.prod(array.shape[:-2]))
+
+        given = sum(planes(args[0]) for args in inverse)
+        x_planes = sum(2 * planes(args[1]) for args in passes) + given
+        y_planes = sum(3 * planes(args[1]) for args in passes) + given
         assert len(passes) == len(terms)
         assert x_planes == 12 * 3 * steps + 6
         assert y_planes == 18 * 3 * steps + 6
@@ -441,8 +446,9 @@ class TestOneEvaluationPerState:
         stores; a packed state at the kept width is 0.67 units.  Each
         evaluation allocates its 12-plane kept-column stack and two row
         blocks (`pass_buffers`, 3.05 units; two blocks, the last one
-        ragged) inside the measured run, which peaks at 6.53 units: 3.48
-        beside them, as when they were held across calls.  The bound sits a
+        ragged) inside the measured run, which peaks at 5.87 units: 2.82
+        beside them, since the terms are written into the stack's state
+        planes (6.53 units with a separate output array).  The bound sits a
         third of a kept-width state above, so keeping one more such array
         alive through a step fails.  The second of two equal runs is
         measured, as for the readings above."""
@@ -559,6 +565,25 @@ class TestTransformScratch:
         transient = peak - nh.nbytes - reals.nbytes
         assert transient < 18 * 256 * 256 * 8, transient
 
+    def test_transient_below_its_own_stack(self):
+        """At n=256 one `_terms(planes=True)` call's traced peak, less the
+        arrays it returns, is below its own 12-plane kept-width stack, the
+        x-passed state planes and their x-derivatives (4.03 MiB): the
+        products' spectra are written into the rows of the state planes
+        that each row block has read, so no output array is held beside
+        them.  It reads 3.71 MiB; a separate output array took it to
+        5.73 MiB."""
+        grid, sh = self._packed(256, 6)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nh, reals = _terms(grid, PARAMS, sh, planes=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        transient = peak - nh.nbytes - reals.nbytes
+        assert transient < 12 * 256 * (256 // 3 + 1) * 16, transient / 2 ** 20
+
     def test_grid_changes_match_fresh_scratch(self):
         """Runs at n=16, 128 (two row blocks) and 16 again give the bits of
         the same runs repeated: a change of grid leaves nothing behind that
@@ -579,11 +604,12 @@ class TestTransformScratch:
             assert_same_state(got.final_state, want.final_state)
 
     def test_warm_evaluation_allocates_no_stack(self):
-        """A warm `_terms(planes=True)` at n=64 allocates its outputs (2/3
-        of a stack), the products' temporaries and its own derivative stack
-        and row blocks (`pass_buffers`, 1.74 stacks), and peaks at 2.29
-        stacks.  It allocates no 18-plane stack: one more would take it
-        past the bound."""
+        """A warm `_terms(planes=True)` at n=64 allocates its real planes
+        (1/3 of a stack), the products' temporaries and its own derivative
+        stack, whose state planes become its terms, and row blocks
+        (`pass_buffers`, 1.74 stacks), and peaks at 2.12 stacks (2.29 with
+        a separate output array).  It allocates no 18-plane stack: one more
+        would take it past the bound."""
         grid, sh = self._packed(64, 3)
         stack = 18 * 64 * 33 * 16
         _terms(grid, PARAMS, sh, planes=True)
@@ -613,6 +639,27 @@ class TestThreads:
         for got, want in zip(in_threads(solve, (0, 1)), serial):
             assert len(want.records) >= 4
             assert_same_run(got, want.records, want.snapshots, want.final_state)
+
+
+class TestInitialStateReleased:
+    def test_run_lets_go_of_its_initial_state(self):
+        """`run` keeps no reference to its initial state once it has packed
+        it, so a caller that hands over its only reference has the state
+        freed before the first record is made: a 3 MiB state at n=256 is
+        not held through the run."""
+        cfg = parse_config("n=16\npreset=random_admissible\nseed=3\nt_end=0.02\n")
+        refs = []
+
+        def initial():
+            state = build_initial(cfg, make_grid(cfg.n, cfg.length))
+            refs.extend([weakref.ref(state), weakref.ref(state.planes)])
+            return state
+
+        alive = []
+        run(initial(), cfg.params, cfg.control, cfg.monitors,
+            on_record=lambda record: alive.append([ref() is not None for ref in refs]))
+        assert len(alive) >= 2
+        assert alive[0] == [False, False]
 
 
 class TestRun:

@@ -133,10 +133,12 @@ class TestKeptWidth:
 
 
 class TestProductPass:
-    """`dealiased_products` forms the y-derivatives of its stack's first
-    `dy` planes after the x-pass, as one row of `iky` times the x-passed
-    rows: `iky` depends on the column only, so it commutes with the axis -2
-    transform.  Its callback returns as many products as it likes."""
+    """`dealiased_products` forms the y-derivatives of its coefficients
+    after the x-pass, as one row of `iky` times the x-passed rows: `iky`
+    depends on the column only, so it commutes with the axis -2 transform.
+    Its callback reads the fields, their x-derivatives and their
+    y-derivatives and returns as many products as it likes; the pass only
+    reads its coefficients."""
 
     @pytest.mark.parametrize("n", [16, 32, 64, 256])
     def test_commuted_y_derivatives(self, n):
@@ -145,36 +147,40 @@ class TestProductPass:
         rng = np.random.default_rng(n)
         sh = dealias(grid, rng.standard_normal((3, n, n)))
         want = irfft2(grid.at(grid.iky, sh) * sh, n)
-        prods, reals = dealiased_products(grid, sh.copy(), 3, lambda real: real[3:].copy(),
-                                          keep=6)
+        kept = sh.copy()
+        prods, reals = dealiased_products(grid, sh, lambda real: real[6:].copy(), keep=9)
+        assert np.array_equal(sh, kept)
         assert np.array_equal(reals[:3], irfft2(sh, n))
+        assert np.array_equal(reals[3:6], irfft2(grid.at(grid.ikx, sh) * sh, n))
         rms = np.sqrt(np.mean(want ** 2, axis=(-2, -1)))
-        err = np.max(np.abs(reals[3:] - want), axis=(-2, -1))
+        err = np.max(np.abs(reals[6:] - want), axis=(-2, -1))
         assert np.all(err <= 1e-14 * rms), err / rms
         assert np.allclose(prods, dealias(grid, want), rtol=0.0, atol=1e-14 * rms.max())
 
     def test_products_outnumber_planes(self):
-        """More products than the block has real planes, and more
-        y-derivative spectra than products: each is the dealiased spectrum
-        of the same products formed on the whole grid."""
+        """More products than the coefficients have planes, and fewer: each
+        is the dealiased spectrum of the same products formed on the whole
+        grid."""
         grid = make_grid(16, TWO_PI)
         sh = dealias(grid, np.random.default_rng(1).standard_normal((2, 16, 16)))
 
         def squares(real):
             return np.stack([real[0] * real[0], 3.0 * real[0]])
 
-        prods, reals = dealiased_products(grid, sh[:1].copy(), 0, squares)
+        prods, reals = dealiased_products(grid, sh[:1], squares)
         assert prods.shape == (2, 16, grid.kept_columns) and reals.shape == (0, 16, 16)
         assert np.array_equal(prods, dealias(grid, squares(irfft2(sh[:1], 16))))
 
         def advection(real):
-            return (real[0] * real[2] + real[1] * real[3])[None]
+            return (real[0] * real[2] + real[1] * real[5])[None]
 
-        # The y-derivatives as the pass forms them: `iky` times x-passed rows.
+        # The derivatives as the pass forms them: `ikx` times the
+        # coefficients before the x-pass, `iky` times x-passed rows.
         mixed = np.fft.ifft(sh, axis=-2, norm="forward")
-        real = np.fft.irfft(np.concatenate([mixed, grid.at(grid.iky, sh) * mixed]), n=16,
+        dx = np.fft.ifft(grid.at(grid.ikx, sh) * sh, axis=-2, norm="forward")
+        real = np.fft.irfft(np.concatenate([mixed, dx, grid.at(grid.iky, sh) * mixed]), n=16,
                             axis=-1, norm="forward")
-        prods, _ = dealiased_products(grid, sh.copy(), 2, advection)
+        prods, _ = dealiased_products(grid, sh, advection)
         assert prods.shape == (1, 16, grid.kept_columns)
         assert np.array_equal(prods, dealias(grid, advection(real)))
 

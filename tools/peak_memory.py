@@ -13,8 +13,11 @@ outputs written to a temporary directory.  Nothing is held from an
 earlier solve, so the integrating-factor memo is allocated inside the
 traced solve.  It prints the `tracemalloc` peak of each in MiB and in
 packed units (one full-width (6, n, n//2+1) complex half-spectrum state,
-3.02 MiB at n=256), then the process's high-water RSS (`VmHWM`, Linux
-only), which tracing itself raises.  Informational: it gates nothing.
+3.02 MiB at n=256), then this process's high-water RSS (`VmHWM`, Linux
+only), which tracing itself raises.  Last it prints the VmHWM of the same
+cold solve run untraced in a fresh child process, `perfbench/probe.py`,
+which is the number the benchmark's `peak_rss_mb` reads.  Informational:
+it gates nothing.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
+import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -57,6 +63,21 @@ def vm_hwm_kib():
     except OSError:
         pass
     return None
+
+
+def untraced_hwm_kib(workload, seed: int):
+    """The VmHWM in KiB of one cold solve of `workload` at config seed
+    `seed`, run untraced by `perfbench/probe.py` in a fresh process, or
+    None if the probe fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "perfbench", "probe.py"),
+             "--workload", workload.name, "--config-seed", str(seed), "--work-dir", tmp,
+             "--spawned-at", repr(time.monotonic())],
+            capture_output=True, text=True, cwd=ROOT)
+    if proc.returncode != 0:
+        return None
+    return json.loads(proc.stdout.strip().splitlines()[-1])["rss_kib"]
 
 
 def main(argv=None) -> int:
@@ -93,8 +114,9 @@ def main(argv=None) -> int:
     print(f"{workload.name} n={cfg.n} seed={args.seed}; packed unit {unit / MIB:.2f} MiB")
     for name, peak in (("build_initial", build_peak), ("cold solve", run_peak)):
         print(f"{name:14s} traced peak {peak / MIB:7.2f} MiB  {peak / unit:5.2f} units")
-    hwm = vm_hwm_kib()
-    print(f"{'VmHWM':14s} {'n/a' if hwm is None else f'{hwm / 1024:.2f} MiB'}")
+    for name, hwm in (("VmHWM traced", vm_hwm_kib()),
+                      ("VmHWM untraced", untraced_hwm_kib(workload, args.seed))):
+        print(f"{name:14s} {'n/a' if hwm is None else f'{hwm / 1024:.2f} MiB'}")
     return 0
 
 
